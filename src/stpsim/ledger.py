@@ -15,7 +15,7 @@ where kind is ``money`` or ``equity`` and symbol is empty for money entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .money import Money
 
@@ -48,11 +48,63 @@ class NonPositiveQuantity(LedgerError):
     pass
 
 
-@dataclass
+def _marking(write):
+    """The dict method `write`, made to mark the dict's owner as touched first."""
+    def marked(self, *args, **kwargs):
+        self.touched[self.owner] = None
+        return write(self, *args, **kwargs)
+    return marked
+
+
+class Positions(dict):
+    """An account's share counts; every write marks the owner as touched."""
+
+    __slots__ = ("owner", "touched")
+
+    __setitem__ = _marking(dict.__setitem__)
+    __delitem__ = _marking(dict.__delitem__)
+    __ior__ = _marking(dict.__ior__)
+    clear = _marking(dict.clear)
+    pop = _marking(dict.pop)
+    popitem = _marking(dict.popitem)
+    setdefault = _marking(dict.setdefault)
+    update = _marking(dict.update)
+
+
 class Account:
-    owner: str
-    money: Money
-    positions: dict[str, int] = field(default_factory=dict)
+    """One owner's live balances.
+
+    Writing `money`, or any entry of `positions` in place, marks the owner
+    in the ledger's touched set, so the next `Ledger.snapshot` re-records
+    it. `positions` itself cannot be replaced.
+    """
+
+    __slots__ = ("owner", "_money", "_positions", "_touched")
+
+    def __init__(self, owner: str, money: Money, positions: dict[str, int],
+                 touched: dict[str, None]):
+        self.owner = owner
+        self._money = money
+        self._positions = held = Positions(positions)
+        held.owner = owner
+        held.touched = self._touched = touched
+        touched[owner] = None
+
+    @property
+    def money(self) -> Money:
+        return self._money
+
+    @money.setter
+    def money(self, value: Money) -> None:
+        self._touched[self.owner] = None
+        self._money = value
+
+    @property
+    def positions(self) -> Positions:
+        return self._positions
+
+    def __repr__(self) -> str:
+        return f"Account({self.owner!r}, {self._money!r}, {dict(self._positions)!r})"
 
 
 @dataclass(frozen=True)
@@ -72,6 +124,13 @@ class JournalEntry:
 
 @dataclass(frozen=True)
 class AccountSnapshot:
+    """One account's recorded balances, without zero positions.
+
+    Consecutive snapshots share the same object for every account the step
+    did not touch, so treat it, `positions` included, as immutable: replace
+    a snapshot's entry rather than editing it in place.
+    """
+
     money: Money
     positions: dict[str, int]
 
@@ -86,6 +145,11 @@ class Ledger:
         self.currency = currency
         self.accounts: dict[str, Account] = {}
         self.journal: list[JournalEntry] = []
+        # owners whose balances may have changed since the last snapshot; a
+        # dict used as an insertion-ordered set, so snapshots list accounts
+        # in opening order like `accounts`
+        self._touched: dict[str, None] = {}
+        self._recorded: Snapshot = {}
 
     def open_account(self, owner: str, money: Money | None = None,
                      positions: dict[str, int] | None = None) -> Account:
@@ -95,9 +159,10 @@ class Ledger:
             money = Money(0, self.currency)
         if money.currency != self.currency:
             raise LedgerError(f"account currency {money.currency} != ledger {self.currency}")
-        if money.amount < 0 or any(q < 0 for q in (positions or {}).values()):
+        positions = positions or {}
+        if money.amount < 0 or (positions and min(positions.values()) < 0):
             raise LedgerError("initial balances must be non-negative")
-        acct = Account(owner, money, dict(positions or {}))
+        acct = Account(owner, money, positions, self._touched)
         self.accounts[owner] = acct
         return acct
 
@@ -153,11 +218,19 @@ class Ledger:
         return self.account(owner).positions.get(symbol, 0) >= qty
 
     def snapshot(self) -> Snapshot:
-        """Deep copy of all balances; later ledger mutations are invisible to it."""
-        return {
-            owner: AccountSnapshot(acct.money, {s: q for s, q in acct.positions.items() if q})
-            for owner, acct in self.accounts.items()
-        }
+        """All balances as a fresh dict; later ledger mutations are invisible to it.
+
+        Only the accounts touched since the previous call get a new
+        `AccountSnapshot`; every other entry is the object the previous
+        snapshot holds, shared rather than copied.
+        """
+        recorded, accounts = self._recorded, self.accounts
+        for owner in self._touched:
+            acct = accounts[owner]
+            recorded[owner] = AccountSnapshot(
+                acct.money, {s: q for s, q in acct.positions.items() if q})
+        self._touched.clear()
+        return dict(recorded)
 
     def export_journal(self) -> list[str]:
         return [entry.export_line() for entry in self.journal]

@@ -10,10 +10,17 @@ recurring (`*_rec`) operations manually at the defined points:
 
 Retail-only scenarios simply have empty allocation steps. Any rejection or
 settlement failure aborts the run; the report records every snapshot taken
-up to that point. `assert_conservation` then replays the report: every
-consecutive snapshot pair must conserve total money and per-symbol share
-counts exactly, and the final snapshot must equal the scenario's expected
-balances, with every unlisted account flat.
+up to that point. A step's snapshot holds a new `AccountSnapshot` only for
+the accounts that step touched and shares every other one with the step
+before it, so recording costs what changed, not the size of the ledger.
+
+`assert_conservation` then replays the report: every consecutive snapshot
+pair must conserve total money and per-symbol share counts exactly, and the
+final snapshot must equal the scenario's expected balances, with every
+unlisted account flat. A pair is checked by summing the changes of the
+entries whose objects differ between the two snapshots, which equals the
+difference of their full totals; it reads only the recorded values, never
+the ledger's bookkeeping, so an entry replaced after the run is caught.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .assembly import Ecosystem, build_ecosystem
 from .broker import BrokerParams, OrderDraft
 from .clearing import SettlementFailed
 from .custodian import AffirmationRejection
-from .ledger import Snapshot, total_money, total_positions
+from .ledger import AccountSnapshot, Snapshot, total_money, total_positions
 from .money import Money
 from .scenarios import AllocateAction, Scenario
 from .trading import AllocationDetail, Rejection
@@ -268,21 +275,56 @@ def run_scenario(product, scenario: Scenario,
     return ScenarioRunner(ecosystem, scenario).run()
 
 
+def _changes(previous: Snapshot, current: Snapshot) -> tuple[int, dict[str, int]]:
+    """Net money and per-symbol share change from `previous` to `current`.
+
+    Only entries whose `AccountSnapshot` object differs, or whose key is on
+    one side only, can change a total, so only those are summed. The result
+    equals the difference of the full totals of the two snapshots.
+    """
+    money = 0
+    shares: dict[str, int] = {}
+
+    def add(balances: AccountSnapshot, sign: int) -> None:
+        nonlocal money
+        money += sign * balances.money.amount
+        for symbol, qty in balances.positions.items():
+            shares[symbol] = shares.get(symbol, 0) + sign * qty
+
+    get = previous.get
+    shared = len(current)
+    for account, after in current.items():
+        before = get(account)
+        if before is after:
+            continue
+        add(after, 1)
+        if before is None:
+            shared -= 1
+        else:
+            add(before, -1)
+    if shared < len(previous):
+        for account in previous.keys() - current.keys():
+            add(previous[account], -1)
+    return money, shares
+
+
 def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
     """Pairwise conservation over the recorded snapshots, then exact
     equality of the final snapshot against the scenario's expectations."""
     checks: list[CheckResult] = []
     steps = report.steps
     for previous, current in zip(steps, steps[1:]):
-        money_ok = total_money(previous.snapshot) == total_money(current.snapshot)
+        money, shares = _changes(previous.snapshot, current.snapshot)
+        money_ok = money == 0
         checks.append(CheckResult(
             f"conserve_money[{previous.name}->{current.name}]", money_ok,
             "" if money_ok else
             f"{total_money(previous.snapshot)} -> {total_money(current.snapshot)}"))
-        before, after = total_positions(previous.snapshot), total_positions(current.snapshot)
+        equity_ok = not any(shares.values())
         checks.append(CheckResult(
-            f"conserve_equity[{previous.name}->{current.name}]", before == after,
-            "" if before == after else f"{before} -> {after}"))
+            f"conserve_equity[{previous.name}->{current.name}]", equity_ok,
+            "" if equity_ok else
+            f"{total_positions(previous.snapshot)} -> {total_positions(current.snapshot)}"))
 
     scenario = report.scenario
     if scenario is not None and steps:

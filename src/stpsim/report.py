@@ -10,6 +10,10 @@ identifiers are counters) so repeated runs can be diffed:
     check|<name>|pass or check|<name>|FAIL|<detail>
     end|completed or end|aborted|<step>|<cause>
 
+Every step lists every account. `render_machine` formats an account's
+balance text once per `AccountSnapshot` object and reuses it for the steps
+that share that object, so the cost of rendering follows what changed.
+
 The ``report`` command reads a machine file back and renders the human view.
 """
 
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ledger import Snapshot
+from .ledger import AccountSnapshot, Snapshot
 from .lifecycle import CheckResult, ScenarioReport
 
 
@@ -25,19 +29,27 @@ def _positions_text(positions: dict[str, int]) -> str:
     return ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
 
 
-def _balance_lines(step_index: int, snapshot: Snapshot) -> list[str]:
-    return [
-        f"balance|{step_index}|{account}|{snapshot[account].money.amount}"
-        f"|{_positions_text(snapshot[account].positions)}"
-        for account in sorted(snapshot)
-    ]
-
-
 def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     lines = [f"run|product={report.product_name}|scenario={report.scenario_id}"]
+    # account -> (the AccountSnapshot last formatted, its "|account|money|positions"
+    # text); consecutive steps share the objects of untouched accounts
+    suffixes: dict[str, tuple[AccountSnapshot, str]] = {}
+    accounts: list[str] = []
+    previous: Snapshot = {}
     for index, step in enumerate(report.steps, start=1):
         lines.append(f"step|{index}|{step.name}|{';'.join(step.events)}")
-        lines.extend(_balance_lines(index, step.snapshot))
+        snapshot = step.snapshot
+        if snapshot.keys() != previous.keys():
+            accounts = sorted(snapshot)
+        previous = snapshot
+        head = f"balance|{index}"
+        for account in accounts:
+            balances = snapshot[account]
+            cached = suffixes.get(account)
+            if cached is None or cached[0] is not balances:
+                cached = suffixes[account] = (balances, (
+                    f"|{account}|{balances.money.amount}|{_positions_text(balances.positions)}"))
+            lines.append(head + cached[1])
     for trade_line in report.trade_lines:
         lines.append(f"trade|{trade_line}")
     for audit_line in report.audit_lines:
@@ -118,7 +130,7 @@ class ReportParseError(Exception):
 
 def parse_machine(text: str) -> ParsedRun:
     parsed = ParsedRun()
-    balances_by_step: dict[int, dict[str, tuple[int, str]]] = {}
+    latest_step: int | None = None  # only this step's balances are kept
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -134,9 +146,11 @@ def parse_machine(text: str) -> ParsedRun:
         elif tag == "step":
             parsed.steps.append((fields[2], fields[3] if len(fields) > 3 else ""))
         elif tag == "balance":
-            step_index = int(fields[1])
-            balances_by_step.setdefault(step_index, {})[fields[2]] = (
-                int(fields[3]), fields[4] if len(fields) > 4 else "")
+            step_index, money = int(fields[1]), int(fields[3])
+            if latest_step is None or step_index > latest_step:
+                latest_step, parsed.final_balances = step_index, {}
+            if step_index == latest_step:
+                parsed.final_balances[fields[2]] = (money, fields[4] if len(fields) > 4 else "")
         elif tag == "journal":
             parsed.journal_count += 1
         elif tag == "trade":
@@ -156,8 +170,6 @@ def parse_machine(text: str) -> ParsedRun:
             raise ReportParseError(f"line {line_no}: unknown record {tag!r}")
     if not parsed.product_name and not parsed.scenario_id:
         raise ReportParseError("not a machine report: missing run header")
-    if balances_by_step:
-        parsed.final_balances = balances_by_step[max(balances_by_step)]
     return parsed
 
 

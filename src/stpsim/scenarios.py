@@ -105,21 +105,25 @@ class Scenario:
     allocations: tuple[AllocateAction, ...] = ()
     expected: tuple[ExpectedBalance, ...] = ()
     contract_price_perturbation: int = 0  # test hook: cents added to one contract
+    # client account -> broker, and the institution accounts; built from the
+    # client tuples on construction (also by `dataclasses.replace`)
+    _brokers: dict[str, str] = field(init=False, repr=False, compare=False)
+    _institutions: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._brokers = {}
+        for client in (*self.retail_clients, *self.institutions):
+            self._brokers.setdefault(client.account, client.broker)
+        self._institutions = frozenset(i.account for i in self.institutions)
 
     def participant_ids(self, role: ParticipantRole) -> tuple[str, ...]:
         return self.participants.get(role, ())
 
     def broker_of(self, client_account: str) -> str:
-        for retail in self.retail_clients:
-            if retail.account == client_account:
-                return retail.broker
-        for institution in self.institutions:
-            if institution.account == client_account:
-                return institution.broker
-        raise KeyError(client_account)
+        return self._brokers[client_account]  # KeyError(client_account) if unknown
 
     def is_institution(self, client_account: str) -> bool:
-        return any(i.account == client_account for i in self.institutions)
+        return client_account in self._institutions
 
     def money(self, amount: int) -> Money:
         return Money(amount, self.currency)

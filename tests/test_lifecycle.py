@@ -1,11 +1,14 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_scenario
 from matchdriver import comparator_for
-from stpsim.ledger import Money, total_money, total_positions
-from stpsim.lifecycle import assert_conservation, run_scenario
+from stpsim.ledger import (
+    AccountSnapshot, Ledger, LedgerError, Money, total_money, total_positions)
+from stpsim.lifecycle import (
+    CheckResult, ScenarioReport, StepRecord, assert_conservation, run_scenario)
 from stpsim.report import render_machine
 from stpsim.scenarios import SCENARIO_IDS
 
@@ -235,3 +238,94 @@ def test_every_scenario_conserves_totals_throughout(products):
             per_symbol = {tuple(sorted(total_positions(s.snapshot).items()))
                           for s in report.steps}
             assert len(per_symbol) == 1
+
+
+# -- full-totals oracle for the incremental conservation check ---------------
+
+def full_totals_conservation(report):
+    """The pairwise conservation checks computed from the full totals of
+    both snapshots of every consecutive pair, sharing nothing."""
+    checks = []
+    for previous, current in zip(report.steps, report.steps[1:]):
+        pair = f"{previous.name}->{current.name}"
+        money_before, money_after = total_money(previous.snapshot), total_money(current.snapshot)
+        checks.append(CheckResult(
+            f"conserve_money[{pair}]", money_before == money_after,
+            "" if money_before == money_after else f"{money_before} -> {money_after}"))
+        before, after = total_positions(previous.snapshot), total_positions(current.snapshot)
+        checks.append(CheckResult(
+            f"conserve_equity[{pair}]", before == after,
+            "" if before == after else f"{before} -> {after}"))
+    return checks
+
+
+def assert_matches_oracle(report):
+    oracle = full_totals_conservation(report)
+    assert assert_conservation(report)[:len(oracle)] == oracle
+    return oracle
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+@pytest.mark.parametrize("scenario_id", ALL_SCENARIOS)
+def test_incremental_check_matches_full_totals_oracle(products, product_key, scenario_id):
+    report, _ = run_pair(products[product_key], scenario_id)
+    assert all(check.passed for check in assert_matches_oracle(report))
+
+    victim = report.steps[3]
+    account = sorted(victim.snapshot)[0]
+    victim.snapshot[account] = dataclasses.replace(
+        victim.snapshot[account], money=victim.snapshot[account].money + Money(1))
+    assert not all(check.passed for check in assert_matches_oracle(report))
+
+
+OWNERS = ("a0", "a1", "a2", "a3", "a4")
+
+
+def tamper(snapshot, account, kind, amount):
+    """Corrupt one recorded entry without going through the ledger."""
+    balances = snapshot.get(account)
+    if kind == "drop":
+        snapshot.pop(account, None)
+    elif kind == "phantom" or balances is None:
+        snapshot[f"{account}.phantom"] = AccountSnapshot(Money(amount), {"SYM": amount})
+    elif kind == "money":
+        snapshot[account] = dataclasses.replace(balances, money=balances.money + Money(amount))
+    else:
+        symbol = "SYM" if kind == "shares" else "NEW"
+        positions = dict(balances.positions)
+        positions[symbol] = positions.get(symbol, 0) + amount
+        snapshot[account] = dataclasses.replace(balances, positions=positions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(moves=st.lists(st.tuples(st.sampled_from(OWNERS), st.sampled_from(OWNERS),
+                                st.booleans(), st.integers(1, 40)), max_size=25),
+       data=st.data())
+def test_incremental_check_matches_oracle_under_tampering(moves, data):
+    ledger = Ledger()
+    for owner in OWNERS:
+        ledger.open_account(owner, Money(100), {"SYM": 20})
+    steps = [StepRecord("setup", ledger.snapshot())]
+    touched = [set()]
+    for index, (src, dst, is_money, amount) in enumerate(moves, start=1):
+        try:
+            if is_money:
+                ledger.transfer_money(src, dst, Money(amount))
+            else:
+                ledger.transfer_equity(src, dst, "SYM", amount)
+            touched.append({src, dst})
+        except LedgerError:
+            touched.append(set())
+        steps.append(StepRecord(f"move_{index}", ledger.snapshot()))
+
+    tampers = data.draw(st.lists(st.tuples(
+        st.integers(0, len(steps) - 1), st.booleans(),
+        st.sampled_from(("money", "shares", "new_symbol", "drop", "phantom")),
+        st.integers(-30, 30).filter(bool)), max_size=4))
+    for index, on_touched, kind, amount in tampers:
+        others = sorted(set(OWNERS) - touched[index])
+        pool = sorted(touched[index]) if on_touched and touched[index] else others
+        tamper(steps[index].snapshot, data.draw(st.sampled_from(pool)), kind, amount)
+
+    report = ScenarioReport("P", "hypothesis", steps=steps)
+    assert assert_conservation(report) == full_totals_conservation(report)

@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import load_scenario
 from stpsim.ledger import (
+    AccountSnapshot,
     DuplicateAccount,
     InsufficientFunds,
     InsufficientPosition,
@@ -12,6 +16,7 @@ from stpsim.ledger import (
     total_money,
     total_positions,
 )
+from stpsim.lifecycle import run_scenario
 from stpsim.money import CurrencyMismatch, Money
 
 
@@ -176,3 +181,86 @@ def test_journal_export_format():
         "1|money|alice|bob|7||step1",
         "2|equity|alice|bob|2|ACME|step2",
     ]
+
+
+# -- touched accounts and shared snapshots ------------------------------------
+
+@pytest.mark.parametrize("write", [
+    lambda a: setattr(a, "money", Money(7)),
+    lambda a: a.positions.__setitem__("ACME", 4),
+    lambda a: a.positions.__delitem__("ACME"),
+    lambda a: a.positions.update(ACME=4),
+    lambda a: a.positions.pop("ACME"),
+    lambda a: a.positions.popitem(),
+    lambda a: a.positions.clear(),
+    lambda a: a.positions.setdefault("NEW", 3),
+    lambda a: a.positions.__ior__({"ACME": 4}),
+], ids=["money", "setitem", "delitem", "update", "pop", "popitem", "clear", "setdefault",
+        "ior"])
+def test_direct_account_write_shows_in_next_snapshot(write):
+    ledger = make_ledger()
+    before = ledger.snapshot()
+    account = ledger.accounts["alice"]
+    write(account)
+    after = ledger.snapshot()
+    assert after["alice"] == AccountSnapshot(
+        account.money, {s: q for s, q in account.positions.items() if q})
+    assert after["alice"] != before["alice"]
+    assert before["alice"] == AccountSnapshot(Money(1000), {"ACME": 10})
+
+
+def test_account_positions_cannot_be_replaced():
+    ledger = make_ledger()
+    with pytest.raises(AttributeError):
+        ledger.accounts["alice"].positions = {"ACME": 99}
+
+
+def test_snapshot_shares_untouched_accounts_and_renews_touched_ones():
+    ledger = make_ledger()
+    ledger.open_account("carol", Money(5))
+    first = ledger.snapshot()
+    ledger.transfer_money("alice", "bob", Money(1))
+    second = ledger.snapshot()
+    assert second["carol"] is first["carol"]
+    assert second["alice"] is not first["alice"]
+    assert second["bob"] is not first["bob"]
+    assert list(second) == ["alice", "bob", "carol"]
+
+
+def test_mutating_a_returned_snapshot_does_not_leak_into_the_next():
+    ledger = make_ledger()
+    snap = ledger.snapshot()
+    expected = dict(snap)
+    snap["alice"] = AccountSnapshot(Money(1), {})
+    del snap["bob"]
+    snap["mallory"] = AccountSnapshot(Money(10**6), {"ACME": 1})
+    assert ledger.snapshot() == expected
+
+
+def _journal_accounts(journal_lines):
+    return {field for line in journal_lines for field in line.split("|")[2:4]}
+
+
+@pytest.mark.parametrize("scenario_id", ["retail_retail", "institutional_institutional"])
+def test_account_no_step_touched_keeps_one_snapshot_object(product_a, scenario_id):
+    report = run_scenario(product_a, load_scenario(scenario_id))
+    untouched = set(report.steps[0].snapshot) - _journal_accounts(report.journal_lines)
+    assert untouched
+    for previous, current in zip(report.steps, report.steps[1:]):
+        for account in untouched:
+            assert current.snapshot[account] is previous.snapshot[account]
+
+
+def test_replacing_one_steps_entry_leaves_neighbouring_steps_unchanged(product_a):
+    report = run_scenario(product_a, load_scenario("retail_retail"))
+    before = [dict(step.snapshot) for step in report.steps]
+    victim = report.steps[3]
+    account = sorted(victim.snapshot)[0]
+    victim.snapshot[account] = dataclasses.replace(
+        victim.snapshot[account], money=victim.snapshot[account].money + Money(1))
+    for index, step in enumerate(report.steps):
+        if index == 3:
+            assert step.snapshot[account] != before[3][account]
+            continue
+        assert step.snapshot == before[index]
+        assert all(step.snapshot[name] is balances for name, balances in before[index].items())
