@@ -10,6 +10,7 @@ orders never rest: any unfilled remainder cancels.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 
 from .money import Money
@@ -55,28 +56,78 @@ ALL_COMPARATORS = tuple(
 )
 
 
+class BookSide:
+    """One side's resting orders, kept as a heap in precedence order.
+
+    Entries are ``(comparator.key(order), order)``; the keys are unique
+    because seq is, so orders themselves are never compared, and one heap
+    serves all four comparators. Only the head ever trades, so under size
+    priority only the head's rank can change: it is re-pushed after a
+    partial fill, and every other entry's key stays exact. ``levels`` maps
+    each resting price to its total remaining quantity. Iteration, indexing
+    and ``==`` see the orders in rank order.
+    """
+
+    def __init__(self, key):
+        self._key = key
+        self._heap: list[tuple[tuple, Order]] = []
+        self.levels: dict[Money, int] = {}
+
+    def append(self, order: Order) -> None:
+        """Rest `order` (a priced order with quantity remaining)."""
+        heapq.heappush(self._heap, (self._key(order), order))
+        price = order.limit_price
+        self.levels[price] = self.levels.get(price, 0) + order.remaining
+
+    def head(self) -> Order | None:
+        return self._heap[0][1] if self._heap else None
+
+    def take(self, qty: int) -> None:
+        """Fill `qty` of the head; pop it when done, else re-rank it."""
+        head = self._heap[0][1]
+        head.remaining -= qty
+        left = self.levels[head.limit_price] - qty
+        if left:
+            self.levels[head.limit_price] = left
+        else:
+            del self.levels[head.limit_price]
+        if head.remaining:
+            heapq.heapreplace(self._heap, (self._key(head), head))
+        else:
+            heapq.heappop(self._heap)
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __iter__(self):
+        return (order for _, order in sorted(self._heap))
+
+    def __getitem__(self, index: int) -> Order:
+        return list(self)[index]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
 class OrderBook:
     """One symbol's resting orders. The owning exchange serializes access.
 
-    Precedence is computed at selection time rather than kept as a sorted
-    structure: under size priority a partial fill re-ranks the order, so
-    any stored order would go stale.
+    Each side is a `BookSide`, so the best order is its head and a fill
+    costs O(log depth). `is_crossed` compares the two heads, and FOK's
+    `fillable_quantity` sums price levels, not orders.
     """
 
     def __init__(self, symbol: str, comparator: PrecedenceComparator):
         self.symbol = symbol
         self.comparator = comparator
-        self.bids: list[Order] = []
-        self.asks: list[Order] = []
+        self.bids = BookSide(comparator.key)
+        self.asks = BookSide(comparator.key)
 
-    def side(self, side: Side) -> list[Order]:
+    def side(self, side: Side) -> BookSide:
         return self.bids if side is Side.BUY else self.asks
 
     def best(self, side: Side) -> Order | None:
-        resting = self.side(side)
-        if not resting:
-            return None
-        return min(resting, key=self.comparator.key)
+        return self.side(side).head()
 
     def best_price(self, side: Side) -> Money | None:
         best = self.best(side)
@@ -88,23 +139,21 @@ class OrderBook:
     def is_crossed(self) -> bool:
         if not self.bids or not self.asks:
             return False
-        top_bid = max(order.limit_price.amount for order in self.bids)
-        low_ask = min(order.limit_price.amount for order in self.asks)
-        return top_bid >= low_ask
+        return self.bids.head().limit_price.amount >= self.asks.head().limit_price.amount
 
-    def _price_compatible(self, incoming: Order, resting: Order) -> bool:
+    def _price_compatible(self, incoming: Order, price: Money) -> bool:
         if incoming.order_type is OrderType.MARKET:
             return True
         if incoming.side is Side.BUY:
-            return incoming.limit_price >= resting.limit_price
-        return incoming.limit_price <= resting.limit_price
+            return incoming.limit_price >= price
+        return incoming.limit_price <= price
 
     def fillable_quantity(self, incoming: Order) -> int:
         """Shares available at compatible prices; does not mutate the book."""
         return sum(
-            resting.remaining
-            for resting in self.side(incoming.side.opposite)
-            if self._price_compatible(incoming, resting)
+            qty
+            for price, qty in self.side(incoming.side.opposite).levels.items()
+            if self._price_compatible(incoming, price)
         )
 
     def submit(self, incoming: Order, make_trade) -> list[Trade]:
@@ -136,20 +185,16 @@ class OrderBook:
         trades: list[Trade] = []
         opposite = self.side(incoming.side.opposite)
         while incoming.remaining > 0 and opposite:
-            resting = min(opposite, key=self.comparator.key)
-            if not self._price_compatible(incoming, resting):
+            resting = opposite.head()
+            if not self._price_compatible(incoming, resting.limit_price):
                 break
             qty = min(incoming.remaining, resting.remaining)
             price = resting.limit_price
             buy, sell = (incoming, resting) if incoming.side is Side.BUY else (resting, incoming)
             trades.append(make_trade(buy, sell, price, qty))
             incoming.remaining -= qty
-            resting.remaining -= qty
-            if resting.remaining == 0:
-                resting.status = OrderStatus.FILLED
-                opposite.remove(resting)
-            else:
-                resting.status = OrderStatus.PARTIALLY_FILLED
+            opposite.take(qty)
+            resting.status = OrderStatus.PARTIALLY_FILLED if resting.remaining else OrderStatus.FILLED
         return trades
 
 

@@ -42,6 +42,8 @@ _ORDER_TYPES = {
     "fok": OrderType.FILL_OR_KILL,
 }
 
+_SIDES = {side.value: side for side in Side}
+
 _PARTICIPANT_KEYS = {role.value: role for role in ParticipantRole}
 
 
@@ -139,14 +141,25 @@ def _split_kv(parts: list[str], line_no: int) -> dict[str, str]:
     return out
 
 
+def _pop_field(kv: dict[str, str], key: str, line_no: int) -> str:
+    """Remove and return kv[key]; a missing key is a format error."""
+    if key not in kv:
+        raise ScenarioFormatError(f"missing {key}=", line_no)
+    return kv.pop(key)
+
+
+def _int(text: str, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioFormatError(f"bad integer {text!r}", line_no) from None
+
+
 def _parse_holdings(parts: list[str], line_no: int) -> tuple[int, tuple[tuple[str, int], ...]]:
     money = 0
     positions = []
     for key, value in _split_kv(parts, line_no).items():
-        try:
-            number = int(value)
-        except ValueError:
-            raise ScenarioFormatError(f"bad integer {value!r}", line_no) from None
+        number = _int(value, line_no)
         if key == "money":
             money = number
         else:
@@ -175,6 +188,8 @@ def parse_scenario(text: str) -> Scenario:
         key, rest = line.split(":", 1)
         key = key.strip()
         parts = rest.split()
+        if not parts:
+            raise ScenarioFormatError(f"{key!r} needs a value", line_no)
 
         if key == "scenario":
             scenario_id = parts[0]
@@ -186,12 +201,12 @@ def parse_scenario(text: str) -> Scenario:
             participants.setdefault(_PARTICIPANT_KEYS[key], []).append(parts[0])
         elif key == "retail":
             kv = _split_kv(parts[1:], line_no)
-            retail.append(RetailClient(parts[0], kv["broker"]))
+            retail.append(RetailClient(parts[0], _pop_field(kv, "broker", line_no)))
         elif key == "institution":
             kv = _split_kv(parts[1:], line_no)
             institutions.append(Institution(
-                parts[0], kv["broker"], kv["custodian"],
-                tuple(kv["ends"].split(","))))
+                parts[0], _pop_field(kv, "broker", line_no), _pop_field(kv, "custodian", line_no),
+                tuple(_pop_field(kv, "ends", line_no).split(","))))
         elif key == "endow":
             money, positions = _parse_holdings(parts[1:], line_no)
             endowments.append(Endowment(parts[0], money, positions))
@@ -199,30 +214,31 @@ def parse_scenario(text: str) -> Scenario:
             if len(parts) < 5:
                 raise ScenarioFormatError("order needs: client side qty symbol type", line_no)
             client, side_text, qty_text, symbol, type_text = parts[:5]
+            if side_text not in _SIDES:
+                raise ScenarioFormatError(f"unknown side {side_text!r}", line_no)
             if type_text not in _ORDER_TYPES:
                 raise ScenarioFormatError(f"unknown order type {type_text!r}", line_no)
-            order_type = _ORDER_TYPES[type_text]
             price = None
             cap = None
             for extra in parts[5:]:
                 if extra.startswith("cap="):
-                    cap = int(extra[4:])
+                    cap = _int(extra[4:], line_no)
                 else:
-                    price = int(extra)
+                    price = _int(extra, line_no)
             orders.append(OrderAction(
                 index=len(orders) + 1,
                 client=client,
-                side=Side(side_text),
-                quantity=int(qty_text),
+                side=_SIDES[side_text],
+                quantity=_int(qty_text, line_no),
                 symbol=symbol,
-                order_type=order_type,
+                order_type=_ORDER_TYPES[type_text],
                 price=price,
                 cap=cap,
             ))
         elif key == "allocate":
             kv = _split_kv(parts[1:], line_no)
-            order_index = int(kv.pop("order"))
-            splits = tuple((end, int(qty)) for end, qty in kv.items())
+            order_index = _int(_pop_field(kv, "order", line_no), line_no)
+            splits = tuple((end, _int(qty, line_no)) for end, qty in kv.items())
             allocations.append(AllocateAction(parts[0], order_index, splits))
         elif key == "expect":
             money, positions = _parse_holdings(parts[1:], line_no)
