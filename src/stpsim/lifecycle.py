@@ -35,7 +35,7 @@ from .custodian import AffirmationRejection
 from .ledger import AccountSnapshot, Snapshot, total_money, total_positions
 from .money import Money
 from .scenarios import AllocateAction, Scenario
-from .trading import AllocationDetail, Rejection
+from .trading import AllocationDetail, Rejection, TradeStatus
 
 
 class ScenarioAborted(Exception):
@@ -267,6 +267,12 @@ class ScenarioRunner:
         if clearing.netting:
             flat = self.eco.ledger.balance(clearing.ccp_account).amount == 0
             checks.append(CheckResult("ccp_flat", flat))
+        unsettled = next((trade for exchange in self.eco.exchanges.values()
+                          for trade in exchange.executed
+                          if trade.status is not TradeStatus.SETTLED), None)
+        checks.append(CheckResult(
+            "all_trades_settled", unsettled is None,
+            "" if unsettled is None else f"{unsettled.trade_id} is {unsettled.status.value}"))
 
 
 def run_scenario(product, scenario: Scenario,

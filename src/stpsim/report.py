@@ -10,9 +10,12 @@ identifiers are counters) so repeated runs can be diffed:
     check|<name>|pass or check|<name>|FAIL|<detail>
     end|completed or end|aborted|<step>|<cause>
 
-Every step lists every account. `render_machine` formats an account's
-balance text once per `AccountSnapshot` object and reuses it for the steps
-that share that object, so the cost of rendering follows what changed.
+A ``balance`` line gives an account's balances from step n on: step 1 lists
+every account, and a later step lists only the accounts whose balances
+changed since they were last written, so the report grows with what the run
+changed, not with steps x accounts. A file that restates every account at
+every step is read the same way. Accounts are never closed, so a step whose
+snapshot lacks an account an earlier step had cannot be written.
 
 The ``report`` command reads a machine file back and renders the human view.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ledger import AccountSnapshot, Snapshot
+from .ledger import Snapshot
 from .lifecycle import CheckResult, ScenarioReport
 
 
@@ -29,27 +32,34 @@ def _positions_text(positions: dict[str, int]) -> str:
     return ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
 
 
+class VanishedAccountError(Exception):
+    """A step's snapshot lacks an account that an earlier step recorded."""
+
+
 def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     lines = [f"run|product={report.product_name}|scenario={report.scenario_id}"]
-    # account -> (the AccountSnapshot last formatted, its "|account|money|positions"
-    # text); consecutive steps share the objects of untouched accounts
-    suffixes: dict[str, tuple[AccountSnapshot, str]] = {}
-    accounts: list[str] = []
+    written: dict[str, str] = {}  # account -> the "|account|money|positions" text last written
     previous: Snapshot = {}
     for index, step in enumerate(report.steps, start=1):
         lines.append(f"step|{index}|{step.name}|{';'.join(step.events)}")
         snapshot = step.snapshot
         if snapshot.keys() != previous.keys():
-            accounts = sorted(snapshot)
-        previous = snapshot
+            vanished = previous.keys() - snapshot.keys()
+            if vanished:
+                raise VanishedAccountError(
+                    f"step {index} ({step.name}) lacks account {min(vanished)!r}")
+        # consecutive steps share the objects of untouched accounts, so only
+        # new objects are formatted and compared with what was last written
+        before = previous.get
         head = f"balance|{index}"
-        for account in accounts:
+        for account in sorted([account for account, balances in snapshot.items()
+                               if before(account) is not balances]):
             balances = snapshot[account]
-            cached = suffixes.get(account)
-            if cached is None or cached[0] is not balances:
-                cached = suffixes[account] = (balances, (
-                    f"|{account}|{balances.money.amount}|{_positions_text(balances.positions)}"))
-            lines.append(head + cached[1])
+            text = f"|{account}|{balances.money.amount}|{_positions_text(balances.positions)}"
+            if written.get(account) != text:
+                written[account] = text
+                lines.append(head + text)
+        previous = snapshot
     for trade_line in report.trade_lines:
         lines.append(f"trade|{trade_line}")
     for audit_line in report.audit_lines:
@@ -128,14 +138,31 @@ class ReportParseError(Exception):
     pass
 
 
+# The fewest "|"-separated fields, tag included, that each record can have.
+_MIN_FIELDS = {"run": 1, "step": 3, "balance": 4, "journal": 1, "trade": 1, "audit": 1,
+               "affirmation": 1, "instruction": 1, "check": 3, "end": 2}
+
+
+def _integer(text: str, line_no: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ReportParseError(f"line {line_no}: {what} {text!r} is not an integer") from None
+
+
 def parse_machine(text: str) -> ParsedRun:
     parsed = ParsedRun()
-    latest_step: int | None = None  # only this step's balances are kept
+    balances = parsed.final_balances  # every account's balances as of the last step read
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("|")
         tag = fields[0]
+        least = _MIN_FIELDS.get(tag)
+        if least is None:
+            raise ReportParseError(f"line {line_no}: unknown record {tag!r}")
+        if len(fields) < least or (tag == "end" and fields[1:] == ["aborted"]):
+            raise ReportParseError(f"line {line_no}: truncated {tag} record {line!r}")
         if tag == "run":
             for part in fields[1:]:
                 key, _, value = part.partition("=")
@@ -144,13 +171,17 @@ def parse_machine(text: str) -> ParsedRun:
                 elif key == "scenario":
                     parsed.scenario_id = value
         elif tag == "step":
+            if _integer(fields[1], line_no, "step") != len(parsed.steps) + 1:
+                raise ReportParseError(
+                    f"line {line_no}: step {fields[1]} follows step {len(parsed.steps)}")
             parsed.steps.append((fields[2], fields[3] if len(fields) > 3 else ""))
         elif tag == "balance":
-            step_index, money = int(fields[1]), int(fields[3])
-            if latest_step is None or step_index > latest_step:
-                latest_step, parsed.final_balances = step_index, {}
-            if step_index == latest_step:
-                parsed.final_balances[fields[2]] = (money, fields[4] if len(fields) > 4 else "")
+            if _integer(fields[1], line_no, "step") != len(parsed.steps):
+                raise ReportParseError(
+                    f"line {line_no}: balance for step {fields[1]} "
+                    f"follows step {len(parsed.steps)}")
+            balances[fields[2]] = (_integer(fields[3], line_no, "money"),
+                                   fields[4] if len(fields) > 4 else "")
         elif tag == "journal":
             parsed.journal_count += 1
         elif tag == "trade":
@@ -160,14 +191,15 @@ def parse_machine(text: str) -> ParsedRun:
         elif tag == "check":
             if fields[2] == "pass":
                 parsed.checks.append(CheckResult(fields[1], True))
-            else:
+            elif fields[2] == "FAIL":
                 detail = fields[3] if len(fields) > 3 else ""
                 parsed.checks.append(CheckResult(fields[1], False, detail))
-        elif tag == "end":
-            if fields[1] == "aborted":
-                parsed.aborted = (fields[2], "|".join(fields[3:]))
-        else:
-            raise ReportParseError(f"line {line_no}: unknown record {tag!r}")
+            else:
+                raise ReportParseError(f"line {line_no}: check status {fields[2]!r}")
+        elif fields[1] == "aborted":  # only the end record is left
+            parsed.aborted = (fields[2], "|".join(fields[3:]))
+        elif fields[1] != "completed":
+            raise ReportParseError(f"line {line_no}: end status {fields[1]!r}")
     if not parsed.product_name and not parsed.scenario_id:
         raise ReportParseError("not a machine report: missing run header")
     return parsed
