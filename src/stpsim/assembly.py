@@ -99,9 +99,6 @@ class Ecosystem:
     exchanges: dict[str, ExchangeService] = field(default_factory=dict)
     clearing: ClearingCorporation | None = None
 
-    def all_accounts(self) -> list[str]:
-        return list(self.ledger.accounts)
-
 
 def house_account(broker_id: str) -> str:
     return f"{broker_id}.house"

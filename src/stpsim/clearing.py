@@ -7,21 +7,38 @@ that order's full executed quantity (affirmation has transferred
 settlement responsibility), then clears under the product's bound rule:
 
 * trade_for_trade: one money obligation and one equity obligation per
-  trade, settled bilaterally between the two settlement accounts.
-* multilateral_netting: per (account, symbol) signed sums, settled against
-  the central counterparty account, which must end every cycle flat.
+  trade, whose counterparty is the trade's other settlement account.
+* multilateral_netting: per (account, symbol) signed sums, whose
+  counterparty is the central counterparty (CCP) account, which must end
+  every cycle flat.
+
+Both rules settle through one path, `ClearingCorporation.settle_rec`:
+
+1. Plan one instruction per trade (trade-for-trade) or per net obligation
+   (netting). Every leg runs from the side that owes, by the sign of the
+   obligation's money or share sum, to the other side.
+2. Precheck the whole cycle: replay every transfer, debits and credits,
+   over scratch balances in commit order, and raise `SettlementFailed` at
+   the first shortfall, before anything is written.
+3. Commit every leg the CCP does not pay, in instruction order, money
+   before equity; then every leg the CCP pays, in the same order. Under
+   trade-for-trade no leg touches the CCP, so this is per-trade money then
+   equity; under netting everything flows into the CCP before anything
+   flows out, so the CCP account never overdraws.
 
 Money legs execute through the clearing bank and equity legs through the
-depository; the two legs of an instruction commit atomically or not at all.
+depository. A cycle commits whole or not at all, and every trade it
+cleared is SETTLED afterwards, also when netting left nothing to move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ledger import Ledger
 from .money import Money
-from .registry import NotFound, ParticipantId, ParticipantRole, ServiceRegistry
+from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
     EquityLeg,
     MoneyLeg,
@@ -38,6 +55,29 @@ class SettlementFailed(Exception):
         super().__init__(f"instruction {instruction.instruction_id}: {failed_leg} leg failed ({reason})")
         self.instruction = instruction
         self.failed_leg = failed_leg
+
+
+class _Transfer(NamedTuple):
+    """One leg of an instruction; `symbol` is None for a money leg."""
+
+    instruction: SettlementInstruction
+    leg: str              # "money" | "equity"
+    src: str
+    dst: str
+    symbol: str | None
+    amount: int
+
+
+def _transfers(instruction: SettlementInstruction) -> list[_Transfer]:
+    transfers = []
+    if instruction.money_leg:
+        leg = instruction.money_leg
+        transfers.append(_Transfer(instruction, "money", leg.payer, leg.payee, None, leg.amount.amount))
+    if instruction.equity_leg:
+        eleg = instruction.equity_leg
+        transfers.append(_Transfer(
+            instruction, "equity", eleg.deliverer, eleg.receiver, eleg.symbol, eleg.quantity))
+    return transfers
 
 
 @dataclass(frozen=True)
@@ -108,7 +148,6 @@ class ClearingCorporation:
         self.extended_validation = extended_validation
         self.max_trade_value = max_trade_value or Money(10**12, ledger.currency)
         self.queued: list[TradeReport] = []
-        self.client_records: list[ClientTradeRecord] = []
         self.pending_obligations: list[Obligation] = []
         self.executed_instructions: list[SettlementInstruction] = []
         self._cleared_reports: list[TradeReport] = []
@@ -164,7 +203,6 @@ class ClearingCorporation:
             return Rejection("trade_validation", "UnknownAccount", record.account)
 
         self._seen_trade_ids.add(record.trade_id)
-        self.client_records.append(record)
         self._covered_qty[record.block_order_id] = (
             self._covered_qty.get(record.block_order_id, 0) + record.quantity
         )
@@ -233,139 +271,78 @@ class ClearingCorporation:
     # -- settlement -----------------------------------------------------
 
     def settle_rec(self) -> list[SettlementInstruction]:
-        """Execute pending obligations as atomic DVP instructions."""
-        if not self.pending_obligations:
-            return []
-        bank, depository = self._infrastructure()
-        if self.netting:
-            executed = self._settle_netted(bank, depository)
-        else:
-            executed = self._settle_gross(bank, depository)
+        """Settle every pending obligation as one all-or-nothing DVP cycle.
+
+        Plans the instructions, prechecks the whole cycle, then commits it
+        (see the module docstring for the commit order) and advances every
+        cleared trade to SETTLED. On `SettlementFailed` nothing is written:
+        no journal entry, no instruction id used, no trade advanced.
+        """
+        instructions = self._plan()
+        transfers = [transfer for instruction in instructions for transfer in _transfers(instruction)]
+        transfers.sort(key=lambda transfer: transfer.src == self.ccp_account)   # stable
+        if transfers:
+            bank = self.registry.first(ParticipantRole.CLEARING_BANK)
+            depository = self.registry.first(ParticipantRole.DEPOSITORY)
+            self._precheck(transfers)
+            for transfer in transfers:
+                cause = f"dvp:{transfer.instruction.instruction_id}"
+                if transfer.symbol is None:
+                    bank.transfer_money(transfer.src, transfer.dst,
+                                        Money(transfer.amount, self.ledger.currency), cause)
+                else:
+                    depository.transfer_equity(
+                        transfer.src, transfer.dst, transfer.symbol, transfer.amount, cause)
         for report in self._cleared_reports:
-            if report.trade.status is TradeStatus.CLEARED:
-                report.trade.advance(TradeStatus.SETTLED)
+            report.trade.advance(TradeStatus.SETTLED)
+        self._cleared_reports = []
         self.pending_obligations = []
-        self.executed_instructions.extend(executed)
-        return executed
-
-    def _infrastructure(self) -> tuple[ClearingBank, Depository]:
-        banks = self.registry.list_by_role(ParticipantRole.CLEARING_BANK)
-        depositories = self.registry.list_by_role(ParticipantRole.DEPOSITORY)
-        if not banks:
-            raise NotFound("no clearing bank registered")
-        if not depositories:
-            raise NotFound("no depository registered")
-        return self.registry.lookup(banks[0]), self.registry.lookup(depositories[0])
-
-    def _next_id(self) -> str:
-        iid = f"{self.pid.id}-S{self._next_instruction}"
-        self._next_instruction += 1
-        return iid
-
-    def _settle_gross(self, bank: ClearingBank, depository: Depository) -> list[SettlementInstruction]:
-        # money and equity obligations arrive pairwise per trade
-        by_trade: dict[str, dict[str, Obligation]] = {}
-        for obligation in self.pending_obligations:
-            by_trade.setdefault(obligation.trade_refs[0], {})[obligation.kind] = obligation
-        executed = []
-        for trade_id, pair in by_trade.items():
-            money_ob, equity_ob = pair["money"], pair["equity"]
-            instruction = SettlementInstruction(
-                instruction_id=self._next_id(),
-                money_leg=MoneyLeg(money_ob.party, money_ob.counterparty, -money_ob.net_money),
-                equity_leg=EquityLeg(
-                    equity_ob.party, equity_ob.counterparty,
-                    equity_ob.symbol, -equity_ob.net_quantity,
-                ),
-                trade_refs=(trade_id,),
-            )
-            self._check_legs(instruction)
-            self._execute_instruction(instruction, bank, depository)
-            executed.append(instruction)
-        return executed
-
-    def _settle_netted(self, bank: ClearingBank, depository: Depository) -> list[SettlementInstruction]:
-        instructions = []
-        for obligation in self.pending_obligations:
-            money_leg = None
-            if obligation.net_money.amount < 0:
-                money_leg = MoneyLeg(obligation.party, self.ccp_account, -obligation.net_money)
-            elif obligation.net_money.amount > 0:
-                money_leg = MoneyLeg(self.ccp_account, obligation.party, obligation.net_money)
-            equity_leg = None
-            if obligation.net_quantity < 0:
-                equity_leg = EquityLeg(
-                    obligation.party, self.ccp_account, obligation.symbol, -obligation.net_quantity)
-            elif obligation.net_quantity > 0:
-                equity_leg = EquityLeg(
-                    self.ccp_account, obligation.party, obligation.symbol, obligation.net_quantity)
-            instructions.append(SettlementInstruction(
-                instruction_id=self._next_id(),
-                money_leg=money_leg,
-                equity_leg=equity_leg,
-                trade_refs=obligation.trade_refs,
-            ))
-
-        # whole-cycle precheck: every account-side debit must be affordable
-        # cumulatively, before any leg commits
-        sim_money: dict[str, int] = {}
-        sim_equity: dict[tuple[str, str], int] = {}
-        for instruction in instructions:
-            leg = instruction.money_leg
-            if leg and leg.payer != self.ccp_account:
-                short = sim_money.get(leg.payer, self.ledger.balance(leg.payer).amount) - leg.amount.amount
-                if short < 0:
-                    raise SettlementFailed(instruction, "money", f"{leg.payer} short {-short}")
-                sim_money[leg.payer] = short
-            eleg = instruction.equity_leg
-            if eleg and eleg.deliverer != self.ccp_account:
-                key = (eleg.deliverer, eleg.symbol)
-                held = sim_equity.get(key, self.ledger.position(eleg.deliverer, eleg.symbol))
-                if held < eleg.quantity:
-                    raise SettlementFailed(instruction, "equity", f"{eleg.deliverer} short {eleg.quantity - held}")
-                sim_equity[key] = held - eleg.quantity
-
-        # commit leg-wise: everything into the CCP first, then everything out,
-        # so the CCP account never overdraws; the precheck above guarantees
-        # no transfer can fail once the first one commits
-        for instruction in instructions:
-            leg, eleg = instruction.money_leg, instruction.equity_leg
-            cause = f"dvp:{instruction.instruction_id}"
-            if leg and leg.payee == self.ccp_account:
-                bank.transfer_money(leg.payer, leg.payee, leg.amount, cause)
-            if eleg and eleg.receiver == self.ccp_account:
-                depository.transfer_equity(eleg.deliverer, eleg.receiver, eleg.symbol, eleg.quantity, cause)
-        for instruction in instructions:
-            leg, eleg = instruction.money_leg, instruction.equity_leg
-            cause = f"dvp:{instruction.instruction_id}"
-            if leg and leg.payer == self.ccp_account:
-                bank.transfer_money(leg.payer, leg.payee, leg.amount, cause)
-            if eleg and eleg.deliverer == self.ccp_account:
-                depository.transfer_equity(eleg.deliverer, eleg.receiver, eleg.symbol, eleg.quantity, cause)
+        self._next_instruction += len(instructions)
+        self.executed_instructions.extend(instructions)
         return instructions
 
-    def _check_legs(self, instruction: SettlementInstruction) -> None:
-        leg = instruction.money_leg
-        if leg and not self.ledger.can_pay(leg.payer, leg.amount):
-            raise SettlementFailed(instruction, "money", f"{leg.payer} cannot pay {leg.amount}")
-        eleg = instruction.equity_leg
-        if eleg and not self.ledger.can_deliver(eleg.deliverer, eleg.symbol, eleg.quantity):
-            raise SettlementFailed(
-                instruction, "equity", f"{eleg.deliverer} cannot deliver {eleg.quantity} {eleg.symbol}")
+    def _plan(self) -> list[SettlementInstruction]:
+        # a trade's two gross obligations share trades and accounts; two net
+        # obligations never do, since each (account, symbol) nets once
+        legs: dict[tuple, dict[str, MoneyLeg | EquityLeg]] = {}
+        for ob in self.pending_obligations:
+            owed = legs.setdefault((ob.trade_refs, frozenset((ob.party, ob.counterparty))), {})
+            owes = (ob.party, ob.counterparty)      # a negative sum: party owes counterparty
+            money, qty = ob.net_money.amount, ob.net_quantity
+            if money:
+                payer, payee = owes if money < 0 else owes[::-1]
+                owed["money"] = MoneyLeg(payer, payee, Money(abs(money), ob.net_money.currency))
+            if qty:
+                deliverer, receiver = owes if qty < 0 else owes[::-1]
+                owed["equity"] = EquityLeg(deliverer, receiver, ob.symbol, abs(qty))
+        return [
+            SettlementInstruction(
+                instruction_id=f"{self.pid.id}-S{self._next_instruction + offset}",
+                money_leg=owed.get("money"),
+                equity_leg=owed.get("equity"),
+                trade_refs=refs,
+            )
+            for offset, ((refs, _), owed) in enumerate(legs.items())
+        ]
 
-    def _execute_instruction(
-        self,
-        instruction: SettlementInstruction,
-        bank: ClearingBank,
-        depository: Depository,
-    ) -> None:
-        cause = f"dvp:{instruction.instruction_id}"
-        if instruction.money_leg:
-            leg = instruction.money_leg
-            bank.transfer_money(leg.payer, leg.payee, leg.amount, cause)
-        if instruction.equity_leg:
-            eleg = instruction.equity_leg
-            depository.transfer_equity(eleg.deliverer, eleg.receiver, eleg.symbol, eleg.quantity, cause)
+    def _precheck(self, transfers: list[_Transfer]) -> None:
+        held: dict[tuple[str, str | None], int] = {}
+
+        def holding(account: str, symbol: str | None) -> int:
+            if (account, symbol) not in held:
+                held[account, symbol] = (self.ledger.balance(account).amount if symbol is None
+                                         else self.ledger.position(account, symbol))
+            return held[account, symbol]
+
+        for transfer in transfers:
+            src, dst, symbol, amount = transfer.src, transfer.dst, transfer.symbol, transfer.amount
+            have = holding(src, symbol)
+            if have < amount:
+                raise SettlementFailed(
+                    transfer.instruction, transfer.leg,
+                    f"{src} short {amount - have}{symbol or self.ledger.currency}")
+            held[src, symbol] = have - amount
+            held[dst, symbol] = holding(dst, symbol) + amount
 
     # -- bookkeeping ----------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .clearing import ClientTradeRecord
 from .ledger import Ledger
-from .registry import NotFound, ParticipantId, ParticipantRole, ServiceRegistry
+from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import Affirmation, AllocationDetail, Contract, Rejection, Side
 
 
@@ -221,10 +221,7 @@ class CustodianService:
 
     def send_trades_to_clearing_rec(self) -> int:
         """Submit one client-level trade record per affirmed allocation."""
-        clearing_ids = self.registry.list_by_role(ParticipantRole.CLEARING_CORPORATION)
-        if not clearing_ids:
-            raise NotFound("no clearing corporation registered")
-        clearing = self.registry.lookup(clearing_ids[0])
+        clearing = self.registry.first(ParticipantRole.CLEARING_CORPORATION)
         sent = 0
         for block, affirmed in self.affirmed.items():
             if affirmed.forwarded:
@@ -250,10 +247,7 @@ class CustodianService:
 
     def settle_institutional_rec(self) -> int:
         """Distribute settled blocks from the omnibus to end clients; idempotent."""
-        clearing_ids = self.registry.list_by_role(ParticipantRole.CLEARING_CORPORATION)
-        if not clearing_ids:
-            raise NotFound("no clearing corporation registered")
-        clearing = self.registry.lookup(clearing_ids[0])
+        clearing = self.registry.first(ParticipantRole.CLEARING_CORPORATION)
         moved = 0
         for block, affirmed in self.affirmed.items():
             if affirmed.distributed or not affirmed.forwarded:
@@ -279,9 +273,6 @@ class CustodianService:
 
     def affirmation_export_lines(self) -> list[str]:
         return list(self.affirmation_log)
-
-    def unforwarded_blocks(self) -> list[str]:
-        return [b for b, a in self.affirmed.items() if not a.forwarded]
 
     def undistributed_blocks(self) -> list[str]:
         return [b for b, a in self.affirmed.items() if not a.distributed]

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from .money import Money
-from .registry import NotFound, ParticipantId, ParticipantRole, ServiceRegistry
+from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import ClientKind, Order, OrderStatus, OrderType, Rejection, Side, Trade
 
 
@@ -325,10 +325,7 @@ class ExchangeService:
 
     def report_trades_rec(self) -> int:
         """Push every executed-but-unreported trade to the clearing corporation."""
-        clearing_ids = self.registry.list_by_role(ParticipantRole.CLEARING_CORPORATION)
-        if not clearing_ids:
-            raise NotFound("no clearing corporation registered")
-        clearing = self.registry.lookup(clearing_ids[0])
+        clearing = self.registry.first(ParticipantRole.CLEARING_CORPORATION)
         reported = 0
         while self._unreported:
             report = self._unreported.pop(0)

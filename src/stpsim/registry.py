@@ -63,5 +63,12 @@ class ServiceRegistry:
         """All ids registered under `role`, in registration order."""
         return [ParticipantId(r, i) for (r, i) in self._entries if r is role]
 
+    def first(self, role: ParticipantRole) -> Any:
+        """The handle of the first participant registered under `role`."""
+        for (r, _), handle in self._entries.items():
+            if r is role:
+                return handle
+        raise NotFound(f"no {role.value.replace('_', ' ')} registered")
+
     def __len__(self) -> int:
         return len(self._entries)

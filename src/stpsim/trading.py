@@ -169,9 +169,14 @@ class EquityLeg:
 class SettlementInstruction:
     """Paired money and equity movements committed atomically (DVP).
 
-    Gross clearing always produces both legs. Multilateral netting can net
-    one side of a (account, symbol) pair to zero, leaving a single leg; at
+    Trade-for-trade clearing plans one per trade, with both legs between the
+    two settlement accounts. Multilateral netting plans one per net
+    obligation, with legs between the account and the CCP; it can net one
+    side of an (account, symbol) pair to zero, leaving a single leg. At
     least one leg is always present and present legs are strictly positive.
+    The clearing corporation commits a cycle's instructions together: every
+    leg the CCP does not pay, in instruction order, money before equity,
+    then every leg the CCP pays.
     """
 
     instruction_id: str

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stpsim.clearing import (
     ClearingBank,
@@ -195,6 +196,117 @@ def test_gross_and_netting_produce_identical_snapshots():
         assert net_ledger.balance("CC1.ccp") == Money(0)
         assert not net_ledger.account("CC1.ccp").positions or all(
             qty == 0 for qty in net_ledger.account("CC1.ccp").positions.values())
+
+
+ACCOUNTS = ("acct_a", "acct_b", "acct_c")
+SYMBOLS = ("S0", "S1")
+
+
+def expected_outcome(netting, ledger, reports):
+    """The balances after the cycle, or None if it cannot settle, computed
+    from the trades alone. Trade-for-trade pays each trade's money, then its
+    shares, in trade order. Netting first collects every negative
+    (account, symbol) sum into the CCP, then pays every positive one out."""
+    money = {a: ledger.balance(a).amount for a in ACCOUNTS}
+    shares = {(a, s): ledger.position(a, s) for a in ACCOUNTS for s in SYMBOLS}
+    if not netting:
+        for r in reports:
+            value, key = r.trade.value.amount, r.trade.symbol
+            if money[r.buy_account] < value or shares[r.sell_account, key] < r.trade.quantity:
+                return None
+            money[r.buy_account] -= value
+            money[r.sell_account] += value
+            shares[r.sell_account, key] -= r.trade.quantity
+            shares[r.buy_account, key] += r.trade.quantity
+        return money, shares
+    net_money, net_shares = dict.fromkeys(shares, 0), dict.fromkeys(shares, 0)
+    for r in reports:
+        for account, sign in ((r.buy_account, 1), (r.sell_account, -1)):
+            net_money[account, r.trade.symbol] -= sign * r.trade.value.amount
+            net_shares[account, r.trade.symbol] += sign * r.trade.quantity
+    for account in ACCOUNTS:
+        if money[account] < sum(max(-net_money[account, s], 0) for s in SYMBOLS):
+            return None
+    if any(shares[key] + qty < 0 for key, qty in net_shares.items()):
+        return None
+    for (account, symbol), amount in net_money.items():
+        money[account] += amount
+        shares[account, symbol] += net_shares[account, symbol]
+    return money, shares
+
+
+@pytest.mark.parametrize("netting", [False, True], ids=["gross", "netting"])
+@settings(max_examples=120, deadline=None)
+@given(endowments=st.lists(st.tuples(st.integers(0, 40_000), st.integers(0, 30),
+                                     st.integers(0, 30)),
+                           min_size=len(ACCOUNTS), max_size=len(ACCOUNTS)),
+       trades=st.lists(st.tuples(st.permutations(ACCOUNTS), st.sampled_from(SYMBOLS),
+                                 st.integers(1, 20), st.sampled_from([900, 1000, 1100])),
+                       min_size=1, max_size=8))
+@example(endowments=[(10_000, 10, 0)] * 3,      # a round trip that nets to nothing
+         trades=[(("acct_a", "acct_b", "acct_c"), "S0", 10, 1000),
+                 (("acct_b", "acct_a", "acct_c"), "S0", 10, 1000)])
+def test_settlement_cycle_is_all_or_nothing(netting, endowments, trades):
+    clearing, ledger = make_clearing(netting=netting, accounts=())
+    for account, (money, s0, s1) in zip(ACCOUNTS, endowments):
+        ledger.open_account(account, Money(money), {"S0": s0, "S1": s1})
+    reports = [street_trade(buy, sell, symbol=symbol, qty=qty, price=price)
+               for (buy, sell, _), symbol, qty, price in trades]
+    for report in reports:
+        assert clearing.submit_trade(report, "exchange") is None
+    clearing.clear_rec()
+    expected = expected_outcome(netting, ledger, reports)
+    journal_before = len(ledger.journal)
+    snapshot_before = ledger.snapshot()
+
+    try:
+        instructions = clearing.settle_rec()
+    except SettlementFailed:
+        assert expected is None
+        assert len(ledger.journal) == journal_before
+        assert ledger.snapshot() == snapshot_before
+        assert clearing.executed_instructions == []
+        assert all(r.trade.status is TradeStatus.CLEARED for r in reports)
+        return
+
+    assert expected is not None
+    # each leg has its own cause, so sorting never compares the symbols
+    legs = [(f"dvp:{i.instruction_id}/bank=CB1", leg.payer, leg.payee, leg.amount.amount, None)
+            for i in instructions if (leg := i.money_leg)]
+    legs += [(f"dvp:{i.instruction_id}/depository=DP1", leg.deliverer, leg.receiver,
+              leg.quantity, leg.symbol)
+             for i in instructions if (leg := i.equity_leg)]
+    added = ledger.journal[journal_before:]
+    assert sorted(legs) == sorted(
+        (e.cause, e.src, e.dst, e.amount, e.symbol) for e in added)
+    assert clearing.executed_instructions == instructions
+    assert all(r.trade.status is TradeStatus.SETTLED for r in reports)
+    money, shares = expected
+    assert {a: ledger.balance(a).amount for a in ACCOUNTS} == money
+    assert {k: ledger.position(*k) for k in shares} == shares
+    assert ledger.balance("CC1.ccp") == Money(0)
+
+
+@pytest.mark.parametrize("netting", [False, True], ids=["gross", "netting"])
+def test_cycle_short_on_second_instruction_commits_nothing(netting):
+    # acct_a can pay for one of two trades; the reason reads the same under both rules
+    clearing, ledger = make_clearing(netting=netting, endow_money=15000, symbols=("S0",))
+    reports = [street_trade("acct_a", "acct_b", qty=10, price=1000,
+                            buy_order=f"b{i}", sell_order=f"s{i}") for i in range(2)]
+    for report in reports:
+        clearing.submit_trade(report, "exchange")
+    clearing.clear_rec()
+    journal_before = len(ledger.journal)
+    snapshot_before = ledger.snapshot()
+    with pytest.raises(SettlementFailed) as err:
+        clearing.settle_rec()
+    assert err.value.instruction.instruction_id == ("CC1-S1" if netting else "CC1-S2")
+    assert err.value.failed_leg == "money"
+    assert "(acct_a short 5000USD)" in str(err.value)
+    assert len(ledger.journal) == journal_before
+    assert ledger.snapshot() == snapshot_before
+    assert clearing.executed_instructions == []
+    assert all(r.trade.status is TradeStatus.CLEARED for r in reports)
 
 
 def test_dvp_atomicity_gross_failed_leg_leaves_no_journal():

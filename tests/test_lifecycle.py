@@ -10,7 +10,7 @@ from stpsim.ledger import (
 from stpsim.lifecycle import (
     CheckResult, ScenarioReport, StepRecord, assert_conservation, run_scenario)
 from stpsim.report import render_machine
-from stpsim.scenarios import SCENARIO_IDS
+from stpsim.scenarios import SCENARIO_IDS, parse_scenario
 
 ALL_SCENARIOS = list(SCENARIO_IDS)
 
@@ -227,6 +227,42 @@ def test_machine_report_carries_participant_export_sections(products):
     assert "\naffirmation|affirmed|" in machine
     assert "\ninstruction|CC1-S1|" in machine
     assert "\njournal|1|" in machine
+
+
+INTERNALIZED = """\
+# Both retail clients sit at one broker, so every settlement account nets flat.
+scenario: internalized
+currency: USD
+symbol: ACME
+broker: BR1
+exchange: X1
+clearing_corporation: CC1
+clearing_bank: CB1
+depository: DP1
+retail: RC1 broker=BR1
+retail: RC2 broker=BR1
+endow: RC1 money=10000
+endow: RC2 ACME=10
+order: RC2 sell 10 ACME limit 1000
+order: RC1 buy 10 ACME limit 1000
+expect: RC1 ACME=10
+expect: RC2 money=10000
+expect: BR1.house money=0
+expect: CC1.ccp money=0
+"""
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+def test_internalized_trade_settles_under_both_clearing_rules(products, product_key):
+    report = run_scenario(products[product_key], parse_scenario(INTERNALIZED))
+    checks = assert_conservation(report)
+    assert report.aborted is None
+    failed = [c for c in report.finals + checks if not c.passed]
+    assert not failed, [c.line() for c in failed]
+    final = report.steps[-1].snapshot
+    assert final["RC1"] == AccountSnapshot(Money(0), {"ACME": 10})
+    assert final["RC2"] == AccountSnapshot(Money(10000), {})
+    assert final["BR1.house"] == AccountSnapshot(Money(0), {})
 
 
 def test_every_scenario_conserves_totals_throughout(products):

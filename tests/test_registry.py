@@ -51,6 +51,22 @@ def test_list_by_role_in_registration_order():
     assert registry.list_by_role(ParticipantRole.DEPOSITORY) == []
 
 
+def test_first_returns_first_registered_handle_or_names_the_role():
+    registry = ServiceRegistry()
+    registry.register(pid(ParticipantRole.CLEARING_BANK, "CB2"), "second-id-first")
+    registry.register(pid(ParticipantRole.BROKER, "B1"), "broker")
+    registry.register(pid(ParticipantRole.CLEARING_BANK, "CB1"), "later")
+    assert registry.first(ParticipantRole.CLEARING_BANK) == "second-id-first"
+    for role, message in [
+        (ParticipantRole.CLEARING_CORPORATION, "no clearing corporation registered"),
+        (ParticipantRole.DEPOSITORY, "no depository registered"),
+    ]:
+        with pytest.raises(NotFound, match=f"^{message}$"):
+            registry.first(role)
+    with pytest.raises(NotFound, match="^no clearing bank registered$"):
+        ServiceRegistry().first(ParticipantRole.CLEARING_BANK)
+
+
 def test_every_listed_id_is_lookupable():
     registry = ServiceRegistry()
     handles = {}
