@@ -30,12 +30,30 @@ from .report import ReportParseError, parse_machine, render_human, render_machin
 from .scenarios import SCENARIO_IDS, ScenarioFormatError, parse_scenario
 
 
+class InputError(Exception):
+    """An input file that cannot be read as text."""
+
+
+def _read_text(path: str | Path) -> str:
+    """The file's UTF-8 text, with newlines translated as `Path.read_text` does."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 (byte 0x{raw[exc.start]:02x} at offset {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_model(path: str):
-    return parse_feature_model(Path(path).read_text(encoding="utf-8"))
+    return parse_feature_model(_read_text(path))
 
 
 def _load_config(path: str):
-    return parse_configuration(Path(path).read_text(encoding="utf-8"))
+    return parse_configuration(_read_text(path))
 
 
 def _resolve_scenario(name: str) -> Path:
@@ -96,7 +114,7 @@ def cmd_run(args) -> int:
             print(f"  {violation}")
         return 1
     product = derive_product(model, cfg, Path(args.config).stem.upper())
-    scenario = parse_scenario(_resolve_scenario(args.scenario).read_text(encoding="utf-8"))
+    scenario = parse_scenario(_read_text(_resolve_scenario(args.scenario)))
     run_report = run_scenario(product, scenario)
     checks = assert_conservation(run_report)
     render = render_machine if args.format == "machine" else render_human
@@ -106,7 +124,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    text = Path(args.run_output).read_text(encoding="utf-8")
+    text = _read_text(args.run_output)
     parsed = parse_machine(text)
     if args.format == "machine":
         sys.stdout.write(text)
@@ -161,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     except FeatureModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ScenarioFormatError, ReportParseError) as exc:
+    except (ScenarioFormatError, ReportParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -326,16 +326,14 @@ class ExchangeService:
     def report_trades_rec(self) -> int:
         """Push every executed-but-unreported trade to the clearing corporation."""
         clearing = self.registry.first(ParticipantRole.CLEARING_CORPORATION)
-        reported = 0
-        while self._unreported:
-            report = self._unreported.pop(0)
+        reports, self._unreported = self._unreported, []
+        for report in reports:
             result = clearing.submit_trade(report, source="exchange")
             if result is not None:
                 raise BookInvariantViolation(
                     f"clearing rejected exchange trade {report.trade.trade_id}: {result}"
                 )
-            reported += 1
-        return reported
+        return len(reports)
 
     def trade_log_lines(self) -> list[str]:
         return [trade.export_line() for trade in self.executed]

@@ -15,7 +15,10 @@ where kind is ``money`` or ``equity`` and symbol is empty for money entries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, MutableMapping
 from dataclasses import dataclass
+from itertools import islice
 
 from .money import Money
 
@@ -126,16 +129,107 @@ class JournalEntry:
 class AccountSnapshot:
     """One account's recorded balances, without zero positions.
 
-    Consecutive snapshots share the same object for every account the step
-    did not touch, so treat it, `positions` included, as immutable: replace
-    a snapshot's entry rather than editing it in place.
+    Every snapshot from the one that recorded it until the account is next
+    touched returns this same object, so treat it, `positions` included, as
+    immutable: replace a snapshot's entry rather than editing it in place.
     """
 
     money: Money
     positions: dict[str, int]
 
 
-Snapshot = dict[str, AccountSnapshot]
+_GONE = object()  # an edit that deletes the account from one snapshot
+
+
+class Snapshot(MutableMapping):
+    """All balances as of one `Ledger.snapshot` call: owner -> `AccountSnapshot`.
+
+    The snapshot stores only its `delta`, the accounts touched since the
+    ledger's previous snapshot. Any other owner resolves through the
+    ledger's per-account version lists, by bisecting on this snapshot's
+    index, so later ledger mutations are invisible to it. Owners iterate in
+    account-opening order.
+
+    Writes and deletes are this snapshot's own edits, a deletion being a
+    tombstone: they change no other snapshot, whether taken before or after.
+    """
+
+    __slots__ = ("delta", "_versions", "_index", "_count", "_previous", "_edits")
+
+    def __init__(self, versions: dict[str, tuple[list[int], list[AccountSnapshot]]],
+                 index: int, delta: dict[str, AccountSnapshot],
+                 previous: Snapshot | None):
+        self.delta = delta
+        self._versions = versions
+        self._index = index
+        self._count = len(versions)  # accounts opened by now: a prefix of `versions`
+        self._previous = previous
+        self._edits: dict[str, object] | None = None
+
+    def _recorded(self, owner: str) -> AccountSnapshot | None:
+        history = self._versions.get(owner)
+        if history is None:
+            return None
+        steps, balances = history
+        at = bisect_right(steps, self._index)
+        return balances[at - 1] if at else None
+
+    def __getitem__(self, owner: str) -> AccountSnapshot:
+        edits = self._edits
+        value = edits[owner] if edits and owner in edits else self._recorded(owner)
+        if value is None or value is _GONE:
+            raise KeyError(owner)
+        return value
+
+    def __setitem__(self, owner: str, balances: AccountSnapshot) -> None:
+        if self._edits is None:
+            self._edits = {}
+        self._edits[owner] = balances
+
+    def __delitem__(self, owner: str) -> None:
+        if owner not in self:
+            raise KeyError(owner)
+        self[owner] = _GONE
+
+    def __iter__(self) -> Iterator[str]:
+        edits = self._edits or {}
+        for owner in islice(self._versions, self._count):
+            if edits.get(owner) is not _GONE:
+                yield owner
+        for owner, value in edits.items():
+            if value is not _GONE and self._recorded(owner) is None:
+                yield owner
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self) if self._edits else self._count
+
+    def __repr__(self) -> str:
+        return f"Snapshot({dict(self)!r})"
+
+    def load(self, balances: Mapping[str, AccountSnapshot]) -> None:
+        """Edit this snapshot until it equals `balances`."""
+        for owner in [owner for owner in self if owner not in balances]:
+            del self[owner]
+        for owner, value in balances.items():
+            if self.get(owner) is not value:
+                self[owner] = value
+
+    def changes(self, since: Snapshot | None) -> Iterable[tuple[str, AccountSnapshot | None]]:
+        """(owner, balances) for every entry that differs from `since`.
+
+        `since` must be the snapshot the ledger took just before this one,
+        or None for its first; an owner `since` had and this snapshot lacks
+        comes with None. Unless either snapshot was edited this is `delta`.
+        """
+        if since is not self._previous:
+            raise ValueError("changes are taken since the ledger's previous snapshot")
+        earlier = since._edits if since is not None else None
+        if not self._edits and not earlier:
+            return self.delta.items()
+        before = since.get if since is not None else {}.get
+        owners = self.delta.keys() | (self._edits or {}).keys() | (earlier or {}).keys()
+        return [(owner, self.get(owner)) for owner in owners
+                if self.get(owner) is not before(owner)]
 
 
 class Ledger:
@@ -149,7 +243,10 @@ class Ledger:
         # dict used as an insertion-ordered set, so snapshots list accounts
         # in opening order like `accounts`
         self._touched: dict[str, None] = {}
-        self._recorded: Snapshot = {}
+        # owner -> (snapshot indices, the balances recorded at each); owners
+        # in opening order
+        self._versions: dict[str, tuple[list[int], list[AccountSnapshot]]] = {}
+        self._last: Snapshot | None = None
 
     def open_account(self, owner: str, money: Money | None = None,
                      positions: dict[str, int] | None = None) -> Account:
@@ -218,29 +315,38 @@ class Ledger:
         return self.account(owner).positions.get(symbol, 0) >= qty
 
     def snapshot(self) -> Snapshot:
-        """All balances as a fresh dict; later ledger mutations are invisible to it.
+        """All balances as a `Snapshot`; later ledger mutations are invisible to it.
 
-        Only the accounts touched since the previous call get a new
-        `AccountSnapshot`; every other entry is the object the previous
-        snapshot holds, shared rather than copied.
+        Only the accounts touched since the previous call are recorded,
+        each as a new `AccountSnapshot` appended to its version list, so a
+        call costs what changed since the last one, not the ledger's size.
         """
-        recorded, accounts = self._recorded, self.accounts
+        accounts, versions = self.accounts, self._versions
+        index = 0 if self._last is None else self._last._index + 1
+        delta = {}
         for owner in self._touched:
             acct = accounts[owner]
-            recorded[owner] = AccountSnapshot(
+            delta[owner] = balances = AccountSnapshot(
                 acct.money, {s: q for s, q in acct.positions.items() if q})
+            history = versions.get(owner)
+            if history is None:
+                versions[owner] = ([index], [balances])
+            else:
+                history[0].append(index)
+                history[1].append(balances)
         self._touched.clear()
-        return dict(recorded)
+        self._last = Snapshot(versions, index, delta, self._last)
+        return self._last
 
     def export_journal(self) -> list[str]:
         return [entry.export_line() for entry in self.journal]
 
 
-def total_money(snap: Snapshot) -> int:
+def total_money(snap: Mapping[str, AccountSnapshot]) -> int:
     return sum(acct.money.amount for acct in snap.values())
 
 
-def total_positions(snap: Snapshot) -> dict[str, int]:
+def total_positions(snap: Mapping[str, AccountSnapshot]) -> dict[str, int]:
     totals: dict[str, int] = {}
     for acct in snap.values():
         for symbol, qty in acct.positions.items():

@@ -10,22 +10,27 @@ recurring (`*_rec`) operations manually at the defined points:
 
 Retail-only scenarios simply have empty allocation steps. Any rejection or
 settlement failure aborts the run; the report records every snapshot taken
-up to that point. A step's snapshot holds a new `AccountSnapshot` only for
-the accounts that step touched and shares every other one with the step
-before it, so recording costs what changed, not the size of the ledger.
+up to that point. A step's snapshot stores only its delta, a new
+`AccountSnapshot` for each account that step touched, and resolves every
+other account through the ledger's per-account version lists, so recording
+costs what changed, not the size of the ledger.
 
 `assert_conservation` then replays the report: every consecutive snapshot
 pair must conserve total money and per-symbol share counts exactly, and the
 final snapshot must equal the scenario's expected balances, with every
-unlisted account flat. A pair is checked by summing the changes of the
-entries whose objects differ between the two snapshots, which equals the
-difference of their full totals; it reads only the recorded values, never
-the ledger's bookkeeping, so an entry replaced after the run is caught.
+unlisted account flat. It folds each step's `Snapshot.changes` into one
+running account -> `AccountSnapshot` dict, so a pair costs its changes, and
+the sum of each changed entry's new minus old balances equals the
+difference of the pair's full totals. The final check reads that dict. It
+reads only recorded values, never the ledger's live accounts or counters,
+and an edit made to a step's snapshot after the run is among that step's
+changes, so it is caught.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .assembly import Ecosystem, build_ecosystem
@@ -45,11 +50,27 @@ class ScenarioAborted(Exception):
         self.cause = cause
 
 
-@dataclass
 class StepRecord:
-    name: str
-    snapshot: Snapshot
-    events: tuple[str, ...] = ()
+    """One step's name, events and ledger snapshot.
+
+    Assigning a mapping to `snapshot` loads it into the step's `Snapshot` as
+    that step's edits, so every consumer reads the same type.
+    """
+
+    __slots__ = ("name", "_snapshot", "events")
+
+    def __init__(self, name: str, snapshot: Snapshot, events: tuple[str, ...] = ()):
+        self.name = name
+        self._snapshot = snapshot
+        self.events = events
+
+    @property
+    def snapshot(self) -> Snapshot:
+        return self._snapshot
+
+    @snapshot.setter
+    def snapshot(self, balances: Mapping[str, AccountSnapshot]) -> None:
+        self._snapshot.load(balances)
 
 
 @dataclass(frozen=True)
@@ -281,46 +302,41 @@ def run_scenario(product, scenario: Scenario,
     return ScenarioRunner(ecosystem, scenario).run()
 
 
-def _changes(previous: Snapshot, current: Snapshot) -> tuple[int, dict[str, int]]:
-    """Net money and per-symbol share change from `previous` to `current`.
-
-    Only entries whose `AccountSnapshot` object differs, or whose key is on
-    one side only, can change a total, so only those are summed. The result
-    equals the difference of the full totals of the two snapshots.
-    """
+def _fold(running: dict[str, AccountSnapshot], current: Snapshot,
+          previous: Snapshot | None) -> tuple[int, dict[str, int]]:
+    """Bring `running` from `previous` to `current`; return the net money and
+    per-symbol share change, which equals the difference of their full totals."""
     money = 0
     shares: dict[str, int] = {}
-
-    def add(balances: AccountSnapshot, sign: int) -> None:
-        nonlocal money
-        money += sign * balances.money.amount
-        for symbol, qty in balances.positions.items():
-            shares[symbol] = shares.get(symbol, 0) + sign * qty
-
-    get = previous.get
-    shared = len(current)
-    for account, after in current.items():
-        before = get(account)
-        if before is after:
-            continue
-        add(after, 1)
-        if before is None:
-            shared -= 1
+    for account, after in current.changes(previous):
+        before = running.get(account)
+        if before is not None:
+            money -= before.money.amount
+            for symbol, qty in before.positions.items():
+                shares[symbol] = shares.get(symbol, 0) - qty
+        if after is None:
+            del running[account]
         else:
-            add(before, -1)
-    if shared < len(previous):
-        for account in previous.keys() - current.keys():
-            add(previous[account], -1)
+            running[account] = after
+            money += after.money.amount
+            for symbol, qty in after.positions.items():
+                shares[symbol] = shares.get(symbol, 0) + qty
     return money, shares
 
 
 def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
     """Pairwise conservation over the recorded snapshots, then exact
-    equality of the final snapshot against the scenario's expectations."""
+    equality of the final snapshot against the scenario's expectations.
+
+    The steps must be consecutive snapshots of one ledger, from its first,
+    as `ScenarioRunner` records them."""
     checks: list[CheckResult] = []
     steps = report.steps
+    final: dict[str, AccountSnapshot] = {}  # every account as of the last step folded
+    if steps:
+        _fold(final, steps[0].snapshot, None)
     for previous, current in zip(steps, steps[1:]):
-        money, shares = _changes(previous.snapshot, current.snapshot)
+        money, shares = _fold(final, current.snapshot, previous.snapshot)
         money_ok = money == 0
         checks.append(CheckResult(
             f"conserve_money[{previous.name}->{current.name}]", money_ok,
@@ -334,7 +350,6 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
 
     scenario = report.scenario
     if scenario is not None and steps:
-        final = steps[-1].snapshot
         listed = set()
         for expectation in scenario.expected:
             listed.add(expectation.account)

@@ -62,9 +62,6 @@ class Money:
         self._check(other)
         return self.amount >= other.amount
 
-    def is_positive(self) -> bool:
-        return self.amount > 0
-
     def __str__(self) -> str:
         return f"{self.amount}{self.currency}"
 

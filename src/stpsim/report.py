@@ -39,27 +39,19 @@ class VanishedAccountError(Exception):
 def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     lines = [f"run|product={report.product_name}|scenario={report.scenario_id}"]
     written: dict[str, str] = {}  # account -> the "|account|money|positions" text last written
-    previous: Snapshot = {}
+    previous: Snapshot | None = None
     for index, step in enumerate(report.steps, start=1):
         lines.append(f"step|{index}|{step.name}|{';'.join(step.events)}")
-        snapshot = step.snapshot
-        if snapshot.keys() != previous.keys():
-            vanished = previous.keys() - snapshot.keys()
-            if vanished:
-                raise VanishedAccountError(
-                    f"step {index} ({step.name}) lacks account {min(vanished)!r}")
-        # consecutive steps share the objects of untouched accounts, so only
-        # new objects are formatted and compared with what was last written
-        before = previous.get
         head = f"balance|{index}"
-        for account in sorted([account for account, balances in snapshot.items()
-                               if before(account) is not balances]):
-            balances = snapshot[account]
+        for account, balances in sorted(step.snapshot.changes(previous)):
+            if balances is None:
+                raise VanishedAccountError(
+                    f"step {index} ({step.name}) lacks account {account!r}")
             text = f"|{account}|{balances.money.amount}|{_positions_text(balances.positions)}"
             if written.get(account) != text:
                 written[account] = text
                 lines.append(head + text)
-        previous = snapshot
+        previous = step.snapshot
     for trade_line in report.trade_lines:
         lines.append(f"trade|{trade_line}")
     for audit_line in report.audit_lines:

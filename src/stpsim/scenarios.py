@@ -14,6 +14,8 @@ Scenario files (``.scn``) are line-oriented UTF-8 with ``#`` comments:
     expect: <ACCOUNT> [money=<cents>] [<SYM>=<qty>]...
 
 Order lines are numbered from 1 in file order; ``allocate`` references them.
+Every broker, custodian, client, institution and order a line names must be
+declared somewhere in the file, or parsing fails with that line's number.
 All orders run before all allocations (the street execution must exist
 before a manager can split it).
 """
@@ -178,6 +180,9 @@ def parse_scenario(text: str) -> Scenario:
     orders: list[OrderAction] = []
     allocations: list[AllocateAction] = []
     expected: list[ExpectedBalance] = []
+    # kind -> name -> first line naming it; each name must be declared
+    named: dict[str, dict[str | int, int]] = {
+        kind: {} for kind in ("broker", "custodian", "client", "institution", "order")}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -202,11 +207,14 @@ def parse_scenario(text: str) -> Scenario:
         elif key == "retail":
             kv = _split_kv(parts[1:], line_no)
             retail.append(RetailClient(parts[0], _pop_field(kv, "broker", line_no)))
+            named["broker"].setdefault(retail[-1].broker, line_no)
         elif key == "institution":
             kv = _split_kv(parts[1:], line_no)
             institutions.append(Institution(
                 parts[0], _pop_field(kv, "broker", line_no), _pop_field(kv, "custodian", line_no),
                 tuple(_pop_field(kv, "ends", line_no).split(","))))
+            named["broker"].setdefault(institutions[-1].broker, line_no)
+            named["custodian"].setdefault(institutions[-1].custodian, line_no)
         elif key == "endow":
             money, positions = _parse_holdings(parts[1:], line_no)
             endowments.append(Endowment(parts[0], money, positions))
@@ -235,11 +243,14 @@ def parse_scenario(text: str) -> Scenario:
                 price=price,
                 cap=cap,
             ))
+            named["client"].setdefault(client, line_no)
         elif key == "allocate":
             kv = _split_kv(parts[1:], line_no)
             order_index = _int(_pop_field(kv, "order", line_no), line_no)
             splits = tuple((end, _int(qty, line_no)) for end, qty in kv.items())
             allocations.append(AllocateAction(parts[0], order_index, splits))
+            named["institution"].setdefault(parts[0], line_no)
+            named["order"].setdefault(order_index, line_no)
         elif key == "expect":
             money, positions = _parse_holdings(parts[1:], line_no)
             expected.append(ExpectedBalance(parts[0], money, positions))
@@ -248,6 +259,15 @@ def parse_scenario(text: str) -> Scenario:
 
     if not scenario_id:
         raise ScenarioFormatError("missing 'scenario:' header", 1)
+    declared = {role.value: set(ids) for role, ids in participants.items()}
+    declared["client"] = {client.account for client in (*retail, *institutions)}
+    declared["institution"] = {institution.account for institution in institutions}
+    declared["order"] = range(1, len(orders) + 1)
+    undeclared = [(line_no, kind, name) for kind, names in named.items()
+                  for name, line_no in names.items() if name not in declared.get(kind, ())]
+    if undeclared:
+        line_no, kind, name = min(undeclared)
+        raise ScenarioFormatError(f"undeclared {kind} {name!r}", line_no)
     return Scenario(
         scenario_id=scenario_id,
         currency=currency,

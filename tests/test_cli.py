@@ -122,3 +122,25 @@ def test_run_scenario_from_explicit_path(capture, tmp_path):
     code, out, _ = capture("run", CATALOG, SECO_A, str(copied))
     assert code == 0
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("command, suffix", [
+    ("model", ".fm"), ("config", ".cfg"), ("scenario", ".scn"), ("report", ".out")])
+def test_non_utf8_input_exits_one_naming_the_byte(capture, tmp_path, command, suffix):
+    from stpsim.data import scenario_path
+    shipped = {"model": CATALOG, "config": SECO_A, "scenario": str(scenario_path("retail_retail"))}
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_bytes(b"scenario: broken\n\xff\n")
+    if command == "report":
+        argv = ["report", str(bad)]
+    else:
+        argv = ["run", *{**shipped, command: str(bad)}.values()]
+    code, _, err = capture(*argv)
+    assert code == 1
+    assert err == f"error: {bad}: not UTF-8 (byte 0xff at offset 17)\n"
+
+
+def test_unreadable_input_exits_one_naming_the_path(capture, tmp_path):
+    code, _, err = capture("report", str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"error: {tmp_path}: ")

@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_scenario
 from stpsim.ledger import (
@@ -10,13 +10,16 @@ from stpsim.ledger import (
     InsufficientFunds,
     InsufficientPosition,
     Ledger,
+    LedgerError,
     NonPositiveAmount,
     NonPositiveQuantity,
+    Snapshot,
     UnknownAccount,
     total_money,
     total_positions,
 )
-from stpsim.lifecycle import run_scenario
+from stpsim.assembly import build_ecosystem
+from stpsim.lifecycle import ScenarioRunner, StepRecord, run_scenario
 from stpsim.money import CurrencyMismatch, Money
 
 
@@ -264,3 +267,103 @@ def test_replacing_one_steps_entry_leaves_neighbouring_steps_unchanged(product_a
             continue
         assert step.snapshot == before[index]
         assert all(step.snapshot[name] is balances for name, balances in before[index].items())
+
+
+# -- snapshots that record only their step's delta ------------------------------
+
+def full_copy(ledger):
+    """Every account's balances, copied from the live accounts."""
+    return {owner: AccountSnapshot(acct.money, {s: q for s, q in acct.positions.items() if q})
+            for owner, acct in ledger.accounts.items()}
+
+
+def tamper(balances, owner, kind, amount):
+    """Corrupt one entry of a snapshot or of a plain dict, in place."""
+    current = balances.get(owner)
+    if kind == "drop":
+        balances.pop(owner, None)
+    elif kind == "phantom" or current is None:
+        balances[f"{owner}.phantom"] = AccountSnapshot(Money(amount), {"SYM": amount})
+    elif kind == "money":
+        balances[owner] = dataclasses.replace(current, money=current.money + Money(amount))
+    else:
+        symbol = "SYM" if kind == "shares" else "NEW"
+        positions = dict(current.positions)
+        positions[symbol] = positions.get(symbol, 0) + amount
+        balances[owner] = dataclasses.replace(current, positions=positions)
+
+
+OWNERS = ("a0", "a1", "a2", "a3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(moves=st.lists(st.tuples(st.sampled_from(OWNERS), st.sampled_from(OWNERS),
+                                st.sampled_from(("money", "shares", "open")),
+                                st.integers(1, 40)), max_size=25),
+       data=st.data())
+def test_snapshots_equal_full_copies_under_tampering(moves, data):
+    ledger = Ledger()
+    for owner in OWNERS:
+        ledger.open_account(owner, Money(100), {"SYM": 20})
+    steps = [StepRecord("setup", ledger.snapshot())]
+    copies = [full_copy(ledger)]
+    for index, (src, dst, kind, amount) in enumerate(moves, start=1):
+        try:
+            if kind == "money":
+                ledger.transfer_money(src, dst, Money(amount))
+            elif kind == "shares":
+                ledger.transfer_equity(src, dst, "SYM", amount)
+            else:
+                ledger.open_account(f"n{index}", Money(amount), {"NEW": amount})
+        except LedgerError:
+            pass
+        steps.append(StepRecord(f"move_{index}", ledger.snapshot()))
+        copies.append(full_copy(ledger))
+
+    tampers = data.draw(st.lists(st.tuples(
+        st.integers(0, len(steps) - 1),
+        st.sampled_from(("money", "shares", "new_symbol", "drop", "phantom", "assign")),
+        st.integers(-30, 30).filter(bool)), max_size=4))
+    for index, kind, amount in tampers:
+        owner = data.draw(st.sampled_from(sorted(copies[index])))
+        if kind == "assign":  # a whole mapping, loaded through the setter
+            edited = dict(steps[index].snapshot)
+            tamper(edited, owner, "money", amount)
+            steps[index].snapshot = edited
+            tamper(copies[index], owner, "money", amount)
+        else:
+            tamper(steps[index].snapshot, owner, kind, amount)
+            tamper(copies[index], owner, kind, amount)
+
+    tampered = {index for index, _, _ in tampers}
+    for index, (step, copy) in enumerate(zip(steps, copies)):
+        assert isinstance(step.snapshot, Snapshot)
+        assert dict(step.snapshot) == copy
+        assert len(step.snapshot) == len(list(step.snapshot)) == len(copy)
+        if index not in tampered:
+            assert list(step.snapshot) == list(copy)  # account-opening order
+    assert dict(ledger.snapshot()) == full_copy(ledger)
+
+
+@pytest.mark.parametrize("product_key", ["product_a", "product_b"])
+@pytest.mark.parametrize("scenario_id",
+                         ["retail_retail", "retail_institutional", "institutional_institutional"])
+def test_recorded_deltas_are_bounded_by_openings_and_journal(request, product_key, scenario_id):
+    scenario = load_scenario(scenario_id)
+    eco = build_ecosystem(request.getfixturevalue(product_key), scenario)
+    report = ScenarioRunner(eco, scenario).run()
+    recorded = sum(len(step.snapshot.delta) for step in report.steps)
+    assert recorded <= len(eco.ledger.accounts) + 2 * len(eco.ledger.journal)
+
+
+def test_changes_are_taken_only_since_the_previous_snapshot():
+    ledger = make_ledger()
+    first = ledger.snapshot()
+    ledger.transfer_money("alice", "bob", Money(1))
+    second = ledger.snapshot()
+    third = ledger.snapshot()
+    assert dict(first.changes(None)) == dict(first)
+    assert dict(second.changes(first)) == {"alice": second["alice"], "bob": second["bob"]}
+    assert dict(third.changes(second)) == {}
+    with pytest.raises(ValueError):
+        third.changes(first)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import stpsim
-from stpsim.data import catalog_path, config_path
+from stpsim.data import catalog_path, config_path, scenario_path
 from stpsim.scenarios import ScenarioFormatError, parse_scenario
 
 HEADER = """\
@@ -63,3 +63,51 @@ def test_cli_exits_one_without_traceback_on_malformed_scenario(tmp_path):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr == f"error: line {BAD_LINE}: bad integer 'ten'\n"
+
+
+# -- names that nothing declares -----------------------------------------------
+
+DECLARED = HEADER + "custodian: CU1\ninstitution: I broker=BR1 custodian=CU1 ends=E1\n"
+UNDECLARED_LINE = DECLARED.count("\n") + 1
+
+UNDECLARED = {
+    "retail_broker": ("retail: B broker=BR7", "broker 'BR7'"),
+    "institution_broker": ("institution: J broker=BR7 custodian=CU1 ends=E2", "broker 'BR7'"),
+    "institution_custodian": ("institution: J broker=BR1 custodian=CU9 ends=E2",
+                              "custodian 'CU9'"),
+    "order_client": ("order: RC9 buy 10 ACME limit 5", "client 'RC9'"),
+    "allocate_institution": ("allocate: I9 order=1 E1=10", "institution 'I9'"),
+    "allocate_order": ("allocate: I order=9 E1=10", "order 9"),
+}
+
+
+@pytest.mark.parametrize("bad, named", UNDECLARED.values(), ids=UNDECLARED.keys())
+def test_undeclared_name_raises_format_error_with_line_number(bad, named):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(DECLARED + bad + "\n")
+    assert str(info.value) == f"line {UNDECLARED_LINE}: undeclared {named}"
+
+
+def test_names_may_be_declared_after_the_line_that_uses_them():
+    scenario = parse_scenario("scenario: s\norder: A buy 1 ACME market\n"
+                              "retail: A broker=BR1\nbroker: BR1\n")
+    assert scenario.broker_of("A") == "BR1"
+
+
+@pytest.mark.parametrize("scenario_id, old, new, message", [
+    ("retail_retail", "retail: RC2 broker=BR2", "retail: RC2 broker=BR7",
+     "line 14: undeclared broker 'BR7'"),
+    ("retail_institutional", "custodian=CU1", "custodian=CU9",
+     "line 17: undeclared custodian 'CU9'"),
+    ("retail_retail", "order: RC2 sell", "order: RC9 sell",
+     "line 19: undeclared client 'RC9'"),
+], ids=["retail_broker", "institution_custodian", "order_client"])
+def test_cli_exits_one_on_undeclared_name_in_shipped_scenario(capsys, tmp_path, scenario_id,
+                                                              old, new, message):
+    from stpsim.cli import main
+    text = scenario_path(scenario_id).read_text()
+    assert text.count(old) == 1
+    edited = tmp_path / "edited.scn"
+    edited.write_text(text.replace(old, new))
+    assert main(["run", str(catalog_path()), str(config_path("seco_a")), str(edited)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
