@@ -39,14 +39,11 @@ _MATCHING_VARIANTS = {
 
 def broker_config(product: ProductSpec) -> BrokerConfig:
     bindings = product.bindings
-    portfolio = (product.single("PortfolioOptimizationAlgorithms")
-                 if "PortfolioOptimizationAlgorithms" in bindings else None)
     venue = (product.single("BestVenueAnalysisAlgorithms")
              if "BestVenueAnalysisAlgorithms" in bindings else None)
     return BrokerConfig(
         extended_order_checks=(
             product.single("BrokerOrderValidationRules") == "BrokerExtendedOrderChecks"),
-        portfolio_algorithm=portfolio,
         venue_algorithm=venue,
         offered_types=frozenset(
             _ORDER_TYPE_VARIANTS[v] for v in product.bound("ClientOrderTypes")),
@@ -158,11 +155,9 @@ def build_ecosystem(
 
     for bank_id in scenario.participant_ids(ParticipantRole.CLEARING_BANK):
         pid = ParticipantId(ParticipantRole.CLEARING_BANK, bank_id)
-        ledger.open_account(f"{bank_id}.book")
         registry.register(pid, ClearingBank(pid, ledger))
     for depo_id in scenario.participant_ids(ParticipantRole.DEPOSITORY):
         pid = ParticipantId(ParticipantRole.DEPOSITORY, depo_id)
-        ledger.open_account(f"{depo_id}.book")
         registry.register(pid, Depository(pid, ledger))
 
     extended_clearing = (

@@ -16,7 +16,6 @@ contracts against the manager's allocation details.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .ledger import InsufficientFunds, InsufficientPosition, Ledger
 from .money import Money
@@ -34,6 +33,7 @@ from .trading import (
     Side,
     Trade,
     TradeStatus,
+    order_shape_rule,
 )
 
 
@@ -42,10 +42,6 @@ class BrokerError(Exception):
 
 
 class NoVenues(BrokerError):
-    pass
-
-
-class NoCandidates(BrokerError):
     pass
 
 
@@ -70,7 +66,6 @@ class BrokerConfig:
     """The broker pipeline's bound variants, projected from a ProductSpec."""
 
     extended_order_checks: bool = False
-    portfolio_algorithm: str | None = None
     venue_algorithm: str | None = None
     offered_types: frozenset[OrderType] = frozenset(OrderType)
     money_method: str = "BrokerBookEntryPayment"
@@ -195,32 +190,14 @@ class BrokerService:
         self.audit.append(AuditEvent(order_id, stage, "ok"))
 
     def _stage_validation(self, draft: OrderDraft, kind: ClientKind) -> str | None:
-        if kind is ClientKind.RETAIL:
-            if draft.client not in self.retail_clients or draft.client not in self.ledger.accounts:
-                return "UnknownClient"
-        else:
-            if draft.client not in self.institutions or draft.client not in self.ledger.accounts:
-                return "UnknownClient"
-        if draft.quantity <= 0:
-            return "NonPositiveQuantity"
-        if draft.order_type not in self.config.offered_types:
-            return "UnsupportedOrderType"
-        if draft.order_type.requires_price:
-            if draft.limit_price is None:
-                return "MissingPrice"
-            if draft.limit_price.amount <= 0:
-                return "NonPositivePrice"
-        else:
-            if draft.limit_price is not None:
-                return "PriceNotAllowed"
-            needs_cap = kind is ClientKind.RETAIL and draft.side is Side.BUY
-            if needs_cap and draft.price_cap is None:
-                return "MissingPriceCap"
-            if draft.price_cap is not None and draft.price_cap.amount <= 0:
-                return "NonPositivePrice"
-        if self.config.extended_order_checks and draft.quantity > self.params.max_order_quantity:
-            return "OrderTooLarge"
-        return None
+        clients = self.retail_clients if kind is ClientKind.RETAIL else self.institutions
+        if draft.client not in clients or draft.client not in self.ledger.accounts:
+            return "UnknownClient"
+        return order_shape_rule(
+            draft.order_type, draft.quantity, draft.limit_price, self.config.offered_types,
+            self.params.max_order_quantity if self.config.extended_order_checks else None,
+            cap_required=kind is ClientKind.RETAIL and draft.side is Side.BUY,
+            price_cap=draft.price_cap)
 
     def _stage_risk(self, draft: OrderDraft, kind: ClientKind) -> str | None:
         if "DuplicateOrderCheck" in self.config.risk_checks:
@@ -352,22 +329,6 @@ class BrokerService:
             return min(venues, key=lambda pid: (self.registry.lookup(pid).book_depth(draft.symbol),
                                                 venues.index(pid)))
         raise BrokerError(f"unknown venue algorithm {algorithm}")
-
-    def optimize_portfolio(self, holdings: dict[str, int], candidates: list[str]) -> dict[str, Fraction]:
-        """Target allocation per the bound placeholder; weights sum to exactly 1."""
-        if not candidates:
-            raise NoCandidates("empty candidate list")
-        algorithm = self.config.portfolio_algorithm or "EqualWeightAllocation"
-        if algorithm == "EqualWeightAllocation":
-            weight = Fraction(1, len(candidates))
-            return {symbol: weight for symbol in candidates}
-        if algorithm == "SingleBestAllocation":
-            return {candidates[0]: Fraction(1)}
-        if algorithm == "RankWeightedAllocation":
-            n = len(candidates)
-            total = n * (n + 1) // 2
-            return {symbol: Fraction(n - i, total) for i, symbol in enumerate(candidates)}
-        raise BrokerError(f"unknown portfolio algorithm {algorithm}")
 
     # -- execution and post-trade ---------------------------------------------
 

@@ -26,7 +26,7 @@ from .features import (
     validate_configuration,
 )
 from .lifecycle import assert_conservation, run_scenario
-from .report import ReportParseError, parse_machine, render_human, render_machine, render_parsed
+from .report import ReportParseError, parse_machine, render_machine, render_parsed
 from .scenarios import SCENARIO_IDS, ScenarioFormatError, parse_scenario
 
 
@@ -117,8 +117,8 @@ def cmd_run(args) -> int:
     scenario = parse_scenario(_read_text(_resolve_scenario(args.scenario)))
     run_report = run_scenario(product, scenario)
     checks = assert_conservation(run_report)
-    render = render_machine if args.format == "machine" else render_human
-    sys.stdout.write(render(run_report, checks))
+    machine = render_machine(run_report, checks)
+    sys.stdout.write(machine if args.format == "machine" else render_parsed(parse_machine(machine)))
     ok = run_report.all_checks_passed and all(check.passed for check in checks)
     return 0 if ok else 1
 

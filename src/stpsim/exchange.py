@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .money import Money
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
-from .trading import ClientKind, Order, OrderStatus, OrderType, Rejection, Side, Trade
+from .trading import (
+    ClientKind, Order, OrderStatus, OrderType, Rejection, Side, Trade, order_shape_rule)
 
 
 class BookInvariantViolation(RuntimeError):
@@ -256,36 +257,27 @@ class ExchangeService:
         return book.depth() if book else 0
 
     def validate_incoming_order(self, order: Order) -> Rejection | None:
-        """Base rule set, plus a size cap under the extended variant.
+        """The symbol, then the shared order-shape rules, with the size cap
+        under the extended variant.
 
         Returns None on acceptance (order gets its seq number) and a
         Rejection identifying the violated rule otherwise.
         """
         if order.symbol not in self.symbols:
-            return self._reject(order, "UnknownSymbol", f"symbol {order.symbol}")
-        if order.quantity <= 0:
-            return self._reject(order, "NonPositiveQuantity", f"quantity {order.quantity}")
-        if order.order_type not in self.supported_types:
-            return self._reject(order, "UnsupportedOrderType", order.order_type.value)
-        if order.order_type.requires_price:
-            if order.limit_price is None:
-                return self._reject(order, "MissingPrice", order.order_type.value)
-            if order.limit_price.amount <= 0:
-                return self._reject(order, "NonPositivePrice", str(order.limit_price))
-        elif order.limit_price is not None:
-            return self._reject(order, "PriceNotAllowed", "market order carries a price")
-        if self.extended_validation and order.quantity > self.max_order_quantity:
-            return self._reject(order, "OrderTooLarge", f"quantity {order.quantity}")
+            rule = "UnknownSymbol"
+        else:
+            rule = order_shape_rule(
+                order.order_type, order.quantity, order.limit_price, self.supported_types,
+                self.max_order_quantity if self.extended_validation else None)
+        if rule:
+            order.status = OrderStatus.REJECTED
+            return Rejection("exchange_validation", rule)
 
         order.seq = self._next_seq
         self._next_seq += 1
         order.status = OrderStatus.VALIDATED
         self.orders[order.order_id] = order
         return None
-
-    def _reject(self, order: Order, rule: str, detail: str) -> Rejection:
-        order.status = OrderStatus.REJECTED
-        return Rejection("exchange_validation", rule, detail)
 
     def submit_order(self, order: Order) -> list[Trade]:
         """Match a validated order. Trades are queued for the clearing report."""

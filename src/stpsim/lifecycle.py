@@ -29,7 +29,6 @@ changes, so it is caught.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -38,7 +37,6 @@ from .broker import BrokerParams, OrderDraft
 from .clearing import SettlementFailed
 from .custodian import AffirmationRejection
 from .ledger import AccountSnapshot, Snapshot, total_money, total_positions
-from .money import Money
 from .scenarios import AllocateAction, Scenario
 from .trading import AllocationDetail, Rejection, TradeStatus
 
@@ -225,11 +223,7 @@ class ScenarioRunner:
             raise ScenarioAborted(step, f"broker {outcome}")
         self._snapshot(step, (f"contracts={len(outcome)}",))
 
-        contracts = list(outcome)
-        if self.scenario.contract_price_perturbation:
-            delta = Money(self.scenario.contract_price_perturbation, self.scenario.currency)
-            contracts[0] = dataclasses.replace(contracts[0], price=contracts[0].price + delta)
-        verdict = custodian.affirm_contracts(contracts)
+        verdict = custodian.affirm_contracts(outcome)
         if isinstance(verdict, AffirmationRejection):
             raise ScenarioAborted(f"affirmation_{action.institution}", str(verdict))
         self._snapshot(f"affirmation_{action.institution}", (verdict.affirmation_id,))

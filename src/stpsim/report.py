@@ -1,4 +1,5 @@
-"""Scenario report rendering: a human step log or a machine line format.
+"""Scenario report rendering: a machine line format, and the human step
+log rendered from it.
 
 The machine format is byte-stable for identical inputs (no timestamps, all
 identifiers are counters) so repeated runs can be diffed:
@@ -17,7 +18,10 @@ changed, not with steps x accounts. A file that restates every account at
 every step is read the same way. Accounts are never closed, so a step whose
 snapshot lacks an account an earlier step had cannot be written.
 
-The ``report`` command reads a machine file back and renders the human view.
+The machine file is the only source of the human view: `render_parsed`
+renders what `parse_machine` reads back. ``stpsim run`` renders its human
+output from the machine text it would print, and ``stpsim report`` from a
+saved file, so the two commands print the same text for the same run.
 """
 
 from __future__ import annotations
@@ -72,43 +76,6 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     else:
         step, cause = report.aborted
         lines.append(f"end|aborted|{step}|{cause}")
-    return "\n".join(lines) + "\n"
-
-
-def render_human(report: ScenarioReport, checks: list[CheckResult]) -> str:
-    lines = [
-        f"product:  {report.product_name}",
-        f"scenario: {report.scenario_id}",
-        "",
-        "steps:",
-    ]
-    for index, step in enumerate(report.steps, start=1):
-        suffix = f"  [{'; '.join(step.events)}]" if step.events else ""
-        lines.append(f"  {index:2d}. {step.name}{suffix}")
-    if report.steps:
-        lines.append("")
-        lines.append("final balances:")
-        final = report.steps[-1].snapshot
-        width = max(len(account) for account in final)
-        for account in sorted(final):
-            balances = final[account]
-            positions = _positions_text(balances.positions) or "-"
-            lines.append(f"  {account:<{width}}  money={balances.money.amount:<10}  {positions}")
-    all_checks = list(report.finals) + list(checks)
-    if all_checks:
-        lines.append("")
-        lines.append("checks:")
-        for check in all_checks:
-            lines.append(f"  {check.line()}")
-    lines.append("")
-    if report.aborted is not None:
-        step, cause = report.aborted
-        lines.append(f"result: ABORTED at {step}: {cause}")
-    elif all(check.passed for check in all_checks):
-        lines.append("result: PASS")
-    else:
-        failed = sum(1 for check in all_checks if not check.passed)
-        lines.append(f"result: FAIL ({failed} checks failed)")
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,9 @@ Scenario files (``.scn``) are line-oriented UTF-8 with ``#`` comments:
 
 Order lines are numbered from 1 in file order; ``allocate`` references them.
 Every broker, custodian, client, institution and order a line names must be
-declared somewhere in the file, or parsing fails with that line's number.
+declared somewhere in the file, each client and end-client account is
+declared once, and an allocation splits only to its institution's ``ends``;
+otherwise parsing fails with the offending line's number.
 All orders run before all allocations (the street execution must exist
 before a manager can split it).
 """
@@ -108,7 +110,6 @@ class Scenario:
     orders: tuple[OrderAction, ...] = ()
     allocations: tuple[AllocateAction, ...] = ()
     expected: tuple[ExpectedBalance, ...] = ()
-    contract_price_perturbation: int = 0  # test hook: cents added to one contract
     # client account -> broker, and the institution accounts; built from the
     # client tuples on construction (also by `dataclasses.replace`)
     _brokers: dict[str, str] = field(init=False, repr=False, compare=False)
@@ -169,6 +170,16 @@ def _parse_holdings(parts: list[str], line_no: int) -> tuple[int, tuple[tuple[st
     return money, tuple(positions)
 
 
+def _declare(accounts: dict[str, int], names: list[str], line_no: int) -> None:
+    """Record the line declaring each client account; a second declaration
+    of one account is a format error."""
+    for name in names:
+        if name in accounts:
+            raise ScenarioFormatError(
+                f"account {name!r} already declared on line {accounts[name]}", line_no)
+        accounts[name] = line_no
+
+
 def parse_scenario(text: str) -> Scenario:
     scenario_id = ""
     currency = "USD"
@@ -183,6 +194,8 @@ def parse_scenario(text: str) -> Scenario:
     # kind -> name -> first line naming it; each name must be declared
     named: dict[str, dict[str | int, int]] = {
         kind: {} for kind in ("broker", "custodian", "client", "institution", "order")}
+    accounts: dict[str, int] = {}  # client and end-client account -> line declaring it
+    allocation_lines: list[int] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -207,12 +220,14 @@ def parse_scenario(text: str) -> Scenario:
         elif key == "retail":
             kv = _split_kv(parts[1:], line_no)
             retail.append(RetailClient(parts[0], _pop_field(kv, "broker", line_no)))
+            _declare(accounts, parts[:1], line_no)
             named["broker"].setdefault(retail[-1].broker, line_no)
         elif key == "institution":
             kv = _split_kv(parts[1:], line_no)
             institutions.append(Institution(
                 parts[0], _pop_field(kv, "broker", line_no), _pop_field(kv, "custodian", line_no),
                 tuple(_pop_field(kv, "ends", line_no).split(","))))
+            _declare(accounts, [parts[0], *institutions[-1].end_clients], line_no)
             named["broker"].setdefault(institutions[-1].broker, line_no)
             named["custodian"].setdefault(institutions[-1].custodian, line_no)
         elif key == "endow":
@@ -249,6 +264,7 @@ def parse_scenario(text: str) -> Scenario:
             order_index = _int(_pop_field(kv, "order", line_no), line_no)
             splits = tuple((end, _int(qty, line_no)) for end, qty in kv.items())
             allocations.append(AllocateAction(parts[0], order_index, splits))
+            allocation_lines.append(line_no)
             named["institution"].setdefault(parts[0], line_no)
             named["order"].setdefault(order_index, line_no)
         elif key == "expect":
@@ -268,6 +284,12 @@ def parse_scenario(text: str) -> Scenario:
     if undeclared:
         line_no, kind, name = min(undeclared)
         raise ScenarioFormatError(f"undeclared {kind} {name!r}", line_no)
+    ends = {institution.account: set(institution.end_clients) for institution in institutions}
+    for line_no, allocation in zip(allocation_lines, allocations):
+        for end_client, _ in allocation.splits:
+            if end_client not in ends[allocation.institution]:
+                raise ScenarioFormatError(
+                    f"{end_client!r} is not an end client of {allocation.institution}", line_no)
     return Scenario(
         scenario_id=scenario_id,
         currency=currency,

@@ -193,6 +193,43 @@ class SettlementInstruction:
             raise ValueError(f"instruction {self.instruction_id}: non-positive equity leg")
 
 
+def order_shape_rule(
+    order_type: OrderType,
+    quantity: int,
+    limit_price: Money | None,
+    supported: frozenset[OrderType],
+    max_quantity: int | None,
+    cap_required: bool = False,
+    price_cap: Money | None = None,
+) -> str | None:
+    """The first order-shape rule the order breaks, or None.
+
+    Broker validation and exchange validation both apply these rules, in
+    this order. `max_quantity` is None unless the extended-checks variant is
+    bound. Only the broker sees a price cap: a retail market buy must carry
+    one (`cap_required`), and any cap must be positive.
+    """
+    if quantity <= 0:
+        return "NonPositiveQuantity"
+    if order_type not in supported:
+        return "UnsupportedOrderType"
+    if order_type.requires_price:
+        if limit_price is None:
+            return "MissingPrice"
+        if limit_price.amount <= 0:
+            return "NonPositivePrice"
+    else:
+        if limit_price is not None:
+            return "PriceNotAllowed"
+        if cap_required and price_cap is None:
+            return "MissingPriceCap"
+        if price_cap is not None and price_cap.amount <= 0:
+            return "NonPositivePrice"
+    if max_quantity is not None and quantity > max_quantity:
+        return "OrderTooLarge"
+    return None
+
+
 @dataclass(frozen=True)
 class Rejection:
     """A pipeline refusal: which stage said no, and which rule fired."""

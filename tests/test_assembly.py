@@ -22,7 +22,6 @@ from stpsim.trading import Order, OrderType, Side
 def test_product_a_broker_config(product_a):
     config = broker_config(product_a)
     assert not config.extended_order_checks
-    assert config.portfolio_algorithm == "SingleBestAllocation"
     assert config.venue_algorithm == "BestQuoteVenueChoice"
     assert config.offered_types == frozenset(OrderType)
     assert config.money_method == "BrokerBookEntryPayment"
@@ -36,7 +35,6 @@ def test_product_a_broker_config(product_a):
 def test_product_b_broker_config(product_b):
     config = broker_config(product_b)
     assert config.extended_order_checks
-    assert config.portfolio_algorithm == "EqualWeightAllocation"
     assert config.venue_algorithm == "FirstVenueChoice"
     assert config.risk_checks == frozenset({"DuplicateOrderCheck", "PrefundingRiskCheck"})
     assert not config.restricted_screening
@@ -94,8 +92,8 @@ def test_build_ecosystem_opens_all_accounts(product_a):
     eco = build_ecosystem(product_a, scenario)
     accounts = set(eco.ledger.accounts)
     assert {"BR1.house", "BR2.house", "CU1.omnibus", "CU2.omnibus", "CC1.ccp",
-            "CB1.book", "DP1.book", "INST1", "INST2",
-            "EC1", "EC2", "EC3", "EC4"} <= accounts
+            "INST1", "INST2",
+            "EC1", "EC2", "EC3", "EC4"} == accounts
     assert eco.ledger.balance("CU1.omnibus") == Money(104000)
     assert eco.ledger.position("CU2.omnibus", "ACME") == 100
 

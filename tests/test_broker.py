@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from stpsim.broker import (
     BrokerConfig,
     BrokerParams,
     BrokerService,
-    NoCandidates,
     NoVenues,
     OrderDraft,
     UnknownContracts,
@@ -23,6 +20,7 @@ from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
 from stpsim.trading import (
     Affirmation,
     AllocationDetail,
+    Order,
     OrderType,
     Rejection,
     Side,
@@ -52,7 +50,6 @@ _COUNTERPARTY = ParticipantId(ParticipantRole.BROKER, "CP")
 
 def rest_order(exchange, side, price, qty, oid="O99"):
     """Seed a resting counterparty order straight at the exchange."""
-    from stpsim.trading import Order
     order = Order(
         order_id=oid, client="street", broker=_COUNTERPARTY, side=Side(side),
         symbol="ACME", quantity=qty, order_type=OrderType.LIMIT,
@@ -62,14 +59,16 @@ def rest_order(exchange, side, price, qty, oid="O99"):
     return order
 
 
-def make_desk(config=None, params=None, symbols=("ACME",), n_exchanges=1):
+def make_desk(config=None, params=None, symbols=("ACME",), n_exchanges=1,
+              exchange_types=frozenset(OrderType), extended_exchange=False):
     ledger = Ledger()
     registry = ServiceRegistry()
     exchanges = []
     for i in range(n_exchanges):
         pid = ParticipantId(ParticipantRole.EXCHANGE, f"X{i + 1}")
         exchange = ExchangeService(
-            pid, registry, set(symbols), COMPARATOR, frozenset(OrderType))
+            pid, registry, set(symbols), COMPARATOR, exchange_types,
+            extended_validation=extended_exchange)
         registry.register(pid, exchange)
         exchanges.append(exchange)
 
@@ -182,6 +181,52 @@ def test_market_retail_buy_requires_price_cap():
     assert rejection == Rejection("validation", "MissingPriceCap")
 
 
+def test_price_cap_rules_keep_their_place_among_the_shape_rules():
+    config = BrokerConfig(venue_algorithm="FirstVenueChoice", extended_order_checks=True)
+    broker, _, _, _ = make_desk(config=config)
+
+    def market_buy(qty, **cap):
+        return broker.place_retail_order(
+            buy_draft(qty=qty, price=None, otype=OrderType.MARKET, **cap))
+
+    assert market_buy(2_000_000) == Rejection("validation", "MissingPriceCap")
+    assert market_buy(2_000_000, price_cap=Money(0)) == Rejection("validation", "NonPositivePrice")
+    assert market_buy(0) == Rejection("validation", "NonPositiveQuantity")
+
+
+# Both sides bind the extended checks and offer every type but fill-or-kill.
+# case -> (quantity, order type, limit price in cents or None, the rule broken first)
+BAD_SHAPES = {
+    "zero_quantity": (0, OrderType.LIMIT, 1040, "NonPositiveQuantity"),
+    "unsupported_type": (100, OrderType.FILL_OR_KILL, 1040, "UnsupportedOrderType"),
+    "missing_price": (100, OrderType.LIMIT, None, "MissingPrice"),
+    "zero_price": (100, OrderType.IMMEDIATE_OR_CANCEL, 0, "NonPositivePrice"),
+    "negative_price": (100, OrderType.LIMIT, -5, "NonPositivePrice"),
+    "market_with_price": (100, OrderType.MARKET, 1040, "PriceNotAllowed"),
+    "too_large": (2_000_000, OrderType.LIMIT, 1040, "OrderTooLarge"),
+    "zero_quantity_and_missing_price": (0, OrderType.LIMIT, None, "NonPositiveQuantity"),
+    "market_with_price_and_too_large": (2_000_000, OrderType.MARKET, 1040, "PriceNotAllowed"),
+}
+
+
+@pytest.mark.parametrize("qty, otype, price, rule", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+def test_broker_and_exchange_reject_a_bad_shape_by_the_same_rule(qty, otype, price, rule):
+    offered = frozenset(OrderType) - {OrderType.FILL_OR_KILL}
+    broker, (exchange,), _, _ = make_desk(
+        config=BrokerConfig(venue_algorithm="FirstVenueChoice", extended_order_checks=True,
+                            offered_types=offered),
+        exchange_types=offered, extended_exchange=True)
+    limit_price = None if price is None else Money(price)
+    at_broker = broker.place_retail_order(OrderDraft(
+        client="client", side=Side.BUY, symbol="ACME", quantity=qty, order_type=otype,
+        limit_price=limit_price))
+    at_exchange = exchange.validate_incoming_order(Order(
+        order_id="O1", client="client", broker=broker.pid, side=Side.BUY, symbol="ACME",
+        quantity=qty, order_type=otype, limit_price=limit_price))
+    assert at_broker == Rejection("validation", rule)
+    assert at_exchange == Rejection("exchange_validation", rule)
+
+
 def test_per_client_value_cap_overrides_default():
     broker, _, ledger, _ = make_desk(
         params=BrokerParams(client_value_caps={"client": Money(50_000)}))
@@ -289,34 +334,6 @@ def test_select_venue_least_loaded():
     rest_order(exchanges[0], "sell", 1050, 10)
     venues = broker.registry.list_by_role(ParticipantRole.EXCHANGE)
     assert broker.select_venue(buy_draft(), venues).id == "X2"
-
-
-def test_equal_weight_portfolio_sums_to_exactly_one():
-    broker, _, _, _ = make_desk(config=BrokerConfig(
-        venue_algorithm="FirstVenueChoice", portfolio_algorithm="EqualWeightAllocation"))
-    weights = broker.optimize_portfolio({}, ["A", "B", "C"])
-    assert weights == {"A": Fraction(1, 3), "B": Fraction(1, 3), "C": Fraction(1, 3)}
-    assert sum(weights.values()) == 1
-
-
-def test_single_best_portfolio():
-    broker, _, _, _ = make_desk(config=BrokerConfig(
-        venue_algorithm="FirstVenueChoice", portfolio_algorithm="SingleBestAllocation"))
-    assert broker.optimize_portfolio({}, ["A", "B"]) == {"A": Fraction(1)}
-
-
-def test_rank_weighted_portfolio_sums_to_exactly_one():
-    broker, _, _, _ = make_desk(config=BrokerConfig(
-        venue_algorithm="FirstVenueChoice", portfolio_algorithm="RankWeightedAllocation"))
-    weights = broker.optimize_portfolio({}, ["A", "B", "C"])
-    assert weights == {"A": Fraction(3, 6), "B": Fraction(2, 6), "C": Fraction(1, 6)}
-    assert sum(weights.values()) == 1
-
-
-def test_empty_candidates_rejected():
-    broker, _, _, _ = make_desk()
-    with pytest.raises(NoCandidates):
-        broker.optimize_portfolio({}, [])
 
 
 # -- allocation details and contracts ----------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import load_scenario
 from matchdriver import comparator_for
+from stpsim.custodian import CustodianService
 from stpsim.ledger import (
     AccountSnapshot, Ledger, LedgerError, Money, total_money, total_positions)
 from stpsim.lifecycle import (
@@ -20,11 +21,8 @@ def products(product_a, product_b):
     return {"SECO_A": product_a, "SECO_B": product_b}
 
 
-def run_pair(product, scenario_id, **scenario_overrides):
-    scenario = load_scenario(scenario_id)
-    if scenario_overrides:
-        scenario = dataclasses.replace(scenario, **scenario_overrides)
-    report = run_scenario(product, scenario)
+def run_pair(product, scenario_id):
+    report = run_scenario(product, load_scenario(scenario_id))
     checks = assert_conservation(report)
     return report, checks
 
@@ -71,9 +69,22 @@ def test_products_differ_in_journal_but_agree_on_finals(products):
     assert journals["SECO_A"] != journals["SECO_B"]
 
 
-def test_perturbed_contract_price_aborts_at_affirmation(products):
-    report, _ = run_pair(
-        products["SECO_A"], "retail_institutional", contract_price_perturbation=1)
+@pytest.fixture
+def perturbed_contract_price(monkeypatch):
+    """Every custodian is handed the broker's contracts with the first
+    contract's price raised by one cent."""
+    affirm = CustodianService.affirm_contracts
+
+    def perturbed(custodian, contracts):
+        first = contracts[0]
+        raised = dataclasses.replace(first, price=first.price + Money(1, first.price.currency))
+        return affirm(custodian, [raised, *contracts[1:]])
+
+    monkeypatch.setattr(CustodianService, "affirm_contracts", perturbed)
+
+
+def test_perturbed_contract_price_aborts_at_affirmation(products, perturbed_contract_price):
+    report, _ = run_pair(products["SECO_A"], "retail_institutional")
     assert report.aborted is not None
     step, cause = report.aborted
     assert step == "affirmation_INST1"
@@ -96,9 +107,8 @@ def test_underfunded_client_aborts_at_order_step(products):
     assert all(c.passed for c in checks if c.name.startswith("conserve"))
 
 
-def test_aborted_run_is_ledger_neutral_per_snapshot(products):
-    report, checks = run_pair(
-        products["SECO_A"], "retail_institutional", contract_price_perturbation=1)
+def test_aborted_run_is_ledger_neutral_per_snapshot(products, perturbed_contract_price):
+    report, checks = run_pair(products["SECO_A"], "retail_institutional")
     conservation = [c for c in checks if c.name.startswith("conserve")]
     assert conservation and all(c.passed for c in conservation)
 

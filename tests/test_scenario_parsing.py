@@ -94,6 +94,56 @@ def test_names_may_be_declared_after_the_line_that_uses_them():
     assert scenario.broker_of("A") == "BR1"
 
 
+# -- accounts declared twice, and splits outside an institution's ends -----------
+
+# The header declares A on line 4 and I with end client E1 on line 7.
+MISDECLARED = {
+    "retail_declared_twice": ("retail: A broker=BR1", "account 'A' already declared on line 4"),
+    "retail_is_an_end_client": ("retail: E1 broker=BR1",
+                                "account 'E1' already declared on line 7"),
+    "institution_declared_twice": ("institution: I broker=BR1 custodian=CU1 ends=E2",
+                                   "account 'I' already declared on line 7"),
+    "end_client_of_two_institutions": ("institution: J broker=BR1 custodian=CU1 ends=E1",
+                                       "account 'E1' already declared on line 7"),
+    "end_client_listed_twice": ("institution: J broker=BR1 custodian=CU1 ends=E2,E2",
+                                f"account 'E2' already declared on line {UNDECLARED_LINE}"),
+    "split_outside_ends": ("allocate: I order=1 E9=10", "'E9' is not an end client of I"),
+}
+
+
+@pytest.mark.parametrize("bad, message", MISDECLARED.values(), ids=MISDECLARED.keys())
+def test_misdeclared_account_raises_format_error_with_line_number(bad, message):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(DECLARED + bad + "\n")
+    assert str(info.value) == f"line {UNDECLARED_LINE}: {message}"
+
+
+def test_split_may_name_an_end_client_declared_later():
+    scenario = parse_scenario(HEADER + "allocate: I order=1 E1=10\ncustodian: CU1\n"
+                              "institution: I broker=BR1 custodian=CU1 ends=E1\n")
+    assert scenario.allocations[0].splits == (("E1", 10),)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("EC1=60 EC2=40", "EC1=60 EC9=40", "line 24: 'EC9' is not an end client of INST1"),
+    ("retail: RC2 broker=BR2\n", "retail: RC2 broker=BR2\nretail: RC2 broker=BR1\n",
+     "line 17: account 'RC2' already declared on line 16"),
+], ids=["split_outside_ends", "client_declared_twice"])
+def test_cli_exits_one_without_traceback_on_misdeclared_account(tmp_path, old, new, message):
+    text = scenario_path("retail_institutional").read_text()
+    assert text.count(old) == 1
+    edited = tmp_path / "edited.scn"
+    edited.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(Path(stpsim.__file__).parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-m", "stpsim.cli", "run", str(catalog_path()),
+         str(config_path("seco_a")), str(edited)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("scenario_id, old, new, message", [
     ("retail_retail", "retail: RC2 broker=BR2", "retail: RC2 broker=BR7",
      "line 14: undeclared broker 'BR7'"),
