@@ -19,7 +19,7 @@ from .features import ProductSpec
 from .ledger import Ledger
 from .money import Money
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
-from .scenarios import Scenario
+from .scenarios import Scenario, ccp_account, house_account, omnibus_account
 from .trading import OrderType
 
 _ORDER_TYPE_VARIANTS = {
@@ -95,18 +95,6 @@ class Ecosystem:
     custodians: dict[str, CustodianService] = field(default_factory=dict)
     exchanges: dict[str, ExchangeService] = field(default_factory=dict)
     clearing: ClearingCorporation | None = None
-
-
-def house_account(broker_id: str) -> str:
-    return f"{broker_id}.house"
-
-
-def omnibus_account(custodian_id: str) -> str:
-    return f"{custodian_id}.omnibus"
-
-
-def ccp_account(clearing_id: str) -> str:
-    return f"{clearing_id}.ccp"
 
 
 def build_ecosystem(

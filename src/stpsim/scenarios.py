@@ -14,10 +14,24 @@ Scenario files (``.scn``) are line-oriented UTF-8 with ``#`` comments:
     expect: <ACCOUNT> [money=<cents>] [<SYM>=<qty>]...
 
 Order lines are numbered from 1 in file order; ``allocate`` references them.
-Every broker, custodian, client, institution and order a line names must be
-declared somewhere in the file, each client and end-client account is
-declared once, and an allocation splits only to its institution's ``ends``;
-otherwise parsing fails with the offending line's number.
+A repeated ``key=value`` part on one line keeps its last value.
+
+Declaration rules; a line that breaks one fails parsing with its number:
+
+- every scenario has exactly one ``clearing_corporation:`` line, and at
+  least one ``clearing_bank:`` and one ``depository:`` line (a missing one
+  is reported on line 1, like a missing ``scenario:`` header);
+- a participant id is declared at most once per role;
+- every account is declared once: each client and end-client account by
+  its ``retail:`` or ``institution:`` line, and the participant accounts
+  ``<broker>.house``, ``<custodian>.omnibus`` and ``<clearing>.ccp`` by
+  their participant lines;
+- every broker, custodian, client, institution, order and endowed account
+  a line names is declared somewhere in the file, before or after it;
+- an account is endowed on at most one line, with no negative amount;
+- an order is allocated on at most one line, and only to its
+  institution's ``ends``.
+
 All orders run before all allocations (the street execution must exist
 before a manager can split it).
 """
@@ -25,6 +39,7 @@ before a manager can split it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .money import Money
 from .registry import ParticipantRole
@@ -51,6 +66,33 @@ _SIDES = {side.value: side for side in Side}
 _PARTICIPANT_KEYS = {role.value: role for role in ParticipantRole}
 
 
+def house_account(broker_id: str) -> str:
+    return f"{broker_id}.house"
+
+
+def omnibus_account(custodian_id: str) -> str:
+    return f"{custodian_id}.omnibus"
+
+
+def ccp_account(clearing_id: str) -> str:
+    return f"{clearing_id}.ccp"
+
+
+# the ledger account each participant line declares, by role
+_PARTICIPANT_ACCOUNTS = {
+    ParticipantRole.BROKER: house_account,
+    ParticipantRole.CUSTODIAN: omnibus_account,
+    ParticipantRole.CLEARING_CORPORATION: ccp_account,
+}
+
+# the roles a scenario cannot run without
+_REQUIRED_ROLES = (
+    ParticipantRole.CLEARING_CORPORATION,
+    ParticipantRole.CLEARING_BANK,
+    ParticipantRole.DEPOSITORY,
+)
+
+
 @dataclass(frozen=True)
 class RetailClient:
     account: str
@@ -72,8 +114,7 @@ class Endowment:
     positions: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class OrderAction:
+class OrderAction(NamedTuple):
     index: int
     client: str
     side: Side
@@ -91,8 +132,7 @@ class AllocateAction:
     splits: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class ExpectedBalance:
+class ExpectedBalance(NamedTuple):
     account: str
     money: int
     positions: tuple[tuple[str, int], ...]
@@ -151,28 +191,24 @@ def _pop_field(kv: dict[str, str], key: str, line_no: int) -> str:
     return kv.pop(key)
 
 
-def _int(text: str, line_no: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ScenarioFormatError(f"bad integer {text!r}", line_no) from None
-
-
-def _parse_holdings(parts: list[str], line_no: int) -> tuple[int, tuple[tuple[str, int], ...]]:
-    money = 0
-    positions = []
-    for key, value in _split_kv(parts, line_no).items():
-        number = _int(value, line_no)
-        if key == "money":
-            money = number
-        else:
-            positions.append((key, number))
-    return money, tuple(positions)
+def _numbers(parts: list[str], line_no: int) -> dict[str, int]:
+    """The integer ``key=value`` parts of a line, in first-seen key order;
+    a repeated key keeps its last value."""
+    out = {}
+    for part in parts:
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ScenarioFormatError(f"expected key=value, got {part!r}", line_no)
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise ScenarioFormatError(f"bad integer {value!r}", line_no) from None
+    return out
 
 
 def _declare(accounts: dict[str, int], names: list[str], line_no: int) -> None:
-    """Record the line declaring each client account; a second declaration
-    of one account is a format error."""
+    """Record the line declaring each account; a second declaration of one
+    account is a format error."""
     for name in names:
         if name in accounts:
             raise ScenarioFormatError(
@@ -184,7 +220,7 @@ def parse_scenario(text: str) -> Scenario:
     scenario_id = ""
     currency = "USD"
     symbols: list[str] = []
-    participants: dict[ParticipantRole, list[str]] = {}
+    participants: dict[ParticipantRole, dict[str, int]] = {}  # role -> id -> declaring line
     retail: list[RetailClient] = []
     institutions: list[Institution] = []
     endowments: list[Endowment] = []
@@ -192,31 +228,86 @@ def parse_scenario(text: str) -> Scenario:
     allocations: list[AllocateAction] = []
     expected: list[ExpectedBalance] = []
     # kind -> name -> first line naming it; each name must be declared
-    named: dict[str, dict[str | int, int]] = {
-        kind: {} for kind in ("broker", "custodian", "client", "institution", "order")}
-    accounts: dict[str, int] = {}  # client and end-client account -> line declaring it
-    allocation_lines: list[int] = []
+    named: dict[str, dict] = {kind: {} for kind in (
+        "broker", "custodian", "client", "institution", "order", "account")}
+    accounts: dict[str, int] = {}  # every declared account -> line declaring it
+    # an order is allocated, and an account endowed, on one line only
+    allocated: dict[int, int] = named["order"]
+    endowed: dict[str, int] = named["account"]
+    client_lines = named["client"]
+    side_of = _SIDES.get
+    type_of = _ORDER_TYPES.get
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        key, colon, rest = line.partition(":")
+        if not colon:
+            line = line.strip()
+            if line:
+                raise ScenarioFormatError(f"expected 'key: value', got {line!r}", line_no)
             continue
-        if ":" not in line:
-            raise ScenarioFormatError(f"expected 'key: value', got {line!r}", line_no)
-        key, rest = line.split(":", 1)
         key = key.strip()
         parts = rest.split()
         if not parts:
             raise ScenarioFormatError(f"{key!r} needs a value", line_no)
 
-        if key == "scenario":
-            scenario_id = parts[0]
-        elif key == "currency":
-            currency = parts[0]
-        elif key == "symbol":
-            symbols.append(parts[0])
-        elif key in _PARTICIPANT_KEYS:
-            participants.setdefault(_PARTICIPANT_KEYS[key], []).append(parts[0])
+        if key == "order":
+            if len(parts) < 5:
+                raise ScenarioFormatError("order needs: client side qty symbol type", line_no)
+            client, side_text, qty_text, symbol, type_text = parts[:5]
+            side = side_of(side_text)
+            if side is None:
+                raise ScenarioFormatError(f"unknown side {side_text!r}", line_no)
+            order_type = type_of(type_text)
+            if order_type is None:
+                raise ScenarioFormatError(f"unknown order type {type_text!r}", line_no)
+            price = cap = None
+            try:  # `number` holds the text being read, for the error
+                for extra in parts[5:]:
+                    if extra.startswith("cap="):
+                        number = extra[4:]
+                        cap = int(number)
+                    else:
+                        number = extra
+                        price = int(number)
+                number = qty_text
+                quantity = int(number)
+            except ValueError:
+                raise ScenarioFormatError(f"bad integer {number!r}", line_no) from None
+            orders.append(OrderAction(
+                len(orders) + 1, client, side, quantity, symbol, order_type, price, cap))
+            if client not in client_lines:
+                client_lines[client] = line_no
+        elif key == "expect":
+            numbers = _numbers(parts[1:], line_no)
+            money = numbers.pop("money", 0)
+            expected.append(ExpectedBalance(parts[0], money, tuple(numbers.items())))
+        elif key == "endow":
+            account = parts[0]
+            numbers = _numbers(parts[1:], line_no)
+            for name, amount in numbers.items():
+                if amount < 0:
+                    raise ScenarioFormatError(
+                        f"negative endowment {name}={amount} for {account!r}", line_no)
+            if account in endowed:
+                raise ScenarioFormatError(
+                    f"account {account!r} already endowed on line {endowed[account]}", line_no)
+            endowed[account] = line_no
+            money = numbers.pop("money", 0)
+            endowments.append(Endowment(account, money, tuple(numbers.items())))
+        elif key == "allocate":
+            numbers = _numbers(parts[1:], line_no)
+            if "order" not in numbers:
+                raise ScenarioFormatError("missing order=", line_no)
+            order_index = numbers.pop("order")
+            if order_index in allocated:
+                raise ScenarioFormatError(
+                    f"order {order_index} already allocated on line {allocated[order_index]}",
+                    line_no)
+            allocated[order_index] = line_no
+            allocations.append(AllocateAction(parts[0], order_index, tuple(numbers.items())))
+            named["institution"].setdefault(parts[0], line_no)
         elif key == "retail":
             kv = _split_kv(parts[1:], line_no)
             retail.append(RetailClient(parts[0], _pop_field(kv, "broker", line_no)))
@@ -230,66 +321,53 @@ def parse_scenario(text: str) -> Scenario:
             _declare(accounts, [parts[0], *institutions[-1].end_clients], line_no)
             named["broker"].setdefault(institutions[-1].broker, line_no)
             named["custodian"].setdefault(institutions[-1].custodian, line_no)
-        elif key == "endow":
-            money, positions = _parse_holdings(parts[1:], line_no)
-            endowments.append(Endowment(parts[0], money, positions))
-        elif key == "order":
-            if len(parts) < 5:
-                raise ScenarioFormatError("order needs: client side qty symbol type", line_no)
-            client, side_text, qty_text, symbol, type_text = parts[:5]
-            if side_text not in _SIDES:
-                raise ScenarioFormatError(f"unknown side {side_text!r}", line_no)
-            if type_text not in _ORDER_TYPES:
-                raise ScenarioFormatError(f"unknown order type {type_text!r}", line_no)
-            price = None
-            cap = None
-            for extra in parts[5:]:
-                if extra.startswith("cap="):
-                    cap = _int(extra[4:], line_no)
-                else:
-                    price = _int(extra, line_no)
-            orders.append(OrderAction(
-                index=len(orders) + 1,
-                client=client,
-                side=_SIDES[side_text],
-                quantity=_int(qty_text, line_no),
-                symbol=symbol,
-                order_type=_ORDER_TYPES[type_text],
-                price=price,
-                cap=cap,
-            ))
-            named["client"].setdefault(client, line_no)
-        elif key == "allocate":
-            kv = _split_kv(parts[1:], line_no)
-            order_index = _int(_pop_field(kv, "order", line_no), line_no)
-            splits = tuple((end, _int(qty, line_no)) for end, qty in kv.items())
-            allocations.append(AllocateAction(parts[0], order_index, splits))
-            allocation_lines.append(line_no)
-            named["institution"].setdefault(parts[0], line_no)
-            named["order"].setdefault(order_index, line_no)
-        elif key == "expect":
-            money, positions = _parse_holdings(parts[1:], line_no)
-            expected.append(ExpectedBalance(parts[0], money, positions))
+        elif key in _PARTICIPANT_KEYS:
+            role = _PARTICIPANT_KEYS[key]
+            participant = parts[0]
+            declared_ids = participants.setdefault(role, {})
+            if participant in declared_ids:
+                raise ScenarioFormatError(
+                    f"{key} {participant!r} already declared on line "
+                    f"{declared_ids[participant]}", line_no)
+            if role is ParticipantRole.CLEARING_CORPORATION and declared_ids:
+                (first, first_line), = declared_ids.items()
+                raise ScenarioFormatError(
+                    f"second clearing_corporation {participant!r} "
+                    f"({first!r} declared on line {first_line})", line_no)
+            declared_ids[participant] = line_no
+            if role in _PARTICIPANT_ACCOUNTS:
+                _declare(accounts, [_PARTICIPANT_ACCOUNTS[role](participant)], line_no)
+        elif key == "symbol":
+            symbols.append(parts[0])
+        elif key == "scenario":
+            scenario_id = parts[0]
+        elif key == "currency":
+            currency = parts[0]
         else:
             raise ScenarioFormatError(f"unknown directive {key!r}", line_no)
 
     if not scenario_id:
         raise ScenarioFormatError("missing 'scenario:' header", 1)
-    declared = {role.value: set(ids) for role, ids in participants.items()}
+    declared = {role.value: ids for role, ids in participants.items()}
     declared["client"] = {client.account for client in (*retail, *institutions)}
     declared["institution"] = {institution.account for institution in institutions}
     declared["order"] = range(1, len(orders) + 1)
+    declared["account"] = accounts
     undeclared = [(line_no, kind, name) for kind, names in named.items()
                   for name, line_no in names.items() if name not in declared.get(kind, ())]
     if undeclared:
         line_no, kind, name = min(undeclared)
         raise ScenarioFormatError(f"undeclared {kind} {name!r}", line_no)
     ends = {institution.account: set(institution.end_clients) for institution in institutions}
-    for line_no, allocation in zip(allocation_lines, allocations):
+    for allocation in allocations:
         for end_client, _ in allocation.splits:
             if end_client not in ends[allocation.institution]:
                 raise ScenarioFormatError(
-                    f"{end_client!r} is not an end client of {allocation.institution}", line_no)
+                    f"{end_client!r} is not an end client of {allocation.institution}",
+                    allocated[allocation.order_index])
+    for role in _REQUIRED_ROLES:
+        if role not in participants:
+            raise ScenarioFormatError(f"missing '{role.value}:' line", 1)
     return Scenario(
         scenario_id=scenario_id,
         currency=currency,

@@ -20,6 +20,8 @@ retail: A broker=BR1
 order: A buy 10 ACME limit 5
 """
 BAD_LINE = HEADER.count("\n") + 1
+# the three roles a scenario cannot run without; appended where a text must parse
+ROLES = "clearing_corporation: CC1\nclearing_bank: CB1\ndepository: DP1\n"
 
 BAD_LINES = {
     "non_integer_quantity": "order: A buy ten ACME limit 5",
@@ -47,7 +49,7 @@ def test_malformed_line_raises_format_error_with_line_number(bad):
 
 
 def test_well_formed_header_parses():
-    scenario = parse_scenario(HEADER)
+    scenario = parse_scenario(HEADER + ROLES)
     assert scenario.orders[0].quantity == 10
     assert scenario.broker_of("A") == "BR1"
 
@@ -90,7 +92,7 @@ def test_undeclared_name_raises_format_error_with_line_number(bad, named):
 
 def test_names_may_be_declared_after_the_line_that_uses_them():
     scenario = parse_scenario("scenario: s\norder: A buy 1 ACME market\n"
-                              "retail: A broker=BR1\nbroker: BR1\n")
+                              "retail: A broker=BR1\nbroker: BR1\n" + ROLES)
     assert scenario.broker_of("A") == "BR1"
 
 
@@ -120,7 +122,7 @@ def test_misdeclared_account_raises_format_error_with_line_number(bad, message):
 
 def test_split_may_name_an_end_client_declared_later():
     scenario = parse_scenario(HEADER + "allocate: I order=1 E1=10\ncustodian: CU1\n"
-                              "institution: I broker=BR1 custodian=CU1 ends=E1\n")
+                              "institution: I broker=BR1 custodian=CU1 ends=E1\n" + ROLES)
     assert scenario.allocations[0].splits == (("E1", 10),)
 
 
@@ -161,3 +163,75 @@ def test_cli_exits_one_on_undeclared_name_in_shipped_scenario(capsys, tmp_path, 
     edited.write_text(text.replace(old, new))
     assert main(["run", str(catalog_path()), str(config_path("seco_a")), str(edited)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# -- participants, endowments and allocations in a shipped scenario ---------------
+
+# In retail_institutional.scn: BR1 is on line 8, X1 on 11, CC1 on 12, the
+# RC2 endowment on 19 and the allocation of order 2 on 24.
+SHIPPED_DEFECTS = {
+    "broker_declared_twice": ("broker: BR2\n", "broker: BR2\nbroker: BR1\n",
+                              "line 10: broker 'BR1' already declared on line 8"),
+    "exchange_declared_twice": ("exchange: X1\n", "exchange: X1\nexchange: X1\n",
+                                "line 12: exchange 'X1' already declared on line 11"),
+    "second_clearing_corporation": (
+        "clearing_corporation: CC1\n", "clearing_corporation: CC1\nclearing_corporation: CC2\n",
+        "line 13: second clearing_corporation 'CC2' ('CC1' declared on line 12)"),
+    "no_clearing_corporation": ("clearing_corporation: CC1\n", "",
+                                "line 1: missing 'clearing_corporation:' line"),
+    "no_clearing_bank": ("clearing_bank: CB1\n", "", "line 1: missing 'clearing_bank:' line"),
+    "no_depository": ("depository: DP1\n", "", "line 1: missing 'depository:' line"),
+    "client_named_like_a_house_account": (
+        "retail: RC2 broker=BR2\n", "retail: RC2 broker=BR2\nretail: BR1.house broker=BR2\n",
+        "line 17: account 'BR1.house' already declared on line 8"),
+    "negative_endowment": ("endow: RC2 ACME=100", "endow: RC2 ACME=-100",
+                           "line 19: negative endowment ACME=-100 for 'RC2'"),
+    "undeclared_endowed_account": ("endow: RC2 ACME=100\n",
+                                   "endow: RC2 ACME=100\nendow: ZZ9 money=500\n",
+                                   "line 20: undeclared account 'ZZ9'"),
+    "account_endowed_twice": ("endow: RC2 ACME=100\n",
+                              "endow: RC2 ACME=100\nendow: RC2 money=500\n",
+                              "line 20: account 'RC2' already endowed on line 19"),
+    "order_allocated_twice": ("allocate: INST1 order=2 EC1=60 EC2=40\n",
+                              "allocate: INST1 order=2 EC1=60 EC2=40\n" * 2,
+                              "line 25: order 2 already allocated on line 24"),
+}
+
+
+def _edited_shipped(old, new):
+    text = scenario_path("retail_institutional").read_text()
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("old, new, message", SHIPPED_DEFECTS.values(),
+                         ids=SHIPPED_DEFECTS.keys())
+def test_shipped_scenario_defect_raises_format_error_with_line_number(old, new, message):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(_edited_shipped(old, new))
+    assert str(info.value) == message
+
+
+def test_participant_accounts_may_be_endowed_before_their_participant_line():
+    scenario = parse_scenario(_edited_shipped(
+        "endow: RC2 ACME=100\n",
+        "endow: RC2 ACME=100\nendow: BR1.house money=5\nendow: CC1.ccp ACME=0\n"
+        "endow: EC1 money=0\n").replace("broker: BR1\n", "") + "broker: BR1\n")
+    endowed = {e.account: (e.money, e.positions) for e in scenario.endowments}
+    assert endowed["BR1.house"] == (5, ())
+    assert endowed["CC1.ccp"] == (0, (("ACME", 0),))
+    assert endowed["EC1"] == (0, ())
+
+
+def test_cli_exits_one_without_traceback_on_shipped_scenario_defect(tmp_path):
+    old, new, message = SHIPPED_DEFECTS["broker_declared_twice"]
+    edited = tmp_path / "edited.scn"
+    edited.write_text(_edited_shipped(old, new))
+    env = dict(os.environ, PYTHONPATH=str(Path(stpsim.__file__).parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-m", "stpsim.cli", "run", str(catalog_path()),
+         str(config_path("seco_b")), str(edited)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"error: {message}\n"
