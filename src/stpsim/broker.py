@@ -16,6 +16,7 @@ contracts against the manager's allocation details.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ledger import InsufficientFunds, InsufficientPosition, Ledger
 from .money import Money
@@ -49,8 +50,7 @@ class UnknownContracts(BrokerError):
     pass
 
 
-@dataclass(frozen=True)
-class OrderDraft:
+class OrderDraft(NamedTuple):
     client: str
     side: Side
     symbol: str
@@ -81,12 +81,14 @@ class BrokerParams:
     """Operational data the variants consume; not part of the feature model."""
 
     restricted_symbols: frozenset[str] = frozenset()
-    max_order_value: Money = field(default_factory=lambda: Money(100_000_000))
+    # None: a cap of 100,000,000 minor units in the ledger's currency
+    max_order_value: Money | None = None
     client_value_caps: dict[str, Money] = field(default_factory=dict)
     max_order_quantity: int = 1_000_000
 
-    def value_cap_for(self, client: str) -> Money:
-        return self.client_value_caps.get(client, self.max_order_value)
+    def value_cap_for(self, client: str, currency: str) -> Money:
+        cap = self.client_value_caps.get(client, self.max_order_value)
+        return Money(100_000_000, currency) if cap is None else cap
 
 
 class BrokerService:
@@ -226,7 +228,7 @@ class BrokerService:
         price = draft.limit_price or draft.price_cap
         if price is None:
             return None
-        if price * draft.quantity > self.params.value_cap_for(draft.client):
+        if price * draft.quantity > self.params.value_cap_for(draft.client, self.ledger.currency):
             return "OrderValueOverCap"
         return None
 
@@ -356,15 +358,9 @@ class BrokerService:
         contracts = []
         for detail in details:
             contracts.append(Contract(
-                contract_id=f"{self.pid.id}-C{self._next_contract}",
-                broker=self.pid,
-                custodian=custodian_pid,
-                alloc_ref=detail.alloc_id,
-                block_order_id=detail.block_order_id,
-                symbol=detail.symbol,
-                quantity=detail.quantity,
-                price=detail.price,
-            ))
+                f"{self.pid.id}-C{self._next_contract}", self.pid, custodian_pid,
+                detail.alloc_id, detail.block_order_id, detail.symbol, detail.quantity,
+                detail.price))
             self._next_contract += 1
         self.contracts_sent[block_id] = tuple(contracts)
         self.audit.append(AuditEvent(block_id, "allocation_validation", "ok"))

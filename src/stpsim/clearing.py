@@ -33,7 +33,6 @@ cleared is SETTLED afterwards, also when netting left nothing to move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ledger import Ledger
@@ -80,8 +79,7 @@ def _transfers(instruction: SettlementInstruction) -> list[_Transfer]:
     return transfers
 
 
-@dataclass(frozen=True)
-class ClientTradeRecord:
+class ClientTradeRecord(NamedTuple):
     """A custodian's per-allocation trade submission, covering one side of a
     street trade's block order after affirmation."""
 
@@ -94,8 +92,7 @@ class ClientTradeRecord:
     account: str          # custodian omnibus
 
 
-@dataclass(frozen=True)
-class Obligation:
+class Obligation(NamedTuple):
     kind: str             # "money" | "equity" | "net"
     party: str
     counterparty: str

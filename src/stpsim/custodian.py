@@ -228,14 +228,8 @@ class CustodianService:
                 continue
             for detail in affirmed.details:
                 record = ClientTradeRecord(
-                    trade_id=f"{self.pid.id}-T{self._next_record}",
-                    block_order_id=block,
-                    side=affirmed.side,
-                    symbol=detail.symbol,
-                    quantity=detail.quantity,
-                    price=detail.price,
-                    account=self.omnibus_account,
-                )
+                    f"{self.pid.id}-T{self._next_record}", block, affirmed.side,
+                    detail.symbol, detail.quantity, detail.price, self.omnibus_account)
                 self._next_record += 1
                 rejection = clearing.submit_trade(record, source="custodian")
                 if rejection is not None:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .money import Money
 
@@ -110,8 +110,7 @@ class Account:
         return f"Account({self.owner!r}, {self._money!r}, {dict(self._positions)!r})"
 
 
-@dataclass(frozen=True)
-class JournalEntry:
+class JournalEntry(NamedTuple):
     seq: int
     kind: str               # "money" | "equity"
     src: str
@@ -125,13 +124,14 @@ class JournalEntry:
         return f"{self.seq}|{self.kind}|{self.src}|{self.dst}|{self.amount}|{sym}|{self.cause}"
 
 
-@dataclass(frozen=True)
-class AccountSnapshot:
+class AccountSnapshot(NamedTuple):
     """One account's recorded balances, without zero positions.
 
-    Every snapshot from the one that recorded it until the account is next
-    touched returns this same object, so treat it, `positions` included, as
-    immutable: replace a snapshot's entry rather than editing it in place.
+    An immutable NamedTuple: assigning `money` or `positions` raises
+    `AttributeError`. Every snapshot from the one that recorded it until
+    the account is next touched returns this same object, so treat the
+    `positions` dict as immutable too: replace a snapshot's entry (with
+    `_replace`) rather than editing it in place.
     """
 
     money: Money

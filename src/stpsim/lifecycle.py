@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .assembly import Ecosystem, build_ecosystem
 from .broker import BrokerParams, OrderDraft
@@ -71,8 +72,7 @@ class StepRecord:
         self._snapshot.load(balances)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -160,13 +160,9 @@ class ScenarioRunner:
             step = f"order_{action.index}_{action.client}"
             broker = self.eco.brokers[self.scenario.broker_of(action.client)]
             draft = OrderDraft(
-                client=action.client,
-                side=action.side,
-                symbol=action.symbol,
-                quantity=action.quantity,
-                order_type=action.order_type,
-                limit_price=self.scenario.money(action.price) if action.price else None,
-                price_cap=self.scenario.money(action.cap) if action.cap else None,
+                action.client, action.side, action.symbol, action.quantity, action.order_type,
+                None if action.price is None else self.scenario.money(action.price),
+                None if action.cap is None else self.scenario.money(action.cap),
             )
             if self.scenario.is_institution(action.client):
                 outcome = broker.place_institutional_order(draft)
@@ -205,14 +201,8 @@ class ScenarioRunner:
         details = []
         for end_client, quantity in action.splits:
             details.append(AllocationDetail(
-                alloc_id=f"{action.institution}-A{self._next_alloc}",
-                institution=action.institution,
-                end_client_account=end_client,
-                block_order_id=order_id,
-                symbol=fills[0].symbol,
-                quantity=quantity,
-                price=price,
-            ))
+                f"{action.institution}-A{self._next_alloc}", action.institution, end_client,
+                order_id, fills[0].symbol, quantity, price))
             self._next_alloc += 1
 
         rejection = custodian.receive_allocation_details(details)

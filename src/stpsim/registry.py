@@ -9,8 +9,7 @@ registry is read-only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class RegistryError(Exception):
@@ -34,8 +33,7 @@ class ParticipantRole(enum.Enum):
     DEPOSITORY = "depository"
 
 
-@dataclass(frozen=True)
-class ParticipantId:
+class ParticipantId(NamedTuple):
     role: ParticipantRole
     id: str
 
@@ -45,28 +43,27 @@ class ParticipantId:
 
 class ServiceRegistry:
     def __init__(self) -> None:
-        self._entries: dict[tuple[ParticipantRole, str], Any] = {}
+        self._entries: dict[ParticipantId, Any] = {}
 
     def register(self, pid: ParticipantId, handle: Any) -> None:
-        key = (pid.role, pid.id)
-        if key in self._entries:
+        if pid in self._entries:
             raise DuplicateRegistration(str(pid))
-        self._entries[key] = handle
+        self._entries[pid] = handle
 
     def lookup(self, pid: ParticipantId) -> Any:
         try:
-            return self._entries[(pid.role, pid.id)]
+            return self._entries[pid]
         except KeyError:
             raise NotFound(str(pid)) from None
 
     def list_by_role(self, role: ParticipantRole) -> list[ParticipantId]:
         """All ids registered under `role`, in registration order."""
-        return [ParticipantId(r, i) for (r, i) in self._entries if r is role]
+        return [pid for pid in self._entries if pid.role is role]
 
     def first(self, role: ParticipantRole) -> Any:
         """The handle of the first participant registered under `role`."""
-        for (r, _), handle in self._entries.items():
-            if r is role:
+        for pid, handle in self._entries.items():
+            if pid.role is role:
                 return handle
         raise NotFound(f"no {role.value.replace('_', ' ')} registered")
 

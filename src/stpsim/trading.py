@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .money import Money
 from .registry import ParticipantId
@@ -118,8 +119,7 @@ class Trade:
                 f"|{self.buy_order_id}|{self.sell_order_id}")
 
 
-@dataclass(frozen=True)
-class AllocationDetail:
+class AllocationDetail(NamedTuple):
     alloc_id: str
     institution: str                 # institution account reference
     end_client_account: str
@@ -129,8 +129,7 @@ class AllocationDetail:
     price: Money
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(NamedTuple):
     contract_id: str
     broker: ParticipantId
     custodian: ParticipantId
@@ -150,15 +149,13 @@ class Affirmation:
     contract_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MoneyLeg:
+class MoneyLeg(NamedTuple):
     payer: str
     payee: str
     amount: Money
 
 
-@dataclass(frozen=True)
-class EquityLeg:
+class EquityLeg(NamedTuple):
     deliverer: str
     receiver: str
     symbol: str
@@ -230,8 +227,7 @@ def order_shape_rule(
     return None
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """A pipeline refusal: which stage said no, and which rule fired."""
 
     stage: str
@@ -243,8 +239,7 @@ class Rejection:
         return f"{text} ({self.detail})" if self.detail else text
 
 
-@dataclass
-class AuditEvent:
+class AuditEvent(NamedTuple):
     order_id: str
     stage: str
     outcome: str          # "ok" | "rejected"

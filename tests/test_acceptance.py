@@ -5,7 +5,6 @@ wall-clock budgets are asserted where stated.
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
-import dataclasses
 import random
 import time
 
@@ -95,8 +94,8 @@ def test_criterion_3_conservation_and_detector(product_a):
     report = run_scenario(product_a, load_scenario("retail_retail"))
     victim = report.steps[2]
     account = sorted(victim.snapshot)[0]
-    victim.snapshot[account] = dataclasses.replace(
-        victim.snapshot[account], money=victim.snapshot[account].money + Money(1))
+    victim.snapshot[account] = victim.snapshot[account]._replace(
+        money=victim.snapshot[account].money + Money(1))
     failing = [c for c in assert_conservation(report)
                if not c.passed and victim.name in c.name]
     assert failing

@@ -144,3 +144,15 @@ def test_unreadable_input_exits_one_naming_the_path(capture, tmp_path):
     code, _, err = capture("report", str(tmp_path))
     assert code == 1
     assert err.startswith(f"error: {tmp_path}: ")
+
+
+@pytest.mark.parametrize("config", [SECO_A, SECO_B])
+def test_run_in_a_currency_other_than_usd(capture, tmp_path, config):
+    from stpsim.data import scenario_path
+    euro = tmp_path / "euro.scn"
+    euro.write_text(scenario_path("retail_retail").read_text().replace(
+        "currency: USD", "currency: EUR"))
+    code, out, err = capture("run", CATALOG, config, str(euro))
+    assert code == 0
+    assert "result: PASS" in out
+    assert err == ""

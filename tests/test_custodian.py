@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -99,7 +98,7 @@ def test_negative_quantity_rejected():
 
 def test_unknown_institution_rejected():
     custodian, _, _, _ = make_custodian()
-    stranger = dataclasses.replace(detail("A1", 10), institution="stranger")
+    stranger = detail("A1", 10)._replace(institution="stranger")
     assert custodian.receive_allocation_details([stranger]).rule == "UnknownInstitution"
 
 
@@ -143,7 +142,7 @@ def test_one_cent_price_perturbation_rejected_with_contract_id():
     details = fixture_details()
     custodian.receive_allocation_details(details)
     contracts = fixture_contracts(details)
-    contracts[0] = dataclasses.replace(contracts[0], price=Money(1041))
+    contracts[0] = contracts[0]._replace(price=Money(1041))
     verdict = custodian.affirm_contracts(contracts)
     assert isinstance(verdict, AffirmationRejection)
     rules = {(v.rule, v.contract_id) for v in verdict.violations}
@@ -196,17 +195,17 @@ def test_affirmation_verdict_equals_multiset_equality_oracle(data):
     mutation = rng.choice(["none", "price", "qty", "drop", "dup", "alien"])
     if mutation == "price" :
         i = rng.randrange(len(contracts))
-        contracts[i] = dataclasses.replace(contracts[i], price=Money(999))
+        contracts[i] = contracts[i]._replace(price=Money(999))
     elif mutation == "qty":
         i = rng.randrange(len(contracts))
-        contracts[i] = dataclasses.replace(contracts[i], quantity=contracts[i].quantity + 1)
+        contracts[i] = contracts[i]._replace(quantity=contracts[i].quantity + 1)
     elif mutation == "drop" and len(contracts) > 1:
         contracts.pop()
     elif mutation == "dup":
-        contracts.append(dataclasses.replace(contracts[0], contract_id="BR1-C99"))
+        contracts.append(contracts[0]._replace(contract_id="BR1-C99"))
     elif mutation == "alien":
-        contracts.append(dataclasses.replace(contracts[0], contract_id="BR1-C98",
-                                             alloc_ref="GHOST"))
+        contracts.append(contracts[0]._replace(contract_id="BR1-C98",
+                                               alloc_ref="GHOST"))
     rng.shuffle(contracts)
 
     custodian, _, _, _ = make_custodian()
@@ -220,7 +219,7 @@ def test_affirmation_log_records_both_outcomes():
     details = fixture_details()
     custodian.receive_allocation_details(details)
     contracts = fixture_contracts(details)
-    bad = [dataclasses.replace(contracts[0], price=Money(1))] + contracts[1:]
+    bad = [contracts[0]._replace(price=Money(1))] + contracts[1:]
     custodian.affirm_contracts(bad)
     custodian.affirm_contracts(contracts)
     lines = custodian.affirmation_export_lines()

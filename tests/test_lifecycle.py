@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_scenario
 from matchdriver import comparator_for
 from stpsim.custodian import CustodianService
+from stpsim.data import scenario_path
 from stpsim.ledger import (
     AccountSnapshot, Ledger, LedgerError, Money, total_money, total_positions)
 from stpsim.lifecycle import (
@@ -77,7 +78,7 @@ def perturbed_contract_price(monkeypatch):
 
     def perturbed(custodian, contracts):
         first = contracts[0]
-        raised = dataclasses.replace(first, price=first.price + Money(1, first.price.currency))
+        raised = first._replace(price=first.price + Money(1, first.price.currency))
         return affirm(custodian, [raised, *contracts[1:]])
 
     monkeypatch.setattr(CustodianService, "affirm_contracts", perturbed)
@@ -105,6 +106,17 @@ def test_underfunded_client_aborts_at_order_step(products):
     # the failed prepayment left no trace on the ledger
     checks = assert_conservation(report)
     assert all(c.passed for c in checks if c.name.startswith("conserve"))
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+@pytest.mark.parametrize("old, new, step", [
+    ("order: RC2 sell 100 ACME limit 1040", "order: RC2 sell 100 ACME limit 0", "order_1_RC2"),
+    ("order: RC1 buy 100 ACME limit 1040", "order: RC1 buy 100 ACME market cap=0", "order_2_RC1"),
+])
+def test_zero_price_or_cap_is_read_as_zero_not_absent(products, product_key, old, new, step):
+    text = scenario_path("retail_retail").read_text()
+    report = run_scenario(products[product_key], parse_scenario(text.replace(old, new)))
+    assert report.aborted == (step, "rejected at validation: NonPositivePrice")
 
 
 def test_aborted_run_is_ledger_neutral_per_snapshot(products, perturbed_contract_price):
@@ -160,8 +172,7 @@ def test_off_journal_mutation_is_detected(products):
     # mutated a balance without going through the ledger
     victim = report.steps[3]
     account = sorted(victim.snapshot)[0]
-    victim.snapshot[account] = dataclasses.replace(
-        victim.snapshot[account],
+    victim.snapshot[account] = victim.snapshot[account]._replace(
         money=victim.snapshot[account].money + Money(1))
     checks = assert_conservation(report)
     failing = [c for c in checks if not c.passed]
@@ -319,8 +330,8 @@ def test_incremental_check_matches_full_totals_oracle(products, product_key, sce
 
     victim = report.steps[3]
     account = sorted(victim.snapshot)[0]
-    victim.snapshot[account] = dataclasses.replace(
-        victim.snapshot[account], money=victim.snapshot[account].money + Money(1))
+    victim.snapshot[account] = victim.snapshot[account]._replace(
+        money=victim.snapshot[account].money + Money(1))
     assert not all(check.passed for check in assert_matches_oracle(report))
 
 
@@ -335,12 +346,12 @@ def tamper(snapshot, account, kind, amount):
     elif kind == "phantom" or balances is None:
         snapshot[f"{account}.phantom"] = AccountSnapshot(Money(amount), {"SYM": amount})
     elif kind == "money":
-        snapshot[account] = dataclasses.replace(balances, money=balances.money + Money(amount))
+        snapshot[account] = balances._replace(money=balances.money + Money(amount))
     else:
         symbol = "SYM" if kind == "shares" else "NEW"
         positions = dict(balances.positions)
         positions[symbol] = positions.get(symbol, 0) + amount
-        snapshot[account] = dataclasses.replace(balances, positions=positions)
+        snapshot[account] = balances._replace(positions=positions)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,8 +257,8 @@ def test_replacing_one_steps_entry_leaves_neighbouring_steps_unchanged(product_a
     before = [dict(step.snapshot) for step in report.steps]
     victim = report.steps[3]
     account = sorted(victim.snapshot)[0]
-    victim.snapshot[account] = dataclasses.replace(
-        victim.snapshot[account], money=victim.snapshot[account].money + Money(1))
+    victim.snapshot[account] = victim.snapshot[account]._replace(
+        money=victim.snapshot[account].money + Money(1))
     for index, step in enumerate(report.steps):
         if index == 3:
             assert step.snapshot[account] != before[3][account]
@@ -285,12 +283,12 @@ def tamper(balances, owner, kind, amount):
     elif kind == "phantom" or current is None:
         balances[f"{owner}.phantom"] = AccountSnapshot(Money(amount), {"SYM": amount})
     elif kind == "money":
-        balances[owner] = dataclasses.replace(current, money=current.money + Money(amount))
+        balances[owner] = current._replace(money=current.money + Money(amount))
     else:
         symbol = "SYM" if kind == "shares" else "NEW"
         positions = dict(current.positions)
         positions[symbol] = positions.get(symbol, 0) + amount
-        balances[owner] = dataclasses.replace(current, positions=positions)
+        balances[owner] = current._replace(positions=positions)
 
 
 OWNERS = ("a0", "a1", "a2", "a3")

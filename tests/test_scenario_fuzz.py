@@ -3,15 +3,16 @@
 Each example edits a shipped scenario line by line: it drops a line,
 duplicates one, swaps two, truncates one at a field boundary or inserts one
 character. Whatever the edits, `parse_scenario` either raises
-ScenarioFormatError or returns a Scenario that `build_ecosystem` accepts
-under both shipped products; no edit ends in any other exception.
+ScenarioFormatError or returns a Scenario that `run_scenario` builds and
+runs to a `ScenarioReport` under both shipped products, completed or with
+its abort recorded; no edit ends in any other exception.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stpsim.assembly import build_ecosystem
 from stpsim.data import scenario_path
+from stpsim.lifecycle import ScenarioReport, run_scenario
 from stpsim.scenarios import SCENARIO_IDS, ScenarioFormatError, parse_scenario
 
 SHIPPED = {scenario_id: scenario_path(scenario_id).read_text().splitlines()
@@ -59,7 +60,7 @@ def products(product_a, product_b):
     return product_a, product_b
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(scenario_id=st.sampled_from(SCENARIO_IDS), data=st.data())
 def test_mutated_scenario_is_rejected_or_builds(products, scenario_id, data):
     lines = list(SHIPPED[scenario_id])
@@ -71,4 +72,4 @@ def test_mutated_scenario_is_rejected_or_builds(products, scenario_id, data):
     except ScenarioFormatError:
         return
     for product in products:
-        build_ecosystem(product, scenario)
+        assert isinstance(run_scenario(product, scenario), ScenarioReport)
