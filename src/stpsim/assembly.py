@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .broker import BrokerConfig, BrokerParams, BrokerService
+from .broker import BrokerConfig, BrokerService
 from .clearing import ClearingBank, ClearingCorporation, Depository
 from .custodian import CustodianConfig, CustodianService
 from .exchange import ExchangeService, PrecedenceComparator, SecondaryPrecedence, TieBreak
@@ -97,11 +97,7 @@ class Ecosystem:
     clearing: ClearingCorporation | None = None
 
 
-def build_ecosystem(
-    product: ProductSpec,
-    scenario: Scenario,
-    broker_params: BrokerParams | None = None,
-) -> Ecosystem:
+def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
     """Open every account, build every participant per the product's
     bindings, and register them; the result is ready to run."""
     ledger = Ledger(scenario.currency)
@@ -177,7 +173,7 @@ def build_ecosystem(
         pid = ParticipantId(ParticipantRole.BROKER, broker_id)
         account = house_account(broker_id)
         open_with_endowment(account)
-        service = BrokerService(pid, registry, ledger, account, brk_config, broker_params)
+        service = BrokerService(pid, registry, ledger, account, brk_config)
         registry.register(pid, service)
         eco.brokers[broker_id] = service
 

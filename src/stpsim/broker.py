@@ -8,9 +8,11 @@ prepayment taken before a routing rejection is refunded in the same call).
 
 Retail clients prepay the broker house account (money for buys at the
 limit or cap price, shares for sells) and are credited back after street
-settlement. Institutional clients never prepay: their assets sit at the
+settlement; no fill costs more than the limit or cap, so settlement only
+refunds. Institutional clients never prepay: their assets sit at the
 custodian, which takes over settlement once it affirms the broker's
-contracts against the manager's allocation details.
+contracts against the manager's allocation details (checked, as there, by
+`trading.allocation_detail_rule`, then against the block order).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .trading import (
     Side,
     Trade,
     TradeStatus,
+    allocation_detail_rule,
     order_shape_rule,
 )
 
@@ -84,7 +87,6 @@ class BrokerParams:
     # None: a cap of 100,000,000 minor units in the ledger's currency
     max_order_value: Money | None = None
     client_value_caps: dict[str, Money] = field(default_factory=dict)
-    max_order_quantity: int = 1_000_000
 
     def value_cap_for(self, client: str, currency: str) -> Money:
         cap = self.client_value_caps.get(client, self.max_order_value)
@@ -197,7 +199,7 @@ class BrokerService:
             return "UnknownClient"
         return order_shape_rule(
             draft.order_type, draft.quantity, draft.limit_price, self.config.offered_types,
-            self.params.max_order_quantity if self.config.extended_order_checks else None,
+            self.config.extended_order_checks,
             cap_required=kind is ClientKind.RETAIL and draft.side is Side.BUY,
             price_cap=draft.price_cap)
 
@@ -255,6 +257,7 @@ class BrokerService:
             quantity=draft.quantity,
             order_type=draft.order_type,
             limit_price=draft.limit_price,
+            price_cap=draft.price_cap,
             client_kind=kind,
             settlement_account=settlement,
         )
@@ -374,18 +377,14 @@ class BrokerService:
         order = self.orders.get(block_id)
         if order is None or order.client_kind is not ClientKind.INSTITUTIONAL:
             return "UnknownBlockOrder"
-        if any(d.block_order_id != block_id for d in details):
-            return "MixedBlockOrders"
-        if any(d.institution != order.client for d in details):
-            return "InstitutionMismatch"
+        rule = allocation_detail_rule(
+            details, order.client, block_id, order.symbol, self.config.extended_alloc_checks)
+        if rule:
+            return rule
         if order.filled_quantity == 0 or not order.is_terminal:
             return "BlockNotFilled"
-        if any(d.quantity <= 0 for d in details):
-            return "NonPositiveQuantity"
         if sum(d.quantity for d in details) != order.filled_quantity:
             return "QuantityMismatch"
-        if any(d.symbol != order.symbol for d in details):
-            return "SymbolMismatch"
         fills = self.fills.get(block_id, [])
         fill_prices = {t.price for t in fills}
         if any(d.price not in fill_prices for d in details):
@@ -394,11 +393,6 @@ class BrokerService:
         fill_value = sum(t.price.amount * t.quantity for t in fills)
         if detail_value != fill_value:
             return "PriceMismatch"
-        if self.config.extended_alloc_checks:
-            if any(not d.end_client_account for d in details):
-                return "EmptyEndClientAccount"
-            if len({d.alloc_id for d in details}) != len(details):
-                return "DuplicateAllocId"
         return None
 
     def receive_affirmation(self, affirmation: Affirmation) -> None:
@@ -419,8 +413,6 @@ class BrokerService:
         credited = 0
         for order_id, order in self.orders.items():
             if order.client_kind is not ClientKind.RETAIL:
-                continue
-            if self.responsibility.get(order_id) == "custodian":
                 continue
             trades = self.fills.get(order_id, [])
             for trade in trades:
@@ -443,8 +435,8 @@ class BrokerService:
         return credited
 
     def _reconcile_terminal(self, order: Order, trades: list[Trade]) -> None:
-        """Return unused prepayment (or collect a market-buy shortfall) once
-        an order is terminal and all its trades are settled and credited."""
+        """Return unused prepayment once an order is terminal and all its
+        trades are settled and credited."""
         order_id = order.order_id
         if order_id in self._reconciled or not order.is_terminal:
             return
@@ -459,10 +451,6 @@ class BrokerService:
                 self.ledger.transfer_money(
                     self.house_account, order.client, prepaid - street_cost,
                     f"refund:{order_id}/method={self.config.money_method}")
-            elif street_cost > prepaid:
-                self.ledger.transfer_money(
-                    order.client, self.house_account, street_cost - prepaid,
-                    f"collect:{order_id}/method={self.config.money_method}")
         elif order.side is Side.SELL and order_id in self._prepaid_shares:
             residual = self._prepaid_shares[order_id] - order.filled_quantity
             if residual > 0:

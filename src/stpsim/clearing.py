@@ -1,10 +1,11 @@
 """Clearing and settlement: obligations, netting, and atomic DVP.
 
 The clearing corporation queues trade reports from exchanges and
-client-level records from custodians. A street trade whose side was placed
-for an institutional client stays pending until custodian records cover
-that order's full executed quantity (affirmation has transferred
-settlement responsibility), then clears under the product's bound rule:
+client-level records from custodians, both through one intake check in
+`submit_trade`. A street trade whose side was placed for an institutional
+client stays pending until custodian records cover that order's full
+executed quantity (affirmation has transferred settlement responsibility),
+then clears under the product's bound rule:
 
 * trade_for_trade: one money obligation and one equity obligation per
   trade, whose counterparty is the trade's other settlement account.
@@ -135,7 +136,6 @@ class ClearingCorporation:
         netting: bool,
         ccp_account: str,
         extended_validation: bool = False,
-        max_trade_value: Money | None = None,
     ):
         self.pid = pid
         self.registry = registry
@@ -143,7 +143,7 @@ class ClearingCorporation:
         self.netting = netting
         self.ccp_account = ccp_account
         self.extended_validation = extended_validation
-        self.max_trade_value = max_trade_value or Money(10**12, ledger.currency)
+        self.max_trade_value = Money(10**12, ledger.currency)
         self.queued: list[TradeReport] = []
         self.pending_obligations: list[Obligation] = []
         self.executed_instructions: list[SettlementInstruction] = []
@@ -157,28 +157,38 @@ class ClearingCorporation:
     # -- intake ---------------------------------------------------------
 
     def submit_trade(self, record: TradeReport | ClientTradeRecord, source: str) -> Rejection | None:
-        """Validate and queue one submission; None means accepted."""
-        if source == "exchange":
-            return self._accept_street(record)
-        if source == "custodian":
-            return self._accept_client(record)
-        return Rejection("trade_validation", "UnknownSource", source)
+        """Validate and queue one submission; None means accepted.
 
-    def _accept_street(self, report: TradeReport) -> Rejection | None:
-        trade = report.trade
+        Street reports and client records pass one intake check: a new trade
+        id, a positive quantity and price, and open settlement accounts. A
+        street trade also meets the extended checks' `max_trade_value`.
+        """
+        if source == "exchange":
+            trade, accounts = record.trade, (record.buy_account, record.sell_account)
+        elif source == "custodian":
+            trade, accounts = record, (record.account,)
+        else:
+            return Rejection("trade_validation", "UnknownSource", source)
         if trade.trade_id in self._seen_trade_ids:
             return Rejection("trade_validation", "DuplicateTrade", trade.trade_id)
         if trade.quantity <= 0:
             return Rejection("trade_validation", "NonPositiveQuantity", str(trade.quantity))
         if trade.price.amount <= 0:
             return Rejection("trade_validation", "NonPositivePrice", str(trade.price))
-        for account in (report.buy_account, report.sell_account):
+        for account in accounts:
             if account not in self.ledger.accounts:
                 return Rejection("trade_validation", "UnknownAccount", account)
-        if self.extended_validation and trade.value > self.max_trade_value:
+        if source == "exchange" and self.extended_validation and trade.value > self.max_trade_value:
             return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
-
         self._seen_trade_ids.add(trade.trade_id)
+        if source == "exchange":
+            self._accept_street(record)
+        else:
+            block = record.block_order_id
+            self._covered_qty[block] = self._covered_qty.get(block, 0) + record.quantity
+        return None
+
+    def _accept_street(self, report: TradeReport) -> None:
         self.queued.append(report)
         for order_id, deferred in (
             (report.buy_order_id, report.buy_deferred),
@@ -186,24 +196,7 @@ class ClearingCorporation:
         ):
             self._order_trades.setdefault(order_id, []).append(report)
             if deferred:
-                self._street_qty[order_id] = self._street_qty.get(order_id, 0) + trade.quantity
-        return None
-
-    def _accept_client(self, record: ClientTradeRecord) -> Rejection | None:
-        if record.trade_id in self._seen_trade_ids:
-            return Rejection("trade_validation", "DuplicateTrade", record.trade_id)
-        if record.quantity <= 0:
-            return Rejection("trade_validation", "NonPositiveQuantity", str(record.quantity))
-        if record.price.amount <= 0:
-            return Rejection("trade_validation", "NonPositivePrice", str(record.price))
-        if record.account not in self.ledger.accounts:
-            return Rejection("trade_validation", "UnknownAccount", record.account)
-
-        self._seen_trade_ids.add(record.trade_id)
-        self._covered_qty[record.block_order_id] = (
-            self._covered_qty.get(record.block_order_id, 0) + record.quantity
-        )
-        return None
+                self._street_qty[order_id] = self._street_qty.get(order_id, 0) + report.trade.quantity
 
     def _side_ready(self, order_id: str, deferred: bool) -> bool:
         if not deferred:
@@ -218,8 +211,10 @@ class ClearingCorporation:
 
     def clear_rec(self) -> list[Obligation]:
         """Apply the bound clearing rule to every settlement-ready trade."""
-        ready = [report for report in self.queued if self._ready(report)]
-        self.queued = [report for report in self.queued if not self._ready(report)]
+        ready, waiting = [], []
+        for report in self.queued:
+            (ready if self._ready(report) else waiting).append(report)
+        self.queued = waiting
         obligations = self._net(ready) if self.netting else self._gross(ready)
         for report in ready:
             report.trade.advance(TradeStatus.CLEARED)

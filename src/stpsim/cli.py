@@ -75,27 +75,28 @@ def cmd_validate_model(args) -> int:
     return 0
 
 
-def cmd_validate_config(args) -> int:
-    model = _load_model(args.model)
-    cfg = _load_config(args.config)
-    report = validate_configuration(model, cfg)
+def _report_invalid(report) -> bool:
+    """Print an invalid configuration's violations; True if there were any."""
     if report.valid:
-        print(f"ok: {len(report.normalized)} features selected after normalization")
-        return 0
+        return False
     print("invalid configuration:")
     for violation in report.violations:
         print(f"  {violation}")
-    return 1
+    return True
+
+
+def cmd_validate_config(args) -> int:
+    report = validate_configuration(_load_model(args.model), _load_config(args.config))
+    if _report_invalid(report):
+        return 1
+    print(f"ok: {len(report.normalized)} features selected after normalization")
+    return 0
 
 
 def cmd_derive(args) -> int:
     model = _load_model(args.model)
     cfg = _load_config(args.config)
-    report = validate_configuration(model, cfg)
-    if not report.valid:
-        print("invalid configuration:")
-        for violation in report.violations:
-            print(f"  {violation}")
+    if _report_invalid(validate_configuration(model, cfg)):
         return 1
     product = derive_product(model, cfg, args.name)
     print(f"product {product.product_name}: {len(product.bindings)} variation points bound")
@@ -107,11 +108,7 @@ def cmd_derive(args) -> int:
 def cmd_run(args) -> int:
     model = _load_model(args.model)
     cfg = _load_config(args.config)
-    report = validate_configuration(model, cfg)
-    if not report.valid:
-        print("invalid configuration:")
-        for violation in report.violations:
-            print(f"  {violation}")
+    if _report_invalid(validate_configuration(model, cfg)):
         return 1
     product = derive_product(model, cfg, Path(args.config).stem.upper())
     scenario = parse_scenario(_read_text(_resolve_scenario(args.scenario)))

@@ -1,12 +1,14 @@
 """The custodian: safekeeping, affirmation, institutional settlement.
 
 The custodian holds institutional assets in an omnibus ledger account.
-When broker contracts arrive it affirms them against the manager's pending
-allocation details with the product's bound rule packs; a successful
-affirmation transfers settlement responsibility here. The custodian then
-forwards per-allocation client trade records to the clearing corporation
-and, once the street trades settle, distributes shares or proceeds from
-the omnibus account to each end client.
+The manager's allocation details of a known institution pass
+`trading.allocation_detail_rule`, as at the broker. When broker contracts
+arrive it affirms them against those pending details with the product's
+bound rule packs; a successful affirmation transfers settlement
+responsibility here. The custodian then forwards per-allocation client
+trade records to the clearing corporation and, once the street trades
+settle, distributes shares or proceeds from the omnibus account to each
+end client.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from .clearing import ClientTradeRecord
 from .ledger import Ledger
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
-from .trading import Affirmation, AllocationDetail, Contract, Rejection, Side
+from .trading import (
+    Affirmation, AllocationDetail, Contract, Rejection, Side, allocation_detail_rule)
 
 
 class CustodianError(Exception):
@@ -105,24 +108,12 @@ class CustodianService:
     def _validate_details(self, details: list[AllocationDetail]) -> str | None:
         if not details:
             return "NoDetails"
-        if details[0].institution not in self.institutions:
+        first = details[0]
+        if first.institution not in self.institutions:
             return "UnknownInstitution"
-        if any(d.institution != details[0].institution for d in details):
-            return "InstitutionMismatch"
-        if any(d.block_order_id != details[0].block_order_id for d in details):
-            return "MixedBlockOrders"
-        if any(d.quantity <= 0 for d in details):
-            return "NonPositiveQuantity"
-        if any(d.symbol != details[0].symbol for d in details):
-            return "SymbolMismatch"
-        if self.config.extended_detail_checks:
-            if any(not d.end_client_account for d in details):
-                return "EmptyEndClientAccount"
-            if any(d.price.amount <= 0 for d in details):
-                return "NonPositivePrice"
-            if len({d.alloc_id for d in details}) != len(details):
-                return "DuplicateAllocId"
-        return None
+        return allocation_detail_rule(
+            details, first.institution, first.block_order_id, first.symbol,
+            self.config.extended_detail_checks)
 
     def receive_contracts(self, contracts: list[Contract]) -> None:
         if contracts:

@@ -4,7 +4,8 @@ Resting orders are ranked by price first (higher bid / lower ask), then by
 the product's secondary precedence variant, then by its sequence-number
 tie-break variant; unique sequence numbers make the ranking a strict total
 order. Execution always happens at the resting order's price. Market
-orders never rest: any unfilled remainder cancels.
+orders never rest: any unfilled remainder cancels. A market buy's cap is
+its protection price: it trades only at prices at or below it.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ class OrderBook:
 
     def _price_compatible(self, incoming: Order, price: Money) -> bool:
         if incoming.order_type is OrderType.MARKET:
-            return True
+            cap = incoming.price_cap     # a market sell's cap bounds nothing
+            return cap is None or incoming.side is Side.SELL or price <= cap
         if incoming.side is Side.BUY:
             return incoming.limit_price >= price
         return incoming.limit_price <= price
@@ -230,7 +232,6 @@ class ExchangeService:
         comparator: PrecedenceComparator,
         supported_types: frozenset[OrderType],
         extended_validation: bool = False,
-        max_order_quantity: int = 1_000_000,
     ):
         self.pid = pid
         self.registry = registry
@@ -238,11 +239,9 @@ class ExchangeService:
         self.comparator = comparator
         self.supported_types = supported_types
         self.extended_validation = extended_validation
-        self.max_order_quantity = max_order_quantity
         self.books: dict[str, OrderBook] = {
             symbol: OrderBook(symbol, comparator) for symbol in sorted(self.symbols)
         }
-        self.orders: dict[str, Order] = {}
         self.executed: list[Trade] = []
         self._unreported: list[TradeReport] = []
         self._next_seq = 1
@@ -268,7 +267,7 @@ class ExchangeService:
         else:
             rule = order_shape_rule(
                 order.order_type, order.quantity, order.limit_price, self.supported_types,
-                self.max_order_quantity if self.extended_validation else None)
+                self.extended_validation)
         if rule:
             order.status = OrderStatus.REJECTED
             return Rejection("exchange_validation", rule)
@@ -276,7 +275,6 @@ class ExchangeService:
         order.seq = self._next_seq
         self._next_seq += 1
         order.status = OrderStatus.VALIDATED
-        self.orders[order.order_id] = order
         return None
 
     def submit_order(self, order: Order) -> list[Trade]:

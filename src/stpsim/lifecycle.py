@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .assembly import Ecosystem, build_ecosystem
-from .broker import BrokerParams, OrderDraft
+from .broker import OrderDraft
 from .clearing import SettlementFailed
 from .custodian import AffirmationRejection
 from .ledger import AccountSnapshot, Snapshot, total_money, total_positions
@@ -280,9 +280,8 @@ class ScenarioRunner:
             "" if unsettled is None else f"{unsettled.trade_id} is {unsettled.status.value}"))
 
 
-def run_scenario(product, scenario: Scenario,
-                 broker_params: BrokerParams | None = None) -> ScenarioReport:
-    ecosystem = build_ecosystem(product, scenario, broker_params)
+def run_scenario(product, scenario: Scenario) -> ScenarioReport:
+    ecosystem = build_ecosystem(product, scenario)
     return ScenarioRunner(ecosystem, scenario).run()
 
 

@@ -6,7 +6,8 @@ A `Trade` is the match of two orders; its status only ever advances
 executed -> cleared -> settled. AllocationDetail / Contract / Affirmation
 are the documents of the institutional post-trade flow: the manager's
 per-client split, the broker's mirror of that split, and the custodian's
-signed agreement that the two match.
+signed agreement that the two match. Every participant judges an order
+by `order_shape_rule` and a detail list by `allocation_detail_rule`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import NamedTuple
 
 from .money import Money
 from .registry import ParticipantId
+
+MAX_ORDER_QUANTITY = 1_000_000      # the extended order checks' size cap
 
 
 class Side(enum.Enum):
@@ -71,6 +74,7 @@ class Order:
     quantity: int
     order_type: OrderType
     limit_price: Money | None = None
+    price_cap: Money | None = None   # a market buy's protection price
     client_kind: ClientKind = ClientKind.RETAIL
     settlement_account: str = ""     # broker house or custodian omnibus
     seq: int | None = None           # assigned at exchange acceptance
@@ -195,16 +199,16 @@ def order_shape_rule(
     quantity: int,
     limit_price: Money | None,
     supported: frozenset[OrderType],
-    max_quantity: int | None,
+    size_capped: bool,
     cap_required: bool = False,
     price_cap: Money | None = None,
 ) -> str | None:
     """The first order-shape rule the order breaks, or None.
 
     Broker validation and exchange validation both apply these rules, in
-    this order. `max_quantity` is None unless the extended-checks variant is
-    bound. Only the broker sees a price cap: a retail market buy must carry
-    one (`cap_required`), and any cap must be positive.
+    this order. `size_capped` (the extended checks) caps the quantity at
+    `MAX_ORDER_QUANTITY`. Only the broker sees a price cap: a retail market
+    buy must carry one (`cap_required`), and any cap must be positive.
     """
     if quantity <= 0:
         return "NonPositiveQuantity"
@@ -222,8 +226,35 @@ def order_shape_rule(
             return "MissingPriceCap"
         if price_cap is not None and price_cap.amount <= 0:
             return "NonPositivePrice"
-    if max_quantity is not None and quantity > max_quantity:
+    if size_capped and quantity > MAX_ORDER_QUANTITY:
         return "OrderTooLarge"
+    return None
+
+
+def allocation_detail_rule(details: list[AllocationDetail], institution: str,
+                           block_order_id: str, symbol: str, extended: bool) -> str | None:
+    """The first allocation-detail rule the details break, or None.
+
+    Broker and custodian both apply these rules in this order, each over
+    every detail, the last three under the extended pack only. The broker
+    checks its block order afterwards, so under its extended pack a
+    non-positive price is `NonPositivePrice`, not a fill-price mismatch.
+    """
+    if any(d.institution != institution for d in details):
+        return "InstitutionMismatch"
+    if any(d.block_order_id != block_order_id for d in details):
+        return "MixedBlockOrders"
+    if any(d.quantity <= 0 for d in details):
+        return "NonPositiveQuantity"
+    if any(d.symbol != symbol for d in details):
+        return "SymbolMismatch"
+    if extended:
+        if any(not d.end_client_account for d in details):
+            return "EmptyEndClientAccount"
+        if any(d.price.amount <= 0 for d in details):
+            return "NonPositivePrice"
+        if len({d.alloc_id for d in details}) != len(details):
+            return "DuplicateAllocId"
     return None
 
 

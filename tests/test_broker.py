@@ -21,6 +21,7 @@ from stpsim.trading import (
     Affirmation,
     AllocationDetail,
     Order,
+    OrderStatus,
     OrderType,
     Rejection,
     Side,
@@ -413,6 +414,75 @@ def test_receive_affirmation_unknown_contracts():
         broker.receive_affirmation(bogus)
 
 
+# A block of 100 ACME filled at 1040 (60 of it when the case says so), split
+# A1 60 / A2 40. case -> (extended pack bound, shares resting against the
+# block, {detail index: field edits}, the rule broken first)
+BAD_BROKER_DETAILS = {
+    "unknown_block": (False, 100, {0: {"block_order_id": "BR1-O9"}}, "UnknownBlockOrder"),
+    "institution_mismatch": (False, 100, {1: {"institution": "other"}}, "InstitutionMismatch"),
+    "mixed_block_orders": (False, 100, {1: {"block_order_id": "BR1-O9"}}, "MixedBlockOrders"),
+    "zero_quantity": (False, 100, {0: {"quantity": 100}, 1: {"quantity": 0}},
+                      "NonPositiveQuantity"),
+    "symbol_mismatch": (False, 100, {1: {"symbol": "OTHR"}}, "SymbolMismatch"),
+    "block_not_filled": (False, 60, {}, "BlockNotFilled"),
+    "quantity_mismatch": (False, 100, {1: {"quantity": 30}}, "QuantityMismatch"),
+    "price_off_the_fills": (False, 100, {0: {"price": Money(1041)}}, "PriceMismatch"),
+    "zero_price_basic_pack": (False, 100, {0: {"price": Money(0)}}, "PriceMismatch"),
+    "empty_end_client": (True, 100, {1: {"end_client_account": ""}}, "EmptyEndClientAccount"),
+    "zero_price": (True, 100, {0: {"price": Money(0)}}, "NonPositivePrice"),
+    "duplicate_alloc_id": (True, 100, {1: {"alloc_id": "A1"}}, "DuplicateAllocId"),
+    "empty_end_client_basic_pack": (False, 100, {1: {"end_client_account": ""}}, None),
+}
+
+
+def _split(block_id, edits):
+    details = [detail("A1", block_id, 60, end="EC1"), detail("A2", block_id, 40, end="EC2")]
+    return [d._replace(**edits.get(i, {})) for i, d in enumerate(details)]
+
+
+@pytest.mark.parametrize("extended, resting, edits, rule", BAD_BROKER_DETAILS.values(),
+                         ids=BAD_BROKER_DETAILS.keys())
+def test_each_allocation_detail_rule_at_the_broker(extended, resting, edits, rule):
+    broker, exchanges, _, _ = make_desk(
+        config=BrokerConfig(venue_algorithm="FirstVenueChoice", extended_alloc_checks=extended))
+    rest_order(exchanges[0], "sell", 1040, resting)
+    block_id = broker.place_institutional_order(buy_draft(qty=100, price=1040, client="fund"))
+    outcome = broker.handle_allocation_details(_split(block_id, edits))
+    if rule is None:
+        assert len(outcome) == 2
+    else:
+        assert outcome == Rejection("allocation_validation", rule)
+
+
+def test_broker_reports_allocation_rules_in_the_documented_order():
+    # every edit breaks one rule; undoing them one at a time must surface
+    # the rules in this order
+    broken = [
+        ("InstitutionMismatch", 1, "institution", "other"),
+        ("MixedBlockOrders", 1, "block_order_id", "BR1-O9"),
+        ("NonPositiveQuantity", 1, "quantity", -40),
+        ("SymbolMismatch", 1, "symbol", "OTHR"),
+        ("EmptyEndClientAccount", 0, "end_client_account", ""),
+        ("NonPositivePrice", 1, "price", Money(0)),
+        ("DuplicateAllocId", 1, "alloc_id", "A1"),
+        ("QuantityMismatch", 0, "quantity", 61),
+        ("PriceMismatch", 0, "price", Money(1041)),
+    ]
+    broker, exchanges, _, _ = make_desk(
+        config=BrokerConfig(venue_algorithm="FirstVenueChoice", extended_alloc_checks=True))
+    block_id = _filled_block(broker, exchanges)
+    good = _split(block_id, {})
+    details = list(good)
+    for _, index, name, value in broken:
+        details[index] = details[index]._replace(**{name: value})
+    reported = []
+    for _, index, name, _ in broken:
+        reported.append(broker.handle_allocation_details(details).rule)
+        details[index] = details[index]._replace(**{name: getattr(good[index], name)})
+    assert reported == [rule for rule, *_ in broken]
+    assert len(broker.handle_allocation_details(details)) == 2
+
+
 # -- retail settlement ---------------------------------------------------------
 
 def _settle_all_trades(broker):
@@ -454,17 +524,19 @@ def test_settle_refunds_price_improvement():
     assert ledger.balance("BR1.house") == Money(0)
 
 
-def test_settle_collects_market_buy_shortfall():
+def test_market_buy_never_fills_above_its_cap_and_settle_refunds_in_full():
     broker, exchanges, ledger, _ = make_desk()
-    rest_order(exchanges[0], "sell", 1100, 100)   # above the 1040 cap
-    broker.place_retail_order(
+    resting = rest_order(exchanges[0], "sell", 1100, 100)   # above the 1040 cap
+    order_id = broker.place_retail_order(
         buy_draft(price=None, otype=OrderType.MARKET, price_cap=Money(1040)))
-    ledger.accounts["BR1.house"].positions["ACME"] = 100
-    _settle_all_trades(broker)
+    assert broker.fills.get(order_id) is None
+    assert broker.orders[order_id].status is OrderStatus.CANCELLED
+    assert resting.remaining == 100
+    assert ledger.balance("client") == Money(150000 - 104000)   # prepaid at the cap
 
     broker.settle_retail_rec()
-    # prepaid 104000 at the cap, street cost 110000: client pays 6000 more
-    assert ledger.balance("client") == Money(150000 - 110000)
+    assert ledger.balance("client") == Money(150000)
+    assert ledger.balance("BR1.house") == Money(0)
 
 
 def test_conservation_through_order_placement():

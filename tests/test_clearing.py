@@ -14,7 +14,7 @@ from stpsim.exchange import TradeReport
 from stpsim.ledger import Ledger, total_money, total_positions
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
-from stpsim.trading import Side, Trade, TradeStatus
+from stpsim.trading import Rejection, Side, Trade, TradeStatus
 
 
 EXCHANGE_PID = ParticipantId(ParticipantRole.EXCHANGE, "X1")
@@ -388,6 +388,37 @@ def test_client_record_validation():
     record = client_record(3, "B", 10)
     assert clearing.submit_trade(record, "custodian") is None
     assert clearing.submit_trade(record, "custodian").rule == "DuplicateTrade"
+
+
+def test_client_record_non_positive_price_rejected():
+    clearing, _ = make_clearing()
+    for n, price in enumerate((0, -5)):
+        rejection = clearing.submit_trade(client_record(n, "B", 10, price=price), "custodian")
+        assert rejection == Rejection("trade_validation", "NonPositivePrice", str(Money(price)))
+
+
+# case -> (trade id seen before, quantity, price, settlement account, the rule broken first)
+BAD_SUBMISSIONS = {
+    "duplicate_and_zero_quantity": (True, 0, 1000, "acct_a", "DuplicateTrade"),
+    "zero_quantity_and_zero_price": (False, 0, 0, "acct_a", "NonPositiveQuantity"),
+    "zero_price_and_unknown_account": (False, 10, 0, "ghost", "NonPositivePrice"),
+    "unknown_account": (False, 10, 1000, "ghost", "UnknownAccount"),
+}
+
+
+@pytest.mark.parametrize("seen, qty, price, account, rule", BAD_SUBMISSIONS.values(),
+                         ids=BAD_SUBMISSIONS.keys())
+def test_street_and_client_intake_report_the_same_rule_first(seen, qty, price, account, rule):
+    clearing, _ = make_clearing()
+    report = street_trade(account, "acct_b", qty=qty, price=price)
+    record = client_record(1, "B", qty, account=account, price=price)
+    if seen:    # an accepted submission already used each id
+        earlier = street_trade("acct_a", "acct_b")
+        earlier.trade.trade_id = report.trade.trade_id
+        assert clearing.submit_trade(earlier, "exchange") is None
+        assert clearing.submit_trade(client_record(1, "B", 10), "custodian") is None
+    assert clearing.submit_trade(report, "exchange").rule == rule
+    assert clearing.submit_trade(record, "custodian").rule == rule
 
 
 def test_is_order_settled_tracks_street_trades():

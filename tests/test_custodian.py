@@ -12,7 +12,7 @@ from stpsim.custodian import (
 from stpsim.ledger import Ledger
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
-from stpsim.trading import Affirmation, AllocationDetail, Contract, Side
+from stpsim.trading import Affirmation, AllocationDetail, Contract, Rejection, Side
 
 BROKER_PID = ParticipantId(ParticipantRole.BROKER, "BR1")
 CUSTODIAN_PID = ParticipantId(ParticipantRole.CUSTODIAN, "CU1")
@@ -120,6 +120,62 @@ def test_extended_checks_require_end_account():
     custodian, _, _, _ = make_custodian(CustodianConfig(extended_detail_checks=True))
     rejection = custodian.receive_allocation_details([detail("A1", 10, end="")])
     assert rejection.rule == "EmptyEndClientAccount"
+
+
+# The split A1 60 / A2 40 of block BR1-O1. case -> (extended pack bound,
+# {detail index: field edits} or None for no details, the rule broken first)
+BAD_CUSTODIAN_DETAILS = {
+    "no_details": (False, None, "NoDetails"),
+    "unknown_institution": (False, {0: {"institution": "stranger"}}, "UnknownInstitution"),
+    "institution_mismatch": (False, {1: {"institution": "other"}}, "InstitutionMismatch"),
+    "mixed_block_orders": (False, {1: {"block_order_id": "BR1-O9"}}, "MixedBlockOrders"),
+    "zero_quantity": (False, {1: {"quantity": 0}}, "NonPositiveQuantity"),
+    "symbol_mismatch": (False, {1: {"symbol": "OTHR"}}, "SymbolMismatch"),
+    "empty_end_client": (True, {1: {"end_client_account": ""}}, "EmptyEndClientAccount"),
+    "zero_price": (True, {0: {"price": Money(0)}}, "NonPositivePrice"),
+    "duplicate_alloc_id": (True, {1: {"alloc_id": "A1"}}, "DuplicateAllocId"),
+    "zero_price_basic_pack": (False, {0: {"price": Money(0)}}, None),
+    "duplicate_alloc_id_basic_pack": (False, {1: {"alloc_id": "A1"}}, None),
+}
+
+
+@pytest.mark.parametrize("extended, edits, rule", BAD_CUSTODIAN_DETAILS.values(),
+                         ids=BAD_CUSTODIAN_DETAILS.keys())
+def test_each_allocation_detail_rule_at_the_custodian(extended, edits, rule):
+    custodian, _, _, _ = make_custodian(CustodianConfig(extended_detail_checks=extended))
+    details = [] if edits is None else [
+        d._replace(**edits.get(i, {})) for i, d in enumerate(fixture_details())]
+    rejection = custodian.receive_allocation_details(details)
+    if rule is None:
+        assert rejection is None
+    else:
+        assert rejection == Rejection("custodian_allocation_validation", rule)
+
+
+def test_custodian_reports_allocation_rules_in_the_documented_order():
+    # every edit breaks one rule; undoing them one at a time must surface
+    # the rules in this order
+    broken = [
+        ("UnknownInstitution", 0, "institution", "stranger"),
+        ("InstitutionMismatch", 1, "institution", "other"),
+        ("MixedBlockOrders", 1, "block_order_id", "BR1-O9"),
+        ("NonPositiveQuantity", 0, "quantity", 0),
+        ("SymbolMismatch", 1, "symbol", "OTHR"),
+        ("EmptyEndClientAccount", 0, "end_client_account", ""),
+        ("NonPositivePrice", 1, "price", Money(-1)),
+        ("DuplicateAllocId", 1, "alloc_id", "A1"),
+    ]
+    custodian, _, _, _ = make_custodian(CustodianConfig(extended_detail_checks=True))
+    good = fixture_details()
+    details = list(good)
+    for _, index, name, value in broken:
+        details[index] = details[index]._replace(**{name: value})
+    reported = []
+    for _, index, name, _ in broken:
+        reported.append(custodian.receive_allocation_details(details).rule)
+        details[index] = details[index]._replace(**{name: getattr(good[index], name)})
+    assert reported == [rule for rule, *_ in broken]
+    assert custodian.receive_allocation_details(details) is None
 
 
 # -- affirmation -----------------------------------------------------------------

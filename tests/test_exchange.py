@@ -164,6 +164,31 @@ def test_market_remainder_cancels_never_rests():
     assert book.bids == []
 
 
+def test_market_buy_cap_is_a_protection_price():
+    book = make_book()
+    book.submit(build_order(1, "sell", "limit", 1000, 5), tuple_trade)
+    book.submit(build_order(2, "sell", "limit", 1200, 5), tuple_trade)
+    market = build_order(3, "buy", "market", None, 10)
+    market.price_cap = Money(1000)
+    assert book.fillable_quantity(market) == 5
+    trades = book.submit(market, tuple_trade)
+    assert trades == [(1000, 5, "O3", "O1")]    # the 1200 ask is over the cap
+    assert market.status is OrderStatus.CANCELLED
+    assert [o.order_id for o in book.asks] == ["O2"]
+    assert book.bids == []
+
+
+def test_market_sell_cap_bounds_nothing():
+    book = make_book()
+    book.submit(build_order(1, "buy", "limit", 1200, 5), tuple_trade)
+    book.submit(build_order(2, "buy", "limit", 900, 5), tuple_trade)
+    market = build_order(3, "sell", "market", None, 10)
+    market.price_cap = Money(1000)
+    trades = book.submit(market, tuple_trade)
+    assert trades == [(1200, 5, "O1", "O3"), (900, 5, "O2", "O3")]
+    assert market.status is OrderStatus.FILLED
+
+
 def test_immediate_or_cancel_takes_then_cancels():
     book = make_book()
     book.submit(build_order(1, "sell", "limit", 1040, 60), tuple_trade)

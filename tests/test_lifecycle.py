@@ -286,6 +286,46 @@ def test_internalized_trade_settles_under_both_clearing_rules(products, product_
     assert final["BR1.house"] == AccountSnapshot(Money(0), {})
 
 
+CAPPED_MARKET_BUY = """\
+scenario: capped_market_buy
+currency: USD
+symbol: ACME
+broker: BR1
+broker: BR2
+exchange: X1
+clearing_corporation: CC1
+clearing_bank: CB1
+depository: DP1
+retail: RC1 broker=BR1
+retail: RC2 broker=BR2
+endow: RC1 money=20000
+endow: RC2 ACME=10
+order: RC2 sell 5 ACME limit 1000
+order: RC2 sell 5 ACME limit 1200
+order: RC1 buy 10 ACME market cap=1000
+expect: RC1 money=15000 ACME=5
+expect: RC2 money=5000
+expect: BR2.house ACME=5
+expect: CC1.ccp money=0
+"""
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+def test_market_buy_cap_is_its_protection_price(products, product_key):
+    # the cap stops the sweep at 1000: 5 fill, 5 cancel, and 5000 of the
+    # 10000 prepaid at the cap comes back. A cap the exchange did not see let
+    # the buy sweep the 1200 level, and the run aborted at settle with
+    # BR1.house short 1000USD.
+    report = run_scenario(products[product_key], parse_scenario(CAPPED_MARKET_BUY))
+    checks = assert_conservation(report)
+    assert report.aborted is None
+    failed = [c for c in report.finals + checks if not c.passed]
+    assert not failed, [c.line() for c in failed]
+    final = report.steps[-1].snapshot
+    assert final["RC1"] == AccountSnapshot(Money(15000), {"ACME": 5})
+    assert final["BR1.house"] == AccountSnapshot(Money(0), {})
+
+
 def test_every_scenario_conserves_totals_throughout(products):
     for key, product in products.items():
         for scenario_id in ALL_SCENARIOS:
