@@ -1,89 +1,145 @@
 """Wiring a derived product into a running ecosystem.
 
-This is where feature bindings become behavior: each participant service
-is constructed from the ProductSpec's bound variants, given its ledger
-accounts, and registered in the service registry under its role. One
-ecosystem hosts any mix of participant instances, all sharing one ledger
-and one registry.
+`BINDING_TABLE` is the product line the assembly can run: for each
+participant, each variation point it binds, the config field that point
+sets and the value each of its variants drives. `project` reads a
+ProductSpec's bindings through it and raises UnsupportedModel for any
+binding outside it. `build_ecosystem` then constructs each participant
+service from its projected fields, gives it its ledger accounts and
+registers it under its role. One ecosystem hosts any mix of participant
+instances, all sharing one ledger and one registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .broker import BrokerConfig, BrokerService
 from .clearing import ClearingBank, ClearingCorporation, Depository
 from .custodian import CustodianConfig, CustodianService
 from .exchange import ExchangeService, PrecedenceComparator, SecondaryPrecedence, TieBreak
-from .features import ProductSpec
+from .features import FeatureModelError, ProductSpec
 from .ledger import Ledger
 from .money import Money
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .scenarios import Scenario, ccp_account, house_account, omnibus_account
 from .trading import OrderType
 
-_ORDER_TYPE_VARIANTS = {
-    "MarketOrderType": OrderType.MARKET,
-    "LimitOrderType": OrderType.LIMIT,
-    "ImmediateOrCancelOrderType": OrderType.IMMEDIATE_OR_CANCEL,
-    "FillOrKillOrderType": OrderType.FILL_OR_KILL,
+
+class UnsupportedModel(FeatureModelError):
+    """A product binds what the binding table cannot run."""
+
+    def __init__(self, point: str, why: str):
+        super().__init__(f"variation point {point}: {why}")
+
+
+class Point(NamedTuple):
+    """A variation point's row: the config field it sets, each variant's value."""
+
+    field: str | None               # None: the point drives nothing
+    variants: dict[str, object]
+    many: bool = False              # an or-group: the field is the set of bound values
+    unbound: str | None = None      # the variant an unbound optional point runs as
+
+
+def _named(*variants: str) -> dict[str, str]:
+    """Variants that drive their own name (transfer methods only label journal causes)."""
+    return {variant: variant for variant in variants}
+
+
+BINDING_TABLE: dict[str, dict[str, Point]] = {
+    "Broker": {
+        "BrokerOrderValidationRules": Point("extended_order_checks", {
+            "BrokerStandardOrderChecks": False, "BrokerExtendedOrderChecks": True}),
+        "PortfolioOptimizationAlgorithms": Point(None, _named(
+            "EqualWeightAllocation", "SingleBestAllocation", "RankWeightedAllocation")),
+        "BestVenueAnalysisAlgorithms": Point("venue_algorithm", _named(
+            "FirstVenueChoice", "BestQuoteVenueChoice", "LeastLoadedVenueChoice"),
+            unbound="FirstVenueChoice"),
+        "ClientOrderTypes": Point("offered_types", {
+            "MarketOrderType": OrderType.MARKET, "LimitOrderType": OrderType.LIMIT,
+            "ImmediateOrCancelOrderType": OrderType.IMMEDIATE_OR_CANCEL,
+            "FillOrKillOrderType": OrderType.FILL_OR_KILL}, many=True),
+        "BrokerMoneyTransferMethods": Point("money_method", _named(
+            "BrokerBookEntryPayment", "BrokerBankWirePayment")),
+        "BrokerEquityTransferMethods": Point("equity_method", _named(
+            "BrokerBookEntryEquityTransfer", "BrokerCertificateEquityTransfer")),
+        "OrderRisks": Point("risk_checks", _named(
+            "DuplicateOrderCheck", "PrefundingRiskCheck"), many=True),
+        "GovernmentalComplianceChecks": Point("restricted_screening", {
+            "RestrictedSymbolScreening": True, "PermissiveGovernmentalPolicy": False}),
+        "ClientComplianceChecks": Point("value_cap_enabled", {
+            "MaxOrderValueCap": True, "UnrestrictedClientPolicy": False}),
+        "BrokerAllocationDetailValidationRules": Point("extended_alloc_checks", {
+            "BrokerStandardAllocationChecks": False, "BrokerExtendedAllocationChecks": True}),
+    },
+    "Custodian": {
+        "CustodianAllocationDetailValidationRules": Point("extended_detail_checks", {
+            "CustodianStandardAllocationChecks": False, "CustodianExtendedAllocationChecks": True}),
+        "AllocationDetailAffirmationRules": Point("affirmation_rules", _named(
+            "FieldEqualityAffirmation", "CoverageAffirmation"), many=True),
+        "CustodianMoneyTransferMethods": Point("money_method", _named(
+            "CustodianBookEntryPayment", "CustodianBankWirePayment")),
+        "CustodianEquityTransferMethods": Point("equity_method", _named(
+            "CustodianBookEntryEquityTransfer", "CustodianCertificateEquityTransfer")),
+    },
+    "Exchange": {
+        "ExchangeOrderValidationRules": Point("extended_validation", {
+            "ExchangeStandardOrderChecks": False, "ExchangeExtendedOrderChecks": True}),
+        "SecondaryOrderPrecedenceRules": Point("secondary", {
+            "TimePriority": SecondaryPrecedence.TIME_PRIORITY,
+            "SizePriority": SecondaryPrecedence.SIZE_PRIORITY}),
+        "DefaultSecondaryOrderPrecedenceRules": Point("tie_break", {
+            "FifoTieBreak": TieBreak.FIFO, "LifoTieBreak": TieBreak.LIFO}),
+        "OrderMatchingAlgorithms": Point("supported_types", {
+            "MarketMatching": OrderType.MARKET, "LimitMatching": OrderType.LIMIT,
+            "ImmediateOrCancelMatching": OrderType.IMMEDIATE_OR_CANCEL,
+            "FillOrKillMatching": OrderType.FILL_OR_KILL}, many=True),
+    },
+    "ClearingCorporation": {
+        "TradeValidationRules": Point("extended_validation", {
+            "ClearingStandardTradeChecks": False, "ClearingExtendedTradeChecks": True}),
+        "TradeClearingRules": Point("netting", {
+            "TradeForTradeClearing": False, "MultilateralNettingClearing": True}),
+    },
 }
 
-_MATCHING_VARIANTS = {
-    "MarketMatching": OrderType.MARKET,
-    "LimitMatching": OrderType.LIMIT,
-    "ImmediateOrCancelMatching": OrderType.IMMEDIATE_OR_CANCEL,
-    "FillOrKillMatching": OrderType.FILL_OR_KILL,
-}
+_POINTS = {name: point for points in BINDING_TABLE.values() for name, point in points.items()}
 
 
-def broker_config(product: ProductSpec) -> BrokerConfig:
-    bindings = product.bindings
-    venue = (product.single("BestVenueAnalysisAlgorithms")
-             if "BestVenueAnalysisAlgorithms" in bindings else None)
-    return BrokerConfig(
-        extended_order_checks=(
-            product.single("BrokerOrderValidationRules") == "BrokerExtendedOrderChecks"),
-        venue_algorithm=venue,
-        offered_types=frozenset(
-            _ORDER_TYPE_VARIANTS[v] for v in product.bound("ClientOrderTypes")),
-        money_method=product.single("BrokerMoneyTransferMethods"),
-        equity_method=product.single("BrokerEquityTransferMethods"),
-        risk_checks=frozenset(product.bound("OrderRisks")),
-        restricted_screening=(
-            product.single("GovernmentalComplianceChecks") == "RestrictedSymbolScreening"),
-        value_cap_enabled=(
-            product.single("ClientComplianceChecks") == "MaxOrderValueCap"),
-        extended_alloc_checks=(
-            product.single("BrokerAllocationDetailValidationRules")
-            == "BrokerExtendedAllocationChecks"),
-    )
+def project(product: ProductSpec) -> dict[str, dict[str, object]]:
+    """participant -> config field -> value, read off the binding table.
 
-
-def custodian_config(product: ProductSpec) -> CustodianConfig:
-    return CustodianConfig(
-        extended_detail_checks=(
-            product.single("CustodianAllocationDetailValidationRules")
-            == "CustodianExtendedAllocationChecks"),
-        affirmation_rules=frozenset(product.bound("AllocationDetailAffirmationRules")),
-        money_method=product.single("CustodianMoneyTransferMethods"),
-        equity_method=product.single("CustodianEquityTransferMethods"),
-    )
-
-
-def exchange_comparator(product: ProductSpec) -> PrecedenceComparator:
-    return PrecedenceComparator(
-        secondary=SecondaryPrecedence(product.single("SecondaryOrderPrecedenceRules")),
-        tie_break=TieBreak(product.single("DefaultSecondaryOrderPrecedenceRules")),
-    )
-
-
-def exchange_supported_types(product: ProductSpec) -> frozenset[OrderType]:
-    return frozenset(_MATCHING_VARIANTS[v] for v in product.bound("OrderMatchingAlgorithms"))
-
-
-def uses_netting(product: ProductSpec) -> bool:
-    return product.single("TradeClearingRules") == "MultilateralNettingClearing"
+    Raises UnsupportedModel for a bound point or variant the table lacks,
+    a single-valued point bound to other than one variant, or an unbound
+    point the table requires (one with a field and no `unbound` variant).
+    """
+    for name, chosen in product.bindings.items():
+        if name not in _POINTS:
+            raise UnsupportedModel(name, f"not in the binding table (binds {', '.join(chosen)})")
+    fields: dict[str, dict[str, object]] = {}
+    for participant, points in BINDING_TABLE.items():
+        values = fields[participant] = {}
+        for name, point in points.items():
+            chosen = product.bindings.get(name)
+            if chosen is None:
+                if point.field is None:
+                    continue
+                if point.unbound is None:
+                    raise UnsupportedModel(
+                        name, f"unbound, needs one of {', '.join(point.variants)}")
+                chosen = (point.unbound,)
+            for variant in chosen:
+                if variant not in point.variants:
+                    raise UnsupportedModel(name, f"variant {variant} is not in the binding table")
+            if not point.many and len(chosen) != 1:
+                raise UnsupportedModel(name, f"binds {len(chosen)} variants "
+                                             f"({', '.join(chosen) or 'none'}), needs exactly 1")
+            if point.field is not None:
+                driven = [point.variants[variant] for variant in chosen]
+                values[point.field] = frozenset(driven) if point.many else driven[0]
+    return fields
 
 
 @dataclass
@@ -98,90 +154,55 @@ class Ecosystem:
 
 
 def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
-    """Open every account, build every participant per the product's
-    bindings, and register them; the result is ready to run."""
+    """Open every account, build every participant from the product's
+    projected fields, and register them; the result is ready to run."""
+    fields = project(product)
     ledger = Ledger(scenario.currency)
     registry = ServiceRegistry()
     eco = Ecosystem(product, registry, ledger)
+    endowed = {e.account: (Money(e.money, scenario.currency), dict(e.positions))
+               for e in scenario.endowments}
 
-    endowed = {e.account: e for e in scenario.endowments}
+    def opened(account: str) -> str:
+        ledger.open_account(account, *endowed.get(account, ()))
+        return account
 
-    def open_with_endowment(account: str) -> None:
-        endowment = endowed.get(account)
-        if endowment is None:
-            ledger.open_account(account)
-        else:
-            ledger.open_account(
-                account,
-                Money(endowment.money, scenario.currency),
-                dict(endowment.positions),
-            )
+    def participants(role: ParticipantRole) -> list[ParticipantId]:
+        return [ParticipantId(role, name) for name in scenario.participant_ids(role)]
 
-    for retail in scenario.retail_clients:
-        open_with_endowment(retail.account)
-    for institution in scenario.institutions:
-        open_with_endowment(institution.account)
-        for end_client in institution.end_clients:
-            open_with_endowment(end_client)
+    def registered(service):
+        registry.register(service.pid, service)
+        return service
 
-    comparator = exchange_comparator(product)
-    supported = exchange_supported_types(product)
-    extended_exchange = (
-        product.single("ExchangeOrderValidationRules") == "ExchangeExtendedOrderChecks")
-    for exchange_id in scenario.participant_ids(ParticipantRole.EXCHANGE):
-        pid = ParticipantId(ParticipantRole.EXCHANGE, exchange_id)
-        service = ExchangeService(
-            pid, registry, set(scenario.symbols), comparator, supported,
-            extended_validation=extended_exchange,
-        )
-        registry.register(pid, service)
-        eco.exchanges[exchange_id] = service
-
-    for bank_id in scenario.participant_ids(ParticipantRole.CLEARING_BANK):
-        pid = ParticipantId(ParticipantRole.CLEARING_BANK, bank_id)
-        registry.register(pid, ClearingBank(pid, ledger))
-    for depo_id in scenario.participant_ids(ParticipantRole.DEPOSITORY):
-        pid = ParticipantId(ParticipantRole.DEPOSITORY, depo_id)
-        registry.register(pid, Depository(pid, ledger))
-
-    extended_clearing = (
-        product.single("TradeValidationRules") == "ClearingExtendedTradeChecks")
-    for clearing_id in scenario.participant_ids(ParticipantRole.CLEARING_CORPORATION):
-        pid = ParticipantId(ParticipantRole.CLEARING_CORPORATION, clearing_id)
-        account = ccp_account(clearing_id)
-        open_with_endowment(account)
-        service = ClearingCorporation(
-            pid, registry, ledger,
-            netting=uses_netting(product),
-            ccp_account=account,
-            extended_validation=extended_clearing,
-        )
-        registry.register(pid, service)
-        eco.clearing = service
-
-    cust_config = custodian_config(product)
-    for custodian_id in scenario.participant_ids(ParticipantRole.CUSTODIAN):
-        pid = ParticipantId(ParticipantRole.CUSTODIAN, custodian_id)
-        account = omnibus_account(custodian_id)
-        open_with_endowment(account)
-        service = CustodianService(pid, registry, ledger, account, cust_config)
-        registry.register(pid, service)
-        eco.custodians[custodian_id] = service
-
-    brk_config = broker_config(product)
-    for broker_id in scenario.participant_ids(ParticipantRole.BROKER):
-        pid = ParticipantId(ParticipantRole.BROKER, broker_id)
-        account = house_account(broker_id)
-        open_with_endowment(account)
-        service = BrokerService(pid, registry, ledger, account, brk_config)
-        registry.register(pid, service)
-        eco.brokers[broker_id] = service
+    exchange = fields["Exchange"]
+    comparator = PrecedenceComparator(exchange.pop("secondary"), exchange.pop("tie_break"))
+    for pid in participants(ParticipantRole.EXCHANGE):
+        eco.exchanges[pid.id] = registered(ExchangeService(
+            pid, registry, set(scenario.symbols), comparator, **exchange))
+    for pid in participants(ParticipantRole.CLEARING_BANK):
+        registered(ClearingBank(pid, ledger))
+    for pid in participants(ParticipantRole.DEPOSITORY):
+        registered(Depository(pid, ledger))
+    for pid in participants(ParticipantRole.CLEARING_CORPORATION):
+        eco.clearing = registered(ClearingCorporation(
+            pid, registry, ledger, ccp_account=opened(ccp_account(pid.id)),
+            **fields["ClearingCorporation"]))
+    cust_config = CustodianConfig(**fields["Custodian"])
+    for pid in participants(ParticipantRole.CUSTODIAN):
+        eco.custodians[pid.id] = registered(CustodianService(
+            pid, registry, ledger, opened(omnibus_account(pid.id)), cust_config))
+    brk_config = BrokerConfig(**fields["Broker"])
+    for pid in participants(ParticipantRole.BROKER):
+        eco.brokers[pid.id] = registered(BrokerService(
+            pid, registry, ledger, opened(house_account(pid.id)), brk_config))
 
     for retail in scenario.retail_clients:
-        eco.brokers[retail.broker].add_retail_client(retail.account)
+        eco.brokers[retail.broker].add_retail_client(opened(retail.account))
     for institution in scenario.institutions:
         custodian_pid = ParticipantId(ParticipantRole.CUSTODIAN, institution.custodian)
-        eco.brokers[institution.broker].add_institution(institution.account, custodian_pid)
+        eco.brokers[institution.broker].add_institution(opened(institution.account), custodian_pid)
         eco.custodians[institution.custodian].add_institution(institution.account)
+        for end_client in institution.end_clients:
+            opened(end_client)
 
     return eco

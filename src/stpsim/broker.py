@@ -61,22 +61,21 @@ class OrderDraft(NamedTuple):
     order_type: OrderType
     limit_price: Money | None = None
     price_cap: Money | None = None          # funding bound for retail market buys
-    venue: ParticipantId | None = None
 
 
 @dataclass(frozen=True)
 class BrokerConfig:
     """The broker pipeline's bound variants, projected from a ProductSpec."""
 
-    extended_order_checks: bool = False
-    venue_algorithm: str | None = None
-    offered_types: frozenset[OrderType] = frozenset(OrderType)
-    money_method: str = "BrokerBookEntryPayment"
-    equity_method: str = "BrokerBookEntryEquityTransfer"
-    risk_checks: frozenset[str] = frozenset({"DuplicateOrderCheck"})
-    restricted_screening: bool = True
-    value_cap_enabled: bool = True
-    extended_alloc_checks: bool = False
+    extended_order_checks: bool
+    venue_algorithm: str
+    offered_types: frozenset[OrderType]
+    money_method: str
+    equity_method: str
+    risk_checks: frozenset[str]
+    restricted_screening: bool
+    value_cap_enabled: bool
+    extended_alloc_checks: bool
 
 
 @dataclass
@@ -163,7 +162,7 @@ class BrokerService:
             self._audit(order_id, stage)
 
         try:
-            venue = self._stage_venue(draft)
+            venue = self.select_venue(draft, self.registry.list_by_role(ParticipantRole.EXCHANGE))
         except NoVenues:
             return self._rejected(order_id, "venue_selection", "NoVenues")
         self._audit(order_id, "venue_selection")
@@ -201,7 +200,7 @@ class BrokerService:
             draft.order_type, draft.quantity, draft.limit_price, self.config.offered_types,
             self.config.extended_order_checks,
             cap_required=kind is ClientKind.RETAIL and draft.side is Side.BUY,
-            price_cap=draft.price_cap)
+            price_cap=draft.price_cap, side=draft.side)
 
     def _stage_risk(self, draft: OrderDraft, kind: ClientKind) -> str | None:
         if "DuplicateOrderCheck" in self.config.risk_checks:
@@ -233,14 +232,6 @@ class BrokerService:
         if price * draft.quantity > self.params.value_cap_for(draft.client, self.ledger.currency):
             return "OrderValueOverCap"
         return None
-
-    def _stage_venue(self, draft: OrderDraft) -> ParticipantId:
-        if self.config.venue_algorithm:
-            venues = self.registry.list_by_role(ParticipantRole.EXCHANGE)
-            return self.select_venue(draft, venues)
-        if draft.venue is not None:
-            return draft.venue
-        raise NoVenues("no venue algorithm bound and draft names no venue")
 
     def _build_order(self, order_id: str, draft: OrderDraft, kind: ClientKind) -> Order:
         if kind is ClientKind.RETAIL:
@@ -310,13 +301,10 @@ class BrokerService:
     # -- placeholder algorithms ----------------------------------------------
 
     def select_venue(self, draft: OrderDraft, venues: list[ParticipantId]) -> ParticipantId:
-        """Pick an execution venue with the bound placeholder algorithm."""
+        """Pick an execution venue by the bound algorithm; FirstVenueChoice: the first."""
         if not venues:
             raise NoVenues("no exchanges registered")
-        algorithm = self.config.venue_algorithm or "FirstVenueChoice"
-        if algorithm == "FirstVenueChoice":
-            return venues[0]
-        if algorithm == "BestQuoteVenueChoice":
+        if self.config.venue_algorithm == "BestQuoteVenueChoice":
             best_pid, best_amount = None, None
             for pid in venues:
                 quote = self.registry.lookup(pid).best_quote(draft.symbol, draft.side.opposite)
@@ -330,10 +318,10 @@ class BrokerService:
                 if better:
                     best_pid, best_amount = pid, quote.amount
             return best_pid if best_pid is not None else venues[0]
-        if algorithm == "LeastLoadedVenueChoice":
+        if self.config.venue_algorithm == "LeastLoadedVenueChoice":
             return min(venues, key=lambda pid: (self.registry.lookup(pid).book_depth(draft.symbol),
                                                 venues.index(pid)))
-        raise BrokerError(f"unknown venue algorithm {algorithm}")
+        return venues[0]
 
     # -- execution and post-trade ---------------------------------------------
 

@@ -51,11 +51,10 @@ class AffirmationRejection:
 
 @dataclass(frozen=True)
 class CustodianConfig:
-    extended_detail_checks: bool = False
-    affirmation_rules: frozenset[str] = frozenset(
-        {"FieldEqualityAffirmation", "CoverageAffirmation"})
-    money_method: str = "CustodianBookEntryPayment"
-    equity_method: str = "CustodianBookEntryEquityTransfer"
+    extended_detail_checks: bool
+    affirmation_rules: frozenset[str]
+    money_method: str
+    equity_method: str
 
 
 @dataclass
@@ -77,13 +76,13 @@ class CustodianService:
         registry: ServiceRegistry,
         ledger: Ledger,
         omnibus_account: str,
-        config: CustodianConfig | None = None,
+        config: CustodianConfig,
     ):
         self.pid = pid
         self.registry = registry
         self.ledger = ledger
         self.omnibus_account = omnibus_account
-        self.config = config or CustodianConfig()
+        self.config = config
         self.institutions: set[str] = set()
         self.pending_details: dict[str, tuple[AllocationDetail, ...]] = {}
         self.received_contracts: dict[str, tuple[Contract, ...]] = {}

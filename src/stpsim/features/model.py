@@ -121,18 +121,6 @@ class ProductSpec:
     configuration: Configuration
     bindings: dict[str, tuple[str, ...]] = field(hash=False, default_factory=dict)
 
-    def bound(self, variation_point: str) -> tuple[str, ...]:
-        return self.bindings.get(variation_point, ())
-
-    def binds(self, variant: str) -> bool:
-        return any(variant in chosen for chosen in self.bindings.values())
-
-    def single(self, variation_point: str) -> str:
-        chosen = self.bindings[variation_point]
-        if len(chosen) != 1:
-            raise ValueError(f"{variation_point} binds {len(chosen)} variants, expected 1")
-        return chosen[0]
-
 
 class FeatureModel:
     """A rooted feature tree with cross-tree constraints; immutable after build."""

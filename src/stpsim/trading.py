@@ -202,13 +202,15 @@ def order_shape_rule(
     size_capped: bool,
     cap_required: bool = False,
     price_cap: Money | None = None,
+    side: Side | None = None,
 ) -> str | None:
     """The first order-shape rule the order breaks, or None.
 
     Broker validation and exchange validation both apply these rules, in
     this order. `size_capped` (the extended checks) caps the quantity at
-    `MAX_ORDER_QUANTITY`. Only the broker sees a price cap: a retail market
-    buy must carry one (`cap_required`), and any cap must be positive.
+    `MAX_ORDER_QUANTITY`. Only the broker sees a price cap, a buyer's bound:
+    a retail market buy must carry one (`cap_required`), a sell none, and
+    any cap must be positive.
     """
     if quantity <= 0:
         return "NonPositiveQuantity"
@@ -226,6 +228,8 @@ def order_shape_rule(
             return "MissingPriceCap"
         if price_cap is not None and price_cap.amount <= 0:
             return "NonPositivePrice"
+        if price_cap is not None and side is Side.SELL:
+            return "CapOnSell"
     if size_capped and quantity > MAX_ORDER_QUANTITY:
         return "OrderTooLarge"
     return None

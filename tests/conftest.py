@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from stpsim.assembly import project
 from stpsim.data import catalog_path, config_path, scenario_path
 from stpsim.features import (
     Configuration,
@@ -47,6 +48,13 @@ def product_b(catalog, seco_b_config):
 
 def load_scenario(scenario_id):
     return parse_scenario(scenario_path(scenario_id).read_text())
+
+
+def projected(config_name):
+    """participant -> config field -> value for a shipped configuration."""
+    model = parse_feature_model(catalog_path().read_text())
+    config = parse_configuration(config_path(config_name).read_text())
+    return project(derive_product(model, config, config_name.upper()))
 
 
 TOY_FM = """\

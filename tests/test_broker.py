@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from conftest import projected
 from stpsim.broker import (
     BrokerConfig,
     BrokerParams,
@@ -29,6 +32,8 @@ from stpsim.trading import (
 )
 
 COMPARATOR = PrecedenceComparator(SecondaryPrecedence.TIME_PRIORITY, TieBreak.FIFO)
+FIRST_VENUE = replace(BrokerConfig(**projected("seco_a")["Broker"]),
+                      venue_algorithm="FirstVenueChoice")
 
 
 class _RecordingCustodian:
@@ -80,7 +85,7 @@ def make_desk(config=None, params=None, symbols=("ACME",), n_exchanges=1,
     ledger.open_account("CU1.omnibus", Money(10**9), {"ACME": 10**6})
     broker = BrokerService(
         broker_pid, registry, ledger, "BR1.house",
-        config or BrokerConfig(venue_algorithm="FirstVenueChoice"),
+        config or FIRST_VENUE,
         params)
     registry.register(broker_pid, broker)
     broker.add_retail_client("client")
@@ -131,7 +136,7 @@ def test_restricted_symbol_rejected_at_governmental_stage():
 
 def test_permissive_governmental_variant_allows_restricted_symbol():
     broker, _, _, _ = make_desk(
-        config=BrokerConfig(venue_algorithm="FirstVenueChoice", restricted_screening=False),
+        config=replace(FIRST_VENUE, restricted_screening=False),
         params=BrokerParams(restricted_symbols=frozenset({"ACME"})))
     outcome = broker.place_retail_order(buy_draft())
     assert isinstance(outcome, str)
@@ -159,9 +164,7 @@ def test_duplicate_order_risk_within_one_step():
 
 
 def test_prefunding_risk_check_variant():
-    config = BrokerConfig(
-        venue_algorithm="FirstVenueChoice",
-        risk_checks=frozenset({"PrefundingRiskCheck"}))
+    config = replace(FIRST_VENUE, risk_checks=frozenset({"PrefundingRiskCheck"}))
     broker, _, ledger, _ = make_desk(config=config)
     rejection = broker.place_retail_order(buy_draft(qty=200, price=1000))  # needs 200000
     assert rejection == Rejection("risk", "InsufficientPrefunding")
@@ -183,7 +186,7 @@ def test_market_retail_buy_requires_price_cap():
 
 
 def test_price_cap_rules_keep_their_place_among_the_shape_rules():
-    config = BrokerConfig(venue_algorithm="FirstVenueChoice", extended_order_checks=True)
+    config = replace(FIRST_VENUE, extended_order_checks=True)
     broker, _, _, _ = make_desk(config=config)
 
     def market_buy(qty, **cap):
@@ -193,6 +196,15 @@ def test_price_cap_rules_keep_their_place_among_the_shape_rules():
     assert market_buy(2_000_000) == Rejection("validation", "MissingPriceCap")
     assert market_buy(2_000_000, price_cap=Money(0)) == Rejection("validation", "NonPositivePrice")
     assert market_buy(0) == Rejection("validation", "NonPositiveQuantity")
+
+
+def test_market_sell_may_not_carry_a_price_cap():
+    broker, _, _, _ = make_desk()
+    rejection = broker.place_retail_order(OrderDraft(
+        "client", Side.SELL, "ACME", 10, OrderType.MARKET, price_cap=Money(5000)))
+    assert rejection == Rejection("validation", "CapOnSell")
+    assert isinstance(broker.place_retail_order(OrderDraft(
+        "client", Side.SELL, "ACME", 10, OrderType.MARKET)), str)
 
 
 # Both sides bind the extended checks and offer every type but fill-or-kill.
@@ -214,8 +226,7 @@ BAD_SHAPES = {
 def test_broker_and_exchange_reject_a_bad_shape_by_the_same_rule(qty, otype, price, rule):
     offered = frozenset(OrderType) - {OrderType.FILL_OR_KILL}
     broker, (exchange,), _, _ = make_desk(
-        config=BrokerConfig(venue_algorithm="FirstVenueChoice", extended_order_checks=True,
-                            offered_types=offered),
+        config=replace(FIRST_VENUE, extended_order_checks=True, offered_types=offered),
         exchange_types=offered, extended_exchange=True)
     limit_price = None if price is None else Money(price)
     at_broker = broker.place_retail_order(OrderDraft(
@@ -300,16 +311,6 @@ def test_institutional_order_skips_prepayment_and_uses_omnibus():
 
 # -- placeholder algorithms -------------------------------------------------------
 
-def test_unbound_venue_algorithm_falls_back_to_draft_venue():
-    broker, exchanges, ledger, _ = make_desk(config=BrokerConfig(venue_algorithm=None))
-    rejection = broker.place_retail_order(buy_draft(qty=10, price=1000))
-    assert rejection == Rejection("venue_selection", "NoVenues")
-    broker.mark_step(2)
-    outcome = broker.place_retail_order(
-        buy_draft(qty=10, price=1000, venue=exchanges[0].pid))
-    assert isinstance(outcome, str)
-
-
 def test_select_venue_first_and_empty():
     broker, exchanges, _, _ = make_desk(n_exchanges=3)
     venues = broker.registry.list_by_role(ParticipantRole.EXCHANGE)
@@ -319,7 +320,7 @@ def test_select_venue_first_and_empty():
 
 
 def test_select_venue_best_quote():
-    config = BrokerConfig(venue_algorithm="BestQuoteVenueChoice")
+    config = replace(FIRST_VENUE, venue_algorithm="BestQuoteVenueChoice")
     broker, exchanges, _, _ = make_desk(config=config, n_exchanges=2)
     # ask 1040 on X2, 1050 on X1: a buyer should route to X2
     rest_order(exchanges[0], "sell", 1050, 10)
@@ -330,7 +331,7 @@ def test_select_venue_best_quote():
 
 
 def test_select_venue_least_loaded():
-    config = BrokerConfig(venue_algorithm="LeastLoadedVenueChoice")
+    config = replace(FIRST_VENUE, venue_algorithm="LeastLoadedVenueChoice")
     broker, exchanges, _, _ = make_desk(config=config, n_exchanges=2)
     rest_order(exchanges[0], "sell", 1050, 10)
     venues = broker.registry.list_by_role(ParticipantRole.EXCHANGE)
@@ -444,7 +445,7 @@ def _split(block_id, edits):
                          ids=BAD_BROKER_DETAILS.keys())
 def test_each_allocation_detail_rule_at_the_broker(extended, resting, edits, rule):
     broker, exchanges, _, _ = make_desk(
-        config=BrokerConfig(venue_algorithm="FirstVenueChoice", extended_alloc_checks=extended))
+        config=replace(FIRST_VENUE, extended_alloc_checks=extended))
     rest_order(exchanges[0], "sell", 1040, resting)
     block_id = broker.place_institutional_order(buy_draft(qty=100, price=1040, client="fund"))
     outcome = broker.handle_allocation_details(_split(block_id, edits))
@@ -469,7 +470,7 @@ def test_broker_reports_allocation_rules_in_the_documented_order():
         ("PriceMismatch", 0, "price", Money(1041)),
     ]
     broker, exchanges, _, _ = make_desk(
-        config=BrokerConfig(venue_algorithm="FirstVenueChoice", extended_alloc_checks=True))
+        config=replace(FIRST_VENUE, extended_alloc_checks=True))
     block_id = _filled_block(broker, exchanges)
     good = _split(block_id, {})
     details = list(good)

@@ -100,7 +100,7 @@ def test_products_differ_in_at_least_five_bindings(product_a, product_b):
         if product_a.bindings.get(point) != product_b.bindings.get(point)
     ]
     assert len(differing) >= 5
-    assert product_a.single("SecondaryOrderPrecedenceRules") == "TimePriority"
-    assert product_b.single("SecondaryOrderPrecedenceRules") == "SizePriority"
-    assert product_a.single("TradeClearingRules") == "TradeForTradeClearing"
-    assert product_b.single("TradeClearingRules") == "MultilateralNettingClearing"
+    assert product_a.bindings["SecondaryOrderPrecedenceRules"] == ("TimePriority",)
+    assert product_b.bindings["SecondaryOrderPrecedenceRules"] == ("SizePriority",)
+    assert product_a.bindings["TradeClearingRules"] == ("TradeForTradeClearing",)
+    assert product_b.bindings["TradeClearingRules"] == ("MultilateralNettingClearing",)

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import projected
 from stpsim.custodian import (
     AffirmationRejection,
     CustodianConfig,
@@ -16,6 +18,7 @@ from stpsim.trading import Affirmation, AllocationDetail, Contract, Rejection, S
 
 BROKER_PID = ParticipantId(ParticipantRole.BROKER, "BR1")
 CUSTODIAN_PID = ParticipantId(ParticipantRole.CUSTODIAN, "CU1")
+SECO_A = CustodianConfig(**projected("seco_a")["Custodian"])
 
 
 class _StubOrder:
@@ -61,7 +64,7 @@ def make_custodian(config=None, side=Side.BUY, omnibus_money=10**6, omnibus_shar
     registry.register(BROKER_PID, broker)
     registry.register(ParticipantId(ParticipantRole.CLEARING_CORPORATION, "CC1"), clearing)
     custodian = CustodianService(
-        CUSTODIAN_PID, registry, ledger, "CU1.omnibus", config or CustodianConfig())
+        CUSTODIAN_PID, registry, ledger, "CU1.omnibus", config or SECO_A)
     registry.register(CUSTODIAN_PID, custodian)
     custodian.add_institution("fund")
     return custodian, broker, clearing, ledger
@@ -117,7 +120,7 @@ def test_valid_details_stored_pending():
 
 
 def test_extended_checks_require_end_account():
-    custodian, _, _, _ = make_custodian(CustodianConfig(extended_detail_checks=True))
+    custodian, _, _, _ = make_custodian(replace(SECO_A, extended_detail_checks=True))
     rejection = custodian.receive_allocation_details([detail("A1", 10, end="")])
     assert rejection.rule == "EmptyEndClientAccount"
 
@@ -142,7 +145,7 @@ BAD_CUSTODIAN_DETAILS = {
 @pytest.mark.parametrize("extended, edits, rule", BAD_CUSTODIAN_DETAILS.values(),
                          ids=BAD_CUSTODIAN_DETAILS.keys())
 def test_each_allocation_detail_rule_at_the_custodian(extended, edits, rule):
-    custodian, _, _, _ = make_custodian(CustodianConfig(extended_detail_checks=extended))
+    custodian, _, _, _ = make_custodian(replace(SECO_A, extended_detail_checks=extended))
     details = [] if edits is None else [
         d._replace(**edits.get(i, {})) for i, d in enumerate(fixture_details())]
     rejection = custodian.receive_allocation_details(details)
@@ -165,7 +168,7 @@ def test_custodian_reports_allocation_rules_in_the_documented_order():
         ("NonPositivePrice", 1, "price", Money(-1)),
         ("DuplicateAllocId", 1, "alloc_id", "A1"),
     ]
-    custodian, _, _, _ = make_custodian(CustodianConfig(extended_detail_checks=True))
+    custodian, _, _, _ = make_custodian(replace(SECO_A, extended_detail_checks=True))
     good = fixture_details()
     details = list(good)
     for _, index, name, value in broken:

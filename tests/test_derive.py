@@ -68,7 +68,5 @@ def test_optional_variation_point_absent_when_deselected(catalog, seco_a_config)
     assert len(product.bindings) == 19
 
 
-def test_single_helper_demands_exactly_one(product_a):
-    assert product_a.single("SecondaryOrderPrecedenceRules") == "TimePriority"
-    with pytest.raises(ValueError):
-        product_a.single("ClientOrderTypes")
+def test_alternative_point_binds_its_one_variant(product_a):
+    assert product_a.bindings["SecondaryOrderPrecedenceRules"] == ("TimePriority",)

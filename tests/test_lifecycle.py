@@ -326,6 +326,35 @@ def test_market_buy_cap_is_its_protection_price(products, product_key):
     assert final["BR1.house"] == AccountSnapshot(Money(0), {})
 
 
+CAPPED_MARKET_SELL = """\
+scenario: capped_market_sell
+currency: USD
+symbol: ACME
+broker: BR1
+broker: BR2
+exchange: X1
+clearing_corporation: CC1
+clearing_bank: CB1
+depository: DP1
+retail: RC1 broker=BR1
+retail: RC2 broker=BR2
+endow: RC1 money=90000
+endow: RC2 ACME=100
+order: RC1 buy 100 ACME limit 900
+order: RC2 sell 100 ACME market cap=5000
+expect: RC1 ACME=100
+expect: RC2 money=90000
+"""
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+def test_market_sell_with_a_cap_is_rejected_at_validation(products, product_key):
+    # a cap bounds what a buyer pays; on a sell it bounded nothing, and the
+    # sell filled at the 900 bid under a cap of 5000
+    report = run_scenario(products[product_key], parse_scenario(CAPPED_MARKET_SELL))
+    assert report.aborted == ("order_2_RC2", "rejected at validation: CapOnSell")
+
+
 def test_every_scenario_conserves_totals_throughout(products):
     for key, product in products.items():
         for scenario_id in ALL_SCENARIOS:
