@@ -6,24 +6,31 @@ client compliance -> venue selection -> prepayment -> routing. A rejection
 at any stage stops the pipeline and leaves the ledger net-unchanged (a
 prepayment taken before a routing rejection is refunded in the same call).
 
-Retail clients prepay the broker house account (money for buys at the
-limit or cap price, shares for sells) and are credited back after street
-settlement; no fill costs more than the limit or cap, so settlement only
-refunds. Institutional clients never prepay: their assets sit at the
-custodian, which takes over settlement once it affirms the broker's
-contracts against the manager's allocation details (checked, as there, by
-`trading.allocation_detail_rule`, then against the block order).
+Retail clients prepay the broker house account: money for buys at the
+limit or cap price, shares for sells. The house keeps each prepayment as
+one escrow entry per order, an integer (minor units for a buy, shares for
+a sell). The entry is returned exactly once, by `_return_escrow`: with
+nothing used when routing rejects the order, or, once the order is
+terminal and all its trades are settled and credited, with the street's
+cost (a buy) or the filled quantity (a sell) used. It refunds the rest. No
+fill costs more than the limit or cap, so the rest is never negative.
+Prepayment, crediting and refund all go through one house-client
+transfer, `_transfer`. Institutional clients never prepay: their assets
+sit at the custodian, which takes over settlement once it affirms the
+broker's contracts against the manager's allocation details (checked, as
+there, by `trading.allocation_detail_rule`, then against the block order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ledger import InsufficientFunds, InsufficientPosition, Ledger
 from .money import Money
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
+    MAX_ORDER_VALUE,
     Affirmation,
     AllocationDetail,
     AuditEvent,
@@ -78,20 +85,6 @@ class BrokerConfig:
     extended_alloc_checks: bool
 
 
-@dataclass
-class BrokerParams:
-    """Operational data the variants consume; not part of the feature model."""
-
-    restricted_symbols: frozenset[str] = frozenset()
-    # None: a cap of 100,000,000 minor units in the ledger's currency
-    max_order_value: Money | None = None
-    client_value_caps: dict[str, Money] = field(default_factory=dict)
-
-    def value_cap_for(self, client: str, currency: str) -> Money:
-        cap = self.client_value_caps.get(client, self.max_order_value)
-        return Money(100_000_000, currency) if cap is None else cap
-
-
 class BrokerService:
     role = ParticipantRole.BROKER
 
@@ -102,14 +95,14 @@ class BrokerService:
         ledger: Ledger,
         house_account: str,
         config: BrokerConfig,
-        params: BrokerParams | None = None,
+        restricted_symbols: frozenset[str] = frozenset(),
     ):
         self.pid = pid
         self.registry = registry
         self.ledger = ledger
         self.house_account = house_account
         self.config = config
-        self.params = params or BrokerParams()
+        self.restricted_symbols = restricted_symbols
         self.retail_clients: set[str] = set()
         self.institutions: dict[str, ParticipantId] = {}  # institution account -> custodian
         self.orders: dict[str, Order] = {}
@@ -117,10 +110,8 @@ class BrokerService:
         self.audit: list[AuditEvent] = []
         self.contracts_sent: dict[str, tuple[Contract, ...]] = {}  # block order -> contracts
         self.responsibility: dict[str, str] = {}  # order id -> "broker" | "custodian"
-        self._prepaid_money: dict[str, Money] = {}
-        self._prepaid_shares: dict[str, int] = {}
+        self._escrow: dict[str, int] = {}  # retail order id -> prepaid units not yet returned
         self._credited: set[tuple[str, str]] = set()
-        self._reconciled: set[str] = set()
         self._seen_drafts: set[tuple] = set()
         self._current_step = 0
         self._next_order = 1
@@ -177,7 +168,8 @@ class BrokerService:
 
         rejection = self._stage_routing(order, venue)
         if rejection:
-            self._refund_prepayment(order)
+            if kind is ClientKind.RETAIL:
+                self._return_escrow(order, 0)
             return self._rejected(order_id, "routing", rejection.rule)
         self._audit(order_id, "routing")
 
@@ -219,7 +211,7 @@ class BrokerService:
         return None
 
     def _stage_governmental(self, draft: OrderDraft) -> str | None:
-        if self.config.restricted_screening and draft.symbol in self.params.restricted_symbols:
+        if self.config.restricted_screening and draft.symbol in self.restricted_symbols:
             return "RestrictedSymbol"
         return None
 
@@ -227,9 +219,7 @@ class BrokerService:
         if not self.config.value_cap_enabled:
             return None
         price = draft.limit_price or draft.price_cap
-        if price is None:
-            return None
-        if price * draft.quantity > self.params.value_cap_for(draft.client, self.ledger.currency):
+        if price is not None and price.amount * draft.quantity > MAX_ORDER_VALUE:
             return "OrderValueOverCap"
         return None
 
@@ -259,35 +249,37 @@ class BrokerService:
         return price
 
     def _stage_prepayment(self, order: Order, draft: OrderDraft) -> str | None:
+        money = order.side is Side.BUY
+        prepaid = self._funding_price(draft).amount * order.quantity if money else order.quantity
         try:
-            if order.side is Side.BUY:
-                amount = self._funding_price(draft) * order.quantity
-                self.ledger.transfer_money(
-                    order.client, self.house_account, amount,
-                    f"prepay:{order.order_id}/method={self.config.money_method}")
-                self._prepaid_money[order.order_id] = amount
-            else:
-                self.ledger.transfer_equity(
-                    order.client, self.house_account, order.symbol, order.quantity,
-                    f"prepay:{order.order_id}/method={self.config.equity_method}")
-                self._prepaid_shares[order.order_id] = order.quantity
+            self._transfer(order, prepaid, money, f"prepay:{order.order_id}", to_client=False)
         except InsufficientFunds:
             return "InsufficientFunds"
         except InsufficientPosition:
             return "InsufficientPosition"
+        self._escrow[order.order_id] = prepaid
         return None
 
-    def _refund_prepayment(self, order: Order) -> None:
-        amount = self._prepaid_money.pop(order.order_id, None)
-        if amount is not None:
-            self.ledger.transfer_money(
-                self.house_account, order.client, amount,
-                f"refund:{order.order_id}/method={self.config.money_method}")
-        shares = self._prepaid_shares.pop(order.order_id, None)
-        if shares is not None:
-            self.ledger.transfer_equity(
-                self.house_account, order.client, order.symbol, shares,
-                f"refund:{order.order_id}/method={self.config.equity_method}")
+    def _transfer(self, order: Order, units: int, money: bool, cause: str,
+                  to_client: bool = True) -> None:
+        """Move `units` minor units of money, or shares of the order's symbol,
+        from the house account to the order's client (or back), journaled
+        as `cause` and the bound transfer method."""
+        src, dst = self.house_account, order.client
+        if not to_client:
+            src, dst = dst, src
+        if money:
+            self.ledger.transfer_money(src, dst, Money(units, self.ledger.currency),
+                                       f"{cause}/method={self.config.money_method}")
+        else:
+            self.ledger.transfer_equity(src, dst, order.symbol, units,
+                                        f"{cause}/method={self.config.equity_method}")
+
+    def _return_escrow(self, order: Order, used: int) -> None:
+        """Release the order's escrow, refunding what the street did not use."""
+        unused = self._escrow.pop(order.order_id) - used
+        if unused > 0:
+            self._transfer(order, unused, order.side is Side.BUY, f"refund:{order.order_id}")
 
     def _stage_routing(self, order: Order, venue: ParticipantId) -> Rejection | None:
         exchange = self.registry.lookup(venue)
@@ -410,42 +402,25 @@ class BrokerService:
                 if key in self._credited:
                     continue
                 if order.side is Side.BUY:
-                    self.ledger.transfer_equity(
-                        self.house_account, order.client, order.symbol, trade.quantity,
-                        f"settle:{trade.trade_id}/method={self.config.equity_method}")
+                    self._transfer(order, trade.quantity, False, f"settle:{trade.trade_id}")
                 else:
-                    self.ledger.transfer_money(
-                        self.house_account, order.client, trade.value,
-                        f"settle:{trade.trade_id}/method={self.config.money_method}")
+                    self._transfer(order, trade.value.amount, True, f"settle:{trade.trade_id}")
                 self._credited.add(key)
                 credited += 1
             self._reconcile_terminal(order, trades)
         return credited
 
     def _reconcile_terminal(self, order: Order, trades: list[Trade]) -> None:
-        """Return unused prepayment once an order is terminal and all its
-        trades are settled and credited."""
-        order_id = order.order_id
-        if order_id in self._reconciled or not order.is_terminal:
+        """Return the unused escrow once an order is terminal and all its
+        trades are settled (and so, by the caller's loop, credited)."""
+        if order.order_id not in self._escrow or not order.is_terminal:
             return
         if any(t.status is not TradeStatus.SETTLED for t in trades):
             return
-        if any((order_id, t.trade_id) not in self._credited for t in trades):
-            return
-        if order.side is Side.BUY and order_id in self._prepaid_money:
-            street_cost = sum((t.value for t in trades), Money(0, self.ledger.currency))
-            prepaid = self._prepaid_money[order_id]
-            if street_cost < prepaid:
-                self.ledger.transfer_money(
-                    self.house_account, order.client, prepaid - street_cost,
-                    f"refund:{order_id}/method={self.config.money_method}")
-        elif order.side is Side.SELL and order_id in self._prepaid_shares:
-            residual = self._prepaid_shares[order_id] - order.filled_quantity
-            if residual > 0:
-                self.ledger.transfer_equity(
-                    self.house_account, order.client, order.symbol, residual,
-                    f"refund:{order_id}/method={self.config.equity_method}")
-        self._reconciled.add(order_id)
+        if order.side is Side.BUY:
+            self._return_escrow(order, sum(t.value.amount for t in trades))
+        else:
+            self._return_escrow(order, order.filled_quantity)
 
     def unaffirmed_blocks(self) -> list[str]:
         return [

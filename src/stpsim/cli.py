@@ -20,6 +20,7 @@ from pathlib import Path
 from . import data
 from .features import (
     FeatureModelError,
+    InvalidConfiguration,
     derive_product,
     parse_configuration,
     parse_feature_model,
@@ -75,30 +76,27 @@ def cmd_validate_model(args) -> int:
     return 0
 
 
-def _report_invalid(report) -> bool:
-    """Print an invalid configuration's violations; True if there were any."""
-    if report.valid:
-        return False
+def _report_invalid(report) -> int:
+    """Print an invalid configuration's violations; the exit code, 1."""
     print("invalid configuration:")
     for violation in report.violations:
         print(f"  {violation}")
-    return True
+    return 1
 
 
 def cmd_validate_config(args) -> int:
     report = validate_configuration(_load_model(args.model), _load_config(args.config))
-    if _report_invalid(report):
-        return 1
+    if not report.valid:
+        return _report_invalid(report)
     print(f"ok: {len(report.normalized)} features selected after normalization")
     return 0
 
 
 def cmd_derive(args) -> int:
-    model = _load_model(args.model)
-    cfg = _load_config(args.config)
-    if _report_invalid(validate_configuration(model, cfg)):
-        return 1
-    product = derive_product(model, cfg, args.name)
+    try:
+        product = derive_product(_load_model(args.model), _load_config(args.config), args.name)
+    except InvalidConfiguration as exc:
+        return _report_invalid(exc.report)
     print(f"product {product.product_name}: {len(product.bindings)} variation points bound")
     for point in sorted(product.bindings):
         print(f"  {point} -> {', '.join(product.bindings[point])}")
@@ -106,11 +104,11 @@ def cmd_derive(args) -> int:
 
 
 def cmd_run(args) -> int:
-    model = _load_model(args.model)
-    cfg = _load_config(args.config)
-    if _report_invalid(validate_configuration(model, cfg)):
-        return 1
-    product = derive_product(model, cfg, Path(args.config).stem.upper())
+    try:
+        product = derive_product(
+            _load_model(args.model), _load_config(args.config), Path(args.config).stem.upper())
+    except InvalidConfiguration as exc:
+        return _report_invalid(exc.report)
     scenario = parse_scenario(_read_text(_resolve_scenario(args.scenario)))
     run_report = run_scenario(product, scenario)
     checks = assert_conservation(run_report)

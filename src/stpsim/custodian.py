@@ -60,9 +60,7 @@ class CustodianConfig:
 @dataclass
 class _AffirmedBlock:
     details: tuple[AllocationDetail, ...]
-    contracts: tuple[Contract, ...]
     side: Side
-    broker: ParticipantId
     forwarded: bool = False
     distributed: bool = False
 
@@ -161,7 +159,7 @@ class CustodianService:
         broker = self.registry.lookup(broker_pid)
         broker.receive_affirmation(affirmation)
         side = broker.order_info(block).side
-        self.affirmed[block] = _AffirmedBlock(details, tuple(contracts), side, broker_pid)
+        self.affirmed[block] = _AffirmedBlock(details, side)
         del self.pending_details[block]
         return affirmation
 

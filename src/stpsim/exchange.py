@@ -51,13 +51,6 @@ class PrecedenceComparator:
         return (primary, second, third)
 
 
-ALL_COMPARATORS = tuple(
-    PrecedenceComparator(secondary, tie_break)
-    for secondary in SecondaryPrecedence
-    for tie_break in TieBreak
-)
-
-
 class BookSide:
     """One side's resting orders, kept as a heap in precedence order.
 

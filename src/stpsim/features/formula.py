@@ -113,7 +113,6 @@ def render(formula: Formula) -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-_TWO_CHAR = {"=>": "=>"}
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CHARS = _NAME_START | set("0123456789")
 

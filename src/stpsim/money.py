@@ -84,7 +84,3 @@ class Money(_MoneyFields):
 
     def __str__(self) -> str:
         return f"{self.amount}{self.currency}"
-
-
-def cents(amount: int, currency: str = "USD") -> Money:
-    return Money(amount, currency)

@@ -20,6 +20,7 @@ from .money import Money
 from .registry import ParticipantId
 
 MAX_ORDER_QUANTITY = 1_000_000      # the extended order checks' size cap
+MAX_ORDER_VALUE = 100_000_000       # MaxOrderValueCap, in minor units of the ledger's currency
 
 
 class Side(enum.Enum):

@@ -5,7 +5,6 @@ import pytest
 from conftest import projected
 from stpsim.broker import (
     BrokerConfig,
-    BrokerParams,
     BrokerService,
     NoVenues,
     OrderDraft,
@@ -21,6 +20,7 @@ from stpsim.ledger import Ledger, total_money, total_positions
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
 from stpsim.trading import (
+    MAX_ORDER_VALUE,
     Affirmation,
     AllocationDetail,
     Order,
@@ -65,9 +65,9 @@ def rest_order(exchange, side, price, qty, oid="O99"):
     return order
 
 
-def make_desk(config=None, params=None, symbols=("ACME",), n_exchanges=1,
-              exchange_types=frozenset(OrderType), extended_exchange=False):
-    ledger = Ledger()
+def make_desk(config=None, restricted_symbols=frozenset(), symbols=("ACME",), n_exchanges=1,
+              exchange_types=frozenset(OrderType), extended_exchange=False, currency="USD"):
+    ledger = Ledger(currency)
     registry = ServiceRegistry()
     exchanges = []
     for i in range(n_exchanges):
@@ -81,12 +81,12 @@ def make_desk(config=None, params=None, symbols=("ACME",), n_exchanges=1,
     registry.register(_COUNTERPARTY, _SilentBroker())
     broker_pid = ParticipantId(ParticipantRole.BROKER, "BR1")
     ledger.open_account("BR1.house")
-    ledger.open_account("client", Money(150000), {"ACME": 100})
-    ledger.open_account("CU1.omnibus", Money(10**9), {"ACME": 10**6})
+    ledger.open_account("client", Money(150000, currency), {"ACME": 100})
+    ledger.open_account("CU1.omnibus", Money(10**9, currency), {"ACME": 10**6})
     broker = BrokerService(
         broker_pid, registry, ledger, "BR1.house",
         config or FIRST_VENUE,
-        params)
+        restricted_symbols)
     registry.register(broker_pid, broker)
     broker.add_retail_client("client")
 
@@ -128,7 +128,7 @@ def test_insufficient_funds_at_prepayment_leaves_ledger_unchanged():
 
 def test_restricted_symbol_rejected_at_governmental_stage():
     broker, _, _, _ = make_desk(
-        params=BrokerParams(restricted_symbols=frozenset({"ACME"})))
+        restricted_symbols=frozenset({"ACME"}))
     rejection = broker.place_retail_order(buy_draft())
     assert rejection.stage == "governmental_compliance"
     assert rejection.rule == "RestrictedSymbol"
@@ -137,18 +137,27 @@ def test_restricted_symbol_rejected_at_governmental_stage():
 def test_permissive_governmental_variant_allows_restricted_symbol():
     broker, _, _, _ = make_desk(
         config=replace(FIRST_VENUE, restricted_screening=False),
-        params=BrokerParams(restricted_symbols=frozenset({"ACME"})))
+        restricted_symbols=frozenset({"ACME"}))
     outcome = broker.place_retail_order(buy_draft())
     assert isinstance(outcome, str)
 
 
 def test_order_value_cap_rejects_large_block():
-    broker, _, ledger, _ = make_desk(
-        params=BrokerParams(max_order_value=Money(1_000_000)))
-    ledger.accounts["fund"].money = Money(10**9)
+    broker, _, _, _ = make_desk()
     rejection = broker.place_institutional_order(
-        buy_draft(qty=2000, price=1000, client="fund"))  # 2_000_000 over the cap
+        buy_draft(qty=2000, price=60_000, client="fund"))  # 120_000_000 over the cap
     assert rejection == Rejection("client_compliance", "OrderValueOverCap")
+
+
+def test_order_value_cap_is_inclusive_in_any_currency():
+    broker, _, _, _ = make_desk(currency="EUR")
+
+    def block(qty, price):
+        return broker.place_institutional_order(OrderDraft(
+            "fund", Side.BUY, "ACME", qty, OrderType.LIMIT, Money(price, "EUR")))
+
+    assert isinstance(block(1000, MAX_ORDER_VALUE // 1000), str)
+    assert block(1, MAX_ORDER_VALUE + 1) == Rejection("client_compliance", "OrderValueOverCap")
 
 
 def test_duplicate_order_risk_within_one_step():
@@ -239,16 +248,6 @@ def test_broker_and_exchange_reject_a_bad_shape_by_the_same_rule(qty, otype, pri
     assert at_exchange == Rejection("exchange_validation", rule)
 
 
-def test_per_client_value_cap_overrides_default():
-    broker, _, ledger, _ = make_desk(
-        params=BrokerParams(client_value_caps={"client": Money(50_000)}))
-    rejection = broker.place_retail_order(buy_draft(qty=100, price=1000))  # 100000
-    assert rejection == Rejection("client_compliance", "OrderValueOverCap")
-    broker.mark_step(2)
-    outcome = broker.place_retail_order(buy_draft(qty=40, price=1000))     # 40000
-    assert isinstance(outcome, str)
-
-
 def test_audit_export_line_format():
     broker, _, _, _ = make_desk()
     broker.place_retail_order(buy_draft(qty=0))
@@ -257,7 +256,7 @@ def test_audit_export_line_format():
 
 def test_pipeline_short_circuits_audit_trail():
     broker, _, _, _ = make_desk(
-        params=BrokerParams(restricted_symbols=frozenset({"ACME"})))
+        restricted_symbols=frozenset({"ACME"}))
     broker.place_retail_order(buy_draft())
     stages = [(event.stage, event.outcome) for event in broker.audit]
     assert stages == [
@@ -297,6 +296,14 @@ def test_routing_rejection_refunds_prepayment_net_zero():
     # the prepayment and its refund are both journaled
     causes = [entry.cause.split("/")[0] for entry in ledger.journal]
     assert causes == ["prepay:BR1-O1", "refund:BR1-O1"]
+
+
+def test_institutional_routing_rejection_writes_no_journal_entry():
+    broker, exchanges, ledger, _ = make_desk()
+    exchanges[0].symbols.clear()
+    rejection = broker.place_institutional_order(buy_draft(client="fund"))
+    assert rejection == Rejection("routing", "UnknownSymbol")
+    assert ledger.journal == []
 
 
 def test_institutional_order_skips_prepayment_and_uses_omnibus():
@@ -537,6 +544,30 @@ def test_market_buy_never_fills_above_its_cap_and_settle_refunds_in_full():
 
     broker.settle_retail_rec()
     assert ledger.balance("client") == Money(150000)
+    assert ledger.balance("BR1.house") == Money(0)
+
+
+def test_partly_filled_sell_gets_its_unfilled_shares_back_once():
+    broker, exchanges, ledger, _ = make_desk()
+    rest_order(exchanges[0], "buy", 1040, 60)
+    order_id = broker.place_retail_order(OrderDraft(
+        "client", Side.SELL, "ACME", 100, OrderType.IMMEDIATE_OR_CANCEL, Money(1040)))
+    assert broker.orders[order_id].status is OrderStatus.CANCELLED
+    assert broker.orders[order_id].filled_quantity == 60
+    # simulate street settlement: house delivered 60 shares, was paid 62400
+    ledger.accounts["BR1.house"].positions["ACME"] = 40
+    ledger.accounts["BR1.house"].money = Money(62400)
+    _settle_all_trades(broker)
+
+    assert broker.settle_retail_rec() == 1
+    assert broker.settle_retail_rec() == 0
+    refunds = [entry for entry in ledger.journal if entry.cause.startswith("refund:")]
+    assert [(e.kind, e.src, e.dst, e.amount, e.symbol) for e in refunds] == [
+        ("equity", "BR1.house", "client", 40, "ACME")]
+    assert refunds[0].cause == f"refund:{order_id}/method=BrokerBookEntryEquityTransfer"
+    assert ledger.position("client", "ACME") == 40
+    assert ledger.balance("client") == Money(150000 + 62400)
+    assert ledger.position("BR1.house", "ACME") == 0
     assert ledger.balance("BR1.house") == Money(0)
 
 

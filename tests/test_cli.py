@@ -3,6 +3,7 @@ import pytest
 
 from stpsim.cli import main
 from stpsim.data import catalog_path, config_path
+from stpsim.features import validate_configuration
 
 
 @pytest.fixture
@@ -40,6 +41,37 @@ def test_validate_config_names_violated_constraint(capture, tmp_path):
     code, out, _ = capture("validate-config", CATALOG, str(bad))
     assert code == 1
     assert "FillOrKillOrderType => FillOrKillMatching" in out
+
+
+@pytest.mark.parametrize("argv", [("run", CATALOG, SECO_A, "retail_retail"),
+                                  ("derive", CATALOG, SECO_A, "SECO_A")], ids=["run", "derive"])
+def test_run_and_derive_validate_the_configuration_once(capture, monkeypatch, argv):
+    from stpsim import cli
+    from stpsim.features import analysis
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return validate_configuration(*args)
+
+    monkeypatch.setattr(analysis, "validate_configuration", counting)
+    monkeypatch.setattr(cli, "validate_configuration", counting)
+    code, _, _ = capture(*argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, extra", [("run", "retail_retail"), ("derive", "BAD")])
+def test_run_and_derive_print_an_invalid_configuration_as_validate_config_does(
+        capture, tmp_path, command, extra):
+    bad = tmp_path / "bad.cfg"
+    lines = config_path("seco_a").read_text().splitlines()
+    bad.write_text("\n".join(
+        line for line in lines if line.strip() != "FillOrKillMatching") + "\n")
+    _, expected, _ = capture("validate-config", CATALOG, str(bad))
+    code, out, err = capture(command, CATALOG, str(bad), extra)
+    assert (code, out, err) == (1, expected, "")
+    assert out.count("invalid configuration:") == 1
 
 
 def test_derive_lists_bindings(capture):
