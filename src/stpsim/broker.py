@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ledger import InsufficientFunds, InsufficientPosition, Ledger
-from .money import Money
+from .money import Money, _new
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
     MAX_ORDER_VALUE,
@@ -140,38 +140,40 @@ class BrokerService:
     def _run_pipeline(self, draft: OrderDraft, kind: ClientKind) -> str | Rejection:
         order_id = f"{self.pid.id}-O{self._next_order}"
         self._next_order += 1
+        passed = self.audit.append  # takes each stage's "ok" AuditEvent, built positionally
+        retail = kind is ClientKind.RETAIL
 
-        for stage, check in (
-            ("validation", lambda: self._stage_validation(draft, kind)),
-            ("risk", lambda: self._stage_risk(draft, kind)),
-            ("governmental_compliance", lambda: self._stage_governmental(draft)),
-            ("client_compliance", lambda: self._stage_client_compliance(draft)),
-        ):
-            rule = check()
-            if rule:
-                return self._rejected(order_id, stage, rule)
-            self._audit(order_id, stage)
+        if rule := self._stage_validation(draft, kind):
+            return self._rejected(order_id, "validation", rule)
+        passed(_new(AuditEvent, (order_id, "validation", "ok", "")))
+        if rule := self._stage_risk(draft, kind):
+            return self._rejected(order_id, "risk", rule)
+        passed(_new(AuditEvent, (order_id, "risk", "ok", "")))
+        if rule := self._stage_governmental(draft):
+            return self._rejected(order_id, "governmental_compliance", rule)
+        passed(_new(AuditEvent, (order_id, "governmental_compliance", "ok", "")))
+        if rule := self._stage_client_compliance(draft):
+            return self._rejected(order_id, "client_compliance", rule)
+        passed(_new(AuditEvent, (order_id, "client_compliance", "ok", "")))
 
         try:
             venue = self.select_venue(draft, self.registry.list_by_role(ParticipantRole.EXCHANGE))
         except NoVenues:
             return self._rejected(order_id, "venue_selection", "NoVenues")
-        self._audit(order_id, "venue_selection")
+        passed(_new(AuditEvent, (order_id, "venue_selection", "ok", "")))
 
         order = self._build_order(order_id, draft, kind)
 
-        if kind is ClientKind.RETAIL:
-            rule = self._stage_prepayment(order, draft)
-            if rule:
+        if retail:
+            if rule := self._stage_prepayment(order, draft):
                 return self._rejected(order_id, "prepayment", rule)
-            self._audit(order_id, "prepayment")
+            passed(_new(AuditEvent, (order_id, "prepayment", "ok", "")))
 
-        rejection = self._stage_routing(order, venue)
-        if rejection:
-            if kind is ClientKind.RETAIL:
+        if rejection := self._stage_routing(order, venue):
+            if retail:
                 self._return_escrow(order, 0)
             return self._rejected(order_id, "routing", rejection.rule)
-        self._audit(order_id, "routing")
+        passed(_new(AuditEvent, (order_id, "routing", "ok", "")))
 
         self.orders[order_id] = order
         self.responsibility[order_id] = "broker"
@@ -180,9 +182,6 @@ class BrokerService:
     def _rejected(self, order_id: str, stage: str, rule: str) -> Rejection:
         self.audit.append(AuditEvent(order_id, stage, "rejected", rule))
         return Rejection(stage, rule)
-
-    def _audit(self, order_id: str, stage: str) -> None:
-        self.audit.append(AuditEvent(order_id, stage, "ok"))
 
     def _stage_validation(self, draft: OrderDraft, kind: ClientKind) -> str | None:
         clients = self.retail_clients if kind is ClientKind.RETAIL else self.institutions
@@ -269,7 +268,7 @@ class BrokerService:
         if not to_client:
             src, dst = dst, src
         if money:
-            self.ledger.transfer_money(src, dst, Money(units, self.ledger.currency),
+            self.ledger.transfer_money(src, dst, _new(Money, (units, self.ledger.currency)),
                                        f"{cause}/method={self.config.money_method}")
         else:
             self.ledger.transfer_equity(src, dst, order.symbol, units,
@@ -404,7 +403,8 @@ class BrokerService:
                 if order.side is Side.BUY:
                     self._transfer(order, trade.quantity, False, f"settle:{trade.trade_id}")
                 else:
-                    self._transfer(order, trade.value.amount, True, f"settle:{trade.trade_id}")
+                    self._transfer(order, trade.price.amount * trade.quantity, True,
+                                   f"settle:{trade.trade_id}")
                 self._credited.add(key)
                 credited += 1
             self._reconcile_terminal(order, trades)
@@ -418,7 +418,7 @@ class BrokerService:
         if any(t.status is not TradeStatus.SETTLED for t in trades):
             return
         if order.side is Side.BUY:
-            self._return_escrow(order, sum(t.value.amount for t in trades))
+            self._return_escrow(order, sum(t.price.amount * t.quantity for t in trades))
         else:
             self._return_escrow(order, order.filled_quantity)
 

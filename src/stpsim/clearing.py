@@ -241,7 +241,7 @@ class ClearingCorporation:
         sums: dict[tuple[str, str], tuple[int, int, list[str]]] = {}
         for report in reports:
             trade = report.trade
-            value = trade.value.amount
+            value = trade.price.amount * trade.quantity
             for account, sign in ((report.buy_account, 1), (report.sell_account, -1)):
                 key = (account, trade.symbol)
                 qty, money, refs = sums.get(key, (0, 0, []))

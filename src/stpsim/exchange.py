@@ -179,14 +179,15 @@ class OrderBook:
 
     def _sweep(self, incoming: Order, make_trade) -> list[Trade]:
         trades: list[Trade] = []
-        opposite = self.side(incoming.side.opposite)
-        while incoming.remaining > 0 and opposite:
+        buying = incoming.side is Side.BUY
+        opposite = self.asks if buying else self.bids
+        while incoming.remaining > 0:
             resting = opposite.head()
-            if not self._price_compatible(incoming, resting.limit_price):
+            if resting is None or not self._price_compatible(incoming, resting.limit_price):
                 break
             qty = min(incoming.remaining, resting.remaining)
             price = resting.limit_price
-            buy, sell = (incoming, resting) if incoming.side is Side.BUY else (resting, incoming)
+            buy, sell = (incoming, resting) if buying else (resting, incoming)
             trades.append(make_trade(buy, sell, price, qty))
             incoming.remaining -= qty
             opposite.take(qty)

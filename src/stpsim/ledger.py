@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator, Mapping, MutableMapping
 from itertools import islice
 from typing import NamedTuple
 
-from .money import Money
+from .money import Money, _new
 
 
 class LedgerError(Exception):
@@ -276,35 +276,42 @@ class Ledger:
         return self.account(owner).positions.get(symbol, 0)
 
     def transfer_money(self, src: str, dst: str, amount: Money, cause: str = "") -> int:
-        """Move `amount` from `src` to `dst`; returns the journal entry seq."""
-        if amount.currency != self.currency:
-            raise LedgerError(f"currency {amount.currency} != ledger {self.currency}")
-        if amount.amount <= 0:
+        """Move `amount` from `src` to `dst`; returns the journal entry seq.
+
+        Past the one currency check it computes on minor units, reading each
+        balance just before writing it, so a self-transfer is net zero.
+        """
+        currency = self.currency
+        if amount.currency != currency:
+            raise LedgerError(f"currency {amount.currency} != ledger {currency}")
+        units = amount.amount
+        if units <= 0:
             raise NonPositiveAmount(f"transfer of {amount}")
         payer = self.account(src)
         payee = self.account(dst)
-        if payer.money < amount:
-            raise InsufficientFunds(f"{src} holds {payer.money}, needs {amount}")
-        payer.money = payer.money - amount
-        payee.money = payee.money + amount
-        return self._journal("money", src, dst, amount.amount, None, cause)
+        held = payer._money.amount
+        if held < units:
+            raise InsufficientFunds(f"{src} holds {payer._money}, needs {amount}")
+        payer.money = _new(Money, (held - units, currency))
+        payee.money = _new(Money, (payee._money.amount + units, currency))
+        return self._journal("money", src, dst, units, None, cause)
 
     def transfer_equity(self, src: str, dst: str, symbol: str, qty: int, cause: str = "") -> int:
         """Move `qty` shares of `symbol` from `src` to `dst`; returns entry seq."""
         if qty <= 0:
             raise NonPositiveQuantity(f"transfer of {qty} {symbol}")
-        holder = self.account(src)
-        receiver = self.account(dst)
-        held = holder.positions.get(symbol, 0)
+        delivering = self.account(src)._positions
+        receiving = self.account(dst)._positions
+        held = delivering.get(symbol, 0)
         if held < qty:
             raise InsufficientPosition(f"{src} holds {held} {symbol}, needs {qty}")
-        holder.positions[symbol] = held - qty
-        receiver.positions[symbol] = receiver.positions.get(symbol, 0) + qty
+        delivering[symbol] = held - qty
+        receiving[symbol] = receiving.get(symbol, 0) + qty
         return self._journal("equity", src, dst, qty, symbol, cause)
 
     def _journal(self, kind: str, src: str, dst: str, amount: int,
                  symbol: str | None, cause: str) -> int:
-        entry = JournalEntry(len(self.journal) + 1, kind, src, dst, amount, symbol, cause)
+        entry = _new(JournalEntry, (len(self.journal) + 1, kind, src, dst, amount, symbol, cause))
         self.journal.append(entry)
         return entry.seq
 
@@ -326,8 +333,8 @@ class Ledger:
         delta = {}
         for owner in self._touched:
             acct = accounts[owner]
-            delta[owner] = balances = AccountSnapshot(
-                acct.money, {s: q for s, q in acct.positions.items() if q})
+            delta[owner] = balances = _new(AccountSnapshot, (
+                acct._money, {s: q for s, q in acct._positions.items() if q}))
             history = versions.get(owner)
             if history is None:
                 versions[owner] = ([index], [balances])

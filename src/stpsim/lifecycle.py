@@ -185,8 +185,7 @@ class ScenarioRunner:
             self._run_allocation(action)
 
     def _run_allocation(self, action: AllocateAction) -> None:
-        institution = next(
-            i for i in self.scenario.institutions if i.account == action.institution)
+        institution = self.scenario.institution(action.institution)
         broker = self.eco.brokers[institution.broker]
         custodian = self.eco.custodians[institution.custodian]
         order_id = self._order_ids[action.order_index]
@@ -316,20 +315,20 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
     checks: list[CheckResult] = []
     steps = report.steps
     final: dict[str, AccountSnapshot] = {}  # every account as of the last step folded
-    if steps:
-        _fold(final, steps[0].snapshot, None)
-    for previous, current in zip(steps, steps[1:]):
-        money, shares = _fold(final, current.snapshot, previous.snapshot)
-        money_ok = money == 0
-        checks.append(CheckResult(
-            f"conserve_money[{previous.name}->{current.name}]", money_ok,
-            "" if money_ok else
-            f"{total_money(previous.snapshot)} -> {total_money(current.snapshot)}"))
-        equity_ok = not any(shares.values())
-        checks.append(CheckResult(
-            f"conserve_equity[{previous.name}->{current.name}]", equity_ok,
-            "" if equity_ok else
-            f"{total_positions(previous.snapshot)} -> {total_positions(current.snapshot)}"))
+    before = None
+    for previous, current in zip([None, *steps], steps):
+        after = current.snapshot
+        money, shares = _fold(final, after, before)
+        if previous is not None:
+            money_ok = money == 0
+            checks.append(CheckResult(
+                f"conserve_money[{previous.name}->{current.name}]", money_ok,
+                "" if money_ok else f"{total_money(before)} -> {total_money(after)}"))
+            equity_ok = not any(shares.values())
+            checks.append(CheckResult(
+                f"conserve_equity[{previous.name}->{current.name}]", equity_ok,
+                "" if equity_ok else f"{total_positions(before)} -> {total_positions(after)}"))
+        before = after
 
     scenario = report.scenario
     if scenario is not None and steps:

@@ -24,7 +24,9 @@ class _MoneyFields(NamedTuple):
     currency: str = "USD"
 
 
-_new = tuple.__new__  # builds a Money whose amount is already known to be an int
+# builds a NamedTuple record, such as a Money whose amount is already known
+# to be an int, from a tuple of all its fields, without a Python-level call
+_new = tuple.__new__
 
 
 class Money(_MoneyFields):

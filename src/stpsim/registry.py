@@ -32,6 +32,10 @@ class ParticipantRole(enum.Enum):
     CLEARING_BANK = "clearing_bank"
     DEPOSITORY = "depository"
 
+    # Members are singletons that compare by identity, so they may hash by
+    # identity too: in C, where Enum's own hash is a Python call per lookup.
+    __hash__ = object.__hash__
+
 
 class ParticipantId(NamedTuple):
     role: ParticipantRole
@@ -44,11 +48,13 @@ class ParticipantId(NamedTuple):
 class ServiceRegistry:
     def __init__(self) -> None:
         self._entries: dict[ParticipantId, Any] = {}
+        self._by_role: dict[ParticipantRole, list[ParticipantId]] = {}  # in registration order
 
     def register(self, pid: ParticipantId, handle: Any) -> None:
         if pid in self._entries:
             raise DuplicateRegistration(str(pid))
         self._entries[pid] = handle
+        self._by_role.setdefault(pid.role, []).append(pid)
 
     def lookup(self, pid: ParticipantId) -> Any:
         try:
@@ -58,14 +64,14 @@ class ServiceRegistry:
 
     def list_by_role(self, role: ParticipantRole) -> list[ParticipantId]:
         """All ids registered under `role`, in registration order."""
-        return [pid for pid in self._entries if pid.role is role]
+        return list(self._by_role.get(role, ()))
 
     def first(self, role: ParticipantRole) -> Any:
         """The handle of the first participant registered under `role`."""
-        for pid, handle in self._entries.items():
-            if pid.role is role:
-                return handle
-        raise NotFound(f"no {role.value.replace('_', ' ')} registered")
+        ids = self._by_role.get(role)
+        if not ids:
+            raise NotFound(f"no {role.value.replace('_', ' ')} registered")
+        return self._entries[ids[0]]
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -47,7 +47,8 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     for index, step in enumerate(report.steps, start=1):
         lines.append(f"step|{index}|{step.name}|{';'.join(step.events)}")
         head = f"balance|{index}"
-        for account, balances in sorted(step.snapshot.changes(previous)):
+        snapshot = step.snapshot
+        for account, balances in sorted(snapshot.changes(previous)):
             if balances is None:
                 raise VanishedAccountError(
                     f"step {index} ({step.name}) lacks account {account!r}")
@@ -55,7 +56,7 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
             if written.get(account) != text:
                 written[account] = text
                 lines.append(head + text)
-        previous = step.snapshot
+        previous = snapshot
     for trade_line in report.trade_lines:
         lines.append(f"trade|{trade_line}")
     for audit_line in report.audit_lines:

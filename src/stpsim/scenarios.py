@@ -150,16 +150,18 @@ class Scenario:
     orders: tuple[OrderAction, ...] = ()
     allocations: tuple[AllocateAction, ...] = ()
     expected: tuple[ExpectedBalance, ...] = ()
-    # client account -> broker, and the institution accounts; built from the
-    # client tuples on construction (also by `dataclasses.replace`)
+    # client account -> broker, and institution account -> institution; built
+    # from the client tuples on construction (also by `dataclasses.replace`)
     _brokers: dict[str, str] = field(init=False, repr=False, compare=False)
-    _institutions: frozenset[str] = field(init=False, repr=False, compare=False)
+    _institutions: dict[str, Institution] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._brokers = {}
         for client in (*self.retail_clients, *self.institutions):
             self._brokers.setdefault(client.account, client.broker)
-        self._institutions = frozenset(i.account for i in self.institutions)
+        self._institutions = {}
+        for institution in self.institutions:
+            self._institutions.setdefault(institution.account, institution)
 
     def participant_ids(self, role: ParticipantRole) -> tuple[str, ...]:
         return self.participants.get(role, ())
@@ -169,6 +171,10 @@ class Scenario:
 
     def is_institution(self, client_account: str) -> bool:
         return client_account in self._institutions
+
+    def institution(self, account: str) -> Institution:
+        """The first institution declared under `account`."""
+        return self._institutions[account]  # KeyError(account) if unknown
 
     def money(self, amount: int) -> Money:
         return Money(amount, self.currency)

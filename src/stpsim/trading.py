@@ -27,6 +27,8 @@ class Side(enum.Enum):
     BUY = "buy"
     SELL = "sell"
 
+    __hash__ = object.__hash__  # by identity, as `registry.ParticipantRole` explains
+
     @property
     def opposite(self) -> "Side":
         return Side.SELL if self is Side.BUY else Side.BUY
@@ -37,6 +39,8 @@ class OrderType(enum.Enum):
     LIMIT = "limit"
     IMMEDIATE_OR_CANCEL = "immediate_or_cancel"
     FILL_OR_KILL = "fill_or_kill"
+
+    __hash__ = object.__hash__  # by identity, as `registry.ParticipantRole` explains
 
     @property
     def requires_price(self) -> bool:
@@ -65,7 +69,7 @@ class TradeStatus(enum.Enum):
     SETTLED = "settled"
 
 
-@dataclass
+@dataclass(slots=True)
 class Order:
     order_id: str
     client: str                      # ledger account of the ordering client
@@ -95,7 +99,7 @@ class Order:
         return self.status in (OrderStatus.FILLED, OrderStatus.CANCELLED, OrderStatus.REJECTED)
 
 
-@dataclass
+@dataclass(slots=True)
 class Trade:
     trade_id: str
     buy_order_id: str
@@ -107,12 +111,11 @@ class Trade:
     status: TradeStatus = TradeStatus.EXECUTED
 
     def advance(self, to: TradeStatus) -> None:
-        allowed = {
-            TradeStatus.EXECUTED: TradeStatus.CLEARED,
-            TradeStatus.CLEARED: TradeStatus.SETTLED,
-        }
-        if allowed.get(self.status) is not to:
-            raise ValueError(f"trade {self.trade_id}: cannot go {self.status.value} -> {to.value}")
+        """Move one status on: executed -> cleared -> settled."""
+        status = self.status
+        if not (to is TradeStatus.CLEARED and status is TradeStatus.EXECUTED
+                or to is TradeStatus.SETTLED and status is TradeStatus.CLEARED):
+            raise ValueError(f"trade {self.trade_id}: cannot go {status.value} -> {to.value}")
         self.status = to
 
     @property

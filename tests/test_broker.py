@@ -266,6 +266,50 @@ def test_pipeline_short_circuits_audit_trail():
     ]
 
 
+PIPELINE = ("validation", "risk", "governmental_compliance", "client_compliance",
+            "venue_selection", "prepayment", "routing")
+
+
+def _no_symbols(exchanges):
+    exchanges[0].symbols.clear()           # every order is now UnknownSymbol
+
+
+# case -> (the stage that rejects, its rule, make_desk arguments, the draft,
+# what to do to the exchanges first)
+REJECTED_AT = {
+    "validation": ("validation", "NonPositiveQuantity", {}, buy_draft(qty=0), None),
+    "risk": ("risk", "InsufficientPrefunding",
+             {"config": replace(FIRST_VENUE, risk_checks=frozenset({"PrefundingRiskCheck"}))},
+             buy_draft(qty=200, price=1000), None),
+    "governmental_compliance": ("governmental_compliance", "RestrictedSymbol",
+                                {"restricted_symbols": frozenset({"ACME"})}, buy_draft(), None),
+    "client_compliance": ("client_compliance", "OrderValueOverCap", {},
+                          buy_draft(qty=2000, price=60_000), None),
+    "venue_selection": ("venue_selection", "NoVenues", {"n_exchanges": 0}, buy_draft(), None),
+    "prepayment": ("prepayment", "InsufficientFunds", {}, buy_draft(qty=100, price=2000), None),
+    "routing_buy": ("routing", "UnknownSymbol", {}, buy_draft(), _no_symbols),
+    "routing_sell": ("routing", "UnknownSymbol", {}, sell_draft(), _no_symbols),
+}
+
+
+@pytest.mark.parametrize("stage, rule, desk, draft, prepare", REJECTED_AT.values(),
+                         ids=REJECTED_AT.keys())
+def test_rejection_at_each_stage_audits_the_stages_before_it(stage, rule, desk, draft, prepare):
+    broker, exchanges, ledger, _ = make_desk(**desk)
+    if prepare:
+        prepare(exchanges)
+    before = ledger.snapshot()
+    before_money, before_shares = total_money(before), total_positions(before)
+    assert broker.place_retail_order(draft) == Rejection(stage, rule)
+    passed = PIPELINE[:PIPELINE.index(stage)]
+    assert [(event.order_id, event.stage, event.outcome, event.rule) for event in broker.audit] == [
+        *(("BR1-O1", ok, "ok", "") for ok in passed), ("BR1-O1", stage, "rejected", rule)]
+    assert broker.orders == {}
+    after = ledger.snapshot()
+    assert after == before
+    assert (total_money(after), total_positions(after)) == (before_money, before_shares)
+
+
 # -- prepayment and routing ------------------------------------------------------
 
 def test_buy_prepayment_is_quantity_times_limit():

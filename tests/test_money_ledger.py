@@ -103,6 +103,53 @@ def test_failed_transfers_leave_ledger_untouched(call):
     assert len(ledger.journal) == journal_len
 
 
+@pytest.mark.parametrize("call, kind, amount, symbol", [
+    (lambda l: l.transfer_money("alice", "alice", Money(400), "self"), "money", 400, None),
+    (lambda l: l.transfer_equity("alice", "alice", "ACME", 4, "self"), "equity", 4, "ACME"),
+])
+def test_self_transfer_is_net_zero_and_journaled_once(call, kind, amount, symbol):
+    ledger = make_ledger()
+    before = ledger.snapshot()
+    assert call(ledger) == 1
+    assert ledger.journal == [(1, kind, "alice", "alice", amount, symbol, "self")]
+    after = ledger.snapshot()
+    assert "alice" in after.delta
+    assert after == before
+    assert ledger.balance("alice") == Money(1000)
+    assert ledger.position("alice", "ACME") == 10
+
+
+def test_cross_currency_transfer_raises_and_writes_nothing():
+    ledger = make_ledger()
+    before = ledger.snapshot()
+    with pytest.raises(LedgerError, match="^currency EUR != ledger USD$"):
+        ledger.transfer_money("alice", "bob", Money(1, "EUR"))
+    assert ledger.journal == []
+    after = ledger.snapshot()
+    assert after.delta == {}
+    assert after == before
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda l: l.transfer_money("alice", "bob", Money(1001)), InsufficientFunds,
+     "alice holds 1000USD, needs 1001USD"),
+    (lambda l: l.transfer_money("bob", "alice", Money(1)), InsufficientFunds,
+     "bob holds 0USD, needs 1USD"),
+    (lambda l: l.transfer_equity("alice", "bob", "ACME", 11), InsufficientPosition,
+     "alice holds 10 ACME, needs 11"),
+    (lambda l: l.transfer_equity("bob", "alice", "OTHER", 1), InsufficientPosition,
+     "bob holds 0 OTHER, needs 1"),
+])
+def test_shortfall_messages(call, error, message):
+    ledger = make_ledger()
+    ledger.snapshot()
+    with pytest.raises(error) as raised:
+        call(ledger)
+    assert str(raised.value) == message
+    assert ledger.journal == []
+    assert ledger.snapshot().delta == {}
+
+
 def test_duplicate_account_rejected():
     ledger = make_ledger()
     with pytest.raises(DuplicateAccount):

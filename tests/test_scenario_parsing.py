@@ -4,13 +4,14 @@ CLI turns it into exit code 1 with a one-line message, never a traceback."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import stpsim
 from stpsim.data import catalog_path, config_path, scenario_path
-from stpsim.scenarios import ScenarioFormatError, parse_scenario
+from stpsim.scenarios import Institution, ScenarioFormatError, parse_scenario
 
 HEADER = """\
 scenario: broken
@@ -94,6 +95,16 @@ def test_names_may_be_declared_after_the_line_that_uses_them():
     scenario = parse_scenario("scenario: s\norder: A buy 1 ACME market\n"
                               "retail: A broker=BR1\nbroker: BR1\n" + ROLES)
     assert scenario.broker_of("A") == "BR1"
+
+
+def test_institutions_are_looked_up_by_account_also_after_replace():
+    scenario = parse_scenario(DECLARED + ROLES)
+    assert scenario.institution("I") == Institution("I", "BR1", "CU1", ("E1",))
+    moved = Institution("J", "BR2", "CU1", ("E2",))
+    edited = replace(scenario, institutions=(moved,))
+    assert edited.institution("J") is moved
+    assert edited.is_institution("J") and not edited.is_institution("I")
+    assert edited.broker_of("J") == "BR2"
 
 
 # -- accounts declared twice, and splits outside an institution's ends -----------

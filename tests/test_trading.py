@@ -34,6 +34,15 @@ def test_trade_cannot_skip_or_regress(target):
         trade.advance(target)
 
 
+@pytest.mark.parametrize("target", [TradeStatus.EXECUTED, TradeStatus.CLEARED])
+def test_cleared_trade_cannot_regress_or_repeat(target):
+    trade = make_trade()
+    trade.advance(TradeStatus.CLEARED)
+    with pytest.raises(ValueError, match=f"^trade T1: cannot go cleared -> {target.value}$"):
+        trade.advance(target)
+    assert trade.status is TradeStatus.CLEARED
+
+
 def test_trade_cannot_settle_twice():
     trade = make_trade()
     trade.advance(TradeStatus.CLEARED)
@@ -75,3 +84,12 @@ def test_order_remaining_defaults_to_quantity():
     assert order.remaining == 70
     assert order.filled_quantity == 0
     assert not order.is_terminal
+
+
+def test_orders_and_trades_take_only_their_fields():
+    order = Order("O1", "c", ParticipantId(ParticipantRole.BROKER, "B"),
+                  Side.BUY, "ACME", 70, OrderType.LIMIT, Money(1000))
+    for record in (order, make_trade()):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.remainder = 0        # a misspelt field is an error, not a new attribute
