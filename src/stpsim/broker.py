@@ -336,7 +336,6 @@ class BrokerService:
 
         block_id = details[0].block_order_id
         custodian_pid = self.institutions[details[0].institution]
-        custodian = self.registry.lookup(custodian_pid)
         contracts = []
         for detail in details:
             contracts.append(Contract(
@@ -346,7 +345,6 @@ class BrokerService:
             self._next_contract += 1
         self.contracts_sent[block_id] = tuple(contracts)
         self.audit.append(AuditEvent(block_id, "allocation_validation", "ok"))
-        custodian.receive_contracts(list(contracts))
         return list(contracts)
 
     def _validate_details(self, details: list[AllocationDetail]) -> str | None:
@@ -427,6 +425,3 @@ class BrokerService:
             block_id for block_id in self.contracts_sent
             if self.responsibility.get(block_id) != "custodian"
         ]
-
-    def audit_export_lines(self) -> list[str]:
-        return [event.export_line() for event in self.audit]

@@ -191,8 +191,8 @@ class ClearingCorporation:
     def _accept_street(self, report: TradeReport) -> None:
         self.queued.append(report)
         for order_id, deferred in (
-            (report.buy_order_id, report.buy_deferred),
-            (report.sell_order_id, report.sell_deferred),
+            (report.trade.buy_order_id, report.buy_deferred),
+            (report.trade.sell_order_id, report.sell_deferred),
         ):
             self._order_trades.setdefault(order_id, []).append(report)
             if deferred:
@@ -204,8 +204,8 @@ class ClearingCorporation:
         return self._covered_qty.get(order_id, 0) >= self._street_qty.get(order_id, 0)
 
     def _ready(self, report: TradeReport) -> bool:
-        return self._side_ready(report.buy_order_id, report.buy_deferred) and \
-            self._side_ready(report.sell_order_id, report.sell_deferred)
+        return self._side_ready(report.trade.buy_order_id, report.buy_deferred) and \
+            self._side_ready(report.trade.sell_order_id, report.sell_deferred)
 
     # -- clearing -------------------------------------------------------
 
@@ -349,14 +349,3 @@ class ClearingCorporation:
 
     def unsettled_obligations(self) -> int:
         return len(self.pending_obligations)
-
-    def instruction_export_lines(self) -> list[str]:
-        lines = []
-        for instruction in self.executed_instructions:
-            money = instruction.money_leg
-            equity = instruction.equity_leg
-            mtxt = f"{money.payer}->{money.payee}:{money.amount.amount}" if money else "-"
-            etxt = (f"{equity.deliverer}->{equity.receiver}:{equity.quantity}{equity.symbol}"
-                    if equity else "-")
-            lines.append(f"{instruction.instruction_id}|{mtxt}|{etxt}|{','.join(instruction.trade_refs)}")
-        return lines

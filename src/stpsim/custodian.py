@@ -83,9 +83,8 @@ class CustodianService:
         self.config = config
         self.institutions: set[str] = set()
         self.pending_details: dict[str, tuple[AllocationDetail, ...]] = {}
-        self.received_contracts: dict[str, tuple[Contract, ...]] = {}
         self.affirmed: dict[str, _AffirmedBlock] = {}
-        self.affirmation_log: list[str] = []
+        self.affirmations: list[Affirmation | AffirmationRejection] = []
         self._next_affirmation = 1
         self._next_record = 1
 
@@ -112,10 +111,6 @@ class CustodianService:
             details, first.institution, first.block_order_id, first.symbol,
             self.config.extended_detail_checks)
 
-    def receive_contracts(self, contracts: list[Contract]) -> None:
-        if contracts:
-            self.received_contracts[contracts[0].block_order_id] = tuple(contracts)
-
     # -- affirmation -------------------------------------------------------
 
     def affirm_contracts(self, contracts: list[Contract]) -> Affirmation | AffirmationRejection:
@@ -139,9 +134,9 @@ class CustodianService:
 
         violations = self._affirmation_violations(contracts, details)
         if violations:
-            summary = ";".join(str(v) for v in violations)
-            self.affirmation_log.append(f"rejected|{block}|{summary}")
-            return AffirmationRejection(block, tuple(violations))
+            rejection = AffirmationRejection(block, tuple(violations))
+            self.affirmations.append(rejection)
+            return rejection
 
         broker_pid = contracts[0].broker
         affirmation = Affirmation(
@@ -152,9 +147,7 @@ class CustodianService:
             contract_ids=tuple(c.contract_id for c in contracts),
         )
         self._next_affirmation += 1
-        self.affirmation_log.append(
-            f"affirmed|{block}|{affirmation.affirmation_id}|"
-            f"{','.join(affirmation.contract_ids)}")
+        self.affirmations.append(affirmation)
 
         broker = self.registry.lookup(broker_pid)
         broker.receive_affirmation(affirmation)
@@ -252,9 +245,6 @@ class CustodianService:
         return moved
 
     # -- bookkeeping -------------------------------------------------------
-
-    def affirmation_export_lines(self) -> list[str]:
-        return list(self.affirmation_log)
 
     def undistributed_blocks(self) -> list[str]:
         return [b for b, a in self.affirmed.items() if not a.distributed]

@@ -205,8 +205,6 @@ class TradeReport:
     """
 
     trade: Trade
-    buy_order_id: str
-    sell_order_id: str
     buy_account: str
     sell_account: str
     buy_deferred: bool
@@ -293,8 +291,6 @@ class ExchangeService:
         self.executed.append(trade)
         self._unreported.append(TradeReport(
             trade=trade,
-            buy_order_id=buy.order_id,
-            sell_order_id=sell.order_id,
             buy_account=buy.settlement_account,
             sell_account=sell.settlement_account,
             buy_deferred=buy.client_kind is ClientKind.INSTITUTIONAL,
@@ -318,6 +314,3 @@ class ExchangeService:
                     f"clearing rejected exchange trade {report.trade.trade_id}: {result}"
                 )
         return len(reports)
-
-    def trade_log_lines(self) -> list[str]:
-        return [trade.export_line() for trade in self.executed]

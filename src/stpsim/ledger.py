@@ -5,12 +5,6 @@ money or equity movement debits exactly one account and credits exactly one
 other, and is appended to a journal. Failed transfers leave the ledger
 untouched. Committed balances can never go negative (there is no credit,
 no short selling).
-
-Journal export format (one entry per line, consumed by the report command):
-
-    seq|kind|from|to|amount-or-qty|symbol?|cause
-
-where kind is ``money`` or ``equity`` and symbol is empty for money entries.
 """
 
 from __future__ import annotations
@@ -118,10 +112,6 @@ class JournalEntry(NamedTuple):
     amount: int             # minor units for money, share count for equity
     symbol: str | None
     cause: str
-
-    def export_line(self) -> str:
-        sym = self.symbol or ""
-        return f"{self.seq}|{self.kind}|{self.src}|{self.dst}|{self.amount}|{sym}|{self.cause}"
 
 
 class AccountSnapshot(NamedTuple):
@@ -344,9 +334,6 @@ class Ledger:
         self._touched.clear()
         self._last = Snapshot(versions, index, delta, self._last)
         return self._last
-
-    def export_journal(self) -> list[str]:
-        return [entry.export_line() for entry in self.journal]
 
 
 def total_money(snap: Mapping[str, AccountSnapshot]) -> int:

@@ -37,9 +37,10 @@ from .assembly import Ecosystem, build_ecosystem
 from .broker import OrderDraft
 from .clearing import SettlementFailed
 from .custodian import AffirmationRejection
-from .ledger import AccountSnapshot, Snapshot, total_money, total_positions
+from .ledger import AccountSnapshot, JournalEntry, Snapshot, total_money, total_positions
 from .scenarios import AllocateAction, Scenario
-from .trading import AllocationDetail, Rejection, TradeStatus
+from .trading import (
+    Affirmation, AllocationDetail, AuditEvent, Rejection, SettlementInstruction, Trade, TradeStatus)
 
 
 class ScenarioAborted(Exception):
@@ -84,16 +85,20 @@ class CheckResult(NamedTuple):
 
 @dataclass
 class ScenarioReport:
+    """One run's steps and outcome. Each `*_lines` field holds participants'
+    records, and `render_machine` writes one machine line per record;
+    `journal_lines` is the ledger's journal itself."""
+
     product_name: str
     scenario_id: str
     steps: list[StepRecord] = field(default_factory=list)
     aborted: tuple[str, str] | None = None
     finals: list[CheckResult] = field(default_factory=list)
-    journal_lines: list[str] = field(default_factory=list)
-    audit_lines: list[str] = field(default_factory=list)
-    trade_lines: list[str] = field(default_factory=list)
-    instruction_lines: list[str] = field(default_factory=list)
-    affirmation_lines: list[str] = field(default_factory=list)
+    journal_lines: list[JournalEntry] = field(default_factory=list)
+    audit_lines: list[AuditEvent] = field(default_factory=list)
+    trade_lines: list[Trade] = field(default_factory=list)
+    instruction_lines: list[SettlementInstruction] = field(default_factory=list)
+    affirmation_lines: list[Affirmation | AffirmationRejection] = field(default_factory=list)
     scenario: Scenario | None = None
 
     @property
@@ -133,15 +138,15 @@ class ScenarioRunner:
             self._snapshot(f"aborted_{abort.step}")
         else:
             self._final_checks()
-        self.report.journal_lines = self.eco.ledger.export_journal()
+        self.report.journal_lines = self.eco.ledger.journal
         for broker in self.eco.brokers.values():
-            self.report.audit_lines.extend(broker.audit_export_lines())
+            self.report.audit_lines.extend(broker.audit)
         for exchange in self.eco.exchanges.values():
-            self.report.trade_lines.extend(exchange.trade_log_lines())
+            self.report.trade_lines.extend(exchange.executed)
         for custodian in self.eco.custodians.values():
-            self.report.affirmation_lines.extend(custodian.affirmation_export_lines())
+            self.report.affirmation_lines.extend(custodian.affirmations)
         if self.eco.clearing is not None:
-            self.report.instruction_lines.extend(self.eco.clearing.instruction_export_lines())
+            self.report.instruction_lines.extend(self.eco.clearing.executed_instructions)
         return self.report
 
     # -- steps -----------------------------------------------------------

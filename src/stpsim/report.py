@@ -1,15 +1,27 @@
 """Scenario report rendering: a machine line format, and the human step
 log rendered from it.
 
-The machine format is byte-stable for identical inputs (no timestamps, all
-identifiers are counters) so repeated runs can be diffed:
+Participants keep records; `render_machine` is the only code that writes
+them as text. The machine format is byte-stable for identical inputs (no
+timestamps, all identifiers are counters) so repeated runs can be diffed.
+Its records, in file order, with amounts in minor units:
 
     run|product=<name>|scenario=<id>
     step|<n>|<name>|<event;event;...>
     balance|<step n>|<account>|<money>|<sym=qty,...>
+    trade|<trade id>|<symbol>|<price>|<qty>|<buy order id>|<sell order id>
+    audit|<order id>|<stage>|<ok or rejected>|<rule, empty when ok>
+    affirmation|affirmed|<block order id>|<affirmation id>|<contract id,...>
+    affirmation|rejected|<block order id>|<violation;violation;...>
+    instruction|<id>|<money leg or ->|<equity leg or ->|<trade ref,...>
     journal|<seq>|<kind>|<from>|<to>|<amount>|<symbol?>|<cause>
     check|<name>|pass or check|<name>|FAIL|<detail>
     end|completed or end|aborted|<step>|<cause>
+
+A violation reads ``<rule>: contract=<id or -> detail=<alloc id or ->``, a
+money leg ``<payer>-><payee>:<amount>`` and an equity leg
+``<deliverer>-><receiver>:<qty><symbol>``. A journal entry's kind is
+``money`` (its symbol empty) or ``equity`` (its amount a share count).
 
 A ``balance`` line gives an account's balances from step n on: step 1 lists
 every account, and a later step lists only the accounts whose balances
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .custodian import AffirmationRejection
 from .ledger import Snapshot
 from .lifecycle import CheckResult, ScenarioReport
 
@@ -57,16 +70,25 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
                 written[account] = text
                 lines.append(head + text)
         previous = snapshot
-    for trade_line in report.trade_lines:
-        lines.append(f"trade|{trade_line}")
-    for audit_line in report.audit_lines:
-        lines.append(f"audit|{audit_line}")
-    for affirmation_line in report.affirmation_lines:
-        lines.append(f"affirmation|{affirmation_line}")
-    for instruction_line in report.instruction_lines:
-        lines.append(f"instruction|{instruction_line}")
-    for journal_line in report.journal_lines:
-        lines.append(f"journal|{journal_line}")
+    for trade in report.trade_lines:
+        lines.append(f"trade|{trade.trade_id}|{trade.symbol}|{trade.price.amount}"
+                     f"|{trade.quantity}|{trade.buy_order_id}|{trade.sell_order_id}")
+    lines.extend(f"audit|{order_id}|{stage}|{outcome}|{rule}"
+                 for order_id, stage, outcome, rule in report.audit_lines)
+    lines.extend(
+        f"affirmation|rejected|{a.block_order_id}|{';'.join(map(str, a.violations))}"
+        if isinstance(a, AffirmationRejection) else
+        f"affirmation|affirmed|{a.block_order_id}|{a.affirmation_id}|{','.join(a.contract_ids)}"
+        for a in report.affirmation_lines)
+    for instruction in report.instruction_lines:
+        money, equity = instruction.money_leg, instruction.equity_leg
+        money_text = f"{money.payer}->{money.payee}:{money.amount.amount}" if money else "-"
+        equity_text = (f"{equity.deliverer}->{equity.receiver}:{equity.quantity}{equity.symbol}"
+                       if equity else "-")
+        lines.append(f"instruction|{instruction.instruction_id}|{money_text}|{equity_text}"
+                     f"|{','.join(instruction.trade_refs)}")
+    lines.extend(f"journal|{seq}|{kind}|{src}|{dst}|{amount}|{symbol or ''}|{cause}"
+                 for seq, kind, src, dst, amount, symbol, cause in report.journal_lines)
     for check in list(report.finals) + list(checks):
         if check.passed:
             lines.append(f"check|{check.name}|pass")
@@ -99,8 +121,8 @@ class ReportParseError(Exception):
 
 
 # The fewest "|"-separated fields, tag included, that each record can have.
-_MIN_FIELDS = {"run": 1, "step": 3, "balance": 4, "journal": 1, "trade": 1, "audit": 1,
-               "affirmation": 1, "instruction": 1, "check": 3, "end": 2}
+_MIN_FIELDS = {"run": 1, "step": 3, "balance": 4, "journal": 8, "trade": 7, "audit": 5,
+               "affirmation": 4, "instruction": 5, "check": 3, "end": 2}
 
 
 def _integer(text: str, line_no: int, what: str) -> int:

@@ -122,10 +122,6 @@ class Trade:
     def value(self) -> Money:
         return self.price * self.quantity
 
-    def export_line(self) -> str:
-        return (f"{self.trade_id}|{self.symbol}|{self.price.amount}|{self.quantity}"
-                f"|{self.buy_order_id}|{self.sell_order_id}")
-
 
 class AllocationDetail(NamedTuple):
     alloc_id: str
@@ -283,6 +279,3 @@ class AuditEvent(NamedTuple):
     stage: str
     outcome: str          # "ok" | "rejected"
     rule: str = ""
-
-    def export_line(self) -> str:
-        return f"{self.order_id}|{self.stage}|{self.outcome}|{self.rule}"

@@ -55,8 +55,6 @@ def street_trade(buy_account, sell_account, symbol="S0", qty=10, price=1000,
     )
     return TradeReport(
         trade=trade,
-        buy_order_id=buy_order,
-        sell_order_id=sell_order,
         buy_account=buy_account,
         sell_account=sell_account,
         buy_deferred=buy_deferred,

@@ -273,18 +273,17 @@ def test_affirmation_verdict_equals_multiset_equality_oracle(data):
     assert isinstance(verdict, Affirmation) == _oracle_multisets_equal(contracts, details)
 
 
-def test_affirmation_log_records_both_outcomes():
+def test_affirmations_keep_both_outcomes():
     custodian, _, _, _ = make_custodian()
     details = fixture_details()
     custodian.receive_allocation_details(details)
     contracts = fixture_contracts(details)
     bad = [contracts[0]._replace(price=Money(1))] + contracts[1:]
-    custodian.affirm_contracts(bad)
-    custodian.affirm_contracts(contracts)
-    lines = custodian.affirmation_export_lines()
-    assert len(lines) == 2
-    assert lines[0].startswith("rejected|BR1-O1|")
-    assert lines[1] == "affirmed|BR1-O1|CU1-F1|BR1-C1,BR1-C2"
+    rejection = custodian.affirm_contracts(bad)
+    affirmation = custodian.affirm_contracts(contracts)
+    assert isinstance(rejection, AffirmationRejection)
+    assert isinstance(affirmation, Affirmation)
+    assert custodian.affirmations == [rejection, affirmation]
 
 
 # -- forwarding to clearing --------------------------------------------------------

@@ -305,20 +305,7 @@ def test_report_trades_rec_exactly_once():
     report, source = clearing.received[0]
     assert source == "exchange"
     assert report.trade is trades[0]
-    assert report.buy_order_id == "B1" and report.sell_order_id == "S1"
-
-
-def test_trade_log_export_format():
-    exchange = make_exchange()
-    sell = draft_order(side=Side.SELL, qty=100, price=1040)
-    sell.order_id = "S1"
-    buy = draft_order(side=Side.BUY, qty=100, price=1040)
-    buy.order_id = "B1"
-    exchange.validate_incoming_order(sell)
-    exchange.submit_order(sell)
-    exchange.validate_incoming_order(buy)
-    exchange.submit_order(buy)
-    assert exchange.trade_log_lines() == ["X1-T1|ACME|1040|100|B1|S1"]
+    assert report.trade.buy_order_id == "B1" and report.trade.sell_order_id == "S1"
 
 
 def test_crossed_book_is_a_panic_level_fault():

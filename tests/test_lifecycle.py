@@ -28,6 +28,12 @@ def run_pair(product, scenario_id):
     return report, checks
 
 
+def journal_lines(report, checks):
+    """The run's ``journal|`` lines as its machine report writes them, untagged."""
+    return [line.removeprefix("journal|") for line in render_machine(report, checks).splitlines()
+            if line.startswith("journal|")]
+
+
 @pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
 @pytest.mark.parametrize("scenario_id", ALL_SCENARIOS)
 def test_scenarios_complete_with_expected_finals(products, product_key, scenario_id):
@@ -127,13 +133,13 @@ def test_aborted_run_is_ledger_neutral_per_snapshot(products, perturbed_contract
 
 def test_journal_replay_reproduces_every_step_snapshot(products):
     for scenario_id in ALL_SCENARIOS:
-        report, _ = run_pair(products["SECO_A"], scenario_id)
+        report, checks = run_pair(products["SECO_A"], scenario_id)
         initial = report.steps[0].snapshot
         money = {owner: snap.money.amount for owner, snap in initial.items()}
         positions = {owner: dict(snap.positions) for owner, snap in initial.items()}
 
         entries = []
-        for line in report.journal_lines:
+        for line in journal_lines(report, checks):
             seq, kind, src, dst, amount, symbol, cause = line.split("|", 6)
             entries.append((kind, src, dst, int(amount), symbol))
 
@@ -184,12 +190,13 @@ def test_responsibility_exclusivity_by_journal_inspection(products):
     """For each scenario, every client crediting comes from exactly one of
     broker settlement or custodian distribution, never both."""
     for scenario_id in ("retail_institutional", "institutional_institutional"):
-        report, _ = run_pair(products["SECO_A"], scenario_id)
+        report, checks = run_pair(products["SECO_A"], scenario_id)
         scenario = report.scenario
         end_clients = {
             end for inst in scenario.institutions for end in inst.end_clients}
         retail = {r.account for r in scenario.retail_clients}
-        for line in report.journal_lines:
+        journal = journal_lines(report, checks)
+        for line in journal:
             _, kind, src, dst, amount, symbol, cause = line.split("|", 6)
             if dst in end_clients:
                 assert cause.startswith("distribute:"), line
@@ -197,7 +204,7 @@ def test_responsibility_exclusivity_by_journal_inspection(products):
                 assert src.endswith(".house"), line
         # retail credits never target end clients and vice versa
         credited_by_broker = {
-            line.split("|")[3] for line in report.journal_lines
+            line.split("|")[3] for line in journal
             if line.split("|", 6)[6].startswith("settle:")}
         assert credited_by_broker.isdisjoint(end_clients)
 

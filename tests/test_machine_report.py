@@ -1,6 +1,8 @@
-"""The machine report: delta balance lines, reading back, and drift.
+"""The machine report: record lines, delta balance lines, reading back, and drift.
 
-A ``balance|n|…`` line gives an account's balances from step n on, so a
+`render_machine` writes every record kind; one exact line of each is pinned
+here, from records the participants themselves keep. A ``balance|n|…``
+line gives an account's balances from step n on, so a
 step lists only what changed. The oracle here rebuilds every step's full
 balances from the balance lines alone, independently of ``parse_machine``,
 and compares them with the recorded snapshots. A report written in the
@@ -8,6 +10,7 @@ earlier full format, every account at every step, must read back the same.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 import stpsim
 from conftest import load_scenario
+from test_broker import buy_draft, make_desk
+from test_custodian import fixture_contracts, fixture_details, make_custodian
+from test_exchange import draft_order, make_exchange
 from stpsim.assembly import build_ecosystem
 from stpsim.cli import main
 from stpsim.data import catalog_path, config_path
@@ -26,6 +32,7 @@ from stpsim.lifecycle import (
 from stpsim.report import (
     ReportParseError, VanishedAccountError, parse_machine, render_machine)
 from stpsim.scenarios import SCENARIO_IDS
+from stpsim.trading import EquityLeg, MoneyLeg, SettlementInstruction, Side
 
 PAIRS = [(product, scenario_id) for product in ("seco_a", "seco_b")
          for scenario_id in SCENARIO_IDS]
@@ -83,6 +90,101 @@ def full_format(report, machine):
             lines.extend(f"balance|{index}|{account}|{money}|{positions}"
                          for account, (money, positions) in sorted(state.items()))
     return "\n".join(lines) + "\n"
+
+
+# -- one exact line per record kind --------------------------------------------
+
+def record_lines(**records):
+    """The lines `render_machine` writes for `records` alone, between the
+    run header and the end record."""
+    return render_machine(ScenarioReport("P", "s", **records), []).splitlines()[1:-1]
+
+
+def test_trade_record_line():
+    exchange = make_exchange()
+    sell = draft_order(side=Side.SELL, qty=100, price=1040)
+    sell.order_id = "S1"
+    buy = draft_order(side=Side.BUY, qty=100, price=1040)
+    buy.order_id = "B1"
+    for order in (sell, buy):
+        exchange.validate_incoming_order(order)
+        exchange.submit_order(order)
+    assert record_lines(trade_lines=exchange.executed) == ["trade|X1-T1|ACME|1040|100|B1|S1"]
+
+
+def test_audit_record_lines():
+    broker, _, _, _ = make_desk()
+    broker.place_retail_order(buy_draft(qty=0))
+    broker.place_retail_order(buy_draft())
+    assert record_lines(audit_lines=broker.audit[:2]) == [
+        "audit|BR1-O1|validation|rejected|NonPositiveQuantity",
+        "audit|BR1-O2|validation|ok|",
+    ]
+
+
+def test_affirmation_record_lines_for_both_outcomes():
+    custodian, _, _, _ = make_custodian()
+    details = fixture_details()
+    custodian.receive_allocation_details(details)
+    contracts = fixture_contracts(details)
+    rejection = custodian.affirm_contracts(
+        [contracts[0]._replace(price=Money(1)), contracts[1]._replace(quantity=41)])
+    custodian.affirm_contracts(contracts)
+    assert record_lines(affirmation_lines=custodian.affirmations) == [
+        "affirmation|rejected|BR1-O1|PriceMismatch: contract=BR1-C1 detail=A1;"
+        "QuantityMismatch: contract=BR1-C2 detail=A2;QuantitySumMismatch: contract=- detail=-",
+        "affirmation|affirmed|BR1-O1|CU1-F1|BR1-C1,BR1-C2",
+    ]
+    parse_machine(render_machine(
+        ScenarioReport("P", "s", affirmation_lines=custodian.affirmations), []))
+    # the abort cause joins the same violations with "; "
+    assert str(rejection) == (
+        "PriceMismatch: contract=BR1-C1 detail=A1; QuantityMismatch: contract=BR1-C2 "
+        "detail=A2; QuantitySumMismatch: contract=- detail=-")
+
+
+def test_instruction_record_lines_write_a_missing_leg_as_a_dash():
+    assert record_lines(instruction_lines=[
+        SettlementInstruction("CC1-I1", MoneyLeg("BR1.house", "BR2.house", Money(104000)),
+                              EquityLeg("BR2.house", "BR1.house", "ACME", 100), ("X1-T1",)),
+        SettlementInstruction("CC1-I2", None, EquityLeg("CC1.ccp", "BR1.house", "ACME", 5),
+                              ("X1-T2", "X1-T3")),
+        SettlementInstruction("CC1-I3", MoneyLeg("BR1.house", "CC1.ccp", Money(700)), None,
+                              ("X1-T2",)),
+    ]) == [
+        "instruction|CC1-I1|BR1.house->BR2.house:104000|BR2.house->BR1.house:100ACME|X1-T1",
+        "instruction|CC1-I2|-|CC1.ccp->BR1.house:5ACME|X1-T2,X1-T3",
+        "instruction|CC1-I3|BR1.house->CC1.ccp:700|-|X1-T2",
+    ]
+
+
+def test_journal_record_lines():
+    ledger = Ledger()
+    ledger.open_account("alice", Money(1000), {"ACME": 10})
+    ledger.open_account("bob")
+    ledger.transfer_money("alice", "bob", Money(7), "step1")
+    ledger.transfer_equity("alice", "bob", "ACME", 2, "step2")
+    assert record_lines(journal_lines=ledger.journal) == [
+        "journal|1|money|alice|bob|7||step1",
+        "journal|2|equity|alice|bob|2|ACME|step2",
+    ]
+
+
+def test_run_report_holds_the_participants_records(products):
+    scenario = load_scenario("institutional_institutional")
+    eco = build_ecosystem(products["seco_a"], scenario)
+    report = ScenarioRunner(eco, scenario).run()
+    assert report.journal_lines is eco.ledger.journal
+    assert report.trade_lines == [trade for exchange in eco.exchanges.values()
+                                  for trade in exchange.executed]
+    assert report.audit_lines == [event for broker in eco.brokers.values()
+                                  for event in broker.audit]
+    assert report.affirmation_lines == [verdict for custodian in eco.custodians.values()
+                                        for verdict in custodian.affirmations]
+    assert report.instruction_lines == eco.clearing.executed_instructions
+    assert all(len(lines) > 0 for lines in (
+        report.trade_lines, report.audit_lines, report.affirmation_lines,
+        report.instruction_lines, report.journal_lines))
 
 
 # -- delta round trip ----------------------------------------------------------
@@ -206,6 +308,36 @@ def test_malformed_record_raises_parse_error_with_line_number(shipped_machine, p
     text, line_no = with_bad_record(shipped_machine, prefix, record)
     with pytest.raises(ReportParseError, match=rf"^line {line_no}: "):
         parse_machine(text)
+
+
+@pytest.fixture(scope="module")
+def institutional_machine(products):
+    return run_pair(products, "seco_a", "institutional_institutional")[2]
+
+
+# the fields, tag included, of each record kind's shortest layout
+SHORTEST = {"journal": 8, "trade": 7, "audit": 5, "affirmation": 4, "instruction": 5}
+
+
+@pytest.mark.parametrize("tag,kept", [(tag, kept) for tag, least in SHORTEST.items()
+                                      for kept in (2, least - 1)])
+def test_record_cut_short_raises_parse_error(institutional_machine, tag, kept):
+    shipped = next(line for line in institutional_machine.splitlines()
+                   if line.startswith(f"{tag}|"))
+    cut = "|".join(shipped.split("|")[:kept])
+    text, line_no = with_bad_record(institutional_machine, f"{tag}|", cut)
+    with pytest.raises(ReportParseError,
+                       match=rf"^line {line_no}: truncated {tag} record {re.escape(repr(cut))}$"):
+        parse_machine(text)
+
+
+def test_report_exits_one_on_a_truncated_record(tmp_path, capsys):
+    saved = tmp_path / "cut.out"
+    saved.write_text("run|product=A|scenario=x\njournal|\ntrade|\nend|completed\n")
+    assert main(["report", str(saved)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: truncated journal record 'journal|'\n"
 
 
 def test_report_exits_one_without_traceback_on_malformed_record(shipped_machine, tmp_path):

@@ -51,10 +51,8 @@ def test_trade_cannot_settle_twice():
         trade.advance(TradeStatus.SETTLED)
 
 
-def test_trade_value_and_export_line():
-    trade = make_trade()
-    assert trade.value == Money(104000)
-    assert trade.export_line() == "T1|ACME|1040|100|B1|S1"
+def test_trade_value():
+    assert make_trade().value == Money(104000)
 
 
 def test_instruction_requires_at_least_one_leg():
