@@ -19,7 +19,8 @@ from .clearing import ClientTradeRecord
 from .ledger import Ledger
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
-    Affirmation, AllocationDetail, Contract, Rejection, Side, allocation_detail_rule)
+    Affirmation, AllocationDetail, ClearingRejected, Contract, Rejection, Side,
+    allocation_detail_rule)
 
 
 class CustodianError(Exception):
@@ -209,13 +210,12 @@ class CustodianService:
                 continue
             for detail in affirmed.details:
                 record = ClientTradeRecord(
-                    f"{self.pid.id}-T{self._next_record}", block, affirmed.side,
+                    f"{self.pid.id}-R{self._next_record}", block, affirmed.side,
                     detail.symbol, detail.quantity, detail.price, self.omnibus_account)
                 self._next_record += 1
                 rejection = clearing.submit_trade(record, source="custodian")
                 if rejection is not None:
-                    raise CustodianError(
-                        f"clearing rejected client trade for {block}: {rejection}")
+                    raise ClearingRejected(f"client trade for {block}", rejection)
                 sent += 1
             affirmed.forwarded = True
         return sent

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .money import Money
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
-    ClientKind, Order, OrderStatus, OrderType, Rejection, Side, Trade, order_shape_rule)
+    ClearingRejected, ClientKind, Order, OrderStatus, OrderType, Rejection, Side, Trade,
+    order_shape_rule)
 
 
 class BookInvariantViolation(RuntimeError):
@@ -310,7 +311,5 @@ class ExchangeService:
         for report in reports:
             result = clearing.submit_trade(report, source="exchange")
             if result is not None:
-                raise BookInvariantViolation(
-                    f"clearing rejected exchange trade {report.trade.trade_id}: {result}"
-                )
+                raise ClearingRejected(f"exchange trade {report.trade.trade_id}", result)
         return len(reports)

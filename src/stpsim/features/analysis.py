@@ -27,7 +27,6 @@ from .model import (
 @dataclass(frozen=True)
 class Violation:
     code: str
-    subject: str
     message: str
 
     def __str__(self) -> str:
@@ -47,61 +46,46 @@ class ValidationReport:
 
 
 def normalize(model: FeatureModel, selected: frozenset[str]) -> frozenset[str]:
-    """Monotone closure: add all ancestors, then mandatory children of
-    selected and-parents, to a fixed point. Never removes a selection."""
+    """Monotone closure: add every ancestor, and every mandatory child of a
+    selected and-parent, until nothing is left to add. Never removes a
+    selection."""
     closed = set(selected)
-    changed = True
-    while changed:
-        changed = False
-        for name in list(closed):
-            parent = model.parent_of(name)
-            if parent is not None and parent not in closed:
-                closed.add(parent)
-                changed = True
-            feature = model.feature(name)
-            if feature.group is GroupKind.AND:
-                for child in feature.children:
-                    if child.optionality is Optionality.MANDATORY and child.name not in closed:
-                        closed.add(child.name)
-                        changed = True
+    pending = list(closed)
+    while pending:
+        name = pending.pop()
+        feature = model.feature(name)
+        implied = [model.parent_of(name)]
+        if feature.group is GroupKind.AND:
+            implied += [child.name for child in feature.children
+                        if child.optionality is Optionality.MANDATORY]
+        for other in implied:
+            if other is not None and other not in closed:
+                closed.add(other)
+                pending.append(other)
     return frozenset(closed)
 
 
 def _group_violations(model: FeatureModel, selected: frozenset[str]) -> list[Violation]:
+    """Root and group checks; parents and mandatory children need none,
+    because `selected` is already closed under `normalize`."""
     violations: list[Violation] = []
     root = model.root.name
     if root not in selected:
-        violations.append(Violation("RootNotSelected", root, f"root feature {root} is not selected"))
-    for name in sorted(selected):
-        parent = model.parent_of(name)
-        if parent is not None and parent not in selected:
-            violations.append(Violation(
-                "ParentNotSelected", name,
-                f"{name} is selected but its parent {parent} is not",
-            ))
+        violations.append(Violation("RootNotSelected", f"root feature {root} is not selected"))
     for name in model.feature_names():
         if name not in selected:
             continue
         feature = model.feature(name)
         chosen = [child.name for child in feature.children if child.name in selected]
-        if feature.group is GroupKind.AND:
-            for child in feature.children:
-                if child.optionality is Optionality.MANDATORY and child.name not in selected:
-                    violations.append(Violation(
-                        "MandatoryChildMissing", child.name,
-                        f"mandatory feature {child.name} of {name} is not selected",
-                    ))
-        elif feature.group is GroupKind.ALTERNATIVE and len(chosen) != 1:
+        if feature.group is GroupKind.ALTERNATIVE and len(chosen) != 1:
             violations.append(Violation(
-                "AlternativeCardinality", name,
+                "AlternativeCardinality",
                 f"alternative group {name} selects {len(chosen)} children "
                 f"({', '.join(chosen) or 'none'}), needs exactly 1",
             ))
         elif feature.group is GroupKind.OR and not chosen:
             violations.append(Violation(
-                "OrCardinality", name,
-                f"or group {name} selects no children, needs at least 1",
-            ))
+                "OrCardinality", f"or group {name} selects no children, needs at least 1"))
     return violations
 
 
@@ -115,9 +99,7 @@ def validate_configuration(model: FeatureModel, cfg: Configuration) -> Validatio
     for constraint in model.constraints:
         if not constraint.holds(normalized):
             violations.append(Violation(
-                "ConstraintViolated", constraint.describe(),
-                f"cross-tree constraint violated: {constraint.describe()}",
-            ))
+                "ConstraintViolated", f"cross-tree constraint violated: {constraint.describe()}"))
     return ValidationReport(not violations, tuple(violations), normalized)
 
 

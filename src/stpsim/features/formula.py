@@ -3,12 +3,18 @@
 Cross-tree constraints are boolean expressions whose atoms are feature
 names. Text form uses ``!``, ``&``, ``|``, ``=>``, ``<=>`` and parentheses,
 with precedence NOT > AND > OR > IMPLIES > IFF and right-associative
-IMPLIES. `render` produces a canonical text that reparses to the same tree,
-which is what violation messages and serialization both use.
+IMPLIES. `_BINARY` is the one table of the binary operators (symbol, AST
+class, truth function, loosest first); the tokenizer, the parser, `render`
+and `evaluate` all read it. `render` produces a canonical text that
+reparses to the same tree, which is what violation messages and
+serialization both use.
 """
 
 from __future__ import annotations
 
+import operator
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -54,8 +60,36 @@ class Iff:
 
 Formula = Var | Not | And | Or | Implies | Iff
 
-# binding strength, loosest first; used to place minimal parentheses
-_LEVEL = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6}
+_NOT = "!"
+
+# A row's index is its binding strength; `!` binds tighter than every row,
+# and IMPLIES alone is right-associative.
+_BINARY = (
+    ("<=>", Iff, operator.eq),
+    ("=>", Implies, lambda a, b: not a or b),
+    ("|", Or, operator.or_),
+    ("&", And, operator.and_),
+)
+_STRENGTH = {cls: level for level, (_, cls, _) in enumerate(_BINARY)}
+_STRENGTH |= {Not: len(_BINARY), Var: len(_BINARY) + 1}
+_BY_SYMBOL = {symbol: cls for symbol, cls, _ in _BINARY}
+_BY_CLASS = {cls: (symbol, truth) for symbol, cls, truth in _BINARY}
+
+# Spaces and tabs are a token of their own, dropped after the match, so an
+# unexpected character is reported where it stands, past any padding.
+_TOKEN = re.compile(
+    r"(?P<pad>[ \t]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>"
+    + "|".join(re.escape(symbol) for symbol in (*_BY_SYMBOL, _NOT, "(", ")"))
+    + r")|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def _binary_row(formula: Formula) -> tuple[str, Callable[[bool, bool], bool]]:
+    try:
+        return _BY_CLASS[type(formula)]
+    except KeyError:
+        raise TypeError(f"not a formula: {formula!r}") from None
 
 
 def evaluate(formula: Formula, selected: frozenset[str] | set[str]) -> bool:
@@ -64,15 +98,8 @@ def evaluate(formula: Formula, selected: frozenset[str] | set[str]) -> bool:
             return name in selected
         case Not(operand):
             return not evaluate(operand, selected)
-        case And(left, right):
-            return evaluate(left, selected) and evaluate(right, selected)
-        case Or(left, right):
-            return evaluate(left, selected) or evaluate(right, selected)
-        case Implies(left, right):
-            return (not evaluate(left, selected)) or evaluate(right, selected)
-        case Iff(left, right):
-            return evaluate(left, selected) == evaluate(right, selected)
-    raise TypeError(f"not a formula: {formula!r}")
+    _, truth = _binary_row(formula)
+    return truth(evaluate(formula.left, selected), evaluate(formula.right, selected))
 
 
 def names(formula: Formula) -> frozenset[str]:
@@ -81,154 +108,77 @@ def names(formula: Formula) -> frozenset[str]:
             return frozenset({name})
         case Not(operand):
             return names(operand)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
-            return names(a) | names(b)
-    raise TypeError(f"not a formula: {formula!r}")
+    _binary_row(formula)
+    return names(formula.left) | names(formula.right)
 
 
 def render(formula: Formula) -> str:
     """Canonical text form; `parse(render(f)) == f`."""
 
-    def wrap(sub: Formula, parent_level: int, tighten: bool = False) -> str:
-        level = _LEVEL[type(sub)]
+    def wrap(sub: Formula, strength: int) -> str:
         text = render(sub)
-        if level < parent_level or (tighten and level == parent_level):
-            return f"({text})"
-        return text
+        return f"({text})" if _STRENGTH[type(sub)] < strength else text
 
     match formula:
         case Var(name):
             return name
         case Not(operand):
-            return "!" + wrap(operand, _LEVEL[Not])
-        case And(a, b):
-            return f"{wrap(a, _LEVEL[And])} & {wrap(b, _LEVEL[And], tighten=True)}"
-        case Or(a, b):
-            return f"{wrap(a, _LEVEL[Or])} | {wrap(b, _LEVEL[Or], tighten=True)}"
-        case Implies(a, b):
-            # right-associative: parenthesize an Implies on the left
-            return f"{wrap(a, _LEVEL[Implies], tighten=True)} => {wrap(b, _LEVEL[Implies])}"
-        case Iff(a, b):
-            return f"{wrap(a, _LEVEL[Iff])} <=> {wrap(b, _LEVEL[Iff], tighten=True)}"
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789")
+            return _NOT + wrap(operand, _STRENGTH[Not])
+    symbol, _ = _binary_row(formula)
+    level = _STRENGTH[type(formula)]
+    # an operand as strong as `formula` is parenthesized on the side that does not associate
+    right_assoc = type(formula) is Implies
+    left = wrap(formula.left, level + right_assoc)
+    return f"{left} {symbol} {wrap(formula.right, level + (not right_assoc))}"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if text.startswith("<=>", i):
-            tokens.append(("IFF", "<=>", i))
-            i += 3
-        elif text.startswith("=>", i):
-            tokens.append(("IMPLIES", "=>", i))
-            i += 2
-        elif ch == "!":
-            tokens.append(("NOT", ch, i))
-            i += 1
-        elif ch == "&":
-            tokens.append(("AND", ch, i))
-            i += 1
-        elif ch == "|":
-            tokens.append(("OR", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(("LPAREN", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("RPAREN", ch, i))
-            i += 1
-        elif ch in _NAME_START:
-            j = i
-            while j < len(text) and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-        else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    """(kind, text, position) of every token, kind "name" or "op"."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {match.group()!r}", match.start())
+        if kind != "pad":
+            tokens.append((kind, match.group(), match.start()))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> FormulaSyntaxError:
-        at = self.tokens[self.pos][2] if self.pos < len(self.tokens) else self.length
-        return FormulaSyntaxError(message, at)
-
-    def parse_iff(self) -> Formula:
-        node = self.parse_implies()
-        while self.peek() == "IFF":
-            self.take()
-            node = Iff(node, self.parse_implies())
-        return node
-
-    def parse_implies(self) -> Formula:
-        node = self.parse_or()
-        if self.peek() == "IMPLIES":
-            self.take()
-            return Implies(node, self.parse_implies())
-        return node
-
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek() == "OR":
-            self.take()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
-        node = self.parse_not()
-        while self.peek() == "AND":
-            self.take()
-            node = And(node, self.parse_not())
-        return node
-
-    def parse_not(self) -> Formula:
-        if self.peek() == "NOT":
-            self.take()
-            return Not(self.parse_not())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        kind = self.peek()
-        if kind == "NAME":
-            return Var(self.take()[1])
-        if kind == "LPAREN":
-            self.take()
-            node = self.parse_iff()
-            if self.peek() != "RPAREN":
-                raise self.error("expected ')'")
-            self.take()
-            return node
-        raise self.error("expected a feature name, '!' or '('")
 
 
 def parse(text: str) -> Formula:
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 0)
-    parser = _Parser(tokens, len(text))
-    node = parser.parse_iff()
-    if parser.peek() is not None:
-        raise parser.error("trailing input after formula")
+    tokens.append(("end", "", len(text)))
+    pos = 0
+
+    def binary(strength: int) -> Formula:
+        """Precedence climbing: a unary term, then every operator binding at
+        least as tight as `strength`, each with its right operand."""
+        nonlocal pos
+        node = unary()
+        while (cls := _BY_SYMBOL.get(tokens[pos][1])) and _STRENGTH[cls] >= strength:
+            pos += 1
+            level = _STRENGTH[cls]
+            node = cls(node, binary(level if cls is Implies else level + 1))
+        return node
+
+    def unary() -> Formula:
+        nonlocal pos
+        kind, token, at = tokens[pos]
+        pos += 1
+        if kind == "name":
+            return Var(token)
+        if token == _NOT:
+            return Not(unary())
+        if token == "(":
+            node = binary(0)
+            if tokens[pos][1] != ")":
+                raise FormulaSyntaxError("expected ')'", tokens[pos][2])
+            pos += 1
+            return node
+        raise FormulaSyntaxError("expected a feature name, '!' or '('", at)
+
+    node = binary(0)
+    if tokens[pos][0] != "end":
+        raise FormulaSyntaxError("trailing input after formula", tokens[pos][2])
     return node

@@ -169,22 +169,10 @@ class FeatureModel:
 
     def feature_names(self) -> tuple[str, ...]:
         """All names in depth-first document order."""
-        out: list[str] = []
-
-        def walk(feature: Feature) -> None:
-            out.append(feature.name)
-            for child in feature.children:
-                walk(child)
-
-        walk(self.root)
-        return tuple(out)
+        return tuple(self._by_name)
 
     def variation_points(self) -> tuple[Feature, ...]:
-        return tuple(
-            self._by_name[name]
-            for name in self.feature_names()
-            if self._by_name[name].is_variation_point
-        )
+        return tuple(f for f in self._by_name.values() if f.is_variation_point)
 
     def concrete_descendants(self, name: str) -> tuple[str, ...]:
         """Concrete features strictly below `name`, in document order."""

@@ -43,12 +43,11 @@ def _strip_comment(line: str) -> str:
 
 
 class _Node:
-    def __init__(self, kind: str, opt: str, name: str, group: str | None, line_no: int):
+    def __init__(self, kind: str, opt: str, name: str, group: str | None):
         self.kind = kind
         self.opt = opt
         self.name = name
         self.group = group
-        self.line_no = line_no
         self.children: list["_Node"] = []
 
     def freeze(self) -> Feature:
@@ -75,50 +74,47 @@ def parse_feature_model(text: str) -> FeatureModel:
     constraint_lines: list[tuple[int, str]] = []
     in_constraints = False
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line.strip():
             continue
         if "\t" in raw[: len(raw) - len(raw.lstrip())]:
-            raise ModelSyntaxError("tabs are not allowed in indentation", line_no)
+            raise ModelSyntaxError("tabs are not allowed in indentation", lineno)
 
         if in_constraints:
-            constraint_lines.append((line_no, line.strip()))
+            constraint_lines.append((lineno, line.strip()))
             continue
 
         if line.strip() == "constraints:":
             if line != "constraints:":
-                raise ModelSyntaxError("'constraints:' must start at column 1", line_no)
+                raise ModelSyntaxError("'constraints:' must start at column 1", lineno)
             in_constraints = True
             continue
 
         indent = len(line) - len(line.lstrip(" "))
         if indent % 2 != 0:
-            raise ModelSyntaxError("indentation must be a multiple of 2 spaces", line_no, indent + 1)
+            raise ModelSyntaxError("indentation must be a multiple of 2 spaces", lineno, indent + 1)
         depth = indent // 2
 
         body = line.strip()
         match = _FEATURE_LINE.match(body)
         if not match:
-            raise ModelSyntaxError(f"malformed feature line: {body!r}", line_no, indent + 1)
-        node = _Node(
-            match.group("kind"), match.group("opt"), match.group("name"),
-            match.group("group"), line_no,
-        )
+            raise ModelSyntaxError(f"malformed feature line: {body!r}", lineno, indent + 1)
+        node = _Node(*match.group("kind", "opt", "name", "group"))
 
         if depth == 0:
             if root is not None:
-                raise ModelSyntaxError("more than one root feature", line_no)
+                raise ModelSyntaxError("more than one root feature", lineno)
             root = node
             stack = [(0, node)]
             continue
         if root is None:
-            raise ModelSyntaxError("first feature must be unindented", line_no, indent + 1)
+            raise ModelSyntaxError("first feature must be unindented", lineno, indent + 1)
 
         while stack and stack[-1][0] >= depth:
             stack.pop()
         if not stack or stack[-1][0] != depth - 1:
-            raise ModelSyntaxError("indentation jumps more than one level", line_no, indent + 1)
+            raise ModelSyntaxError("indentation jumps more than one level", lineno, indent + 1)
         parent = stack[-1][1]
         parent.children.append(node)
         stack.append((depth, node))
@@ -127,11 +123,11 @@ def parse_feature_model(text: str) -> FeatureModel:
         raise ModelSyntaxError("empty model document", 1)
 
     constraints: list[CrossTreeConstraint] = []
-    for line_no, body in constraint_lines:
+    for lineno, body in constraint_lines:
         try:
             parsed = fm.parse(body)
         except fm.FormulaSyntaxError as exc:
-            raise ModelSyntaxError(f"bad constraint: {exc}", line_no, exc.position + 1) from None
+            raise ModelSyntaxError(f"bad constraint: {exc}", lineno, exc.position + 1) from None
         constraints.append(CrossTreeConstraint(parsed))
 
     return FeatureModel(root.freeze(), tuple(constraints))
@@ -160,12 +156,12 @@ def serialize_feature_model(model: FeatureModel) -> str:
 
 def parse_configuration(text: str) -> Configuration:
     selected: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         if not _NAME_LINE.match(line):
-            raise ModelSyntaxError(f"malformed configuration line: {line!r}", line_no)
+            raise ModelSyntaxError(f"malformed configuration line: {line!r}", lineno)
         selected.add(line)
     return Configuration(frozenset(selected))
 

@@ -40,7 +40,8 @@ from .custodian import AffirmationRejection
 from .ledger import AccountSnapshot, JournalEntry, Snapshot, total_money, total_positions
 from .scenarios import AllocateAction, Scenario
 from .trading import (
-    Affirmation, AllocationDetail, AuditEvent, Rejection, SettlementInstruction, Trade, TradeStatus)
+    Affirmation, AllocationDetail, AuditEvent, ClearingRejected, Rejection, SettlementInstruction,
+    Trade, TradeStatus)
 
 
 class ScenarioAborted(Exception):
@@ -181,7 +182,10 @@ class ScenarioRunner:
     def _report_trades(self) -> None:
         events = []
         for exchange_id, exchange in self.eco.exchanges.items():
-            count = exchange.report_trades_rec()
+            try:
+                count = exchange.report_trades_rec()
+            except ClearingRejected as refusal:
+                raise ScenarioAborted("report_trades", str(refusal)) from None
             events.append(f"{exchange_id}:reported={count}")
         self._snapshot("report_trades", tuple(events))
 
@@ -225,7 +229,10 @@ class ScenarioRunner:
     def _clear_and_settle(self) -> None:
         events = []
         for custodian_id, custodian in self.eco.custodians.items():
-            sent = custodian.send_trades_to_clearing_rec()
+            try:
+                sent = custodian.send_trades_to_clearing_rec()
+            except ClearingRejected as refusal:
+                raise ScenarioAborted("client_trades_to_clearing", str(refusal)) from None
             events.append(f"{custodian_id}:client_trades={sent}")
         self._snapshot("client_trades_to_clearing", tuple(events))
 

@@ -274,6 +274,14 @@ class Rejection(NamedTuple):
         return f"{text} ({self.detail})" if self.detail else text
 
 
+class ClearingRejected(Exception):
+    """The clearing corporation refused a street trade or a client record;
+    the run aborts with this as its cause."""
+
+    def __init__(self, submission: str, rejection: Rejection):
+        super().__init__(f"clearing rejected {submission}: {rejection}")
+
+
 class AuditEvent(NamedTuple):
     order_id: str
     stage: str

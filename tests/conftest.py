@@ -57,6 +57,21 @@ def projected(config_name):
     return project(derive_product(model, config, config_name.upper()))
 
 
+def over_the_trade_value_cap():
+    """retail_retail's text at a trade value of 10**13 cents, over the 10**12
+    cap of the clearing's extended trade checks (bound by SECO B only)."""
+    text = scenario_path("retail_retail").read_text()
+    for old, new in [
+        ("endow: RC1 money=150000", "endow: RC1 money=20000000000000"),
+        ("endow: RC2 ACME=100", "endow: RC2 ACME=1000000"),
+        ("order: RC2 sell 100 ACME limit 1040", "order: RC2 sell 1000000 ACME limit 10000000"),
+        ("order: RC1 buy 100 ACME limit 1040", "order: RC1 buy 1000000 ACME limit 10000000"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
 TOY_FM = """\
 abstract mandatory Toy group:and
   concrete mandatory Core

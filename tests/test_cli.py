@@ -1,6 +1,7 @@
 
 import pytest
 
+from conftest import over_the_trade_value_cap
 from stpsim.cli import main
 from stpsim.data import catalog_path, config_path
 from stpsim.features import validate_configuration
@@ -188,3 +189,13 @@ def test_run_in_a_currency_other_than_usd(capture, tmp_path, config):
     assert code == 0
     assert "result: PASS" in out
     assert err == ""
+
+
+def test_clearing_refusal_ends_the_run_with_a_report_and_exit_one(capture, tmp_path):
+    scn = tmp_path / "over_cap.scn"
+    scn.write_text(over_the_trade_value_cap())
+    code, out, err = capture("run", CATALOG, SECO_B, str(scn), "--format", "machine")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == (
+        "end|aborted|report_trades|clearing rejected exchange trade X1-T1: "
+        "rejected at trade_validation: TradeValueTooLarge (10000000000000USD)")

@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from conftest import feature_models
+from stpsim.data import catalog_path
 from stpsim.features import (
     Configuration,
+    GroupKind,
+    Optionality,
     UnknownFeatureName,
     normalize,
     parse_feature_model,
@@ -120,3 +123,56 @@ def test_validity_agrees_with_bruteforce_predicate(model):
     for selection in selections:
         report = validate_configuration(model, Configuration(selection))
         assert report.valid == bruteforce.valid_with_closure(model, selection)
+
+
+def test_root_alone_reports_every_unbound_group_in_document_order(catalog):
+    report = validate_configuration(catalog, Configuration.of("EquityMarket"))
+    groups = [
+        ("alt", "BrokerOrderValidationRules"), ("or", "ClientOrderTypes"),
+        ("alt", "BrokerMoneyTransferMethods"), ("alt", "BrokerEquityTransferMethods"),
+        ("or", "OrderRisks"), ("alt", "GovernmentalComplianceChecks"),
+        ("alt", "ClientComplianceChecks"), ("alt", "BrokerAllocationDetailValidationRules"),
+        ("alt", "CustodianAllocationDetailValidationRules"),
+        ("or", "AllocationDetailAffirmationRules"), ("alt", "CustodianMoneyTransferMethods"),
+        ("alt", "CustodianEquityTransferMethods"), ("alt", "ExchangeOrderValidationRules"),
+        ("alt", "SecondaryOrderPrecedenceRules"), ("alt", "DefaultSecondaryOrderPrecedenceRules"),
+        ("or", "OrderMatchingAlgorithms"), ("alt", "TradeValidationRules"),
+        ("alt", "TradeClearingRules"),
+    ]
+    expected = [
+        ("AlternativeCardinality",
+         f"alternative group {name} selects 0 children (none), needs exactly 1")
+        if kind == "alt" else
+        ("OrCardinality", f"or group {name} selects no children, needs at least 1")
+        for kind, name in groups
+    ]
+    assert not report.valid
+    assert [(v.code, v.message) for v in report.violations] == expected
+
+
+def test_missing_matching_is_the_only_violation(catalog, seco_a_config):
+    cfg = Configuration(seco_a_config.selected - {"FillOrKillMatching"})
+    report = validate_configuration(catalog, cfg)
+    assert [str(v) for v in report.violations] == [
+        "ConstraintViolated: cross-tree constraint violated: "
+        "FillOrKillOrderType => FillOrKillMatching",
+    ]
+    assert report.describe() == str(report.violations[0])
+
+
+CATALOG = parse_feature_model(catalog_path().read_text())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sets(st.sampled_from(CATALOG.feature_names())))
+def test_closure_holds_every_parent_and_mandatory_child(selection):
+    """The invariant that lets validation skip parent and mandatory-child checks."""
+    normalized = validate_configuration(CATALOG, Configuration(selection)).normalized
+    for name in normalized:
+        parent = CATALOG.parent_of(name)
+        assert parent is None or parent in normalized
+        feature = CATALOG.feature(name)
+        if feature.group is GroupKind.AND:
+            for child in feature.children:
+                if child.optionality is Optionality.MANDATORY:
+                    assert child.name in normalized

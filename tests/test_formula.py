@@ -89,3 +89,24 @@ def test_names_collects_all_atoms():
 def test_render_is_readable():
     assert fm.render(fm.parse("LimitOrderType => LimitMatching")) == \
         "LimitOrderType => LimitMatching"
+
+
+@pytest.mark.parametrize("text,message,column", [
+    ("", "empty formula", 1),
+    ("A &", "expected a feature name, '!' or '('", 4),
+    ("& A", "expected a feature name, '!' or '('", 1),
+    ("A B", "trailing input after formula", 3),
+    ("(A", "expected ')'", 3),
+    ("A)", "trailing input after formula", 2),
+    ("A => => B", "expected a feature name, '!' or '('", 6),
+    ("A ? B", "unexpected character '?'", 3),
+    ("   ", "empty formula", 1),
+    ("A => ", "expected a feature name, '!' or '('", 6),
+    ("<=>  ", "expected a feature name, '!' or '('", 1),
+    ("Aé", "unexpected character 'é'", 2),
+])
+def test_syntax_error_message_and_column(text, message, column):
+    with pytest.raises(fm.FormulaSyntaxError) as caught:
+        fm.parse(text)
+    assert str(caught.value) == f"{message} (column {column})"
+    assert caught.value.position == column - 1

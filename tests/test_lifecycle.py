@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_scenario
+from conftest import load_scenario, over_the_trade_value_cap
 from matchdriver import comparator_for
+from stpsim.clearing import ClearingCorporation
 from stpsim.custodian import CustodianService
 from stpsim.data import scenario_path
 from stpsim.ledger import (
@@ -13,6 +15,7 @@ from stpsim.lifecycle import (
     CheckResult, ScenarioReport, StepRecord, assert_conservation, run_scenario)
 from stpsim.report import render_machine
 from stpsim.scenarios import SCENARIO_IDS, parse_scenario
+from stpsim.trading import Rejection
 
 ALL_SCENARIOS = list(SCENARIO_IDS)
 
@@ -360,6 +363,54 @@ def test_market_sell_with_a_cap_is_rejected_at_validation(products, product_key)
     # sell filled at the 900 bid under a cap of 5000
     report = run_scenario(products[product_key], parse_scenario(CAPPED_MARKET_SELL))
     assert report.aborted == ("order_2_RC2", "rejected at validation: CapOnSell")
+
+
+def test_clearing_refusal_of_a_street_trade_aborts_at_report_trades(products):
+    report = run_scenario(products["SECO_B"], parse_scenario(over_the_trade_value_cap()))
+    assert report.aborted == (
+        "report_trades",
+        "clearing rejected exchange trade X1-T1: "
+        "rejected at trade_validation: TradeValueTooLarge (10000000000000USD)")
+    assert report.steps[-1].name == "aborted_report_trades"
+    checks = assert_conservation(report)
+    assert all(c.passed for c in checks if c.name.startswith("conserve"))
+
+
+def test_clearing_refusal_of_a_client_record_aborts_at_client_trades_to_clearing(
+        products, monkeypatch):
+    submit = ClearingCorporation.submit_trade
+
+    def refuse_client_records(clearing, record, source):
+        if source == "custodian":
+            return Rejection("trade_validation", "Refused", record.trade_id)
+        return submit(clearing, record, source)
+
+    monkeypatch.setattr(ClearingCorporation, "submit_trade", refuse_client_records)
+    report = run_scenario(products["SECO_A"], load_scenario("retail_institutional"))
+    assert report.aborted == (
+        "client_trades_to_clearing",
+        "clearing rejected client trade for BR1-O1: "
+        "rejected at trade_validation: Refused (CU1-R1)")
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+@pytest.mark.parametrize("scenario_id, old, new", [
+    ("retail_institutional", "CU1", "X1"),
+    ("retail_institutional", "X1", "CU1"),
+    ("institutional_institutional", "CU1", "X1"),
+    ("institutional_institutional", "X1", "CU1"),
+    ("institutional_institutional", "CU2", "X1"),
+    ("institutional_institutional", "X1", "CU2"),
+])
+def test_a_custodian_and_an_exchange_may_share_an_id(products, product_key, scenario_id, old, new):
+    # the custodian's client records once took ids <custodian>-T<n>, the
+    # exchange's trade ids, and the clearing refused them as DuplicateTrade
+    text = re.sub(rf"\b{old}\b", new, scenario_path(scenario_id).read_text())
+    report = run_scenario(products[product_key], parse_scenario(text))
+    checks = assert_conservation(report)
+    assert report.aborted is None
+    failed = [c for c in report.finals + checks if not c.passed]
+    assert not failed, [c.line() for c in failed]
 
 
 def test_every_scenario_conserves_totals_throughout(products):
