@@ -126,7 +126,8 @@ class BrokerService:
         self.institutions[account] = custodian
 
     def mark_step(self, step: int) -> None:
-        """Called by the orchestrator; duplicate-order detection is per step."""
+        """Called by the orchestrator on the broker that takes the scenario's
+        `step`-th order, just before it; duplicate-order detection is per step."""
         self._current_step = step
 
     # -- order intake -------------------------------------------------------

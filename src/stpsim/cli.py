@@ -171,13 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FeatureModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ScenarioFormatError, ReportParseError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (FeatureModelError, ScenarioFormatError, ReportParseError, InputError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

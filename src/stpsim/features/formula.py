@@ -62,6 +62,11 @@ Formula = Var | Not | And | Or | Implies | Iff
 
 _NOT = "!"
 
+# The deepest nesting the parsers accept, in a formula (each parenthesis, `!`
+# and binary operator opens a level) and in the feature tree, so that every
+# walk of either (render, evaluate, indexing, freezing) recurses boundedly.
+MAX_NESTING = 100
+
 # A row's index is its binding strength; `!` binds tighter than every row,
 # and IMPLIES alone is right-associative.
 _BINARY = (
@@ -145,40 +150,52 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str) -> Formula:
+    """The formula `text` spells. Past `MAX_NESTING` levels it is a
+    `FormulaSyntaxError`: `unary` checks the levels open around each token,
+    which bounds the recursion, and every node the levels it spans."""
     tokens = _tokenize(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 0)
     tokens.append(("end", "", len(text)))
     pos = 0
 
-    def binary(strength: int) -> Formula:
+    def nest(levels: int, at: int) -> int:
+        if levels > MAX_NESTING:
+            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels", at)
+        return levels
+
+    def binary(strength: int, depth: int) -> tuple[Formula, int]:
         """Precedence climbing: a unary term, then every operator binding at
         least as tight as `strength`, each with its right operand."""
         nonlocal pos
-        node = unary()
+        node, levels = unary(depth)
         while (cls := _BY_SYMBOL.get(tokens[pos][1])) and _STRENGTH[cls] >= strength:
+            at = tokens[pos][2]
             pos += 1
             level = _STRENGTH[cls]
-            node = cls(node, binary(level if cls is Implies else level + 1))
-        return node
+            right, right_levels = binary(level if cls is Implies else level + 1, depth + 1)
+            node, levels = cls(node, right), nest(max(levels, right_levels) + 1, at)
+        return node, levels
 
-    def unary() -> Formula:
+    def unary(depth: int) -> tuple[Formula, int]:
         nonlocal pos
         kind, token, at = tokens[pos]
+        nest(depth, at)
         pos += 1
         if kind == "name":
-            return Var(token)
+            return Var(token), 0
         if token == _NOT:
-            return Not(unary())
+            operand, levels = unary(depth + 1)
+            return Not(operand), nest(levels + 1, at)
         if token == "(":
-            node = binary(0)
+            node, levels = binary(0, depth + 1)
             if tokens[pos][1] != ")":
                 raise FormulaSyntaxError("expected ')'", tokens[pos][2])
             pos += 1
-            return node
+            return node, nest(levels + 1, at)
         raise FormulaSyntaxError("expected a feature name, '!' or '('", at)
 
-    node = binary(0)
+    node, _ = binary(0, 0)
     if tokens[pos][0] != "end":
         raise FormulaSyntaxError("trailing input after formula", tokens[pos][2])
     return node

@@ -7,7 +7,8 @@ per level encodes the tree, each feature line reads
 
 and an optional trailing section headed ``constraints:`` holds one formula
 per line. Configuration files (``.cfg``) list one selected feature name
-per line. ``#`` comments and blank lines are allowed in both.
+per line. ``#`` comments and blank lines are allowed in both. A tree or a
+constraint nested deeper than ``formula.MAX_NESTING`` levels is refused.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ def parse_feature_model(text: str) -> FeatureModel:
         if indent % 2 != 0:
             raise ModelSyntaxError("indentation must be a multiple of 2 spaces", lineno, indent + 1)
         depth = indent // 2
+        if depth > fm.MAX_NESTING:
+            raise ModelSyntaxError(
+                f"feature tree nested deeper than {fm.MAX_NESTING} levels", lineno, indent + 1)
 
         body = line.strip()
         match = _FEATURE_LINE.match(body)

@@ -1,14 +1,14 @@
 """Sequential scenario orchestration with a snapshot after every step.
 
 One orchestrator drives all participants in a fixed order, invoking the
-recurring (`*_rec`) operations manually at the defined points:
+recurring (`*_rec`) operations manually at the steps `run` lists:
 
-    setup -> order placement (both sides) -> exchange trade reporting ->
-    allocation details + contracts -> affirmation -> custodian client
-    trades to clearing -> clear -> settle (DVP) -> custodian settlement ->
-    broker retail settlement
+    setup -> order_<n>_<client> per order -> report_trades -> per allocation:
+    allocation_<inst>, affirmation_<inst> -> client_trades_to_clearing ->
+    clear -> settle (DVP) -> custodian_settle -> broker_settle
 
-Retail-only scenarios simply have empty allocation steps. Any rejection or
+A step that calls every participant of one role records one
+`<id>:<label>=<count>` event each. Any rejection, clearing refusal or
 settlement failure aborts the run; the report records every snapshot taken
 up to that point. A step's snapshot stores only its delta, a new
 `AccountSnapshot` for each account that step touched, and resolves every
@@ -29,16 +29,16 @@ changes, so it is caught.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .assembly import Ecosystem, build_ecosystem
 from .broker import OrderDraft
 from .clearing import SettlementFailed
 from .custodian import AffirmationRejection
 from .ledger import AccountSnapshot, JournalEntry, Snapshot, total_money, total_positions
-from .scenarios import AllocateAction, Scenario
+from .scenarios import AllocateAction, OrderAction, Scenario
 from .trading import (
     Affirmation, AllocationDetail, AuditEvent, ClearingRejected, Rejection, SettlementInstruction,
     Trade, TradeStatus)
@@ -123,31 +123,45 @@ class ScenarioRunner:
             scenario=scenario,
         )
         self._order_ids: dict[int, str] = {}  # action index -> broker order id
-        self._step_counter = 0
         self._next_alloc = 1
 
     def run(self) -> ScenarioReport:
+        eco = self.eco
         try:
             self._snapshot("setup")
-            self._place_orders()
-            self._report_trades()
-            self._allocation_flow()
-            self._clear_and_settle()
-            self._participant_settlement()
+            for position, action in enumerate(self.scenario.orders, start=1):
+                self._place_order(position, action)
+            self._each("report_trades", eco.exchanges, "reported",
+                       lambda exchange: exchange.report_trades_rec())
+            for action in self.scenario.allocations:
+                self._run_allocation(action)
+            self._each("client_trades_to_clearing", eco.custodians, "client_trades",
+                       lambda custodian: custodian.send_trades_to_clearing_rec())
+            obligations = eco.clearing.clear_rec()
+            self._snapshot("clear", (f"obligations={len(obligations)}",))
+            try:
+                instructions = eco.clearing.settle_rec()
+            except SettlementFailed as failure:
+                raise ScenarioAborted("settle", str(failure)) from None
+            self._snapshot("settle", (f"instructions={len(instructions)}",))
+            self._each("custodian_settle", eco.custodians, "distributions",
+                       lambda custodian: custodian.settle_institutional_rec())
+            self._each("broker_settle", eco.brokers, "credits",
+                       lambda broker: broker.settle_retail_rec())
         except ScenarioAborted as abort:
             self.report.aborted = (abort.step, abort.cause)
             self._snapshot(f"aborted_{abort.step}")
         else:
             self._final_checks()
-        self.report.journal_lines = self.eco.ledger.journal
-        for broker in self.eco.brokers.values():
+        self.report.journal_lines = eco.ledger.journal
+        for broker in eco.brokers.values():
             self.report.audit_lines.extend(broker.audit)
-        for exchange in self.eco.exchanges.values():
+        for exchange in eco.exchanges.values():
             self.report.trade_lines.extend(exchange.executed)
-        for custodian in self.eco.custodians.values():
+        for custodian in eco.custodians.values():
             self.report.affirmation_lines.extend(custodian.affirmations)
-        if self.eco.clearing is not None:
-            self.report.instruction_lines.extend(self.eco.clearing.executed_instructions)
+        if eco.clearing is not None:
+            self.report.instruction_lines.extend(eco.clearing.executed_instructions)
         return self.report
 
     # -- steps -----------------------------------------------------------
@@ -155,43 +169,35 @@ class ScenarioRunner:
     def _snapshot(self, name: str, events: tuple[str, ...] = ()) -> None:
         self.report.steps.append(StepRecord(name, self.eco.ledger.snapshot(), events))
 
-    def _bump_step(self) -> None:
-        self._step_counter += 1
-        for broker in self.eco.brokers.values():
-            broker.mark_step(self._step_counter)
+    def _each(self, step: str, services: Mapping[str, Any], label: str,
+              call: Callable[[Any], int]) -> None:
+        """Record `step` with one `<id>:<label>=<count>` event per participant,
+        `count` being what `call` returns for it, in participant order; a
+        clearing refusal aborts the run at `step`. `call` looks its method up
+        at call time, so a wrapper set on the class (perfbench's spans) sees it."""
+        try:
+            events = tuple(f"{pid}:{label}={call(service)}" for pid, service in services.items())
+        except ClearingRejected as refusal:
+            raise ScenarioAborted(step, str(refusal)) from None
+        self._snapshot(step, events)
 
-    def _place_orders(self) -> None:
-        for action in self.scenario.orders:
-            self._bump_step()
-            step = f"order_{action.index}_{action.client}"
-            broker = self.eco.brokers[self.scenario.broker_of(action.client)]
-            draft = OrderDraft(
-                action.client, action.side, action.symbol, action.quantity, action.order_type,
-                None if action.price is None else self.scenario.money(action.price),
-                None if action.cap is None else self.scenario.money(action.cap),
-            )
-            if self.scenario.is_institution(action.client):
-                outcome = broker.place_institutional_order(draft)
-            else:
-                outcome = broker.place_retail_order(draft)
-            if isinstance(outcome, Rejection):
-                raise ScenarioAborted(step, str(outcome))
-            self._order_ids[action.index] = outcome
-            self._snapshot(step, (f"order_id={outcome}",))
-
-    def _report_trades(self) -> None:
-        events = []
-        for exchange_id, exchange in self.eco.exchanges.items():
-            try:
-                count = exchange.report_trades_rec()
-            except ClearingRejected as refusal:
-                raise ScenarioAborted("report_trades", str(refusal)) from None
-            events.append(f"{exchange_id}:reported={count}")
-        self._snapshot("report_trades", tuple(events))
-
-    def _allocation_flow(self) -> None:
-        for action in self.scenario.allocations:
-            self._run_allocation(action)
+    def _place_order(self, position: int, action: OrderAction) -> None:
+        step = f"order_{action.index}_{action.client}"
+        broker = self.eco.brokers[self.scenario.broker_of(action.client)]
+        broker.mark_step(position)
+        draft = OrderDraft(
+            action.client, action.side, action.symbol, action.quantity, action.order_type,
+            None if action.price is None else self.scenario.money(action.price),
+            None if action.cap is None else self.scenario.money(action.cap),
+        )
+        if self.scenario.is_institution(action.client):
+            outcome = broker.place_institutional_order(draft)
+        else:
+            outcome = broker.place_retail_order(draft)
+        if isinstance(outcome, Rejection):
+            raise ScenarioAborted(step, str(outcome))
+        self._order_ids[action.index] = outcome
+        self._snapshot(step, (f"order_id={outcome}",))
 
     def _run_allocation(self, action: AllocateAction) -> None:
         institution = self.scenario.institution(action.institution)
@@ -225,39 +231,6 @@ class ScenarioRunner:
         if isinstance(verdict, AffirmationRejection):
             raise ScenarioAborted(f"affirmation_{action.institution}", str(verdict))
         self._snapshot(f"affirmation_{action.institution}", (verdict.affirmation_id,))
-
-    def _clear_and_settle(self) -> None:
-        events = []
-        for custodian_id, custodian in self.eco.custodians.items():
-            try:
-                sent = custodian.send_trades_to_clearing_rec()
-            except ClearingRejected as refusal:
-                raise ScenarioAborted("client_trades_to_clearing", str(refusal)) from None
-            events.append(f"{custodian_id}:client_trades={sent}")
-        self._snapshot("client_trades_to_clearing", tuple(events))
-
-        clearing = self.eco.clearing
-        obligations = clearing.clear_rec()
-        self._snapshot("clear", (f"obligations={len(obligations)}",))
-
-        try:
-            instructions = clearing.settle_rec()
-        except SettlementFailed as failure:
-            raise ScenarioAborted("settle", str(failure)) from None
-        self._snapshot("settle", (f"instructions={len(instructions)}",))
-
-    def _participant_settlement(self) -> None:
-        events = []
-        for custodian_id, custodian in self.eco.custodians.items():
-            moved = custodian.settle_institutional_rec()
-            events.append(f"{custodian_id}:distributions={moved}")
-        self._snapshot("custodian_settle", tuple(events))
-
-        events = []
-        for broker_id, broker in self.eco.brokers.items():
-            credited = broker.settle_retail_rec()
-            events.append(f"{broker_id}:credits={credited}")
-        self._snapshot("broker_settle", tuple(events))
 
     # -- end-of-scenario checks -------------------------------------------
 

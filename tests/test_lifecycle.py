@@ -8,7 +8,8 @@ from conftest import load_scenario, over_the_trade_value_cap
 from matchdriver import comparator_for
 from stpsim.clearing import ClearingCorporation
 from stpsim.custodian import CustodianService
-from stpsim.data import scenario_path
+from stpsim.data import config_path, scenario_path
+from stpsim.features import derive_product, parse_configuration
 from stpsim.ledger import (
     AccountSnapshot, Ledger, LedgerError, Money, total_money, total_positions)
 from stpsim.lifecycle import (
@@ -513,3 +514,93 @@ def test_incremental_check_matches_oracle_under_tampering(moves, data):
 
     report = ScenarioReport("P", "hypothesis", steps=steps)
     assert assert_conservation(report) == full_totals_conservation(report)
+
+
+# Two exchanges and two custodians under least-loaded venue choice: the
+# first sell rests on X1, the second on X2, RC1's buy fills on X1 and,
+# once RC3's two unfilled sells make X1 the deeper book, INST1's block
+# fills on X2, so every per-participant step reports on both of its ids.
+TWO_VENUES = """\
+scenario: two_venues
+currency: USD
+symbol: ACME
+
+broker: BR1
+broker: BR2
+custodian: CU1
+custodian: CU2
+exchange: X1
+exchange: X2
+clearing_corporation: CC1
+clearing_bank: CB1
+depository: DP1
+
+retail: RC1 broker=BR1
+retail: RC2 broker=BR2
+retail: RC3 broker=BR2
+institution: INST1 broker=BR1 custodian=CU1 ends=EC1,EC2
+institution: INST2 broker=BR2 custodian=CU2 ends=EC3,EC4
+
+endow: RC1 money=150000
+endow: RC2 ACME=100
+endow: RC3 ACME=30
+endow: CU1.omnibus money=104000
+endow: CU2.omnibus ACME=100
+
+order: RC2 sell 100 ACME limit 1040
+order: INST2 sell 100 ACME limit 1040
+order: RC1 buy 100 ACME limit 1040 cap=1040
+order: RC3 sell 10 ACME limit 2000
+order: RC3 sell 20 ACME limit 2100
+order: INST1 buy 100 ACME limit 1040
+allocate: INST2 order=2 EC3=70 EC4=30
+allocate: INST1 order=6 EC1=60 EC2=40
+
+expect: RC1 money=46000 ACME=100
+expect: RC2 money=104000
+expect: BR2.house ACME=30
+expect: EC1 ACME=60
+expect: EC2 ACME=40
+expect: EC3 money=72800
+expect: EC4 money=31200
+expect: CU1.omnibus money=0
+expect: CU2.omnibus money=0
+expect: BR1.house money=0
+expect: CC1.ccp money=0
+"""
+
+
+@pytest.mark.parametrize("config_name, venue, instructions", [
+    ("seco_a", "BestQuoteVenueChoice", 2),  # trade-for-trade: one per trade
+    ("seco_b", "FirstVenueChoice", 4),  # netting: one per obligation
+])
+def test_step_records_of_a_run_with_two_exchanges_and_two_custodians(
+        catalog, config_name, venue, instructions):
+    text = config_path(config_name).read_text()
+    assert f"\n{venue}\n" in text
+    config = parse_configuration(text.replace(f"\n{venue}\n", "\nLeastLoadedVenueChoice\n"))
+    product = derive_product(catalog, config, config_name.upper())
+    report = run_scenario(product, parse_scenario(TWO_VENUES))
+    checks = assert_conservation(report)
+    assert report.aborted is None
+    failed = [c for c in report.finals + checks if not c.passed]
+    assert not failed, [c.line() for c in failed]
+    assert [(step.name, step.events) for step in report.steps] == [
+        ("setup", ()),
+        ("order_1_RC2", ("order_id=BR2-O1",)),
+        ("order_2_INST2", ("order_id=BR2-O2",)),
+        ("order_3_RC1", ("order_id=BR1-O1",)),
+        ("order_4_RC3", ("order_id=BR2-O3",)),
+        ("order_5_RC3", ("order_id=BR2-O4",)),
+        ("order_6_INST1", ("order_id=BR1-O2",)),
+        ("report_trades", ("X1:reported=1", "X2:reported=1")),
+        ("allocation_INST2", ("contracts=2",)),
+        ("affirmation_INST2", ("CU2-F1",)),
+        ("allocation_INST1", ("contracts=2",)),
+        ("affirmation_INST1", ("CU1-F1",)),
+        ("client_trades_to_clearing", ("CU1:client_trades=2", "CU2:client_trades=2")),
+        ("clear", ("obligations=4",)),
+        ("settle", (f"instructions={instructions}",)),
+        ("custodian_settle", ("CU1:distributions=2", "CU2:distributions=2")),
+        ("broker_settle", ("BR1:credits=1", "BR2:credits=1")),
+    ]
