@@ -30,6 +30,13 @@ changed, not with steps x accounts. A file that restates every account at
 every step is read the same way. Accounts are never closed, so a step whose
 snapshot lacks an account an earlier step had cannot be written.
 
+`parse_machine` reads a file back by these rules, and names the line of the
+first record that breaks one in a `ReportParseError`: each record has at
+least its kind's fields (`_MIN_FIELDS`), steps are numbered 1, 2, 3, ..., a
+``balance`` record carries the number of the ``step`` read last (so none
+comes before the first step), and only blank lines may follow the ``end``
+record. Blank and whitespace-only lines are skipped.
+
 The machine file is the only source of the human view: `render_parsed`
 renders what `parse_machine` reads back. ``stpsim run`` renders its human
 output from the machine text it would print, and ``stpsim report`` from a
@@ -38,11 +45,12 @@ saved file, so the two commands print the same text for the same run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .custodian import AffirmationRejection
 from .ledger import Snapshot
 from .lifecycle import CheckResult, ScenarioReport
+from .money import _new
 
 
 def _positions_text(positions: dict[str, int]) -> str:
@@ -106,14 +114,14 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
 class ParsedRun:
     """A machine-format report read back for re-rendering."""
 
-    product_name: str = ""
-    scenario_id: str = ""
-    steps: list[tuple[str, str]] = field(default_factory=list)   # (name, events)
-    final_balances: dict[str, tuple[int, str]] = field(default_factory=dict)
-    journal_count: int = 0
-    trade_count: int = 0
-    checks: list[CheckResult] = field(default_factory=list)
-    aborted: tuple[str, str] | None = None
+    product_name: str
+    scenario_id: str
+    steps: list[tuple[str, str]]   # (name, events)
+    final_balances: dict[str, tuple[int, str]]
+    journal_count: int
+    trade_count: int
+    checks: list[CheckResult]
+    aborted: tuple[str, str] | None
 
 
 class ReportParseError(Exception):
@@ -133,58 +141,81 @@ def _integer(text: str, line_no: int, what: str) -> int:
 
 
 def parse_machine(text: str) -> ParsedRun:
-    parsed = ParsedRun()
-    balances = parsed.final_balances  # every account's balances as of the last step read
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    product_name = scenario_id = ""
+    steps: list[tuple[str, str]] = []
+    final: dict[str, tuple[int, str]] = {}  # every account's balances as of the last step read
+    checks: list[CheckResult] = []
+    journal_count = trade_count = 0
+    current = None  # the last step number read; no int equals it before the first step
+    aborted = None
+    lines = enumerate(text.splitlines(), start=1)
+    # One split, one lookup and one length check per line, then the tags from
+    # the most to the least frequent record. Audit, affirmation and instruction
+    # records are only length-checked, journal and trade records only counted.
+    for line_no, line in lines:
         fields = line.split("|")
         tag = fields[0]
-        least = _MIN_FIELDS.get(tag)
-        if least is None:
-            raise ReportParseError(f"line {line_no}: unknown record {tag!r}")
-        if len(fields) < least or (tag == "end" and fields[1:] == ["aborted"]):
-            raise ReportParseError(f"line {line_no}: truncated {tag} record {line!r}")
-        if tag == "run":
+        try:
+            if len(fields) < _MIN_FIELDS[tag]:
+                raise ReportParseError(f"line {line_no}: truncated {tag} record {line!r}")
+        except KeyError:
+            if line.strip():
+                raise ReportParseError(f"line {line_no}: unknown record {tag!r}") from None
+            continue
+        if tag == "audit":
+            pass
+        elif tag == "journal":
+            journal_count += 1
+        elif tag == "balance":
+            try:
+                if int(fields[1]) != current:
+                    raise ReportParseError(
+                        f"line {line_no}: balance for step {fields[1]} "
+                        + (f"follows step {current}" if current else "precedes the first step"))
+                final[fields[2]] = (int(fields[3]), fields[4] if len(fields) > 4 else "")
+            except ValueError:  # `_integer` words the error for the first non-integer
+                _integer(fields[1], line_no, "step")
+                _integer(fields[3], line_no, "money")
+                raise
+        elif tag == "check":
+            status = fields[2]
+            if status == "pass":
+                checks.append(_new(CheckResult, (fields[1], True, "")))
+            elif status == "FAIL":
+                checks.append(_new(CheckResult, (fields[1], False,
+                                                 fields[3] if len(fields) > 3 else "")))
+            else:
+                raise ReportParseError(f"line {line_no}: check status {status!r}")
+        elif tag == "trade":
+            trade_count += 1
+        elif tag == "step":
+            current = _integer(fields[1], line_no, "step")
+            if current != len(steps) + 1:
+                raise ReportParseError(f"line {line_no}: step {fields[1]} follows step {len(steps)}")
+            steps.append((fields[2], fields[3] if len(fields) > 3 else ""))
+        elif tag == "run":
             for part in fields[1:]:
                 key, _, value = part.partition("=")
                 if key == "product":
-                    parsed.product_name = value
+                    product_name = value
                 elif key == "scenario":
-                    parsed.scenario_id = value
-        elif tag == "step":
-            if _integer(fields[1], line_no, "step") != len(parsed.steps) + 1:
-                raise ReportParseError(
-                    f"line {line_no}: step {fields[1]} follows step {len(parsed.steps)}")
-            parsed.steps.append((fields[2], fields[3] if len(fields) > 3 else ""))
-        elif tag == "balance":
-            if _integer(fields[1], line_no, "step") != len(parsed.steps):
-                raise ReportParseError(
-                    f"line {line_no}: balance for step {fields[1]} "
-                    f"follows step {len(parsed.steps)}")
-            balances[fields[2]] = (_integer(fields[3], line_no, "money"),
-                                   fields[4] if len(fields) > 4 else "")
-        elif tag == "journal":
-            parsed.journal_count += 1
-        elif tag == "trade":
-            parsed.trade_count += 1
-        elif tag in ("audit", "affirmation", "instruction"):
-            pass
-        elif tag == "check":
-            if fields[2] == "pass":
-                parsed.checks.append(CheckResult(fields[1], True))
-            elif fields[2] == "FAIL":
-                detail = fields[3] if len(fields) > 3 else ""
-                parsed.checks.append(CheckResult(fields[1], False, detail))
-            else:
-                raise ReportParseError(f"line {line_no}: check status {fields[2]!r}")
-        elif fields[1] == "aborted":  # only the end record is left
-            parsed.aborted = (fields[2], "|".join(fields[3:]))
-        elif fields[1] != "completed":
-            raise ReportParseError(f"line {line_no}: end status {fields[1]!r}")
-    if not parsed.product_name and not parsed.scenario_id:
+                    scenario_id = value
+        elif tag == "end":
+            if fields[1] == "aborted":
+                if len(fields) < 3:
+                    raise ReportParseError(f"line {line_no}: truncated end record {line!r}")
+                aborted = (fields[2], "|".join(fields[3:]))
+            elif fields[1] != "completed":
+                raise ReportParseError(f"line {line_no}: end status {fields[1]!r}")
+            break
+    for line_no, line in lines:  # only blank lines may follow the end record
+        if line.strip():
+            raise ReportParseError(
+                f"line {line_no}: {line.split('|', 1)[0]} record after the end record")
+    if not product_name and not scenario_id:
         raise ReportParseError("not a machine report: missing run header")
-    return parsed
+    return ParsedRun(product_name, scenario_id, steps, final, journal_count, trade_count,
+                     checks, aborted)
 
 
 def render_parsed(parsed: ParsedRun) -> str:
@@ -194,29 +225,31 @@ def render_parsed(parsed: ParsedRun) -> str:
         "",
         "steps:",
     ]
-    for index, (name, events) in enumerate(parsed.steps, start=1):
-        suffix = f"  [{events}]" if events else ""
-        lines.append(f"  {index:2d}. {name}{suffix}")
-    if parsed.final_balances:
-        lines.append("")
-        lines.append("final balances:")
-        width = max(len(account) for account in parsed.final_balances)
-        for account in sorted(parsed.final_balances):
-            money, positions = parsed.final_balances[account]
-            lines.append(f"  {account:<{width}}  money={money:<10}  {positions or '-'}")
-    lines.append("")
-    lines.append(f"trades: {parsed.trade_count}, journal entries: {parsed.journal_count}")
+    lines += [f"  {index:2d}. {name}  [{events}]" if events else f"  {index:2d}. {name}"
+              for index, (name, events) in enumerate(parsed.steps, start=1)]
+    final = parsed.final_balances
+    if final:
+        row = f"  %-{max(map(len, final))}s  money=%-10d  %s"
+        lines += ["", "final balances:"]
+        lines += [row % (account, money, positions or "-")
+                  for account in sorted(final) for money, positions in (final[account],)]
+    lines += ["", f"trades: {parsed.trade_count}, journal entries: {parsed.journal_count}"]
+    failed = 0
     if parsed.checks:
-        lines.append("")
-        lines.append("checks:")
-        for check in parsed.checks:
-            lines.append(f"  {check.line()}")
+        lines += ["", "checks:"]
+        append = lines.append
+        for name, passed, detail in parsed.checks:
+            if passed and not detail:
+                append(f"  {name}: pass")
+            else:
+                failed += not passed
+                append(f"  {name}: {'pass' if passed else 'FAIL'}"
+                       + (f" ({detail})" if detail else ""))
     lines.append("")
     if parsed.aborted is not None:
         lines.append(f"result: ABORTED at {parsed.aborted[0]}: {parsed.aborted[1]}")
-    elif all(check.passed for check in parsed.checks):
-        lines.append("result: PASS")
-    else:
-        failed = sum(1 for check in parsed.checks if not check.passed)
+    elif failed:
         lines.append(f"result: FAIL ({failed} checks failed)")
+    else:
+        lines.append("result: PASS")
     return "\n".join(lines) + "\n"

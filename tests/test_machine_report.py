@@ -25,12 +25,12 @@ from test_custodian import fixture_contracts, fixture_details, make_custodian
 from test_exchange import draft_order, make_exchange
 from stpsim.assembly import build_ecosystem
 from stpsim.cli import main
-from stpsim.data import catalog_path, config_path
+from stpsim.data import catalog_path, config_path, scenario_path
 from stpsim.ledger import Ledger, LedgerError, Money
 from stpsim.lifecycle import (
     ScenarioReport, ScenarioRunner, StepRecord, assert_conservation, run_scenario)
 from stpsim.report import (
-    ReportParseError, VanishedAccountError, parse_machine, render_machine)
+    ReportParseError, VanishedAccountError, parse_machine, render_machine, render_parsed)
 from stpsim.scenarios import SCENARIO_IDS
 from stpsim.trading import EquityLeg, MoneyLeg, SettlementInstruction, Side
 
@@ -274,20 +274,143 @@ def test_run_and_report_agree(capsys, tmp_path, product, scenario_id):
     assert capsys.readouterr().out == human
 
 
+# -- the human view of a failed or an aborted run ----------------------------------
+
+RETAIL_RETAIL_HEAD = """\
+product:  SECO_A
+scenario: retail_retail
+
+steps:
+   1. setup
+   2. order_1_RC2  [order_id=BR2-O1]
+"""
+
+TAMPERED_HUMAN = RETAIL_RETAIL_HEAD + """\
+   3. order_2_RC1  [order_id=BR1-O1]
+   4. report_trades  [X1:reported=1]
+   5. client_trades_to_clearing
+   6. clear  [obligations=2]
+   7. settle  [instructions=1]
+   8. custodian_settle
+   9. broker_settle  [BR1:credits=1;BR2:credits=1]
+
+final balances:
+  BR1.house  money=0           -
+  BR2.house  money=0           -
+  CC1.ccp    money=0           -
+  RC1        money=46000       ACME=100
+  RC2        money=104000      -
+
+trades: 1, journal entries: 6
+
+checks:
+  no_unreported_trades[X1]: pass
+  clearing_queue_empty: pass
+  no_unsettled_obligations: pass
+  no_unaffirmed_contracts[BR1]: pass
+  no_unaffirmed_contracts[BR2]: pass
+  all_trades_settled: pass
+  conserve_money[setup->order_1_RC2]: pass
+  conserve_equity[setup->order_1_RC2]: pass
+  conserve_money[order_1_RC2->order_2_RC1]: pass
+  conserve_equity[order_1_RC2->order_2_RC1]: pass
+  conserve_money[order_2_RC1->report_trades]: FAIL (150000 -> 150001)
+  conserve_equity[order_2_RC1->report_trades]: pass
+  conserve_money[report_trades->client_trades_to_clearing]: FAIL (150001 -> 150000)
+  conserve_equity[report_trades->client_trades_to_clearing]: pass
+  conserve_money[client_trades_to_clearing->clear]: pass
+  conserve_equity[client_trades_to_clearing->clear]: pass
+  conserve_money[clear->settle]: pass
+  conserve_equity[clear->settle]: pass
+  conserve_money[settle->custodian_settle]: pass
+  conserve_equity[settle->custodian_settle]: pass
+  conserve_money[custodian_settle->broker_settle]: pass
+  conserve_equity[custodian_settle->broker_settle]: pass
+  final[RC1]: pass
+  final[RC2]: pass
+  final[BR1.house]: pass
+  final[BR2.house]: pass
+  final[CC1.ccp]: pass
+
+result: FAIL (2 checks failed)
+"""
+
+UNDERFUNDED_HUMAN = RETAIL_RETAIL_HEAD + """\
+   3. aborted_order_2_RC1
+
+final balances:
+  BR1.house  money=0           -
+  BR2.house  money=0           ACME=100
+  CC1.ccp    money=0           -
+  RC1        money=100000      -
+  RC2        money=0           -
+
+trades: 0, journal entries: 1
+
+checks:
+  conserve_money[setup->order_1_RC2]: pass
+  conserve_equity[setup->order_1_RC2]: pass
+  conserve_money[order_1_RC2->aborted_order_2_RC1]: pass
+  conserve_equity[order_1_RC2->aborted_order_2_RC1]: pass
+  final[RC1]: FAIL (have money=100000 positions={}, want money=46000 positions={'ACME': 100})
+  final[RC2]: FAIL (have money=0 positions={}, want money=104000 positions={})
+  final[BR1.house]: pass
+  final[BR2.house]: FAIL (have money=0 positions={'ACME': 100}, want money=0 positions={})
+  final[CC1.ccp]: pass
+
+result: ABORTED at order_2_RC1: rejected at prepayment: InsufficientFunds
+"""
+
+
+def test_tampered_step_snapshot_renders_its_failed_checks(products):
+    report = run_scenario(products["seco_a"], load_scenario("retail_retail"))
+    victim = report.steps[3]
+    victim.snapshot = dict(victim.snapshot)
+    account = sorted(victim.snapshot)[0]
+    victim.snapshot[account] = victim.snapshot[account]._replace(
+        money=victim.snapshot[account].money + Money(1))
+    machine = render_machine(report, assert_conservation(report))
+    assert render_parsed(parse_machine(machine)) == TAMPERED_HUMAN
+
+
+def test_underfunded_run_renders_its_abort(capsys, tmp_path):
+    shipped = scenario_path("retail_retail").read_text()
+    assert "\nendow: RC1 money=150000\n" in shipped
+    scenario = tmp_path / "underfunded.scn"
+    scenario.write_text(shipped.replace("\nendow: RC1 money=150000\n",
+                                        "\nendow: RC1 money=100000\n"))
+    run_args = ("run", str(catalog_path()), str(config_path("seco_a")), str(scenario))
+    assert main(list(run_args)) == 1
+    assert capsys.readouterr().out == UNDERFUNDED_HUMAN
+    assert main([*run_args, "--format", "machine"]) == 1
+    saved = tmp_path / "run.out"
+    saved.write_text(capsys.readouterr().out)
+    assert main(["report", str(saved)]) == 1
+    assert capsys.readouterr().out == UNDERFUNDED_HUMAN
+
+
 # -- malformed reports -----------------------------------------------------------
 
-# case -> (prefix of the shipped line to replace, the record put in its place)
+# case -> (prefix of the shipped line to replace, the record put in its place,
+#          the error after "line N: ")
 BAD_RECORDS = {
-    "truncated_step": ("step|1|", "step|1"),
-    "truncated_balance": ("balance|1|", "balance|1"),
-    "truncated_check": ("check|no_unreported_trades[X1]|", "check|no_unreported_trades[X1]"),
-    "truncated_abort": ("end|", "end|aborted"),
-    "non_integer_step": ("balance|1|", "balance|x1|BR1.house|0|"),
-    "non_integer_money": ("balance|1|", "balance|1|BR1.house|zz|"),
-    "balance_ahead_of_its_step": ("balance|1|", "balance|2|BR1.house|0|"),
-    "step_out_of_sequence": ("step|2|", "step|3|order_1_RC2|"),
-    "unknown_check_status": ("check|no_unreported_trades[X1]|", "check|x|maybe"),
-    "unknown_end_status": ("end|", "end|paused"),
+    "truncated_step": ("step|1|", "step|1", "truncated step record 'step|1'"),
+    "truncated_balance": ("balance|1|", "balance|1", "truncated balance record 'balance|1'"),
+    "truncated_check": ("check|no_unreported_trades[X1]|", "check|no_unreported_trades[X1]",
+                        "truncated check record 'check|no_unreported_trades[X1]'"),
+    "truncated_abort": ("end|", "end|aborted", "truncated end record 'end|aborted'"),
+    "non_integer_step": ("balance|1|", "balance|x1|BR1.house|0|", "step 'x1' is not an integer"),
+    "non_integer_money": ("balance|1|", "balance|1|BR1.house|zz|",
+                          "money 'zz' is not an integer"),
+    "non_integer_step_number": ("step|2|", "step|two|order_1_RC2|",
+                                "step 'two' is not an integer"),
+    "balance_ahead_of_its_step": ("balance|1|", "balance|2|BR1.house|0|",
+                                  "balance for step 2 follows step 1"),
+    "step_out_of_sequence": ("step|2|", "step|3|order_1_RC2|", "step 3 follows step 1"),
+    "unknown_check_status": ("check|no_unreported_trades[X1]|", "check|x|maybe",
+                             "check status 'maybe'"),
+    "unknown_end_status": ("end|", "end|paused", "end status 'paused'"),
+    "unknown_record": ("audit|", "quote|X1|ACME|1040", "unknown record 'quote'"),
 }
 
 
@@ -298,16 +421,46 @@ def with_bad_record(machine, prefix, record):
     return "\n".join(lines) + "\n", index + 1
 
 
+def parse_error(text):
+    with pytest.raises(ReportParseError) as raised:
+        parse_machine(text)
+    return str(raised.value)
+
+
 @pytest.fixture(scope="module")
 def shipped_machine(products):
     return run_pair(products, "seco_a", "retail_retail")[2]
 
 
-@pytest.mark.parametrize("prefix,record", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
-def test_malformed_record_raises_parse_error_with_line_number(shipped_machine, prefix, record):
+@pytest.mark.parametrize("prefix,record,message", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_malformed_record_raises_parse_error_with_line_number(
+        shipped_machine, prefix, record, message):
     text, line_no = with_bad_record(shipped_machine, prefix, record)
-    with pytest.raises(ReportParseError, match=rf"^line {line_no}: "):
-        parse_machine(text)
+    assert parse_error(text) == f"line {line_no}: {message}"
+
+
+def test_blank_and_whitespace_only_lines_are_skipped(shipped_machine):
+    lines = shipped_machine.splitlines()
+    spaced = "\n".join([lines[0], "", " \t ", *lines[1:5], "   ", *lines[5:]]) + "\n"
+    assert parse_machine(spaced) == parse_machine(shipped_machine)
+
+
+def test_balance_before_the_first_step_is_rejected():
+    text = "run|product=A|scenario=x\nbalance|0|X|5|\nend|completed\n"
+    assert parse_error(text) == "line 2: balance for step 0 precedes the first step"
+
+
+@pytest.mark.parametrize("record", ["end|aborted|settle|boom", "end|completed",
+                                    "step|10|late|", "balance|9|RC1|5|", "audit|BR1-O9|risk|ok|"])
+def test_record_after_the_end_record_is_rejected(shipped_machine, record):
+    line_no = len(shipped_machine.splitlines()) + 2
+    tag = record.split("|")[0]
+    assert (parse_error(shipped_machine + "\n" + record + "\n")
+            == f"line {line_no}: {tag} record after the end record")
+
+
+def test_blank_lines_may_follow_the_end_record(shipped_machine):
+    assert parse_machine(shipped_machine + "\n  \n\n") == parse_machine(shipped_machine)
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +494,7 @@ def test_report_exits_one_on_a_truncated_record(tmp_path, capsys):
 
 
 def test_report_exits_one_without_traceback_on_malformed_record(shipped_machine, tmp_path):
-    text, line_no = with_bad_record(shipped_machine, *BAD_RECORDS["truncated_balance"])
+    text, line_no = with_bad_record(shipped_machine, *BAD_RECORDS["truncated_balance"][:2])
     bad = tmp_path / "bad.out"
     bad.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(stpsim.__file__).parent.parent))
