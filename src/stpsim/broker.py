@@ -103,6 +103,9 @@ class BrokerService:
         self.house_account = house_account
         self.config = config
         self.restricted_symbols = restricted_symbols
+        # the journal cause suffixes naming the bound transfer methods
+        self._money_method = f"/method={config.money_method}"
+        self._equity_method = f"/method={config.equity_method}"
         self.retail_clients: set[str] = set()
         self.institutions: dict[str, ParticipantId] = {}  # institution account -> custodian
         self.orders: dict[str, Order] = {}
@@ -190,7 +193,7 @@ class BrokerService:
             return "UnknownClient"
         return order_shape_rule(
             draft.order_type, draft.quantity, draft.limit_price, self.config.offered_types,
-            self.config.extended_order_checks,
+            self.config.extended_order_checks, self.ledger.currency,
             cap_required=kind is ClientKind.RETAIL and draft.side is Side.BUY,
             price_cap=draft.price_cap, side=draft.side)
 
@@ -270,10 +273,10 @@ class BrokerService:
             src, dst = dst, src
         if money:
             self.ledger.transfer_money(src, dst, _new(Money, (units, self.ledger.currency)),
-                                       f"{cause}/method={self.config.money_method}")
+                                       cause + self._money_method)
         else:
             self.ledger.transfer_equity(src, dst, order.symbol, units,
-                                        f"{cause}/method={self.config.equity_method}")
+                                        cause + self._equity_method)
 
     def _return_escrow(self, order: Order, used: int) -> None:
         """Release the order's escrow, refunding what the street did not use."""

@@ -6,6 +6,11 @@ tie-break variant; unique sequence numbers make the ranking a strict total
 order. Execution always happens at the resting order's price. Market
 orders never rest: any unfilled remainder cancels. A market buy's cap is
 its protection price: it trades only at prices at or below it.
+
+Matching compares prices as minor units (plain ints), so a book holds one
+currency: the first order carrying a price (a limit or a cap) that the
+exchange accepts for a symbol fixes its book's currency, and validation
+refuses any later order priced in another as `CurrencyMismatch`.
 """
 
 from __future__ import annotations
@@ -60,19 +65,20 @@ class BookSide:
     serves all four comparators. Only the head ever trades, so under size
     priority only the head's rank can change: it is re-pushed after a
     partial fill, and every other entry's key stays exact. ``levels`` maps
-    each resting price to its total remaining quantity. Iteration, indexing
-    and ``==`` see the orders in rank order.
+    each resting price, in minor units of the book's one currency, to its
+    total remaining quantity. Iteration, indexing and ``==`` see the orders
+    in rank order.
     """
 
     def __init__(self, key):
         self._key = key
         self._heap: list[tuple[tuple, Order]] = []
-        self.levels: dict[Money, int] = {}
+        self.levels: dict[int, int] = {}
 
     def append(self, order: Order) -> None:
         """Rest `order` (a priced order with quantity remaining)."""
         heapq.heappush(self._heap, (self._key(order), order))
-        price = order.limit_price
+        price = order.limit_price.amount
         self.levels[price] = self.levels.get(price, 0) + order.remaining
 
     def head(self) -> Order | None:
@@ -82,11 +88,12 @@ class BookSide:
         """Fill `qty` of the head; pop it when done, else re-rank it."""
         head = self._heap[0][1]
         head.remaining -= qty
-        left = self.levels[head.limit_price] - qty
+        price = head.limit_price.amount
+        left = self.levels[price] - qty
         if left:
-            self.levels[head.limit_price] = left
+            self.levels[price] = left
         else:
-            del self.levels[head.limit_price]
+            del self.levels[price]
         if head.remaining:
             heapq.heapreplace(self._heap, (self._key(head), head))
         else:
@@ -110,12 +117,15 @@ class OrderBook:
 
     Each side is a `BookSide`, so the best order is its head and a fill
     costs O(log depth). `is_crossed` compares the two heads, and FOK's
-    `fillable_quantity` sums price levels, not orders.
+    `fillable_quantity` sums price levels, not orders. Prices are compared
+    as minor units; `currency` is the one currency they are in, None until
+    the exchange fixes it (the book itself never checks it).
     """
 
     def __init__(self, symbol: str, comparator: PrecedenceComparator):
         self.symbol = symbol
         self.comparator = comparator
+        self.currency: str | None = None
         self.bids = BookSide(comparator.key)
         self.asks = BookSide(comparator.key)
 
@@ -137,21 +147,23 @@ class OrderBook:
             return False
         return self.bids.head().limit_price.amount >= self.asks.head().limit_price.amount
 
-    def _price_compatible(self, incoming: Order, price: Money) -> bool:
+    @staticmethod
+    def _bound(incoming: Order) -> int | None:
+        """The worst price, in minor units, `incoming` may trade at; None for any."""
         if incoming.order_type is OrderType.MARKET:
             cap = incoming.price_cap     # a market sell's cap bounds nothing
-            return cap is None or incoming.side is Side.SELL or price <= cap
-        if incoming.side is Side.BUY:
-            return incoming.limit_price >= price
-        return incoming.limit_price <= price
+            return cap.amount if cap is not None and incoming.side is Side.BUY else None
+        return incoming.limit_price.amount
 
     def fillable_quantity(self, incoming: Order) -> int:
         """Shares available at compatible prices; does not mutate the book."""
-        return sum(
-            qty
-            for price, qty in self.side(incoming.side.opposite).levels.items()
-            if self._price_compatible(incoming, price)
-        )
+        bound = self._bound(incoming)
+        levels = self.side(incoming.side.opposite).levels
+        if bound is None:
+            return sum(levels.values())
+        if incoming.side is Side.BUY:
+            return sum(qty for price, qty in levels.items() if price <= bound)
+        return sum(qty for price, qty in levels.items() if price >= bound)
 
     def submit(self, incoming: Order, make_trade) -> list[Trade]:
         """Match `incoming` per its order type; returns executed trades.
@@ -182,12 +194,15 @@ class OrderBook:
         trades: list[Trade] = []
         buying = incoming.side is Side.BUY
         opposite = self.asks if buying else self.bids
+        bound = self._bound(incoming)
         while incoming.remaining > 0:
             resting = opposite.head()
-            if resting is None or not self._price_compatible(incoming, resting.limit_price):
+            if resting is None:
+                break
+            price = resting.limit_price
+            if bound is not None and (price.amount > bound if buying else price.amount < bound):
                 break
             qty = min(incoming.remaining, resting.remaining)
-            price = resting.limit_price
             buy, sell = (incoming, resting) if buying else (resting, incoming)
             trades.append(make_trade(buy, sell, price, qty))
             incoming.remaining -= qty
@@ -196,7 +211,7 @@ class OrderBook:
         return trades
 
 
-@dataclass
+@dataclass(slots=True)
 class TradeReport:
     """What the exchange tells the clearing corporation about one trade.
 
@@ -249,22 +264,28 @@ class ExchangeService:
         return book.depth() if book else 0
 
     def validate_incoming_order(self, order: Order) -> Rejection | None:
-        """The symbol, then the shared order-shape rules, with the size cap
-        under the extended variant.
+        """The symbol, then the shared order-shape rules in the symbol's
+        book currency, with the size cap under the extended variant.
 
         Returns None on acceptance (order gets its seq number) and a
-        Rejection identifying the violated rule otherwise.
+        Rejection identifying the violated rule otherwise. The first
+        accepted order carrying a price fixes its book's currency.
         """
         if order.symbol not in self.symbols:
             rule = "UnknownSymbol"
         else:
+            book = self.books[order.symbol]
             rule = order_shape_rule(
                 order.order_type, order.quantity, order.limit_price, self.supported_types,
-                self.extended_validation)
+                self.extended_validation, book.currency, price_cap=order.price_cap)
         if rule:
             order.status = OrderStatus.REJECTED
             return Rejection("exchange_validation", rule)
 
+        if book.currency is None:
+            price = order.limit_price or order.price_cap
+            if price is not None:
+                book.currency = price.currency
         order.seq = self._next_seq
         self._next_seq += 1
         order.status = OrderStatus.VALIDATED

@@ -53,6 +53,11 @@ def _marking(write):
     return marked
 
 
+# writes a `Positions` entry without marking; only the ledger's own
+# transfers use it, and they mark both owners themselves
+_set = dict.__setitem__
+
+
 class Positions(dict):
     """An account's share counts; every write marks the owner as touched."""
 
@@ -73,7 +78,9 @@ class Account:
 
     Writing `money`, or any entry of `positions` in place, marks the owner
     in the ledger's touched set, so the next `Ledger.snapshot` re-records
-    it. `positions` itself cannot be replaced.
+    it. `positions` itself cannot be replaced. The ledger's own transfers
+    write `_money` and the positions dict directly and mark both owners
+    themselves, once per transfer.
     """
 
     __slots__ = ("owner", "_money", "_positions", "_touched")
@@ -269,7 +276,9 @@ class Ledger:
         """Move `amount` from `src` to `dst`; returns the journal entry seq.
 
         Past the one currency check it computes on minor units, reading each
-        balance just before writing it, so a self-transfer is net zero.
+        balance just before writing it, so a self-transfer is net zero. It
+        writes both accounts and marks them touched itself, and every check
+        comes before the first write.
         """
         currency = self.currency
         if amount.currency != currency:
@@ -277,33 +286,49 @@ class Ledger:
         units = amount.amount
         if units <= 0:
             raise NonPositiveAmount(f"transfer of {amount}")
-        payer = self.account(src)
-        payee = self.account(dst)
+        accounts = self.accounts
+        try:
+            payer = accounts[src]
+            payee = accounts[dst]
+        except KeyError as missing:
+            raise UnknownAccount(missing.args[0]) from None
         held = payer._money.amount
         if held < units:
             raise InsufficientFunds(f"{src} holds {payer._money}, needs {amount}")
-        payer.money = _new(Money, (held - units, currency))
-        payee.money = _new(Money, (payee._money.amount + units, currency))
-        return self._journal("money", src, dst, units, None, cause)
+        payer._money = _new(Money, (held - units, currency))
+        payee._money = _new(Money, (payee._money.amount + units, currency))
+        touched = self._touched
+        touched[src] = touched[dst] = None
+        journal = self.journal
+        seq = len(journal) + 1
+        journal.append(_new(JournalEntry, (seq, "money", src, dst, units, None, cause)))
+        return seq
 
     def transfer_equity(self, src: str, dst: str, symbol: str, qty: int, cause: str = "") -> int:
-        """Move `qty` shares of `symbol` from `src` to `dst`; returns entry seq."""
+        """Move `qty` shares of `symbol` from `src` to `dst`; returns entry seq.
+
+        Like `transfer_money`, it writes both position dicts and marks both
+        owners touched itself.
+        """
         if qty <= 0:
             raise NonPositiveQuantity(f"transfer of {qty} {symbol}")
-        delivering = self.account(src)._positions
-        receiving = self.account(dst)._positions
+        accounts = self.accounts
+        try:
+            delivering = accounts[src]._positions
+            receiving = accounts[dst]._positions
+        except KeyError as missing:
+            raise UnknownAccount(missing.args[0]) from None
         held = delivering.get(symbol, 0)
         if held < qty:
             raise InsufficientPosition(f"{src} holds {held} {symbol}, needs {qty}")
-        delivering[symbol] = held - qty
-        receiving[symbol] = receiving.get(symbol, 0) + qty
-        return self._journal("equity", src, dst, qty, symbol, cause)
-
-    def _journal(self, kind: str, src: str, dst: str, amount: int,
-                 symbol: str | None, cause: str) -> int:
-        entry = _new(JournalEntry, (len(self.journal) + 1, kind, src, dst, amount, symbol, cause))
-        self.journal.append(entry)
-        return entry.seq
+        _set(delivering, symbol, held - qty)
+        _set(receiving, symbol, receiving.get(symbol, 0) + qty)
+        touched = self._touched
+        touched[src] = touched[dst] = None
+        journal = self.journal
+        seq = len(journal) + 1
+        journal.append(_new(JournalEntry, (seq, "equity", src, dst, qty, symbol, cause)))
+        return seq
 
     def can_pay(self, owner: str, amount: Money) -> bool:
         return self.account(owner).money >= amount

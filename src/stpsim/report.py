@@ -54,7 +54,11 @@ from .money import _new
 
 
 def _positions_text(positions: dict[str, int]) -> str:
-    return ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
+    if len(positions) > 1:
+        return ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
+    for symbol, qty in positions.items():    # at most one symbol: nothing to sort
+        return f"{symbol}={qty}"
+    return ""
 
 
 class VanishedAccountError(Exception):

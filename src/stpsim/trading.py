@@ -200,6 +200,7 @@ def order_shape_rule(
     limit_price: Money | None,
     supported: frozenset[OrderType],
     size_capped: bool,
+    currency: str | None,
     cap_required: bool = False,
     price_cap: Money | None = None,
     side: Side | None = None,
@@ -207,10 +208,12 @@ def order_shape_rule(
     """The first order-shape rule the order breaks, or None.
 
     Broker validation and exchange validation both apply these rules, in
-    this order. `size_capped` (the extended checks) caps the quantity at
-    `MAX_ORDER_QUANTITY`. Only the broker sees a price cap, a buyer's bound:
-    a retail market buy must carry one (`cap_required`), a sell none, and
-    any cap must be positive.
+    this order. A limit or cap in another currency than `currency` (the
+    broker's ledger's, or the book's; None accepts any) is a
+    `CurrencyMismatch`. `size_capped` (the extended checks) caps the
+    quantity at `MAX_ORDER_QUANTITY`. A price cap is a buyer's bound: a
+    retail market buy must carry one at the broker (`cap_required`), a sell
+    none (checked where `side` is given), and any cap must be positive.
     """
     if quantity <= 0:
         return "NonPositiveQuantity"
@@ -230,6 +233,10 @@ def order_shape_rule(
             return "NonPositivePrice"
         if price_cap is not None and side is Side.SELL:
             return "CapOnSell"
+    if currency is not None and (
+            limit_price is not None and limit_price.currency != currency
+            or price_cap is not None and price_cap.currency != currency):
+        return "CurrencyMismatch"
     if size_capped and quantity > MAX_ORDER_QUANTITY:
         return "OrderTooLarge"
     return None

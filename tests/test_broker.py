@@ -330,6 +330,46 @@ def test_routing_rejection_refunds_prepayment_net_zero():
     assert causes == ["prepay:BR1-O1", "refund:BR1-O1"]
 
 
+# -- one currency per book --------------------------------------------------------
+
+def test_a_price_or_cap_in_another_currency_than_the_ledger_is_refused_at_validation():
+    broker, _, ledger, _ = make_desk()
+    before = ledger.snapshot()
+    euro_sell = OrderDraft("client", Side.SELL, "ACME", 10, OrderType.LIMIT, Money(1000, "EUR"))
+    assert broker.place_retail_order(euro_sell) == Rejection("validation", "CurrencyMismatch")
+    euro_cap = buy_draft(qty=10, price=None, otype=OrderType.MARKET,
+                         price_cap=Money(1000, "EUR"))
+    assert broker.place_retail_order(euro_cap) == Rejection("validation", "CurrencyMismatch")
+    assert ledger.journal == []
+    assert ledger.snapshot().delta == {}
+    assert ledger.snapshot() == before
+    # the buy that would have met the euro sell inside matching now rests
+    order_id = broker.place_retail_order(buy_draft(qty=10, price=1000))
+    assert broker.orders[order_id].status is OrderStatus.RESTING
+
+
+@pytest.mark.parametrize("draft", [
+    buy_draft(qty=10, price=1000),
+    buy_draft(qty=10, price=None, otype=OrderType.MARKET, price_cap=Money(1000)),
+], ids=["limit", "capped_market"])
+def test_an_order_in_another_currency_than_the_book_is_refused_at_routing_and_refunded(draft):
+    broker, exchanges, ledger, _ = make_desk()
+    street = Order(
+        order_id="O99", client="street", broker=_COUNTERPARTY, side=Side.SELL,
+        symbol="ACME", quantity=10, order_type=OrderType.LIMIT,
+        limit_price=Money(1000, "EUR"), settlement_account="street.house")
+    assert exchanges[0].validate_incoming_order(street) is None
+    exchanges[0].submit_order(street)
+    before = ledger.snapshot()
+    assert broker.place_retail_order(draft) == Rejection("routing", "CurrencyMismatch")
+    assert broker.orders == {} and broker._escrow == {}
+    assert [entry.cause.split("/")[0] for entry in ledger.journal] == [
+        "prepay:BR1-O1", "refund:BR1-O1"]
+    assert ledger.snapshot() == before
+    assert ledger.balance("client") == Money(150000)
+    assert [(o.order_id, o.remaining) for o in exchanges[0].books["ACME"].asks] == [("O99", 10)]
+
+
 def test_institutional_routing_rejection_writes_no_journal_entry():
     broker, exchanges, ledger, _ = make_desk()
     exchanges[0].symbols.clear()

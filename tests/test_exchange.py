@@ -1,9 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from matchdriver import build_order, comparator_for
+from matchdriver import COMBOS, build_order, comparator_for
 from stpsim.exchange import (
     ExchangeService,
     OrderBook,
@@ -85,6 +85,24 @@ def test_extended_validation_caps_order_size():
     exchange = make_exchange(extended=True)
     order = draft_order(qty=2_000_000)
     assert exchange.validate_incoming_order(order).rule == "OrderTooLarge"
+
+
+def test_the_first_priced_order_accepted_fixes_the_book_currency():
+    exchange = make_exchange(symbols=("ACME", "BETA"))
+    unpriced = draft_order(otype=OrderType.MARKET, price=None)
+    assert exchange.validate_incoming_order(unpriced) is None   # fixes nothing
+    euro = draft_order(side=Side.SELL)
+    euro.limit_price = Money(1050, "EUR")
+    assert exchange.validate_incoming_order(euro) is None
+    assert exchange.books["ACME"].currency == "EUR"
+    dollar = draft_order(price=1050)
+    dollar_cap = draft_order(otype=OrderType.MARKET, price=None)
+    dollar_cap.price_cap = Money(1050)
+    for order in (dollar, dollar_cap):
+        assert exchange.validate_incoming_order(order).rule == "CurrencyMismatch"
+        assert order.status is OrderStatus.REJECTED and order.seq is None
+    assert exchange.validate_incoming_order(draft_order(symbol="BETA")) is None
+    assert exchange.books["BETA"].currency == "USD"
 
 
 def test_accepted_orders_get_increasing_seq():
@@ -228,6 +246,53 @@ def test_book_never_crossed_after_submissions():
              ("buy", 1035, 10), ("buy", 1037, 80), ("sell", 1020, 200)], start=1):
         book.submit(build_order(index, side, "limit", price, qty), tuple_trade)
         assert not book.is_crossed()
+
+
+# -- price levels in minor units ------------------------------------------------
+
+def _naive_levels(orders):
+    levels = {}
+    for order in orders:
+        levels[order.limit_price.amount] = levels.get(order.limit_price.amount, 0) + order.remaining
+    return levels
+
+
+def _naive_fillable(book, incoming):
+    """Shares resting at prices `incoming` may trade at, by `Money` comparisons."""
+    buying = incoming.side is Side.BUY
+    if incoming.order_type is not OrderType.MARKET:
+        bound = incoming.limit_price
+    else:
+        bound = incoming.price_cap if buying else None
+    return sum(order.remaining for order in (book.asks if buying else book.bids)
+               if bound is None
+               or (order.limit_price <= bound if buying else order.limit_price >= bound))
+
+
+_submission = st.tuples(
+    st.sampled_from(["buy", "sell"]),
+    st.sampled_from(["market", "limit", "ioc", "fok"]),
+    st.integers(1000, 1004),
+    st.integers(1, 20),
+    st.booleans(),                  # a market order carries the price as its cap
+)
+
+
+@pytest.mark.parametrize("secondary,tiebreak", COMBOS)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_submission, min_size=1, max_size=30))
+def test_levels_and_fillable_quantity_agree_with_the_resting_orders(
+        secondary, tiebreak, submissions):
+    book = OrderBook("SYM", comparator_for(secondary, tiebreak))
+    for index, (side, otype, price, qty, capped) in enumerate(submissions, start=1):
+        order = build_order(index, side, otype, None if otype == "market" else price, qty)
+        if otype == "market" and capped:
+            order.price_cap = Money(price)
+        assert book.fillable_quantity(order) == _naive_fillable(book, order)
+        book.submit(order, tuple_trade)
+        for resting in (book.bids, book.asks):
+            assert resting.levels == _naive_levels(resting)
+            assert all(type(price) is int for price in resting.levels)
 
 
 # -- comparator laws ----------------------------------------------------------

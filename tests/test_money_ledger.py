@@ -151,6 +151,71 @@ def test_shortfall_messages(call, error, message):
     assert ledger.snapshot().delta == {}
 
 
+@pytest.mark.parametrize("call, missing", [
+    (lambda l: l.transfer_money("alice", "nobody", Money(1)), "nobody"),
+    (lambda l: l.transfer_money("nobody", "bob", Money(1)), "nobody"),
+    (lambda l: l.transfer_money("ghost", "nobody", Money(1)), "ghost"),
+    (lambda l: l.transfer_equity("alice", "nobody", "ACME", 1), "nobody"),
+    (lambda l: l.transfer_equity("nobody", "bob", "ACME", 1), "nobody"),
+    (lambda l: l.transfer_equity("ghost", "nobody", "ACME", 1), "ghost"),
+])
+def test_unknown_account_names_the_missing_owner(call, missing):
+    ledger = make_ledger()
+    with pytest.raises(UnknownAccount) as raised:
+        call(ledger)
+    assert str(raised.value) == missing
+
+
+# every way a transfer can be refused, each checked before the first write
+REFUSED = {
+    "insufficient_funds": lambda l: l.transfer_money("bob", "alice", Money(1)),
+    "insufficient_position": lambda l: l.transfer_equity("alice", "bob", "ACME", 11),
+    "no_position": lambda l: l.transfer_equity("bob", "alice", "ACME", 1),
+    "zero_amount": lambda l: l.transfer_money("alice", "bob", Money(0)),
+    "negative_amount": lambda l: l.transfer_money("alice", "bob", Money(-5)),
+    "zero_quantity": lambda l: l.transfer_equity("alice", "bob", "ACME", 0),
+    "negative_quantity": lambda l: l.transfer_equity("alice", "bob", "ACME", -1),
+    "wrong_currency": lambda l: l.transfer_money("alice", "bob", Money(1, "EUR")),
+    "unknown_payee": lambda l: l.transfer_money("alice", "nobody", Money(1)),
+    "unknown_receiver": lambda l: l.transfer_equity("alice", "nobody", "ACME", 1),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_transfer_leaves_balances_journal_and_next_delta_empty(call):
+    ledger = make_ledger()
+    ledger.open_account("carol", Money(7), {"ACME": 1})
+    before = ledger.snapshot()
+    with pytest.raises(LedgerError):
+        call(ledger)
+    assert ledger.journal == []
+    after = ledger.snapshot()
+    assert after.delta == {}
+    assert after == before
+    assert [ledger.balance(owner) for owner in ("alice", "bob", "carol")] == [
+        Money(1000), Money(0), Money(7)]
+    assert [dict(ledger.account(owner).positions) for owner in ("alice", "bob", "carol")] == [
+        {"ACME": 10}, {}, {"ACME": 1}]
+
+
+@pytest.mark.parametrize("call, owners", [
+    (lambda l: l.transfer_money("alice", "bob", Money(10)), {"alice", "bob"}),
+    (lambda l: l.transfer_money("bob", "carol", Money(1)), {"bob", "carol"}),
+    (lambda l: l.transfer_equity("alice", "carol", "ACME", 2), {"alice", "carol"}),
+    (lambda l: l.transfer_money("carol", "carol", Money(7)), {"carol"}),
+    (lambda l: l.transfer_equity("alice", "alice", "ACME", 10), {"alice"}),
+])
+def test_transfer_marks_exactly_its_two_owners(call, owners):
+    ledger = make_ledger()
+    ledger.open_account("carol", Money(7))
+    ledger.transfer_money("alice", "bob", Money(1))     # bob can pay a cent
+    ledger.snapshot()
+    call(ledger)
+    assert len(ledger.journal) == 2
+    assert ledger.snapshot().delta.keys() == owners
+    assert ledger.snapshot().delta == {}
+
+
 def test_duplicate_account_rejected():
     ledger = make_ledger()
     with pytest.raises(DuplicateAccount):
