@@ -339,17 +339,17 @@ class BrokerService:
             return Rejection("allocation_validation", rule)
 
         block_id = details[0].block_order_id
-        custodian_pid = self.institutions[details[0].institution]
-        contracts = []
-        for detail in details:
-            contracts.append(Contract(
-                f"{self.pid.id}-C{self._next_contract}", self.pid, custodian_pid,
-                detail.alloc_id, detail.block_order_id, detail.symbol, detail.quantity,
-                detail.price))
-            self._next_contract += 1
+        pid, custodian_pid = self.pid, self.institutions[details[0].institution]
+        prefix, first = f"{pid.id}-C", self._next_contract
+        self._next_contract += len(details)
+        contracts = [
+            _new(Contract, (f"{prefix}{number}", pid, custodian_pid, alloc_id, block, symbol,
+                            quantity, price))
+            for number, (alloc_id, _, _, block, symbol, quantity, price)
+            in enumerate(details, first)]
         self.contracts_sent[block_id] = tuple(contracts)
         self.audit.append(AuditEvent(block_id, "allocation_validation", "ok"))
-        return list(contracts)
+        return contracts
 
     def _validate_details(self, details: list[AllocationDetail]) -> str | None:
         if not details:
@@ -364,15 +364,19 @@ class BrokerService:
             return rule
         if order.filled_quantity == 0 or not order.is_terminal:
             return "BlockNotFilled"
-        if sum(d.quantity for d in details) != order.filled_quantity:
-            return "QuantityMismatch"
         fills = self.fills.get(block_id, [])
         fill_prices = {t.price for t in fills}
-        if any(d.price not in fill_prices for d in details):
-            return "PriceMismatch"
-        detail_value = sum(d.price.amount * d.quantity for d in details)
-        fill_value = sum(t.price.amount * t.quantity for t in fills)
-        if detail_value != fill_value:
+        quantity = value = 0
+        priced = True
+        for detail in details:
+            units, price = detail.quantity, detail.price
+            quantity += units
+            value += price.amount * units
+            if price not in fill_prices:
+                priced = False
+        if quantity != order.filled_quantity:
+            return "QuantityMismatch"
+        if not priced or value != sum(t.price.amount * t.quantity for t in fills):
             return "PriceMismatch"
         return None
 

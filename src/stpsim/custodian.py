@@ -14,9 +14,11 @@ end client.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .clearing import ClientTradeRecord
 from .ledger import Ledger
+from .money import Money, _new
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
     Affirmation, AllocationDetail, ClearingRejected, Contract, Rejection, Side,
@@ -82,6 +84,9 @@ class CustodianService:
         self.ledger = ledger
         self.omnibus_account = omnibus_account
         self.config = config
+        # the journal cause suffixes naming the bound transfer methods
+        self._money_method = f"/method={config.money_method}"
+        self._equity_method = f"/method={config.equity_method}"
         self.institutions: set[str] = set()
         self.pending_details: dict[str, tuple[AllocationDetail, ...]] = {}
         self.affirmed: dict[str, _AffirmedBlock] = {}
@@ -167,7 +172,7 @@ class CustodianService:
 
         if "FieldEqualityAffirmation" in self.config.affirmation_rules:
             seen_refs: set[str] = set()
-            for contract in sorted(contracts, key=lambda c: c.contract_id):
+            for contract in sorted(contracts, key=attrgetter("contract_id")):
                 detail = by_alloc.get(contract.alloc_ref)
                 if detail is None:
                     violations.append(AffirmationViolation(
@@ -191,11 +196,11 @@ class CustodianService:
         if "CoverageAffirmation" in self.config.affirmation_rules:
             if sum(c.quantity for c in contracts) != sum(d.quantity for d in details):
                 violations.append(AffirmationViolation("QuantitySumMismatch", "", ""))
-            referenced = {c.alloc_ref for c in contracts}
-            for detail in sorted(details, key=lambda d: d.alloc_id):
-                if detail.alloc_id not in referenced:
-                    violations.append(AffirmationViolation(
-                        "UnmatchedDetails", "", detail.alloc_id))
+            unmatched = by_alloc.keys() - {c.alloc_ref for c in contracts}
+            if unmatched:  # one violation per detail, so a repeated alloc id repeats
+                violations.extend(
+                    AffirmationViolation("UnmatchedDetails", "", alloc_id)
+                    for alloc_id in sorted(d.alloc_id for d in details if d.alloc_id in unmatched))
 
         return violations
 
@@ -203,44 +208,48 @@ class CustodianService:
 
     def send_trades_to_clearing_rec(self) -> int:
         """Submit one client-level trade record per affirmed allocation."""
-        clearing = self.registry.first(ParticipantRole.CLEARING_CORPORATION)
+        submit = self.registry.first(ParticipantRole.CLEARING_CORPORATION).submit_trade
+        prefix, omnibus = f"{self.pid.id}-R", self.omnibus_account
         sent = 0
         for block, affirmed in self.affirmed.items():
             if affirmed.forwarded:
                 continue
-            for detail in affirmed.details:
-                record = ClientTradeRecord(
-                    f"{self.pid.id}-R{self._next_record}", block, affirmed.side,
-                    detail.symbol, detail.quantity, detail.price, self.omnibus_account)
-                self._next_record += 1
-                rejection = clearing.submit_trade(record, source="custodian")
+            details, side = affirmed.details, affirmed.side
+            first = self._next_record
+            self._next_record += len(details)
+            for number, (_, _, _, _, symbol, quantity, price) in enumerate(details, first):
+                rejection = submit(_new(ClientTradeRecord, (
+                    f"{prefix}{number}", block, side, symbol, quantity, price, omnibus)),
+                    source="custodian")
                 if rejection is not None:
                     raise ClearingRejected(f"client trade for {block}", rejection)
-                sent += 1
+            sent += len(details)
             affirmed.forwarded = True
         return sent
 
     def settle_institutional_rec(self) -> int:
         """Distribute settled blocks from the omnibus to end clients; idempotent."""
         clearing = self.registry.first(ParticipantRole.CLEARING_CORPORATION)
+        omnibus = self.omnibus_account
         moved = 0
         for block, affirmed in self.affirmed.items():
             if affirmed.distributed or not affirmed.forwarded:
                 continue
             if not clearing.is_order_settled(block):
                 continue
-            for detail in affirmed.details:
-                if affirmed.side is Side.BUY:
-                    self.ledger.transfer_equity(
-                        self.omnibus_account, detail.end_client_account,
-                        detail.symbol, detail.quantity,
-                        f"distribute:{detail.alloc_id}/method={self.config.equity_method}")
-                else:
-                    self.ledger.transfer_money(
-                        self.omnibus_account, detail.end_client_account,
-                        detail.price * detail.quantity,
-                        f"distribute:{detail.alloc_id}/method={self.config.money_method}")
-                moved += 1
+            details = affirmed.details
+            if affirmed.side is Side.BUY:
+                transfer, method = self.ledger.transfer_equity, self._equity_method
+                for alloc_id, _, end_client, _, symbol, quantity, _ in details:
+                    transfer(omnibus, end_client, symbol, quantity,
+                             f"distribute:{alloc_id}{method}")
+            else:
+                transfer, method = self.ledger.transfer_money, self._money_method
+                for alloc_id, _, end_client, _, _, quantity, price in details:
+                    transfer(omnibus, end_client,
+                             _new(Money, (price.amount * quantity, price.currency)),
+                             f"distribute:{alloc_id}{method}")
+            moved += len(details)
             affirmed.distributed = True
         return moved
 

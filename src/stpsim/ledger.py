@@ -348,8 +348,10 @@ class Ledger:
         delta = {}
         for owner in self._touched:
             acct = accounts[owner]
+            held = acct._positions  # copied in C unless a zero position must be dropped
             delta[owner] = balances = _new(AccountSnapshot, (
-                acct._money, {s: q for s, q in acct._positions.items() if q}))
+                acct._money,
+                {**held} if 0 not in held.values() else {s: q for s, q in held.items() if q}))
             history = versions.get(owner)
             if history is None:
                 versions[owner] = ([index], [balances])

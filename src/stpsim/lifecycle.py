@@ -38,6 +38,7 @@ from .broker import OrderDraft
 from .clearing import SettlementFailed
 from .custodian import AffirmationRejection
 from .ledger import AccountSnapshot, JournalEntry, Snapshot, total_money, total_positions
+from .money import _new
 from .scenarios import AllocateAction, OrderAction, Scenario
 from .trading import (
     Affirmation, AllocationDetail, AuditEvent, ClearingRejected, Rejection, SettlementInstruction,
@@ -210,14 +211,14 @@ class ScenarioRunner:
         prices = {trade.price for trade in fills}
         if len(prices) != 1:
             raise ScenarioAborted(step, f"block {order_id} has {len(prices)} fill prices")
-        price = fills[0].price
+        account, price, symbol = action.institution, fills[0].price, fills[0].symbol
 
-        details = []
-        for end_client, quantity in action.splits:
-            details.append(AllocationDetail(
-                f"{action.institution}-A{self._next_alloc}", action.institution, end_client,
-                order_id, fills[0].symbol, quantity, price))
-            self._next_alloc += 1
+        prefix, first = f"{account}-A", self._next_alloc
+        self._next_alloc += len(action.splits)
+        details = [
+            _new(AllocationDetail, (
+                f"{prefix}{number}", account, end_client, order_id, symbol, quantity, price))
+            for number, (end_client, quantity) in enumerate(action.splits, first)]
 
         rejection = custodian.receive_allocation_details(details)
         if rejection is not None:
@@ -317,29 +318,26 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
 
     scenario = report.scenario
     if scenario is not None and steps:
+        record = checks.append
         listed = set()
-        for expectation in scenario.expected:
-            listed.add(expectation.account)
-            actual = final.get(expectation.account)
+        for account, money, positions in scenario.expected:
+            listed.add(account)
+            name = f"final[{account}]"
+            actual = final.get(account)
             if actual is None:
-                checks.append(CheckResult(
-                    f"final[{expectation.account}]", False, "account missing"))
+                record(_new(CheckResult, (name, False, "account missing")))
                 continue
-            want_positions = {s: q for s, q in expectation.positions if q}
-            ok = (actual.money.amount == expectation.money
-                  and actual.positions == want_positions)
-            checks.append(CheckResult(
-                f"final[{expectation.account}]", ok,
-                "" if ok else
-                f"have money={actual.money.amount} positions={actual.positions}, "
-                f"want money={expectation.money} positions={want_positions}"))
-        for account, balances in sorted(final.items()):
-            if account in listed:
-                continue
-            flat = balances.money.amount == 0 and not balances.positions
-            if not flat:
-                checks.append(CheckResult(
+            have_money, have_positions = actual
+            want_positions = {s: q for s, q in positions if q} if positions else {}
+            ok = have_money.amount == money and have_positions == want_positions
+            record(_new(CheckResult, (name, ok, "" if ok else
+                   f"have money={have_money.amount} positions={have_positions}, "
+                   f"want money={money} positions={want_positions}")))
+        for account in sorted(final.keys() - listed):
+            balances = final[account]
+            if balances.money.amount or balances.positions:
+                record(_new(CheckResult, (
                     f"final[{account}]", False,
                     f"unlisted account not flat: money={balances.money.amount} "
-                    f"positions={balances.positions}"))
+                    f"positions={balances.positions}")))
     return checks

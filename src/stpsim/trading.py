@@ -242,6 +242,13 @@ def order_shape_rule(
     return None
 
 
+# allocation-detail rules by rank; a pack checks a prefix: the standard
+# pack the first four, the extended pack all seven
+_DETAIL_RULES = ("InstitutionMismatch", "MixedBlockOrders", "NonPositiveQuantity",
+                 "SymbolMismatch", "EmptyEndClientAccount", "NonPositivePrice",
+                 "DuplicateAllocId")
+
+
 def allocation_detail_rule(details: list[AllocationDetail], institution: str,
                            block_order_id: str, symbol: str, extended: bool) -> str | None:
     """The first allocation-detail rule the details break, or None.
@@ -250,23 +257,33 @@ def allocation_detail_rule(details: list[AllocationDetail], institution: str,
     every detail, the last three under the extended pack only. The broker
     checks its block order afterwards, so under its extended pack a
     non-positive price is `NonPositivePrice`, not a fill-price mismatch.
+    One pass finds the first rule each detail breaks and keeps the lowest
+    rank; a rule outside the pack ranks at or past its size and is ignored.
     """
-    if any(d.institution != institution for d in details):
-        return "InstitutionMismatch"
-    if any(d.block_order_id != block_order_id for d in details):
-        return "MixedBlockOrders"
-    if any(d.quantity <= 0 for d in details):
-        return "NonPositiveQuantity"
-    if any(d.symbol != symbol for d in details):
-        return "SymbolMismatch"
-    if extended:
-        if any(not d.end_client_account for d in details):
-            return "EmptyEndClientAccount"
-        if any(d.price.amount <= 0 for d in details):
-            return "NonPositivePrice"
-        if len({d.alloc_id for d in details}) != len(details):
-            return "DuplicateAllocId"
-    return None
+    size = 7 if extended else 4
+    first = size                     # the rank of the first rule broken so far
+    seen: set[str] = set()
+    for alloc_id, inst, end_client, block, sym, quantity, price in details:
+        if inst != institution:
+            return "InstitutionMismatch"
+        if block != block_order_id:
+            rank = 1
+        elif quantity <= 0:
+            rank = 2
+        elif sym != symbol:
+            rank = 3
+        elif not end_client:
+            rank = 4
+        elif price.amount <= 0:
+            rank = 5
+        elif alloc_id in seen:
+            rank = 6
+        else:
+            seen.add(alloc_id)
+            continue
+        if rank < first:
+            first = rank
+    return None if first == size else _DETAIL_RULES[first]
 
 
 class Rejection(NamedTuple):

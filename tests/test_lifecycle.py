@@ -414,6 +414,28 @@ def test_a_custodian_and_an_exchange_may_share_an_id(products, product_key, scen
     assert not failed, [c.line() for c in failed]
 
 
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+def test_unlisted_accounts_left_holding_fail_once_each_after_the_listed_ones(
+        products, product_key):
+    text = scenario_path("institutional_institutional").read_text()
+    for line in ("expect: EC2 ACME=40\n", "expect: EC1 ACME=60\n"):
+        assert line in text
+        text = text.replace(line, "")
+    report = run_scenario(products[product_key], parse_scenario(text))
+    assert report.aborted is None
+    finals = [check for check in assert_conservation(report) if check.name.startswith("final[")]
+    listed = ["EC3", "EC4", "CU1.omnibus", "CU2.omnibus", "BR1.house", "BR2.house", "CC1.ccp"]
+    assert finals[:len(listed)] == [CheckResult(f"final[{account}]", True) for account in listed]
+    assert finals[len(listed):] == [
+        CheckResult("final[EC1]", False,
+                    "unlisted account not flat: money=0 positions={'ACME': 60}"),
+        CheckResult("final[EC2]", False,
+                    "unlisted account not flat: money=0 positions={'ACME': 40}"),
+    ]
+    names = [check.name for check in finals]
+    assert len(names) == len(set(names))
+
+
 def test_every_scenario_conserves_totals_throughout(products):
     for key, product in products.items():
         for scenario_id in ALL_SCENARIOS:
