@@ -163,8 +163,10 @@ def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
     endowed = {e.account: (Money(e.money, scenario.currency), dict(e.positions))
                for e in scenario.endowments}
 
+    open_account = ledger.open_account
+
     def opened(account: str) -> str:
-        ledger.open_account(account, *endowed.get(account, ()))
+        open_account(account, *endowed.get(account, ()))
         return account
 
     def participants(role: ParticipantRole) -> list[ParticipantId]:
@@ -203,6 +205,7 @@ def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
         eco.brokers[institution.broker].add_institution(opened(institution.account), custodian_pid)
         eco.custodians[institution.custodian].add_institution(institution.account)
         for end_client in institution.end_clients:
-            opened(end_client)
+            money, positions = endowed.get(end_client, (None, None))
+            open_account(end_client, money, positions)
 
     return eco

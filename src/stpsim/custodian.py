@@ -189,7 +189,9 @@ class CustodianService:
                 if contract.quantity != detail.quantity:
                     violations.append(AffirmationViolation(
                         "QuantityMismatch", contract.contract_id, detail.alloc_id))
-                if contract.price != detail.price:
+                # a broker's contract carries its detail's own Money; compare
+                # the values only when they are different objects
+                if contract.price is not detail.price and contract.price != detail.price:
                     violations.append(AffirmationViolation(
                         "PriceMismatch", contract.contract_id, detail.alloc_id))
 

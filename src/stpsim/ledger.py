@@ -53,6 +53,9 @@ def _marking(write):
     return marked
 
 
+# makes an `Account` with empty slots, for `Ledger.open_account` to fill
+_new_object = object.__new__
+
 # writes a `Positions` entry without marking; only the ledger's own
 # transfers use it, and they mark both owners themselves
 _set = dict.__setitem__
@@ -80,19 +83,11 @@ class Account:
     in the ledger's touched set, so the next `Ledger.snapshot` re-records
     it. `positions` itself cannot be replaced. The ledger's own transfers
     write `_money` and the positions dict directly and mark both owners
-    themselves, once per transfer.
+    themselves, once per transfer. Accounts are made only by
+    `Ledger.open_account`.
     """
 
     __slots__ = ("owner", "_money", "_positions", "_touched")
-
-    def __init__(self, owner: str, money: Money, positions: dict[str, int],
-                 touched: dict[str, None]):
-        self.owner = owner
-        self._money = money
-        self._positions = held = Positions(positions)
-        held.owner = owner
-        held.touched = self._touched = touched
-        touched[owner] = None
 
     @property
     def money(self) -> Money:
@@ -247,17 +242,23 @@ class Ledger:
 
     def open_account(self, owner: str, money: Money | None = None,
                      positions: dict[str, int] | None = None) -> Account:
-        if owner in self.accounts:
+        """Check and open one account, marked touched; the only way to make an `Account`."""
+        accounts, currency = self.accounts, self.currency
+        if owner in accounts:
             raise DuplicateAccount(owner)
         if money is None:
-            money = Money(0, self.currency)
-        if money.currency != self.currency:
-            raise LedgerError(f"account currency {money.currency} != ledger {self.currency}")
-        positions = positions or {}
+            money = _new(Money, (0, currency))
+        elif money.currency != currency:
+            raise LedgerError(f"account currency {money.currency} != ledger {currency}")
         if money.amount < 0 or (positions and min(positions.values()) < 0):
             raise LedgerError("initial balances must be non-negative")
-        acct = Account(owner, money, positions, self._touched)
-        self.accounts[owner] = acct
+        accounts[owner] = acct = _new_object(Account)
+        acct.owner = owner
+        acct._money = money
+        acct._positions = held = Positions(positions) if positions else Positions()
+        held.owner = owner
+        held.touched = acct._touched = touched = self._touched
+        touched[owner] = None
         return acct
 
     def account(self, owner: str) -> Account:

@@ -14,7 +14,8 @@ Scenario files (``.scn``) are line-oriented UTF-8 with ``#`` comments:
     expect: <ACCOUNT> [money=<cents>] [<SYM>=<qty>]...
 
 Order lines are numbered from 1 in file order; ``allocate`` references them.
-A repeated ``key=value`` part on one line keeps its last value.
+A repeated ``key=value`` part on one line keeps its last value. The key of
+a ``key=value`` part, and each name in ``ends``, must not be empty.
 
 Declaration rules; a line that breaks one fails parsing with its number:
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .money import Money
+from .money import Money, _new
 from .registry import ParticipantRole
 from .trading import OrderType, Side
 
@@ -183,9 +184,9 @@ class Scenario:
 def _split_kv(parts: list[str], line_no: int) -> dict[str, str]:
     out = {}
     for part in parts:
-        if "=" not in part:
+        key, eq, value = part.partition("=")
+        if not (eq and key):
             raise ScenarioFormatError(f"expected key=value, got {part!r}", line_no)
-        key, value = part.split("=", 1)
         out[key] = value
     return out
 
@@ -197,19 +198,26 @@ def _pop_field(kv: dict[str, str], key: str, line_no: int) -> str:
     return kv.pop(key)
 
 
-def _numbers(parts: list[str], line_no: int) -> dict[str, int]:
-    """The integer ``key=value`` parts of a line, in first-seen key order;
-    a repeated key keeps its last value."""
+def _amounts(parts: list[str], line_no: int, lead: str,
+             default: int | None) -> tuple[int | None, tuple[tuple[str, int], ...]]:
+    """The integer ``key=value`` parts of a line: the value of `lead` (or
+    `default`), and every other (key, value) pair in first-seen key order.
+    A repeated key keeps its last value."""
+    found = default
     out = {}
     for part in parts:
         key, eq, value = part.partition("=")
-        if not eq:
+        if not (eq and key):
             raise ScenarioFormatError(f"expected key=value, got {part!r}", line_no)
         try:
-            out[key] = int(value)
+            number = int(value)
         except ValueError:
             raise ScenarioFormatError(f"bad integer {value!r}", line_no) from None
-    return out
+        if key == lead:
+            found = number
+        else:
+            out[key] = number
+    return found, (tuple(out.items()) if out else ())
 
 
 def _declare(accounts: dict[str, int], names: list[str], line_no: int) -> None:
@@ -281,38 +289,37 @@ def parse_scenario(text: str) -> Scenario:
                 quantity = int(number)
             except ValueError:
                 raise ScenarioFormatError(f"bad integer {number!r}", line_no) from None
-            orders.append(OrderAction(
-                len(orders) + 1, client, side, quantity, symbol, order_type, price, cap))
+            orders.append(_new(OrderAction, (
+                len(orders) + 1, client, side, quantity, symbol, order_type, price, cap)))
             if client not in client_lines:
                 client_lines[client] = line_no
         elif key == "expect":
-            numbers = _numbers(parts[1:], line_no)
-            money = numbers.pop("money", 0)
-            expected.append(ExpectedBalance(parts[0], money, tuple(numbers.items())))
+            money, positions = _amounts(parts[1:], line_no, "money", 0)
+            expected.append(_new(ExpectedBalance, (parts[0], money, positions)))
         elif key == "endow":
             account = parts[0]
-            numbers = _numbers(parts[1:], line_no)
-            for name, amount in numbers.items():
-                if amount < 0:
-                    raise ScenarioFormatError(
-                        f"negative endowment {name}={amount} for {account!r}", line_no)
+            money, positions = _amounts(parts[1:], line_no, "money", 0)
+            if money < 0 or any(amount < 0 for _, amount in positions):
+                amounts = dict(positions, money=money)
+                name = next(key for key in dict.fromkeys(
+                    part.partition("=")[0] for part in parts[1:]) if amounts[key] < 0)
+                raise ScenarioFormatError(
+                    f"negative endowment {name}={amounts[name]} for {account!r}", line_no)
             if account in endowed:
                 raise ScenarioFormatError(
                     f"account {account!r} already endowed on line {endowed[account]}", line_no)
             endowed[account] = line_no
-            money = numbers.pop("money", 0)
-            endowments.append(Endowment(account, money, tuple(numbers.items())))
+            endowments.append(Endowment(account, money, positions))
         elif key == "allocate":
-            numbers = _numbers(parts[1:], line_no)
-            if "order" not in numbers:
+            order_index, splits = _amounts(parts[1:], line_no, "order", None)
+            if order_index is None:
                 raise ScenarioFormatError("missing order=", line_no)
-            order_index = numbers.pop("order")
             if order_index in allocated:
                 raise ScenarioFormatError(
                     f"order {order_index} already allocated on line {allocated[order_index]}",
                     line_no)
             allocated[order_index] = line_no
-            allocations.append(AllocateAction(parts[0], order_index, tuple(numbers.items())))
+            allocations.append(AllocateAction(parts[0], order_index, splits))
             named["institution"].setdefault(parts[0], line_no)
         elif key == "retail":
             kv = _split_kv(parts[1:], line_no)
@@ -321,12 +328,17 @@ def parse_scenario(text: str) -> Scenario:
             named["broker"].setdefault(retail[-1].broker, line_no)
         elif key == "institution":
             kv = _split_kv(parts[1:], line_no)
-            institutions.append(Institution(
-                parts[0], _pop_field(kv, "broker", line_no), _pop_field(kv, "custodian", line_no),
-                tuple(_pop_field(kv, "ends", line_no).split(","))))
-            _declare(accounts, [parts[0], *institutions[-1].end_clients], line_no)
-            named["broker"].setdefault(institutions[-1].broker, line_no)
-            named["custodian"].setdefault(institutions[-1].custodian, line_no)
+            broker = _pop_field(kv, "broker", line_no)
+            custodian = _pop_field(kv, "custodian", line_no)
+            ends_text = _pop_field(kv, "ends", line_no)
+            end_clients = tuple(ends_text.split(","))
+            if "" in end_clients:
+                raise ScenarioFormatError(
+                    f"empty end client name in ends={ends_text!r}", line_no)
+            institutions.append(Institution(parts[0], broker, custodian, end_clients))
+            _declare(accounts, [parts[0], *end_clients], line_no)
+            named["broker"].setdefault(broker, line_no)
+            named["custodian"].setdefault(custodian, line_no)
         elif key in _PARTICIPANT_KEYS:
             role = _PARTICIPANT_KEYS[key]
             participant = parts[0]
@@ -366,8 +378,9 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioFormatError(f"undeclared {kind} {name!r}", line_no)
     ends = {institution.account: set(institution.end_clients) for institution in institutions}
     for allocation in allocations:
+        members = ends[allocation.institution]
         for end_client, _ in allocation.splits:
-            if end_client not in ends[allocation.institution]:
+            if end_client not in members:
                 raise ScenarioFormatError(
                     f"{end_client!r} is not an end client of {allocation.institution}",
                     allocated[allocation.order_index])

@@ -246,3 +246,62 @@ def test_cli_exits_one_without_traceback_on_shipped_scenario_defect(tmp_path):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr == f"error: {message}\n"
+
+
+# -- the full error text of a malformed key=value line ----------------------------
+
+ERROR_TEXTS = {
+    "expect_money_not_an_integer": ("expect: A money=x", "bad integer 'x'"),
+    "expect_word_without_equals": ("expect: A ACME", "expected key=value, got 'ACME'"),
+    "expect_empty_key": ("expect: A =7", "expected key=value, got '=7'"),
+    "endow_money_not_an_integer": ("endow: A money=x", "bad integer 'x'"),
+    "endow_word_without_equals": ("endow: A money=5 ACME", "expected key=value, got 'ACME'"),
+    "endow_empty_key": ("endow: A =7", "expected key=value, got '=7'"),
+    "endow_negative_after_a_repeat": ("endow: A ACME=5 money=-1 ACME=-2",
+                                      "negative endowment ACME=-2 for 'A'"),
+    "retail_broker_without_equals": ("retail: B broker", "expected key=value, got 'broker'"),
+    "retail_without_broker": ("retail: B", "missing broker="),
+    "retail_empty_key": ("retail: B broker=BR1 =x", "expected key=value, got '=x'"),
+    "institution_broker_without_equals": ("institution: I broker custodian=CU1 ends=E1",
+                                          "expected key=value, got 'broker'"),
+    "institution_without_custodian": ("institution: I broker=BR1 ends=E1",
+                                      "missing custodian="),
+    "institution_empty_key": ("institution: I broker=BR1 custodian=CU1 ends=E1 =x",
+                              "expected key=value, got '=x'"),
+    "institution_trailing_comma": ("institution: I broker=BR1 custodian=CU1 ends=E1,E2,",
+                                   "empty end client name in ends='E1,E2,'"),
+    "institution_doubled_comma": ("institution: I broker=BR1 custodian=CU1 ends=E1,,E2",
+                                  "empty end client name in ends='E1,,E2'"),
+    "institution_empty_ends": ("institution: I broker=BR1 custodian=CU1 ends=",
+                               "empty end client name in ends=''"),
+    "allocate_split_not_an_integer": ("allocate: I order=1 E1=five", "bad integer 'five'"),
+    "allocate_order_not_an_integer": ("allocate: I order=x E1=5", "bad integer 'x'"),
+    "allocate_word_without_equals": ("allocate: I order=1 E1", "expected key=value, got 'E1'"),
+    "allocate_without_order": ("allocate: I E1=5", "missing order="),
+    "allocate_empty_key": ("allocate: I order=1 =5", "expected key=value, got '=5'"),
+}
+
+
+@pytest.mark.parametrize("bad, message", ERROR_TEXTS.values(), ids=ERROR_TEXTS.keys())
+def test_malformed_key_value_line_raises_its_full_error_text(bad, message):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(HEADER + bad + "\n" + ROLES)
+    assert str(info.value) == f"line {BAD_LINE}: {message}"
+    assert info.value.line == BAD_LINE
+
+
+@pytest.mark.parametrize("ends", ["EC1,EC2,", "EC1,,EC2", ",EC1,EC2"])
+def test_cli_refuses_an_empty_end_client_name_in_a_shipped_scenario(tmp_path, ends):
+    text = scenario_path("institutional_institutional").read_text()
+    assert text.count("ends=EC1,EC2\n") == 1
+    edited = tmp_path / "edited.scn"
+    edited.write_text(text.replace("ends=EC1,EC2\n", f"ends={ends}\n"))
+    env = dict(os.environ, PYTHONPATH=str(Path(stpsim.__file__).parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-m", "stpsim.cli", "run", str(catalog_path()),
+         str(config_path("seco_b")), str(edited), "--format", "machine"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: line 16: empty end client name in ends='{ends}'\n"
+
