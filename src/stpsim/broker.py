@@ -322,7 +322,11 @@ class BrokerService:
 
     def execution_report(self, order_id: str, trade: Trade) -> None:
         """Exchange callback: one of this broker's orders traded."""
-        self.fills.setdefault(order_id, []).append(trade)
+        fills = self.fills.get(order_id)
+        if fills is None:
+            self.fills[order_id] = [trade]
+        else:
+            fills.append(trade)
 
     def order_info(self, order_id: str) -> Order:
         """Status inquiry surface for counterpart services (e.g. custodians)."""
@@ -394,39 +398,36 @@ class BrokerService:
     # -- settlement --------------------------------------------------------
 
     def settle_retail_rec(self) -> int:
-        """Credit retail clients for settled trades; idempotent."""
+        """Credit retail clients for settled trades; idempotent. One pass per
+        order credits each settled trade not yet credited, sums the street's
+        cost, and returns the escrow once the order is terminal and settled."""
         credited = 0
+        done, escrow, fills = self._credited, self._escrow, self.fills.get
         for order_id, order in self.orders.items():
             if order.client_kind is not ClientKind.RETAIL:
                 continue
-            trades = self.fills.get(order_id, [])
-            for trade in trades:
+            buy = order.side is Side.BUY
+            cost = 0
+            settled = True
+            for trade in fills(order_id, ()):
                 if trade.status is not TradeStatus.SETTLED:
+                    settled = False
                     continue
+                quantity = trade.quantity
+                value = trade.price.amount * quantity
+                cost += value
                 key = (order_id, trade.trade_id)
-                if key in self._credited:
+                if key in done:
                     continue
-                if order.side is Side.BUY:
-                    self._transfer(order, trade.quantity, False, f"settle:{trade.trade_id}")
+                if buy:
+                    self._transfer(order, quantity, False, f"settle:{trade.trade_id}")
                 else:
-                    self._transfer(order, trade.price.amount * trade.quantity, True,
-                                   f"settle:{trade.trade_id}")
-                self._credited.add(key)
+                    self._transfer(order, value, True, f"settle:{trade.trade_id}")
+                done.add(key)
                 credited += 1
-            self._reconcile_terminal(order, trades)
+            if settled and order_id in escrow and order.is_terminal:
+                self._return_escrow(order, cost if buy else order.filled_quantity)
         return credited
-
-    def _reconcile_terminal(self, order: Order, trades: list[Trade]) -> None:
-        """Return the unused escrow once an order is terminal and all its
-        trades are settled (and so, by the caller's loop, credited)."""
-        if order.order_id not in self._escrow or not order.is_terminal:
-            return
-        if any(t.status is not TradeStatus.SETTLED for t in trades):
-            return
-        if order.side is Side.BUY:
-            self._return_escrow(order, sum(t.price.amount * t.quantity for t in trades))
-        else:
-            self._return_escrow(order, order.filled_quantity)
 
     def unaffirmed_blocks(self) -> list[str]:
         return [

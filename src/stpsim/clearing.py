@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .ledger import Ledger
-from .money import Money
+from .money import Money, _new
 from .registry import ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
     EquityLeg,
@@ -66,18 +66,6 @@ class _Transfer(NamedTuple):
     dst: str
     symbol: str | None
     amount: int
-
-
-def _transfers(instruction: SettlementInstruction) -> list[_Transfer]:
-    transfers = []
-    if instruction.money_leg:
-        leg = instruction.money_leg
-        transfers.append(_Transfer(instruction, "money", leg.payer, leg.payee, None, leg.amount.amount))
-    if instruction.equity_leg:
-        eleg = instruction.equity_leg
-        transfers.append(_Transfer(
-            instruction, "equity", eleg.deliverer, eleg.receiver, eleg.symbol, eleg.quantity))
-    return transfers
 
 
 class ClientTradeRecord(NamedTuple):
@@ -109,9 +97,10 @@ class ClearingBank:
     def __init__(self, pid: ParticipantId, ledger: Ledger):
         self.pid = pid
         self.ledger = ledger
+        self._suffix = f"/bank={pid.id}"    # names this bank in each journal cause
 
     def transfer_money(self, src: str, dst: str, amount: Money, cause: str) -> int:
-        return self.ledger.transfer_money(src, dst, amount, f"{cause}/bank={self.pid.id}")
+        return self.ledger.transfer_money(src, dst, amount, cause + self._suffix)
 
 
 class Depository:
@@ -120,9 +109,10 @@ class Depository:
     def __init__(self, pid: ParticipantId, ledger: Ledger):
         self.pid = pid
         self.ledger = ledger
+        self._suffix = f"/depository={pid.id}"
 
     def transfer_equity(self, src: str, dst: str, symbol: str, qty: int, cause: str) -> int:
-        return self.ledger.transfer_equity(src, dst, symbol, qty, f"{cause}/depository={self.pid.id}")
+        return self.ledger.transfer_equity(src, dst, symbol, qty, cause + self._suffix)
 
 
 class ClearingCorporation:
@@ -164,39 +154,50 @@ class ClearingCorporation:
         street trade also meets the extended checks' `max_trade_value`.
         """
         if source == "exchange":
-            trade, accounts = record.trade, (record.buy_account, record.sell_account)
+            trade, accounts, street = record.trade, (record.buy_account, record.sell_account), True
         elif source == "custodian":
-            trade, accounts = record, (record.account,)
+            trade, accounts, street = record, (record.account,), False
         else:
             return Rejection("trade_validation", "UnknownSource", source)
-        if trade.trade_id in self._seen_trade_ids:
-            return Rejection("trade_validation", "DuplicateTrade", trade.trade_id)
-        if trade.quantity <= 0:
-            return Rejection("trade_validation", "NonPositiveQuantity", str(trade.quantity))
-        if trade.price.amount <= 0:
-            return Rejection("trade_validation", "NonPositivePrice", str(trade.price))
+        trade_id, quantity, price = trade.trade_id, trade.quantity, trade.price
+        if trade_id in self._seen_trade_ids:
+            return Rejection("trade_validation", "DuplicateTrade", trade_id)
+        if quantity <= 0:
+            return Rejection("trade_validation", "NonPositiveQuantity", str(quantity))
+        if price.amount <= 0:
+            return Rejection("trade_validation", "NonPositivePrice", str(price))
+        known = self.ledger.accounts
         for account in accounts:
-            if account not in self.ledger.accounts:
+            if account not in known:
                 return Rejection("trade_validation", "UnknownAccount", account)
-        if source == "exchange" and self.extended_validation and trade.value > self.max_trade_value:
+        # on minor units; the Money comparison, reached past the cap or in
+        # another currency, still raises CurrencyMismatch in the latter case
+        cap = self.max_trade_value
+        if street and self.extended_validation and (
+                price.amount * quantity > cap.amount or price.currency != cap.currency) \
+                and trade.value > cap:
             return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
-        self._seen_trade_ids.add(trade.trade_id)
-        if source == "exchange":
+        self._seen_trade_ids.add(trade_id)
+        if street:
             self._accept_street(record)
         else:
             block = record.block_order_id
-            self._covered_qty[block] = self._covered_qty.get(block, 0) + record.quantity
+            self._covered_qty[block] = self._covered_qty.get(block, 0) + quantity
         return None
 
     def _accept_street(self, report: TradeReport) -> None:
         self.queued.append(report)
-        for order_id, deferred in (
-            (report.trade.buy_order_id, report.buy_deferred),
-            (report.trade.sell_order_id, report.sell_deferred),
-        ):
-            self._order_trades.setdefault(order_id, []).append(report)
+        trade = report.trade
+        quantity, order_trades, street_qty = trade.quantity, self._order_trades, self._street_qty
+        for order_id, deferred in ((trade.buy_order_id, report.buy_deferred),
+                                   (trade.sell_order_id, report.sell_deferred)):
+            reports = order_trades.get(order_id)
+            if reports is None:
+                order_trades[order_id] = [report]
+            else:
+                reports.append(report)
             if deferred:
-                self._street_qty[order_id] = self._street_qty.get(order_id, 0) + report.trade.quantity
+                street_qty[order_id] = street_qty.get(order_id, 0) + quantity
 
     def _side_ready(self, order_id: str, deferred: bool) -> bool:
         if not deferred:
@@ -213,7 +214,10 @@ class ClearingCorporation:
         """Apply the bound clearing rule to every settlement-ready trade."""
         ready, waiting = [], []
         for report in self.queued:
-            (ready if self._ready(report) else waiting).append(report)
+            if (report.buy_deferred or report.sell_deferred) and not self._ready(report):
+                waiting.append(report)
+            else:
+                ready.append(report)
         self.queued = waiting
         obligations = self._net(ready) if self.netting else self._gross(ready)
         for report in ready:
@@ -223,42 +227,40 @@ class ClearingCorporation:
         return obligations
 
     def _gross(self, reports: list[TradeReport]) -> list[Obligation]:
+        currency = self.ledger.currency
         obligations: list[Obligation] = []
+        add = obligations.append
         for report in reports:
             trade = report.trade
-            value = trade.value
-            obligations.append(Obligation(
-                "money", report.buy_account, report.sell_account, trade.symbol,
-                0, -value, (trade.trade_id,),
-            ))
-            obligations.append(Obligation(
-                "equity", report.sell_account, report.buy_account, trade.symbol,
-                -trade.quantity, Money(0, self.ledger.currency), (trade.trade_id,),
-            ))
+            buyer, seller, symbol = report.buy_account, report.sell_account, trade.symbol
+            price, quantity, trade_id = trade.price, trade.quantity, trade.trade_id
+            add(_new(Obligation, ("money", buyer, seller, symbol, 0, _new(
+                Money, (-price.amount * quantity, price.currency)), (trade_id,))))
+            add(_new(Obligation, ("equity", seller, buyer, symbol, -quantity,
+                                  _new(Money, (0, currency)), (trade_id,))))
         return obligations
 
     def _net(self, reports: list[TradeReport]) -> list[Obligation]:
-        sums: dict[tuple[str, str], tuple[int, int, list[str]]] = {}
+        # (account, symbol) -> [shares received, money received, trade ids], signed
+        sums: dict[tuple[str, str], list] = {}
         for report in reports:
             trade = report.trade
-            value = trade.price.amount * trade.quantity
+            symbol, quantity, trade_id = trade.symbol, trade.quantity, trade.trade_id
+            value = trade.price.amount * quantity
             for account, sign in ((report.buy_account, 1), (report.sell_account, -1)):
-                key = (account, trade.symbol)
-                qty, money, refs = sums.get(key, (0, 0, []))
-                qty += sign * trade.quantity
-                money -= sign * value
-                refs.append(trade.trade_id)
-                sums[key] = (qty, money, refs)
-        obligations = []
-        for (account, symbol) in sorted(sums):
-            qty, money, refs = sums[(account, symbol)]
-            if qty == 0 and money == 0:
-                continue
-            obligations.append(Obligation(
-                "net", account, self.ccp_account, symbol,
-                qty, Money(money, self.ledger.currency), tuple(refs),
-            ))
-        return obligations
+                entry = sums.get((account, symbol))
+                if entry is None:
+                    sums[account, symbol] = [sign * quantity, -sign * value, [trade_id]]
+                else:
+                    entry[0] += sign * quantity
+                    entry[1] -= sign * value
+                    entry[2].append(trade_id)
+        currency, ccp = self.ledger.currency, self.ccp_account
+        return [
+            _new(Obligation, ("net", account, ccp, symbol, qty, _new(Money, (money, currency)),
+                              tuple(refs)))
+            for (account, symbol), (qty, money, refs) in sorted(sums.items())
+            if qty or money]
 
     # -- settlement -----------------------------------------------------
 
@@ -270,21 +272,18 @@ class ClearingCorporation:
         cleared trade to SETTLED. On `SettlementFailed` nothing is written:
         no journal entry, no instruction id used, no trade advanced.
         """
-        instructions = self._plan()
-        transfers = [transfer for instruction in instructions for transfer in _transfers(instruction)]
-        transfers.sort(key=lambda transfer: transfer.src == self.ccp_account)   # stable
+        instructions, transfers = self._plan()
         if transfers:
             bank = self.registry.first(ParticipantRole.CLEARING_BANK)
             depository = self.registry.first(ParticipantRole.DEPOSITORY)
             self._precheck(transfers)
-            for transfer in transfers:
-                cause = f"dvp:{transfer.instruction.instruction_id}"
-                if transfer.symbol is None:
-                    bank.transfer_money(transfer.src, transfer.dst,
-                                        Money(transfer.amount, self.ledger.currency), cause)
+            currency = self.ledger.currency
+            for instruction, _, src, dst, symbol, amount in transfers:
+                cause = f"dvp:{instruction.instruction_id}"
+                if symbol is None:
+                    bank.transfer_money(src, dst, _new(Money, (amount, currency)), cause)
                 else:
-                    depository.transfer_equity(
-                        transfer.src, transfer.dst, transfer.symbol, transfer.amount, cause)
+                    depository.transfer_equity(src, dst, symbol, amount, cause)
         for report in self._cleared_reports:
             report.trade.advance(TradeStatus.SETTLED)
         self._cleared_reports = []
@@ -293,46 +292,56 @@ class ClearingCorporation:
         self.executed_instructions.extend(instructions)
         return instructions
 
-    def _plan(self) -> list[SettlementInstruction]:
+    def _plan(self) -> tuple[list[SettlementInstruction], list[_Transfer]]:
+        """The cycle's instructions, and their legs as transfers in commit order."""
         # a trade's two gross obligations share trades and accounts; two net
         # obligations never do, since each (account, symbol) nets once
         legs: dict[tuple, dict[str, MoneyLeg | EquityLeg]] = {}
         for ob in self.pending_obligations:
-            owed = legs.setdefault((ob.trade_refs, frozenset((ob.party, ob.counterparty))), {})
-            owes = (ob.party, ob.counterparty)      # a negative sum: party owes counterparty
+            party, counterparty = ob.party, ob.counterparty
+            owed = legs.setdefault((ob.trade_refs, frozenset((party, counterparty))), {})
             money, qty = ob.net_money.amount, ob.net_quantity
+            # a negative sum: party owes counterparty
             if money:
-                payer, payee = owes if money < 0 else owes[::-1]
-                owed["money"] = MoneyLeg(payer, payee, Money(abs(money), ob.net_money.currency))
+                payer, payee = (party, counterparty) if money < 0 else (counterparty, party)
+                owed["money"] = _new(MoneyLeg, (payer, payee,
+                                          _new(Money, (abs(money), ob.net_money.currency))))
             if qty:
-                deliverer, receiver = owes if qty < 0 else owes[::-1]
-                owed["equity"] = EquityLeg(deliverer, receiver, ob.symbol, abs(qty))
-        return [
-            SettlementInstruction(
-                instruction_id=f"{self.pid.id}-S{self._next_instruction + offset}",
-                money_leg=owed.get("money"),
-                equity_leg=owed.get("equity"),
-                trade_refs=refs,
-            )
-            for offset, ((refs, _), owed) in enumerate(legs.items())
-        ]
+                deliverer, receiver = (party, counterparty) if qty < 0 else (counterparty, party)
+                owed["equity"] = _new(EquityLeg, (deliverer, receiver, ob.symbol, abs(qty)))
+        ccp, prefix, first = self.ccp_account, f"{self.pid.id}-S", self._next_instruction
+        instructions, transfers, ccp_pays = [], [], []
+        for number, ((refs, _), owed) in enumerate(legs.items(), first):
+            money_leg, equity_leg = owed.get("money"), owed.get("equity")
+            instruction = SettlementInstruction(f"{prefix}{number}", money_leg, equity_leg, refs)
+            instructions.append(instruction)
+            if money_leg:
+                payer, payee, amount = money_leg
+                (ccp_pays if payer == ccp else transfers).append(_new(_Transfer, (
+                    instruction, "money", payer, payee, None, amount.amount)))
+            if equity_leg:
+                deliverer, receiver, symbol, qty = equity_leg
+                (ccp_pays if deliverer == ccp else transfers).append(_new(_Transfer, (
+                    instruction, "equity", deliverer, receiver, symbol, qty)))
+        transfers += ccp_pays
+        return instructions, transfers
 
     def _precheck(self, transfers: list[_Transfer]) -> None:
+        ledger = self.ledger
         held: dict[tuple[str, str | None], int] = {}
 
         def holding(account: str, symbol: str | None) -> int:
-            if (account, symbol) not in held:
-                held[account, symbol] = (self.ledger.balance(account).amount if symbol is None
-                                         else self.ledger.position(account, symbol))
-            return held[account, symbol]
+            have = held.get((account, symbol))
+            if have is None:
+                have = (ledger.balance(account).amount if symbol is None
+                        else ledger.position(account, symbol))
+            return have
 
-        for transfer in transfers:
-            src, dst, symbol, amount = transfer.src, transfer.dst, transfer.symbol, transfer.amount
+        for instruction, leg, src, dst, symbol, amount in transfers:
             have = holding(src, symbol)
             if have < amount:
                 raise SettlementFailed(
-                    transfer.instruction, transfer.leg,
-                    f"{src} short {amount - have}{symbol or self.ledger.currency}")
+                    instruction, leg, f"{src} short {amount - have}{symbol or ledger.currency}")
             held[src, symbol] = have - amount
             held[dst, symbol] = holding(dst, symbol) + amount
 

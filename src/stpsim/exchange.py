@@ -300,26 +300,17 @@ class ExchangeService:
         return trades
 
     def _make_trade(self, buy: Order, sell: Order, price: Money, qty: int) -> Trade:
-        trade = Trade(
-            trade_id=f"{self.pid.id}-T{self._next_trade}",
-            buy_order_id=buy.order_id,
-            sell_order_id=sell.order_id,
-            symbol=buy.symbol,
-            price=price,
-            quantity=qty,
-            exchange=self.pid,
-        )
+        trade = Trade(f"{self.pid.id}-T{self._next_trade}", buy.order_id, sell.order_id,
+                      buy.symbol, price, qty, self.pid)
         self._next_trade += 1
         self.executed.append(trade)
+        institutional = ClientKind.INSTITUTIONAL
         self._unreported.append(TradeReport(
-            trade=trade,
-            buy_account=buy.settlement_account,
-            sell_account=sell.settlement_account,
-            buy_deferred=buy.client_kind is ClientKind.INSTITUTIONAL,
-            sell_deferred=sell.client_kind is ClientKind.INSTITUTIONAL,
-        ))
-        for order in (buy, sell):
-            self.registry.lookup(order.broker).execution_report(order.order_id, trade)
+            trade, buy.settlement_account, sell.settlement_account,
+            buy.client_kind is institutional, sell.client_kind is institutional))
+        lookup = self.registry.lookup
+        lookup(buy.broker).execution_report(buy.order_id, trade)
+        lookup(sell.broker).execution_report(sell.order_id, trade)
         return trade
 
     def pending_report_count(self) -> int:
@@ -327,10 +318,10 @@ class ExchangeService:
 
     def report_trades_rec(self) -> int:
         """Push every executed-but-unreported trade to the clearing corporation."""
-        clearing = self.registry.first(ParticipantRole.CLEARING_CORPORATION)
+        submit = self.registry.first(ParticipantRole.CLEARING_CORPORATION).submit_trade
         reports, self._unreported = self._unreported, []
         for report in reports:
-            result = clearing.submit_trade(report, source="exchange")
+            result = submit(report, "exchange")
             if result is not None:
                 raise ClearingRejected(f"exchange trade {report.trade.trade_id}", result)
         return len(reports)

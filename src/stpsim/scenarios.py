@@ -29,7 +29,11 @@ Declaration rules; a line that breaks one fails parsing with its number:
   their participant lines;
 - every broker, custodian, client, institution, order and endowed account
   a line names is declared somewhere in the file, before or after it;
-- an account is endowed on at most one line, with no negative amount;
+- every symbol an ``endow:`` or ``expect:`` position names is declared by a
+  ``symbol:`` line, before or after it;
+- an account is endowed on at most one line, with no negative amount, and
+  expected on at most one line;
+- a ``retail:`` or ``institution:`` line carries no key besides its own;
 - an order is allocated on at most one line, and only to its
   institution's ``ends``.
 
@@ -243,12 +247,13 @@ def parse_scenario(text: str) -> Scenario:
     expected: list[ExpectedBalance] = []
     # kind -> name -> first line naming it; each name must be declared
     named: dict[str, dict] = {kind: {} for kind in (
-        "broker", "custodian", "client", "institution", "order", "account")}
+        "broker", "custodian", "client", "institution", "order", "account", "symbol")}
     accounts: dict[str, int] = {}  # every declared account -> line declaring it
-    # an order is allocated, and an account endowed, on one line only
+    # an order is allocated, and an account endowed or expected, on one line only
     allocated: dict[int, int] = named["order"]
     endowed: dict[str, int] = named["account"]
-    client_lines = named["client"]
+    expected_on: dict[str, int] = {}
+    client_lines, symbol_lines = named["client"], named["symbol"]
     side_of = _SIDES.get
     type_of = _ORDER_TYPES.get
 
@@ -294,8 +299,16 @@ def parse_scenario(text: str) -> Scenario:
             if client not in client_lines:
                 client_lines[client] = line_no
         elif key == "expect":
+            account = parts[0]
             money, positions = _amounts(parts[1:], line_no, "money", 0)
-            expected.append(_new(ExpectedBalance, (parts[0], money, positions)))
+            first = expected_on.setdefault(account, line_no)
+            if first != line_no:
+                raise ScenarioFormatError(
+                    f"account {account!r} already expected on line {first}", line_no)
+            for symbol, _ in positions:
+                if symbol not in symbol_lines:
+                    symbol_lines[symbol] = line_no
+            expected.append(_new(ExpectedBalance, (account, money, positions)))
         elif key == "endow":
             account = parts[0]
             money, positions = _amounts(parts[1:], line_no, "money", 0)
@@ -309,6 +322,9 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioFormatError(
                     f"account {account!r} already endowed on line {endowed[account]}", line_no)
             endowed[account] = line_no
+            for symbol, _ in positions:
+                if symbol not in symbol_lines:
+                    symbol_lines[symbol] = line_no
             endowments.append(Endowment(account, money, positions))
         elif key == "allocate":
             order_index, splits = _amounts(parts[1:], line_no, "order", None)
@@ -324,6 +340,8 @@ def parse_scenario(text: str) -> Scenario:
         elif key == "retail":
             kv = _split_kv(parts[1:], line_no)
             retail.append(RetailClient(parts[0], _pop_field(kv, "broker", line_no)))
+            if kv:  # a key the line kind does not have
+                raise ScenarioFormatError(f"unknown key {next(iter(kv))!r}", line_no)
             _declare(accounts, parts[:1], line_no)
             named["broker"].setdefault(retail[-1].broker, line_no)
         elif key == "institution":
@@ -331,6 +349,8 @@ def parse_scenario(text: str) -> Scenario:
             broker = _pop_field(kv, "broker", line_no)
             custodian = _pop_field(kv, "custodian", line_no)
             ends_text = _pop_field(kv, "ends", line_no)
+            if kv:
+                raise ScenarioFormatError(f"unknown key {next(iter(kv))!r}", line_no)
             end_clients = tuple(ends_text.split(","))
             if "" in end_clients:
                 raise ScenarioFormatError(
@@ -371,6 +391,7 @@ def parse_scenario(text: str) -> Scenario:
     declared["institution"] = {institution.account for institution in institutions}
     declared["order"] = range(1, len(orders) + 1)
     declared["account"] = accounts
+    declared["symbol"] = set(symbols)
     undeclared = [(line_no, kind, name) for kind, names in named.items()
                   for name, line_no in names.items() if name not in declared.get(kind, ())]
     if undeclared:

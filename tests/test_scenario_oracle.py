@@ -58,11 +58,11 @@ def _key_values(draw, pairs):
     return words
 
 
-def _holdings(draw):
+def _holdings(draw, symbols):
     pairs = []
     if draw(st.booleans()):
         pairs.append(("money", draw(amounts)))
-    for symbol in draw(st.lists(st.sampled_from(SYMBOLS), unique=True, max_size=2)):
+    for symbol in draw(st.lists(st.sampled_from(symbols), unique=True, max_size=2)):
         pairs.append((symbol, draw(amounts)))
     return pairs
 
@@ -75,7 +75,8 @@ def valid_scenarios(draw):
     lines = [["scenario:", f"s{draw(st.integers(0, 99))}"]]
     if draw(st.booleans()):
         lines.append(["currency:", draw(st.sampled_from(["USD", "EUR"]))])
-    lines += [["symbol:", symbol] for symbol in SYMBOLS[:draw(st.integers(1, 3))]]
+    symbols = SYMBOLS[:draw(st.integers(1, 3))]
+    lines += [["symbol:", symbol] for symbol in symbols]
     lines += [["broker:", broker] for broker in brokers]
     lines += [["custodian:", custodian] for custodian in custodians]
     lines += [["exchange:", f"X{n}"] for n in range(1, draw(st.integers(1, 2)) + 1)]
@@ -99,7 +100,7 @@ def valid_scenarios(draw):
                 *(f"{b}.house" for b in brokers), *(f"{c}.omnibus" for c in custodians),
                 "CC1.ccp"]
     for account in draw(st.lists(st.sampled_from(accounts), unique=True, max_size=4)):
-        lines.append(["endow:", account, *_key_values(draw, _holdings(draw))])
+        lines.append(["endow:", account, *_key_values(draw, _holdings(draw, symbols))])
 
     clients = [*retail, *ends]
     orders = []
@@ -124,8 +125,8 @@ def valid_scenarios(draw):
             words.insert(draw(st.integers(0, len(words))), f"order={index}")
             lines.append(["allocate:", client, *words])
 
-    for account in draw(st.lists(st.sampled_from(accounts), max_size=4)):
-        lines.append(["expect:", account, *_key_values(draw, _holdings(draw))])
+    for account in draw(st.lists(st.sampled_from(accounts), unique=True, max_size=4)):
+        lines.append(["expect:", account, *_key_values(draw, _holdings(draw, symbols))])
 
     # any order of lines is valid as long as the orders keep theirs
     shuffled = draw(st.permutations(lines))

@@ -305,3 +305,56 @@ def test_cli_refuses_an_empty_end_client_name_in_a_shipped_scenario(tmp_path, en
     assert result.stdout == ""
     assert result.stderr == f"error: line 16: empty end client name in ends='{ends}'\n"
 
+
+
+# -- unknown keys, undeclared symbols and a second expect: line --------------------
+
+REFUSED = {
+    "retail_unknown_key": ("retail: B broker=BR1 brokr=BR1", "unknown key 'brokr'"),
+    "institution_unknown_key": ("institution: I broker=BR1 custodian=CU1 ends=E1 end=E2",
+                                "unknown key 'end'"),
+    "endow_undeclared_symbol": ("endow: A money=5 BOLT=3", "undeclared symbol 'BOLT'"),
+    "expect_undeclared_symbol": ("expect: A ACME=10 BOLT=0", "undeclared symbol 'BOLT'"),
+    "expect_twice": ("expect: A money=0\nexpect: A ACME=10",
+                     f"account 'A' already expected on line {BAD_LINE}"),
+}
+
+
+@pytest.mark.parametrize("bad, message", REFUSED.values(), ids=REFUSED.keys())
+def test_unknown_key_undeclared_symbol_and_second_expect_are_refused(bad, message):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(HEADER + bad + "\n" + ROLES)
+    line = BAD_LINE + bad.count("\n")
+    assert str(info.value) == f"line {line}: {message}"
+
+
+def test_a_symbol_may_be_declared_after_the_positions_that_name_it():
+    scenario = parse_scenario(HEADER + "endow: A BOLT=3\nexpect: A BOLT=3\n"
+                              "symbol: BOLT\n" + ROLES)
+    assert scenario.endowments[0].positions == (("BOLT", 3),)
+    assert scenario.expected[0].positions == (("BOLT", 3),)
+
+
+@pytest.mark.parametrize("scenario_id, old, new, message", [
+    ("retail_retail", "retail: RC2 broker=BR2\n", "retail: RC2 broker=BR2 brokr=BR1\n",
+     "line 14: unknown key 'brokr'"),
+    ("institutional_institutional", "endow: CU2.omnibus ACME=100\n",
+     "endow: CU2.omnibus ACME=100 mony=5\n", "line 20: undeclared symbol 'mony'"),
+    ("institutional_institutional", "expect: EC1 ACME=60\n", "expect: EC1 ACME=60 AMCE=0\n",
+     "line 27: undeclared symbol 'AMCE'"),
+    ("retail_retail", "expect: CC1.ccp money=0\n",
+     "expect: CC1.ccp money=0\nexpect: RC1 money=1\n",
+     "line 28: account 'RC1' already expected on line 23"),
+], ids=["retail_unknown_key", "endow_undeclared_symbol", "expect_undeclared_symbol",
+        "expect_twice"])
+def test_cli_refuses_an_unknown_key_undeclared_symbol_or_second_expect(
+        capsys, scenario_id, old, new, message, tmp_path):
+    from stpsim.cli import main
+    text = scenario_path(scenario_id).read_text()
+    assert text.count(old) == 1
+    edited = tmp_path / "edited.scn"
+    edited.write_text(text.replace(old, new))
+    assert main(["run", str(catalog_path()), str(config_path("seco_a")), str(edited),
+                 "--format", "machine"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
