@@ -150,8 +150,9 @@ class ClearingCorporation:
         """Validate and queue one submission; None means accepted.
 
         Street reports and client records pass one intake check: a new trade
-        id, a positive quantity and price, and open settlement accounts. A
-        street trade also meets the extended checks' `max_trade_value`.
+        id, a positive quantity, a positive price in the ledger's currency, and
+        open settlement accounts. A street trade also meets the extended
+        checks' `max_trade_value`.
         """
         if source == "exchange":
             trade, accounts, street = record.trade, (record.buy_account, record.sell_account), True
@@ -166,16 +167,15 @@ class ClearingCorporation:
             return Rejection("trade_validation", "NonPositiveQuantity", str(quantity))
         if price.amount <= 0:
             return Rejection("trade_validation", "NonPositivePrice", str(price))
+        if price.currency != self.ledger.currency:
+            return Rejection("trade_validation", "CurrencyMismatch", str(price))
         known = self.ledger.accounts
         for account in accounts:
             if account not in known:
                 return Rejection("trade_validation", "UnknownAccount", account)
-        # on minor units; the Money comparison, reached past the cap or in
-        # another currency, still raises CurrencyMismatch in the latter case
-        cap = self.max_trade_value
-        if street and self.extended_validation and (
-                price.amount * quantity > cap.amount or price.currency != cap.currency) \
-                and trade.value > cap:
+        # on minor units: the price is in the ledger's currency, as is the cap
+        if street and self.extended_validation and \
+                price.amount * quantity > self.max_trade_value.amount:
             return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
         self._seen_trade_ids.add(trade_id)
         if street:

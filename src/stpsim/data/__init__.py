@@ -1,11 +1,12 @@
 """Shipped catalog, product configurations, and scenario definitions."""
 
-from importlib import resources
 from pathlib import Path
+
+_DIR = Path(__file__).parent
 
 
 def _path(name: str) -> Path:
-    return Path(resources.files(__package__) / name)
+    return _DIR / name
 
 
 def catalog_path() -> Path:

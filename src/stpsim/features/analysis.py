@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .model import (
     Configuration,
+    Feature,
+    FeatureKind,
     FeatureModel,
     GroupKind,
     InvalidConfiguration,
@@ -49,19 +51,24 @@ def normalize(model: FeatureModel, selected: frozenset[str]) -> frozenset[str]:
     """Monotone closure: add every ancestor, and every mandatory child of a
     selected and-parent, until nothing is left to add. Never removes a
     selection."""
+    by_name, parent = model._by_name, model._parent
+    and_group, mandatory = GroupKind.AND, Optionality.MANDATORY
     closed = set(selected)
     pending = list(closed)
-    while pending:
-        name = pending.pop()
-        feature = model.feature(name)
-        implied = [model.parent_of(name)]
-        if feature.group is GroupKind.AND:
-            implied += [child.name for child in feature.children
-                        if child.optionality is Optionality.MANDATORY]
-        for other in implied:
-            if other is not None and other not in closed:
-                closed.add(other)
-                pending.append(other)
+    try:
+        while pending:
+            name = pending.pop()
+            feature = by_name[name]
+            implied = [parent[name]]
+            if feature.group is and_group:
+                implied += [child.name for child in feature.children
+                            if child.optionality is mandatory]
+            for other in implied:
+                if other is not None and other not in closed:
+                    closed.add(other)
+                    pending.append(other)
+    except KeyError as missing:
+        raise UnknownFeatureName(missing.args[0]) from None
     return frozenset(closed)
 
 
@@ -72,27 +79,28 @@ def _group_violations(model: FeatureModel, selected: frozenset[str]) -> list[Vio
     root = model.root.name
     if root not in selected:
         violations.append(Violation("RootNotSelected", f"root feature {root} is not selected"))
-    for name in model.feature_names():
-        if name not in selected:
+    alternative, or_group = GroupKind.ALTERNATIVE, GroupKind.OR
+    for name, feature in model._by_name.items():
+        group = feature.group
+        if group not in (alternative, or_group) or name not in selected:
             continue
-        feature = model.feature(name)
         chosen = [child.name for child in feature.children if child.name in selected]
-        if feature.group is GroupKind.ALTERNATIVE and len(chosen) != 1:
+        if group is alternative and len(chosen) != 1:
             violations.append(Violation(
                 "AlternativeCardinality",
                 f"alternative group {name} selects {len(chosen)} children "
                 f"({', '.join(chosen) or 'none'}), needs exactly 1",
             ))
-        elif feature.group is GroupKind.OR and not chosen:
+        elif group is or_group and not chosen:
             violations.append(Violation(
                 "OrCardinality", f"or group {name} selects no children, needs at least 1"))
     return violations
 
 
 def validate_configuration(model: FeatureModel, cfg: Configuration) -> ValidationReport:
-    unknown = sorted(name for name in cfg.selected if name not in model)
+    unknown = sorted(cfg.selected - model._by_name.keys())
     if unknown:
-        raise UnknownFeatureName(", ".join(unknown))
+        raise UnknownFeatureName(*unknown)
 
     normalized = normalize(model, cfg.selected)
     violations = _group_violations(model, normalized)
@@ -133,14 +141,22 @@ def derive_product(model: FeatureModel, cfg: Configuration, name: str) -> Produc
         raise InvalidConfiguration(report)
 
     selected = report.normalized
-    bindings: dict[str, tuple[str, ...]] = {}
-    for point in model.variation_points():
-        if point.name not in selected:
-            continue
-        chosen = tuple(
-            descendant
-            for descendant in model.concrete_descendants(point.name)
-            if descendant in selected
-        )
-        bindings[point.name] = chosen
-    return ProductSpec(name, Configuration(selected), bindings)
+    concrete = FeatureKind.CONCRETE
+    bindings: dict[str, list[str]] = {}
+
+    # One pre-order walk of the selected subtree: a concrete feature joins
+    # the bindings in `points`, those of every variation point above it.
+    def walk(feature: Feature, points: tuple[list[str], ...]) -> None:
+        if feature.kind is concrete:
+            for chosen in points:
+                chosen.append(feature.name)
+        elif feature.is_variation_point:
+            bindings[feature.name] = chosen = []
+            points = (*points, chosen)
+        for child in feature.children:
+            if child.name in selected:
+                walk(child, points)
+
+    walk(model.root, ())
+    return ProductSpec(name, Configuration(selected),
+                       {point: tuple(chosen) for point, chosen in bindings.items()})

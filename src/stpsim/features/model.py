@@ -27,7 +27,8 @@ class ModelSyntaxError(FeatureModelError):
 
 
 class DuplicateFeatureName(FeatureModelError):
-    pass
+    def __init__(self, name: str):
+        super().__init__(f"duplicate feature {name!r}")
 
 
 class UnknownNameInConstraint(FeatureModelError):
@@ -39,7 +40,9 @@ class MalformedGroup(FeatureModelError):
 
 
 class UnknownFeatureName(FeatureModelError):
-    pass
+    def __init__(self, *names: str):
+        super().__init__(
+            f"unknown feature{'s' if len(names) > 1 else ''} {', '.join(map(repr, names))}")
 
 
 class ModelTooLarge(FeatureModelError):
@@ -71,6 +74,10 @@ class GroupKind(enum.Enum):
     LEAF = "leaf"
 
 
+# the groups that make an abstract feature a variation point
+_POINT_GROUPS = (GroupKind.OR, GroupKind.ALTERNATIVE)
+
+
 @dataclass(frozen=True)
 class Feature:
     name: str
@@ -81,10 +88,7 @@ class Feature:
 
     @property
     def is_variation_point(self) -> bool:
-        return self.kind is FeatureKind.ABSTRACT and self.group in (
-            GroupKind.OR,
-            GroupKind.ALTERNATIVE,
-        )
+        return self.group in _POINT_GROUPS and self.kind is FeatureKind.ABSTRACT
 
 
 @dataclass(frozen=True)
@@ -142,20 +146,17 @@ class FeatureModel:
     def _index(self, feature: Feature, parent: str | None) -> None:
         if feature.name in self._by_name:
             raise DuplicateFeatureName(feature.name)
-        if feature.group in (GroupKind.OR, GroupKind.ALTERNATIVE) and len(feature.children) < 2:
+        if feature.group in _POINT_GROUPS and len(feature.children) < 2:
             raise MalformedGroup(
                 f"{feature.name}: {feature.group.value} group needs >= 2 children, "
                 f"has {len(feature.children)}"
             )
-        if feature.group is GroupKind.LEAF and feature.children:
+        if feature.children and feature.group is GroupKind.LEAF:
             raise MalformedGroup(f"{feature.name}: leaf feature has children")
         self._by_name[feature.name] = feature
         self._parent[feature.name] = parent
         for child in feature.children:
             self._index(child, feature.name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
 
     def feature(self, name: str) -> Feature:
         try:

@@ -43,50 +43,40 @@ def _strip_comment(line: str) -> str:
     return line.rstrip()
 
 
-class _Node:
-    def __init__(self, kind: str, opt: str, name: str, group: str | None):
-        self.kind = kind
-        self.opt = opt
-        self.name = name
-        self.group = group
-        self.children: list["_Node"] = []
+_KIND = {kind.value: kind for kind in FeatureKind}
+_OPTIONALITY = {optionality.value: optionality for optionality in Optionality}
+# `group:and` and no group mark alike an and-group, or a leaf without children
+_GROUP = {"or": GroupKind.OR, "alt": GroupKind.ALTERNATIVE}
 
-    def freeze(self) -> Feature:
-        if self.group == "or":
-            group = GroupKind.OR
-        elif self.group == "alt":
-            group = GroupKind.ALTERNATIVE
-        elif self.children:
-            group = GroupKind.AND
-        else:
-            group = GroupKind.LEAF
-        return Feature(
-            name=self.name,
-            kind=FeatureKind(self.kind),
-            optionality=Optionality(self.opt),
-            group=group,
-            children=tuple(child.freeze() for child in self.children),
-        )
+
+def _close(stack: list[tuple], depth: int) -> None:
+    """Freeze each open entry at `depth` or deeper into its parent's children."""
+    while stack[-1][0] >= depth:
+        _, name, kind, optionality, group, children = stack.pop()
+        group = _GROUP.get(group) or (GroupKind.AND if children else GroupKind.LEAF)
+        stack[-1][5].append(Feature(name, kind, optionality, group, tuple(children)))
 
 
 def parse_feature_model(text: str) -> FeatureModel:
-    root: _Node | None = None
-    stack: list[tuple[int, _Node]] = []  # (depth, node) path to the current feature
+    # The open path to the last feature line, below the document's entry at
+    # depth -1, as (depth, name, kind, optionality, group, children) entries.
+    stack: list[tuple] = [(-1, None, None, None, None, [])]
     constraint_lines: list[tuple[int, str]] = []
     in_constraints = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
-        if not line.strip():
+        if not line:
             continue
-        if "\t" in raw[: len(raw) - len(raw.lstrip())]:
+        body = line.lstrip()
+        if "\t" in line[: len(line) - len(body)]:
             raise ModelSyntaxError("tabs are not allowed in indentation", lineno)
 
         if in_constraints:
-            constraint_lines.append((lineno, line.strip()))
+            constraint_lines.append((lineno, body))
             continue
 
-        if line.strip() == "constraints:":
+        if body == "constraints:":
             if line != "constraints:":
                 raise ModelSyntaxError("'constraints:' must start at column 1", lineno)
             in_constraints = True
@@ -100,30 +90,20 @@ def parse_feature_model(text: str) -> FeatureModel:
             raise ModelSyntaxError(
                 f"feature tree nested deeper than {fm.MAX_NESTING} levels", lineno, indent + 1)
 
-        body = line.strip()
         match = _FEATURE_LINE.match(body)
         if not match:
             raise ModelSyntaxError(f"malformed feature line: {body!r}", lineno, indent + 1)
-        node = _Node(*match.group("kind", "opt", "name", "group"))
-
-        if depth == 0:
-            if root is not None:
-                raise ModelSyntaxError("more than one root feature", lineno)
-            root = node
-            stack = [(0, node)]
-            continue
-        if root is None:
+        kind, optionality, name, group = match.groups()
+        if depth == 0 and len(stack) > 1:   # the root closes only at the end
+            raise ModelSyntaxError("more than one root feature", lineno)
+        if depth > 0 and len(stack) == 1:
             raise ModelSyntaxError("first feature must be unindented", lineno, indent + 1)
-
-        while stack and stack[-1][0] >= depth:
-            stack.pop()
-        if not stack or stack[-1][0] != depth - 1:
+        _close(stack, depth)
+        if stack[-1][0] != depth - 1:
             raise ModelSyntaxError("indentation jumps more than one level", lineno, indent + 1)
-        parent = stack[-1][1]
-        parent.children.append(node)
-        stack.append((depth, node))
+        stack.append((depth, name, _KIND[kind], _OPTIONALITY[optionality], group, []))
 
-    if root is None:
+    if len(stack) == 1:
         raise ModelSyntaxError("empty model document", 1)
 
     constraints: list[CrossTreeConstraint] = []
@@ -134,7 +114,8 @@ def parse_feature_model(text: str) -> FeatureModel:
             raise ModelSyntaxError(f"bad constraint: {exc}", lineno, exc.position + 1) from None
         constraints.append(CrossTreeConstraint(parsed))
 
-    return FeatureModel(root.freeze(), tuple(constraints))
+    _close(stack, 0)
+    return FeatureModel(stack[0][5][0], tuple(constraints))
 
 
 def serialize_feature_model(model: FeatureModel) -> str:
@@ -142,10 +123,8 @@ def serialize_feature_model(model: FeatureModel) -> str:
 
     def emit(feature: Feature, depth: int) -> None:
         parts = [feature.kind.value, feature.optionality.value, feature.name]
-        if feature.group in (GroupKind.OR, GroupKind.ALTERNATIVE):
+        if feature.children:    # a model has no leaf with children nor childless or/alt
             parts.append(f"group:{feature.group.value}")
-        elif feature.group is GroupKind.AND and feature.children:
-            parts.append("group:and")
         lines.append("  " * depth + " ".join(parts))
         for child in feature.children:
             emit(child, depth + 1)

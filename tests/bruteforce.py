@@ -2,13 +2,14 @@
 
 Nothing here reuses the production validation path: the tree is re-indexed
 from scratch, the closure is a BFS worklist instead of a fixpoint sweep,
-the group rules are one flat pass over an explicit parent map, and formulas
-are evaluated by a separate recursive walker.
+the group rules are one flat pass over an explicit parent map, formulas
+are evaluated by a separate recursive walker, and each variation point's
+binding is collected by a walk of its own subtree.
 """
 
 from itertools import combinations
 
-from stpsim.features import FeatureModel, GroupKind, Optionality
+from stpsim.features import FeatureKind, FeatureModel, GroupKind, Optionality
 from stpsim.features import formula as fm
 
 
@@ -108,3 +109,24 @@ def enumerate_by_bruteforce(model: FeatureModel) -> set[frozenset]:
             if satisfies_directly(model, subset):
                 found.add(subset)
     return found
+
+
+def bindings_by_walk(model: FeatureModel, selected: frozenset) -> dict[str, tuple[str, ...]]:
+    """Each selected abstract or/alternative feature, in document order ->
+    the selected concrete features anywhere below it, in document order,
+    each point collected by a walk of its own subtree."""
+
+    def concrete_below(feature):
+        for child in feature.children:
+            if child.kind is FeatureKind.CONCRETE and child.name in selected:
+                yield child.name
+            yield from concrete_below(child)
+
+    def points(feature):
+        if feature.name in selected and feature.kind is FeatureKind.ABSTRACT \
+                and feature.group in (GroupKind.OR, GroupKind.ALTERNATIVE):
+            yield feature.name, tuple(concrete_below(feature))
+        for child in feature.children:
+            yield from points(child)
+
+    return dict(points(model.root))

@@ -42,14 +42,15 @@ _trade_counter = [0]
 
 
 def street_trade(buy_account, sell_account, symbol="S0", qty=10, price=1000,
-                 buy_deferred=False, sell_deferred=False, buy_order="BO", sell_order="SO"):
+                 buy_deferred=False, sell_deferred=False, buy_order="BO", sell_order="SO",
+                 currency="USD"):
     _trade_counter[0] += 1
     trade = Trade(
         trade_id=f"T{_trade_counter[0]}",
         buy_order_id=buy_order,
         sell_order_id=sell_order,
         symbol=symbol,
-        price=Money(price),
+        price=Money(price, currency),
         quantity=qty,
         exchange=EXCHANGE_PID,
     )
@@ -354,10 +355,11 @@ def test_gross_instructions_pair_money_and_equity_entries():
 
 # -- deferred sides and custodian coverage --------------------------------------
 
-def client_record(n, block_order, qty, account="acct_a", price=1000, side=Side.BUY):
+def client_record(n, block_order, qty, account="acct_a", price=1000, side=Side.BUY,
+                  currency="USD"):
     return ClientTradeRecord(
         trade_id=f"CT{n}", block_order_id=block_order, side=side,
-        symbol="S0", quantity=qty, price=Money(price), account=account)
+        symbol="S0", quantity=qty, price=Money(price, currency), account=account)
 
 
 def test_deferred_side_waits_for_coverage():
@@ -393,6 +395,20 @@ def test_client_record_non_positive_price_rejected():
     for n, price in enumerate((0, -5)):
         rejection = clearing.submit_trade(client_record(n, "B", 10, price=price), "custodian")
         assert rejection == Rejection("trade_validation", "NonPositivePrice", str(Money(price)))
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["standard", "extended"])
+def test_price_in_another_currency_is_refused_before_the_value_cap(extended):
+    clearing, ledger = make_clearing()
+    clearing.extended_validation = extended
+    clearing.max_trade_value = Money(5000)      # 10 x 1000 is over it
+    refused = Rejection("trade_validation", "CurrencyMismatch", str(Money(1000, "EUR")))
+    report = street_trade("acct_a", "acct_b", qty=10, price=1000, currency="EUR")
+    assert clearing.submit_trade(report, "exchange") == refused
+    assert clearing.submit_trade(client_record(1, "B", 10, currency="EUR"), "custodian") == refused
+    assert clearing.clear_rec() == []
+    assert clearing.settle_rec() == []
+    assert ledger.journal == []
 
 
 # case -> (trade id seen before, quantity, price, settlement account, the rule broken first)

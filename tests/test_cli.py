@@ -199,3 +199,21 @@ def test_clearing_refusal_ends_the_run_with_a_report_and_exit_one(capture, tmp_p
     assert out.splitlines()[-1] == (
         "end|aborted|report_trades|clearing rejected exchange trade X1-T1: "
         "rejected at trade_validation: TradeValueTooLarge (10000000000000USD)")
+
+
+def test_a_feature_declared_twice_is_named_in_one_error_line(capture, tmp_path):
+    model = tmp_path / "twice.fm"
+    model.write_text("abstract mandatory Root group:and\n"
+                     "  concrete optional B\n"
+                     "  concrete optional B\n")
+    assert capture("validate-model", str(model)) == (1, "", "error: duplicate feature 'B'\n")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("validate-config", ()), ("derive", ("SECO_A",)), ("run", ("retail_retail",))])
+def test_an_unknown_configured_feature_is_named_in_one_error_line(capture, tmp_path,
+                                                                  command, extra):
+    config = tmp_path / "unknown.cfg"
+    config.write_text(config_path("seco_a").read_text() + "NoSuchFeature\n")
+    assert capture(command, CATALOG, str(config), *extra) == (
+        1, "", "error: unknown feature 'NoSuchFeature'\n")

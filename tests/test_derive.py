@@ -1,9 +1,14 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import bruteforce
+from conftest import feature_models
+from stpsim.data import catalog_path
 from stpsim.features import (
     Configuration,
+    GroupKind,
     InvalidConfiguration,
     derive_product,
     parse_feature_model,
@@ -70,3 +75,67 @@ def test_optional_variation_point_absent_when_deselected(catalog, seco_a_config)
 
 def test_alternative_point_binds_its_one_variant(product_a):
     assert product_a.bindings["SecondaryOrderPrecedenceRules"] == ("TimePriority",)
+
+
+# variation points nested two deep under an or-group root, and a concrete
+# feature with a concrete child, so a variant can belong to several bindings
+NESTED_FM = """\
+abstract mandatory Root group:or
+  abstract optional Inner group:alt
+    concrete optional X group:and
+      concrete optional Xa
+    abstract optional Innermost group:or
+      concrete optional Y
+      concrete optional Z
+  concrete optional W
+"""
+
+
+def assert_bindings_match_the_walk(model, selected):
+    product = derive_product(model, Configuration(selected), "P")
+    expected = bruteforce.bindings_by_walk(model, selected)
+    assert list(product.bindings.items()) == list(expected.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(feature_models(max_features=9))
+@example(parse_feature_model(NESTED_FM))
+def test_bindings_equal_the_bruteforce_walk_for_every_valid_configuration(model):
+    for selected in bruteforce.enumerate_by_bruteforce(model):
+        assert_bindings_match_the_walk(model, selected)
+
+
+CATALOG = parse_feature_model(catalog_path().read_text())
+
+
+@st.composite
+def catalog_selections(draw):
+    """Children drawn group by group down the selected tree (one of an
+    alternative, some of an or-group, the mandatory and any optional ones of
+    an and-group), plus up to two features from anywhere, then closed by the
+    brute-force BFS closure; so a selection may break a group or a
+    constraint."""
+    info = bruteforce.index_tree(CATALOG)
+    chosen = {CATALOG.root.name}
+    for name, meta in info.items():     # document order: parents first
+        children = meta["children"]
+        if name not in chosen or not children:
+            continue
+        if meta["group"] is GroupKind.ALTERNATIVE:
+            chosen.add(draw(st.sampled_from(children)))
+        elif meta["group"] is GroupKind.OR:
+            chosen |= draw(st.sets(st.sampled_from(children), min_size=1))
+        else:
+            chosen |= set(meta["mandatory_children"]) | draw(st.sets(st.sampled_from(children)))
+    chosen |= draw(st.sets(st.sampled_from(list(info)), max_size=2))
+    return bruteforce.close_selection(CATALOG, frozenset(chosen))
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog_selections())
+def test_bindings_equal_the_bruteforce_walk_on_catalog_selections(selected):
+    if bruteforce.satisfies_directly(CATALOG, selected):
+        assert_bindings_match_the_walk(CATALOG, selected)
+    else:
+        with pytest.raises(InvalidConfiguration):
+            derive_product(CATALOG, Configuration(selected), "P")

@@ -10,11 +10,14 @@ functions for the length of the run, to know which phase is running when a
 ``gc.callbacks`` callback sees a collection start.
 
 For each repeat it prints every gen-2 collection as the phase it fell in
-(set-up, life cycle, read-back, or reference-kernel run 0-3) and its index
-among all the collections of that phase, counting from 0. It also prints
-the number of GC-tracked objects (live or awaiting collection) right after
-the life cycle, and their growth since just before the repeat, which
-leaves out the objects the program's code itself is made of. Since each
+(set-up, life cycle, read-back, or reference-kernel run 0-3), its index
+among all the collections of that phase, counting from 0, and how many
+collections that phase had: ``kernel run 3 #21 of 28`` has 6 more
+collections after it in its phase, which tells how far a change in the
+allocations before it would have to go to move it to the next phase. It
+also prints the number of GC-tracked objects (live or awaiting collection)
+right after the life cycle, and their growth since just before the repeat,
+which leaves out the objects the program's code itself is made of. Since each
 timed phase is scaled by the kernel runs around it, a change that moves a
 gen-2 collection from one phase to another moves the benchmark's numbers
 without any code getting faster or slower.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,14 +84,16 @@ class Probe:
         return original
 
     def gen2(self) -> list[str]:
-        """'<phase> #<index in phase>' for every gen-2 collection so far."""
+        """'<phase> #<index in phase> of <collections in phase>' for every
+        gen-2 collection so far."""
+        counts = Counter(self.phases)
         seen: dict[str, int] = {}
         placed = []
         for phase, generation in zip(self.phases, self.generations):
             index = seen.get(phase, 0)
             seen[phase] = index + 1
             if generation == 2:
-                placed.append(f"{phase} #{index}")
+                placed.append(f"{phase} #{index} of {counts[phase]}")
         return placed
 
 
