@@ -28,21 +28,25 @@ from typing import NamedTuple
 
 from .ledger import InsufficientFunds, InsufficientPosition, Ledger
 from .money import Money, _new
-from .registry import ParticipantId, ParticipantRole, ServiceRegistry
+from .registry import EXCHANGE, ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
+    BUY,
+    INSTITUTIONAL,
     MAX_ORDER_VALUE,
+    RETAIL,
+    ROUTED,
+    SELL,
+    SETTLED,
     Affirmation,
     AllocationDetail,
     AuditEvent,
     ClientKind,
     Contract,
     Order,
-    OrderStatus,
     OrderType,
     Rejection,
     Side,
     Trade,
-    TradeStatus,
     allocation_detail_rule,
     order_shape_rule,
 )
@@ -136,16 +140,16 @@ class BrokerService:
     # -- order intake -------------------------------------------------------
 
     def place_retail_order(self, draft: OrderDraft) -> str | Rejection:
-        return self._run_pipeline(draft, ClientKind.RETAIL)
+        return self._run_pipeline(draft, RETAIL)
 
     def place_institutional_order(self, draft: OrderDraft) -> str | Rejection:
-        return self._run_pipeline(draft, ClientKind.INSTITUTIONAL)
+        return self._run_pipeline(draft, INSTITUTIONAL)
 
     def _run_pipeline(self, draft: OrderDraft, kind: ClientKind) -> str | Rejection:
         order_id = f"{self.pid.id}-O{self._next_order}"
         self._next_order += 1
         passed = self.audit.append  # takes each stage's "ok" AuditEvent, built positionally
-        retail = kind is ClientKind.RETAIL
+        retail = kind is RETAIL
 
         if rule := self._stage_validation(draft, kind):
             return self._rejected(order_id, "validation", rule)
@@ -161,7 +165,7 @@ class BrokerService:
         passed(_new(AuditEvent, (order_id, "client_compliance", "ok", "")))
 
         try:
-            venue = self.select_venue(draft, self.registry.list_by_role(ParticipantRole.EXCHANGE))
+            venue = self.select_venue(draft, self.registry.list_by_role(EXCHANGE))
         except NoVenues:
             return self._rejected(order_id, "venue_selection", "NoVenues")
         passed(_new(AuditEvent, (order_id, "venue_selection", "ok", "")))
@@ -188,13 +192,13 @@ class BrokerService:
         return Rejection(stage, rule)
 
     def _stage_validation(self, draft: OrderDraft, kind: ClientKind) -> str | None:
-        clients = self.retail_clients if kind is ClientKind.RETAIL else self.institutions
+        clients = self.retail_clients if kind is RETAIL else self.institutions
         if draft.client not in clients or draft.client not in self.ledger.accounts:
             return "UnknownClient"
         return order_shape_rule(
             draft.order_type, draft.quantity, draft.limit_price, self.config.offered_types,
             self.config.extended_order_checks, self.ledger.currency,
-            cap_required=kind is ClientKind.RETAIL and draft.side is Side.BUY,
+            cap_required=kind is RETAIL and draft.side is BUY,
             price_cap=draft.price_cap, side=draft.side)
 
     def _stage_risk(self, draft: OrderDraft, kind: ClientKind) -> str | None:
@@ -204,8 +208,8 @@ class BrokerService:
             if key in self._seen_drafts:
                 return "DuplicateOrder"
             self._seen_drafts.add(key)
-        if "PrefundingRiskCheck" in self.config.risk_checks and kind is ClientKind.RETAIL:
-            if draft.side is Side.BUY:
+        if "PrefundingRiskCheck" in self.config.risk_checks and kind is RETAIL:
+            if draft.side is BUY:
                 required = self._funding_price(draft) * draft.quantity
                 if not self.ledger.can_pay(draft.client, required):
                     return "InsufficientPrefunding"
@@ -227,7 +231,7 @@ class BrokerService:
         return None
 
     def _build_order(self, order_id: str, draft: OrderDraft, kind: ClientKind) -> Order:
-        if kind is ClientKind.RETAIL:
+        if kind is RETAIL:
             settlement = self.house_account
         else:
             custodian = self.registry.lookup(self.institutions[draft.client])
@@ -252,7 +256,7 @@ class BrokerService:
         return price
 
     def _stage_prepayment(self, order: Order, draft: OrderDraft) -> str | None:
-        money = order.side is Side.BUY
+        money = order.side is BUY
         prepaid = self._funding_price(draft).amount * order.quantity if money else order.quantity
         try:
             self._transfer(order, prepaid, money, f"prepay:{order.order_id}", to_client=False)
@@ -282,14 +286,14 @@ class BrokerService:
         """Release the order's escrow, refunding what the street did not use."""
         unused = self._escrow.pop(order.order_id) - used
         if unused > 0:
-            self._transfer(order, unused, order.side is Side.BUY, f"refund:{order.order_id}")
+            self._transfer(order, unused, order.side is BUY, f"refund:{order.order_id}")
 
     def _stage_routing(self, order: Order, venue: ParticipantId) -> Rejection | None:
         exchange = self.registry.lookup(venue)
         rejection = exchange.validate_incoming_order(order)
         if rejection:
             return rejection
-        order.status = OrderStatus.ROUTED
+        order.status = ROUTED
         exchange.submit_order(order)
         return None
 
@@ -307,8 +311,8 @@ class BrokerService:
                     continue
                 better = (
                     best_amount is None
-                    or (draft.side is Side.BUY and quote.amount < best_amount)
-                    or (draft.side is Side.SELL and quote.amount > best_amount)
+                    or (draft.side is BUY and quote.amount < best_amount)
+                    or (draft.side is SELL and quote.amount > best_amount)
                 )
                 if better:
                     best_pid, best_amount = pid, quote.amount
@@ -360,7 +364,7 @@ class BrokerService:
             return "NoDetails"
         block_id = details[0].block_order_id
         order = self.orders.get(block_id)
-        if order is None or order.client_kind is not ClientKind.INSTITUTIONAL:
+        if order is None or order.client_kind is not INSTITUTIONAL:
             return "UnknownBlockOrder"
         rule = allocation_detail_rule(
             details, order.client, block_id, order.symbol, self.config.extended_alloc_checks)
@@ -404,13 +408,13 @@ class BrokerService:
         credited = 0
         done, escrow, fills = self._credited, self._escrow, self.fills.get
         for order_id, order in self.orders.items():
-            if order.client_kind is not ClientKind.RETAIL:
+            if order.client_kind is not RETAIL:
                 continue
-            buy = order.side is Side.BUY
+            buy = order.side is BUY
             cost = 0
             settled = True
             for trade in fills(order_id, ()):
-                if trade.status is not TradeStatus.SETTLED:
+                if trade.status is not SETTLED:
                     settled = False
                     continue
                 quantity = trade.quantity

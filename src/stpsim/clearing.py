@@ -38,14 +38,15 @@ from typing import NamedTuple
 
 from .ledger import Ledger
 from .money import Money, _new
-from .registry import ParticipantId, ParticipantRole, ServiceRegistry
+from .registry import CLEARING_BANK, DEPOSITORY, ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
+    CLEARED,
+    SETTLED,
     EquityLeg,
     MoneyLeg,
     Rejection,
     SettlementInstruction,
     Side,
-    TradeStatus,
 )
 from .exchange import TradeReport
 
@@ -221,7 +222,7 @@ class ClearingCorporation:
         self.queued = waiting
         obligations = self._net(ready) if self.netting else self._gross(ready)
         for report in ready:
-            report.trade.advance(TradeStatus.CLEARED)
+            report.trade.advance(CLEARED)
         self.pending_obligations.extend(obligations)
         self._cleared_reports.extend(ready)
         return obligations
@@ -274,8 +275,8 @@ class ClearingCorporation:
         """
         instructions, transfers = self._plan()
         if transfers:
-            bank = self.registry.first(ParticipantRole.CLEARING_BANK)
-            depository = self.registry.first(ParticipantRole.DEPOSITORY)
+            bank = self.registry.first(CLEARING_BANK)
+            depository = self.registry.first(DEPOSITORY)
             self._precheck(transfers)
             currency = self.ledger.currency
             for instruction, _, src, dst, symbol, amount in transfers:
@@ -285,7 +286,7 @@ class ClearingCorporation:
                 else:
                     depository.transfer_equity(src, dst, symbol, amount, cause)
         for report in self._cleared_reports:
-            report.trade.advance(TradeStatus.SETTLED)
+            report.trade.advance(SETTLED)
         self._cleared_reports = []
         self.pending_obligations = []
         self._next_instruction += len(instructions)
@@ -351,7 +352,7 @@ class ClearingCorporation:
         """Settlement status inquiry: every street trade of `order_id` settled."""
         reports = self._order_trades.get(order_id, [])
         return bool(reports) and all(
-            report.trade.status is TradeStatus.SETTLED for report in reports)
+            report.trade.status is SETTLED for report in reports)
 
     def queue_size(self) -> int:
         return len(self.queued)

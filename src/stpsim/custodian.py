@@ -19,9 +19,9 @@ from operator import attrgetter
 from .clearing import ClientTradeRecord
 from .ledger import Ledger
 from .money import Money, _new
-from .registry import ParticipantId, ParticipantRole, ServiceRegistry
+from .registry import CLEARING_CORPORATION, ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
-    Affirmation, AllocationDetail, ClearingRejected, Contract, Rejection, Side,
+    BUY, Affirmation, AllocationDetail, ClearingRejected, Contract, Rejection, Side,
     allocation_detail_rule)
 
 
@@ -210,7 +210,7 @@ class CustodianService:
 
     def send_trades_to_clearing_rec(self) -> int:
         """Submit one client-level trade record per affirmed allocation."""
-        submit = self.registry.first(ParticipantRole.CLEARING_CORPORATION).submit_trade
+        submit = self.registry.first(CLEARING_CORPORATION).submit_trade
         prefix, omnibus = f"{self.pid.id}-R", self.omnibus_account
         sent = 0
         for block, affirmed in self.affirmed.items():
@@ -231,7 +231,7 @@ class CustodianService:
 
     def settle_institutional_rec(self) -> int:
         """Distribute settled blocks from the omnibus to end clients; idempotent."""
-        clearing = self.registry.first(ParticipantRole.CLEARING_CORPORATION)
+        clearing = self.registry.first(CLEARING_CORPORATION)
         omnibus = self.omnibus_account
         moved = 0
         for block, affirmed in self.affirmed.items():
@@ -240,7 +240,7 @@ class CustodianService:
             if not clearing.is_order_settled(block):
                 continue
             details = affirmed.details
-            if affirmed.side is Side.BUY:
+            if affirmed.side is BUY:
                 transfer, method = self.ledger.transfer_equity, self._equity_method
                 for alloc_id, _, end_client, _, symbol, quantity, _ in details:
                     transfer(omnibus, end_client, symbol, quantity,

@@ -20,9 +20,10 @@ import heapq
 from dataclasses import dataclass
 
 from .money import Money
-from .registry import ParticipantId, ParticipantRole, ServiceRegistry
+from .registry import CLEARING_CORPORATION, ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
-    ClearingRejected, ClientKind, Order, OrderStatus, OrderType, Rejection, Side, Trade,
+    BUY, CANCELLED, FILL_OR_KILL, FILLED, INSTITUTIONAL, LIMIT, MARKET, PARTIALLY_FILLED, REJECTED,
+    RESTING, VALIDATED, ClearingRejected, Order, OrderType, Rejection, Side, Trade,
     order_shape_rule)
 
 
@@ -40,6 +41,11 @@ class TieBreak(enum.Enum):
     LIFO = "LifoTieBreak"
 
 
+# each member as a module constant, as `trading` explains
+TIME_PRIORITY, SIZE_PRIORITY = SecondaryPrecedence.TIME_PRIORITY, SecondaryPrecedence.SIZE_PRIORITY
+FIFO, LIFO = TieBreak.FIFO, TieBreak.LIFO
+
+
 @dataclass(frozen=True)
 class PrecedenceComparator:
     secondary: SecondaryPrecedence
@@ -48,12 +54,12 @@ class PrecedenceComparator:
     def key(self, order: Order):
         """Sort key; lowest key = first to trade. Total because seq is unique."""
         price = order.limit_price.amount if order.limit_price else 0
-        primary = -price if order.side is Side.BUY else price
-        if self.secondary is SecondaryPrecedence.TIME_PRIORITY:
+        primary = -price if order.side is BUY else price
+        if self.secondary is TIME_PRIORITY:
             second = order.seq
         else:
             second = -order.remaining
-        third = order.seq if self.tie_break is TieBreak.FIFO else -order.seq
+        third = order.seq if self.tie_break is FIFO else -order.seq
         return (primary, second, third)
 
 
@@ -130,7 +136,7 @@ class OrderBook:
         self.asks = BookSide(comparator.key)
 
     def side(self, side: Side) -> BookSide:
-        return self.bids if side is Side.BUY else self.asks
+        return self.bids if side is BUY else self.asks
 
     def best(self, side: Side) -> Order | None:
         return self.side(side).head()
@@ -150,9 +156,9 @@ class OrderBook:
     @staticmethod
     def _bound(incoming: Order) -> int | None:
         """The worst price, in minor units, `incoming` may trade at; None for any."""
-        if incoming.order_type is OrderType.MARKET:
+        if incoming.order_type is MARKET:
             cap = incoming.price_cap     # a market sell's cap bounds nothing
-            return cap.amount if cap is not None and incoming.side is Side.BUY else None
+            return cap.amount if cap is not None and incoming.side is BUY else None
         return incoming.limit_price.amount
 
     def fillable_quantity(self, incoming: Order) -> int:
@@ -161,7 +167,7 @@ class OrderBook:
         levels = self.side(incoming.side.opposite).levels
         if bound is None:
             return sum(levels.values())
-        if incoming.side is Side.BUY:
+        if incoming.side is BUY:
             return sum(qty for price, qty in levels.items() if price <= bound)
         return sum(qty for price, qty in levels.items() if price >= bound)
 
@@ -171,20 +177,20 @@ class OrderBook:
         `make_trade(buy_order, sell_order, price, qty) -> Trade` supplies
         trade identity so the book stays reusable outside an exchange.
         """
-        if incoming.order_type is OrderType.FILL_OR_KILL:
+        if incoming.order_type is FILL_OR_KILL:
             if self.fillable_quantity(incoming) < incoming.remaining:
-                incoming.status = OrderStatus.CANCELLED
+                incoming.status = CANCELLED
                 return []
 
         trades = self._sweep(incoming, make_trade)
 
         if incoming.remaining == 0:
-            incoming.status = OrderStatus.FILLED
-        elif incoming.order_type is OrderType.LIMIT:
-            incoming.status = OrderStatus.PARTIALLY_FILLED if trades else OrderStatus.RESTING
+            incoming.status = FILLED
+        elif incoming.order_type is LIMIT:
+            incoming.status = PARTIALLY_FILLED if trades else RESTING
             self.side(incoming.side).append(incoming)
         else:
-            incoming.status = OrderStatus.CANCELLED
+            incoming.status = CANCELLED
 
         if self.is_crossed():
             raise BookInvariantViolation(f"{self.symbol} book crossed after {incoming.order_id}")
@@ -192,7 +198,7 @@ class OrderBook:
 
     def _sweep(self, incoming: Order, make_trade) -> list[Trade]:
         trades: list[Trade] = []
-        buying = incoming.side is Side.BUY
+        buying = incoming.side is BUY
         opposite = self.asks if buying else self.bids
         bound = self._bound(incoming)
         while incoming.remaining > 0:
@@ -207,7 +213,7 @@ class OrderBook:
             trades.append(make_trade(buy, sell, price, qty))
             incoming.remaining -= qty
             opposite.take(qty)
-            resting.status = OrderStatus.PARTIALLY_FILLED if resting.remaining else OrderStatus.FILLED
+            resting.status = PARTIALLY_FILLED if resting.remaining else FILLED
         return trades
 
 
@@ -279,7 +285,7 @@ class ExchangeService:
                 order.order_type, order.quantity, order.limit_price, self.supported_types,
                 self.extended_validation, book.currency, price_cap=order.price_cap)
         if rule:
-            order.status = OrderStatus.REJECTED
+            order.status = REJECTED
             return Rejection("exchange_validation", rule)
 
         if book.currency is None:
@@ -288,7 +294,7 @@ class ExchangeService:
                 book.currency = price.currency
         order.seq = self._next_seq
         self._next_seq += 1
-        order.status = OrderStatus.VALIDATED
+        order.status = VALIDATED
         return None
 
     def submit_order(self, order: Order) -> list[Trade]:
@@ -304,10 +310,9 @@ class ExchangeService:
                       buy.symbol, price, qty, self.pid)
         self._next_trade += 1
         self.executed.append(trade)
-        institutional = ClientKind.INSTITUTIONAL
         self._unreported.append(TradeReport(
             trade, buy.settlement_account, sell.settlement_account,
-            buy.client_kind is institutional, sell.client_kind is institutional))
+            buy.client_kind is INSTITUTIONAL, sell.client_kind is INSTITUTIONAL))
         lookup = self.registry.lookup
         lookup(buy.broker).execution_report(buy.order_id, trade)
         lookup(sell.broker).execution_report(sell.order_id, trade)
@@ -318,7 +323,7 @@ class ExchangeService:
 
     def report_trades_rec(self) -> int:
         """Push every executed-but-unreported trade to the clearing corporation."""
-        submit = self.registry.first(ParticipantRole.CLEARING_CORPORATION).submit_trade
+        submit = self.registry.first(CLEARING_CORPORATION).submit_trade
         reports, self._unreported = self._unreported, []
         for report in reports:
             result = submit(report, "exchange")

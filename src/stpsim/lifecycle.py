@@ -41,8 +41,8 @@ from .ledger import AccountSnapshot, JournalEntry, Snapshot, total_money, total_
 from .money import _new
 from .scenarios import AllocateAction, OrderAction, Scenario
 from .trading import (
-    Affirmation, AllocationDetail, AuditEvent, ClearingRejected, Rejection, SettlementInstruction,
-    Trade, TradeStatus)
+    SETTLED, Affirmation, AllocationDetail, AuditEvent, ClearingRejected, Rejection,
+    SettlementInstruction, Trade)
 
 
 class ScenarioAborted(Exception):
@@ -259,7 +259,7 @@ class ScenarioRunner:
             checks.append(CheckResult("ccp_flat", flat))
         unsettled = next((trade for exchange in self.eco.exchanges.values()
                           for trade in exchange.executed
-                          if trade.status is not TradeStatus.SETTLED), None)
+                          if trade.status is not SETTLED), None)
         checks.append(CheckResult(
             "all_trades_settled", unsettled is None,
             "" if unsettled is None else f"{unsettled.trade_id} is {unsettled.status.value}"))

@@ -37,6 +37,12 @@ class ParticipantRole(enum.Enum):
     __hash__ = object.__hash__
 
 
+# each member as a module constant, as `trading` explains
+BROKER, CUSTODIAN = ParticipantRole.BROKER, ParticipantRole.CUSTODIAN
+EXCHANGE, CLEARING_CORPORATION = ParticipantRole.EXCHANGE, ParticipantRole.CLEARING_CORPORATION
+CLEARING_BANK, DEPOSITORY = ParticipantRole.CLEARING_BANK, ParticipantRole.DEPOSITORY
+
+
 class ParticipantId(NamedTuple):
     role: ParticipantRole
     id: str

@@ -19,6 +19,8 @@ a ``key=value`` part, and each name in ``ends``, must not be empty.
 
 Declaration rules; a line that breaks one fails parsing with its number:
 
+- a scenario has at most one ``scenario:`` and one ``currency:`` line, and
+  declares each symbol on at most one ``symbol:`` line;
 - every scenario has exactly one ``clearing_corporation:`` line, and at
   least one ``clearing_bank:`` and one ``depository:`` line (a missing one
   is reported on line 1, like a missing ``scenario:`` header);
@@ -237,7 +239,8 @@ def _declare(accounts: dict[str, int], names: list[str], line_no: int) -> None:
 def parse_scenario(text: str) -> Scenario:
     scenario_id = ""
     currency = "USD"
-    symbols: list[str] = []
+    header_on: dict[str, int] = {}  # scenario / currency -> the line declaring it
+    symbols: dict[str, int] = {}  # declared symbol -> line declaring it
     participants: dict[ParticipantRole, dict[str, int]] = {}  # role -> id -> declaring line
     retail: list[RetailClient] = []
     institutions: list[Institution] = []
@@ -376,11 +379,19 @@ def parse_scenario(text: str) -> Scenario:
             if role in _PARTICIPANT_ACCOUNTS:
                 _declare(accounts, [_PARTICIPANT_ACCOUNTS[role](participant)], line_no)
         elif key == "symbol":
-            symbols.append(parts[0])
-        elif key == "scenario":
-            scenario_id = parts[0]
-        elif key == "currency":
-            currency = parts[0]
+            symbol = parts[0]
+            first = symbols.setdefault(symbol, line_no)
+            if first != line_no:
+                raise ScenarioFormatError(
+                    f"symbol {symbol!r} already declared on line {first}", line_no)
+        elif key == "scenario" or key == "currency":
+            first = header_on.setdefault(key, line_no)
+            if first != line_no:
+                raise ScenarioFormatError(f"{key} already declared on line {first}", line_no)
+            if key == "scenario":
+                scenario_id = parts[0]
+            else:
+                currency = parts[0]
         else:
             raise ScenarioFormatError(f"unknown directive {key!r}", line_no)
 
@@ -391,7 +402,7 @@ def parse_scenario(text: str) -> Scenario:
     declared["institution"] = {institution.account for institution in institutions}
     declared["order"] = range(1, len(orders) + 1)
     declared["account"] = accounts
-    declared["symbol"] = set(symbols)
+    declared["symbol"] = symbols
     undeclared = [(line_no, kind, name) for kind, names in named.items()
                   for name, line_no in names.items() if name not in declared.get(kind, ())]
     if undeclared:

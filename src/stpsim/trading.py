@@ -31,7 +31,7 @@ class Side(enum.Enum):
 
     @property
     def opposite(self) -> "Side":
-        return Side.SELL if self is Side.BUY else Side.BUY
+        return SELL if self is BUY else BUY
 
 
 class OrderType(enum.Enum):
@@ -44,7 +44,7 @@ class OrderType(enum.Enum):
 
     @property
     def requires_price(self) -> bool:
-        return self is not OrderType.MARKET
+        return self is not MARKET
 
 
 class OrderStatus(enum.Enum):
@@ -69,6 +69,19 @@ class TradeStatus(enum.Enum):
     SETTLED = "settled"
 
 
+# Each member as a module constant, the same object, for the run path to read:
+# on CPython 3.11 `EnumType.__getattr__` makes every `Side.BUY` over ten
+# times slower than a module global (README, "Enum members on the run path").
+BUY, SELL = Side.BUY, Side.SELL
+MARKET, LIMIT = OrderType.MARKET, OrderType.LIMIT
+IMMEDIATE_OR_CANCEL, FILL_OR_KILL = OrderType.IMMEDIATE_OR_CANCEL, OrderType.FILL_OR_KILL
+NEW, VALIDATED, ROUTED = OrderStatus.NEW, OrderStatus.VALIDATED, OrderStatus.ROUTED
+RESTING, PARTIALLY_FILLED = OrderStatus.RESTING, OrderStatus.PARTIALLY_FILLED
+FILLED, CANCELLED, REJECTED = OrderStatus.FILLED, OrderStatus.CANCELLED, OrderStatus.REJECTED
+RETAIL, INSTITUTIONAL = ClientKind.RETAIL, ClientKind.INSTITUTIONAL
+EXECUTED, CLEARED, SETTLED = TradeStatus.EXECUTED, TradeStatus.CLEARED, TradeStatus.SETTLED
+
+
 @dataclass(slots=True)
 class Order:
     order_id: str
@@ -80,14 +93,14 @@ class Order:
     order_type: OrderType
     limit_price: Money | None = None
     price_cap: Money | None = None   # a market buy's protection price
-    client_kind: ClientKind = ClientKind.RETAIL
+    client_kind: ClientKind = RETAIL
     settlement_account: str = ""     # broker house or custodian omnibus
     seq: int | None = None           # assigned at exchange acceptance
     remaining: int = 0
-    status: OrderStatus = OrderStatus.NEW
+    status: OrderStatus = NEW
 
     def __post_init__(self) -> None:
-        if self.remaining == 0 and self.status is OrderStatus.NEW:
+        if self.remaining == 0 and self.status is NEW:
             self.remaining = self.quantity
 
     @property
@@ -96,7 +109,7 @@ class Order:
 
     @property
     def is_terminal(self) -> bool:
-        return self.status in (OrderStatus.FILLED, OrderStatus.CANCELLED, OrderStatus.REJECTED)
+        return self.status in (FILLED, CANCELLED, REJECTED)
 
 
 @dataclass(slots=True)
@@ -108,13 +121,12 @@ class Trade:
     price: Money          # per share, set by the resting order
     quantity: int
     exchange: ParticipantId
-    status: TradeStatus = TradeStatus.EXECUTED
+    status: TradeStatus = EXECUTED
 
     def advance(self, to: TradeStatus) -> None:
         """Move one status on: executed -> cleared -> settled."""
         status = self.status
-        if not (to is TradeStatus.CLEARED and status is TradeStatus.EXECUTED
-                or to is TradeStatus.SETTLED and status is TradeStatus.CLEARED):
+        if not (to is CLEARED and status is EXECUTED or to is SETTLED and status is CLEARED):
             raise ValueError(f"trade {self.trade_id}: cannot go {status.value} -> {to.value}")
         self.status = to
 
@@ -231,7 +243,7 @@ def order_shape_rule(
             return "MissingPriceCap"
         if price_cap is not None and price_cap.amount <= 0:
             return "NonPositivePrice"
-        if price_cap is not None and side is Side.SELL:
+        if price_cap is not None and side is SELL:
             return "CapOnSell"
     if currency is not None and (
             limit_price is not None and limit_price.currency != currency

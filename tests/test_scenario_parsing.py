@@ -317,6 +317,10 @@ REFUSED = {
     "expect_undeclared_symbol": ("expect: A ACME=10 BOLT=0", "undeclared symbol 'BOLT'"),
     "expect_twice": ("expect: A money=0\nexpect: A ACME=10",
                      f"account 'A' already expected on line {BAD_LINE}"),
+    "scenario_twice": ("scenario: other", "scenario already declared on line 1"),
+    "currency_twice": ("currency: USD\ncurrency: EUR",
+                       f"currency already declared on line {BAD_LINE}"),
+    "symbol_twice": ("symbol: ACME", "symbol 'ACME' already declared on line 2"),
 }
 
 
@@ -345,8 +349,14 @@ def test_a_symbol_may_be_declared_after_the_positions_that_name_it():
     ("retail_retail", "expect: CC1.ccp money=0\n",
      "expect: CC1.ccp money=0\nexpect: RC1 money=1\n",
      "line 28: account 'RC1' already expected on line 23"),
+    ("retail_retail", "currency: USD\n", "currency: USD\ncurrency: EUR\n",
+     "line 4: currency already declared on line 3"),
+    ("retail_retail", "scenario: retail_retail\n", "scenario: retail_retail\nscenario: other\n",
+     "line 3: scenario already declared on line 2"),
+    ("retail_retail", "symbol: ACME\n", "symbol: ACME\nsymbol: ACME\n",
+     "line 5: symbol 'ACME' already declared on line 4"),
 ], ids=["retail_unknown_key", "endow_undeclared_symbol", "expect_undeclared_symbol",
-        "expect_twice"])
+        "expect_twice", "currency_twice", "scenario_twice", "symbol_twice"])
 def test_cli_refuses_an_unknown_key_undeclared_symbol_or_second_expect(
         capsys, scenario_id, old, new, message, tmp_path):
     from stpsim.cli import main
