@@ -19,6 +19,8 @@ a ``key=value`` part, and each name in ``ends``, must not be empty.
 
 Declaration rules; a line that breaks one fails parsing with its number:
 
+- a ``scenario:``, ``currency:``, ``symbol:`` or participant line takes
+  exactly one value;
 - a scenario has at most one ``scenario:`` and one ``currency:`` line, and
   declares each symbol on at most one ``symbol:`` line;
 - every scenario has exactly one ``clearing_corporation:`` line, and at
@@ -98,6 +100,25 @@ _REQUIRED_ROLES = (
     ParticipantRole.CLEARING_BANK,
     ParticipantRole.DEPOSITORY,
 )
+
+
+class _KeyValueLine(NamedTuple):
+    """The ``key=value`` parts a line kind takes after its account."""
+    required: tuple[str, ...]  # in the order a missing one is reported
+    integers: bool  # whether every value is an integer
+    others: str | None  # what any other key names; None refuses it
+
+
+# The ``key=value`` line kinds. ``money=`` on an endow: or expect: line is
+# the account's money, not a symbol. ``order:`` lines are positional, and
+# every other line kind takes one value.
+_KEY_VALUE_LINES = {
+    "retail": _KeyValueLine(("broker",), False, None),
+    "institution": _KeyValueLine(("broker", "custodian", "ends"), False, None),
+    "endow": _KeyValueLine((), True, "symbol"),
+    "expect": _KeyValueLine((), True, "symbol"),
+    "allocate": _KeyValueLine(("order",), True, "end client"),
+}
 
 
 @dataclass(frozen=True)
@@ -187,58 +208,35 @@ class Scenario:
         return Money(amount, self.currency)
 
 
-def _split_kv(parts: list[str], line_no: int) -> dict[str, str]:
+def _pairs(parts: list[str], line_no: int, integers: bool) -> dict:
+    """The ``key=value`` parts of a line, in first-seen key order, each value
+    an int if `integers`. A repeated key keeps its last value."""
     out = {}
     for part in parts:
         key, eq, value = part.partition("=")
         if not (eq and key):
             raise ScenarioFormatError(f"expected key=value, got {part!r}", line_no)
+        if integers:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ScenarioFormatError(f"bad integer {value!r}", line_no) from None
         out[key] = value
     return out
 
 
-def _pop_field(kv: dict[str, str], key: str, line_no: int) -> str:
-    """Remove and return kv[key]; a missing key is a format error."""
-    if key not in kv:
-        raise ScenarioFormatError(f"missing {key}=", line_no)
-    return kv.pop(key)
-
-
-def _amounts(parts: list[str], line_no: int, lead: str,
-             default: int | None) -> tuple[int | None, tuple[tuple[str, int], ...]]:
-    """The integer ``key=value`` parts of a line: the value of `lead` (or
-    `default`), and every other (key, value) pair in first-seen key order.
-    A repeated key keeps its last value."""
-    found = default
-    out = {}
-    for part in parts:
-        key, eq, value = part.partition("=")
-        if not (eq and key):
-            raise ScenarioFormatError(f"expected key=value, got {part!r}", line_no)
-        try:
-            number = int(value)
-        except ValueError:
-            raise ScenarioFormatError(f"bad integer {value!r}", line_no) from None
-        if key == lead:
-            found = number
-        else:
-            out[key] = number
-    return found, (tuple(out.items()) if out else ())
-
-
-def _declare(accounts: dict[str, int], names: list[str], line_no: int) -> None:
-    """Record the line declaring each account; a second declaration of one
-    account is a format error."""
-    for name in names:
-        if name in accounts:
-            raise ScenarioFormatError(
-                f"account {name!r} already declared on line {accounts[name]}", line_no)
-        accounts[name] = line_no
+def _once(lines: dict, name, line_no: int, what: str, verb: str) -> None:
+    """Record `line_no` as the line `name` is `verb` on; naming it again, on
+    any line, is a format error that gives the first. `what` labels the name
+    in the error (``account 'A'``, ``order 2``); empty, the bare name shows."""
+    if name in lines:
+        label = f"{what} {name!r}" if what else name
+        raise ScenarioFormatError(f"{label} already {verb} on line {lines[name]}", line_no)
+    lines[name] = line_no
 
 
 def parse_scenario(text: str) -> Scenario:
-    scenario_id = ""
-    currency = "USD"
+    header = {"scenario": "", "currency": "USD"}
     header_on: dict[str, int] = {}  # scenario / currency -> the line declaring it
     symbols: dict[str, int] = {}  # declared symbol -> line declaring it
     participants: dict[ParticipantRole, dict[str, int]] = {}  # role -> id -> declaring line
@@ -301,101 +299,81 @@ def parse_scenario(text: str) -> Scenario:
                 len(orders) + 1, client, side, quantity, symbol, order_type, price, cap)))
             if client not in client_lines:
                 client_lines[client] = line_no
-        elif key == "expect":
-            account = parts[0]
-            money, positions = _amounts(parts[1:], line_no, "money", 0)
-            first = expected_on.setdefault(account, line_no)
-            if first != line_no:
-                raise ScenarioFormatError(
-                    f"account {account!r} already expected on line {first}", line_no)
-            for symbol, _ in positions:
-                if symbol not in symbol_lines:
-                    symbol_lines[symbol] = line_no
-            expected.append(_new(ExpectedBalance, (account, money, positions)))
-        elif key == "endow":
-            account = parts[0]
-            money, positions = _amounts(parts[1:], line_no, "money", 0)
-            if money < 0 or any(amount < 0 for _, amount in positions):
-                amounts = dict(positions, money=money)
-                name = next(key for key in dict.fromkeys(
-                    part.partition("=")[0] for part in parts[1:]) if amounts[key] < 0)
-                raise ScenarioFormatError(
-                    f"negative endowment {name}={amounts[name]} for {account!r}", line_no)
-            if account in endowed:
-                raise ScenarioFormatError(
-                    f"account {account!r} already endowed on line {endowed[account]}", line_no)
-            endowed[account] = line_no
-            for symbol, _ in positions:
-                if symbol not in symbol_lines:
-                    symbol_lines[symbol] = line_no
-            endowments.append(Endowment(account, money, positions))
-        elif key == "allocate":
-            order_index, splits = _amounts(parts[1:], line_no, "order", None)
-            if order_index is None:
-                raise ScenarioFormatError("missing order=", line_no)
-            if order_index in allocated:
-                raise ScenarioFormatError(
-                    f"order {order_index} already allocated on line {allocated[order_index]}",
-                    line_no)
-            allocated[order_index] = line_no
-            allocations.append(AllocateAction(parts[0], order_index, splits))
-            named["institution"].setdefault(parts[0], line_no)
-        elif key == "retail":
-            kv = _split_kv(parts[1:], line_no)
-            retail.append(RetailClient(parts[0], _pop_field(kv, "broker", line_no)))
-            if kv:  # a key the line kind does not have
-                raise ScenarioFormatError(f"unknown key {next(iter(kv))!r}", line_no)
-            _declare(accounts, parts[:1], line_no)
-            named["broker"].setdefault(retail[-1].broker, line_no)
-        elif key == "institution":
-            kv = _split_kv(parts[1:], line_no)
-            broker = _pop_field(kv, "broker", line_no)
-            custodian = _pop_field(kv, "custodian", line_no)
-            ends_text = _pop_field(kv, "ends", line_no)
-            if kv:
-                raise ScenarioFormatError(f"unknown key {next(iter(kv))!r}", line_no)
-            end_clients = tuple(ends_text.split(","))
-            if "" in end_clients:
-                raise ScenarioFormatError(
-                    f"empty end client name in ends={ends_text!r}", line_no)
-            institutions.append(Institution(parts[0], broker, custodian, end_clients))
-            _declare(accounts, [parts[0], *end_clients], line_no)
-            named["broker"].setdefault(broker, line_no)
-            named["custodian"].setdefault(custodian, line_no)
-        elif key in _PARTICIPANT_KEYS:
-            role = _PARTICIPANT_KEYS[key]
-            participant = parts[0]
-            declared_ids = participants.setdefault(role, {})
-            if participant in declared_ids:
-                raise ScenarioFormatError(
-                    f"{key} {participant!r} already declared on line "
-                    f"{declared_ids[participant]}", line_no)
-            if role is ParticipantRole.CLEARING_CORPORATION and declared_ids:
-                (first, first_line), = declared_ids.items()
-                raise ScenarioFormatError(
-                    f"second clearing_corporation {participant!r} "
-                    f"({first!r} declared on line {first_line})", line_no)
-            declared_ids[participant] = line_no
-            if role in _PARTICIPANT_ACCOUNTS:
-                _declare(accounts, [_PARTICIPANT_ACCOUNTS[role](participant)], line_no)
-        elif key == "symbol":
-            symbol = parts[0]
-            first = symbols.setdefault(symbol, line_no)
-            if first != line_no:
-                raise ScenarioFormatError(
-                    f"symbol {symbol!r} already declared on line {first}", line_no)
-        elif key == "scenario" or key == "currency":
-            first = header_on.setdefault(key, line_no)
-            if first != line_no:
-                raise ScenarioFormatError(f"{key} already declared on line {first}", line_no)
-            if key == "scenario":
-                scenario_id = parts[0]
-            else:
-                currency = parts[0]
-        else:
-            raise ScenarioFormatError(f"unknown directive {key!r}", line_no)
+            continue
 
-    if not scenario_id:
+        row = _KEY_VALUE_LINES.get(key)
+        if row is not None:
+            required, integers, others = row
+            account = parts[0]
+            pairs = _pairs(parts[1:], line_no, integers)
+            for name in required:
+                if name not in pairs:
+                    raise ScenarioFormatError(f"missing {name}=", line_no)
+            if others is None and len(pairs) > len(required):
+                name = next(name for name in pairs if name not in required)
+                raise ScenarioFormatError(f"unknown key {name!r}", line_no)
+            if others == "symbol":  # endow: or expect:, whose own key is money=
+                if key == "endow" and pairs and min(pairs.values()) < 0:
+                    name = next(name for name, amount in pairs.items() if amount < 0)
+                    raise ScenarioFormatError(
+                        f"negative endowment {name}={pairs[name]} for {account!r}", line_no)
+                money = pairs.pop("money", 0)
+                positions = tuple(pairs.items()) if pairs else ()
+                for symbol, _ in positions:
+                    if symbol not in symbol_lines:
+                        symbol_lines[symbol] = line_no
+                if key == "expect":
+                    _once(expected_on, account, line_no, "account", "expected")
+                    expected.append(_new(ExpectedBalance, (account, money, positions)))
+                else:
+                    _once(endowed, account, line_no, "account", "endowed")
+                    endowments.append(Endowment(account, money, positions))
+            elif key == "allocate":
+                order_index = pairs.pop("order")
+                _once(allocated, order_index, line_no, "order", "allocated")
+                allocations.append(AllocateAction(account, order_index, tuple(pairs.items())))
+                named["institution"].setdefault(account, line_no)
+            elif key == "retail":
+                retail.append(RetailClient(account, pairs["broker"]))
+                _once(accounts, account, line_no, "account", "declared")
+                named["broker"].setdefault(pairs["broker"], line_no)
+            else:  # institution
+                end_clients = tuple(pairs["ends"].split(","))
+                if "" in end_clients:
+                    raise ScenarioFormatError(
+                        f"empty end client name in ends={pairs['ends']!r}", line_no)
+                institutions.append(Institution(
+                    account, pairs["broker"], pairs["custodian"], end_clients))
+                for name in (account, *end_clients):
+                    _once(accounts, name, line_no, "account", "declared")
+                named["broker"].setdefault(pairs["broker"], line_no)
+                named["custodian"].setdefault(pairs["custodian"], line_no)
+            continue
+
+        role = _PARTICIPANT_KEYS.get(key)
+        if role is None and key not in ("symbol", "scenario", "currency"):
+            raise ScenarioFormatError(f"unknown directive {key!r}", line_no)
+        if len(parts) > 1:
+            raise ScenarioFormatError(
+                f"{key!r} takes one value, got {' '.join(parts)!r}", line_no)
+        value = parts[0]
+        if role is not None:
+            ids = participants.setdefault(role, {})
+            _once(ids, value, line_no, key, "declared")
+            if role is ParticipantRole.CLEARING_CORPORATION and len(ids) > 1:
+                first, first_line = next(iter(ids.items()))
+                raise ScenarioFormatError(
+                    f"second clearing_corporation {value!r} "
+                    f"({first!r} declared on line {first_line})", line_no)
+            if role in _PARTICIPANT_ACCOUNTS:
+                _once(accounts, _PARTICIPANT_ACCOUNTS[role](value), line_no, "account", "declared")
+        elif key == "symbol":
+            _once(symbols, value, line_no, "symbol", "declared")
+        else:
+            _once(header_on, key, line_no, "", "declared")
+            header[key] = value
+
+    if not header["scenario"]:
         raise ScenarioFormatError("missing 'scenario:' header", 1)
     declared = {role.value: ids for role, ids in participants.items()}
     declared["client"] = {client.account for client in (*retail, *institutions)}
@@ -420,8 +398,8 @@ def parse_scenario(text: str) -> Scenario:
         if role not in participants:
             raise ScenarioFormatError(f"missing '{role.value}:' line", 1)
     return Scenario(
-        scenario_id=scenario_id,
-        currency=currency,
+        scenario_id=header["scenario"],
+        currency=header["currency"],
         symbols=tuple(symbols),
         participants={role: tuple(ids) for role, ids in participants.items()},
         retail_clients=tuple(retail),

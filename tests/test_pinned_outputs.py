@@ -4,19 +4,24 @@ Each row is one command line, the exit code it must return and the md5 of its
 stdout; stderr must stay empty. `{data}` is the shipped data directory,
 `{nofok}` SECO A's configuration without `FillOrKillMatching` (so the
 constraint `FillOrKillOrderType => FillOrKillMatching` breaks), `{root}`
-a configuration selecting only the root, and `{retail_cross}`, `{deep_book}`
-and `{block_alloc}` the benchmark workloads' seed-1 scenarios. A
+a configuration selecting only the root, `{retail_cross}`, `{deep_book}`
+and `{block_alloc}` the benchmark workloads' seed-1 scenarios,
+`{retail_cross_large}`, `{deep_book_large}` and `{block_alloc_large}` their
+large seed-7 scenarios (see LARGE), and `{underfunded}` and
+`{short_allocation}` shipped scenarios with one line edited (see EDITS). A
 `run --format machine` row also pins the md5 of what `stpsim report` prints
 for that output, and that it equals the human output of the same `run`.
-Every row runs through `cli.main` in-process; the `run_no_fok_matching` row
-also runs as a subprocess, to pin the process contract (exit code, nothing
-on stderr, no traceback).
+Every row runs through `cli.main` in-process, and each `run` and `report`
+must finish within LIMIT_S; the `run_no_fok_matching` row also runs as a
+subprocess, to pin the process contract (exit code, nothing on stderr, no
+traceback).
 """
 
 import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +29,7 @@ import pytest
 import stpsim
 from stpsim.cli import main
 from perfbench.workloads import WORKLOADS
-from stpsim.data import catalog_path, config_path
+from stpsim.data import catalog_path, config_path, scenario_path
 
 PINS = {
     "validate_model": (
@@ -54,9 +59,24 @@ PINS = {
 }
 
 
-def _machine_run(product: str, scenario: str, digest: str, shown: str):
+LIMIT_S = 60
+
+# the benchmark workloads' large scenarios, at seed 7
+LARGE = {"retail_cross": {"pairs": 1600}, "deep_book": {"levels": 384},
+         "block_alloc": {"allocations": 400}}
+
+# a shipped scenario with one line edited: (scenario, the line, its edit)
+EDITS = {
+    "underfunded": ("retail_retail", "endow: RC1 money=150000\n", "endow: RC1 money=100000\n"),
+    "short_allocation": ("institutional_institutional",
+                         "allocate: INST1 order=2 EC1=60 EC2=40\n",
+                         "allocate: INST1 order=2 EC1=60 EC2=30\n"),
+}
+
+
+def _machine_run(product: str, scenario: str, digest: str, shown: str, code: int = 0):
     return (("run", "{data}/catalog.fm", f"{{data}}/{product}.cfg", scenario,
-             "--format", "machine"), 0, digest, shown)
+             "--format", "machine"), code, digest, shown)
 
 
 # (argv, exit code, machine md5, `stpsim report` md5)
@@ -88,6 +108,29 @@ PINS.update({
     "seco_b_block_alloc_seed_1": _machine_run(
         "seco_b", "{block_alloc}",
         "3d48bb95d28c5559bbe5a05bae8e1f7b", "0efe4ddf1ace8df349457d64ab41539c"),
+    "seco_a_retail_cross_pairs_1600_seed_7": _machine_run(
+        "seco_a", "{retail_cross_large}",
+        "1f9fd8e89b706dd5e7a2b0e362b86bb0", "6038610b0c9ffa3820589748d78b3910"),
+    "seco_b_deep_book_levels_384_seed_7": _machine_run(
+        "seco_b", "{deep_book_large}",
+        "660063023a4f8da4f79085fcea4c3428", "000634631cdeb467e88b22a5ea3b7ce3"),
+    "seco_b_block_alloc_allocations_400_seed_7": _machine_run(
+        "seco_b", "{block_alloc_large}",
+        "a2071a9f6dedb4b594f5eaef4fb8a47f", "ecd8db2574aaf7e3981a2b5263d7cda1"),
+    # aborted at the first order: RC1 cannot prepay its buy
+    "seco_a_retail_retail_underfunded": _machine_run(
+        "seco_a", "{underfunded}",
+        "d4e525cb2779207bd253679866c67509", "776dbac046e9864adc52e72f658d6d43", 1),
+    "seco_b_retail_retail_underfunded": _machine_run(
+        "seco_b", "{underfunded}",
+        "aa7d99eda66d2d58f2457aeb81d35784", "7ed3b521c33899b558e736c70e4872fe", 1),
+    # aborted at allocation_INST1: the splits miss the block's quantity
+    "seco_a_institutional_institutional_short_allocation": _machine_run(
+        "seco_a", "{short_allocation}",
+        "13cf0546af3ffdefc3e445a879fcadb0", "22ba781e9a1fe9a814a2f4426f05a8b4", 1),
+    "seco_b_institutional_institutional_short_allocation": _machine_run(
+        "seco_b", "{short_allocation}",
+        "419441d165a36ac797e29b078d33e645", "e971560dbc0b3ef19e1631f958462b02", 1),
 })
 
 
@@ -104,6 +147,14 @@ def argv_of(tmp_path_factory):
     for name, workload in WORKLOADS.items():
         paths[name] = inputs / f"{name}.scn"
         paths[name].write_text(workload.scenario_text(1), encoding="utf-8")
+        paths[f"{name}_large"] = inputs / f"{name}_large.scn"
+        paths[f"{name}_large"].write_text(workload.scenario_text(7, **LARGE[name]),
+                                          encoding="utf-8")
+    for name, (scenario_id, old, new) in EDITS.items():
+        text = scenario_path(scenario_id).read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        paths[name] = inputs / f"{name}.scn"
+        paths[name].write_text(text.replace(old, new), encoding="utf-8")
     return lambda row: [word.format(**paths) for word in PINS[row][0]]
 
 
@@ -115,13 +166,17 @@ def md5(text: str) -> str:
 def test_pinned_output(argv_of, capsys, tmp_path, row):
     _, code, digest, *shown = PINS[row]
     argv = argv_of(row)
+    start = time.perf_counter()
     got = main(argv)
+    assert time.perf_counter() - start < LIMIT_S
     captured = capsys.readouterr()
     assert (got, md5(captured.out), captured.err) == (code, digest, "")
     if shown:
         machine = tmp_path / "machine.txt"
         machine.write_text(captured.out, encoding="utf-8")
+        start = time.perf_counter()
         report = main(["report", str(machine)]), capsys.readouterr()
+        assert time.perf_counter() - start < LIMIT_S
         human = main(argv[:-2]), capsys.readouterr()   # the same run, in the human format
         assert (report[0], md5(report[1].out), report[1].err) == (code, shown[0], "")
         assert human == report

@@ -1,16 +1,18 @@
 """The production scenario parser against the naive reference parser.
 
-On the shipped `.scn` files and on valid texts that Hypothesis writes,
-`parse_scenario` and `naivescenario.parse` must give field-for-field equal
-records.
+On the shipped `.scn` files, on the benchmark workloads' large seed-7
+scenarios and on valid texts that Hypothesis writes, `parse_scenario` and
+`naivescenario.parse` must give field-for-field equal records.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from naivescenario import parse as naive_parse
+from perfbench.workloads import WORKLOADS
 from stpsim.data import scenario_path
 from stpsim.scenarios import SCENARIO_IDS, parse_scenario
+from test_pinned_outputs import LARGE
 
 
 def as_plain(scenario):
@@ -35,6 +37,12 @@ def as_plain(scenario):
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
 def test_shipped_scenario_parses_like_the_reference(scenario_id):
     text = scenario_path(scenario_id).read_text()
+    assert as_plain(parse_scenario(text)) == naive_parse(text)
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_large_workload_parses_like_the_reference(name):
+    text = WORKLOADS[name].scenario_text(7, **LARGE[name])
     assert as_plain(parse_scenario(text)) == naive_parse(text)
 
 

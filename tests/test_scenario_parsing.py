@@ -322,6 +322,11 @@ REFUSED = {
                        f"currency already declared on line {BAD_LINE}"),
     "symbol_twice": ("symbol: ACME", "symbol 'ACME' already declared on line 2"),
 }
+# a header, symbol or participant line that names two values
+REFUSED.update({
+    f"{key}_two_values": (f"{key}: V1 V2", f"{key!r} takes one value, got 'V1 V2'")
+    for key in ("scenario", "currency", "symbol", "broker", "exchange", "clearing_corporation",
+                "clearing_bank", "depository", "custodian")})
 
 
 @pytest.mark.parametrize("bad, message", REFUSED.values(), ids=REFUSED.keys())
@@ -355,8 +360,13 @@ def test_a_symbol_may_be_declared_after_the_positions_that_name_it():
      "line 3: scenario already declared on line 2"),
     ("retail_retail", "symbol: ACME\n", "symbol: ACME\nsymbol: ACME\n",
      "line 5: symbol 'ACME' already declared on line 4"),
+    ("retail_retail", "symbol: ACME\n", "symbol: ACME BOLT\n",
+     "line 4: 'symbol' takes one value, got 'ACME BOLT'"),
+    ("retail_retail", "broker: BR2\n", "broker: BR2 BR3\n",
+     "line 7: 'broker' takes one value, got 'BR2 BR3'"),
 ], ids=["retail_unknown_key", "endow_undeclared_symbol", "expect_undeclared_symbol",
-        "expect_twice", "currency_twice", "scenario_twice", "symbol_twice"])
+        "expect_twice", "currency_twice", "scenario_twice", "symbol_twice",
+        "symbol_two_values", "broker_two_values"])
 def test_cli_refuses_an_unknown_key_undeclared_symbol_or_second_expect(
         capsys, scenario_id, old, new, message, tmp_path):
     from stpsim.cli import main

@@ -21,6 +21,12 @@ which leaves out the objects the program's code itself is made of. Since each
 timed phase is scaled by the kernel runs around it, a change that moves a
 gen-2 collection from one phase to another moves the benchmark's numbers
 without any code getting faster or slower.
+
+A last census repeat, whose collections are not reported, runs
+``gc.collect()`` right after the life cycle and prints the objects still
+tracked then: the live ones only. A change that only allocates fewer
+temporaries moves the uncollected count but not this one. The census repeat
+comes after the others, so its collection moves no collection they report.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ class Probe:
         self.phases: list[str] = []
         self.generations: list[int] = []
         self.tracked_after_life_cycle = 0
+        self.census = False  # collect right after the life cycle, then count
 
     def reset(self) -> None:
         self.phase = "outside"
@@ -77,6 +84,8 @@ class Probe:
             finally:
                 self.phase = "outside"
             if name == "life_cycle":
+                if self.census:
+                    gc.collect()
                 self.tracked_after_life_cycle = len(gc.get_objects())
             return result
 
@@ -116,17 +125,21 @@ def main(argv=None) -> int:
     gc.callbacks.append(probe.on_gc)
     failed = 0
     try:
-        for repeat in range(args.repeats + 1):
+        for repeat in range(args.repeats + 2):
             gc.collect()
             probe.reset()
+            probe.census = repeat > args.repeats
             before = len(gc.get_objects())
-            result = harness.run_once(workload.product, text)
-            failed += bool(result.failures)
-            label = "warm-up" if repeat == 0 else f"repeat {repeat}"
-            print(f"{args.workload} seed {args.seed} {label}: gen-2 at "
-                  f"{', '.join(probe.gen2()) or 'none'}; "
-                  f"{probe.tracked_after_life_cycle} tracked objects after the life cycle "
-                  f"({probe.tracked_after_life_cycle - before:+})")
+            failed += bool(harness.run_once(workload.product, text).failures)
+            counted = (f"{probe.tracked_after_life_cycle} tracked objects after the life cycle"
+                       f"{' and a gc.collect()' if probe.census else ''} "
+                       f"({probe.tracked_after_life_cycle - before:+})")
+            if probe.census:
+                print(f"{args.workload} seed {args.seed} census: {counted}")
+            else:
+                label = "warm-up" if repeat == 0 else f"repeat {repeat}"
+                print(f"{args.workload} seed {args.seed} {label}: gen-2 at "
+                      f"{', '.join(probe.gen2()) or 'none'}; {counted}")
     finally:
         gc.callbacks.remove(probe.on_gc)
         for name, original in originals.items():
