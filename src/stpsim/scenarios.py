@@ -14,25 +14,28 @@ Scenario files (``.scn``) are line-oriented UTF-8 with ``#`` comments:
     expect: <ACCOUNT> [money=<cents>] [<SYM>=<qty>]...
 
 Order lines are numbered from 1 in file order; ``allocate`` references them.
-A repeated ``key=value`` part on one line keeps its last value. The key of
-a ``key=value`` part, and each name in ``ends``, must not be empty.
+After an order's five fixed words, ``cap=N`` is the cap and any other word
+is the price; a later one replaces an earlier one. A repeated ``key=value``
+part on one line keeps its last value. The key of a ``key=value`` part, and
+each name in ``ends``, must not be empty. No line may hold a ``|`` (the
+machine report's field separator) but in its comment.
 
 Declaration rules; a line that breaks one fails parsing with its number:
 
 - a ``scenario:``, ``currency:``, ``symbol:`` or participant line takes
   exactly one value;
 - a scenario has at most one ``scenario:`` and one ``currency:`` line, and
-  declares each symbol on at most one ``symbol:`` line;
+  declares each symbol, and each participant id per role, on one line only;
 - every scenario has exactly one ``clearing_corporation:`` line, and at
   least one ``clearing_bank:`` and one ``depository:`` line (a missing one
   is reported on line 1, like a missing ``scenario:`` header);
-- a participant id is declared at most once per role;
 - every account is declared once: each client and end-client account by
   its ``retail:`` or ``institution:`` line, and the participant accounts
   ``<broker>.house``, ``<custodian>.omnibus`` and ``<clearing>.ccp`` by
   their participant lines;
-- every broker, custodian, client, institution, order and endowed account
-  a line names is declared somewhere in the file, before or after it;
+- every broker, custodian, client, institution, order, endowed account and
+  expected account a line names is declared somewhere in the file, before
+  or after it;
 - every symbol an ``endow:`` or ``expect:`` position names is declared by a
   ``symbol:`` line, before or after it;
 - an account is endowed on at most one line, with no negative amount, and
@@ -63,17 +66,6 @@ class ScenarioFormatError(Exception):
 
 SCENARIO_IDS = ("retail_retail", "retail_institutional", "institutional_institutional")
 
-_ORDER_TYPES = {
-    "market": OrderType.MARKET,
-    "limit": OrderType.LIMIT,
-    "ioc": OrderType.IMMEDIATE_OR_CANCEL,
-    "fok": OrderType.FILL_OR_KILL,
-}
-
-_SIDES = {side.value: side for side in Side}
-
-_PARTICIPANT_KEYS = {role.value: role for role in ParticipantRole}
-
 
 def house_account(broker_id: str) -> str:
     return f"{broker_id}.house"
@@ -88,37 +80,86 @@ def ccp_account(clearing_id: str) -> str:
 
 
 # the ledger account each participant line declares, by role
-_PARTICIPANT_ACCOUNTS = {
-    ParticipantRole.BROKER: house_account,
-    ParticipantRole.CUSTODIAN: omnibus_account,
-    ParticipantRole.CLEARING_CORPORATION: ccp_account,
-}
-
+_PARTICIPANT_ACCOUNTS = {"broker": house_account, "custodian": omnibus_account,
+                         "clearing_corporation": ccp_account}
 # the roles a scenario cannot run without
-_REQUIRED_ROLES = (
-    ParticipantRole.CLEARING_CORPORATION,
-    ParticipantRole.CLEARING_BANK,
-    ParticipantRole.DEPOSITORY,
-)
+_REQUIRED_ROLES = ("clearing_corporation", "clearing_bank", "depository")
+
+# A pick says which names `_Line.names` takes from a line: a word's index, a
+# key (each name of a list), the line's kind, or every key the row does not
+# list. `_ONE_VALUE` marks a row that takes no key at all.
+_KIND, _OTHER_KEYS, _ONE_VALUE = "<kind>", "<other keys>", "<one value>"
 
 
-class _KeyValueLine(NamedTuple):
-    """The ``key=value`` parts a line kind takes after its account."""
-    required: tuple[str, ...]  # in the order a missing one is reported
-    integers: bool  # whether every value is an integer
-    others: str | None  # what any other key names; None refuses it
+class _Line(NamedTuple):
+    """One kind of scenario line."""
+    words: tuple[str, ...]  # its positional words, as a line short of one names them
+    # (index, label, read) of each word that is not a name: `read` gives its
+    # value, or raises KeyError for an unknown <label> or ValueError for a bad integer
+    types: tuple = ()
+    keys: dict = {}  # each key it takes -> int, str, or the label of each name in a list
+    required: tuple[str, ...] = ()  # keys it must carry, in the order a missing one is reported
+    # a word that is none of `keys`: with `int`, another key, its value an
+    # integer; with a key's name, that key's integer value; with None, refused
+    other: type | str | None = None
+    # (pick, label, verb): each picked name is a <label>, which this line declares
+    # ("declared") or some line must declare. Under any verb but "named", a second
+    # line giving the name fails with "<label> <name> already <verb> on line n".
+    names: tuple = ()
 
 
-# The ``key=value`` line kinds. ``money=`` on an endow: or expect: line is
-# the account's money, not a symbol. ``order:`` lines are positional, and
-# every other line kind takes one value.
-_KEY_VALUE_LINES = {
-    "retail": _KeyValueLine(("broker",), False, None),
-    "institution": _KeyValueLine(("broker", "custodian", "ends"), False, None),
-    "endow": _KeyValueLine((), True, "symbol"),
-    "expect": _KeyValueLine((), True, "symbol"),
-    "allocate": _KeyValueLine(("order",), True, "end client"),
+# The grammar, one row per line kind. `money=` on endow: and expect: lines is the
+# account's money, any other key there a symbol, and on allocate: an end client.
+_LINES = {
+    "scenario": _Line(("id",), names=((_KIND, "", "declared"),)),
+    "currency": _Line(("code",), names=((_KIND, "", "declared"),)),
+    "symbol": _Line(("symbol",), names=((0, "symbol", "declared"),)),
+    **{role.value: _Line(("id",), names=((0, role.value, "declared"),))
+       for role in ParticipantRole},
+    "retail": _Line(("account",), keys={"broker": str}, required=("broker",),
+                    names=((0, "account", "declared"), (0, "client", "declared"),
+                           ("broker", "broker", "named"))),
+    "institution": _Line(
+        ("account",), keys={"broker": str, "custodian": str, "ends": "end client"},
+        required=("broker", "custodian", "ends"),
+        names=((0, "account", "declared"), ("ends", "account", "declared"),
+               (0, "client", "declared"), (0, "institution", "declared"),
+               ("broker", "broker", "named"), ("custodian", "custodian", "named"))),
+    "endow": _Line(("account",), keys={"money": int}, other=int,
+                   names=((0, "account", "endowed"), (_OTHER_KEYS, "symbol", "named"))),
+    "expect": _Line(("account",), keys={"money": int}, other=int,
+                    names=((0, "account", "expected"), (_OTHER_KEYS, "symbol", "named"))),
+    "allocate": _Line(("account",), keys={"order": int}, required=("order",), other=int,
+                      names=(("order", "order", "allocated"), (0, "institution", "named"))),
+    "order": _Line(
+        ("client", "side", "qty", "symbol", "type"),
+        types=((1, "side", {side.value: side for side in Side}.__getitem__), (2, "", int),
+               (4, "order type", {"market": OrderType.MARKET, "limit": OrderType.LIMIT,
+                                  "ioc": OrderType.IMMEDIATE_OR_CANCEL,
+                                  "fok": OrderType.FILL_OR_KILL}.__getitem__)),
+        keys={"cap": int}, other="price", names=((0, "client", "named"),)),
 }
+# every (label, verb) in the table; a parse keeps a register of names for each
+_REGISTERS = tuple(dict.fromkeys(
+    (label, verb) for row in _LINES.values() for _, label, verb in row.names))
+
+
+def _plan(row: _Line) -> tuple:
+    """`row` as the reader unpacks it: each pick with its register's index and
+    whether a name is given once only, word picks apart, other keys' register."""
+    picks = [(pick, _REGISTERS.index((label, verb)), verb != "named")
+             for pick, label, verb in row.names if pick != _OTHER_KEYS]
+    others = [_REGISTERS.index((label, verb)) for pick, label, verb in row.names
+              if pick == _OTHER_KEYS]
+    return (len(row.words), row.types, row.keys, row.required,
+            row.other if row.other.__class__ is str else None,
+            _OTHER_KEYS if row.other is int else None if row.keys else _ONE_VALUE,
+            others[0] if others else None,
+            tuple(entry for entry in picks if entry[0].__class__ is int),
+            tuple(entry for entry in picks if entry[0].__class__ is not int))
+
+
+_PLANS = {key: _plan(row) for key, row in _LINES.items()}
 
 
 @dataclass(frozen=True)
@@ -208,185 +249,147 @@ class Scenario:
         return Money(amount, self.currency)
 
 
-def _pairs(parts: list[str], line_no: int, integers: bool) -> dict:
-    """The ``key=value`` parts of a line, in first-seen key order, each value
-    an int if `integers`. A repeated key keeps its last value."""
-    out = {}
-    for part in parts:
-        key, eq, value = part.partition("=")
-        if not (eq and key):
-            raise ScenarioFormatError(f"expected key=value, got {part!r}", line_no)
-        if integers:
-            try:
-                value = int(value)
-            except ValueError:
-                raise ScenarioFormatError(f"bad integer {value!r}", line_no) from None
-        out[key] = value
-    return out
-
-
-def _once(lines: dict, name, line_no: int, what: str, verb: str) -> None:
-    """Record `line_no` as the line `name` is `verb` on; naming it again, on
-    any line, is a format error that gives the first. `what` labels the name
-    in the error (``account 'A'``, ``order 2``); empty, the bare name shows."""
-    if name in lines:
-        label = f"{what} {name!r}" if what else name
-        raise ScenarioFormatError(f"{label} already {verb} on line {lines[name]}", line_no)
-    lines[name] = line_no
+def _already(label: str, verb: str, name, first: int, line_no: int) -> ScenarioFormatError:
+    """The error for a name registered a second time. `label` names it
+    (``account 'A'``, ``order 2``); empty, the bare name shows."""
+    shown = f"{label} {name!r}" if label else name
+    return ScenarioFormatError(f"{shown} already {verb} on line {first}", line_no)
 
 
 def parse_scenario(text: str) -> Scenario:
-    header = {"scenario": "", "currency": "USD"}
-    header_on: dict[str, int] = {}  # scenario / currency -> the line declaring it
-    symbols: dict[str, int] = {}  # declared symbol -> line declaring it
-    participants: dict[ParticipantRole, dict[str, int]] = {}  # role -> id -> declaring line
-    retail: list[RetailClient] = []
-    institutions: list[Institution] = []
-    endowments: list[Endowment] = []
-    orders: list[OrderAction] = []
-    allocations: list[AllocateAction] = []
-    expected: list[ExpectedBalance] = []
-    # kind -> name -> first line naming it; each name must be declared
-    named: dict[str, dict] = {kind: {} for kind in (
-        "broker", "custodian", "client", "institution", "order", "account", "symbol")}
-    accounts: dict[str, int] = {}  # every declared account -> line declaring it
-    # an order is allocated, and an account endowed or expected, on one line only
-    allocated: dict[int, int] = named["order"]
-    endowed: dict[str, int] = named["account"]
-    expected_on: dict[str, int] = {}
-    client_lines, symbol_lines = named["client"], named["symbol"]
-    side_of = _SIDES.get
-    type_of = _ORDER_TYPES.get
+    header: dict[str, str] = {}
+    retail, institutions, endowments, orders, allocations, expected = [], [], [], [], [], []
+    registers: list[dict] = [{} for _ in _REGISTERS]  # name -> the first line giving it
+    accounts = registers[_REGISTERS.index(("account", "declared"))]
+    last = None  # the key of the line before, whose plan is unpacked
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line.partition("#")[0]
-        key, colon, rest = line.partition(":")
+        if "|" in line:
+            raise ScenarioFormatError(
+                "'|' is reserved: it separates the machine report's fields", line_no)
+        raw, colon, rest = line.partition(":")
         if not colon:
-            line = line.strip()
-            if line:
-                raise ScenarioFormatError(f"expected 'key: value', got {line!r}", line_no)
+            if line.strip():
+                raise ScenarioFormatError(f"expected 'key: value', got {line.strip()!r}", line_no)
             continue
-        key = key.strip()
         parts = rest.split()
         if not parts:
-            raise ScenarioFormatError(f"{key!r} needs a value", line_no)
+            raise ScenarioFormatError(f"{raw.strip()!r} needs a value", line_no)
+        if raw != last:
+            key, last = raw.strip(), raw
+            plan = _PLANS.get(key)
+            if plan is None:
+                raise ScenarioFormatError(f"unknown directive {key!r}", line_no)
+            count, types, keys, required, bare, other, others_named, word_names, key_names = plan
+        if len(parts) < count:
+            raise ScenarioFormatError(f"{key} needs: {' '.join(_LINES[key].words)}", line_no)
+
+        pairs = {}
+        try:  # `value` holds the text being read, for the error
+            for index, label, read in types:
+                value = parts[index]
+                parts[index] = read(value)
+            for part in parts[count:]:
+                if bare and ("=" not in part or part.partition("=")[0] not in keys):
+                    value = part
+                    pairs[bare] = int(part)
+                    continue
+                name, eq, value = part.partition("=")
+                kind = keys.get(name, other) if eq else other
+                if kind is int:
+                    pairs[name] = int(value)
+                elif kind is _OTHER_KEYS and eq and name:
+                    pairs[name] = int(value)
+                    if others_named is not None:  # not an allocate: line's end client
+                        registers[others_named].setdefault(name, line_no)
+                elif kind is str:
+                    pairs[name] = value
+                elif kind is _ONE_VALUE:
+                    raise ScenarioFormatError(
+                        f"{key!r} takes one value, got {' '.join(parts)!r}", line_no)
+                elif not (eq and name):
+                    raise ScenarioFormatError(f"expected key=value, got {part!r}", line_no)
+                elif kind is None:
+                    raise ScenarioFormatError(f"unknown key {name!r}", line_no)
+                else:  # a list of names, `kind` labelling each
+                    names = tuple(value.split(","))
+                    if "" in names:
+                        raise ScenarioFormatError(
+                            f"empty {kind} name in {name}={value!r}", line_no)
+                    pairs[name] = names
+        except KeyError:
+            raise ScenarioFormatError(f"unknown {label} {value!r}", line_no) from None
+        except ValueError:
+            raise ScenarioFormatError(f"bad integer {value!r}", line_no) from None
+        for name in required:
+            if name not in pairs:
+                raise ScenarioFormatError(f"missing {name}=", line_no)
+        for index, register, once in word_names:
+            given, name = registers[register], parts[index]
+            if name not in given:
+                given[name] = line_no
+            elif once:
+                raise _already(*_REGISTERS[register], name, given[name], line_no)
+        for pick, register, once in key_names:
+            given, value = registers[register], key if pick == _KIND else pairs[pick]
+            for name in value if value.__class__ is tuple else (value,):
+                if name not in given:
+                    given[name] = line_no
+                elif once:
+                    raise _already(*_REGISTERS[register], name, given[name], line_no)
 
         if key == "order":
-            if len(parts) < 5:
-                raise ScenarioFormatError("order needs: client side qty symbol type", line_no)
-            client, side_text, qty_text, symbol, type_text = parts[:5]
-            side = side_of(side_text)
-            if side is None:
-                raise ScenarioFormatError(f"unknown side {side_text!r}", line_no)
-            order_type = type_of(type_text)
-            if order_type is None:
-                raise ScenarioFormatError(f"unknown order type {type_text!r}", line_no)
-            price = cap = None
-            try:  # `number` holds the text being read, for the error
-                for extra in parts[5:]:
-                    if extra.startswith("cap="):
-                        number = extra[4:]
-                        cap = int(number)
-                    else:
-                        number = extra
-                        price = int(number)
-                number = qty_text
-                quantity = int(number)
-            except ValueError:
-                raise ScenarioFormatError(f"bad integer {number!r}", line_no) from None
             orders.append(_new(OrderAction, (
-                len(orders) + 1, client, side, quantity, symbol, order_type, price, cap)))
-            if client not in client_lines:
-                client_lines[client] = line_no
-            continue
-
-        row = _KEY_VALUE_LINES.get(key)
-        if row is not None:
-            required, integers, others = row
-            account = parts[0]
-            pairs = _pairs(parts[1:], line_no, integers)
-            for name in required:
-                if name not in pairs:
-                    raise ScenarioFormatError(f"missing {name}=", line_no)
-            if others is None and len(pairs) > len(required):
-                name = next(name for name in pairs if name not in required)
-                raise ScenarioFormatError(f"unknown key {name!r}", line_no)
-            if others == "symbol":  # endow: or expect:, whose own key is money=
-                if key == "endow" and pairs and min(pairs.values()) < 0:
-                    name = next(name for name, amount in pairs.items() if amount < 0)
-                    raise ScenarioFormatError(
-                        f"negative endowment {name}={pairs[name]} for {account!r}", line_no)
-                money = pairs.pop("money", 0)
-                positions = tuple(pairs.items()) if pairs else ()
-                for symbol, _ in positions:
-                    if symbol not in symbol_lines:
-                        symbol_lines[symbol] = line_no
-                if key == "expect":
-                    _once(expected_on, account, line_no, "account", "expected")
-                    expected.append(_new(ExpectedBalance, (account, money, positions)))
-                else:
-                    _once(endowed, account, line_no, "account", "endowed")
-                    endowments.append(Endowment(account, money, positions))
-            elif key == "allocate":
-                order_index = pairs.pop("order")
-                _once(allocated, order_index, line_no, "order", "allocated")
-                allocations.append(AllocateAction(account, order_index, tuple(pairs.items())))
-                named["institution"].setdefault(account, line_no)
-            elif key == "retail":
-                retail.append(RetailClient(account, pairs["broker"]))
-                _once(accounts, account, line_no, "account", "declared")
-                named["broker"].setdefault(pairs["broker"], line_no)
-            else:  # institution
-                end_clients = tuple(pairs["ends"].split(","))
-                if "" in end_clients:
-                    raise ScenarioFormatError(
-                        f"empty end client name in ends={pairs['ends']!r}", line_no)
-                institutions.append(Institution(
-                    account, pairs["broker"], pairs["custodian"], end_clients))
-                for name in (account, *end_clients):
-                    _once(accounts, name, line_no, "account", "declared")
-                named["broker"].setdefault(pairs["broker"], line_no)
-                named["custodian"].setdefault(pairs["custodian"], line_no)
-            continue
-
-        role = _PARTICIPANT_KEYS.get(key)
-        if role is None and key not in ("symbol", "scenario", "currency"):
-            raise ScenarioFormatError(f"unknown directive {key!r}", line_no)
-        if len(parts) > 1:
-            raise ScenarioFormatError(
-                f"{key!r} takes one value, got {' '.join(parts)!r}", line_no)
-        value = parts[0]
-        if role is not None:
-            ids = participants.setdefault(role, {})
-            _once(ids, value, line_no, key, "declared")
-            if role is ParticipantRole.CLEARING_CORPORATION and len(ids) > 1:
+                len(orders) + 1, parts[0], parts[1], parts[2], parts[3], parts[4],
+                pairs.get("price"), pairs.get("cap"))))
+        elif key == "expect":
+            expected.append(_new(ExpectedBalance, (
+                parts[0], pairs.pop("money", 0), tuple(pairs.items()))))
+        elif key == "endow":
+            if pairs and min(pairs.values()) < 0:
+                name = next(name for name, amount in pairs.items() if amount < 0)
+                raise ScenarioFormatError(
+                    f"negative endowment {name}={pairs[name]} for {parts[0]!r}", line_no)
+            endowments.append(Endowment(parts[0], pairs.pop("money", 0), tuple(pairs.items())))
+        elif key == "retail":
+            retail.append(RetailClient(parts[0], pairs["broker"]))
+        elif key == "allocate":
+            allocations.append(AllocateAction(parts[0], pairs.pop("order"), tuple(pairs.items())))
+        elif key == "institution":
+            institutions.append(Institution(
+                parts[0], pairs["broker"], pairs["custodian"], pairs["ends"]))
+        elif key in ("scenario", "currency"):
+            header[key] = parts[0]
+        elif key != "symbol":  # a participant line
+            ids = registers[_REGISTERS.index((key, "declared"))]
+            if key == "clearing_corporation" and len(ids) > 1:
                 first, first_line = next(iter(ids.items()))
                 raise ScenarioFormatError(
-                    f"second clearing_corporation {value!r} "
+                    f"second clearing_corporation {parts[0]!r} "
                     f"({first!r} declared on line {first_line})", line_no)
-            if role in _PARTICIPANT_ACCOUNTS:
-                _once(accounts, _PARTICIPANT_ACCOUNTS[role](value), line_no, "account", "declared")
-        elif key == "symbol":
-            _once(symbols, value, line_no, "symbol", "declared")
-        else:
-            _once(header_on, key, line_no, "", "declared")
-            header[key] = value
+            if key in _PARTICIPANT_ACCOUNTS:
+                name = _PARTICIPANT_ACCOUNTS[key](parts[0])
+                if name in accounts:
+                    raise _already("account", "declared", name, accounts[name], line_no)
+                accounts[name] = line_no
 
-    if not header["scenario"]:
+    if "scenario" not in header:
         raise ScenarioFormatError("missing 'scenario:' header", 1)
-    declared = {role.value: ids for role, ids in participants.items()}
-    declared["client"] = {client.account for client in (*retail, *institutions)}
-    declared["institution"] = {institution.account for institution in institutions}
-    declared["order"] = range(1, len(orders) + 1)
-    declared["account"] = accounts
-    declared["symbol"] = symbols
-    undeclared = [(line_no, kind, name) for kind, names in named.items()
-                  for name, line_no in names.items() if name not in declared.get(kind, ())]
-    if undeclared:
-        line_no, kind, name = min(undeclared)
+    declared = {label: names for (label, verb), names in zip(_REGISTERS, registers)
+                if verb == "declared"}
+    declared["order"] = range(1, len(orders) + 1)  # an order line declares its number
+    # The expected accounts are checked after the roles, whose lines declare
+    # the participant accounts an expect: line names.
+    late, line_no, kind, name = min(
+        [(verb == "expected", names[name], label, name)
+         for (label, verb), names in zip(_REGISTERS, registers) if verb != "declared"
+         for name in names.keys() - declared[label]], default=(None, 0, "", ""))
+    if late is False:
         raise ScenarioFormatError(f"undeclared {kind} {name!r}", line_no)
     ends = {institution.account: set(institution.end_clients) for institution in institutions}
+    allocated = registers[_REGISTERS.index(("order", "allocated"))]
     for allocation in allocations:
         members = ends[allocation.institution]
         for end_client, _ in allocation.splits:
@@ -395,17 +398,12 @@ def parse_scenario(text: str) -> Scenario:
                     f"{end_client!r} is not an end client of {allocation.institution}",
                     allocated[allocation.order_index])
     for role in _REQUIRED_ROLES:
-        if role not in participants:
-            raise ScenarioFormatError(f"missing '{role.value}:' line", 1)
-    return Scenario(
-        scenario_id=header["scenario"],
-        currency=header["currency"],
-        symbols=tuple(symbols),
-        participants={role: tuple(ids) for role, ids in participants.items()},
-        retail_clients=tuple(retail),
-        institutions=tuple(institutions),
-        endowments=tuple(endowments),
-        orders=tuple(orders),
-        allocations=tuple(allocations),
-        expected=tuple(expected),
-    )
+        if not declared[role]:
+            raise ScenarioFormatError(f"missing '{role}:' line", 1)
+    if late:
+        raise ScenarioFormatError(f"undeclared {kind} {name!r}", line_no)
+    return Scenario(header["scenario"], header.get("currency", "USD"), tuple(declared["symbol"]),
+                    {role: tuple(declared[role.value])
+                     for role in ParticipantRole if declared[role.value]},
+                    tuple(retail), tuple(institutions), tuple(endowments),
+                    tuple(orders), tuple(allocations), tuple(expected))

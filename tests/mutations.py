@@ -7,8 +7,9 @@ field boundary or inserts one character. The fuzz tests of `.scn`, `.fm`,
 
 from hypothesis import strategies as st
 
-# characters an inserted typo may be: separators, signs, digits, letters
-INSERTED = " \t=,:#-_.+0159AEKZaekz"
+# characters an inserted typo may be: separators (the machine report's `|`
+# too), signs, digits, letters
+INSERTED = " \t=,:#|-_.+0159AEKZaekz"
 BOUNDARIES = " =,:"
 
 

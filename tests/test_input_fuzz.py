@@ -12,12 +12,17 @@ with one `error:` line past it.
 """
 
 import io
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stpsim
 from mutations import mutate
 from stpsim.cli import main
 from stpsim.data import catalog_path, config_path
@@ -143,11 +148,23 @@ def test_a_nested_tree_validates_or_exits_with_one_error_line(workdir, levels):
     _assert_nesting_verdict(levels, *_cli("validate-model", model), MAX_NESTING + 2)
 
 
+def _assert_one_error_line_also_in_a_process(model, err):
+    """`validate-model` on `model` exits 1 with `err` on stderr, in process and
+    as ``python -m stpsim.cli``, where the interpreter's own recursion limit
+    and stack apply."""
+    assert _cli("validate-model", model) == (1, "", err)
+    env = dict(os.environ, PYTHONPATH=str(Path(stpsim.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-m", "stpsim.cli", "validate-model", model],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", err)
+    assert "Traceback" not in result.stderr
+
+
 def test_a_constraint_of_1000_nested_parentheses_is_one_error_line(workdir):
     # 1,000 levels once ended validate-model in a RecursionError traceback
     formula = "(" * 1000 + "Broker" + ")" * 1000
     model = _write(workdir, "parens.fm", "\n".join([*SHIPPED_CATALOG, formula]) + "\n")
-    assert _cli("validate-model", model) == (1, "", (
+    _assert_one_error_line_also_in_a_process(model, (
         f"error: line {len(SHIPPED_CATALOG) + 1}, column {MAX_NESTING + 2}: bad constraint: "
         f"nested deeper than {MAX_NESTING} levels (column {MAX_NESTING + 2})\n"))
 
@@ -155,6 +172,6 @@ def test_a_constraint_of_1000_nested_parentheses_is_one_error_line(workdir):
 def test_a_tree_1200_levels_deep_is_one_error_line(workdir):
     # so did a tree 1,200 levels deep, in FeatureModel._index and _Node.freeze
     model = _write(workdir, "tree.fm", _nested_tree(1199))
-    assert _cli("validate-model", model) == (1, "", (
+    _assert_one_error_line_also_in_a_process(model, (
         f"error: line {MAX_NESTING + 2}, column {2 * MAX_NESTING + 3}: "
         f"feature tree nested deeper than {MAX_NESTING} levels\n"))

@@ -5,7 +5,9 @@ duplicates one, swaps two, truncates one at a field boundary or inserts one
 character. Whatever the edits, `parse_scenario` either raises
 ScenarioFormatError or returns a Scenario that `run_scenario` builds and
 runs to a `ScenarioReport` under both shipped products, completed or with
-its abort recorded; no edit ends in any other exception.
+its abort recorded; no edit ends in any other exception. The machine report
+of each run reads back its scenario id, every account's final money and
+positions, and every check's name and verdict.
 """
 
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from mutations import mutate
 from stpsim.data import scenario_path
-from stpsim.lifecycle import ScenarioReport, run_scenario
+from stpsim.lifecycle import ScenarioReport, assert_conservation, run_scenario
+from stpsim.report import parse_machine, render_machine
 from stpsim.scenarios import SCENARIO_IDS, ScenarioFormatError, parse_scenario
 
 SHIPPED = {scenario_id: scenario_path(scenario_id).read_text().splitlines()
@@ -33,4 +36,20 @@ def test_mutated_scenario_is_rejected_or_builds(products, scenario_id, data):
     except ScenarioFormatError:
         return
     for product in products:
-        assert isinstance(run_scenario(product, scenario), ScenarioReport)
+        report = run_scenario(product, scenario)
+        assert isinstance(report, ScenarioReport)
+        _assert_reads_back(report)
+
+
+def _assert_reads_back(report):
+    """The machine report of `report` reads back what the run holds."""
+    checks = assert_conservation(report)
+    parsed = parse_machine(render_machine(report, checks))
+    assert parsed.scenario_id == report.scenario_id
+    final = dict(report.steps[-1].snapshot) if report.steps else {}
+    assert parsed.final_balances == {
+        account: (balances.money.amount,
+                  ",".join(f"{symbol}={qty}" for symbol, qty in sorted(balances.positions.items())))
+        for account, balances in final.items()}
+    assert [(check.name, check.passed) for check in parsed.checks] == [
+        (check.name, check.passed) for check in [*report.finals, *checks]]

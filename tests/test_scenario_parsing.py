@@ -206,6 +206,9 @@ SHIPPED_DEFECTS = {
     "order_allocated_twice": ("allocate: INST1 order=2 EC1=60 EC2=40\n",
                               "allocate: INST1 order=2 EC1=60 EC2=40\n" * 2,
                               "line 25: order 2 already allocated on line 24"),
+    "undeclared_expected_account": ("expect: CC1.ccp money=0\n",
+                                    "expect: CC1.ccp money=0\nexpect: ZZ9 money=0\n",
+                                    "line 33: undeclared account 'ZZ9'"),
 }
 
 
@@ -317,6 +320,7 @@ REFUSED = {
     "expect_undeclared_symbol": ("expect: A ACME=10 BOLT=0", "undeclared symbol 'BOLT'"),
     "expect_twice": ("expect: A money=0\nexpect: A ACME=10",
                      f"account 'A' already expected on line {BAD_LINE}"),
+    "expect_undeclared_account": ("expect: ZZ9 money=0", "undeclared account 'ZZ9'"),
     "scenario_twice": ("scenario: other", "scenario already declared on line 1"),
     "currency_twice": ("currency: USD\ncurrency: EUR",
                        f"currency already declared on line {BAD_LINE}"),
@@ -364,9 +368,11 @@ def test_a_symbol_may_be_declared_after_the_positions_that_name_it():
      "line 4: 'symbol' takes one value, got 'ACME BOLT'"),
     ("retail_retail", "broker: BR2\n", "broker: BR2 BR3\n",
      "line 7: 'broker' takes one value, got 'BR2 BR3'"),
+    ("retail_retail", "expect: CC1.ccp money=0\n",
+     "expect: CC1.ccp money=0\nexpect: ZZ9 money=0\n", "line 28: undeclared account 'ZZ9'"),
 ], ids=["retail_unknown_key", "endow_undeclared_symbol", "expect_undeclared_symbol",
         "expect_twice", "currency_twice", "scenario_twice", "symbol_twice",
-        "symbol_two_values", "broker_two_values"])
+        "symbol_two_values", "broker_two_values", "expect_undeclared_account"])
 def test_cli_refuses_an_unknown_key_undeclared_symbol_or_second_expect(
         capsys, scenario_id, old, new, message, tmp_path):
     from stpsim.cli import main
@@ -378,3 +384,31 @@ def test_cli_refuses_an_unknown_key_undeclared_symbol_or_second_expect(
                  "--format", "machine"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# -- '|', the machine report's field separator -------------------------------------
+
+BAR = "'|' is reserved: it separates the machine report's fields"
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("symbol: ACME\n", "symbol: AC|ME\n", 4),
+    ("retail: RC1 broker=BR1\n", "retail: R|1 broker=BR1\n", 13),
+    ("broker: BR1\n", "broker: B|1\n", 6),
+    ("scenario: retail_retail\n", "scenario: retail|retail\n", 2),
+], ids=["symbol", "account", "participant_id", "scenario_id"])
+def test_cli_refuses_a_bar_in_a_name(capsys, tmp_path, old, new, line):
+    from stpsim.cli import main
+    text = scenario_path("retail_retail").read_text()
+    assert text.count(old) == 1
+    edited = tmp_path / "edited.scn"
+    edited.write_text(text.replace(old, new))
+    assert main(["run", str(catalog_path()), str(config_path("seco_a")), str(edited),
+                 "--format", "machine"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line {line}: {BAR}\n")
+
+
+def test_a_bar_in_a_comment_is_allowed():
+    scenario = parse_scenario(HEADER + "# money | shares\nexpect: A money=0  # a|b\n" + ROLES)
+    assert scenario.expected[0].account == "A"
