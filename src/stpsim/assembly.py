@@ -166,7 +166,8 @@ def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
     open_account = ledger.open_account
 
     def opened(account: str) -> str:
-        open_account(account, *endowed.get(account, ()))
+        money, positions = endowed.get(account, (None, None))
+        open_account(account, money, positions)
         return account
 
     def participants(role: ParticipantRole) -> list[ParticipantId]:
@@ -205,7 +206,6 @@ def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
         eco.brokers[institution.broker].add_institution(opened(institution.account), custodian_pid)
         eco.custodians[institution.custodian].add_institution(institution.account)
         for end_client in institution.end_clients:
-            money, positions = endowed.get(end_client, (None, None))
-            open_account(end_client, money, positions)
+            opened(end_client)
 
     return eco

@@ -322,15 +322,10 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
         listed = set()
         for account, money, positions in scenario.expected:
             listed.add(account)
-            name = f"final[{account}]"
-            actual = final.get(account)
-            if actual is None:
-                record(_new(CheckResult, (name, False, "account missing")))
-                continue
-            have_money, have_positions = actual
+            have_money, have_positions = final[account]
             want_positions = {s: q for s, q in positions if q} if positions else {}
             ok = have_money.amount == money and have_positions == want_positions
-            record(_new(CheckResult, (name, ok, "" if ok else
+            record(_new(CheckResult, (f"final[{account}]", ok, "" if ok else
                    f"have money={have_money.amount} positions={have_positions}, "
                    f"want money={money} positions={want_positions}")))
         for account in sorted(final.keys() - listed):

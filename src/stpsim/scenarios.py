@@ -36,8 +36,8 @@ Declaration rules; a line that breaks one fails parsing with its number:
 - every broker, custodian, client, institution, order, endowed account and
   expected account a line names is declared somewhere in the file, before
   or after it;
-- every symbol an ``endow:`` or ``expect:`` position names is declared by a
-  ``symbol:`` line, before or after it;
+- every symbol an order, or an ``endow:`` or ``expect:`` position, names is
+  declared by a ``symbol:`` line, before or after it;
 - an account is endowed on at most one line, with no negative amount, and
   expected on at most one line;
 - a ``retail:`` or ``institution:`` line carries no key besides its own;
@@ -137,7 +137,8 @@ _LINES = {
                (4, "order type", {"market": OrderType.MARKET, "limit": OrderType.LIMIT,
                                   "ioc": OrderType.IMMEDIATE_OR_CANCEL,
                                   "fok": OrderType.FILL_OR_KILL}.__getitem__)),
-        keys={"cap": int}, other="price", names=((0, "client", "named"),)),
+        keys={"cap": int}, other="price",
+        names=((0, "client", "named"), (3, "symbol", "named"))),
 }
 # every (label, verb) in the table; a parse keeps a register of names for each
 _REGISTERS = tuple(dict.fromkeys(
@@ -162,22 +163,19 @@ def _plan(row: _Line) -> tuple:
 _PLANS = {key: _plan(row) for key, row in _LINES.items()}
 
 
-@dataclass(frozen=True)
-class RetailClient:
+class RetailClient(NamedTuple):
     account: str
     broker: str
 
 
-@dataclass(frozen=True)
-class Institution:
+class Institution(NamedTuple):
     account: str
     broker: str
     custodian: str
     end_clients: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Endowment:
+class Endowment(NamedTuple):
     account: str
     money: int
     positions: tuple[tuple[str, int], ...]
@@ -194,8 +192,7 @@ class OrderAction(NamedTuple):
     cap: int | None
 
 
-@dataclass(frozen=True)
-class AllocateAction:
+class AllocateAction(NamedTuple):
     institution: str
     order_index: int
     splits: tuple[tuple[str, int], ...]
@@ -352,14 +349,16 @@ def parse_scenario(text: str) -> Scenario:
                 name = next(name for name, amount in pairs.items() if amount < 0)
                 raise ScenarioFormatError(
                     f"negative endowment {name}={pairs[name]} for {parts[0]!r}", line_no)
-            endowments.append(Endowment(parts[0], pairs.pop("money", 0), tuple(pairs.items())))
+            endowments.append(_new(Endowment, (
+                parts[0], pairs.pop("money", 0), tuple(pairs.items()))))
         elif key == "retail":
-            retail.append(RetailClient(parts[0], pairs["broker"]))
+            retail.append(_new(RetailClient, (parts[0], pairs["broker"])))
         elif key == "allocate":
-            allocations.append(AllocateAction(parts[0], pairs.pop("order"), tuple(pairs.items())))
+            allocations.append(_new(AllocateAction, (
+                parts[0], pairs.pop("order"), tuple(pairs.items()))))
         elif key == "institution":
-            institutions.append(Institution(
-                parts[0], pairs["broker"], pairs["custodian"], pairs["ends"]))
+            institutions.append(_new(Institution, (
+                parts[0], pairs["broker"], pairs["custodian"], pairs["ends"])))
         elif key in ("scenario", "currency"):
             header[key] = parts[0]
         elif key != "symbol":  # a participant line

@@ -87,6 +87,13 @@ def test_extended_validation_caps_order_size():
     assert exchange.validate_incoming_order(order).rule == "OrderTooLarge"
 
 
+def test_extended_validation_takes_an_order_of_exactly_the_size_cap():
+    exchange = make_exchange(extended=True)
+    assert exchange.validate_incoming_order(draft_order(qty=1_000_000)) is None
+    assert exchange.validate_incoming_order(
+        draft_order(qty=1_000_001)).rule == "OrderTooLarge"
+
+
 def test_the_first_priced_order_accepted_fixes_the_book_currency():
     exchange = make_exchange(symbols=("ACME", "BETA"))
     unpriced = draft_order(otype=OrderType.MARKET, price=None)

@@ -105,7 +105,7 @@ def test_perturbed_contract_price_aborts_at_affirmation(products, perturbed_cont
 def test_underfunded_client_aborts_at_order_step(products):
     scenario = load_scenario("retail_retail")
     starved = tuple(
-        dataclasses.replace(e, money=50_000) if e.account == "RC1" else e
+        e._replace(money=50_000) if e.account == "RC1" else e
         for e in scenario.endowments)
     scenario = dataclasses.replace(scenario, endowments=starved)
     report = run_scenario(products["SECO_A"], scenario)

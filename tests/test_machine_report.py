@@ -493,6 +493,17 @@ def test_report_exits_one_on_a_truncated_record(tmp_path, capsys):
     assert captured.err == "error: line 2: truncated journal record 'journal|'\n"
 
 
+def test_report_counts_a_failed_check_with_an_empty_detail(tmp_path, capsys):
+    saved = tmp_path / "failed.out"
+    saved.write_text("run|product=P|scenario=s\ncheck|x|FAIL|\nend|completed\n")
+    assert main(["report", str(saved)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("product:  P\nscenario: s\n\nsteps:\n\n"
+                            "trades: 0, journal entries: 0\n\nchecks:\n  x: FAIL\n\n"
+                            "result: FAIL (1 checks failed)\n")
+    assert captured.err == ""
+
+
 def test_report_exits_one_without_traceback_on_malformed_record(shipped_machine, tmp_path):
     text, line_no = with_bad_record(shipped_machine, *BAD_RECORDS["truncated_balance"][:2])
     bad = tmp_path / "bad.out"

@@ -7,10 +7,11 @@ constraint `FillOrKillOrderType => FillOrKillMatching` breaks), `{root}`
 a configuration selecting only the root, `{retail_cross}`, `{deep_book}`
 and `{block_alloc}` the benchmark workloads' seed-1 scenarios,
 `{retail_cross_large}`, `{deep_book_large}` and `{block_alloc_large}` their
-large seed-7 scenarios (see LARGE), and `{underfunded}` and
-`{short_allocation}` shipped scenarios with one line edited (see EDITS). A
-`run --format machine` row also pins the md5 of what `stpsim report` prints
-for that output, and that it equals the human output of the same `run`.
+large seed-7 scenarios (see LARGE), and `{underfunded}`,
+`{short_allocation}` and `{zero_split}` shipped scenarios with one line
+edited (see EDITS). A `run --format machine` row also pins the md5 of what
+`stpsim report` prints for that output, and that it equals the human output
+of the same `run`.
 Every row runs through `cli.main` in-process, and each `run` and `report`
 must finish within LIMIT_S; the `run_no_fok_matching` row also runs as a
 subprocess, to pin the process contract (exit code, nothing on stderr, no
@@ -71,6 +72,8 @@ EDITS = {
     "short_allocation": ("institutional_institutional",
                          "allocate: INST1 order=2 EC1=60 EC2=40\n",
                          "allocate: INST1 order=2 EC1=60 EC2=30\n"),
+    "zero_split": ("retail_institutional", "allocate: INST1 order=2 EC1=60 EC2=40\n",
+                   "allocate: INST1 order=2 EC1=100 EC2=0\n"),
 }
 
 
@@ -131,6 +134,13 @@ PINS.update({
     "seco_b_institutional_institutional_short_allocation": _machine_run(
         "seco_b", "{short_allocation}",
         "419441d165a36ac797e29b078d33e645", "e971560dbc0b3ef19e1631f958462b02", 1),
+    # aborted at allocation_INST1: the custodian refuses the zero split
+    "seco_a_retail_institutional_zero_split": _machine_run(
+        "seco_a", "{zero_split}",
+        "4629d686c501030f5beaf8215415ac4c", "404d1afee9ca810da141e04d67c5ecf3", 1),
+    "seco_b_retail_institutional_zero_split": _machine_run(
+        "seco_b", "{zero_split}",
+        "d0ace2ab96b01ae290d9a630876fd599", "113501ebc6b979f53f7a98497ff3853e", 1),
 })
 
 

@@ -123,7 +123,7 @@ def valid_scenarios(draw):
                 extras.append(f"cap={draw(amounts)}")
             orders.append(client)
             lines.append(["order:", client, draw(st.sampled_from(["buy", "sell"])),
-                          str(draw(st.integers(0, 10**4))), draw(st.sampled_from(SYMBOLS)),
+                          str(draw(st.integers(0, 10**4))), draw(st.sampled_from(symbols)),
                           kind, *draw(st.permutations(extras))])
     for index, client in enumerate(orders, start=1):
         if client in ends and draw(st.booleans()):

@@ -79,6 +79,7 @@ UNDECLARED = {
     "institution_custodian": ("institution: J broker=BR1 custodian=CU9 ends=E2",
                               "custodian 'CU9'"),
     "order_client": ("order: RC9 buy 10 ACME limit 5", "client 'RC9'"),
+    "order_symbol": ("order: A buy 10 ACMF limit 5", "symbol 'ACMF'"),
     "allocate_institution": ("allocate: I9 order=1 E1=10", "institution 'I9'"),
     "allocate_order": ("allocate: I order=9 E1=10", "order 9"),
 }
@@ -92,9 +93,10 @@ def test_undeclared_name_raises_format_error_with_line_number(bad, named):
 
 
 def test_names_may_be_declared_after_the_line_that_uses_them():
-    scenario = parse_scenario("scenario: s\norder: A buy 1 ACME market\n"
+    scenario = parse_scenario("scenario: s\norder: A buy 1 ACME market\nsymbol: ACME\n"
                               "retail: A broker=BR1\nbroker: BR1\n" + ROLES)
     assert scenario.broker_of("A") == "BR1"
+    assert scenario.symbols == ("ACME",)
 
 
 def test_institutions_are_looked_up_by_account_also_after_replace():
@@ -355,6 +357,8 @@ def test_a_symbol_may_be_declared_after_the_positions_that_name_it():
      "endow: CU2.omnibus ACME=100 mony=5\n", "line 20: undeclared symbol 'mony'"),
     ("institutional_institutional", "expect: EC1 ACME=60\n", "expect: EC1 ACME=60 AMCE=0\n",
      "line 27: undeclared symbol 'AMCE'"),
+    ("retail_retail", "order: RC2 sell 100 ACME", "order: RC2 sell 100 ACMF",
+     "line 19: undeclared symbol 'ACMF'"),
     ("retail_retail", "expect: CC1.ccp money=0\n",
      "expect: CC1.ccp money=0\nexpect: RC1 money=1\n",
      "line 28: account 'RC1' already expected on line 23"),
@@ -371,8 +375,8 @@ def test_a_symbol_may_be_declared_after_the_positions_that_name_it():
     ("retail_retail", "expect: CC1.ccp money=0\n",
      "expect: CC1.ccp money=0\nexpect: ZZ9 money=0\n", "line 28: undeclared account 'ZZ9'"),
 ], ids=["retail_unknown_key", "endow_undeclared_symbol", "expect_undeclared_symbol",
-        "expect_twice", "currency_twice", "scenario_twice", "symbol_twice",
-        "symbol_two_values", "broker_two_values", "expect_undeclared_account"])
+        "order_undeclared_symbol", "expect_twice", "currency_twice", "scenario_twice",
+        "symbol_twice", "symbol_two_values", "broker_two_values", "expect_undeclared_account"])
 def test_cli_refuses_an_unknown_key_undeclared_symbol_or_second_expect(
         capsys, scenario_id, old, new, message, tmp_path):
     from stpsim.cli import main
