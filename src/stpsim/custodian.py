@@ -127,18 +127,16 @@ class CustodianService:
         the broker and moves settlement responsibility to this custodian.
         """
         if not contracts:
-            if self.pending_details:
-                block = next(iter(self.pending_details))
-                return AffirmationRejection(
-                    block, (AffirmationViolation("UnmatchedDetails", "", ""),))
-            raise NoPendingDetails("no contracts and no pending details")
-
-        block = contracts[0].block_order_id
-        details = self.pending_details.get(block)
-        if details is None:
-            raise NoPendingDetails(block)
-
-        violations = self._affirmation_violations(contracts, details)
+            if not self.pending_details:
+                raise NoPendingDetails("no contracts and no pending details")
+            block = next(iter(self.pending_details))
+            violations = [AffirmationViolation("UnmatchedDetails", "", "")]
+        else:
+            block = contracts[0].block_order_id
+            details = self.pending_details.get(block)
+            if details is None:
+                raise NoPendingDetails(block)
+            violations = self._affirmation_violations(contracts, details)
         if violations:
             rejection = AffirmationRejection(block, tuple(violations))
             self.affirmations.append(rejection)

@@ -130,23 +130,22 @@ class AccountSnapshot(NamedTuple):
     positions: dict[str, int]
 
 
-_GONE = object()  # an edit that deletes the account from one snapshot
-
-
 class Snapshot(MutableMapping):
     """All balances as of one `Ledger.snapshot` call: owner -> `AccountSnapshot`.
 
-    The snapshot stores only its `delta`, the accounts touched since the
-    ledger's previous snapshot. Any other owner resolves through the
-    ledger's per-account version lists, by bisecting on this snapshot's
-    index, so later ledger mutations are invisible to it. Owners iterate in
-    account-opening order.
+    A snapshot is recorded or edited. A recorded snapshot stores only its
+    `delta`, the accounts touched since the ledger's previous snapshot. Any
+    other owner resolves through the ledger's per-account version lists,
+    by bisecting on this snapshot's index, so later ledger mutations are
+    invisible to it. Owners iterate in account-opening order.
 
-    Writes and deletes are this snapshot's own edits, a deletion being a
-    tombstone: they change no other snapshot, whether taken before or after.
+    Its first write, delete or `load` makes it edited: it copies every
+    owner into one plain dict of its own, which from then on answers every
+    read and takes every edit. No other snapshot changes, whether taken
+    before or after.
     """
 
-    __slots__ = ("delta", "_versions", "_index", "_count", "_previous", "_edits")
+    __slots__ = ("delta", "_versions", "_index", "_count", "_previous", "_edited")
 
     def __init__(self, versions: dict[str, tuple[list[int], list[AccountSnapshot]]],
                  index: int, delta: dict[str, AccountSnapshot],
@@ -156,55 +155,45 @@ class Snapshot(MutableMapping):
         self._index = index
         self._count = len(versions)  # accounts opened by now: a prefix of `versions`
         self._previous = previous
-        self._edits: dict[str, object] | None = None
-
-    def _recorded(self, owner: str) -> AccountSnapshot | None:
-        history = self._versions.get(owner)
-        if history is None:
-            return None
-        steps, balances = history
-        at = bisect_right(steps, self._index)
-        return balances[at - 1] if at else None
+        self._edited: dict[str, AccountSnapshot] | None = None
 
     def __getitem__(self, owner: str) -> AccountSnapshot:
-        edits = self._edits
-        value = edits[owner] if edits and owner in edits else self._recorded(owner)
-        if value is None or value is _GONE:
-            raise KeyError(owner)
-        return value
+        if self._edited is not None:
+            return self._edited[owner]
+        history = self._versions.get(owner)
+        if history is not None:
+            steps, balances = history
+            at = bisect_right(steps, self._index)
+            if at:
+                return balances[at - 1]
+        raise KeyError(owner)
+
+    def _edit(self) -> dict[str, AccountSnapshot]:
+        """This snapshot's own dict of every owner, copied on its first edit."""
+        if self._edited is None:
+            self._edited = {owner: self[owner] for owner in self}
+        return self._edited
 
     def __setitem__(self, owner: str, balances: AccountSnapshot) -> None:
-        if self._edits is None:
-            self._edits = {}
-        self._edits[owner] = balances
+        self._edit()[owner] = balances
 
     def __delitem__(self, owner: str) -> None:
-        if owner not in self:
-            raise KeyError(owner)
-        self[owner] = _GONE
+        del self._edit()[owner]
 
     def __iter__(self) -> Iterator[str]:
-        edits = self._edits or {}
-        for owner in islice(self._versions, self._count):
-            if edits.get(owner) is not _GONE:
-                yield owner
-        for owner, value in edits.items():
-            if value is not _GONE and self._recorded(owner) is None:
-                yield owner
+        if self._edited is not None:
+            return iter(self._edited)
+        return islice(self._versions, self._count)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self) if self._edits else self._count
+        return self._count if self._edited is None else len(self._edited)
 
     def __repr__(self) -> str:
         return f"Snapshot({dict(self)!r})"
 
     def load(self, balances: Mapping[str, AccountSnapshot]) -> None:
-        """Edit this snapshot until it equals `balances`."""
-        for owner in [owner for owner in self if owner not in balances]:
-            del self[owner]
-        for owner, value in balances.items():
-            if self.get(owner) is not value:
-                self[owner] = value
+        """Make this snapshot edited and equal to `balances`, in their order."""
+        self._edited = dict(balances)
 
     def changes(self, since: Snapshot | None) -> Iterable[tuple[str, AccountSnapshot | None]]:
         """(owner, balances) for every entry that differs from `since`.
@@ -215,11 +204,10 @@ class Snapshot(MutableMapping):
         """
         if since is not self._previous:
             raise ValueError("changes are taken since the ledger's previous snapshot")
-        earlier = since._edits if since is not None else None
-        if not self._edits and not earlier:
+        if self._edited is None and (since is None or since._edited is None):
             return self.delta.items()
         before = since.get if since is not None else {}.get
-        owners = self.delta.keys() | (self._edits or {}).keys() | (earlier or {}).keys()
+        owners = [*self, *(owner for owner in since or () if owner not in self)]
         return [(owner, self.get(owner)) for owner in owners
                 if self.get(owner) is not before(owner)]
 

@@ -22,9 +22,10 @@ unlisted account flat. It folds each step's `Snapshot.changes` into one
 running account -> `AccountSnapshot` dict, so a pair costs its changes, and
 the sum of each changed entry's new minus old balances equals the
 difference of the pair's full totals. The final check reads that dict. It
-reads only recorded values, never the ledger's live accounts or counters,
-and an edit made to a step's snapshot after the run is among that step's
-changes, so it is caught.
+reads only recorded values, never the ledger's live accounts or counters.
+A run leaves every snapshot recorded. An edit made to a step's snapshot
+after the run makes that snapshot edited (one plain dict of its own), and
+its changes then diff it against its neighbours, so the edit is caught.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class ScenarioAborted(Exception):
 class StepRecord:
     """One step's name, events and ledger snapshot.
 
-    Assigning a mapping to `snapshot` loads it into the step's `Snapshot` as
-    that step's edits, so every consumer reads the same type.
+    Assigning a mapping to `snapshot` loads it into the step's `Snapshot`,
+    which is then edited, so every consumer reads the same type.
     """
 
     __slots__ = ("name", "_snapshot", "events")

@@ -409,6 +409,18 @@ def test_select_venue_best_quote():
     assert chosen.id == "X2"
 
 
+def test_select_venue_best_quote_tie_goes_to_the_first_venue():
+    config = replace(FIRST_VENUE, venue_algorithm="BestQuoteVenueChoice")
+    broker, exchanges, _, _ = make_desk(config=config, n_exchanges=2)
+    # both venues ask 1040 and bid 1030: each side ties, and X1 registered first
+    for exchange in exchanges:
+        rest_order(exchange, "sell", 1040, 10, oid="O98")
+        rest_order(exchange, "buy", 1030, 10, oid="O99")
+    venues = broker.registry.list_by_role(ParticipantRole.EXCHANGE)
+    assert broker.select_venue(buy_draft(), venues).id == "X1"
+    assert broker.select_venue(sell_draft(), venues).id == "X1"
+
+
 def test_select_venue_least_loaded():
     config = replace(FIRST_VENUE, venue_algorithm="LeastLoadedVenueChoice")
     broker, exchanges, _, _ = make_desk(config=config, n_exchanges=2)

@@ -218,6 +218,15 @@ def test_empty_contracts_with_pending_details_rejected():
     assert verdict.violations[0].rule == "UnmatchedDetails"
 
 
+def test_empty_contracts_rejection_is_recorded_like_every_verdict():
+    custodian, broker, _, _ = make_custodian()
+    custodian.receive_allocation_details(fixture_details())
+    verdict = custodian.affirm_contracts([])
+    assert custodian.affirmations == [verdict]
+    assert broker.affirmations == []
+    assert custodian.pending_blocks() == ["BR1-O1"]
+
+
 def test_no_pending_details_is_an_error():
     custodian, _, _, _ = make_custodian()
     with pytest.raises(NoPendingDetails):

@@ -255,6 +255,16 @@ def test_book_never_crossed_after_submissions():
         assert not book.is_crossed()
 
 
+def test_locked_book_counts_as_crossed():
+    # resting a bid at the best ask directly, past matching, locks the book
+    book = make_book()
+    book.submit(build_order(1, "sell", "limit", 1040, 50), tuple_trade)
+    book.submit(build_order(2, "buy", "limit", 1030, 50), tuple_trade)
+    assert not book.is_crossed()
+    book.bids.append(build_order(3, "buy", "limit", 1040, 10))
+    assert book.is_crossed()
+
+
 # -- price levels in minor units ------------------------------------------------
 
 def _naive_levels(orders):

@@ -470,3 +470,14 @@ def test_changes_are_taken_only_since_the_previous_snapshot():
     assert dict(third.changes(second)) == {}
     with pytest.raises(ValueError):
         third.changes(first)
+
+
+def test_loading_a_mapping_drops_the_owners_it_lacks():
+    ledger = make_ledger()
+    first = ledger.snapshot()
+    second = ledger.snapshot()
+    step = StepRecord("setup", first)
+    step.snapshot = {"bob": first["bob"]}
+    assert dict(first) == {"bob": second["bob"]} and len(first) == 1
+    assert dict(first.changes(None)) == {"bob": first["bob"]}
+    assert dict(second.changes(first)) == {"alice": second["alice"]}

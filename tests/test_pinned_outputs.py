@@ -8,8 +8,9 @@ a configuration selecting only the root, `{retail_cross}`, `{deep_book}`
 and `{block_alloc}` the benchmark workloads' seed-1 scenarios,
 `{retail_cross_large}`, `{deep_book_large}` and `{block_alloc_large}` their
 large seed-7 scenarios (see LARGE), and `{underfunded}`,
-`{short_allocation}` and `{zero_split}` shipped scenarios with one line
-edited (see EDITS). A `run --format machine` row also pins the md5 of what
+`{short_allocation}`, `{zero_split}`, `{short_omnibus}`, `{two_fill_prices}`
+and `{oversized_trade}` shipped scenarios with a few lines edited (see
+EDITS). A `run --format machine` row also pins the md5 of what
 `stpsim report` prints for that output, and that it equals the human output
 of the same `run`.
 Every row runs through `cli.main` in-process, and each `run` and `report`
@@ -66,7 +67,7 @@ LIMIT_S = 60
 LARGE = {"retail_cross": {"pairs": 1600}, "deep_book": {"levels": 384},
          "block_alloc": {"allocations": 400}}
 
-# a shipped scenario with one line edited: (scenario, the line, its edit)
+# a shipped scenario with a few lines edited: (scenario, the lines, their edit)
 EDITS = {
     "underfunded": ("retail_retail", "endow: RC1 money=150000\n", "endow: RC1 money=100000\n"),
     "short_allocation": ("institutional_institutional",
@@ -74,6 +75,25 @@ EDITS = {
                          "allocate: INST1 order=2 EC1=60 EC2=30\n"),
     "zero_split": ("retail_institutional", "allocate: INST1 order=2 EC1=60 EC2=40\n",
                    "allocate: INST1 order=2 EC1=100 EC2=0\n"),
+    "short_omnibus": ("retail_institutional", "endow: CU1.omnibus money=104000\n",
+                      "endow: CU1.omnibus money=100000\n"),
+    "two_fill_prices": ("retail_institutional",
+                        "order: RC2 sell 100 ACME limit 1040\n"
+                        "order: INST1 buy 100 ACME limit 1040\n"
+                        "allocate: INST1 order=2 EC1=60 EC2=40\n",
+                        "order: RC2 sell 60 ACME limit 1040\n"
+                        "order: RC2 sell 40 ACME limit 1030\n"
+                        "order: INST1 buy 100 ACME limit 1040\n"
+                        "allocate: INST1 order=3 EC1=60 EC2=40\n"),
+    "oversized_trade": ("retail_retail",
+                        "endow: RC1 money=150000\n"
+                        "endow: RC2 ACME=100\n\n"
+                        "order: RC2 sell 100 ACME limit 1040\n"
+                        "order: RC1 buy 100 ACME limit 1040\n",
+                        "endow: RC1 money=3000000000000\n"
+                        "endow: RC2 ACME=100\n\n"
+                        "order: RC2 sell 100 ACME limit 20000000000\n"
+                        "order: RC1 buy 100 ACME limit 20000000000\n"),
 }
 
 
@@ -141,6 +161,25 @@ PINS.update({
     "seco_b_retail_institutional_zero_split": _machine_run(
         "seco_b", "{zero_split}",
         "d0ace2ab96b01ae290d9a630876fd599", "113501ebc6b979f53f7a98497ff3853e", 1),
+    # aborted at settle: the omnibus account is 4000USD short of the block's price
+    "seco_a_retail_institutional_short_omnibus": _machine_run(
+        "seco_a", "{short_omnibus}",
+        "4c9418ad2723511b3c136c125fbcdb82", "a12b247151eca77f1a8708e2257ba965", 1),
+    "seco_b_retail_institutional_short_omnibus": _machine_run(
+        "seco_b", "{short_omnibus}",
+        "618fe93cc105b292a68b0e4f8da0e450", "70cd21f5d4a322f730508acdc7a104c3", 1),
+    # aborted at allocation_INST1: the block filled at 1030 and at 1040
+    "seco_a_retail_institutional_two_fill_prices": _machine_run(
+        "seco_a", "{two_fill_prices}",
+        "8a4a7c8914208a949da074d554709bf3", "94539dd7c430b1f39b33f891cd779670", 1),
+    "seco_b_retail_institutional_two_fill_prices": _machine_run(
+        "seco_b", "{two_fill_prices}",
+        "cb62d74c3bfebd0a8545a98f8ca3f758", "e45926d2188429f7456a4c7b430d7d64", 1),
+    # aborted at report_trades: clearing refuses the trade's value (SECO A's
+    # broker refuses the order first, an abort the underfunded rows already pin)
+    "seco_b_retail_retail_oversized_trade": _machine_run(
+        "seco_b", "{oversized_trade}",
+        "df9c491b4e2366d1d24329519ede5aa0", "35c8e31a0437b8e4cae87af6ae68aac3", 1),
 })
 
 
