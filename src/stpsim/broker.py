@@ -318,8 +318,7 @@ class BrokerService:
                     best_pid, best_amount = pid, quote.amount
             return best_pid if best_pid is not None else venues[0]
         if self.config.venue_algorithm == "LeastLoadedVenueChoice":
-            return min(venues, key=lambda pid: (self.registry.lookup(pid).book_depth(draft.symbol),
-                                                venues.index(pid)))
+            return min(venues, key=lambda pid: self.registry.lookup(pid).book_depth(draft.symbol))
         return venues[0]
 
     # -- execution and post-trade ---------------------------------------------

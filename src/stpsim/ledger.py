@@ -45,49 +45,25 @@ class NonPositiveQuantity(LedgerError):
     pass
 
 
-def _marking(write):
-    """The dict method `write`, made to mark the dict's owner as touched first."""
-    def marked(self, *args, **kwargs):
-        self.touched[self.owner] = None
-        return write(self, *args, **kwargs)
-    return marked
-
-
 # makes an `Account` with empty slots, for `Ledger.open_account` to fill
 _new_object = object.__new__
-
-# writes a `Positions` entry without marking; only the ledger's own
-# transfers use it, and they mark both owners themselves
-_set = dict.__setitem__
-
-
-class Positions(dict):
-    """An account's share counts; every write marks the owner as touched."""
-
-    __slots__ = ("owner", "touched")
-
-    __setitem__ = _marking(dict.__setitem__)
-    __delitem__ = _marking(dict.__delitem__)
-    __ior__ = _marking(dict.__ior__)
-    clear = _marking(dict.clear)
-    pop = _marking(dict.pop)
-    popitem = _marking(dict.popitem)
-    setdefault = _marking(dict.setdefault)
-    update = _marking(dict.update)
 
 
 class Account:
     """One owner's live balances.
 
-    Writing `money`, or any entry of `positions` in place, marks the owner
-    in the ledger's touched set, so the next `Ledger.snapshot` re-records
-    it. `positions` itself cannot be replaced. The ledger's own transfers
-    write `_money` and the positions dict directly and mark both owners
+    Writing `money` marks the owner in the ledger's touched set, so the
+    next `Ledger.snapshot` re-records it. Taking `positions` (a plain dict,
+    which cannot be replaced) marks the owner too, and lends the dict: from
+    then on every snapshot re-records the owner whenever its live positions
+    differ from those last recorded, so a write through a kept reference
+    is recorded as well. The ledger's own code reads and writes `_money`
+    and `_positions` directly, and its transfers mark both owners
     themselves, once per transfer. Accounts are made only by
     `Ledger.open_account`.
     """
 
-    __slots__ = ("owner", "_money", "_positions", "_touched")
+    __slots__ = ("owner", "_money", "_positions", "_touched", "_lent")
 
     @property
     def money(self) -> Money:
@@ -99,11 +75,12 @@ class Account:
         self._money = value
 
     @property
-    def positions(self) -> Positions:
+    def positions(self) -> dict[str, int]:
+        self._touched[self.owner] = self._lent[self.owner] = None
         return self._positions
 
     def __repr__(self) -> str:
-        return f"Account({self.owner!r}, {self._money!r}, {dict(self._positions)!r})"
+        return f"Account({self.owner!r}, {self._money!r}, {self._positions!r})"
 
 
 class JournalEntry(NamedTuple):
@@ -220,9 +197,11 @@ class Ledger:
         self.accounts: dict[str, Account] = {}
         self.journal: list[JournalEntry] = []
         # owners whose balances may have changed since the last snapshot; a
-        # dict used as an insertion-ordered set, so snapshots list accounts
-        # in opening order like `accounts`
+        # dict used as an insertion-ordered set, so a snapshot's `delta`
+        # lists owners in the order they were first touched, run after run
         self._touched: dict[str, None] = {}
+        # owners whose positions dict `Account.positions` has handed out
+        self._lent: dict[str, None] = {}
         # owner -> (snapshot indices, the balances recorded at each); owners
         # in opening order
         self._versions: dict[str, tuple[list[int], list[AccountSnapshot]]] = {}
@@ -243,9 +222,9 @@ class Ledger:
         accounts[owner] = acct = _new_object(Account)
         acct.owner = owner
         acct._money = money
-        acct._positions = held = Positions(positions) if positions else Positions()
-        held.owner = owner
-        held.touched = acct._touched = touched = self._touched
+        acct._positions = dict(positions) if positions else {}
+        acct._touched = touched = self._touched
+        acct._lent = self._lent
         touched[owner] = None
         return acct
 
@@ -259,7 +238,7 @@ class Ledger:
         return self.account(owner).money
 
     def position(self, owner: str, symbol: str) -> int:
-        return self.account(owner).positions.get(symbol, 0)
+        return self.account(owner)._positions.get(symbol, 0)
 
     def transfer_money(self, src: str, dst: str, amount: Money, cause: str = "") -> int:
         """Move `amount` from `src` to `dst`; returns the journal entry seq.
@@ -310,8 +289,8 @@ class Ledger:
         held = delivering.get(symbol, 0)
         if held < qty:
             raise InsufficientPosition(f"{src} holds {held} {symbol}, needs {qty}")
-        _set(delivering, symbol, held - qty)
-        _set(receiving, symbol, receiving.get(symbol, 0) + qty)
+        delivering[symbol] = held - qty
+        receiving[symbol] = receiving.get(symbol, 0) + qty
         touched = self._touched
         touched[src] = touched[dst] = None
         journal = self.journal
@@ -323,19 +302,26 @@ class Ledger:
         return self.account(owner).money >= amount
 
     def can_deliver(self, owner: str, symbol: str, qty: int) -> bool:
-        return self.account(owner).positions.get(symbol, 0) >= qty
+        return self.account(owner)._positions.get(symbol, 0) >= qty
 
     def snapshot(self) -> Snapshot:
         """All balances as a `Snapshot`; later ledger mutations are invisible to it.
 
-        Only the accounts touched since the previous call are recorded,
-        each as a new `AccountSnapshot` appended to its version list, so a
-        call costs what changed since the last one, not the ledger's size.
+        The accounts touched since the previous call are recorded, and so
+        is every account whose positions dict was lent (see `Account`) and
+        whose live positions differ from those last recorded. Each is
+        recorded as a new `AccountSnapshot` appended to its version list,
+        so a call costs what changed since the last one, not the ledger's
+        size, unless a positions dict was lent.
         """
-        accounts, versions = self.accounts, self._versions
+        accounts, versions, touched = self.accounts, self._versions, self._touched
+        for owner in self._lent:
+            if owner not in touched and versions[owner][1][-1].positions != {
+                    s: q for s, q in accounts[owner]._positions.items() if q}:
+                touched[owner] = None
         index = 0 if self._last is None else self._last._index + 1
         delta = {}
-        for owner in self._touched:
+        for owner in touched:
             acct = accounts[owner]
             held = acct._positions  # copied in C unless a zero position must be dropped
             delta[owner] = balances = _new(AccountSnapshot, (
@@ -347,7 +333,7 @@ class Ledger:
             else:
                 history[0].append(index)
                 history[1].append(balances)
-        self._touched.clear()
+        touched.clear()
         self._last = Snapshot(versions, index, delta, self._last)
         return self._last
 

@@ -152,6 +152,7 @@ def parse_machine(text: str) -> ParsedRun:
     journal_count = trade_count = 0
     current = None  # the last step number read; no int equals it before the first step
     aborted = None
+    ended = False
     lines = enumerate(text.splitlines(), start=1)
     # One split, one lookup and one length check per line, then the tags from
     # the most to the least frequent record. Audit, affirmation and instruction
@@ -211,6 +212,7 @@ def parse_machine(text: str) -> ParsedRun:
                 aborted = (fields[2], "|".join(fields[3:]))
             elif fields[1] != "completed":
                 raise ReportParseError(f"line {line_no}: end status {fields[1]!r}")
+            ended = True
             break
     for line_no, line in lines:  # only blank lines may follow the end record
         if line.strip():
@@ -218,6 +220,8 @@ def parse_machine(text: str) -> ParsedRun:
                 f"line {line_no}: {line.split('|', 1)[0]} record after the end record")
     if not product_name and not scenario_id:
         raise ReportParseError("not a machine report: missing run header")
+    if not ended:
+        raise ReportParseError("truncated machine report: missing end record")
     return ParsedRun(product_name, scenario_id, steps, final, journal_count, trade_count,
                      checks, aborted)
 

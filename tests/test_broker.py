@@ -429,6 +429,14 @@ def test_select_venue_least_loaded():
     assert broker.select_venue(buy_draft(), venues).id == "X2"
 
 
+def test_select_venue_least_loaded_tie_goes_to_the_first_venue():
+    config = replace(FIRST_VENUE, venue_algorithm="LeastLoadedVenueChoice")
+    broker, _, _, _ = make_desk(config=config, n_exchanges=2)
+    # both books are empty: the depths tie, and X1 registered first
+    venues = broker.registry.list_by_role(ParticipantRole.EXCHANGE)
+    assert broker.select_venue(buy_draft(), venues).id == "X1"
+
+
 # -- allocation details and contracts ----------------------------------------------
 
 def _filled_block(broker, exchanges, qty=100, price=1040):

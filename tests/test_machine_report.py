@@ -463,6 +463,16 @@ def test_blank_lines_may_follow_the_end_record(shipped_machine):
     assert parse_machine(shipped_machine + "\n  \n\n") == parse_machine(shipped_machine)
 
 
+@pytest.mark.parametrize("kept", [1, 20, -1])
+def test_report_without_its_end_record_is_rejected(shipped_machine, kept):
+    cut = "\n".join(shipped_machine.splitlines()[:kept]) + "\n"
+    assert parse_error(cut) == "truncated machine report: missing end record"
+
+
+def test_missing_run_header_is_reported_before_a_missing_end_record():
+    assert parse_error("step|1|order_1_RC1|\n") == "not a machine report: missing run header"
+
+
 @pytest.fixture(scope="module")
 def institutional_machine(products):
     return run_pair(products, "seco_a", "institutional_institutional")[2]
@@ -491,6 +501,16 @@ def test_report_exits_one_on_a_truncated_record(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 2: truncated journal record 'journal|'\n"
+
+
+def test_report_exits_one_on_a_run_cut_before_its_end_record(
+        shipped_machine, tmp_path, capsys):
+    saved = tmp_path / "cut.out"
+    saved.write_text("".join(shipped_machine.splitlines(keepends=True)[:20]))
+    assert main(["report", str(saved)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncated machine report: missing end record\n"
 
 
 def test_report_counts_a_failed_check_with_an_empty_detail(tmp_path, capsys):

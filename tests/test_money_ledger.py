@@ -319,6 +319,37 @@ def test_account_positions_cannot_be_replaced():
         ledger.accounts["alice"].positions = {"ACME": 99}
 
 
+@pytest.mark.parametrize("write,held", [
+    (lambda a: dict.__setitem__(a.positions, "ACME", 7), {"ACME": 7}),
+    (lambda a: a.positions.__init__(ACME=99), {"ACME": 99}),
+], ids=["dict_setitem", "init"])
+def test_positions_write_past_the_dict_methods_shows_in_next_snapshot(write, held):
+    ledger = make_ledger()
+    ledger.snapshot()
+    write(ledger.accounts["alice"])
+    assert ledger.snapshot()["alice"] == AccountSnapshot(Money(1000), held)
+
+
+def test_positions_kept_across_a_snapshot_and_written_after_it_show_in_the_following_one():
+    ledger = make_ledger()
+    kept = ledger.accounts["alice"].positions
+    ledger.snapshot()
+    kept["ACME"] = 3
+    kept["NEW"] = 0
+    assert ledger.snapshot()["alice"] == AccountSnapshot(Money(1000), {"ACME": 3})
+    assert ledger.snapshot().delta == {}
+
+
+def test_positions_only_read_are_recorded_once_more_then_shared():
+    ledger = make_ledger()
+    first = ledger.snapshot()
+    assert ledger.accounts["alice"].positions["ACME"] == 10
+    second = ledger.snapshot()
+    assert second["alice"] == first["alice"]
+    assert second["alice"] is not first["alice"]
+    assert ledger.snapshot()["alice"] is second["alice"]
+
+
 def test_snapshot_shares_untouched_accounts_and_renews_touched_ones():
     ledger = make_ledger()
     ledger.open_account("carol", Money(5))
