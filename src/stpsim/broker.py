@@ -72,6 +72,7 @@ class OrderDraft(NamedTuple):
     order_type: OrderType
     limit_price: Money | None = None
     price_cap: Money | None = None          # funding bound for retail market buys
+    ref: str | None = None                  # the client's own order reference (FIX ClOrdID)
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,7 @@ class BrokerService:
         self.responsibility: dict[str, str] = {}  # order id -> "broker" | "custodian"
         self._escrow: dict[str, int] = {}  # retail order id -> prepaid units not yet returned
         self._credited: set[tuple[str, str]] = set()
-        self._seen_drafts: set[tuple] = set()
-        self._current_step = 0
+        self._seen_refs: set[tuple[str, str]] = set()  # (client, ref) of each referenced order
         self._next_order = 1
         self._next_contract = 1
 
@@ -131,11 +131,6 @@ class BrokerService:
 
     def add_institution(self, account: str, custodian: ParticipantId) -> None:
         self.institutions[account] = custodian
-
-    def mark_step(self, step: int) -> None:
-        """Called by the orchestrator on the broker that takes the scenario's
-        `step`-th order, just before it; duplicate-order detection is per step."""
-        self._current_step = step
 
     # -- order intake -------------------------------------------------------
 
@@ -195,22 +190,26 @@ class BrokerService:
         clients = self.retail_clients if kind is RETAIL else self.institutions
         if draft.client not in clients or draft.client not in self.ledger.accounts:
             return "UnknownClient"
+        side = draft.side
         return order_shape_rule(
             draft.order_type, draft.quantity, draft.limit_price, self.config.offered_types,
             self.config.extended_order_checks, self.ledger.currency,
-            cap_required=kind is RETAIL and draft.side is BUY,
-            price_cap=draft.price_cap, side=draft.side)
+            kind is RETAIL and side is BUY, draft.price_cap, side)
 
     def _stage_risk(self, draft: OrderDraft, kind: ClientKind) -> str | None:
-        if "DuplicateOrderCheck" in self.config.risk_checks:
-            key = (self._current_step, draft.client, draft.symbol, draft.side,
-                   draft.quantity)
-            if key in self._seen_drafts:
+        """`DuplicateOrderCheck`: a client's second order under one `ref` (an
+        order without one is never a duplicate); `PrefundingRiskCheck`: a
+        retail client must hold what the order could cost or deliver."""
+        checks = self.config.risk_checks
+        if draft.ref is not None and "DuplicateOrderCheck" in checks:
+            key = (draft.client, draft.ref)
+            if key in self._seen_refs:
                 return "DuplicateOrder"
-            self._seen_drafts.add(key)
-        if "PrefundingRiskCheck" in self.config.risk_checks and kind is RETAIL:
+            self._seen_refs.add(key)
+        if "PrefundingRiskCheck" in checks and kind is RETAIL:
             if draft.side is BUY:
-                required = self._funding_price(draft) * draft.quantity
+                # validation guarantees a retail buy a limit or a cap
+                required = (draft.limit_price or draft.price_cap) * draft.quantity
                 if not self.ledger.can_pay(draft.client, required):
                     return "InsufficientPrefunding"
             elif not self.ledger.can_deliver(draft.client, draft.symbol, draft.quantity):
@@ -236,28 +235,15 @@ class BrokerService:
         else:
             custodian = self.registry.lookup(self.institutions[draft.client])
             settlement = custodian.omnibus_account
-        return Order(
-            order_id=order_id,
-            client=draft.client,
-            broker=self.pid,
-            side=draft.side,
-            symbol=draft.symbol,
-            quantity=draft.quantity,
-            order_type=draft.order_type,
-            limit_price=draft.limit_price,
-            price_cap=draft.price_cap,
-            client_kind=kind,
-            settlement_account=settlement,
-        )
-
-    def _funding_price(self, draft: OrderDraft) -> Money:
-        price = draft.limit_price or draft.price_cap
-        assert price is not None  # validation guarantees it for retail buys
-        return price
+        # positionally, in `Order`'s field order (tests/test_broker.py checks it)
+        return Order(order_id, draft.client, self.pid, draft.side, draft.symbol, draft.quantity,
+                     draft.order_type, draft.limit_price, draft.price_cap, kind, settlement)
 
     def _stage_prepayment(self, order: Order, draft: OrderDraft) -> str | None:
         money = order.side is BUY
-        prepaid = self._funding_price(draft).amount * order.quantity if money else order.quantity
+        # a retail buy prepays at its limit or its cap, which validation guarantees
+        prepaid = ((draft.limit_price or draft.price_cap).amount * order.quantity if money
+                   else order.quantity)
         try:
             self._transfer(order, prepaid, money, f"prepay:{order.order_id}", to_client=False)
         except InsufficientFunds:
@@ -355,7 +341,7 @@ class BrokerService:
             for number, (alloc_id, _, _, block, symbol, quantity, price)
             in enumerate(details, first)]
         self.contracts_sent[block_id] = tuple(contracts)
-        self.audit.append(AuditEvent(block_id, "allocation_validation", "ok"))
+        self.audit.append(_new(AuditEvent, (block_id, "allocation_validation", "ok", "")))
         return contracts
 
     def _validate_details(self, details: list[AllocationDetail]) -> str | None:

@@ -149,9 +149,10 @@ class OrderBook:
         return len(self.bids) + len(self.asks)
 
     def is_crossed(self) -> bool:
-        if not self.bids or not self.asks:
+        bids, asks = self.bids._heap, self.asks._heap  # each side's head is its [0][1]
+        if not bids or not asks:
             return False
-        return self.bids.head().limit_price.amount >= self.asks.head().limit_price.amount
+        return bids[0][1].limit_price.amount >= asks[0][1].limit_price.amount
 
     @staticmethod
     def _bound(incoming: Order) -> int | None:
@@ -188,7 +189,7 @@ class OrderBook:
             incoming.status = FILLED
         elif incoming.order_type is LIMIT:
             incoming.status = PARTIALLY_FILLED if trades else RESTING
-            self.side(incoming.side).append(incoming)
+            (self.bids if incoming.side is BUY else self.asks).append(incoming)
         else:
             incoming.status = CANCELLED
 
@@ -200,11 +201,10 @@ class OrderBook:
         trades: list[Trade] = []
         buying = incoming.side is BUY
         opposite = self.asks if buying else self.bids
+        heap = opposite._heap  # `take` changes it in place; its head is heap[0][1]
         bound = self._bound(incoming)
-        while incoming.remaining > 0:
-            resting = opposite.head()
-            if resting is None:
-                break
+        while incoming.remaining > 0 and heap:
+            resting = heap[0][1]
             price = resting.limit_price
             if bound is not None and (price.amount > bound if buying else price.amount < bound):
                 break
@@ -283,7 +283,7 @@ class ExchangeService:
             book = self.books[order.symbol]
             rule = order_shape_rule(
                 order.order_type, order.quantity, order.limit_price, self.supported_types,
-                self.extended_validation, book.currency, price_cap=order.price_cap)
+                self.extended_validation, book.currency, False, order.price_cap)
         if rule:
             order.status = REJECTED
             return Rejection("exchange_validation", rule)

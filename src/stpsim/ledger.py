@@ -45,7 +45,8 @@ class NonPositiveQuantity(LedgerError):
     pass
 
 
-# makes an `Account` with empty slots, for `Ledger.open_account` to fill
+# makes an `Account` or a `Snapshot` with empty slots, for `Ledger.open_account`
+# or `Ledger.snapshot` to fill
 _new_object = object.__new__
 
 
@@ -120,19 +121,14 @@ class Snapshot(MutableMapping):
     owner into one plain dict of its own, which from then on answers every
     read and takes every edit. No other snapshot changes, whether taken
     before or after.
+
+    Snapshots are made only by `Ledger.snapshot`, which fills their slots.
     """
 
+    # `_versions` is the ledger's, of which the first `_count` owners had
+    # been opened by then; `_previous` is the ledger's snapshot before this
+    # one; `_edited` is None until the first edit
     __slots__ = ("delta", "_versions", "_index", "_count", "_previous", "_edited")
-
-    def __init__(self, versions: dict[str, tuple[list[int], list[AccountSnapshot]]],
-                 index: int, delta: dict[str, AccountSnapshot],
-                 previous: Snapshot | None):
-        self.delta = delta
-        self._versions = versions
-        self._index = index
-        self._count = len(versions)  # accounts opened by now: a prefix of `versions`
-        self._previous = previous
-        self._edited: dict[str, AccountSnapshot] | None = None
 
     def __getitem__(self, owner: str) -> AccountSnapshot:
         if self._edited is not None:
@@ -319,7 +315,8 @@ class Ledger:
             if owner not in touched and versions[owner][1][-1].positions != {
                     s: q for s, q in accounts[owner]._positions.items() if q}:
                 touched[owner] = None
-        index = 0 if self._last is None else self._last._index + 1
+        last = self._last
+        index = 0 if last is None else last._index + 1
         delta = {}
         for owner in touched:
             acct = accounts[owner]
@@ -334,8 +331,15 @@ class Ledger:
                 history[0].append(index)
                 history[1].append(balances)
         touched.clear()
-        self._last = Snapshot(versions, index, delta, self._last)
-        return self._last
+        snap = _new_object(Snapshot)
+        snap.delta = delta
+        snap._versions = versions
+        snap._index = index
+        snap._count = len(versions)
+        snap._previous = last
+        snap._edited = None
+        self._last = snap
+        return snap
 
 
 def total_money(snap: Mapping[str, AccountSnapshot]) -> int:

@@ -131,8 +131,8 @@ class ScenarioRunner:
         eco = self.eco
         try:
             self._snapshot("setup")
-            for position, action in enumerate(self.scenario.orders, start=1):
-                self._place_order(position, action)
+            for action in self.scenario.orders:
+                self._place_order(action)
             self._each("report_trades", eco.exchanges, "reported",
                        lambda exchange: exchange.report_trades_rec())
             for action in self.scenario.allocations:
@@ -183,16 +183,16 @@ class ScenarioRunner:
             raise ScenarioAborted(step, str(refusal)) from None
         self._snapshot(step, events)
 
-    def _place_order(self, position: int, action: OrderAction) -> None:
-        step = f"order_{action.index}_{action.client}"
-        broker = self.eco.brokers[self.scenario.broker_of(action.client)]
-        broker.mark_step(position)
-        draft = OrderDraft(
-            action.client, action.side, action.symbol, action.quantity, action.order_type,
-            None if action.price is None else self.scenario.money(action.price),
-            None if action.cap is None else self.scenario.money(action.cap),
-        )
-        if self.scenario.is_institution(action.client):
+    def _place_order(self, action: OrderAction) -> None:
+        scenario, client = self.scenario, action.client
+        step = f"order_{action.index}_{client}"
+        # `Scenario.broker_of` and `is_institution`, read in place
+        broker = self.eco.brokers[scenario._brokers[client]]
+        draft = _new(OrderDraft, (
+            client, action.side, action.symbol, action.quantity, action.order_type,
+            None if action.price is None else scenario.money(action.price),
+            None if action.cap is None else scenario.money(action.cap), action.ref))
+        if client in scenario._institutions:
             outcome = broker.place_institutional_order(draft)
         else:
             outcome = broker.place_retail_order(draft)
@@ -237,33 +237,32 @@ class ScenarioRunner:
     # -- end-of-scenario checks -------------------------------------------
 
     def _final_checks(self) -> None:
-        checks = self.report.finals
+        check = self.report.finals.append  # takes each CheckResult, built positionally
         for exchange_id, exchange in self.eco.exchanges.items():
-            checks.append(CheckResult(
-                f"no_unreported_trades[{exchange_id}]",
-                exchange.pending_report_count() == 0))
+            check(_new(CheckResult, (f"no_unreported_trades[{exchange_id}]",
+                                     exchange.pending_report_count() == 0, "")))
         clearing = self.eco.clearing
-        checks.append(CheckResult("clearing_queue_empty", clearing.queue_size() == 0))
-        checks.append(CheckResult(
-            "no_unsettled_obligations", clearing.unsettled_obligations() == 0))
+        check(_new(CheckResult, ("clearing_queue_empty", clearing.queue_size() == 0, "")))
+        check(_new(CheckResult, (
+            "no_unsettled_obligations", clearing.unsettled_obligations() == 0, "")))
         for broker_id, broker in self.eco.brokers.items():
-            checks.append(CheckResult(
-                f"no_unaffirmed_contracts[{broker_id}]", not broker.unaffirmed_blocks()))
+            check(_new(CheckResult, (
+                f"no_unaffirmed_contracts[{broker_id}]", not broker.unaffirmed_blocks(), "")))
         for custodian_id, custodian in self.eco.custodians.items():
-            checks.append(CheckResult(
-                f"no_pending_details[{custodian_id}]", not custodian.pending_blocks()))
-            checks.append(CheckResult(
+            check(_new(CheckResult, (
+                f"no_pending_details[{custodian_id}]", not custodian.pending_blocks(), "")))
+            check(_new(CheckResult, (
                 f"no_undistributed_blocks[{custodian_id}]",
-                not custodian.undistributed_blocks()))
+                not custodian.undistributed_blocks(), "")))
         if clearing.netting:
             flat = self.eco.ledger.balance(clearing.ccp_account).amount == 0
-            checks.append(CheckResult("ccp_flat", flat))
+            check(_new(CheckResult, ("ccp_flat", flat, "")))
         unsettled = next((trade for exchange in self.eco.exchanges.values()
                           for trade in exchange.executed
                           if trade.status is not SETTLED), None)
-        checks.append(CheckResult(
+        check(_new(CheckResult, (
             "all_trades_settled", unsettled is None,
-            "" if unsettled is None else f"{unsettled.trade_id} is {unsettled.status.value}"))
+            "" if unsettled is None else f"{unsettled.trade_id} is {unsettled.status.value}")))
 
 
 def run_scenario(product, scenario: Scenario) -> ScenarioReport:
@@ -303,23 +302,23 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
     steps = report.steps
     final: dict[str, AccountSnapshot] = {}  # every account as of the last step folded
     before = None
+    record = checks.append  # takes each CheckResult, built positionally
     for previous, current in zip([None, *steps], steps):
-        after = current.snapshot
+        after = current._snapshot  # the `snapshot` property's value, read in place
         money, shares = _fold(final, after, before)
         if previous is not None:
             money_ok = money == 0
-            checks.append(CheckResult(
+            record(_new(CheckResult, (
                 f"conserve_money[{previous.name}->{current.name}]", money_ok,
-                "" if money_ok else f"{total_money(before)} -> {total_money(after)}"))
+                "" if money_ok else f"{total_money(before)} -> {total_money(after)}")))
             equity_ok = not any(shares.values())
-            checks.append(CheckResult(
+            record(_new(CheckResult, (
                 f"conserve_equity[{previous.name}->{current.name}]", equity_ok,
-                "" if equity_ok else f"{total_positions(before)} -> {total_positions(after)}"))
+                "" if equity_ok else f"{total_positions(before)} -> {total_positions(after)}")))
         before = after
 
     scenario = report.scenario
     if scenario is not None and steps:
-        record = checks.append
         listed = set()
         for account, money, positions in scenario.expected:
             listed.add(account)

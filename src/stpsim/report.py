@@ -53,14 +53,6 @@ from .lifecycle import CheckResult, ScenarioReport
 from .money import _new
 
 
-def _positions_text(positions: dict[str, int]) -> str:
-    if len(positions) > 1:
-        return ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
-    for symbol, qty in positions.items():    # at most one symbol: nothing to sort
-        return f"{symbol}={qty}"
-    return ""
-
-
 class VanishedAccountError(Exception):
     """A step's snapshot lacks an account that an earlier step recorded."""
 
@@ -72,12 +64,19 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     for index, step in enumerate(report.steps, start=1):
         lines.append(f"step|{index}|{step.name}|{';'.join(step.events)}")
         head = f"balance|{index}"
-        snapshot = step.snapshot
+        snapshot = step._snapshot  # the `snapshot` property's value, read in place
         for account, balances in sorted(snapshot.changes(previous)):
             if balances is None:
                 raise VanishedAccountError(
                     f"step {index} ({step.name}) lacks account {account!r}")
-            text = f"|{account}|{balances.money.amount}|{_positions_text(balances.positions)}"
+            positions = balances.positions
+            if len(positions) > 1:
+                held = ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
+            else:
+                held = ""
+                for symbol, qty in positions.items():  # at most one symbol: nothing to sort
+                    held = f"{symbol}={qty}"
+            text = f"|{account}|{balances.money.amount}|{held}"
             if written.get(account) != text:
                 written[account] = text
                 lines.append(head + text)

@@ -9,16 +9,20 @@ Scenario files (``.scn``) are line-oriented UTF-8 with ``#`` comments:
     retail: <ACCOUNT> broker=<ID>
     institution: <ACCOUNT> broker=<ID> custodian=<ID> ends=<A1,A2,...>
     endow: <ACCOUNT> [money=<cents>] [<SYM>=<qty>]...
-    order: <ACCOUNT> <buy|sell> <qty> <SYM> <market|limit|ioc|fok> [<price>] [cap=<cents>]
+    order: <ACCOUNT> <buy|sell> <qty> <SYM> <market|limit|ioc|fok> [<price>]
+           [cap=<cents>] [ref=<id>]
     allocate: <ACCOUNT> order=<n> <END=QTY>...
     expect: <ACCOUNT> [money=<cents>] [<SYM>=<qty>]...
 
 Order lines are numbered from 1 in file order; ``allocate`` references them.
-After an order's five fixed words, ``cap=N`` is the cap and any other word
-is the price; a later one replaces an earlier one. A repeated ``key=value``
-part on one line keeps its last value. The key of a ``key=value`` part, and
-each name in ``ends``, must not be empty. No line may hold a ``|`` (the
-machine report's field separator) but in its comment.
+After an order's five fixed words, ``cap=N`` is the cap, ``ref=ID`` the
+client's own reference for the order (FIX's ClOrdID), and any other word
+is the price; a later one replaces an earlier one. Under the broker's
+``DuplicateOrderCheck`` a second order from one client with one ``ref`` is
+rejected as ``DuplicateOrder``; an order without one is never checked. A
+repeated ``key=value`` part on one line keeps its last value. The key of a
+``key=value`` part, and each name in ``ends``, must not be empty. No line
+may hold a ``|`` (the machine report's field separator) but in its comment.
 
 Declaration rules; a line that breaks one fails parsing with its number:
 
@@ -137,7 +141,7 @@ _LINES = {
                (4, "order type", {"market": OrderType.MARKET, "limit": OrderType.LIMIT,
                                   "ioc": OrderType.IMMEDIATE_OR_CANCEL,
                                   "fok": OrderType.FILL_OR_KILL}.__getitem__)),
-        keys={"cap": int}, other="price",
+        keys={"cap": int, "ref": str}, other="price",
         names=((0, "client", "named"), (3, "symbol", "named"))),
 }
 # every (label, verb) in the table; a parse keeps a register of names for each
@@ -190,6 +194,7 @@ class OrderAction(NamedTuple):
     order_type: OrderType
     price: int | None
     cap: int | None
+    ref: str | None = None
 
 
 class AllocateAction(NamedTuple):
@@ -217,7 +222,8 @@ class Scenario:
     allocations: tuple[AllocateAction, ...] = ()
     expected: tuple[ExpectedBalance, ...] = ()
     # client account -> broker, and institution account -> institution; built
-    # from the client tuples on construction (also by `dataclasses.replace`)
+    # from the client tuples on construction (also by `dataclasses.replace`),
+    # and read in place, per order, by `lifecycle.ScenarioRunner`
     _brokers: dict[str, str] = field(init=False, repr=False, compare=False)
     _institutions: dict[str, Institution] = field(init=False, repr=False, compare=False)
 
@@ -340,7 +346,7 @@ def parse_scenario(text: str) -> Scenario:
         if key == "order":
             orders.append(_new(OrderAction, (
                 len(orders) + 1, parts[0], parts[1], parts[2], parts[3], parts[4],
-                pairs.get("price"), pairs.get("cap"))))
+                pairs.get("price"), pairs.get("cap"), pairs.get("ref"))))
         elif key == "expect":
             expected.append(_new(ExpectedBalance, (
                 parts[0], pairs.pop("money", 0), tuple(pairs.items()))))

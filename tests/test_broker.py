@@ -23,6 +23,7 @@ from stpsim.trading import (
     MAX_ORDER_VALUE,
     Affirmation,
     AllocationDetail,
+    ClientKind,
     Order,
     OrderStatus,
     OrderType,
@@ -155,15 +156,21 @@ def test_order_value_cap_is_inclusive_in_any_currency():
 
 
 def test_duplicate_order_risk_within_one_step():
+    """A client's second order under one reference (its ClOrdID) is a duplicate,
+    whatever it orders; another reference, another client's, or none is not."""
     broker, _, _, _ = make_desk()
-    broker.mark_step(7)
-    first = broker.place_retail_order(buy_draft(qty=10))
-    assert isinstance(first, str)
-    second = broker.place_retail_order(buy_draft(qty=10))
+    assert isinstance(broker.place_retail_order(buy_draft(qty=10, ref="A")), str)
+    second = broker.place_retail_order(buy_draft(qty=20, price=1000, ref="A"))
     assert second == Rejection("risk", "DuplicateOrder")
-    broker.mark_step(8)
-    third = broker.place_retail_order(buy_draft(qty=10))
-    assert isinstance(third, str)
+    assert isinstance(broker.place_retail_order(sell_draft(qty=10)), str)
+    assert isinstance(broker.place_retail_order(sell_draft(qty=10)), str)
+    assert isinstance(broker.place_retail_order(buy_draft(qty=10, ref="B")), str)
+    assert isinstance(broker.place_institutional_order(
+        buy_draft(qty=10, client="fund", ref="A")), str)
+
+    unchecked, _, _, _ = make_desk(config=replace(FIRST_VENUE, risk_checks=frozenset()))
+    for _ in range(2):
+        assert isinstance(unchecked.place_retail_order(buy_draft(qty=10, ref="A")), str)
 
 
 def test_prefunding_risk_check_variant():
@@ -368,6 +375,24 @@ def test_an_order_in_another_currency_than_the_book_is_refused_at_routing_and_re
     assert ledger.snapshot() == before
     assert ledger.balance("client") == Money(150000)
     assert [(o.order_id, o.remaining) for o in exchanges[0].books["ACME"].asks] == [("O99", 10)]
+
+
+@pytest.mark.parametrize("client, kind, settlement", [
+    ("client", ClientKind.RETAIL, "BR1.house"),
+    ("fund", ClientKind.INSTITUTIONAL, "CU1.omnibus"),
+], ids=["retail", "institutional"])
+@pytest.mark.parametrize("otype, limit_price, price_cap", [
+    (OrderType.LIMIT, Money(1000), None),
+    (OrderType.MARKET, None, Money(1100)),
+], ids=["limit", "capped_market"])
+def test_the_broker_builds_the_order_its_fields_name(client, kind, settlement, otype,
+                                                     limit_price, price_cap):
+    broker, _, _, _ = make_desk()
+    draft = OrderDraft(client, Side.BUY, "ACME", 10, otype, limit_price, price_cap)
+    assert broker._build_order("BR1-O7", draft, kind) == Order(
+        order_id="BR1-O7", client=client, broker=broker.pid, side=Side.BUY, symbol="ACME",
+        quantity=10, order_type=otype, limit_price=limit_price, price_cap=price_cap,
+        client_kind=kind, settlement_account=settlement)
 
 
 def test_institutional_routing_rejection_writes_no_journal_entry():
@@ -667,7 +692,6 @@ def test_conservation_through_order_placement():
     start_money = total_money(ledger.snapshot())
     start_positions = total_positions(ledger.snapshot())
     broker.place_retail_order(buy_draft(qty=10, price=1000))
-    broker.mark_step(2)
     broker.place_retail_order(sell_draft(qty=10, price=1100))
     assert total_money(ledger.snapshot()) == start_money
     assert total_positions(ledger.snapshot()) == start_positions

@@ -129,6 +129,27 @@ def test_zero_price_or_cap_is_read_as_zero_not_absent(products, product_key, old
     assert report.aborted == (step, "rejected at validation: NonPositivePrice")
 
 
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+@pytest.mark.parametrize("refs, aborted", [
+    (("A", "B"), None),
+    (("A", "A"), ("order_3_RC1", "rejected at risk: DuplicateOrder")),
+], ids=["two_refs", "one_ref_twice"])
+def test_a_clients_second_order_under_one_ref_is_a_duplicate(products, product_key, refs,
+                                                             aborted):
+    text = scenario_path("retail_retail").read_text().replace(
+        "order: RC1 buy 100 ACME limit 1040",
+        "order: RC1 buy 50 ACME limit 1040 ref={}\n"
+        "order: RC1 buy 50 ACME limit 1040 ref={}".format(*refs))
+    scenario = parse_scenario(text)
+    assert [order.ref for order in scenario.orders] == [None, *refs]
+    report = run_scenario(products[product_key], scenario)
+    assert report.aborted == aborted
+    checks = assert_conservation(report)
+    assert all(check.passed for check in checks if check.name.startswith("conserve"))
+    if aborted is None:
+        assert report.all_checks_passed and all(check.passed for check in checks)
+
+
 def test_aborted_run_is_ledger_neutral_per_snapshot(products, perturbed_contract_price):
     report, checks = run_pair(products["SECO_A"], "retail_institutional")
     conservation = [c for c in checks if c.name.startswith("conserve")]
