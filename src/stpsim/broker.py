@@ -5,6 +5,9 @@ product's bound variants: validation -> risks -> governmental compliance ->
 client compliance -> venue selection -> prepayment -> routing. A rejection
 at any stage stops the pipeline and leaves the ledger net-unchanged (a
 prepayment taken before a routing rejection is refunded in the same call).
+Each order leaves one audit record, its last stage's verdict, which names
+the stages it passed before; each allocation check leaves one more. The
+read-only `audit` view spells the records out as one event per stage.
 
 Retail clients prepay the broker house account: money for buys at the
 limit or cap price, shares for sells. The house keeps each prepayment as
@@ -64,6 +67,14 @@ class UnknownContracts(BrokerError):
     pass
 
 
+# The intake stages an accepted order passes before routing, by client kind
+# (an institution prepays nothing). Its one audit record, routing's, carries
+# them; a rejection's carries the prefix before the stage that refused.
+RETAIL_PASSED = ("validation", "risk", "governmental_compliance", "client_compliance",
+                 "venue_selection", "prepayment")
+INSTITUTIONAL_PASSED = RETAIL_PASSED[:-1]
+
+
 class OrderDraft(NamedTuple):
     client: str
     side: Side
@@ -115,7 +126,7 @@ class BrokerService:
         self.institutions: dict[str, ParticipantId] = {}  # institution account -> custodian
         self.orders: dict[str, Order] = {}
         self.fills: dict[str, list[Trade]] = {}
-        self.audit: list[AuditEvent] = []
+        self.audit_records: list[AuditEvent] = []  # one per order placed or allocation checked
         self.contracts_sent: dict[str, tuple[Contract, ...]] = {}  # block order -> contracts
         self.responsibility: dict[str, str] = {}  # order id -> "broker" | "custodian"
         self._escrow: dict[str, int] = {}  # retail order id -> prepaid units not yet returned
@@ -143,48 +154,59 @@ class BrokerService:
     def _run_pipeline(self, draft: OrderDraft, kind: ClientKind) -> str | Rejection:
         order_id = f"{self.pid.id}-O{self._next_order}"
         self._next_order += 1
-        passed = self.audit.append  # takes each stage's "ok" AuditEvent, built positionally
         retail = kind is RETAIL
+        passed = RETAIL_PASSED if retail else INSTITUTIONAL_PASSED
 
         if rule := self._stage_validation(draft, kind):
-            return self._rejected(order_id, "validation", rule)
-        passed(_new(AuditEvent, (order_id, "validation", "ok", "")))
+            return self._rejected(order_id, passed, "validation", rule)
         if rule := self._stage_risk(draft, kind):
-            return self._rejected(order_id, "risk", rule)
-        passed(_new(AuditEvent, (order_id, "risk", "ok", "")))
+            return self._rejected(order_id, passed, "risk", rule)
         if rule := self._stage_governmental(draft):
-            return self._rejected(order_id, "governmental_compliance", rule)
-        passed(_new(AuditEvent, (order_id, "governmental_compliance", "ok", "")))
+            return self._rejected(order_id, passed, "governmental_compliance", rule)
         if rule := self._stage_client_compliance(draft):
-            return self._rejected(order_id, "client_compliance", rule)
-        passed(_new(AuditEvent, (order_id, "client_compliance", "ok", "")))
+            return self._rejected(order_id, passed, "client_compliance", rule)
 
         try:
             venue = self.select_venue(draft, self.registry.list_by_role(EXCHANGE))
         except NoVenues:
-            return self._rejected(order_id, "venue_selection", "NoVenues")
-        passed(_new(AuditEvent, (order_id, "venue_selection", "ok", "")))
+            return self._rejected(order_id, passed, "venue_selection", "NoVenues")
 
         order = self._build_order(order_id, draft, kind)
 
         if retail:
             if rule := self._stage_prepayment(order, draft):
-                return self._rejected(order_id, "prepayment", rule)
-            passed(_new(AuditEvent, (order_id, "prepayment", "ok", "")))
+                return self._rejected(order_id, passed, "prepayment", rule)
 
         if rejection := self._stage_routing(order, venue):
             if retail:
                 self._return_escrow(order, 0)
-            return self._rejected(order_id, "routing", rejection.rule)
-        passed(_new(AuditEvent, (order_id, "routing", "ok", "")))
+            return self._rejected(order_id, passed, "routing", rejection.rule)
+        self.audit_records.append(_new(AuditEvent, (order_id, "routing", "ok", "", passed)))
 
         self.orders[order_id] = order
         self.responsibility[order_id] = "broker"
         return order_id
 
-    def _rejected(self, order_id: str, stage: str, rule: str) -> Rejection:
-        self.audit.append(AuditEvent(order_id, stage, "rejected", rule))
+    def _rejected(self, order_id: str, passed: tuple[str, ...], stage: str,
+                  rule: str) -> Rejection:
+        """Record that `stage` refused the order after the stages of `passed`
+        that come before it (all of them, for routing)."""
+        if stage in passed:
+            passed = passed[:passed.index(stage)]
+        self.audit_records.append(AuditEvent(order_id, stage, "rejected", rule, passed))
         return Rejection(stage, rule)
+
+    @property
+    def audit(self) -> list[AuditEvent]:
+        """The audit trail as one event per stage, in the order the stages ran:
+        each record's "ok" event for every stage it passed, then the record."""
+        events = []
+        for record in self.audit_records:
+            order_id = record.order_id
+            events.extend(_new(AuditEvent, (order_id, stage, "ok", "", ()))
+                          for stage in record.passed)
+            events.append(record._replace(passed=()))
+        return events
 
     def _stage_validation(self, draft: OrderDraft, kind: ClientKind) -> str | None:
         clients = self.retail_clients if kind is RETAIL else self.institutions
@@ -327,8 +349,8 @@ class BrokerService:
     def handle_allocation_details(self, details: list[AllocationDetail]) -> list[Contract] | Rejection:
         rule = self._validate_details(details)
         if rule:
-            self.audit.append(AuditEvent(details[0].block_order_id if details else "-",
-                                         "allocation_validation", "rejected", rule))
+            self.audit_records.append(AuditEvent(details[0].block_order_id if details else "-",
+                                                 "allocation_validation", "rejected", rule))
             return Rejection("allocation_validation", rule)
 
         block_id = details[0].block_order_id
@@ -341,7 +363,8 @@ class BrokerService:
             for number, (alloc_id, _, _, block, symbol, quantity, price)
             in enumerate(details, first)]
         self.contracts_sent[block_id] = tuple(contracts)
-        self.audit.append(_new(AuditEvent, (block_id, "allocation_validation", "ok", "")))
+        self.audit_records.append(
+            _new(AuditEvent, (block_id, "allocation_validation", "ok", "", ())))
         return contracts
 
     def _validate_details(self, details: list[AllocationDetail]) -> str | None:

@@ -89,8 +89,10 @@ class CheckResult(NamedTuple):
 @dataclass
 class ScenarioReport:
     """One run's steps and outcome. Each `*_lines` field holds participants'
-    records, and `render_machine` writes one machine line per record;
-    `journal_lines` is the ledger's journal itself."""
+    records, and `render_machine` writes one machine line per record, but for
+    `audit_lines`: a broker's one record per order writes a line for each
+    stage the order passed, then its own. `journal_lines` is the ledger's
+    journal itself."""
 
     product_name: str
     scenario_id: str
@@ -157,7 +159,7 @@ class ScenarioRunner:
             self._final_checks()
         self.report.journal_lines = eco.ledger.journal
         for broker in eco.brokers.values():
-            self.report.audit_lines.extend(broker.audit)
+            self.report.audit_lines.extend(broker.audit_records)
         for exchange in eco.exchanges.values():
             self.report.trade_lines.extend(exchange.executed)
         for custodian in eco.custodians.values():

@@ -2,8 +2,11 @@
 log rendered from it.
 
 Participants keep records; `render_machine` is the only code that writes
-them as text. The machine format is byte-stable for identical inputs (no
-timestamps, all identifiers are counters) so repeated runs can be diffed.
+them as text. Each record is one line, but for a broker's audit record: the
+broker keeps one per order, which writes an ``audit`` line with outcome
+``ok`` for each stage the order passed, then its own line. The machine
+format is byte-stable for identical inputs (no timestamps, all identifiers
+are counters) so repeated runs can be diffed.
 Its records, in file order, with amounts in minor units:
 
     run|product=<name>|scenario=<id>
@@ -84,8 +87,9 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     for trade in report.trade_lines:
         lines.append(f"trade|{trade.trade_id}|{trade.symbol}|{trade.price.amount}"
                      f"|{trade.quantity}|{trade.buy_order_id}|{trade.sell_order_id}")
-    lines.extend(f"audit|{order_id}|{stage}|{outcome}|{rule}"
-                 for order_id, stage, outcome, rule in report.audit_lines)
+    for order_id, stage, outcome, rule, passed in report.audit_lines:
+        head = f"audit|{order_id}|"  # the passed stages' "ok" lines, then the record's own
+        lines.append(head + f"|ok|\n{head}".join((*passed, stage)) + f"|{outcome}|{rule}")
     lines.extend(
         f"affirmation|rejected|{a.block_order_id}|{';'.join(map(str, a.violations))}"
         if isinstance(a, AffirmationRejection) else

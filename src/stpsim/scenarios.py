@@ -45,8 +45,8 @@ Declaration rules; a line that breaks one fails parsing with its number:
 - an account is endowed on at most one line, with no negative amount, and
   expected on at most one line;
 - a ``retail:`` or ``institution:`` line carries no key besides its own;
-- an order is allocated on at most one line, and only to its
-  institution's ``ends``.
+- an order is allocated on at most one line, by the institution that
+  placed it, and only to that institution's ``ends``.
 
 All orders run before all allocations (the street execution must exist
 before a manager can split it).
@@ -395,13 +395,16 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioFormatError(f"undeclared {kind} {name!r}", line_no)
     ends = {institution.account: set(institution.end_clients) for institution in institutions}
     allocated = registers[_REGISTERS.index(("order", "allocated"))]
-    for allocation in allocations:
-        members = ends[allocation.institution]
-        for end_client, _ in allocation.splits:
+    for institution, index, splits in allocations:
+        members = ends[institution]
+        for end_client, _ in splits:
             if end_client not in members:
-                raise ScenarioFormatError(
-                    f"{end_client!r} is not an end client of {allocation.institution}",
-                    allocated[allocation.order_index])
+                raise ScenarioFormatError(f"{end_client!r} is not an end client of {institution}",
+                                          allocated[index])
+        client = orders[index - 1].client
+        if client != institution:
+            raise ScenarioFormatError(
+                f"order {index} is {client}'s, not {institution}'s", allocated[index])
     for role in _REQUIRED_ROLES:
         if not declared[role]:
             raise ScenarioFormatError(f"missing '{role}:' line", 1)

@@ -231,7 +231,7 @@ def order_shape_rule(
         return "NonPositiveQuantity"
     if order_type not in supported:
         return "UnsupportedOrderType"
-    if order_type.requires_price:
+    if order_type is not MARKET:  # `OrderType.requires_price`, read without a frame
         if limit_price is None:
             return "MissingPrice"
         if limit_price.amount <= 0:
@@ -319,7 +319,12 @@ class ClearingRejected(Exception):
 
 
 class AuditEvent(NamedTuple):
+    """One broker stage's verdict on an order or a block's allocation. The
+    broker keeps one per order, its last: `passed` names the stages it passed
+    before `stage`, each of which `BrokerService.audit` shows as an "ok" event."""
+
     order_id: str
     stage: str
     outcome: str          # "ok" | "rejected"
     rule: str = ""
+    passed: tuple[str, ...] = ()

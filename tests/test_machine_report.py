@@ -20,10 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 import stpsim
 from conftest import load_scenario
-from test_broker import buy_draft, make_desk
+from test_broker import PIPELINE, REJECTED_AT, _filled_block, buy_draft, detail, make_desk
 from test_custodian import fixture_contracts, fixture_details, make_custodian
 from test_exchange import draft_order, make_exchange
+from perfbench.workloads import WORKLOADS
 from stpsim.assembly import build_ecosystem
+from stpsim.broker import BrokerService
 from stpsim.cli import main
 from stpsim.data import catalog_path, config_path, scenario_path
 from stpsim.ledger import Ledger, LedgerError, Money
@@ -31,8 +33,9 @@ from stpsim.lifecycle import (
     ScenarioReport, ScenarioRunner, StepRecord, assert_conservation, run_scenario)
 from stpsim.report import (
     ReportParseError, VanishedAccountError, parse_machine, render_machine, render_parsed)
-from stpsim.scenarios import SCENARIO_IDS
+from stpsim.scenarios import SCENARIO_IDS, parse_scenario
 from stpsim.trading import EquityLeg, MoneyLeg, SettlementInstruction, Side
+from test_pinned_outputs import EDITS, PINS
 
 PAIRS = [(product, scenario_id) for product in ("seco_a", "seco_b")
          for scenario_id in SCENARIO_IDS]
@@ -122,6 +125,68 @@ def test_audit_record_lines():
     ]
 
 
+@pytest.mark.parametrize("stage, rule, desk, draft, prepare", REJECTED_AT.values(),
+                         ids=REJECTED_AT.keys())
+def test_a_rejection_record_writes_the_stages_it_passed_then_itself(
+        stage, rule, desk, draft, prepare):
+    broker, exchanges, _, _ = make_desk(**desk)
+    if prepare:
+        prepare(exchanges)
+    broker.place_retail_order(draft)
+    assert len(broker.audit_records) == 1
+    assert record_lines(audit_lines=broker.audit_records) == [
+        *(f"audit|BR1-O1|{ok}|ok|" for ok in PIPELINE[:PIPELINE.index(stage)]),
+        f"audit|BR1-O1|{stage}|rejected|{rule}"]
+
+
+def test_an_allocation_rejection_record_writes_one_line_after_its_block():
+    broker, exchanges, _, _ = make_desk()
+    block_id = _filled_block(broker, exchanges)
+    broker.handle_allocation_details([detail("A1", block_id, 60), detail("A2", block_id, 30)])
+    assert len(broker.audit_records) == 2
+    institutional = [stage for stage in PIPELINE if stage != "prepayment"]
+    assert record_lines(audit_lines=broker.audit_records) == [
+        *(f"audit|BR1-O1|{stage}|ok|" for stage in institutional),
+        "audit|BR1-O1|allocation_validation|rejected|QuantityMismatch"]
+
+
+def _pinned_run(argv):
+    """(product, scenario text) of a pinned machine run of a shipped
+    scenario, an edited one, or a workload's at seed 1; None for any other row."""
+    if argv[0] != "run" or "machine" not in argv:
+        return None
+    product, scenario = Path(argv[2]).stem, argv[3].strip("{}")
+    if scenario in SCENARIO_IDS:
+        return product, scenario_path(scenario).read_text(encoding="utf-8")
+    if scenario in EDITS:
+        scenario_id, old, new = EDITS[scenario]
+        return product, scenario_path(scenario_id).read_text(encoding="utf-8").replace(old, new)
+    if scenario in WORKLOADS:
+        return product, WORKLOADS[scenario].scenario_text(1)
+    return None
+
+
+PINNED_RUNS = {row: run for row, (argv, *_) in PINS.items() if (run := _pinned_run(argv))}
+
+
+@pytest.mark.parametrize("product, text", PINNED_RUNS.values(), ids=PINNED_RUNS.keys())
+def test_each_order_and_allocation_leaves_one_audit_record(products, monkeypatch, product, text):
+    handled = []  # each order placed and each allocation checked, by the method's name
+    for name in ("place_retail_order", "place_institutional_order", "handle_allocation_details"):
+        def counted(self, arg, _method=getattr(BrokerService, name), _name=name):
+            handled.append(_name)
+            return _method(self, arg)
+        monkeypatch.setattr(BrokerService, name, counted)
+    scenario = parse_scenario(text)
+    eco = build_ecosystem(products[product], scenario)
+    report = ScenarioRunner(eco, scenario).run()
+    machine = render_machine(report, assert_conservation(report))
+    assert len(report.audit_lines) == len(handled) > 0
+    events = [event for broker in eco.brokers.values() for event in broker.audit]
+    assert [line for line in machine.splitlines() if line.startswith("audit|")] == [
+        line for event in events for line in record_lines(audit_lines=[event])]
+
+
 def test_affirmation_record_lines_for_both_outcomes():
     custodian, _, _, _ = make_custodian()
     details = fixture_details()
@@ -177,8 +242,8 @@ def test_run_report_holds_the_participants_records(products):
     assert report.journal_lines is eco.ledger.journal
     assert report.trade_lines == [trade for exchange in eco.exchanges.values()
                                   for trade in exchange.executed]
-    assert report.audit_lines == [event for broker in eco.brokers.values()
-                                  for event in broker.audit]
+    assert report.audit_lines == [record for broker in eco.brokers.values()
+                                  for record in broker.audit_records]
     assert report.affirmation_lines == [verdict for custodian in eco.custodians.values()
                                         for verdict in custodian.affirmations]
     assert report.instruction_lines == eco.clearing.executed_instructions

@@ -134,9 +134,23 @@ def test_misdeclared_account_raises_format_error_with_line_number(bad, message):
 
 
 def test_split_may_name_an_end_client_declared_later():
-    scenario = parse_scenario(HEADER + "allocate: I order=1 E1=10\ncustodian: CU1\n"
+    scenario = parse_scenario(HEADER + "order: I buy 10 ACME limit 5\n"
+                              "allocate: I order=2 E1=10\ncustodian: CU1\n"
                               "institution: I broker=BR1 custodian=CU1 ends=E1\n" + ROLES)
     assert scenario.allocations[0].splits == (("E1", 10),)
+
+
+def test_an_institution_allocates_only_its_own_orders():
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(DECLARED + "allocate: I order=1 E1=10\n" + ROLES)
+    assert str(info.value) == f"line {UNDECLARED_LINE}: order 1 is A's, not I's"
+    # the shipped block allocated as RC2's sell: refused, not run to a false abort
+    text = scenario_path("retail_institutional").read_text()
+    edited = text.replace("allocate: INST1 order=2 ", "allocate: INST1 order=1 ")
+    assert edited != text
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(edited)
+    assert str(info.value) == "line 24: order 1 is RC2's, not INST1's"
 
 
 @pytest.mark.parametrize("old, new, message", [

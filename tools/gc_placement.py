@@ -25,8 +25,11 @@ without any code getting faster or slower.
 A last census repeat, whose collections are not reported, runs
 ``gc.collect()`` right after the life cycle and prints the objects still
 tracked then: the live ones only. A change that only allocates fewer
-temporaries moves the uncollected count but not this one. The census repeat
-comes after the others, so its collection moves no collection they report.
+temporaries moves the uncollected count but not this one. The census line
+also names the five type groups that grew most over the repeat, such as
+``AuditEvent +864``, so it shows which records a change cut. The census
+repeat comes after the others, so its collection moves no collection they
+report.
 """
 
 from __future__ import annotations
@@ -46,6 +49,17 @@ from workloads import WORKLOADS  # noqa: E402
 PHASES = {"setup": "set-up", "life_cycle": "life cycle", "read_back": "read-back"}
 
 
+def type_groups(objects) -> Counter:
+    """How many of `objects` each type name has."""
+    return Counter(type(obj).__name__ for obj in objects)
+
+
+def largest_growth(before: Counter, after: Counter, count: int = 5) -> str:
+    """The `count` type groups that grew most from `before` to `after`, as
+    ``name +n`` joined by commas, the largest first."""
+    return ", ".join(f"{name} +{grown}" for name, grown in (after - before).most_common(count))
+
+
 class Probe:
     """Labels each collection with the phase of `harness.run_once` it fell in."""
 
@@ -58,6 +72,7 @@ class Probe:
         self.generations: list[int] = []
         self.tracked_after_life_cycle = 0
         self.census = False  # collect right after the life cycle, then count
+        self.groups_after_life_cycle: Counter = Counter()  # filled in the census only
 
     def reset(self) -> None:
         self.phase = "outside"
@@ -87,6 +102,8 @@ class Probe:
                 if self.census:
                     gc.collect()
                 self.tracked_after_life_cycle = len(gc.get_objects())
+                if self.census:
+                    self.groups_after_life_cycle = type_groups(gc.get_objects())
             return result
 
         setattr(harness, name, labelled)
@@ -129,13 +146,17 @@ def main(argv=None) -> int:
             gc.collect()
             probe.reset()
             probe.census = repeat > args.repeats
+            # counted first, so the counter is among the objects both counts see
+            groups_before = type_groups(gc.get_objects()) if probe.census else None
             before = len(gc.get_objects())
             failed += bool(harness.run_once(workload.product, text).failures)
             counted = (f"{probe.tracked_after_life_cycle} tracked objects after the life cycle"
                        f"{' and a gc.collect()' if probe.census else ''} "
                        f"({probe.tracked_after_life_cycle - before:+})")
             if probe.census:
-                print(f"{args.workload} seed {args.seed} census: {counted}")
+                grown = largest_growth(groups_before, probe.groups_after_life_cycle)
+                print(f"{args.workload} seed {args.seed} census: {counted}; "
+                      f"most grown: {grown or 'none'}")
             else:
                 label = "warm-up" if repeat == 0 else f"repeat {repeat}"
                 print(f"{args.workload} seed {args.seed} {label}: gen-2 at "
