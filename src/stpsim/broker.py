@@ -6,8 +6,7 @@ client compliance -> venue selection -> prepayment -> routing. A rejection
 at any stage stops the pipeline and leaves the ledger net-unchanged (a
 prepayment taken before a routing rejection is refunded in the same call).
 Each order leaves one audit record, its last stage's verdict, which names
-the stages it passed before; each allocation check leaves one more. The
-read-only `audit` view spells the records out as one event per stage.
+the stages it passed before; each allocation check leaves one more.
 
 Retail clients prepay the broker house account: money for buys at the
 limit or cap price, shares for sells. The house keeps each prepayment as
@@ -195,18 +194,6 @@ class BrokerService:
             passed = passed[:passed.index(stage)]
         self.audit_records.append(AuditEvent(order_id, stage, "rejected", rule, passed))
         return Rejection(stage, rule)
-
-    @property
-    def audit(self) -> list[AuditEvent]:
-        """The audit trail as one event per stage, in the order the stages ran:
-        each record's "ok" event for every stage it passed, then the record."""
-        events = []
-        for record in self.audit_records:
-            order_id = record.order_id
-            events.extend(_new(AuditEvent, (order_id, stage, "ok", "", ()))
-                          for stage in record.passed)
-            events.append(record._replace(passed=()))
-        return events
 
     def _stage_validation(self, draft: OrderDraft, kind: ClientKind) -> str | None:
         clients = self.retail_clients if kind is RETAIL else self.institutions

@@ -10,8 +10,9 @@ no short selling).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Mapping, MutableMapping
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .money import Money, _new
@@ -51,34 +52,24 @@ _new_object = object.__new__
 
 
 class Account:
-    """One owner's live balances.
+    """One owner's live balances, read-only: `money` has no setter and
+    `positions` is a read-only view of the account's positions dict.
 
-    Writing `money` marks the owner in the ledger's touched set, so the
-    next `Ledger.snapshot` re-records it. Taking `positions` (a plain dict,
-    which cannot be replaced) marks the owner too, and lends the dict: from
-    then on every snapshot re-records the owner whenever its live positions
-    differ from those last recorded, so a write through a kept reference
-    is recorded as well. The ledger's own code reads and writes `_money`
-    and `_positions` directly, and its transfers mark both owners
-    themselves, once per transfer. Accounts are made only by
-    `Ledger.open_account`.
+    Only the ledger's own code writes a balance, through `_money` and
+    `_positions`: `open_account` and the two transfers, each of which marks
+    its owners touched for the next `Ledger.snapshot`; every transfer is
+    journalled. Accounts are made only by `Ledger.open_account`.
     """
 
-    __slots__ = ("owner", "_money", "_positions", "_touched", "_lent")
+    __slots__ = ("owner", "_money", "_positions")
 
     @property
     def money(self) -> Money:
         return self._money
 
-    @money.setter
-    def money(self, value: Money) -> None:
-        self._touched[self.owner] = None
-        self._money = value
-
     @property
-    def positions(self) -> dict[str, int]:
-        self._touched[self.owner] = self._lent[self.owner] = None
-        return self._positions
+    def positions(self) -> Mapping[str, int]:
+        return MappingProxyType(self._positions)
 
     def __repr__(self) -> str:
         return f"Account({self.owner!r}, {self._money!r}, {self._positions!r})"
@@ -97,42 +88,33 @@ class JournalEntry(NamedTuple):
 class AccountSnapshot(NamedTuple):
     """One account's recorded balances, without zero positions.
 
-    An immutable NamedTuple: assigning `money` or `positions` raises
-    `AttributeError`. Every snapshot from the one that recorded it until
-    the account is next touched returns this same object, so treat the
-    `positions` dict as immutable too: replace a snapshot's entry (with
-    `_replace`) rather than editing it in place.
+    An immutable NamedTuple whose `positions` is a read-only view of a dict
+    no one else holds: assigning a field or writing a position raises.
+    Every snapshot from the one that recorded it until the account is next
+    touched returns this same object.
     """
 
     money: Money
-    positions: dict[str, int]
+    positions: Mapping[str, int]
 
 
-class Snapshot(MutableMapping):
+class Snapshot(Mapping):
     """All balances as of one `Ledger.snapshot` call: owner -> `AccountSnapshot`.
 
-    A snapshot is recorded or edited. A recorded snapshot stores only its
-    `delta`, the accounts touched since the ledger's previous snapshot. Any
-    other owner resolves through the ledger's per-account version lists,
-    by bisecting on this snapshot's index, so later ledger mutations are
-    invisible to it. Owners iterate in account-opening order.
-
-    Its first write, delete or `load` makes it edited: it copies every
-    owner into one plain dict of its own, which from then on answers every
-    read and takes every edit. No other snapshot changes, whether taken
-    before or after.
+    A read-only mapping that stores only the accounts touched since the
+    ledger's previous snapshot, which `changes` returns. Any other owner
+    resolves through the ledger's per-account version lists, by bisecting
+    on this snapshot's index, so later ledger mutations are invisible to it.
+    Owners iterate in account-opening order.
 
     Snapshots are made only by `Ledger.snapshot`, which fills their slots.
     """
 
     # `_versions` is the ledger's, of which the first `_count` owners had
-    # been opened by then; `_previous` is the ledger's snapshot before this
-    # one; `_edited` is None until the first edit
-    __slots__ = ("delta", "_versions", "_index", "_count", "_previous", "_edited")
+    # been opened by then; `_previous` is the ledger's snapshot before this one
+    __slots__ = ("_delta", "_versions", "_index", "_count", "_previous")
 
     def __getitem__(self, owner: str) -> AccountSnapshot:
-        if self._edited is not None:
-            return self._edited[owner]
         history = self._versions.get(owner)
         if history is not None:
             steps, balances = history
@@ -141,48 +123,25 @@ class Snapshot(MutableMapping):
                 return balances[at - 1]
         raise KeyError(owner)
 
-    def _edit(self) -> dict[str, AccountSnapshot]:
-        """This snapshot's own dict of every owner, copied on its first edit."""
-        if self._edited is None:
-            self._edited = {owner: self[owner] for owner in self}
-        return self._edited
-
-    def __setitem__(self, owner: str, balances: AccountSnapshot) -> None:
-        self._edit()[owner] = balances
-
-    def __delitem__(self, owner: str) -> None:
-        del self._edit()[owner]
-
     def __iter__(self) -> Iterator[str]:
-        if self._edited is not None:
-            return iter(self._edited)
         return islice(self._versions, self._count)
 
     def __len__(self) -> int:
-        return self._count if self._edited is None else len(self._edited)
+        return self._count
 
     def __repr__(self) -> str:
         return f"Snapshot({dict(self)!r})"
 
-    def load(self, balances: Mapping[str, AccountSnapshot]) -> None:
-        """Make this snapshot edited and equal to `balances`, in their order."""
-        self._edited = dict(balances)
-
-    def changes(self, since: Snapshot | None) -> Iterable[tuple[str, AccountSnapshot | None]]:
-        """(owner, balances) for every entry that differs from `since`.
+    def changes(self, since: Snapshot | None) -> Iterable[tuple[str, AccountSnapshot]]:
+        """(owner, balances) for every account recorded anew since `since`.
 
         `since` must be the snapshot the ledger took just before this one,
-        or None for its first; an owner `since` had and this snapshot lacks
-        comes with None. Unless either snapshot was edited this is `delta`.
+        or None for its first. Accounts are never closed, so every owner of
+        `since` is an owner here too.
         """
         if since is not self._previous:
             raise ValueError("changes are taken since the ledger's previous snapshot")
-        if self._edited is None and (since is None or since._edited is None):
-            return self.delta.items()
-        before = since.get if since is not None else {}.get
-        owners = [*self, *(owner for owner in since or () if owner not in self)]
-        return [(owner, self.get(owner)) for owner in owners
-                if self.get(owner) is not before(owner)]
+        return self._delta.items()
 
 
 class Ledger:
@@ -193,11 +152,9 @@ class Ledger:
         self.accounts: dict[str, Account] = {}
         self.journal: list[JournalEntry] = []
         # owners whose balances may have changed since the last snapshot; a
-        # dict used as an insertion-ordered set, so a snapshot's `delta`
-        # lists owners in the order they were first touched, run after run
+        # dict used as an insertion-ordered set, so a snapshot's `changes`
+        # list owners in the order they were first touched, run after run
         self._touched: dict[str, None] = {}
-        # owners whose positions dict `Account.positions` has handed out
-        self._lent: dict[str, None] = {}
         # owner -> (snapshot indices, the balances recorded at each); owners
         # in opening order
         self._versions: dict[str, tuple[list[int], list[AccountSnapshot]]] = {}
@@ -219,9 +176,7 @@ class Ledger:
         acct.owner = owner
         acct._money = money
         acct._positions = dict(positions) if positions else {}
-        acct._touched = touched = self._touched
-        acct._lent = self._lent
-        touched[owner] = None
+        self._touched[owner] = None
         return acct
 
     def account(self, owner: str) -> Account:
@@ -303,18 +258,13 @@ class Ledger:
     def snapshot(self) -> Snapshot:
         """All balances as a `Snapshot`; later ledger mutations are invisible to it.
 
-        The accounts touched since the previous call are recorded, and so
-        is every account whose positions dict was lent (see `Account`) and
-        whose live positions differ from those last recorded. Each is
-        recorded as a new `AccountSnapshot` appended to its version list,
-        so a call costs what changed since the last one, not the ledger's
-        size, unless a positions dict was lent.
+        Each account opened or touched by a transfer since the previous
+        call is recorded as a new `AccountSnapshot`, its positions a
+        read-only view of a fresh copy, appended to its version list, so a
+        call costs what changed since the last one, not the ledger's size.
         """
         accounts, versions, touched = self.accounts, self._versions, self._touched
-        for owner in self._lent:
-            if owner not in touched and versions[owner][1][-1].positions != {
-                    s: q for s, q in accounts[owner]._positions.items() if q}:
-                touched[owner] = None
+        read_only = MappingProxyType
         last = self._last
         index = 0 if last is None else last._index + 1
         delta = {}
@@ -322,8 +272,8 @@ class Ledger:
             acct = accounts[owner]
             held = acct._positions  # copied in C unless a zero position must be dropped
             delta[owner] = balances = _new(AccountSnapshot, (
-                acct._money,
-                {**held} if 0 not in held.values() else {s: q for s, q in held.items() if q}))
+                acct._money, read_only(
+                    {**held} if 0 not in held.values() else {s: q for s, q in held.items() if q})))
             history = versions.get(owner)
             if history is None:
                 versions[owner] = ([index], [balances])
@@ -332,12 +282,11 @@ class Ledger:
                 history[1].append(balances)
         touched.clear()
         snap = _new_object(Snapshot)
-        snap.delta = delta
+        snap._delta = delta
         snap._versions = versions
         snap._index = index
         snap._count = len(versions)
         snap._previous = last
-        snap._edited = None
         self._last = snap
         return snap
 

@@ -23,9 +23,9 @@ running account -> `AccountSnapshot` dict, so a pair costs its changes, and
 the sum of each changed entry's new minus old balances equals the
 difference of the pair's full totals. The final check reads that dict. It
 reads only recorded values, never the ledger's live accounts or counters.
-A run leaves every snapshot recorded. An edit made to a step's snapshot
-after the run makes that snapshot edited (one plain dict of its own), and
-its changes then diff it against its neighbours, so the edit is caught.
+A step record and its snapshot are read-only, and only the ledger's
+transfers and account openings change a balance, so a fault the check
+catches is a fault of the ledger, recorded by `Ledger.snapshot`.
 """
 
 from __future__ import annotations
@@ -53,27 +53,12 @@ class ScenarioAborted(Exception):
         self.cause = cause
 
 
-class StepRecord:
-    """One step's name, events and ledger snapshot.
+class StepRecord(NamedTuple):
+    """One step's name, ledger snapshot and events; an immutable record."""
 
-    Assigning a mapping to `snapshot` loads it into the step's `Snapshot`,
-    which is then edited, so every consumer reads the same type.
-    """
-
-    __slots__ = ("name", "_snapshot", "events")
-
-    def __init__(self, name: str, snapshot: Snapshot, events: tuple[str, ...] = ()):
-        self.name = name
-        self._snapshot = snapshot
-        self.events = events
-
-    @property
-    def snapshot(self) -> Snapshot:
-        return self._snapshot
-
-    @snapshot.setter
-    def snapshot(self, balances: Mapping[str, AccountSnapshot]) -> None:
-        self._snapshot.load(balances)
+    name: str
+    snapshot: Snapshot
+    events: tuple[str, ...] = ()
 
 
 class CheckResult(NamedTuple):
@@ -171,7 +156,7 @@ class ScenarioRunner:
     # -- steps -----------------------------------------------------------
 
     def _snapshot(self, name: str, events: tuple[str, ...] = ()) -> None:
-        self.report.steps.append(StepRecord(name, self.eco.ledger.snapshot(), events))
+        self.report.steps.append(_new(StepRecord, (name, self.eco.ledger.snapshot(), events)))
 
     def _each(self, step: str, services: Mapping[str, Any], label: str,
               call: Callable[[Any], int]) -> None:
@@ -284,13 +269,10 @@ def _fold(running: dict[str, AccountSnapshot], current: Snapshot,
             money -= before.money.amount
             for symbol, qty in before.positions.items():
                 shares[symbol] = shares.get(symbol, 0) - qty
-        if after is None:
-            del running[account]
-        else:
-            running[account] = after
-            money += after.money.amount
-            for symbol, qty in after.positions.items():
-                shares[symbol] = shares.get(symbol, 0) + qty
+        running[account] = after
+        money += after.money.amount
+        for symbol, qty in after.positions.items():
+            shares[symbol] = shares.get(symbol, 0) + qty
     return money, shares
 
 
@@ -306,7 +288,7 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
     before = None
     record = checks.append  # takes each CheckResult, built positionally
     for previous, current in zip([None, *steps], steps):
-        after = current._snapshot  # the `snapshot` property's value, read in place
+        after = current.snapshot
         money, shares = _fold(final, after, before)
         if previous is not None:
             money_ok = money == 0
@@ -328,7 +310,7 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
             want_positions = {s: q for s, q in positions if q} if positions else {}
             ok = have_money.amount == money and have_positions == want_positions
             record(_new(CheckResult, (f"final[{account}]", ok, "" if ok else
-                   f"have money={have_money.amount} positions={have_positions}, "
+                   f"have money={have_money.amount} positions={dict(have_positions)}, "
                    f"want money={money} positions={want_positions}")))
         for account in sorted(final.keys() - listed):
             balances = final[account]
@@ -336,5 +318,5 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
                 record(_new(CheckResult, (
                     f"final[{account}]", False,
                     f"unlisted account not flat: money={balances.money.amount} "
-                    f"positions={balances.positions}")))
+                    f"positions={dict(balances.positions)}")))
     return checks

@@ -30,8 +30,8 @@ A ``balance`` line gives an account's balances from step n on: step 1 lists
 every account, and a later step lists only the accounts whose balances
 changed since they were last written, so the report grows with what the run
 changed, not with steps x accounts. A file that restates every account at
-every step is read the same way. Accounts are never closed, so a step whose
-snapshot lacks an account an earlier step had cannot be written.
+every step is read the same way. Accounts are never closed, so every step
+lists every account an earlier step had.
 
 `parse_machine` reads a file back by these rules, and names the line of the
 first record that breaks one in a `ReportParseError`: each record has at
@@ -56,22 +56,14 @@ from .lifecycle import CheckResult, ScenarioReport
 from .money import _new
 
 
-class VanishedAccountError(Exception):
-    """A step's snapshot lacks an account that an earlier step recorded."""
-
-
 def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     lines = [f"run|product={report.product_name}|scenario={report.scenario_id}"]
     written: dict[str, str] = {}  # account -> the "|account|money|positions" text last written
     previous: Snapshot | None = None
-    for index, step in enumerate(report.steps, start=1):
-        lines.append(f"step|{index}|{step.name}|{';'.join(step.events)}")
+    for index, (name, snapshot, events) in enumerate(report.steps, start=1):
+        lines.append(f"step|{index}|{name}|{';'.join(events)}")
         head = f"balance|{index}"
-        snapshot = step._snapshot  # the `snapshot` property's value, read in place
         for account, balances in sorted(snapshot.changes(previous)):
-            if balances is None:
-                raise VanishedAccountError(
-                    f"step {index} ({step.name}) lacks account {account!r}")
             positions = balances.positions
             if len(positions) > 1:
                 held = ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))

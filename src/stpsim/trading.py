@@ -42,10 +42,6 @@ class OrderType(enum.Enum):
 
     __hash__ = object.__hash__  # by identity, as `registry.ParticipantRole` explains
 
-    @property
-    def requires_price(self) -> bool:
-        return self is not MARKET
-
 
 class OrderStatus(enum.Enum):
     NEW = "new"
@@ -231,7 +227,7 @@ def order_shape_rule(
         return "NonPositiveQuantity"
     if order_type not in supported:
         return "UnsupportedOrderType"
-    if order_type is not MARKET:  # `OrderType.requires_price`, read without a frame
+    if order_type is not MARKET:  # every other type takes a limit price
         if limit_price is None:
             return "MissingPrice"
         if limit_price.amount <= 0:
@@ -321,7 +317,7 @@ class ClearingRejected(Exception):
 class AuditEvent(NamedTuple):
     """One broker stage's verdict on an order or a block's allocation. The
     broker keeps one per order, its last: `passed` names the stages it passed
-    before `stage`, each of which `BrokerService.audit` shows as an "ok" event."""
+    before `stage`, each of which the machine report writes as an "ok" line."""
 
     order_id: str
     stage: str

@@ -12,6 +12,7 @@ import pytest
 
 import bruteforce
 from conftest import TOY_FM, TOY_LOGIC_FM, TOY_OR_FM, load_scenario
+from faults import run_leaking
 from matchdriver import COMBOS, drive_pair, random_instance
 from stpsim.clearing import SettlementFailed
 from stpsim.features import (
@@ -90,16 +91,15 @@ def test_criterion_3_conservation_and_detector(product_a):
         assert conservation
         assert all(c.passed for c in conservation)
 
-    # inject an off-journal mutation; the detector must name the step
-    report = run_scenario(product_a, load_scenario("retail_retail"))
-    victim = report.steps[2]
-    account = sorted(victim.snapshot)[0]
-    victim.snapshot[account] = victim.snapshot[account]._replace(
-        money=victim.snapshot[account].money + Money(1))
+    # inject a ledger fault, a transfer that credits a cent more than it
+    # debits; the detector must name the step that recorded it
+    report, ledger = run_leaking(product_a, load_scenario("retail_retail"), kind="money")
+    [at] = ledger.leaked
+    victim = report.steps[at]
     failing = [c for c in assert_conservation(report)
                if not c.passed and victim.name in c.name]
     assert failing
-    _report("3 conservation", "all pairs exact; injected mutation detected")
+    _report("3 conservation", "all pairs exact; injected ledger fault detected")
 
 
 # -- 4. cross-tree constraint enforcement ----------------------------------------

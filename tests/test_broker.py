@@ -23,6 +23,7 @@ from stpsim.trading import (
     MAX_ORDER_VALUE,
     Affirmation,
     AllocationDetail,
+    AuditEvent,
     ClientKind,
     Order,
     OrderStatus,
@@ -103,6 +104,15 @@ def sell_draft(qty=100, price=1040, client="client"):
     return OrderDraft(
         client=client, side=Side.SELL, symbol="ACME", quantity=qty,
         order_type=OrderType.LIMIT, limit_price=Money(price))
+
+
+def audit_events(broker):
+    """The broker's audit trail as one event per stage, in the order the
+    stages ran: each record's "ok" event for every stage it passed, then the
+    record itself, as the machine report writes them."""
+    return [event for record in broker.audit_records
+            for event in (*(AuditEvent(record.order_id, stage, "ok") for stage in record.passed),
+                          record._replace(passed=()))]
 
 
 # -- pipeline stages ------------------------------------------------------------
@@ -189,6 +199,25 @@ def test_unknown_client_rejected():
     assert rejection == Rejection("validation", "UnknownClient")
 
 
+def test_another_brokers_client_is_unknown():
+    """BR2's clients hold accounts in the ledger BR1 shares, but BR1 does
+    not serve them: BR1 refuses their orders, and BR2 takes them."""
+    broker, _, ledger, _ = make_desk()
+    pid = ParticipantId(ParticipantRole.BROKER, "BR2")
+    other = BrokerService(pid, broker.registry, ledger, ledger.open_account("BR2.house").owner,
+                          FIRST_VENUE)
+    broker.registry.register(pid, other)
+    other.add_retail_client(ledger.open_account("rc2", Money(150000)).owner)
+    other.add_institution(ledger.open_account("fund2").owner,
+                          ParticipantId(ParticipantRole.CUSTODIAN, "CU1"))
+    assert broker.place_retail_order(buy_draft(client="rc2")) == Rejection(
+        "validation", "UnknownClient")
+    assert broker.place_institutional_order(buy_draft(client="fund2")) == Rejection(
+        "validation", "UnknownClient")
+    assert isinstance(other.place_retail_order(buy_draft(client="rc2")), str)
+    assert isinstance(other.place_institutional_order(buy_draft(client="fund2")), str)
+
+
 def test_market_retail_buy_requires_price_cap():
     broker, _, _, _ = make_desk()
     rejection = broker.place_retail_order(buy_draft(price=None, otype=OrderType.MARKET))
@@ -253,7 +282,7 @@ def test_pipeline_short_circuits_audit_trail():
     broker, _, _, _ = make_desk(
         restricted_symbols=frozenset({"ACME"}))
     broker.place_retail_order(buy_draft())
-    stages = [(event.stage, event.outcome) for event in broker.audit]
+    stages = [(event.stage, event.outcome) for event in audit_events(broker)]
     assert stages == [
         ("validation", "ok"),
         ("risk", "ok"),
@@ -297,7 +326,8 @@ def test_rejection_at_each_stage_audits_the_stages_before_it(stage, rule, desk, 
     before_money, before_shares = total_money(before), total_positions(before)
     assert broker.place_retail_order(draft) == Rejection(stage, rule)
     passed = PIPELINE[:PIPELINE.index(stage)]
-    assert [(event.order_id, event.stage, event.outcome, event.rule) for event in broker.audit] == [
+    assert [(event.order_id, event.stage, event.outcome, event.rule)
+            for event in audit_events(broker)] == [
         *(("BR1-O1", ok, "ok", "") for ok in passed), ("BR1-O1", stage, "rejected", rule)]
     assert broker.orders == {}
     after = ledger.snapshot()
@@ -348,7 +378,7 @@ def test_a_price_or_cap_in_another_currency_than_the_ledger_is_refused_at_valida
                          price_cap=Money(1000, "EUR"))
     assert broker.place_retail_order(euro_cap) == Rejection("validation", "CurrencyMismatch")
     assert ledger.journal == []
-    assert ledger.snapshot().delta == {}
+    assert ledger.snapshot()._delta == {}
     assert ledger.snapshot() == before
     # the buy that would have met the euro sell inside matching now rests
     order_id = broker.place_retail_order(buy_draft(qty=10, price=1000))
@@ -618,13 +648,22 @@ def _settle_all_trades(broker):
                 trade.advance(TradeStatus.SETTLED)
 
 
+def _street(ledger):
+    """Open a street account for a test to settle the house's street side
+    against with ledger transfers, as the clearing's DVP would."""
+    ledger.open_account("street", Money(10**6), {"ACME": 10**6})
+    return "street"
+
+
 def test_settle_retail_credits_buyer_and_is_idempotent():
     broker, exchanges, ledger, _ = make_desk()
     rest_order(exchanges[0], "sell", 1040, 100)
     broker.place_retail_order(buy_draft(qty=100, price=1040))
     # simulate street settlement: house got the shares, paid the money
-    ledger.accounts["BR1.house"].positions["ACME"] = 100
-    ledger.accounts["BR1.house"].money = Money(0)
+    street = _street(ledger)
+    ledger.transfer_money("BR1.house", street, Money(104000))
+    ledger.transfer_equity(street, "BR1.house", "ACME", 100)
+    assert (ledger.balance("BR1.house"), ledger.position("BR1.house", "ACME")) == (Money(0), 100)
     _settle_all_trades(broker)
 
     assert broker.settle_retail_rec() == 1
@@ -638,8 +677,10 @@ def test_settle_refunds_price_improvement():
     broker, exchanges, ledger, _ = make_desk()
     rest_order(exchanges[0], "sell", 1000, 100)   # better than the 1040 limit
     broker.place_retail_order(buy_draft(qty=100, price=1040))
-    ledger.accounts["BR1.house"].positions["ACME"] = 100
-    ledger.accounts["BR1.house"].money = Money(104000 - 100000)
+    street = _street(ledger)
+    ledger.transfer_money("BR1.house", street, Money(100000))
+    ledger.transfer_equity(street, "BR1.house", "ACME", 100)
+    assert ledger.balance("BR1.house") == Money(104000 - 100000)
     _settle_all_trades(broker)
 
     broker.settle_retail_rec()
@@ -671,8 +712,11 @@ def test_partly_filled_sell_gets_its_unfilled_shares_back_once():
     assert broker.orders[order_id].status is OrderStatus.CANCELLED
     assert broker.orders[order_id].filled_quantity == 60
     # simulate street settlement: house delivered 60 shares, was paid 62400
-    ledger.accounts["BR1.house"].positions["ACME"] = 40
-    ledger.accounts["BR1.house"].money = Money(62400)
+    street = _street(ledger)
+    ledger.transfer_equity("BR1.house", street, "ACME", 60)
+    ledger.transfer_money(street, "BR1.house", Money(62400))
+    assert (ledger.balance("BR1.house"), ledger.position("BR1.house", "ACME")) == (
+        Money(62400), 40)
     _settle_all_trades(broker)
 
     assert broker.settle_retail_rec() == 1

@@ -3,8 +3,8 @@
 On the shipped `.scn` files, on valid texts that Hypothesis writes and on
 one large generated text, every declared account must be opened once, in
 declaration order by kind, with its endowment; each account must hold its
-own positions dict, so that a write to one account marks only that owner in
-the ledger's next snapshot.
+own positions dict, so that a transfer into one account changes only that
+account and marks only it and the payer in the ledger's next snapshot.
 """
 
 import random
@@ -49,15 +49,20 @@ def check_build(product, text):
         assert dict(account.positions) == positions
 
     accounts = list(ledger.accounts.values())
-    assert len({id(account.positions) for account in accounts}) == len(accounts)
+    assert len({id(account._positions) for account in accounts}) == len(accounts)
 
+    # a cent and a share into every account in turn, from an account opened for it
+    source = ledger.open_account("ZZ.oracle", Money(len(accounts), currency),
+                                 {"ZZ-ORACLE": len(accounts)})
     ledger.snapshot()  # records every opening
-    for n, account in enumerate(accounts):
-        if n % 2:
-            account.money = account.money + Money(1, currency)
-        else:
-            account.positions["ZZ-ORACLE"] = n
-        assert list(ledger.snapshot().delta) == [account.owner]
+    for account in accounts:
+        ledger.transfer_money(source.owner, account.owner, Money(1, currency))
+        ledger.transfer_equity(source.owner, account.owner, "ZZ-ORACLE", 1)
+        assert list(ledger.snapshot()._delta) == [source.owner, account.owner]
+    for account in accounts:
+        money, positions = endowed.get(account.owner, (0, {}))
+        assert account.money == Money(money + 1, currency)
+        assert dict(account.positions) == {**positions, "ZZ-ORACLE": 1}
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)

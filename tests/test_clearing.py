@@ -78,6 +78,12 @@ def test_zero_quantity_rejected():
     assert clearing.submit_trade(report, "exchange").rule == "NonPositiveQuantity"
 
 
+def test_one_share_trade_is_accepted():
+    clearing, _ = make_clearing()
+    assert clearing.submit_trade(street_trade("acct_a", "acct_b", qty=1), "exchange") is None
+    assert clearing.queue_size() == 1
+
+
 def test_unknown_account_rejected():
     clearing, _ = make_clearing()
     report = street_trade("acct_a", "ghost")

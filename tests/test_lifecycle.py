@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_scenario, over_the_trade_value_cap
+from faults import FAULT_KINDS, LeakyLedger, inject, run_leaking
 from matchdriver import comparator_for
 from stpsim.clearing import ClearingCorporation
 from stpsim.custodian import CustodianService
 from stpsim.data import config_path, scenario_path
 from stpsim.features import derive_product, parse_configuration
 from stpsim.ledger import (
-    AccountSnapshot, Ledger, LedgerError, Money, total_money, total_positions)
+    AccountSnapshot, LedgerError, Money, total_money, total_positions)
 from stpsim.lifecycle import (
     CheckResult, ScenarioReport, StepRecord, assert_conservation, run_scenario)
 from stpsim.report import render_machine
@@ -197,14 +198,14 @@ def test_journal_replay_reproduces_every_step_snapshot(products):
         assert cursor == len(entries)
 
 
-def test_off_journal_mutation_is_detected(products):
-    report, _ = run_pair(products["SECO_A"], "retail_retail")
-    # inject a corruption into one recorded snapshot, as if a participant had
-    # mutated a balance without going through the ledger
-    victim = report.steps[3]
-    account = sorted(victim.snapshot)[0]
-    victim.snapshot[account] = victim.snapshot[account]._replace(
-        money=victim.snapshot[account].money + Money(1))
+@pytest.mark.parametrize("kind", ["money", "equity"])
+def test_off_journal_mutation_is_detected(products, kind):
+    # a ledger fault after the third step: one transfer credits a unit more
+    # than it debits, a movement its journal entry does not show
+    report, ledger = run_leaking(
+        products["SECO_A"], load_scenario("retail_retail"), kind=kind, after=3)
+    [at] = ledger.leaked
+    victim = report.steps[at]
     checks = assert_conservation(report)
     failing = [c for c in checks if not c.passed]
     assert failing
@@ -499,30 +500,14 @@ def test_incremental_check_matches_full_totals_oracle(products, product_key, sce
     report, _ = run_pair(products[product_key], scenario_id)
     assert all(check.passed for check in assert_matches_oracle(report))
 
-    victim = report.steps[3]
-    account = sorted(victim.snapshot)[0]
-    victim.snapshot[account] = victim.snapshot[account]._replace(
-        money=victim.snapshot[account].money + Money(1))
-    assert not all(check.passed for check in assert_matches_oracle(report))
+    leaky, ledger = run_leaking(
+        products[product_key], load_scenario(scenario_id), kind="money", after=3)
+    [at] = ledger.leaked
+    failing = [check for check in assert_matches_oracle(leaky) if not check.passed]
+    assert failing and all(leaky.steps[at].name in check.name for check in failing)
 
 
 OWNERS = ("a0", "a1", "a2", "a3", "a4")
-
-
-def tamper(snapshot, account, kind, amount):
-    """Corrupt one recorded entry without going through the ledger."""
-    balances = snapshot.get(account)
-    if kind == "drop":
-        snapshot.pop(account, None)
-    elif kind == "phantom" or balances is None:
-        snapshot[f"{account}.phantom"] = AccountSnapshot(Money(amount), {"SYM": amount})
-    elif kind == "money":
-        snapshot[account] = balances._replace(money=balances.money + Money(amount))
-    else:
-        symbol = "SYM" if kind == "shares" else "NEW"
-        positions = dict(balances.positions)
-        positions[symbol] = positions.get(symbol, 0) + amount
-        snapshot[account] = balances._replace(positions=positions)
 
 
 @settings(max_examples=150, deadline=None)
@@ -530,30 +515,29 @@ def tamper(snapshot, account, kind, amount):
                                 st.booleans(), st.integers(1, 40)), max_size=25),
        data=st.data())
 def test_incremental_check_matches_oracle_under_tampering(moves, data):
-    ledger = Ledger()
+    # ledger faults drawn between the moves: (the step that records the
+    # fault, its kind, the units it is off by)
+    faults = data.draw(st.lists(st.tuples(
+        st.integers(0, len(moves)), st.sampled_from(FAULT_KINDS),
+        st.integers(-30, 30).filter(bool)), max_size=4))
+    ledger = LeakyLedger()
     for owner in OWNERS:
         ledger.open_account(owner, Money(100), {"SYM": 20})
-    steps = [StepRecord("setup", ledger.snapshot())]
-    touched = [set()]
-    for index, (src, dst, is_money, amount) in enumerate(moves, start=1):
-        try:
-            if is_money:
-                ledger.transfer_money(src, dst, Money(amount))
-            else:
-                ledger.transfer_equity(src, dst, "SYM", amount)
-            touched.append({src, dst})
-        except LedgerError:
-            touched.append(set())
-        steps.append(StepRecord(f"move_{index}", ledger.snapshot()))
-
-    tampers = data.draw(st.lists(st.tuples(
-        st.integers(0, len(steps) - 1), st.booleans(),
-        st.sampled_from(("money", "shares", "new_symbol", "drop", "phantom")),
-        st.integers(-30, 30).filter(bool)), max_size=4))
-    for index, on_touched, kind, amount in tampers:
-        others = sorted(set(OWNERS) - touched[index])
-        pool = sorted(touched[index]) if on_touched and touched[index] else others
-        tamper(steps[index].snapshot, data.draw(st.sampled_from(pool)), kind, amount)
+    steps = []
+    for index, move in enumerate([None, *moves]):
+        if move is not None:
+            src, dst, is_money, amount = move
+            try:
+                if is_money:
+                    ledger.transfer_money(src, dst, Money(amount))
+                else:
+                    ledger.transfer_equity(src, dst, "SYM", amount)
+            except LedgerError:
+                pass
+        for at, kind, amount in faults:
+            if at == index:
+                inject(ledger, kind, amount, lambda options: data.draw(st.sampled_from(options)))
+        steps.append(StepRecord("setup" if move is None else f"move_{index}", ledger.snapshot()))
 
     report = ScenarioReport("P", "hypothesis", steps=steps)
     assert assert_conservation(report) == full_totals_conservation(report)

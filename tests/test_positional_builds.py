@@ -5,10 +5,11 @@ function compiled from a string (its code's file is ``<string>``), which
 binds each field by name before `tuple.__new__` builds the record; with
 keywords it costs about twice that. The run path builds every record it
 keeps with `money._new` (`tuple.__new__`) from a tuple of all its fields
-instead, and `Ledger.snapshot` fills a new `Snapshot`'s slots itself, so
-no `Snapshot.__init__` runs either (README, "Design notes"). These tests
-count those frames while a run, its conservation check and its machine
-rendering execute, and want none.
+instead, `StepRecord` and `CheckResult` among them, and `Ledger.snapshot`
+fills a new `Snapshot`'s slots itself, so no `Snapshot.__init__` runs
+either (README, "Design notes"). These tests count those frames while a
+run, its conservation check and its machine rendering execute, and want
+none.
 """
 
 import contextlib

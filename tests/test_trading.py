@@ -11,6 +11,7 @@ from stpsim.trading import (
     Side,
     Trade,
     TradeStatus,
+    order_shape_rule,
 )
 
 EXCHANGE = ParticipantId(ParticipantRole.EXCHANGE, "X1")
@@ -69,11 +70,25 @@ def test_instruction_rejects_non_positive_legs():
             "I1", None, EquityLeg("a", "b", "ACME", -5), ("T1",))
 
 
+def _shape_rule(order_type, limit_price, price_cap=None):
+    """`order_shape_rule` for a 10-share retail buy, every type offered."""
+    return order_shape_rule(order_type, 10, limit_price, frozenset(OrderType), False, "USD",
+                            True, price_cap, Side.BUY)
+
+
 def test_order_types_requiring_price():
-    assert not OrderType.MARKET.requires_price
+    """MARKET takes no limit price; every other type needs one."""
+    assert _shape_rule(OrderType.MARKET, None, Money(1040)) is None
+    assert _shape_rule(OrderType.MARKET, Money(1040), Money(1040)) == "PriceNotAllowed"
     for order_type in (OrderType.LIMIT, OrderType.IMMEDIATE_OR_CANCEL,
                        OrderType.FILL_OR_KILL):
-        assert order_type.requires_price
+        assert _shape_rule(order_type, None) == "MissingPrice"
+        assert _shape_rule(order_type, Money(1040)) is None
+
+
+def test_market_buy_capped_at_one_minor_unit_passes_the_shape_rules():
+    assert _shape_rule(OrderType.MARKET, None, Money(1)) is None
+    assert _shape_rule(OrderType.MARKET, None, Money(0)) == "NonPositivePrice"
 
 
 def test_order_remaining_defaults_to_quantity():
