@@ -147,20 +147,19 @@ class ClearingCorporation:
 
     # -- intake ---------------------------------------------------------
 
-    def submit_trade(self, record: TradeReport | ClientTradeRecord, source: str) -> Rejection | None:
+    def submit_trade(self, record: TradeReport | ClientTradeRecord) -> Rejection | None:
         """Validate and queue one submission; None means accepted.
 
+        An exchange submits a `TradeReport`, a custodian a `ClientTradeRecord`.
         Street reports and client records pass one intake check: a new trade
         id, a positive quantity, a positive price in the ledger's currency, and
         open settlement accounts. A street trade also meets the extended
         checks' `max_trade_value`.
         """
-        if source == "exchange":
+        if type(record) is TradeReport:
             trade, accounts, street = record.trade, (record.buy_account, record.sell_account), True
-        elif source == "custodian":
-            trade, accounts, street = record, (record.account,), False
         else:
-            return Rejection("trade_validation", "UnknownSource", source)
+            trade, accounts, street = record, (record.account,), False
         trade_id, quantity, price = trade.trade_id, trade.quantity, trade.price
         if trade_id in self._seen_trade_ids:
             return Rejection("trade_validation", "DuplicateTrade", trade_id)

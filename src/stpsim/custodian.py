@@ -219,8 +219,7 @@ class CustodianService:
             self._next_record += len(details)
             for number, (_, _, _, _, symbol, quantity, price) in enumerate(details, first):
                 rejection = submit(_new(ClientTradeRecord, (
-                    f"{prefix}{number}", block, side, symbol, quantity, price, omnibus)),
-                    source="custodian")
+                    f"{prefix}{number}", block, side, symbol, quantity, price, omnibus)))
                 if rejection is not None:
                     raise ClearingRejected(f"client trade for {block}", rejection)
             sent += len(details)

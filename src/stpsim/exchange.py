@@ -72,8 +72,7 @@ class BookSide:
     priority only the head's rank can change: it is re-pushed after a
     partial fill, and every other entry's key stays exact. ``levels`` maps
     each resting price, in minor units of the book's one currency, to its
-    total remaining quantity. Iteration, indexing and ``==`` see the orders
-    in rank order.
+    total remaining quantity.
     """
 
     def __init__(self, key):
@@ -107,15 +106,6 @@ class BookSide:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __iter__(self):
-        return (order for _, order in sorted(self._heap))
-
-    def __getitem__(self, index: int) -> Order:
-        return list(self)[index]
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 class OrderBook:
@@ -326,7 +316,7 @@ class ExchangeService:
         submit = self.registry.first(CLEARING_CORPORATION).submit_trade
         reports, self._unreported = self._unreported, []
         for report in reports:
-            result = submit(report, "exchange")
+            result = submit(report)
             if result is not None:
                 raise ClearingRejected(f"exchange trade {report.trade.trade_id}", result)
         return len(reports)

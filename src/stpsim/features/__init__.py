@@ -29,8 +29,6 @@ from .model import (
 from .parsing import (
     parse_configuration,
     parse_feature_model,
-    serialize_configuration,
-    serialize_feature_model,
 )
 
 __all__ = [
@@ -57,7 +55,5 @@ __all__ = [
     "normalize",
     "parse_configuration",
     "parse_feature_model",
-    "serialize_configuration",
-    "serialize_feature_model",
     "validate_configuration",
 ]

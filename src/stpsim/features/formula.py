@@ -6,8 +6,7 @@ with precedence NOT > AND > OR > IMPLIES > IFF and right-associative
 IMPLIES. `_BINARY` is the one table of the binary operators (symbol, AST
 class, truth function, loosest first); the tokenizer, the parser, `render`
 and `evaluate` all read it. `render` produces a canonical text that
-reparses to the same tree, which is what violation messages and
-serialization both use.
+reparses to the same tree, which is what violation messages use.
 """
 
 from __future__ import annotations

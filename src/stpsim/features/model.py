@@ -108,10 +108,6 @@ class Configuration:
 
     selected: frozenset[str]
 
-    @classmethod
-    def of(cls, *names: str) -> "Configuration":
-        return cls(frozenset(names))
-
 
 @dataclass(frozen=True)
 class ProductSpec:
@@ -164,10 +160,6 @@ class FeatureModel:
         except KeyError:
             raise UnknownFeatureName(name) from None
 
-    def parent_of(self, name: str) -> str | None:
-        self.feature(name)
-        return self._parent[name]
-
     def feature_names(self) -> tuple[str, ...]:
         """All names in depth-first document order."""
         return tuple(self._by_name)
@@ -187,11 +179,6 @@ class FeatureModel:
 
         walk(self.feature(name))
         return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureModel):
-            return NotImplemented
-        return self.root == other.root and self.constraints == other.constraints
 
     def __len__(self) -> int:
         return len(self._by_name)

@@ -118,25 +118,6 @@ def parse_feature_model(text: str) -> FeatureModel:
     return FeatureModel(stack[0][5][0], tuple(constraints))
 
 
-def serialize_feature_model(model: FeatureModel) -> str:
-    lines: list[str] = []
-
-    def emit(feature: Feature, depth: int) -> None:
-        parts = [feature.kind.value, feature.optionality.value, feature.name]
-        if feature.children:    # a model has no leaf with children nor childless or/alt
-            parts.append(f"group:{feature.group.value}")
-        lines.append("  " * depth + " ".join(parts))
-        for child in feature.children:
-            emit(child, depth + 1)
-
-    emit(model.root, 0)
-    if model.constraints:
-        lines.append("constraints:")
-        for constraint in model.constraints:
-            lines.append(constraint.describe())
-    return "\n".join(lines) + "\n"
-
-
 def parse_configuration(text: str) -> Configuration:
     selected: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,7 +128,3 @@ def parse_configuration(text: str) -> Configuration:
             raise ModelSyntaxError(f"malformed configuration line: {line!r}", lineno)
         selected.add(line)
     return Configuration(frozenset(selected))
-
-
-def serialize_configuration(cfg: Configuration) -> str:
-    return "\n".join(sorted(cfg.selected)) + "\n"

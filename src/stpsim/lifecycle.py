@@ -76,15 +76,15 @@ class ScenarioReport:
     """One run's steps and outcome. Each `*_lines` field holds participants'
     records, and `render_machine` writes one machine line per record, but for
     `audit_lines`: a broker's one record per order writes a line for each
-    stage the order passed, then its own. `journal_lines` is the ledger's
-    journal itself."""
+    stage the order passed, then its own. `journal_lines` is a tuple copy of
+    the ledger's journal, so no edit of a report reaches the ledger."""
 
     product_name: str
     scenario_id: str
     steps: list[StepRecord] = field(default_factory=list)
     aborted: tuple[str, str] | None = None
     finals: list[CheckResult] = field(default_factory=list)
-    journal_lines: list[JournalEntry] = field(default_factory=list)
+    journal_lines: tuple[JournalEntry, ...] = ()
     audit_lines: list[AuditEvent] = field(default_factory=list)
     trade_lines: list[Trade] = field(default_factory=list)
     instruction_lines: list[SettlementInstruction] = field(default_factory=list)
@@ -142,7 +142,7 @@ class ScenarioRunner:
             self._snapshot(f"aborted_{abort.step}")
         else:
             self._final_checks()
-        self.report.journal_lines = eco.ledger.journal
+        self.report.journal_lines = tuple(eco.ledger.journal)
         for broker in eco.brokers.values():
             self.report.audit_lines.extend(broker.audit_records)
         for exchange in eco.exchanges.values():

@@ -3,11 +3,14 @@
 Every balance and price in the simulator is a `Money` value. Amounts are
 plain integers so conservation checks can assert exact equality; fractional
 minor units cannot be represented at all. The ecosystem is single-currency:
-mixing currencies in arithmetic or comparisons raises `CurrencyMismatch`.
+mixing currencies in `+` or an ordering raises `CurrencyMismatch`.
 
 `Money` is an immutable NamedTuple of (amount, currency): assigning a field
 raises `AttributeError`. It is equal only to another `Money` with the same
 amount and currency, never to a plain tuple, and equal values hash alike.
+Its operators are `==`, `!=`, `+`, `*` by an int, and `<`, `<=`, `>`, `>=`.
+Each replaces the tuple operator it shadows, which would concatenate, repeat,
+or compare across currencies; there is no `-`.
 """
 
 from __future__ import annotations
@@ -53,13 +56,6 @@ class Money(_MoneyFields):
     def __add__(self, other: Money) -> Money:
         self._check(other)
         return _new(Money, (self.amount + other.amount, self.currency))
-
-    def __sub__(self, other: Money) -> Money:
-        self._check(other)
-        return _new(Money, (self.amount - other.amount, self.currency))
-
-    def __neg__(self) -> Money:
-        return _new(Money, (-self.amount, self.currency))
 
     def __mul__(self, factor: int) -> Money:
         if not isinstance(factor, int) or isinstance(factor, bool):

@@ -78,6 +78,3 @@ class ServiceRegistry:
         if not ids:
             raise NotFound(f"no {role.value.replace('_', ' ')} registered")
         return self._entries[ids[0]]
-
-    def __len__(self) -> int:
-        return len(self._entries)

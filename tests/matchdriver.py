@@ -25,6 +25,11 @@ COMBOS = [
 ]
 
 
+def ranked(side) -> list[Order]:
+    """The orders resting on one `BookSide`, best first."""
+    return [order for _, order in sorted(side._heap)]
+
+
 def comparator_for(secondary: str, tiebreak: str) -> PrecedenceComparator:
     return PrecedenceComparator(
         SecondaryPrecedence.TIME_PRIORITY if secondary == "time"
@@ -68,7 +73,7 @@ def drive_pair(instance, secondary: str, tiebreak: str):
     impl_state = {
         order.order_id: order.remaining
         for side_orders in (book.bids, book.asks)
-        for order in side_orders
+        for order in ranked(side_orders)
     }
     return (impl_submissions, ref_submissions, impl_state, ref.state(),
             book.is_crossed(), ref.crossed())

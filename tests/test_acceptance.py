@@ -201,7 +201,7 @@ def test_criterion_7_clearing_equivalence():
         clearing, ledger = make_clearing(
             netting=netting, endow_money=10**9, endow_shares=0, symbols=("S0",))
         clearing.submit_trade(
-            street_trade("acct_a", "acct_b", qty=5, price=100), "exchange")
+            street_trade("acct_a", "acct_b", qty=5, price=100))
         clearing.clear_rec()
         before = ledger.snapshot()
         with pytest.raises(SettlementFailed):

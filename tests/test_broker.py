@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import projected
+from matchdriver import ranked
 from stpsim.broker import (
     BrokerConfig,
     BrokerService,
@@ -404,7 +405,8 @@ def test_an_order_in_another_currency_than_the_book_is_refused_at_routing_and_re
         "prepay:BR1-O1", "refund:BR1-O1"]
     assert ledger.snapshot() == before
     assert ledger.balance("client") == Money(150000)
-    assert [(o.order_id, o.remaining) for o in exchanges[0].books["ACME"].asks] == [("O99", 10)]
+    asks = ranked(exchanges[0].books["ACME"].asks)
+    assert [(o.order_id, o.remaining) for o in asks] == [("O99", 10)]
 
 
 @pytest.mark.parametrize("client, kind, settlement", [

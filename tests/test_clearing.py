@@ -68,26 +68,27 @@ def street_trade(buy_account, sell_account, symbol="S0", qty=10, price=1000,
 def test_duplicate_trade_id_rejected():
     clearing, _ = make_clearing()
     report = street_trade("acct_a", "acct_b")
-    assert clearing.submit_trade(report, "exchange") is None
-    assert clearing.submit_trade(report, "exchange").rule == "DuplicateTrade"
+    assert clearing.submit_trade(report) is None
+    assert clearing.submit_trade(report).rule == "DuplicateTrade"
 
 
 def test_zero_quantity_rejected():
     clearing, _ = make_clearing()
     report = street_trade("acct_a", "acct_b", qty=0)
-    assert clearing.submit_trade(report, "exchange").rule == "NonPositiveQuantity"
+    assert clearing.submit_trade(report).rule == "NonPositiveQuantity"
 
 
-def test_one_share_trade_is_accepted():
+@pytest.mark.parametrize("unit", [{"qty": 1}, {"price": 1}], ids=["one_share", "one_minor_unit"])
+def test_a_trade_of_one_unit_is_accepted(unit):
     clearing, _ = make_clearing()
-    assert clearing.submit_trade(street_trade("acct_a", "acct_b", qty=1), "exchange") is None
+    assert clearing.submit_trade(street_trade("acct_a", "acct_b", **unit)) is None
     assert clearing.queue_size() == 1
 
 
 def test_unknown_account_rejected():
     clearing, _ = make_clearing()
     report = street_trade("acct_a", "ghost")
-    assert clearing.submit_trade(report, "exchange").rule == "UnknownAccount"
+    assert clearing.submit_trade(report).rule == "UnknownAccount"
 
 
 def test_extended_validation_caps_trade_value():
@@ -95,14 +96,14 @@ def test_extended_validation_caps_trade_value():
     clearing.extended_validation = True
     clearing.max_trade_value = Money(5000)
     report = street_trade("acct_a", "acct_b", qty=10, price=1000)
-    assert clearing.submit_trade(report, "exchange").rule == "TradeValueTooLarge"
+    assert clearing.submit_trade(report).rule == "TradeValueTooLarge"
 
 
 # -- gross clearing -----------------------------------------------------------
 
 def test_gross_single_trade_obligation_pair():
     clearing, _ = make_clearing()
-    clearing.submit_trade(street_trade("acct_a", "acct_b", qty=100, price=1040), "exchange")
+    clearing.submit_trade(street_trade("acct_a", "acct_b", qty=100, price=1040))
     obligations = clearing.clear_rec()
     assert len(obligations) == 2
     money_ob = next(o for o in obligations if o.kind == "money")
@@ -119,7 +120,7 @@ def test_empty_queue_clears_to_nothing():
 def test_gross_settles_bilaterally_and_marks_settled():
     clearing, ledger = make_clearing(endow_money=104000, endow_shares=100)
     report = street_trade("acct_a", "acct_b", qty=100, price=1040)
-    clearing.submit_trade(report, "exchange")
+    clearing.submit_trade(report)
     clearing.clear_rec()
     assert report.trade.status is TradeStatus.CLEARED
     instructions = clearing.settle_rec()
@@ -137,11 +138,9 @@ def test_netting_signed_sums_per_account_and_symbol():
     # account C buys 100 and sells 60 of S0 at 1040: nets +40 shares, -41600
     clearing, _ = make_clearing(accounts=("acct_c", "other"))
     clearing.submit_trade(
-        street_trade("acct_c", "other", qty=100, price=1040, buy_order="b1", sell_order="s1"),
-        "exchange")
+        street_trade("acct_c", "other", qty=100, price=1040, buy_order="b1", sell_order="s1"))
     clearing.submit_trade(
-        street_trade("other", "acct_c", qty=60, price=1040, buy_order="b2", sell_order="s2"),
-        "exchange")
+        street_trade("other", "acct_c", qty=60, price=1040, buy_order="b2", sell_order="s2"))
     clearing.netting = True
     obligations = clearing.clear_rec()
     net_c = next(o for o in obligations if o.party == "acct_c")
@@ -156,11 +155,9 @@ def test_netting_zero_net_accounts_get_no_obligation():
     clearing, _ = make_clearing(accounts=("acct_c", "other"))
     clearing.netting = True
     clearing.submit_trade(
-        street_trade("acct_c", "other", qty=50, price=1000, buy_order="b1", sell_order="s1"),
-        "exchange")
+        street_trade("acct_c", "other", qty=50, price=1000, buy_order="b1", sell_order="s1"))
     clearing.submit_trade(
-        street_trade("other", "acct_c", qty=50, price=1000, buy_order="b2", sell_order="s2"),
-        "exchange")
+        street_trade("other", "acct_c", qty=50, price=1000, buy_order="b2", sell_order="s2"))
     assert clearing.clear_rec() == []
 
 
@@ -182,7 +179,7 @@ def _random_trades(rng, accounts, symbols, count):
 def _run_mode(netting, trades, accounts, symbols):
     clearing, ledger = make_clearing(netting=netting, accounts=accounts, symbols=symbols)
     for spec in trades:
-        rejection = clearing.submit_trade(street_trade(**spec), "exchange")
+        rejection = clearing.submit_trade(street_trade(**spec))
         assert rejection is None
     clearing.clear_rec()
     clearing.settle_rec()
@@ -258,7 +255,7 @@ def test_settlement_cycle_is_all_or_nothing(netting, endowments, trades):
     reports = [street_trade(buy, sell, symbol=symbol, qty=qty, price=price)
                for (buy, sell, _), symbol, qty, price in trades]
     for report in reports:
-        assert clearing.submit_trade(report, "exchange") is None
+        assert clearing.submit_trade(report) is None
     clearing.clear_rec()
     expected = expected_outcome(netting, ledger, reports)
     journal_before = len(ledger.journal)
@@ -299,7 +296,7 @@ def test_cycle_short_on_second_instruction_commits_nothing(netting):
     reports = [street_trade("acct_a", "acct_b", qty=10, price=1000,
                             buy_order=f"b{i}", sell_order=f"s{i}") for i in range(2)]
     for report in reports:
-        clearing.submit_trade(report, "exchange")
+        clearing.submit_trade(report)
     clearing.clear_rec()
     journal_before = len(ledger.journal)
     snapshot_before = ledger.snapshot()
@@ -316,7 +313,7 @@ def test_cycle_short_on_second_instruction_commits_nothing(netting):
 
 def test_dvp_atomicity_gross_failed_leg_leaves_no_journal():
     clearing, ledger = make_clearing(endow_money=10**9, endow_shares=0, symbols=("S0",))
-    clearing.submit_trade(street_trade("acct_a", "acct_b", qty=10, price=1000), "exchange")
+    clearing.submit_trade(street_trade("acct_a", "acct_b", qty=10, price=1000))
     clearing.clear_rec()
     journal_before = len(ledger.journal)
     snapshot_before = ledger.snapshot()
@@ -330,7 +327,7 @@ def test_dvp_atomicity_gross_failed_leg_leaves_no_journal():
 def test_dvp_atomicity_netting_failed_leg_leaves_no_journal():
     clearing, ledger = make_clearing(
         netting=True, endow_money=0, endow_shares=10**6, symbols=("S0",))
-    clearing.submit_trade(street_trade("acct_a", "acct_b", qty=10, price=1000), "exchange")
+    clearing.submit_trade(street_trade("acct_a", "acct_b", qty=10, price=1000))
     clearing.clear_rec()
     journal_before = len(ledger.journal)
     snapshot_before = ledger.snapshot()
@@ -346,7 +343,7 @@ def test_gross_instructions_pair_money_and_equity_entries():
     for i in range(3):
         clearing.submit_trade(
             street_trade("acct_a", "acct_b", qty=5 + i, price=1000,
-                         buy_order=f"b{i}", sell_order=f"s{i}"), "exchange")
+                         buy_order=f"b{i}", sell_order=f"s{i}"))
     clearing.clear_rec()
     instructions = clearing.settle_rec()
     for instruction in instructions:
@@ -372,14 +369,14 @@ def test_deferred_side_waits_for_coverage():
     clearing, _ = make_clearing()
     report = street_trade("acct_a", "acct_b", qty=100, price=1000,
                           buy_deferred=True, buy_order="BLOCK1")
-    clearing.submit_trade(report, "exchange")
+    clearing.submit_trade(report)
     assert clearing.clear_rec() == []
     assert clearing.queue_size() == 1
 
-    assert clearing.submit_trade(client_record(1, "BLOCK1", 60), "custodian") is None
+    assert clearing.submit_trade(client_record(1, "BLOCK1", 60)) is None
     assert clearing.clear_rec() == []          # 60 of 100 covered
 
-    assert clearing.submit_trade(client_record(2, "BLOCK1", 40), "custodian") is None
+    assert clearing.submit_trade(client_record(2, "BLOCK1", 40)) is None
     obligations = clearing.clear_rec()
     assert len(obligations) == 2
     assert clearing.queue_size() == 0
@@ -387,19 +384,19 @@ def test_deferred_side_waits_for_coverage():
 
 def test_client_record_validation():
     clearing, _ = make_clearing()
-    assert clearing.submit_trade(client_record(1, "B", 0), "custodian").rule == \
+    assert clearing.submit_trade(client_record(1, "B", 0)).rule == \
         "NonPositiveQuantity"
     assert clearing.submit_trade(
-        client_record(2, "B", 10, account="ghost"), "custodian").rule == "UnknownAccount"
+        client_record(2, "B", 10, account="ghost")).rule == "UnknownAccount"
     record = client_record(3, "B", 10)
-    assert clearing.submit_trade(record, "custodian") is None
-    assert clearing.submit_trade(record, "custodian").rule == "DuplicateTrade"
+    assert clearing.submit_trade(record) is None
+    assert clearing.submit_trade(record).rule == "DuplicateTrade"
 
 
 def test_client_record_non_positive_price_rejected():
     clearing, _ = make_clearing()
     for n, price in enumerate((0, -5)):
-        rejection = clearing.submit_trade(client_record(n, "B", 10, price=price), "custodian")
+        rejection = clearing.submit_trade(client_record(n, "B", 10, price=price))
         assert rejection == Rejection("trade_validation", "NonPositivePrice", str(Money(price)))
 
 
@@ -410,8 +407,8 @@ def test_price_in_another_currency_is_refused_before_the_value_cap(extended):
     clearing.max_trade_value = Money(5000)      # 10 x 1000 is over it
     refused = Rejection("trade_validation", "CurrencyMismatch", str(Money(1000, "EUR")))
     report = street_trade("acct_a", "acct_b", qty=10, price=1000, currency="EUR")
-    assert clearing.submit_trade(report, "exchange") == refused
-    assert clearing.submit_trade(client_record(1, "B", 10, currency="EUR"), "custodian") == refused
+    assert clearing.submit_trade(report) == refused
+    assert clearing.submit_trade(client_record(1, "B", 10, currency="EUR")) == refused
     assert clearing.clear_rec() == []
     assert clearing.settle_rec() == []
     assert ledger.journal == []
@@ -435,16 +432,16 @@ def test_street_and_client_intake_report_the_same_rule_first(seen, qty, price, a
     if seen:    # an accepted submission already used each id
         earlier = street_trade("acct_a", "acct_b")
         earlier.trade.trade_id = report.trade.trade_id
-        assert clearing.submit_trade(earlier, "exchange") is None
-        assert clearing.submit_trade(client_record(1, "B", 10), "custodian") is None
-    assert clearing.submit_trade(report, "exchange").rule == rule
-    assert clearing.submit_trade(record, "custodian").rule == rule
+        assert clearing.submit_trade(earlier) is None
+        assert clearing.submit_trade(client_record(1, "B", 10)) is None
+    assert clearing.submit_trade(report).rule == rule
+    assert clearing.submit_trade(record).rule == rule
 
 
 def test_is_order_settled_tracks_street_trades():
     clearing, _ = make_clearing()
     report = street_trade("acct_a", "acct_b", qty=10, price=1000, buy_order="BLOCKX")
-    clearing.submit_trade(report, "exchange")
+    clearing.submit_trade(report)
     assert not clearing.is_order_settled("BLOCKX")
     clearing.clear_rec()
     clearing.settle_rec()
@@ -460,7 +457,7 @@ def test_conservation_across_clearing_cycles():
         start_money = total_money(ledger.snapshot())
         start_positions = total_positions(ledger.snapshot())
         for spec in _random_trades(rng, accounts, ["S0", "S1"], 10):
-            clearing.submit_trade(street_trade(**spec), "exchange")
+            clearing.submit_trade(street_trade(**spec))
         clearing.clear_rec()
         clearing.settle_rec()
         assert total_money(ledger.snapshot()) == start_money

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import projected
+from stpsim.clearing import ClientTradeRecord
 from stpsim.custodian import (
     AffirmationRejection,
     CustodianConfig,
@@ -45,8 +46,8 @@ class _StubClearing:
         self.records = []
         self.settled_orders = set()
 
-    def submit_trade(self, record, source):
-        self.records.append((record, source))
+    def submit_trade(self, record):
+        self.records.append(record)
         return None
 
     def is_order_settled(self, order_id):
@@ -310,12 +311,12 @@ def test_send_trades_exactly_once():
     assert custodian.send_trades_to_clearing_rec() == 2
     assert custodian.send_trades_to_clearing_rec() == 0
     assert len(clearing.records) == 2
-    record, source = clearing.records[0]
-    assert source == "custodian"
+    record = clearing.records[0]
+    assert type(record) is ClientTradeRecord
     assert record.block_order_id == "BR1-O1"
     assert record.account == "CU1.omnibus"
     assert record.side is Side.BUY
-    assert {r.quantity for r, _ in clearing.records} == {60, 40}
+    assert {r.quantity for r in clearing.records} == {60, 40}
 
 
 def test_nothing_affirmed_is_a_noop():

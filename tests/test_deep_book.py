@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from matchdriver import COMBOS, build_order, comparator_for, drive_pair, random_instance
+from matchdriver import COMBOS, build_order, comparator_for, drive_pair, random_instance, ranked
 from stpsim.exchange import OrderBook
 from stpsim.trading import OrderStatus, Side
 
@@ -62,17 +62,18 @@ def test_partial_fill_lets_larger_same_price_order_take_the_head(tiebreak):
     trades = book.submit(build_order(4, "buy", "market", None, 30), tuple_trade)
     assert trades == [(1040, 30, "O4", "O1")]
     assert book.best(Side.SELL).order_id == "O2"
-    assert [o.order_id for o in book.asks] == ["O2", "O1", "O3"]
-    assert [o.remaining for o in book.asks] == [80, 70, 500]
-    assert book.asks[0].status is OrderStatus.RESTING
-    assert book.asks[1].status is OrderStatus.PARTIALLY_FILLED
+    asks = ranked(book.asks)
+    assert [o.order_id for o in asks] == ["O2", "O1", "O3"]
+    assert [o.remaining for o in asks] == [80, 70, 500]
+    assert asks[0].status is OrderStatus.RESTING
+    assert asks[1].status is OrderStatus.PARTIALLY_FILLED
     assert book.depth() == 3
 
     trades = book.submit(build_order(5, "buy", "limit", 1040, 85), tuple_trade)
     assert trades == [(1040, 80, "O5", "O2"), (1040, 5, "O5", "O1")]
-    assert [o.order_id for o in book.asks] == ["O1", "O3"]
+    assert [o.order_id for o in ranked(book.asks)] == ["O1", "O3"]
     assert book.best(Side.SELL).remaining == 65
-    assert book.depth() == 2 and book.bids == []
+    assert book.depth() == 2 and ranked(book.bids) == []
 
 
 # -- FOK at a level's edge ----------------------------------------------------
@@ -100,7 +101,7 @@ def test_fok_at_limit_fills_exactly_through_the_limit_level(secondary, tiebreak,
     assert sum(qty for _, qty, _, _ in trades) == 90
     assert {price for price, _, _, _ in trades} == {ladder[0][0], ladder[1][0], 1050}
     resting = book.asks if side == "sell" else book.bids
-    assert [(o.order_id, o.remaining) for o in resting] == [("O5", 100)]
+    assert [(o.order_id, o.remaining) for o in ranked(resting)] == [("O5", 100)]
 
 
 @pytest.mark.parametrize("secondary,tiebreak", COMBOS)
@@ -112,5 +113,5 @@ def test_fok_one_share_beyond_the_limit_level_is_killed(secondary, tiebreak, sid
     assert book.submit(fok, tuple_trade) == []
     assert fok.status is OrderStatus.CANCELLED
     resting = book.asks if side == "sell" else book.bids
-    assert sorted(o.remaining for o in resting) == sorted(qty for _, qty in ladder)
+    assert sorted(o.remaining for o in ranked(resting)) == sorted(qty for _, qty in ladder)
     assert book.depth() == len(ladder)

@@ -25,7 +25,7 @@ abstract mandatory Market group:and
 
 def test_alternative_binding_is_direct_projection():
     model = parse_feature_model(SECONDARY_FM)
-    product = derive_product(model, Configuration.of("TimePriority"), "P")
+    product = derive_product(model, Configuration(frozenset({"TimePriority"})), "P")
     assert product.bindings["SecondaryPrecedence"] == ("TimePriority",)
 
 
@@ -38,7 +38,7 @@ def test_seco_a_binds_all_twenty_variation_points(catalog, seco_a_config):
 def test_invalid_configuration_is_rejected_with_report(toy_model):
     # missing the mandatory alternative choice under Mode
     with pytest.raises(InvalidConfiguration) as err:
-        derive_product(toy_model, Configuration.of("Toy"), "P")
+        derive_product(toy_model, Configuration(frozenset({"Toy"})), "P")
     assert not err.value.report.valid
 
 

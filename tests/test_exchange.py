@@ -3,13 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchdriver import COMBOS, build_order, comparator_for
+from matchdriver import COMBOS, build_order, comparator_for, ranked
 from stpsim.exchange import (
     ExchangeService,
     OrderBook,
     PrecedenceComparator,
     SecondaryPrecedence,
     TieBreak,
+    TradeReport,
 )
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
@@ -143,7 +144,7 @@ def test_cross_executes_at_resting_price():
     assert trades == [(1040, 100, "O2", "O1")]
     assert incoming.status is OrderStatus.FILLED
     assert resting.status is OrderStatus.FILLED
-    assert book.bids == [] and book.asks == []
+    assert ranked(book.bids) == [] and ranked(book.asks) == []
 
 
 def test_time_vs_size_priority_attribution():
@@ -165,8 +166,8 @@ def test_fill_or_kill_all_or_nothing():
     trades = book.submit(fok, tuple_trade)
     assert trades == []
     assert fok.status is OrderStatus.CANCELLED
-    assert [o.order_id for o in book.asks] == ["O1"]
-    assert book.asks[0].remaining == 100
+    assert [o.order_id for o in ranked(book.asks)] == ["O1"]
+    assert ranked(book.asks)[0].remaining == 100
 
 
 def test_fill_or_kill_fills_exactly_when_possible():
@@ -186,7 +187,7 @@ def test_market_remainder_cancels_never_rests():
     trades = book.submit(market, tuple_trade)
     assert trades == [(1040, 60, "O2", "O1")]
     assert market.status is OrderStatus.CANCELLED
-    assert book.bids == []
+    assert ranked(book.bids) == []
 
 
 def test_market_buy_cap_is_a_protection_price():
@@ -199,8 +200,8 @@ def test_market_buy_cap_is_a_protection_price():
     trades = book.submit(market, tuple_trade)
     assert trades == [(1000, 5, "O3", "O1")]    # the 1200 ask is over the cap
     assert market.status is OrderStatus.CANCELLED
-    assert [o.order_id for o in book.asks] == ["O2"]
-    assert book.bids == []
+    assert [o.order_id for o in ranked(book.asks)] == ["O2"]
+    assert ranked(book.bids) == []
 
 
 def test_market_sell_cap_bounds_nothing():
@@ -222,7 +223,7 @@ def test_immediate_or_cancel_takes_then_cancels():
     trades = book.submit(ioc, tuple_trade)
     assert trades == [(1040, 60, "O3", "O1")]   # 1060 ask is over the limit
     assert ioc.status is OrderStatus.CANCELLED
-    assert [o.order_id for o in book.asks] == ["O2"]
+    assert [o.order_id for o in ranked(book.asks)] == ["O2"]
 
 
 def test_partial_fill_rests_remainder():
@@ -281,7 +282,7 @@ def _naive_fillable(book, incoming):
         bound = incoming.limit_price
     else:
         bound = incoming.price_cap if buying else None
-    return sum(order.remaining for order in (book.asks if buying else book.bids)
+    return sum(order.remaining for order in ranked(book.asks if buying else book.bids)
                if bound is None
                or (order.limit_price <= bound if buying else order.limit_price >= bound))
 
@@ -308,7 +309,7 @@ def test_levels_and_fillable_quantity_agree_with_the_resting_orders(
         assert book.fillable_quantity(order) == _naive_fillable(book, order)
         book.submit(order, tuple_trade)
         for resting in (book.bids, book.asks):
-            assert resting.levels == _naive_levels(resting)
+            assert resting.levels == _naive_levels(ranked(resting))
             assert all(type(price) is int for price in resting.levels)
 
 
@@ -360,8 +361,8 @@ class _RecordingClearing:
     def __init__(self):
         self.received = []
 
-    def submit_trade(self, report, source):
-        self.received.append((report, source))
+    def submit_trade(self, report):
+        self.received.append(report)
         return None
 
 
@@ -384,8 +385,8 @@ def test_report_trades_rec_exactly_once():
     assert exchange.report_trades_rec() == 1
     assert exchange.report_trades_rec() == 0   # nothing pending: no-op
     assert len(clearing.received) == 1
-    report, source = clearing.received[0]
-    assert source == "exchange"
+    report = clearing.received[0]
+    assert type(report) is TradeReport
     assert report.trade is trades[0]
     assert report.trade.buy_order_id == "B1" and report.trade.sell_order_id == "S1"
 

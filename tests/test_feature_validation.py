@@ -20,7 +20,7 @@ def test_mandatory_closure_of_root_is_valid():
         "abstract mandatory Root group:and\n"
         "  concrete mandatory Base\n"
         "  concrete optional Extra\n")
-    report = validate_configuration(model, Configuration.of("Root"))
+    report = validate_configuration(model, Configuration(frozenset({"Root"})))
     assert report.valid
     assert report.normalized == {"Root", "Base"}
 
@@ -35,7 +35,7 @@ def test_order_type_without_matching_algorithm_names_the_constraint(catalog, sec
 
 def test_two_children_of_alternative_group_rejected(toy_model):
     report = validate_configuration(
-        toy_model, Configuration.of("Toy", "Core", "Mode", "Fast", "Safe"))
+        toy_model, Configuration(frozenset({"Toy", "Core", "Mode", "Fast", "Safe"})))
     assert not report.valid
     assert any(v.code == "AlternativeCardinality" for v in report.violations)
 
@@ -52,14 +52,14 @@ def test_or_group_needs_a_child():
         "  abstract mandatory Point group:or\n"
         "    concrete optional A\n"
         "    concrete optional B\n")
-    report = validate_configuration(model, Configuration.of("Root"))
+    report = validate_configuration(model, Configuration(frozenset({"Root"})))
     assert not report.valid
     assert any(v.code == "OrCardinality" for v in report.violations)
 
 
 def test_unknown_feature_name_raises(toy_model):
     with pytest.raises(UnknownFeatureName):
-        validate_configuration(toy_model, Configuration.of("Ghost"))
+        validate_configuration(toy_model, Configuration(frozenset({"Ghost"})))
 
 
 def test_closure_pulls_ancestors_and_mandatory_children(toy_model):
@@ -69,7 +69,7 @@ def test_closure_pulls_ancestors_and_mandatory_children(toy_model):
 
 
 def test_selecting_a_variant_is_enough_to_be_valid(toy_model):
-    report = validate_configuration(toy_model, Configuration.of("Fast"))
+    report = validate_configuration(toy_model, Configuration(frozenset({"Fast"})))
     assert report.valid
 
 
@@ -82,6 +82,7 @@ def test_catalog_closure_reaches_every_ancestor(catalog):
 @given(feature_models())
 def test_monotone_closure_only_adds(model):
     names = list(model.feature_names())
+    parents = _parents(model)
     for step in (1, 2, 3):
         seed_selection = frozenset(names[::step])
         closed = normalize(model, seed_selection)
@@ -89,8 +90,8 @@ def test_monotone_closure_only_adds(model):
         for name in closed - seed_selection:
             feature = model.feature(name)
             is_ancestor = any(
-                _is_ancestor(model, name, selected) for selected in closed)
-            parent = model.parent_of(name)
+                _is_ancestor(parents, name, selected) for selected in closed)
+            parent = parents[name]
             is_mandatory_child = (
                 feature.optionality.value == "mandatory"
                 and parent in closed
@@ -98,12 +99,17 @@ def test_monotone_closure_only_adds(model):
             assert is_ancestor or is_mandatory_child
 
 
-def _is_ancestor(model, candidate, name):
-    parent = model.parent_of(name)
+def _parents(model):
+    """feature name -> its parent's name, None for the root."""
+    return {name: entry["parent"] for name, entry in bruteforce.index_tree(model).items()}
+
+
+def _is_ancestor(parents, candidate, name):
+    parent = parents[name]
     while parent is not None:
         if parent == candidate:
             return True
-        parent = model.parent_of(parent)
+        parent = parents[parent]
     return False
 
 
@@ -126,7 +132,7 @@ def test_validity_agrees_with_bruteforce_predicate(model):
 
 
 def test_root_alone_reports_every_unbound_group_in_document_order(catalog):
-    report = validate_configuration(catalog, Configuration.of("EquityMarket"))
+    report = validate_configuration(catalog, Configuration(frozenset({"EquityMarket"})))
     groups = [
         ("alt", "BrokerOrderValidationRules"), ("or", "ClientOrderTypes"),
         ("alt", "BrokerMoneyTransferMethods"), ("alt", "BrokerEquityTransferMethods"),
@@ -161,6 +167,7 @@ def test_missing_matching_is_the_only_violation(catalog, seco_a_config):
 
 
 CATALOG = parse_feature_model(catalog_path().read_text())
+CATALOG_PARENTS = _parents(CATALOG)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -169,7 +176,7 @@ def test_closure_holds_every_parent_and_mandatory_child(selection):
     """The invariant that lets validation skip parent and mandatory-child checks."""
     normalized = validate_configuration(CATALOG, Configuration(selection)).normalized
     for name in normalized:
-        parent = CATALOG.parent_of(name)
+        parent = CATALOG_PARENTS[name]
         assert parent is None or parent in normalized
         feature = CATALOG.feature(name)
         if feature.group is GroupKind.AND:

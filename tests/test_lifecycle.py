@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_scenario, over_the_trade_value_cap
 from faults import FAULT_KINDS, LeakyLedger, inject, run_leaking
 from matchdriver import comparator_for
-from stpsim.clearing import ClearingCorporation
+from stpsim.clearing import ClearingCorporation, ClientTradeRecord
 from stpsim.custodian import CustodianService
 from stpsim.data import config_path, scenario_path
 from stpsim.features import derive_product, parse_configuration
@@ -403,10 +403,10 @@ def test_clearing_refusal_of_a_client_record_aborts_at_client_trades_to_clearing
         products, monkeypatch):
     submit = ClearingCorporation.submit_trade
 
-    def refuse_client_records(clearing, record, source):
-        if source == "custodian":
+    def refuse_client_records(clearing, record):
+        if type(record) is ClientTradeRecord:
             return Rejection("trade_validation", "Refused", record.trade_id)
-        return submit(clearing, record, source)
+        return submit(clearing, record)
 
     monkeypatch.setattr(ClearingCorporation, "submit_trade", refuse_client_records)
     report = run_scenario(products["SECO_A"], load_scenario("retail_institutional"))

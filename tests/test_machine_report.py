@@ -241,7 +241,7 @@ def test_run_report_holds_the_participants_records(products):
     scenario = load_scenario("institutional_institutional")
     eco = build_ecosystem(products["seco_a"], scenario)
     report = ScenarioRunner(eco, scenario).run()
-    assert report.journal_lines is eco.ledger.journal
+    assert report.journal_lines == tuple(eco.ledger.journal)
     assert report.trade_lines == [trade for exchange in eco.exchanges.values()
                                   for trade in exchange.executed]
     assert report.audit_lines == [record for broker in eco.brokers.values()
@@ -252,6 +252,19 @@ def test_run_report_holds_the_participants_records(products):
     assert all(len(lines) > 0 for lines in (
         report.trade_lines, report.audit_lines, report.affirmation_lines,
         report.instruction_lines, report.journal_lines))
+
+
+def test_editing_the_reports_journal_raises_and_leaves_the_ledgers_journal(products):
+    scenario = load_scenario("retail_retail")
+    eco = build_ecosystem(products["seco_a"], scenario)
+    report = ScenarioRunner(eco, scenario).run()
+    journal = list(eco.ledger.journal)
+    assert journal
+    with pytest.raises(AttributeError):
+        report.journal_lines.pop()
+    with pytest.raises(TypeError):
+        report.journal_lines[0] = journal[-1]
+    assert eco.ledger.journal == journal
 
 
 # -- delta round trip ----------------------------------------------------------

@@ -27,8 +27,7 @@ from stpsim.report import render_machine
 
 def test_money_arithmetic_is_exact_integers():
     assert Money(1040) * 100 == Money(104000)
-    assert Money(150000) - Money(104000) == Money(46000)
-    assert -Money(5) == Money(-5)
+    assert Money(46000) + Money(104000) == Money(150000)
 
 
 def test_money_rejects_cross_currency():
