@@ -219,9 +219,9 @@ class BrokerService:
             if draft.side is BUY:
                 # validation guarantees a retail buy a limit or a cap
                 required = (draft.limit_price or draft.price_cap) * draft.quantity
-                if not self.ledger.can_pay(draft.client, required):
+                if self.ledger.balance(draft.client) < required:
                     return "InsufficientPrefunding"
-            elif not self.ledger.can_deliver(draft.client, draft.symbol, draft.quantity):
+            elif self.ledger.position(draft.client, draft.symbol) < draft.quantity:
                 return "InsufficientPrefunding"
         return None
 

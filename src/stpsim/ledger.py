@@ -5,6 +5,12 @@ money or equity movement debits exactly one account and credits exactly one
 other, and is appended to a journal. Failed transfers leave the ledger
 untouched. Committed balances can never go negative (there is no credit,
 no short selling).
+
+A balance is read one way while running and one way per step. Live, through
+`Ledger.balance` and `Ledger.position`, each of which raises `UnknownAccount`
+for an owner the ledger never opened; the `Account` records behind them are
+this module's own. Per step, through the `Snapshot` that `Ledger.snapshot`
+returns, whose `changes()` lists the accounts that step recorded anew.
 """
 
 from __future__ import annotations
@@ -52,27 +58,15 @@ _new_object = object.__new__
 
 
 class Account:
-    """One owner's live balances, read-only: `money` has no setter and
-    `positions` is a read-only view of the account's positions dict.
+    """One owner's live balances, a record only this module reads.
 
-    Only the ledger's own code writes a balance, through `_money` and
-    `_positions`: `open_account` and the two transfers, each of which marks
-    its owners touched for the next `Ledger.snapshot`; every transfer is
-    journalled. Accounts are made only by `Ledger.open_account`.
+    `Ledger.balance` and `Ledger.position` read it; `open_account` and the
+    two transfers write it, each marking its owners touched for the next
+    `Ledger.snapshot`, and every transfer is journalled. Accounts are made
+    only by `Ledger.open_account`.
     """
 
     __slots__ = ("owner", "_money", "_positions")
-
-    @property
-    def money(self) -> Money:
-        return self._money
-
-    @property
-    def positions(self) -> Mapping[str, int]:
-        return MappingProxyType(self._positions)
-
-    def __repr__(self) -> str:
-        return f"Account({self.owner!r}, {self._money!r}, {self._positions!r})"
 
 
 class JournalEntry(NamedTuple):
@@ -111,8 +105,8 @@ class Snapshot(Mapping):
     """
 
     # `_versions` is the ledger's, of which the first `_count` owners had
-    # been opened by then; `_previous` is the ledger's snapshot before this one
-    __slots__ = ("_delta", "_versions", "_index", "_count", "_previous")
+    # been opened by then
+    __slots__ = ("_delta", "_versions", "_index", "_count")
 
     def __getitem__(self, owner: str) -> AccountSnapshot:
         history = self._versions.get(owner)
@@ -132,15 +126,10 @@ class Snapshot(Mapping):
     def __repr__(self) -> str:
         return f"Snapshot({dict(self)!r})"
 
-    def changes(self, since: Snapshot | None) -> Iterable[tuple[str, AccountSnapshot]]:
-        """(owner, balances) for every account recorded anew since `since`.
-
-        `since` must be the snapshot the ledger took just before this one,
-        or None for its first. Accounts are never closed, so every owner of
-        `since` is an owner here too.
-        """
-        if since is not self._previous:
-            raise ValueError("changes are taken since the ledger's previous snapshot")
+    def changes(self) -> Iterable[tuple[str, AccountSnapshot]]:
+        """(owner, balances) for every account recorded anew since the ledger's
+        previous snapshot; at its first, every account. Accounts are never
+        closed, so every owner of the previous snapshot is an owner here too."""
         return self._delta.items()
 
 
@@ -158,10 +147,10 @@ class Ledger:
         # owner -> (snapshot indices, the balances recorded at each); owners
         # in opening order
         self._versions: dict[str, tuple[list[int], list[AccountSnapshot]]] = {}
-        self._last: Snapshot | None = None
+        self._taken = 0  # snapshots taken so far: the next one's index
 
     def open_account(self, owner: str, money: Money | None = None,
-                     positions: dict[str, int] | None = None) -> Account:
+                     positions: dict[str, int] | None = None) -> None:
         """Check and open one account, marked touched; the only way to make an `Account`."""
         accounts, currency = self.accounts, self.currency
         if owner in accounts:
@@ -177,19 +166,18 @@ class Ledger:
         acct._money = money
         acct._positions = dict(positions) if positions else {}
         self._touched[owner] = None
-        return acct
 
-    def account(self, owner: str) -> Account:
+    def balance(self, owner: str) -> Money:
         try:
-            return self.accounts[owner]
+            return self.accounts[owner]._money
         except KeyError:
             raise UnknownAccount(owner) from None
 
-    def balance(self, owner: str) -> Money:
-        return self.account(owner).money
-
     def position(self, owner: str, symbol: str) -> int:
-        return self.account(owner)._positions.get(symbol, 0)
+        try:
+            return self.accounts[owner]._positions.get(symbol, 0)
+        except KeyError:
+            raise UnknownAccount(owner) from None
 
     def transfer_money(self, src: str, dst: str, amount: Money, cause: str = "") -> int:
         """Move `amount` from `src` to `dst`; returns the journal entry seq.
@@ -249,12 +237,6 @@ class Ledger:
         journal.append(_new(JournalEntry, (seq, "equity", src, dst, qty, symbol, cause)))
         return seq
 
-    def can_pay(self, owner: str, amount: Money) -> bool:
-        return self.account(owner).money >= amount
-
-    def can_deliver(self, owner: str, symbol: str, qty: int) -> bool:
-        return self.account(owner)._positions.get(symbol, 0) >= qty
-
     def snapshot(self) -> Snapshot:
         """All balances as a `Snapshot`; later ledger mutations are invisible to it.
 
@@ -265,8 +247,7 @@ class Ledger:
         """
         accounts, versions, touched = self.accounts, self._versions, self._touched
         read_only = MappingProxyType
-        last = self._last
-        index = 0 if last is None else last._index + 1
+        index = self._taken
         delta = {}
         for owner in touched:
             acct = accounts[owner]
@@ -286,8 +267,7 @@ class Ledger:
         snap._versions = versions
         snap._index = index
         snap._count = len(versions)
-        snap._previous = last
-        self._last = snap
+        self._taken = index + 1
         return snap
 
 

@@ -18,11 +18,12 @@ costs what changed, not the size of the ledger.
 `assert_conservation` then replays the report: every consecutive snapshot
 pair must conserve total money and per-symbol share counts exactly, and the
 final snapshot must equal the scenario's expected balances, with every
-unlisted account flat. It folds each step's `Snapshot.changes` into one
+unlisted account flat. It folds each step's `Snapshot.changes()` into one
 running account -> `AccountSnapshot` dict, so a pair costs its changes, and
 the sum of each changed entry's new minus old balances equals the
-difference of the pair's full totals. The final check reads that dict. It
-reads only recorded values, never the ledger's live accounts or counters.
+difference of the pair's full totals; `changes()` is relative to the
+ledger's previous snapshot, so the steps must be its consecutive ones. The
+final check reads that dict: recorded values only, never live accounts.
 A step record and its snapshot are read-only, and only the ledger's
 transfers and account openings change a balance, so a fault the check
 catches is a fault of the ledger, recorded by `Ledger.snapshot`.
@@ -173,7 +174,6 @@ class ScenarioRunner:
     def _place_order(self, action: OrderAction) -> None:
         scenario, client = self.scenario, action.client
         step = f"order_{action.index}_{client}"
-        # `Scenario.broker_of` and `is_institution`, read in place
         broker = self.eco.brokers[scenario._brokers[client]]
         draft = _new(OrderDraft, (
             client, action.side, action.symbol, action.quantity, action.order_type,
@@ -257,13 +257,13 @@ def run_scenario(product, scenario: Scenario) -> ScenarioReport:
     return ScenarioRunner(ecosystem, scenario).run()
 
 
-def _fold(running: dict[str, AccountSnapshot], current: Snapshot,
-          previous: Snapshot | None) -> tuple[int, dict[str, int]]:
-    """Bring `running` from `previous` to `current`; return the net money and
-    per-symbol share change, which equals the difference of their full totals."""
+def _fold(running: dict[str, AccountSnapshot], current: Snapshot) -> tuple[int, dict[str, int]]:
+    """Bring `running` from the ledger's previous snapshot to `current`; return
+    the net money and per-symbol share change, which equals the difference of
+    their full totals."""
     money = 0
     shares: dict[str, int] = {}
-    for account, after in current.changes(previous):
+    for account, after in current.changes():
         before = running.get(account)
         if before is not None:
             money -= before.money.amount
@@ -285,12 +285,12 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
     checks: list[CheckResult] = []
     steps = report.steps
     final: dict[str, AccountSnapshot] = {}  # every account as of the last step folded
-    before = None
     record = checks.append  # takes each CheckResult, built positionally
     for previous, current in zip([None, *steps], steps):
         after = current.snapshot
-        money, shares = _fold(final, after, before)
+        money, shares = _fold(final, after)
         if previous is not None:
+            before = previous.snapshot
             money_ok = money == 0
             record(_new(CheckResult, (
                 f"conserve_money[{previous.name}->{current.name}]", money_ok,
@@ -299,7 +299,6 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
             record(_new(CheckResult, (
                 f"conserve_equity[{previous.name}->{current.name}]", equity_ok,
                 "" if equity_ok else f"{total_positions(before)} -> {total_positions(after)}")))
-        before = after
 
     scenario = report.scenario
     if scenario is not None and steps:

@@ -29,9 +29,10 @@ money leg ``<payer>-><payee>:<amount>`` and an equity leg
 A ``balance`` line gives an account's balances from step n on: step 1 lists
 every account, and a later step lists only the accounts whose balances
 changed since they were last written, so the report grows with what the run
-changed, not with steps x accounts. A file that restates every account at
-every step is read the same way. Accounts are never closed, so every step
-lists every account an earlier step had.
+changed, not with steps x accounts. `render_machine` writes them from each
+step's `Snapshot.changes()`, which a step's record holds by itself. A file
+that restates every account at every step is read the same way. Accounts
+are never closed, so every step lists every account an earlier step had.
 
 `parse_machine` reads a file back by these rules, and names the line of the
 first record that breaks one in a `ReportParseError`: each record has at
@@ -51,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .custodian import AffirmationRejection
-from .ledger import Snapshot
 from .lifecycle import CheckResult, ScenarioReport
 from .money import _new
 
@@ -59,11 +59,10 @@ from .money import _new
 def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     lines = [f"run|product={report.product_name}|scenario={report.scenario_id}"]
     written: dict[str, str] = {}  # account -> the "|account|money|positions" text last written
-    previous: Snapshot | None = None
     for index, (name, snapshot, events) in enumerate(report.steps, start=1):
         lines.append(f"step|{index}|{name}|{';'.join(events)}")
         head = f"balance|{index}"
-        for account, balances in sorted(snapshot.changes(previous)):
+        for account, balances in sorted(snapshot.changes()):
             positions = balances.positions
             if len(positions) > 1:
                 held = ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
@@ -75,7 +74,6 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
             if written.get(account) != text:
                 written[account] = text
                 lines.append(head + text)
-        previous = snapshot
     for trade in report.trade_lines:
         lines.append(f"trade|{trade.trade_id}|{trade.symbol}|{trade.price.amount}"
                      f"|{trade.quantity}|{trade.buy_order_id}|{trade.sell_order_id}")

@@ -238,12 +238,6 @@ class Scenario:
     def participant_ids(self, role: ParticipantRole) -> tuple[str, ...]:
         return self.participants.get(role, ())
 
-    def broker_of(self, client_account: str) -> str:
-        return self._brokers[client_account]  # KeyError(client_account) if unknown
-
-    def is_institution(self, client_account: str) -> bool:
-        return client_account in self._institutions
-
     def institution(self, account: str) -> Institution:
         """The first institution declared under `account`."""
         return self._institutions[account]  # KeyError(account) if unknown

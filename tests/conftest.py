@@ -50,6 +50,13 @@ def load_scenario(scenario_id):
     return parse_scenario(scenario_path(scenario_id).read_text())
 
 
+def live_balances(ledger):
+    """owner -> (money, positions dict, zeros kept), read straight from the
+    ledger's own account records: the live state a test holds records to."""
+    return {owner: (account._money, dict(account._positions))
+            for owner, account in ledger.accounts.items()}
+
+
 def projected(config_name):
     """participant -> config field -> value for a shipped configuration."""
     model = parse_feature_model(catalog_path().read_text())

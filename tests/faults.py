@@ -1,8 +1,9 @@
 """Ledger faults on demand, for the tests of the conservation check.
 
-Only the ledger writes a balance: `Account.money` has no setter,
-`Account.positions` is a read-only view, and a step record is an immutable
-record over a read-only snapshot. So a fault the conservation check must
+Only the ledger writes a balance: an `Account` has no public surface but
+its owner, `Ledger.balance` and `Ledger.position` hand out an immutable
+`Money` and an int, and a step record is an immutable record over a
+read-only snapshot. So a fault the conservation check must
 catch is a fault of the ledger itself, which a run records through
 `Ledger.snapshot` like any other change. `LeakyLedger` is a ledger with
 such a fault on demand: a transfer that credits more, or less, than it

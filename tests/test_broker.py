@@ -205,12 +205,12 @@ def test_another_brokers_client_is_unknown():
     not serve them: BR1 refuses their orders, and BR2 takes them."""
     broker, _, ledger, _ = make_desk()
     pid = ParticipantId(ParticipantRole.BROKER, "BR2")
-    other = BrokerService(pid, broker.registry, ledger, ledger.open_account("BR2.house").owner,
-                          FIRST_VENUE)
+    for owner, money in (("BR2.house", None), ("rc2", Money(150000)), ("fund2", None)):
+        ledger.open_account(owner, money)
+    other = BrokerService(pid, broker.registry, ledger, "BR2.house", FIRST_VENUE)
     broker.registry.register(pid, other)
-    other.add_retail_client(ledger.open_account("rc2", Money(150000)).owner)
-    other.add_institution(ledger.open_account("fund2").owner,
-                          ParticipantId(ParticipantRole.CUSTODIAN, "CU1"))
+    other.add_retail_client("rc2")
+    other.add_institution("fund2", ParticipantId(ParticipantRole.CUSTODIAN, "CU1"))
     assert broker.place_retail_order(buy_draft(client="rc2")) == Rejection(
         "validation", "UnknownClient")
     assert broker.place_institutional_order(buy_draft(client="fund2")) == Rejection(

@@ -45,24 +45,23 @@ def check_build(product, text):
     for owner, account in ledger.accounts.items():
         money, positions = endowed.get(owner, (0, {}))
         assert account.owner == owner
-        assert account.money == Money(money, currency)
-        assert dict(account.positions) == positions
+        assert (account._money, account._positions) == (Money(money, currency), positions)
 
     accounts = list(ledger.accounts.values())
     assert len({id(account._positions) for account in accounts}) == len(accounts)
 
     # a cent and a share into every account in turn, from an account opened for it
-    source = ledger.open_account("ZZ.oracle", Money(len(accounts), currency),
-                                 {"ZZ-ORACLE": len(accounts)})
+    source = "ZZ.oracle"
+    ledger.open_account(source, Money(len(accounts), currency), {"ZZ-ORACLE": len(accounts)})
     ledger.snapshot()  # records every opening
     for account in accounts:
-        ledger.transfer_money(source.owner, account.owner, Money(1, currency))
-        ledger.transfer_equity(source.owner, account.owner, "ZZ-ORACLE", 1)
-        assert list(ledger.snapshot()._delta) == [source.owner, account.owner]
+        ledger.transfer_money(source, account.owner, Money(1, currency))
+        ledger.transfer_equity(source, account.owner, "ZZ-ORACLE", 1)
+        assert list(ledger.snapshot()._delta) == [source, account.owner]
     for account in accounts:
         money, positions = endowed.get(account.owner, (0, {}))
-        assert account.money == Money(money + 1, currency)
-        assert dict(account.positions) == {**positions, "ZZ-ORACLE": 1}
+        assert (account._money, account._positions) == (
+            Money(money + 1, currency), {**positions, "ZZ-ORACLE": 1})
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)

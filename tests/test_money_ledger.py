@@ -1,9 +1,12 @@
 import operator
+import sys
+import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_scenario
+from conftest import live_balances, load_scenario
 from faults import FAULT_KINDS, LeakyLedger, inject
 from stpsim.ledger import (
     AccountSnapshot,
@@ -19,10 +22,12 @@ from stpsim.ledger import (
     total_money,
     total_positions,
 )
+from perfbench.workloads import WORKLOADS
 from stpsim.assembly import build_ecosystem
-from stpsim.lifecycle import ScenarioRunner, StepRecord, run_scenario
+from stpsim.lifecycle import ScenarioRunner, StepRecord, assert_conservation, run_scenario
 from stpsim.money import CurrencyMismatch, Money
 from stpsim.report import render_machine
+from stpsim.scenarios import parse_scenario
 
 
 def test_money_arithmetic_is_exact_integers():
@@ -160,6 +165,8 @@ def test_shortfall_messages(call, error, message):
     (lambda l: l.transfer_equity("alice", "nobody", "ACME", 1), "nobody"),
     (lambda l: l.transfer_equity("nobody", "bob", "ACME", 1), "nobody"),
     (lambda l: l.transfer_equity("ghost", "nobody", "ACME", 1), "ghost"),
+    (lambda l: l.balance("nobody"), "nobody"),
+    (lambda l: l.position("nobody", "ACME"), "nobody"),
 ])
 def test_unknown_account_names_the_missing_owner(call, missing):
     ledger = make_ledger()
@@ -196,8 +203,9 @@ def test_refused_transfer_leaves_balances_journal_and_next_delta_empty(call):
     assert after == before
     assert [ledger.balance(owner) for owner in ("alice", "bob", "carol")] == [
         Money(1000), Money(0), Money(7)]
-    assert [dict(ledger.account(owner).positions) for owner in ("alice", "bob", "carol")] == [
-        {"ACME": 10}, {}, {"ACME": 1}]
+    assert live_balances(ledger) == {
+        "alice": (Money(1000), {"ACME": 10}), "bob": (Money(0), {}),
+        "carol": (Money(7), {"ACME": 1})}
 
 
 @pytest.mark.parametrize("call, owners", [
@@ -291,40 +299,81 @@ def test_conservation_and_replay_over_random_transfers(moves):
 
 # -- read-only balances, touched accounts and shared snapshots -----------------
 
+# An account's public surface is its owner; `balance` hands out an immutable
+# Money and `position` an int, so neither is a path to a write.
 @pytest.mark.parametrize("write", [
-    lambda a: setattr(a, "money", Money(7)),
-    lambda a: setattr(a, "positions", {"ACME": 99}),
-    lambda a: operator.setitem(a.positions, "ACME", 4),
-    lambda a: operator.delitem(a.positions, "ACME"),
-    lambda a: a.positions.update(ACME=4),
-    lambda a: a.positions.pop("ACME"),
-    lambda a: a.positions.popitem(),
-    lambda a: a.positions.clear(),
-    lambda a: a.positions.setdefault("NEW", 3),
-    lambda a: a.positions.__ior__({"ACME": 4}),
-    lambda a: dict.__setitem__(a.positions, "ACME", 7),
-], ids=["money", "positions", "setitem", "delitem", "update", "pop", "popitem", "clear",
-        "setdefault", "ior", "dict_setitem"])
+    lambda l: setattr(l.accounts["alice"], "money", Money(7)),
+    lambda l: setattr(l.accounts["alice"], "positions", {"ACME": 99}),
+    lambda l: setattr(l.accounts["alice"], "cash", Money(7)),
+    lambda l: setattr(l.balance("alice"), "amount", 7),
+    lambda l: setattr(l.balance("alice"), "currency", "EUR"),
+    lambda l: operator.setitem(l.balance("alice"), 0, 7),
+], ids=["money", "positions", "new_attribute", "balance_amount", "balance_currency",
+        "balance_setitem"])
 def test_direct_account_write_raises_and_changes_nothing(write):
     ledger = make_ledger()
     before = ledger.snapshot()
-    account = ledger.accounts["alice"]
     with pytest.raises((AttributeError, TypeError)):
-        write(account)
-    assert (account.money, dict(account.positions)) == (Money(1000), {"ACME": 10})
+        write(ledger)
+    assert live_balances(ledger) == {"alice": (Money(1000), {"ACME": 10}), "bob": (Money(0), {})}
     assert ledger.snapshot()._delta == {}
     assert before["alice"] == AccountSnapshot(Money(1000), {"ACME": 10})
 
 
-def test_positions_view_follows_the_ledger_and_reading_it_records_nothing():
+def test_live_reads_follow_the_ledger_and_record_nothing():
     ledger = make_ledger()
-    kept = ledger.accounts["alice"].positions
     first = ledger.snapshot()
+    assert (ledger.balance("alice"), ledger.position("alice", "ACME")) == (Money(1000), 10)
+    assert ledger.snapshot()._delta == {}
     ledger.transfer_equity("alice", "bob", "ACME", 7)
-    assert kept == {"ACME": 3}
+    assert (ledger.position("alice", "ACME"), ledger.position("bob", "ACME")) == (3, 7)
     second = ledger.snapshot()
-    assert ledger.accounts["alice"].positions["ACME"] == 3
+    assert ledger.position("alice", "ACME") == 3
     assert ledger.snapshot()["alice"] is second["alice"] is not first["alice"]
+
+
+def _codes(code):
+    """`code` and the code of every function or comprehension nested in it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _codes(const)
+
+
+# all a life cycle may run of ledger.py: the transfers, the step record, the
+# two live reads and a step's changes
+LIFE_CYCLE_SURFACE = {
+    code for function in (Ledger.transfer_money, Ledger.transfer_equity, Ledger.snapshot,
+                          Ledger.balance, Ledger.position, Snapshot.changes)
+    for code in _codes(function.__code__)}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_a_workload_life_cycle_reads_the_ledger_one_way(request, workload):
+    """Run, conservation check and rendering, as the benchmark times them,
+    enter no other function of ledger.py."""
+    spec = WORKLOADS[workload]
+    product = request.getfixturevalue({"seco_a": "product_a", "seco_b": "product_b"}[spec.product])
+    scenario = parse_scenario(spec.scenario_text(1))
+    eco = build_ecosystem(product, scenario)
+    ledger_file = Ledger.snapshot.__code__.co_filename
+    entered: Counter = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == ledger_file
+                and code not in LIFE_CYCLE_SURFACE):
+            entered[code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        report = ScenarioRunner(eco, scenario).run()
+        render_machine(report, assert_conservation(report))
+    finally:
+        sys.setprofile(previous)
+    assert report.all_checks_passed
+    assert entered == {}
 
 
 def test_snapshot_shares_untouched_accounts_and_renews_touched_ones():
@@ -353,7 +402,7 @@ def test_editing_a_returned_snapshot_raises(write):
     expected = {owner: (acct.money, dict(acct.positions)) for owner, acct in snap.items()}
     with pytest.raises((AttributeError, TypeError)):
         write(snap)
-    assert snap == expected and dict(snap.changes(None)) == expected
+    assert snap == expected and dict(snap.changes()) == expected
     assert ledger.snapshot() == expected
 
 
@@ -402,8 +451,8 @@ def test_a_recorded_step_cannot_be_edited(product_a):
 
 def full_copy(ledger):
     """Every account's balances, copied from the live accounts."""
-    return {owner: AccountSnapshot(acct.money, {s: q for s, q in acct.positions.items() if q})
-            for owner, acct in ledger.accounts.items()}
+    return {owner: AccountSnapshot(money, {s: q for s, q in positions.items() if q})
+            for owner, (money, positions) in live_balances(ledger).items()}
 
 
 OWNERS = ("a0", "a1", "a2", "a3")
@@ -462,8 +511,8 @@ def test_changes_are_taken_only_since_the_previous_snapshot():
     ledger.transfer_money("alice", "bob", Money(1))
     second = ledger.snapshot()
     third = ledger.snapshot()
-    assert dict(first.changes(None)) == dict(first)
-    assert dict(second.changes(first)) == {"alice": second["alice"], "bob": second["bob"]}
-    assert dict(third.changes(second)) == {}
-    with pytest.raises(ValueError):
-        third.changes(first)
+    assert dict(first.changes()) == dict(first)
+    assert dict(second.changes()) == {"alice": second["alice"], "bob": second["bob"]}
+    assert dict(third.changes()) == {}
+    # a step read late still gives what it recorded then
+    assert dict(second.changes()) == {"alice": second["alice"], "bob": second["bob"]}

@@ -67,3 +67,19 @@ def test_lower_is_better_where_the_benchmark_says_so():
 def test_a_run_that_is_not_correct_is_refused(stdout):
     with pytest.raises(perf_pairs.RunRefused):
         perf_pairs.result_of(stdout, "change")
+
+
+def test_a_refused_run_quotes_the_end_of_its_stderr(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('warming up', file=sys.stderr)\n"
+        "print('CLI parity mismatch: seco_a x retail_retail', file=sys.stderr)\n"
+        f"print({line(100, 0.01, correct=False)!r})\n")
+    with pytest.raises(perf_pairs.RunRefused) as refused:
+        perf_pairs.run(tmp_path, "retail_cross", 1, 0.1, 0)
+    assert str(refused.value).splitlines() == [
+        f"{tmp_path} retail_cross seed 1: correct is False, 1 of 6 repeats failed",
+        "  warming up",
+        "  CLI parity mismatch: seco_a x retail_retail",
+    ]

@@ -1,6 +1,8 @@
-"""`tools/reach.py` on a toy package: the run path reaches `run` and
-`helper`, only a unit test reaches `unit_only` and `Box.__repr__`, nothing
-reaches `unreached`, and the allow-list names `Box.__repr__`."""
+"""`tools/reach.py` on toy packages. In the first, the run path, which
+starts at `run`, reaches `run`, `helper` and `Box.size`; only a unit test
+reaches `unit_only` and `Box.__repr__`; nothing reaches `unreached`; and
+the allow-list names `Box.__repr__`. The second shows what a run-path test
+file's own calls count for."""
 
 import importlib.util
 import json
@@ -15,7 +17,7 @@ _spec.loader.exec_module(reach)
 
 TOY = '''\
 def run():
-    return helper()
+    return helper() + Box().size - 4
 
 
 def helper():
@@ -60,7 +62,8 @@ def test_reach_names_unit_only_and_unreached_functions_and_honours_the_allow_lis
     allow = toy_checkout(tmp_path)
     monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")   # the toy needs no plugin
     code = reach.main(["--check"], root=tmp_path, run_path=(("tests/test_run.py",),),
-                      tier1=(("tests",),), allow_list=allow)
+                      tier1=(("tests",),), allow_list=allow,
+                      entries=(("src/toy/__init__.py", "run"),))
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert out[:5] == [
@@ -83,6 +86,51 @@ def test_reach_names_unit_only_and_unreached_functions_and_honours_the_allow_lis
         "Box.size": (18, ["tests/test_run.py"]),
         "Box.__repr__": (22, ["tests/test_unit.py"]),
     }
+
+
+CLI_TOY = '''\
+def main():
+    return beneath()
+
+
+def beneath():
+    return 1
+
+
+def called_directly():
+    return 2
+
+
+def at_import():
+    return 3
+
+
+AT_IMPORT = at_import()
+'''
+
+
+def test_only_calls_beneath_an_entry_or_an_import_count_for_the_run_path(
+        tmp_path, capsys, monkeypatch):
+    """A run-path test file's direct call, here to `called_directly`, leaves
+    that function reached only by unit tests."""
+    (tmp_path / "src" / "toy").mkdir(parents=True)
+    (tmp_path / "src" / "toy" / "__init__.py").write_text(CLI_TOY)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_run.py").write_text(
+        "import toy\n\n\ndef test_run():\n    assert toy.main() == 1\n"
+        "    assert toy.called_directly() == 2\n")
+    allow = tmp_path / "allow.txt"
+    allow.write_text("")
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
+    code = reach.main([], root=tmp_path, run_path=(("tests/test_run.py",),),
+                      tier1=(("tests",),), allow_list=allow,
+                      entries=(("src/toy/__init__.py", "main"),))
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "reached only by unit tests: 1",
+        "  src/toy/__init__.py:9: called_directly",
+        "reached by nothing: 0",
+    ]
 
 
 def test_an_allow_list_entry_needs_a_reason(tmp_path):

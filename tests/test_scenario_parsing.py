@@ -52,7 +52,7 @@ def test_malformed_line_raises_format_error_with_line_number(bad):
 def test_well_formed_header_parses():
     scenario = parse_scenario(HEADER + ROLES)
     assert scenario.orders[0].quantity == 10
-    assert scenario.broker_of("A") == "BR1"
+    assert scenario._brokers["A"] == "BR1"  # the map the runner reads per order
 
 
 def test_cli_exits_one_without_traceback_on_malformed_scenario(tmp_path):
@@ -95,7 +95,7 @@ def test_undeclared_name_raises_format_error_with_line_number(bad, named):
 def test_names_may_be_declared_after_the_line_that_uses_them():
     scenario = parse_scenario("scenario: s\norder: A buy 1 ACME market\nsymbol: ACME\n"
                               "retail: A broker=BR1\nbroker: BR1\n" + ROLES)
-    assert scenario.broker_of("A") == "BR1"
+    assert scenario._brokers["A"] == "BR1"
     assert scenario.symbols == ("ACME",)
 
 
@@ -105,8 +105,8 @@ def test_institutions_are_looked_up_by_account_also_after_replace():
     moved = Institution("J", "BR2", "CU1", ("E2",))
     edited = replace(scenario, institutions=(moved,))
     assert edited.institution("J") is moved
-    assert edited.is_institution("J") and not edited.is_institution("I")
-    assert edited.broker_of("J") == "BR2"
+    assert "J" in edited._institutions and "I" not in edited._institutions
+    assert edited._brokers["J"] == "BR2"
 
 
 # -- accounts declared twice, and splits outside an institution's ends -----------

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import live_balances
 from stpsim.assembly import build_ecosystem
 from stpsim.data import catalog_path, config_path
 from stpsim.features import derive_product, parse_configuration, parse_feature_model
@@ -225,8 +226,8 @@ def test_post_trade_journal_and_finals_match_the_reference(flow):
     got = [(e.kind, e.src, e.dst, e.amount, e.symbol, e.cause) for e in eco.ledger.journal]
     assert got == journal
     assert [e.seq for e in eco.ledger.journal] == list(range(1, len(journal) + 1))
-    live = nonzero({owner: {"money": account.money.amount, **account.positions}
-                    for owner, account in eco.ledger.accounts.items()})
+    live = nonzero({owner: {"money": money.amount, **positions}
+                    for owner, (money, positions) in live_balances(eco.ledger).items()})
     want = nonzero(balances)
     for owner in live.keys() | want.keys():
         assert live.get(owner, {}) == want.get(owner, {}), owner

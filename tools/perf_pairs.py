@@ -8,7 +8,9 @@ parent commit's (``git archive`` of it, unpacked). For each workload it runs
 ``perfbench/run.py`` P times in each checkout, in pairs, the parent first in
 even pairs and this checkout first in odd ones, with the same arguments.
 Each run must end in a result line whose ``correct`` is true; any other run
-stops the tool with exit code 1, since its timings count nothing.
+stops the tool with exit code 1, since its timings count nothing, and the
+error quotes the last lines of that run's stderr, where ``perfbench/run.py``
+says why (a CLI parity mismatch, say).
 
 Per metric that ``BENCHMARK.json`` lists, it then prints each side's median
 and quartiles, the change of the medians in percent, and the pairs the
@@ -29,6 +31,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_TAIL = 5  # lines of a refused run's stderr that the error quotes
 
 
 class RunRefused(Exception):
@@ -105,7 +108,11 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    return result_of(done.stdout, f"{checkout} {workload} seed {seed}")
+    try:
+        return result_of(done.stdout, f"{checkout} {workload} seed {seed}")
+    except RunRefused as refused:
+        tail = done.stderr.strip().splitlines()[-STDERR_TAIL:]
+        raise RunRefused("\n  ".join([str(refused), *tail])) from None
 
 
 def parse_args(argv):

@@ -5,12 +5,15 @@
 
 Run it from anywhere; it runs pytest in child processes from the root of
 this checkout, with src/ on the path. The "run path" is what a user runs:
-the CLI, pinned-output, input-error and acceptance tests (RUN_PATH) plus
-the benchmark's own tests. Pass one runs those alone; pass two runs all of
-tier-1 (TIER1). Each pytest process runs under `sys.setprofile` and
-records every function it enters; `tests/` and `perfbench/` run in
-separate processes because their two `conftest.py` would both import as
-the module `conftest`.
+`stpsim.cli.main` and the benchmark's harness functions (ENTRIES). Pass
+one runs the CLI, pinned-output, input-error and acceptance tests
+(RUN_PATH) plus the benchmark's own tests, and records a function only
+when it runs beneath an entry, or while a module under src/ is imported;
+what those test files call directly, such as a helper that words an
+assertion, does not count. Pass two runs all of tier-1 (TIER1) and records
+every function it enters. Each pytest process runs under `sys.setprofile`;
+`tests/` and `perfbench/` run in separate processes because their two
+`conftest.py` would both import as the module `conftest`.
 
 A function is a `def` found by `ast` in a `.py` file under src/, named by
 its dotted path through classes and enclosing functions, and keyed by
@@ -53,12 +56,18 @@ RUN_PATH = (
     ("perfbench",),
 )
 TIER1 = (("tests",),)
+# (file from the root, function name): what a user runs, and pass one counts beneath
+ENTRIES = (
+    ("src/stpsim/cli.py", "main"),
+    *(("perfbench/harness.py", name) for name in ("setup", "life_cycle", "read_back", "verify")),
+)
 
-# Imports the tool in a child process, whose argv is [-c, tool, out, *pytest args].
+# Imports the tool in a child process, whose argv is
+# [-c, tool, out, run path (JSON, or "" for every call), *pytest args].
 _CHILD = ("import importlib.util, sys; "
           "spec = importlib.util.spec_from_file_location('reach', sys.argv[1]); "
           "tool = importlib.util.module_from_spec(spec); spec.loader.exec_module(tool); "
-          "sys.exit(tool.probe(sys.argv[2], sys.argv[3:]))")
+          "sys.exit(tool.probe(sys.argv[2], sys.argv[4:], sys.argv[3]))")
 
 
 class Function(NamedTuple):
@@ -98,21 +107,46 @@ def functions(root: Path, src: Path) -> dict[tuple[str, int], Function]:
     return found
 
 
-def probe(out: str, args: list[str]) -> int:
+def probe(out: str, args: list[str], run_path: str = "") -> int:
     """Run pytest on `args` in this process, recording the functions each test
-    file enters; write {test file: [[code file, first line], ...]} to `out`."""
+    file enters; write {test file: [[code file, first line], ...]} to `out`.
+
+    `run_path`, when not empty, is a JSON object {"src": dir, "entries":
+    [[file, function name], ...]} with absolute paths: then a call is
+    recorded only beneath an entry, or beneath a module body under that dir."""
     import pytest
 
     entered: dict[str, dict[int, object]] = {}
+    spec = json.loads(run_path) if run_path else {"src": "", "entries": []}
+    under, entries = os.path.join(spec["src"], ""), set(map(tuple, spec["entries"]))
+    opens: dict[object, bool] = {}   # code -> whether a call to it opens the run path
+    inside = [0]                     # run-path frames on the stack, across recorders
+
+    def opener(code) -> bool:
+        found = opens.get(code)
+        if found is None:
+            found = opens[code] = ((code.co_filename, code.co_name) in entries or (
+                code.co_name == "<module>" and code.co_filename.startswith(under)))
+        return found
 
     def recorder(file: str):
         seen = entered.setdefault(file, {})
 
-        def profile(frame, event, arg):
+        def every_call(frame, event, arg):
             if event == "call":
                 code = frame.f_code
                 seen[id(code)] = code   # keeps the code alive, so no id is reused
-        sys.setprofile(profile)
+
+        def run_path_call(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                if opener(code):
+                    inside[0] += 1
+                if inside[0]:
+                    seen[id(code)] = code
+            elif event == "return" and inside[0] and opener(frame.f_code):
+                inside[0] -= 1
+        sys.setprofile(run_path_call if run_path else every_call)
 
     class Attribution:
         @pytest.hookimpl(hookwrapper=True)
@@ -136,18 +170,22 @@ def probe(out: str, args: list[str]) -> int:
     return int(status)
 
 
-def run_pass(root: Path, src: Path, processes) -> tuple[dict[tuple[str, int], set[str]], list[str]]:
+def run_pass(root: Path, src: Path, processes,
+             entries=None) -> tuple[dict[tuple[str, int], set[str]], list[str]]:
     """(code file, first line) -> test files that entered it, over the
-    pytest processes of one pass, and a line for each process that failed."""
+    pytest processes of one pass, and a line for each process that failed.
+    With `entries`, only calls on the run path they open are recorded."""
     reached: dict[tuple[str, int], set[str]] = {}
     failed = []
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run_path = "" if entries is None else json.dumps({
+        "src": str(src), "entries": [[str(root / file), name] for file, name in entries]})
     with tempfile.TemporaryDirectory() as scratch:
         for index, args in enumerate(processes):
             out = Path(scratch) / f"{index}.json"
-            done = subprocess.run([sys.executable, "-c", _CHILD, __file__, str(out), *args],
-                                  cwd=root, env=env, capture_output=True, text=True)
+            done = subprocess.run([sys.executable, "-c", _CHILD, __file__, str(out), run_path,
+                                   *args], cwd=root, env=env, capture_output=True, text=True)
             if done.returncode or not out.exists():
                 tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
                 failed.append(f"pytest {' '.join(args)}: exit {done.returncode}: "
@@ -159,11 +197,11 @@ def run_pass(root: Path, src: Path, processes) -> tuple[dict[tuple[str, int], se
     return reached, failed
 
 
-def survey(root: Path, run_path=RUN_PATH, tier1=TIER1) -> Survey:
+def survey(root: Path, run_path=RUN_PATH, tier1=TIER1, entries=ENTRIES) -> Survey:
     root = root.resolve()   # as the code objects' file names are
     src = root / "src"
     defs = functions(root, src)
-    on_run_path, failed = run_pass(root, src, run_path)
+    on_run_path, failed = run_pass(root, src, run_path, entries)
     in_tier1, failed_tier1 = run_pass(root, src, tier1)
     unit_only, unreached, reached_by = [], [], {}
     for key, function in sorted(defs.items(), key=lambda item: item[1]):
@@ -210,13 +248,13 @@ def report(result: Survey, allowed: dict[str, str]) -> str:
 
 
 def main(argv: list[str] | None = None, root: Path = ROOT, run_path=RUN_PATH, tier1=TIER1,
-         allow_list: Path = ALLOW_LIST) -> int:
+         allow_list: Path = ALLOW_LIST, entries=ENTRIES) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on a name that is not allow-listed")
     args = parser.parse_args(argv)
     allowed = read_allow_list(allow_list)
-    result = survey(root, run_path, tier1)
+    result = survey(root, run_path, tier1, entries)
     print(report(result, allowed))
     out = root / MAP
     out.parent.mkdir(parents=True, exist_ok=True)
