@@ -75,10 +75,10 @@ class CheckResult(NamedTuple):
 @dataclass
 class ScenarioReport:
     """One run's steps and outcome. Each `*_lines` field holds participants'
-    records, and `render_machine` writes one machine line per record, but for
-    `audit_lines`: a broker's one record per order writes a line for each
-    stage the order passed, then its own. `journal_lines` is a tuple copy of
-    the ledger's journal, so no edit of a report reaches the ledger."""
+    records, and `render_machine` writes one machine line per record: an
+    `audit_lines` record, one per order, names the stages the order passed
+    on its own line. `journal_lines` is a tuple copy of the ledger's
+    journal, so no edit of a report reaches the ledger."""
 
     product_name: str
     scenario_id: str

@@ -2,18 +2,16 @@
 log rendered from it.
 
 Participants keep records; `render_machine` is the only code that writes
-them as text. Each record is one line, but for a broker's audit record: the
-broker keeps one per order, which writes an ``audit`` line with outcome
-``ok`` for each stage the order passed, then its own line. The machine
-format is byte-stable for identical inputs (no timestamps, all identifiers
-are counters) so repeated runs can be diffed.
+them as text, each record as one line. The machine format is byte-stable
+for identical inputs (no timestamps, all identifiers are counters) so
+repeated runs can be diffed.
 Its records, in file order, with amounts in minor units:
 
     run|product=<name>|scenario=<id>
     step|<n>|<name>|<event;event;...>
     balance|<step n>|<account>|<money>|<sym=qty,...>
     trade|<trade id>|<symbol>|<price>|<qty>|<buy order id>|<sell order id>
-    audit|<order id>|<stage>|<ok or rejected>|<rule, empty when ok>
+    audit|<order id>|<stage>|<ok or rejected>|<rule, empty when ok>|<passed stage,...>
     affirmation|affirmed|<block order id>|<affirmation id>|<contract id,...>
     affirmation|rejected|<block order id>|<violation;violation;...>
     instruction|<id>|<money leg or ->|<equity leg or ->|<trade ref,...>
@@ -25,6 +23,9 @@ A violation reads ``<rule>: contract=<id or -> detail=<alloc id or ->``, a
 money leg ``<payer>-><payee>:<amount>`` and an equity leg
 ``<deliverer>-><receiver>:<qty><symbol>``. A journal entry's kind is
 ``money`` (its symbol empty) or ``equity`` (its amount a share count).
+A broker's audit record, one per order placed or allocation checked, names
+the last stage that ran and the stages passed before it (none for a
+validation rejection or an allocation check).
 
 A ``balance`` line gives an account's balances from step n on: step 1 lists
 every account, and a later step lists only the accounts whose balances
@@ -77,9 +78,8 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     for trade in report.trade_lines:
         lines.append(f"trade|{trade.trade_id}|{trade.symbol}|{trade.price.amount}"
                      f"|{trade.quantity}|{trade.buy_order_id}|{trade.sell_order_id}")
-    for order_id, stage, outcome, rule, passed in report.audit_lines:
-        head = f"audit|{order_id}|"  # the passed stages' "ok" lines, then the record's own
-        lines.append(head + f"|ok|\n{head}".join((*passed, stage)) + f"|{outcome}|{rule}")
+    lines.extend(f"audit|{order_id}|{stage}|{outcome}|{rule}|{','.join(passed)}"
+                 for order_id, stage, outcome, rule, passed in report.audit_lines)
     lines.extend(
         f"affirmation|rejected|{a.block_order_id}|{';'.join(map(str, a.violations))}"
         if isinstance(a, AffirmationRejection) else
@@ -126,7 +126,7 @@ class ReportParseError(Exception):
 
 
 # The fewest "|"-separated fields, tag included, that each record can have.
-_MIN_FIELDS = {"run": 1, "step": 3, "balance": 4, "journal": 8, "trade": 7, "audit": 5,
+_MIN_FIELDS = {"run": 1, "step": 3, "balance": 4, "journal": 8, "trade": 7, "audit": 6,
                "affirmation": 4, "instruction": 5, "check": 3, "end": 2}
 
 

@@ -317,7 +317,7 @@ class ClearingRejected(Exception):
 class AuditEvent(NamedTuple):
     """One broker stage's verdict on an order or a block's allocation. The
     broker keeps one per order, its last: `passed` names the stages it passed
-    before `stage`, each of which the machine report writes as an "ok" line."""
+    before `stage`, in the order they ran."""
 
     order_id: str
     stage: str

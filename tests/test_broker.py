@@ -110,7 +110,7 @@ def sell_draft(qty=100, price=1040, client="client"):
 def audit_events(broker):
     """The broker's audit trail as one event per stage, in the order the
     stages ran: each record's "ok" event for every stage it passed, then the
-    record itself, as the machine report writes them."""
+    record itself."""
     return [event for record in broker.audit_records
             for event in (*(AuditEvent(record.order_id, stage, "ok") for stage in record.passed),
                           record._replace(passed=()))]

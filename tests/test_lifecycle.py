@@ -277,7 +277,8 @@ def test_machine_report_carries_participant_export_sections(products):
     report, checks = run_pair(products["SECO_A"], "retail_institutional")
     machine = render_machine(report, checks)
     assert "\ntrade|X1-T1|ACME|1040|100|" in machine
-    assert "\naudit|BR1-O1|validation|ok|\n" in machine
+    assert ("\naudit|BR1-O1|routing|ok||validation,risk,governmental_compliance,"
+            "client_compliance,venue_selection\n") in machine
     assert "\naffirmation|affirmed|" in machine
     assert "\ninstruction|CC1-S1|" in machine
     assert "\njournal|1|" in machine

@@ -1,18 +1,20 @@
 """The machine report: record lines, delta balance lines, reading back, and drift.
 
 `render_machine` writes every record kind; one exact line of each is pinned
-here, from records the participants themselves keep. A ``balance|n|…``
-line gives an account's balances from step n on, so a
-step lists only what changed. The oracle here rebuilds every step's full
-balances from the balance lines alone, independently of ``parse_machine``,
-and compares them with the recorded snapshots. A report written in the
-earlier full format, every account at every step, must read back the same.
+here, from records the participants themselves keep, and every pinned run
+writes one line per record. A ``balance|n|…`` line gives an account's
+balances from step n on, so a step lists only what changed. The oracle
+here rebuilds every step's full balances from the balance lines alone,
+independently of ``parse_machine``, and compares them with the recorded
+snapshots. A report written in the earlier full format, every account at
+every step, must read back the same.
 """
 
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,7 @@ from hypothesis import given, settings, strategies as st
 import stpsim
 from conftest import load_scenario
 from faults import run_leaking
-from test_broker import (
-    PIPELINE, REJECTED_AT, _filled_block, audit_events, buy_draft, detail, make_desk)
+from test_broker import PIPELINE, REJECTED_AT, _filled_block, buy_draft, detail, make_desk
 from test_custodian import fixture_contracts, fixture_details, make_custodian
 from test_exchange import draft_order, make_exchange
 from perfbench.workloads import WORKLOADS
@@ -121,15 +122,16 @@ def test_audit_record_lines():
     broker, _, _, _ = make_desk()
     broker.place_retail_order(buy_draft(qty=0))
     broker.place_retail_order(buy_draft())
-    assert record_lines(audit_lines=audit_events(broker)[:2]) == [
-        "audit|BR1-O1|validation|rejected|NonPositiveQuantity",
-        "audit|BR1-O2|validation|ok|",
+    assert record_lines(audit_lines=broker.audit_records) == [
+        "audit|BR1-O1|validation|rejected|NonPositiveQuantity|",
+        "audit|BR1-O2|routing|ok||validation,risk,governmental_compliance,client_compliance,"
+        "venue_selection,prepayment",
     ]
 
 
 @pytest.mark.parametrize("stage, rule, desk, draft, prepare", REJECTED_AT.values(),
                          ids=REJECTED_AT.keys())
-def test_a_rejection_record_writes_the_stages_it_passed_then_itself(
+def test_a_rejection_record_writes_one_line_naming_the_stages_it_passed(
         stage, rule, desk, draft, prepare):
     broker, exchanges, _, _ = make_desk(**desk)
     if prepare:
@@ -137,8 +139,7 @@ def test_a_rejection_record_writes_the_stages_it_passed_then_itself(
     broker.place_retail_order(draft)
     assert len(broker.audit_records) == 1
     assert record_lines(audit_lines=broker.audit_records) == [
-        *(f"audit|BR1-O1|{ok}|ok|" for ok in PIPELINE[:PIPELINE.index(stage)]),
-        f"audit|BR1-O1|{stage}|rejected|{rule}"]
+        f"audit|BR1-O1|{stage}|rejected|{rule}|{','.join(PIPELINE[:PIPELINE.index(stage)])}"]
 
 
 def test_an_allocation_rejection_record_writes_one_line_after_its_block():
@@ -146,10 +147,10 @@ def test_an_allocation_rejection_record_writes_one_line_after_its_block():
     block_id = _filled_block(broker, exchanges)
     broker.handle_allocation_details([detail("A1", block_id, 60), detail("A2", block_id, 30)])
     assert len(broker.audit_records) == 2
-    institutional = [stage for stage in PIPELINE if stage != "prepayment"]
     assert record_lines(audit_lines=broker.audit_records) == [
-        *(f"audit|BR1-O1|{stage}|ok|" for stage in institutional),
-        "audit|BR1-O1|allocation_validation|rejected|QuantityMismatch"]
+        "audit|BR1-O1|routing|ok||validation,risk,governmental_compliance,client_compliance,"
+        "venue_selection",
+        "audit|BR1-O1|allocation_validation|rejected|QuantityMismatch|"]
 
 
 def _pinned_run(argv):
@@ -184,9 +185,21 @@ def test_each_order_and_allocation_leaves_one_audit_record(products, monkeypatch
     report = ScenarioRunner(eco, scenario).run()
     machine = render_machine(report, assert_conservation(report))
     assert len(report.audit_lines) == len(handled) > 0
-    events = [event for broker in eco.brokers.values() for event in audit_events(broker)]
+    records = [record for broker in eco.brokers.values() for record in broker.audit_records]
     assert [line for line in machine.splitlines() if line.startswith("audit|")] == [
-        line for event in events for line in record_lines(audit_lines=[event])]
+        f"audit|{record.order_id}|{record.stage}|{record.outcome}|{record.rule}"
+        f"|{','.join(record.passed)}" for record in records]
+
+
+@pytest.mark.parametrize("product, text", PINNED_RUNS.values(), ids=PINNED_RUNS.keys())
+def test_each_record_is_one_machine_line(products, product, text):
+    report = run_scenario(products[product], parse_scenario(text))
+    checks = assert_conservation(report)
+    records = {"step": report.steps, "trade": report.trade_lines, "audit": report.audit_lines,
+               "affirmation": report.affirmation_lines, "instruction": report.instruction_lines,
+               "journal": report.journal_lines, "check": [*report.finals, *checks]}
+    tags = Counter(line.split("|", 1)[0] for line in render_machine(report, checks).splitlines())
+    assert {tag: tags[tag] for tag in records} == {tag: len(kept) for tag, kept in records.items()}
 
 
 def test_affirmation_record_lines_for_both_outcomes():
@@ -480,6 +493,8 @@ BAD_RECORDS = {
     "unknown_check_status": ("check|no_unreported_trades[X1]|", "check|x|maybe",
                              "check status 'maybe'"),
     "unknown_end_status": ("end|", "end|paused", "end status 'paused'"),
+    "truncated_audit": ("audit|", "audit|BR1-O1|routing|ok|",
+                        "truncated audit record 'audit|BR1-O1|routing|ok|'"),
     "unknown_record": ("audit|", "quote|X1|ACME|1040", "unknown record 'quote'"),
 }
 
@@ -521,7 +536,8 @@ def test_balance_before_the_first_step_is_rejected():
 
 
 @pytest.mark.parametrize("record", ["end|aborted|settle|boom", "end|completed",
-                                    "step|10|late|", "balance|9|RC1|5|", "audit|BR1-O9|risk|ok|"])
+                                    "step|10|late|", "balance|9|RC1|5|",
+                                    "audit|BR1-O9|risk|rejected|InsufficientPrefunding|validation"])
 def test_record_after_the_end_record_is_rejected(shipped_machine, record):
     line_no = len(shipped_machine.splitlines()) + 2
     tag = record.split("|")[0]
@@ -549,7 +565,7 @@ def institutional_machine(products):
 
 
 # the fields, tag included, of each record kind's shortest layout
-SHORTEST = {"journal": 8, "trade": 7, "audit": 5, "affirmation": 4, "instruction": 5}
+SHORTEST = {"journal": 8, "trade": 7, "audit": 6, "affirmation": 4, "instruction": 5}
 
 
 @pytest.mark.parametrize("tag,kept", [(tag, kept) for tag, least in SHORTEST.items()

@@ -106,80 +106,80 @@ def _machine_run(product: str, scenario: str, digest: str, shown: str, code: int
 PINS.update({
     "seco_a_retail_retail": _machine_run(
         "seco_a", "retail_retail",
-        "0fa896350bf09bc5407de82224e18604", "c64608fd5a1ba1190e75c46563e53816"),
+        "ed287364eb78e4b26ffdb2d5984b43cb", "c64608fd5a1ba1190e75c46563e53816"),
     "seco_a_retail_institutional": _machine_run(
         "seco_a", "retail_institutional",
-        "f331a9fa86944ae028f9d2728a9788d9", "f1b127afd2ff7878ea254fdc1ab2f02c"),
+        "6cf7f18dd31905eff2b6a87ad7e8754e", "f1b127afd2ff7878ea254fdc1ab2f02c"),
     "seco_a_institutional_institutional": _machine_run(
         "seco_a", "institutional_institutional",
-        "3e8eb3c3a3e6ff1404add7bf0bfc8063", "b44c893c4a08070e9ef315c6735e8f02"),
+        "702964ff34409842bcae992f9974f8cb", "b44c893c4a08070e9ef315c6735e8f02"),
     "seco_b_retail_retail": _machine_run(
         "seco_b", "retail_retail",
-        "b954b318a997f157d1908b1e21eaafc7", "0e7b0500a72ac343f636be71c35cf1a1"),
+        "5c2eaa9ba52271c54f2c837a60bbb5bd", "0e7b0500a72ac343f636be71c35cf1a1"),
     "seco_b_retail_institutional": _machine_run(
         "seco_b", "retail_institutional",
-        "f981cba1e20af4d52626074943a091d1", "df49d079563860dc0fbbb9face93582f"),
+        "58e9fa3b8301c74b5fa9d68d758d4bbc", "df49d079563860dc0fbbb9face93582f"),
     "seco_b_institutional_institutional": _machine_run(
         "seco_b", "institutional_institutional",
-        "1719e3a121f83669977172f1352bdaca", "b23218a7b4affcb9290fc6f3819876e9"),
+        "9e3b17596eaef58fe7caac2aacd96481", "b23218a7b4affcb9290fc6f3819876e9"),
     "seco_a_retail_cross_seed_1": _machine_run(
         "seco_a", "{retail_cross}",
-        "1ba412b778f870ee2a484c20d10d709b", "0df4306ab519e8dc04dd116acd1ee5ae"),
+        "52f8b118fb4e43e296ad1120242ec79f", "0df4306ab519e8dc04dd116acd1ee5ae"),
     "seco_b_deep_book_seed_1": _machine_run(
         "seco_b", "{deep_book}",
-        "2ee33ad67407632bdc98ad5baf785c3a", "778d812aa768632403c98b5a0f455a11"),
+        "93e9e79d9930592ab711188b4e593bbb", "778d812aa768632403c98b5a0f455a11"),
     "seco_b_block_alloc_seed_1": _machine_run(
         "seco_b", "{block_alloc}",
-        "3d48bb95d28c5559bbe5a05bae8e1f7b", "0efe4ddf1ace8df349457d64ab41539c"),
+        "e8b40c460eef4ef5d5656562fc8a2772", "0efe4ddf1ace8df349457d64ab41539c"),
     "seco_a_retail_cross_pairs_1600_seed_7": _machine_run(
         "seco_a", "{retail_cross_large}",
-        "1f9fd8e89b706dd5e7a2b0e362b86bb0", "6038610b0c9ffa3820589748d78b3910"),
+        "24d0f9dd7eca368e533589f6ddad6ea6", "6038610b0c9ffa3820589748d78b3910"),
     "seco_b_deep_book_levels_384_seed_7": _machine_run(
         "seco_b", "{deep_book_large}",
-        "660063023a4f8da4f79085fcea4c3428", "000634631cdeb467e88b22a5ea3b7ce3"),
+        "18eb267a95642752d044b970a306a0f0", "000634631cdeb467e88b22a5ea3b7ce3"),
     "seco_b_block_alloc_allocations_400_seed_7": _machine_run(
         "seco_b", "{block_alloc_large}",
-        "a2071a9f6dedb4b594f5eaef4fb8a47f", "ecd8db2574aaf7e3981a2b5263d7cda1"),
+        "57927c0f3a492dd4c52a64163c4cf1ba", "ecd8db2574aaf7e3981a2b5263d7cda1"),
     # aborted at the first order: RC1 cannot prepay its buy
     "seco_a_retail_retail_underfunded": _machine_run(
         "seco_a", "{underfunded}",
-        "d4e525cb2779207bd253679866c67509", "776dbac046e9864adc52e72f658d6d43", 1),
+        "d400a679448e2f9939a5865dddce9ab0", "776dbac046e9864adc52e72f658d6d43", 1),
     "seco_b_retail_retail_underfunded": _machine_run(
         "seco_b", "{underfunded}",
-        "aa7d99eda66d2d58f2457aeb81d35784", "7ed3b521c33899b558e736c70e4872fe", 1),
+        "27d0c2e20f9aa5d459fcfe1066444571", "7ed3b521c33899b558e736c70e4872fe", 1),
     # aborted at allocation_INST1: the splits miss the block's quantity
     "seco_a_institutional_institutional_short_allocation": _machine_run(
         "seco_a", "{short_allocation}",
-        "13cf0546af3ffdefc3e445a879fcadb0", "22ba781e9a1fe9a814a2f4426f05a8b4", 1),
+        "e0595574db1e7ffc2fe0cda87d9890c8", "22ba781e9a1fe9a814a2f4426f05a8b4", 1),
     "seco_b_institutional_institutional_short_allocation": _machine_run(
         "seco_b", "{short_allocation}",
-        "419441d165a36ac797e29b078d33e645", "e971560dbc0b3ef19e1631f958462b02", 1),
+        "89b92160f2141a926ec60bc266f5ef91", "e971560dbc0b3ef19e1631f958462b02", 1),
     # aborted at allocation_INST1: the custodian refuses the zero split
     "seco_a_retail_institutional_zero_split": _machine_run(
         "seco_a", "{zero_split}",
-        "4629d686c501030f5beaf8215415ac4c", "404d1afee9ca810da141e04d67c5ecf3", 1),
+        "8d49226383dd14f792e9c7520e5a8b3c", "404d1afee9ca810da141e04d67c5ecf3", 1),
     "seco_b_retail_institutional_zero_split": _machine_run(
         "seco_b", "{zero_split}",
-        "d0ace2ab96b01ae290d9a630876fd599", "113501ebc6b979f53f7a98497ff3853e", 1),
+        "2394dab6e4afdfd36b83320744b9a5ae", "113501ebc6b979f53f7a98497ff3853e", 1),
     # aborted at settle: the omnibus account is 4000USD short of the block's price
     "seco_a_retail_institutional_short_omnibus": _machine_run(
         "seco_a", "{short_omnibus}",
-        "4c9418ad2723511b3c136c125fbcdb82", "a12b247151eca77f1a8708e2257ba965", 1),
+        "1f2831a60d8e8943b28051cc134f6bd5", "a12b247151eca77f1a8708e2257ba965", 1),
     "seco_b_retail_institutional_short_omnibus": _machine_run(
         "seco_b", "{short_omnibus}",
-        "618fe93cc105b292a68b0e4f8da0e450", "70cd21f5d4a322f730508acdc7a104c3", 1),
+        "6689ae298d782b0b1cfa1e791bf61339", "70cd21f5d4a322f730508acdc7a104c3", 1),
     # aborted at allocation_INST1: the block filled at 1030 and at 1040
     "seco_a_retail_institutional_two_fill_prices": _machine_run(
         "seco_a", "{two_fill_prices}",
-        "8a4a7c8914208a949da074d554709bf3", "94539dd7c430b1f39b33f891cd779670", 1),
+        "3df749fb5c1522763aad375ca9ad9fd9", "94539dd7c430b1f39b33f891cd779670", 1),
     "seco_b_retail_institutional_two_fill_prices": _machine_run(
         "seco_b", "{two_fill_prices}",
-        "cb62d74c3bfebd0a8545a98f8ca3f758", "e45926d2188429f7456a4c7b430d7d64", 1),
+        "a65127a05bf5c3e68ddb79898157498b", "e45926d2188429f7456a4c7b430d7d64", 1),
     # aborted at report_trades: clearing refuses the trade's value (SECO A's
     # broker refuses the order first, an abort the underfunded rows already pin)
     "seco_b_retail_retail_oversized_trade": _machine_run(
         "seco_b", "{oversized_trade}",
-        "df9c491b4e2366d1d24329519ede5aa0", "35c8e31a0437b8e4cae87af6ae68aac3", 1),
+        "07319780fb6d9e012a35d7539cf91053", "35c8e31a0437b8e4cae87af6ae68aac3", 1),
 })
 
 
