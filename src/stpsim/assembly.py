@@ -181,7 +181,7 @@ def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
     comparator = PrecedenceComparator(exchange.pop("secondary"), exchange.pop("tie_break"))
     for pid in participants(ParticipantRole.EXCHANGE):
         eco.exchanges[pid.id] = registered(ExchangeService(
-            pid, registry, set(scenario.symbols), comparator, **exchange))
+            pid, registry, scenario.symbols, scenario.currency, comparator, **exchange))
     for pid in participants(ParticipantRole.CLEARING_BANK):
         registered(ClearingBank(pid, ledger))
     for pid in participants(ParticipantRole.DEPOSITORY):

@@ -127,7 +127,7 @@ class BrokerService:
         self.fills: dict[str, list[Trade]] = {}
         self.audit_records: list[AuditEvent] = []  # one per order placed or allocation checked
         self.contracts_sent: dict[str, tuple[Contract, ...]] = {}  # block order -> contracts
-        self.responsibility: dict[str, str] = {}  # order id -> "broker" | "custodian"
+        self.affirmed_blocks: set[str] = set()  # settlement now the custodian's
         self._escrow: dict[str, int] = {}  # retail order id -> prepaid units not yet returned
         self._credited: set[tuple[str, str]] = set()
         self._seen_refs: set[tuple[str, str]] = set()  # (client, ref) of each referenced order
@@ -183,7 +183,6 @@ class BrokerService:
         self.audit_records.append(_new(AuditEvent, (order_id, "routing", "ok", "", passed)))
 
         self.orders[order_id] = order
-        self.responsibility[order_id] = "broker"
         return order_id
 
     def _rejected(self, order_id: str, passed: tuple[str, ...], stage: str,
@@ -392,7 +391,7 @@ class BrokerService:
         unknown = set(affirmation.contract_ids) - sent_ids
         if unknown:
             raise UnknownContracts(", ".join(sorted(unknown)))
-        self.responsibility[affirmation.block_order_id] = "custodian"
+        self.affirmed_blocks.add(affirmation.block_order_id)
 
     # -- settlement --------------------------------------------------------
 
@@ -429,7 +428,5 @@ class BrokerService:
         return credited
 
     def unaffirmed_blocks(self) -> list[str]:
-        return [
-            block_id for block_id in self.contracts_sent
-            if self.responsibility.get(block_id) != "custodian"
-        ]
+        return [block_id for block_id in self.contracts_sent
+                if block_id not in self.affirmed_blocks]

@@ -41,6 +41,7 @@ from .money import Money, _new
 from .registry import CLEARING_BANK, DEPOSITORY, ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
     CLEARED,
+    MAX_TRADE_VALUE,
     SETTLED,
     EquityLeg,
     MoneyLeg,
@@ -62,7 +63,6 @@ class _Transfer(NamedTuple):
     """One leg of an instruction; `symbol` is None for a money leg."""
 
     instruction: SettlementInstruction
-    leg: str              # "money" | "equity"
     src: str
     dst: str
     symbol: str | None
@@ -83,7 +83,6 @@ class ClientTradeRecord(NamedTuple):
 
 
 class Obligation(NamedTuple):
-    kind: str             # "money" | "equity" | "net"
     party: str
     counterparty: str
     symbol: str
@@ -134,7 +133,6 @@ class ClearingCorporation:
         self.netting = netting
         self.ccp_account = ccp_account
         self.extended_validation = extended_validation
-        self.max_trade_value = Money(10**12, ledger.currency)
         self.queued: list[TradeReport] = []
         self.pending_obligations: list[Obligation] = []
         self.executed_instructions: list[SettlementInstruction] = []
@@ -154,7 +152,7 @@ class ClearingCorporation:
         Street reports and client records pass one intake check: a new trade
         id, a positive quantity, a positive price in the ledger's currency, and
         open settlement accounts. A street trade also meets the extended
-        checks' `max_trade_value`.
+        checks' `MAX_TRADE_VALUE`.
         """
         if type(record) is TradeReport:
             trade, accounts, street = record.trade, (record.buy_account, record.sell_account), True
@@ -174,8 +172,7 @@ class ClearingCorporation:
             if account not in known:
                 return Rejection("trade_validation", "UnknownAccount", account)
         # on minor units: the price is in the ledger's currency, as is the cap
-        if street and self.extended_validation and \
-                price.amount * quantity > self.max_trade_value.amount:
+        if street and self.extended_validation and price.amount * quantity > MAX_TRADE_VALUE:
             return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
         self._seen_trade_ids.add(trade_id)
         if street:
@@ -234,9 +231,9 @@ class ClearingCorporation:
             trade = report.trade
             buyer, seller, symbol = report.buy_account, report.sell_account, trade.symbol
             price, quantity, trade_id = trade.price, trade.quantity, trade.trade_id
-            add(_new(Obligation, ("money", buyer, seller, symbol, 0, _new(
+            add(_new(Obligation, (buyer, seller, symbol, 0, _new(
                 Money, (-price.amount * quantity, price.currency)), (trade_id,))))
-            add(_new(Obligation, ("equity", seller, buyer, symbol, -quantity,
+            add(_new(Obligation, (seller, buyer, symbol, -quantity,
                                   _new(Money, (0, currency)), (trade_id,))))
         return obligations
 
@@ -257,7 +254,7 @@ class ClearingCorporation:
                     entry[2].append(trade_id)
         currency, ccp = self.ledger.currency, self.ccp_account
         return [
-            _new(Obligation, ("net", account, ccp, symbol, qty, _new(Money, (money, currency)),
+            _new(Obligation, (account, ccp, symbol, qty, _new(Money, (money, currency)),
                               tuple(refs)))
             for (account, symbol), (qty, money, refs) in sorted(sums.items())
             if qty or money]
@@ -278,7 +275,7 @@ class ClearingCorporation:
             depository = self.registry.first(DEPOSITORY)
             self._precheck(transfers)
             currency = self.ledger.currency
-            for instruction, _, src, dst, symbol, amount in transfers:
+            for instruction, src, dst, symbol, amount in transfers:
                 cause = f"dvp:{instruction.instruction_id}"
                 if symbol is None:
                     bank.transfer_money(src, dst, _new(Money, (amount, currency)), cause)
@@ -318,11 +315,11 @@ class ClearingCorporation:
             if money_leg:
                 payer, payee, amount = money_leg
                 (ccp_pays if payer == ccp else transfers).append(_new(_Transfer, (
-                    instruction, "money", payer, payee, None, amount.amount)))
+                    instruction, payer, payee, None, amount.amount)))
             if equity_leg:
                 deliverer, receiver, symbol, qty = equity_leg
                 (ccp_pays if deliverer == ccp else transfers).append(_new(_Transfer, (
-                    instruction, "equity", deliverer, receiver, symbol, qty)))
+                    instruction, deliverer, receiver, symbol, qty)))
         transfers += ccp_pays
         return instructions, transfers
 
@@ -337,11 +334,11 @@ class ClearingCorporation:
                         else ledger.position(account, symbol))
             return have
 
-        for instruction, leg, src, dst, symbol, amount in transfers:
+        for instruction, src, dst, symbol, amount in transfers:
             have = holding(src, symbol)
             if have < amount:
-                raise SettlementFailed(
-                    instruction, leg, f"{src} short {amount - have}{symbol or ledger.currency}")
+                raise SettlementFailed(instruction, "money" if symbol is None else "equity",
+                                       f"{src} short {amount - have}{symbol or ledger.currency}")
             held[src, symbol] = have - amount
             held[dst, symbol] = holding(dst, symbol) + amount
 

@@ -7,10 +7,10 @@ order. Execution always happens at the resting order's price. Market
 orders never rest: any unfilled remainder cancels. A market buy's cap is
 its protection price: it trades only at prices at or below it.
 
-Matching compares prices as minor units (plain ints), so a book holds one
-currency: the first order carrying a price (a limit or a cap) that the
-exchange accepts for a symbol fixes its book's currency, and validation
-refuses any later order priced in another as `CurrencyMismatch`.
+Matching compares prices as minor units (plain ints), so an exchange
+trades in one currency: the scenario's, which it is built with, as the
+ledger is. Validation refuses an order whose limit or cap is in another as
+`CurrencyMismatch`.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class BookSide:
     serves all four comparators. Only the head ever trades, so under size
     priority only the head's rank can change: it is re-pushed after a
     partial fill, and every other entry's key stays exact. ``levels`` maps
-    each resting price, in minor units of the book's one currency, to its
+    each resting price, in minor units of the exchange's currency, to its
     total remaining quantity.
     """
 
@@ -114,26 +114,17 @@ class OrderBook:
     Each side is a `BookSide`, so the best order is its head and a fill
     costs O(log depth). `is_crossed` compares the two heads, and FOK's
     `fillable_quantity` sums price levels, not orders. Prices are compared
-    as minor units; `currency` is the one currency they are in, None until
-    the exchange fixes it (the book itself never checks it).
+    as minor units, all in the exchange's one currency, which the exchange
+    checks at validation (the book itself never does).
     """
 
     def __init__(self, symbol: str, comparator: PrecedenceComparator):
         self.symbol = symbol
-        self.comparator = comparator
-        self.currency: str | None = None
         self.bids = BookSide(comparator.key)
         self.asks = BookSide(comparator.key)
 
     def side(self, side: Side) -> BookSide:
         return self.bids if side is BUY else self.asks
-
-    def best(self, side: Side) -> Order | None:
-        return self.side(side).head()
-
-    def best_price(self, side: Side) -> Money | None:
-        best = self.best(side)
-        return best.limit_price if best else None
 
     def depth(self) -> int:
         return len(self.bids) + len(self.asks)
@@ -224,7 +215,8 @@ class TradeReport:
 
 
 class ExchangeService:
-    """One exchange instance with the product's bound matching variants."""
+    """One exchange instance with the product's bound matching variants: a
+    book per listed symbol, all priced in `currency`, the scenario's."""
 
     role = ParticipantRole.EXCHANGE
 
@@ -232,19 +224,20 @@ class ExchangeService:
         self,
         pid: ParticipantId,
         registry: ServiceRegistry,
-        symbols: set[str],
+        symbols: tuple[str, ...],
+        currency: str,
         comparator: PrecedenceComparator,
         supported_types: frozenset[OrderType],
         extended_validation: bool = False,
     ):
         self.pid = pid
         self.registry = registry
-        self.symbols = set(symbols)
+        self.currency = currency
         self.comparator = comparator
         self.supported_types = supported_types
         self.extended_validation = extended_validation
         self.books: dict[str, OrderBook] = {
-            symbol: OrderBook(symbol, comparator) for symbol in sorted(self.symbols)
+            symbol: OrderBook(symbol, comparator) for symbol in sorted(symbols)
         }
         self.executed: list[Trade] = []
         self._unreported: list[TradeReport] = []
@@ -253,35 +246,30 @@ class ExchangeService:
 
     def best_quote(self, symbol: str, side: Side) -> Money | None:
         book = self.books.get(symbol)
-        return book.best_price(side) if book else None
+        best = book.side(side).head() if book else None
+        return best.limit_price if best else None
 
     def book_depth(self, symbol: str) -> int:
         book = self.books.get(symbol)
         return book.depth() if book else 0
 
     def validate_incoming_order(self, order: Order) -> Rejection | None:
-        """The symbol, then the shared order-shape rules in the symbol's
-        book currency, with the size cap under the extended variant.
+        """The symbol, then the shared order-shape rules in the exchange's
+        currency, with the size cap under the extended variant.
 
         Returns None on acceptance (order gets its seq number) and a
-        Rejection identifying the violated rule otherwise. The first
-        accepted order carrying a price fixes its book's currency.
+        Rejection identifying the violated rule otherwise.
         """
-        if order.symbol not in self.symbols:
+        if order.symbol not in self.books:
             rule = "UnknownSymbol"
         else:
-            book = self.books[order.symbol]
             rule = order_shape_rule(
                 order.order_type, order.quantity, order.limit_price, self.supported_types,
-                self.extended_validation, book.currency, False, order.price_cap)
+                self.extended_validation, self.currency, False, order.price_cap)
         if rule:
             order.status = REJECTED
             return Rejection("exchange_validation", rule)
 
-        if book.currency is None:
-            price = order.limit_price or order.price_cap
-            if price is not None:
-                book.currency = price.currency
         order.seq = self._next_seq
         self._next_seq += 1
         order.status = VALIDATED

@@ -58,7 +58,8 @@ _new_object = object.__new__
 
 
 class Account:
-    """One owner's live balances, a record only this module reads.
+    """One owner's live balances, held under the owner's name in
+    `Ledger.accounts`: a record only this module reads.
 
     `Ledger.balance` and `Ledger.position` read it; `open_account` and the
     two transfers write it, each marking its owners touched for the next
@@ -66,7 +67,7 @@ class Account:
     only by `Ledger.open_account`.
     """
 
-    __slots__ = ("owner", "_money", "_positions")
+    __slots__ = ("_money", "_positions")
 
 
 class JournalEntry(NamedTuple):
@@ -162,7 +163,6 @@ class Ledger:
         if money.amount < 0 or (positions and min(positions.values()) < 0):
             raise LedgerError("initial balances must be non-negative")
         accounts[owner] = acct = _new_object(Account)
-        acct.owner = owner
         acct._money = money
         acct._positions = dict(positions) if positions else {}
         self._touched[owner] = None

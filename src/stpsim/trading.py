@@ -21,6 +21,7 @@ from .registry import ParticipantId
 
 MAX_ORDER_QUANTITY = 1_000_000      # the extended order checks' size cap
 MAX_ORDER_VALUE = 100_000_000       # MaxOrderValueCap, in minor units of the ledger's currency
+MAX_TRADE_VALUE = 10**12            # the extended trade checks' cap, in the same units
 
 
 class Side(enum.Enum):
@@ -208,7 +209,7 @@ def order_shape_rule(
     limit_price: Money | None,
     supported: frozenset[OrderType],
     size_capped: bool,
-    currency: str | None,
+    currency: str,
     cap_required: bool = False,
     price_cap: Money | None = None,
     side: Side | None = None,
@@ -217,11 +218,11 @@ def order_shape_rule(
 
     Broker validation and exchange validation both apply these rules, in
     this order. A limit or cap in another currency than `currency` (the
-    broker's ledger's, or the book's; None accepts any) is a
-    `CurrencyMismatch`. `size_capped` (the extended checks) caps the
-    quantity at `MAX_ORDER_QUANTITY`. A price cap is a buyer's bound: a
-    retail market buy must carry one at the broker (`cap_required`), a sell
-    none (checked where `side` is given), and any cap must be positive.
+    broker's ledger's, or the exchange's) is a `CurrencyMismatch`.
+    `size_capped` (the extended checks) caps the quantity at
+    `MAX_ORDER_QUANTITY`. A price cap is a buyer's bound: a retail market
+    buy must carry one at the broker (`cap_required`), a sell none (checked
+    where `side` is given), and any cap must be positive.
     """
     if quantity <= 0:
         return "NonPositiveQuantity"
@@ -241,8 +242,7 @@ def order_shape_rule(
             return "NonPositivePrice"
         if price_cap is not None and side is SELL:
             return "CapOnSell"
-    if currency is not None and (
-            limit_price is not None and limit_price.currency != currency
+    if (limit_price is not None and limit_price.currency != currency
             or price_cap is not None and price_cap.currency != currency):
         return "CurrencyMismatch"
     if size_capped and quantity > MAX_ORDER_QUANTITY:

@@ -21,7 +21,7 @@ from stpsim.lifecycle import assert_conservation, run_scenario
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole
 from stpsim.scenarios import SCENARIO_IDS
-from stpsim.trading import Order, OrderType, Side
+from stpsim.trading import Order, OrderStatus, OrderType, Rejection, Side
 
 CATALOG_TEXT = catalog_path().read_text()
 CATALOG = parse_feature_model(CATALOG_TEXT)
@@ -95,6 +95,26 @@ def test_product_without_fok_matching_rejects_fok_orders(catalog, seco_a_config)
 
     # and the broker will not even offer the type
     assert eco.brokers["BR1"].config.offered_types == no_fok
+
+
+@pytest.mark.parametrize("product_key", ["product_a", "product_b"])
+def test_a_built_exchange_refuses_a_first_order_priced_in_another_currency(request, product_key):
+    scenario = load_scenario("retail_retail")
+    assert scenario.currency == "USD"
+    exchange = build_ecosystem(request.getfixturevalue(product_key), scenario).exchanges["X1"]
+    broker = ParticipantId(ParticipantRole.BROKER, "BR1")
+    euro = Order("O1", "RC2", broker, Side.SELL, "ACME", 10, OrderType.LIMIT,
+                 Money(1040, "EUR"), settlement_account="BR1.house")
+    assert exchange.validate_incoming_order(euro) == Rejection(
+        "exchange_validation", "CurrencyMismatch")
+    assert euro.status is OrderStatus.REJECTED and euro.seq is None
+    assert exchange.book_depth("ACME") == 0
+    # a dollar buy at the same price finds no euro sell to meet, and rests
+    dollar = Order("O2", "RC1", broker, Side.BUY, "ACME", 10, OrderType.LIMIT, Money(1040),
+                   settlement_account="BR1.house")
+    assert exchange.validate_incoming_order(dollar) is None
+    assert exchange.submit_order(dollar) == []
+    assert dollar.status is OrderStatus.RESTING and exchange.book_depth("ACME") == 1
 
 
 def test_build_ecosystem_opens_all_accounts(product_a):

@@ -3,7 +3,6 @@ from dataclasses import replace
 import pytest
 
 from conftest import projected
-from matchdriver import ranked
 from stpsim.broker import (
     BrokerConfig,
     BrokerService,
@@ -63,14 +62,17 @@ def rest_order(exchange, side, price, qty, oid="O99"):
 
 
 def make_desk(config=None, restricted_symbols=frozenset(), symbols=("ACME",), n_exchanges=1,
-              exchange_types=frozenset(OrderType), extended_exchange=False, currency="USD"):
+              exchange_types=frozenset(OrderType), extended_exchange=False, currency="USD",
+              exchange_currency=None):
+    """A broker desk; its exchanges trade in `exchange_currency`, by default
+    the ledger's `currency`, as `build_ecosystem` builds them."""
     ledger = Ledger(currency)
     registry = ServiceRegistry()
     exchanges = []
     for i in range(n_exchanges):
         pid = ParticipantId(ParticipantRole.EXCHANGE, f"X{i + 1}")
         exchange = ExchangeService(
-            pid, registry, set(symbols), COMPARATOR, exchange_types,
+            pid, registry, symbols, exchange_currency or currency, COMPARATOR, exchange_types,
             extended_validation=extended_exchange)
         registry.register(pid, exchange)
         exchanges.append(exchange)
@@ -295,34 +297,28 @@ PIPELINE = ("validation", "risk", "governmental_compliance", "client_compliance"
             "venue_selection", "prepayment", "routing")
 
 
-def _no_symbols(exchanges):
-    exchanges[0].symbols.clear()           # every order is now UnknownSymbol
-
-
-# case -> (the stage that rejects, its rule, make_desk arguments, the draft,
-# what to do to the exchanges first)
+# case -> (the stage that rejects, its rule, make_desk arguments, the draft);
+# an exchange that lists no symbol refuses every order as UnknownSymbol
 REJECTED_AT = {
-    "validation": ("validation", "NonPositiveQuantity", {}, buy_draft(qty=0), None),
+    "validation": ("validation", "NonPositiveQuantity", {}, buy_draft(qty=0)),
     "risk": ("risk", "InsufficientPrefunding",
              {"config": replace(FIRST_VENUE, risk_checks=frozenset({"PrefundingRiskCheck"}))},
-             buy_draft(qty=200, price=1000), None),
+             buy_draft(qty=200, price=1000)),
     "governmental_compliance": ("governmental_compliance", "RestrictedSymbol",
-                                {"restricted_symbols": frozenset({"ACME"})}, buy_draft(), None),
+                                {"restricted_symbols": frozenset({"ACME"})}, buy_draft()),
     "client_compliance": ("client_compliance", "OrderValueOverCap", {},
-                          buy_draft(qty=2000, price=60_000), None),
-    "venue_selection": ("venue_selection", "NoVenues", {"n_exchanges": 0}, buy_draft(), None),
-    "prepayment": ("prepayment", "InsufficientFunds", {}, buy_draft(qty=100, price=2000), None),
-    "routing_buy": ("routing", "UnknownSymbol", {}, buy_draft(), _no_symbols),
-    "routing_sell": ("routing", "UnknownSymbol", {}, sell_draft(), _no_symbols),
+                          buy_draft(qty=2000, price=60_000)),
+    "venue_selection": ("venue_selection", "NoVenues", {"n_exchanges": 0}, buy_draft()),
+    "prepayment": ("prepayment", "InsufficientFunds", {}, buy_draft(qty=100, price=2000)),
+    "routing_buy": ("routing", "UnknownSymbol", {"symbols": ()}, buy_draft()),
+    "routing_sell": ("routing", "UnknownSymbol", {"symbols": ()}, sell_draft()),
 }
 
 
-@pytest.mark.parametrize("stage, rule, desk, draft, prepare", REJECTED_AT.values(),
+@pytest.mark.parametrize("stage, rule, desk, draft", REJECTED_AT.values(),
                          ids=REJECTED_AT.keys())
-def test_rejection_at_each_stage_audits_the_stages_before_it(stage, rule, desk, draft, prepare):
-    broker, exchanges, ledger, _ = make_desk(**desk)
-    if prepare:
-        prepare(exchanges)
+def test_rejection_at_each_stage_audits_the_stages_before_it(stage, rule, desk, draft):
+    broker, _, ledger, _ = make_desk(**desk)
     before = ledger.snapshot()
     before_money, before_shares = total_money(before), total_positions(before)
     assert broker.place_retail_order(draft) == Rejection(stage, rule)
@@ -354,8 +350,7 @@ def test_sell_prepayment_moves_the_shares():
 
 
 def test_routing_rejection_refunds_prepayment_net_zero():
-    broker, exchanges, ledger, _ = make_desk()
-    exchanges[0].symbols.clear()           # everything now UnknownSymbol
+    broker, _, ledger, _ = make_desk(symbols=())   # everything is UnknownSymbol
     before_money = total_money(ledger.snapshot())
     rejection = broker.place_retail_order(buy_draft())
     assert rejection.stage == "routing"
@@ -368,7 +363,7 @@ def test_routing_rejection_refunds_prepayment_net_zero():
     assert causes == ["prepay:BR1-O1", "refund:BR1-O1"]
 
 
-# -- one currency per book --------------------------------------------------------
+# -- one currency per exchange ----------------------------------------------------
 
 def test_a_price_or_cap_in_another_currency_than_the_ledger_is_refused_at_validation():
     broker, _, ledger, _ = make_desk()
@@ -379,7 +374,7 @@ def test_a_price_or_cap_in_another_currency_than_the_ledger_is_refused_at_valida
                          price_cap=Money(1000, "EUR"))
     assert broker.place_retail_order(euro_cap) == Rejection("validation", "CurrencyMismatch")
     assert ledger.journal == []
-    assert ledger.snapshot()._delta == {}
+    assert dict(ledger.snapshot().changes()) == {}
     assert ledger.snapshot() == before
     # the buy that would have met the euro sell inside matching now rests
     order_id = broker.place_retail_order(buy_draft(qty=10, price=1000))
@@ -391,13 +386,7 @@ def test_a_price_or_cap_in_another_currency_than_the_ledger_is_refused_at_valida
     buy_draft(qty=10, price=None, otype=OrderType.MARKET, price_cap=Money(1000)),
 ], ids=["limit", "capped_market"])
 def test_an_order_in_another_currency_than_the_book_is_refused_at_routing_and_refunded(draft):
-    broker, exchanges, ledger, _ = make_desk()
-    street = Order(
-        order_id="O99", client="street", broker=_COUNTERPARTY, side=Side.SELL,
-        symbol="ACME", quantity=10, order_type=OrderType.LIMIT,
-        limit_price=Money(1000, "EUR"), settlement_account="street.house")
-    assert exchanges[0].validate_incoming_order(street) is None
-    exchanges[0].submit_order(street)
+    broker, exchanges, ledger, _ = make_desk(exchange_currency="EUR")
     before = ledger.snapshot()
     assert broker.place_retail_order(draft) == Rejection("routing", "CurrencyMismatch")
     assert broker.orders == {} and broker._escrow == {}
@@ -405,8 +394,7 @@ def test_an_order_in_another_currency_than_the_book_is_refused_at_routing_and_re
         "prepay:BR1-O1", "refund:BR1-O1"]
     assert ledger.snapshot() == before
     assert ledger.balance("client") == Money(150000)
-    asks = ranked(exchanges[0].books["ACME"].asks)
-    assert [(o.order_id, o.remaining) for o in asks] == [("O99", 10)]
+    assert exchanges[0].book_depth("ACME") == 0
 
 
 @pytest.mark.parametrize("client, kind, settlement", [
@@ -428,8 +416,7 @@ def test_the_broker_builds_the_order_its_fields_name(client, kind, settlement, o
 
 
 def test_institutional_routing_rejection_writes_no_journal_entry():
-    broker, exchanges, ledger, _ = make_desk()
-    exchanges[0].symbols.clear()
+    broker, _, ledger, _ = make_desk(symbols=())
     rejection = broker.place_institutional_order(buy_draft(client="fund"))
     assert rejection == Rejection("routing", "UnknownSymbol")
     assert ledger.journal == []
@@ -555,7 +542,7 @@ def test_receive_affirmation_flips_responsibility():
         "F1", ParticipantId(ParticipantRole.CUSTODIAN, "CU1"), broker.pid,
         block_id, tuple(c.contract_id for c in contracts))
     broker.receive_affirmation(affirmation)
-    assert broker.responsibility[block_id] == "custodian"
+    assert broker.affirmed_blocks == {block_id}
     assert broker.unaffirmed_blocks() == []
 
 

@@ -44,22 +44,21 @@ def check_build(product, text):
                for account, money, positions in plain["endowments"]}
     for owner, account in ledger.accounts.items():
         money, positions = endowed.get(owner, (0, {}))
-        assert account.owner == owner
         assert (account._money, account._positions) == (Money(money, currency), positions)
 
-    accounts = list(ledger.accounts.values())
-    assert len({id(account._positions) for account in accounts}) == len(accounts)
+    accounts = dict(ledger.accounts)
+    assert len({id(account._positions) for account in accounts.values()}) == len(accounts)
 
     # a cent and a share into every account in turn, from an account opened for it
     source = "ZZ.oracle"
     ledger.open_account(source, Money(len(accounts), currency), {"ZZ-ORACLE": len(accounts)})
     ledger.snapshot()  # records every opening
-    for account in accounts:
-        ledger.transfer_money(source, account.owner, Money(1, currency))
-        ledger.transfer_equity(source, account.owner, "ZZ-ORACLE", 1)
-        assert list(ledger.snapshot()._delta) == [source, account.owner]
-    for account in accounts:
-        money, positions = endowed.get(account.owner, (0, {}))
+    for owner in accounts:
+        ledger.transfer_money(source, owner, Money(1, currency))
+        ledger.transfer_equity(source, owner, "ZZ-ORACLE", 1)
+        assert list(dict(ledger.snapshot().changes())) == [source, owner]
+    for owner, account in accounts.items():
+        money, positions = endowed.get(owner, (0, {}))
         assert (account._money, account._positions) == (
             Money(money + 1, currency), {**positions, "ZZ-ORACLE": 1})
 

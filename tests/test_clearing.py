@@ -14,7 +14,7 @@ from stpsim.exchange import TradeReport
 from stpsim.ledger import Ledger, total_money, total_positions
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
-from stpsim.trading import Rejection, Side, Trade, TradeStatus
+from stpsim.trading import MAX_TRADE_VALUE, Rejection, Side, Trade, TradeStatus
 
 
 EXCHANGE_PID = ParticipantId(ParticipantRole.EXCHANGE, "X1")
@@ -94,9 +94,21 @@ def test_unknown_account_rejected():
 def test_extended_validation_caps_trade_value():
     clearing, ledger = make_clearing()
     clearing.extended_validation = True
-    clearing.max_trade_value = Money(5000)
-    report = street_trade("acct_a", "acct_b", qty=10, price=1000)
+    report = street_trade("acct_a", "acct_b", qty=1_000_001, price=1_000_000)
     assert clearing.submit_trade(report).rule == "TradeValueTooLarge"
+
+
+@pytest.mark.parametrize("qty, price, rule", [
+    (1_000_000, 1_000_000, None),
+    (1, MAX_TRADE_VALUE + 1, "TradeValueTooLarge"),
+], ids=["at_the_cap", "one_unit_over"])
+def test_extended_validation_takes_a_trade_of_exactly_the_value_cap(qty, price, rule):
+    assert qty * price - MAX_TRADE_VALUE == (0 if rule is None else 1)
+    clearing, _ = make_clearing()
+    clearing.extended_validation = True
+    rejection = clearing.submit_trade(street_trade("acct_a", "acct_b", qty=qty, price=price))
+    assert (rejection and rejection.rule) == rule
+    assert clearing.queue_size() == (rule is None)
 
 
 # -- gross clearing -----------------------------------------------------------
@@ -106,8 +118,9 @@ def test_gross_single_trade_obligation_pair():
     clearing.submit_trade(street_trade("acct_a", "acct_b", qty=100, price=1040))
     obligations = clearing.clear_rec()
     assert len(obligations) == 2
-    money_ob = next(o for o in obligations if o.kind == "money")
-    equity_ob = next(o for o in obligations if o.kind == "equity")
+    # a trade's money obligation moves no shares, its equity obligation no money
+    money_ob = next(o for o in obligations if o.net_quantity == 0)
+    equity_ob = next(o for o in obligations if o.net_money.amount == 0)
     assert money_ob.party == "acct_a" and money_ob.net_money == Money(-104000)
     assert equity_ob.party == "acct_b" and equity_ob.net_quantity == -100
 
@@ -403,11 +416,12 @@ def test_client_record_non_positive_price_rejected():
 def test_price_in_another_currency_is_refused_before_the_value_cap(extended):
     clearing, ledger = make_clearing()
     clearing.extended_validation = extended
-    clearing.max_trade_value = Money(5000)      # 10 x 1000 is over it
-    refused = Rejection("trade_validation", "CurrencyMismatch", str(Money(1000, "EUR")))
-    report = street_trade("acct_a", "acct_b", qty=10, price=1000, currency="EUR")
-    assert clearing.submit_trade(report) == refused
-    assert clearing.submit_trade(client_record(1, "B", 10, currency="EUR")) == refused
+    over = MAX_TRADE_VALUE // 10 + 1            # 10 x `over` is over the cap
+    report = street_trade("acct_a", "acct_b", qty=10, price=over, currency="EUR")
+    assert clearing.submit_trade(report) == Rejection(
+        "trade_validation", "CurrencyMismatch", str(Money(over, "EUR")))
+    assert clearing.submit_trade(client_record(1, "B", 10, currency="EUR")) == Rejection(
+        "trade_validation", "CurrencyMismatch", str(Money(1000, "EUR")))
     assert clearing.clear_rec() == []
     assert clearing.settle_rec() == []
     assert ledger.journal == []

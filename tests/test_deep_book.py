@@ -57,11 +57,11 @@ def test_partial_fill_lets_larger_same_price_order_take_the_head(tiebreak):
     book.submit(build_order(1, "sell", "limit", 1040, 100), tuple_trade)
     book.submit(build_order(2, "sell", "limit", 1040, 80), tuple_trade)
     book.submit(build_order(3, "sell", "limit", 1050, 500), tuple_trade)
-    assert book.best(Side.SELL).order_id == "O1"
+    assert book.side(Side.SELL).head().order_id == "O1"
 
     trades = book.submit(build_order(4, "buy", "market", None, 30), tuple_trade)
     assert trades == [(1040, 30, "O4", "O1")]
-    assert book.best(Side.SELL).order_id == "O2"
+    assert book.side(Side.SELL).head().order_id == "O2"
     asks = ranked(book.asks)
     assert [o.order_id for o in asks] == ["O2", "O1", "O3"]
     assert [o.remaining for o in asks] == [80, 70, 500]
@@ -72,7 +72,7 @@ def test_partial_fill_lets_larger_same_price_order_take_the_head(tiebreak):
     trades = book.submit(build_order(5, "buy", "limit", 1040, 85), tuple_trade)
     assert trades == [(1040, 80, "O5", "O2"), (1040, 5, "O5", "O1")]
     assert [o.order_id for o in ranked(book.asks)] == ["O1", "O3"]
-    assert book.best(Side.SELL).remaining == 65
+    assert book.side(Side.SELL).head().remaining == 65
     assert book.depth() == 2 and ranked(book.bids) == []
 
 

@@ -30,12 +30,13 @@ class _SilentBroker:
         pass
 
 
-def make_exchange(supported=frozenset(OrderType), extended=False, symbols=("ACME",)):
+def make_exchange(supported=frozenset(OrderType), extended=False, symbols=("ACME",),
+                  currency="USD"):
     registry = ServiceRegistry()
     registry.register(ParticipantId(ParticipantRole.BROKER, "TEST"), _SilentBroker())
     pid = ParticipantId(ParticipantRole.EXCHANGE, "X1")
     exchange = ExchangeService(
-        pid, registry, set(symbols),
+        pid, registry, symbols, currency,
         PrecedenceComparator(SecondaryPrecedence.TIME_PRIORITY, TieBreak.FIFO),
         supported, extended_validation=extended)
     registry.register(pid, exchange)
@@ -95,22 +96,19 @@ def test_extended_validation_takes_an_order_of_exactly_the_size_cap():
         draft_order(qty=1_000_001)).rule == "OrderTooLarge"
 
 
-def test_the_first_priced_order_accepted_fixes_the_book_currency():
-    exchange = make_exchange(symbols=("ACME", "BETA"))
-    unpriced = draft_order(otype=OrderType.MARKET, price=None)
-    assert exchange.validate_incoming_order(unpriced) is None   # fixes nothing
-    euro = draft_order(side=Side.SELL)
-    euro.limit_price = Money(1050, "EUR")
-    assert exchange.validate_incoming_order(euro) is None
-    assert exchange.books["ACME"].currency == "EUR"
+def test_an_exchange_refuses_a_limit_or_cap_in_another_currency_than_its_own():
+    exchange = make_exchange(currency="EUR")
     dollar = draft_order(price=1050)
     dollar_cap = draft_order(otype=OrderType.MARKET, price=None)
     dollar_cap.price_cap = Money(1050)
     for order in (dollar, dollar_cap):
         assert exchange.validate_incoming_order(order).rule == "CurrencyMismatch"
         assert order.status is OrderStatus.REJECTED and order.seq is None
-    assert exchange.validate_incoming_order(draft_order(symbol="BETA")) is None
-    assert exchange.books["BETA"].currency == "USD"
+    euro = draft_order(side=Side.SELL)
+    euro.limit_price = Money(1050, "EUR")
+    assert exchange.validate_incoming_order(euro) is None
+    unpriced = draft_order(otype=OrderType.MARKET, price=None)
+    assert exchange.validate_incoming_order(unpriced) is None
 
 
 def test_accepted_orders_get_increasing_seq():
@@ -132,7 +130,7 @@ def test_limit_buy_on_empty_book_rests_as_best_bid():
     trades = book.submit(order, tuple_trade)
     assert trades == []
     assert order.status is OrderStatus.RESTING
-    assert book.best(Side.BUY) is order
+    assert book.side(Side.BUY).head() is order
 
 
 def test_cross_executes_at_resting_price():
@@ -234,7 +232,7 @@ def test_partial_fill_rests_remainder():
     assert trades == [(1040, 30, "O2", "O1")]
     assert incoming.status is OrderStatus.PARTIALLY_FILLED
     assert incoming.remaining == 70
-    assert book.best(Side.BUY) is incoming
+    assert book.side(Side.BUY).head() is incoming
 
 
 def test_limit_trades_never_beat_the_limit():

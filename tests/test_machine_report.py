@@ -129,13 +129,11 @@ def test_audit_record_lines():
     ]
 
 
-@pytest.mark.parametrize("stage, rule, desk, draft, prepare", REJECTED_AT.values(),
+@pytest.mark.parametrize("stage, rule, desk, draft", REJECTED_AT.values(),
                          ids=REJECTED_AT.keys())
 def test_a_rejection_record_writes_one_line_naming_the_stages_it_passed(
-        stage, rule, desk, draft, prepare):
-    broker, exchanges, _, _ = make_desk(**desk)
-    if prepare:
-        prepare(exchanges)
+        stage, rule, desk, draft):
+    broker, _, _, _ = make_desk(**desk)
     broker.place_retail_order(draft)
     assert len(broker.audit_records) == 1
     assert record_lines(audit_lines=broker.audit_records) == [

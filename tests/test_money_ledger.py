@@ -121,7 +121,7 @@ def test_self_transfer_is_net_zero_and_journaled_once(call, kind, amount, symbol
     assert call(ledger) == 1
     assert ledger.journal == [(1, kind, "alice", "alice", amount, symbol, "self")]
     after = ledger.snapshot()
-    assert "alice" in after._delta
+    assert "alice" in dict(after.changes())
     assert after == before
     assert ledger.balance("alice") == Money(1000)
     assert ledger.position("alice", "ACME") == 10
@@ -134,7 +134,7 @@ def test_cross_currency_transfer_raises_and_writes_nothing():
         ledger.transfer_money("alice", "bob", Money(1, "EUR"))
     assert ledger.journal == []
     after = ledger.snapshot()
-    assert after._delta == {}
+    assert dict(after.changes()) == {}
     assert after == before
 
 
@@ -155,7 +155,7 @@ def test_shortfall_messages(call, error, message):
         call(ledger)
     assert str(raised.value) == message
     assert ledger.journal == []
-    assert ledger.snapshot()._delta == {}
+    assert dict(ledger.snapshot().changes()) == {}
 
 
 @pytest.mark.parametrize("call, missing", [
@@ -199,7 +199,7 @@ def test_refused_transfer_leaves_balances_journal_and_next_delta_empty(call):
         call(ledger)
     assert ledger.journal == []
     after = ledger.snapshot()
-    assert after._delta == {}
+    assert dict(after.changes()) == {}
     assert after == before
     assert [ledger.balance(owner) for owner in ("alice", "bob", "carol")] == [
         Money(1000), Money(0), Money(7)]
@@ -222,8 +222,8 @@ def test_transfer_marks_exactly_its_two_owners(call, owners):
     ledger.snapshot()
     call(ledger)
     assert len(ledger.journal) == 2
-    assert ledger.snapshot()._delta.keys() == owners
-    assert ledger.snapshot()._delta == {}
+    assert dict(ledger.snapshot().changes()).keys() == owners
+    assert dict(ledger.snapshot().changes()) == {}
 
 
 def test_duplicate_account_rejected():
@@ -316,7 +316,7 @@ def test_direct_account_write_raises_and_changes_nothing(write):
     with pytest.raises((AttributeError, TypeError)):
         write(ledger)
     assert live_balances(ledger) == {"alice": (Money(1000), {"ACME": 10}), "bob": (Money(0), {})}
-    assert ledger.snapshot()._delta == {}
+    assert dict(ledger.snapshot().changes()) == {}
     assert before["alice"] == AccountSnapshot(Money(1000), {"ACME": 10})
 
 
@@ -324,7 +324,7 @@ def test_live_reads_follow_the_ledger_and_record_nothing():
     ledger = make_ledger()
     first = ledger.snapshot()
     assert (ledger.balance("alice"), ledger.position("alice", "ACME")) == (Money(1000), 10)
-    assert ledger.snapshot()._delta == {}
+    assert dict(ledger.snapshot().changes()) == {}
     ledger.transfer_equity("alice", "bob", "ACME", 7)
     assert (ledger.position("alice", "ACME"), ledger.position("bob", "ACME")) == (3, 7)
     second = ledger.snapshot()
@@ -501,7 +501,7 @@ def test_recorded_deltas_are_bounded_by_openings_and_journal(request, product_ke
     scenario = load_scenario(scenario_id)
     eco = build_ecosystem(request.getfixturevalue(product_key), scenario)
     report = ScenarioRunner(eco, scenario).run()
-    recorded = sum(len(step.snapshot._delta) for step in report.steps)
+    recorded = sum(len(dict(step.snapshot.changes())) for step in report.steps)
     assert recorded <= len(eco.ledger.accounts) + 2 * len(eco.ledger.journal)
 
 

@@ -87,7 +87,7 @@ RECORDS = [
     AuditEvent("BR1-O1", "validation", "ok"),
     OrderDraft("RC1", Side.BUY, "ACME", 10, OrderType.LIMIT, Money(5)),
     Rejection("validation", "MissingPrice"),
-    Obligation("net", "a", "b", "ACME", 10, Money(-50), ("T1",)),
+    Obligation("a", "b", "ACME", 10, Money(-50), ("T1",)),
     MoneyLeg("a", "b", Money(5)),
     EquityLeg("a", "b", "ACME", 10),
     BROKER,
