@@ -77,7 +77,7 @@ BINDING_TABLE: dict[str, dict[str, Point]] = {
     "Custodian": {
         "CustodianAllocationDetailValidationRules": Point("extended_detail_checks", {
             "CustodianStandardAllocationChecks": False, "CustodianExtendedAllocationChecks": True}),
-        "AllocationDetailAffirmationRules": Point("affirmation_rules", _named(
+        "AllocationDetailAffirmationRules": Point(None, _named(
             "FieldEqualityAffirmation", "CoverageAffirmation"), many=True),
         "CustodianMoneyTransferMethods": Point("money_method", _named(
             "CustodianBookEntryPayment", "CustodianBankWirePayment")),

@@ -19,8 +19,10 @@ fill costs more than the limit or cap, so the rest is never negative.
 Prepayment, crediting and refund all go through one house-client
 transfer, `_transfer`. Institutional clients never prepay: their assets
 sit at the custodian, which takes over settlement once it affirms the
-broker's contracts against the manager's allocation details (checked, as
-there, by `trading.allocation_detail_rule`, then against the block order).
+broker's contracts. The broker checks the manager's allocation details
+(by `trading.allocation_detail_rule`, as the custodian does, then against
+the block order and its fills) and builds one contract from each detail,
+so the custodian affirms the contracts it is handed.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class BrokerError(Exception):
 
 
 class NoVenues(BrokerError):
-    pass
-
-
-class UnknownContracts(BrokerError):
     pass
 
 
@@ -384,13 +382,6 @@ class BrokerService:
 
     def receive_affirmation(self, affirmation: Affirmation) -> None:
         """Custodian affirmed: settlement responsibility leaves this broker."""
-        sent = self.contracts_sent.get(affirmation.block_order_id)
-        if sent is None:
-            raise UnknownContracts(affirmation.block_order_id)
-        sent_ids = {c.contract_id for c in sent}
-        unknown = set(affirmation.contract_ids) - sent_ids
-        if unknown:
-            raise UnknownContracts(", ".join(sorted(unknown)))
         self.affirmed_blocks.add(affirmation.block_order_id)
 
     # -- settlement --------------------------------------------------------

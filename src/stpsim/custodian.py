@@ -2,19 +2,19 @@
 
 The custodian holds institutional assets in an omnibus ledger account.
 The manager's allocation details of a known institution pass
-`trading.allocation_detail_rule`, as at the broker. When broker contracts
-arrive it affirms them against those pending details with the product's
-bound rule packs; a successful affirmation transfers settlement
-responsibility here. The custodian then forwards per-allocation client
-trade records to the clearing corporation and, once the street trades
-settle, distributes shares or proceeds from the omnibus account to each
-end client.
+`trading.allocation_detail_rule`, as at the broker, and wait pending. The
+broker builds one contract from each of those details, so the custodian
+affirms the contracts it is handed: the block's details become affirmed,
+the broker is told, and settlement responsibility moves here. The
+product's `AllocationDetailAffirmationRules` variants bind nothing. The
+custodian then forwards per-allocation client trade records to the
+clearing corporation and, once the street trades settle, distributes
+shares or proceeds from the omnibus account to each end client.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .clearing import ClientTradeRecord
 from .ledger import Ledger
@@ -25,37 +25,9 @@ from .trading import (
     allocation_detail_rule)
 
 
-class CustodianError(Exception):
-    pass
-
-
-class NoPendingDetails(CustodianError):
-    pass
-
-
-@dataclass(frozen=True)
-class AffirmationViolation:
-    rule: str
-    contract_id: str
-    alloc_id: str
-
-    def __str__(self) -> str:
-        return f"{self.rule}: contract={self.contract_id or '-'} detail={self.alloc_id or '-'}"
-
-
-@dataclass(frozen=True)
-class AffirmationRejection:
-    block_order_id: str
-    violations: tuple[AffirmationViolation, ...]
-
-    def __str__(self) -> str:
-        return "; ".join(str(v) for v in self.violations)
-
-
 @dataclass(frozen=True)
 class CustodianConfig:
     extended_detail_checks: bool
-    affirmation_rules: frozenset[str]
     money_method: str
     equity_method: str
 
@@ -90,7 +62,7 @@ class CustodianService:
         self.institutions: set[str] = set()
         self.pending_details: dict[str, tuple[AllocationDetail, ...]] = {}
         self.affirmed: dict[str, _AffirmedBlock] = {}
-        self.affirmations: list[Affirmation | AffirmationRejection] = []
+        self.affirmations: list[Affirmation] = []
         self._next_affirmation = 1
         self._next_record = 1
 
@@ -119,30 +91,16 @@ class CustodianService:
 
     # -- affirmation -------------------------------------------------------
 
-    def affirm_contracts(self, contracts: list[Contract]) -> Affirmation | AffirmationRejection:
-        """Check contracts against pending details under the bound rule packs.
+    def affirm_contracts(self, contracts: list[Contract]) -> Affirmation:
+        """Affirm the broker's contracts for one block: its pending details
+        become affirmed, and settlement responsibility moves here.
 
-        The verdict is a pure function of (contracts, details, rules): it
-        does not depend on arrival order. Success sends an Affirmation to
-        the broker and moves settlement responsibility to this custodian.
+        The broker builds each contract from the same detail this custodian
+        holds (alloc id, symbol, quantity and price), so there is nothing
+        to compare: the affirmation echoes the broker's contract ids.
         """
-        if not contracts:
-            if not self.pending_details:
-                raise NoPendingDetails("no contracts and no pending details")
-            block = next(iter(self.pending_details))
-            violations = [AffirmationViolation("UnmatchedDetails", "", "")]
-        else:
-            block = contracts[0].block_order_id
-            details = self.pending_details.get(block)
-            if details is None:
-                raise NoPendingDetails(block)
-            violations = self._affirmation_violations(contracts, details)
-        if violations:
-            rejection = AffirmationRejection(block, tuple(violations))
-            self.affirmations.append(rejection)
-            return rejection
-
-        broker_pid = contracts[0].broker
+        block, broker_pid = contracts[0].block_order_id, contracts[0].broker
+        details = self.pending_details.pop(block)
         affirmation = Affirmation(
             affirmation_id=f"{self.pid.id}-F{self._next_affirmation}",
             custodian=self.pid,
@@ -157,52 +115,7 @@ class CustodianService:
         broker.receive_affirmation(affirmation)
         side = broker.order_info(block).side
         self.affirmed[block] = _AffirmedBlock(details, side)
-        del self.pending_details[block]
         return affirmation
-
-    def _affirmation_violations(
-        self,
-        contracts: list[Contract],
-        details: tuple[AllocationDetail, ...],
-    ) -> list[AffirmationViolation]:
-        violations: list[AffirmationViolation] = []
-        by_alloc = {d.alloc_id: d for d in details}
-
-        if "FieldEqualityAffirmation" in self.config.affirmation_rules:
-            seen_refs: set[str] = set()
-            for contract in sorted(contracts, key=attrgetter("contract_id")):
-                detail = by_alloc.get(contract.alloc_ref)
-                if detail is None:
-                    violations.append(AffirmationViolation(
-                        "UnknownAllocationRef", contract.contract_id, contract.alloc_ref))
-                    continue
-                if contract.alloc_ref in seen_refs:
-                    violations.append(AffirmationViolation(
-                        "DuplicateAllocationRef", contract.contract_id, contract.alloc_ref))
-                    continue
-                seen_refs.add(contract.alloc_ref)
-                if contract.symbol != detail.symbol:
-                    violations.append(AffirmationViolation(
-                        "SymbolMismatch", contract.contract_id, detail.alloc_id))
-                if contract.quantity != detail.quantity:
-                    violations.append(AffirmationViolation(
-                        "QuantityMismatch", contract.contract_id, detail.alloc_id))
-                # a broker's contract carries its detail's own Money; compare
-                # the values only when they are different objects
-                if contract.price is not detail.price and contract.price != detail.price:
-                    violations.append(AffirmationViolation(
-                        "PriceMismatch", contract.contract_id, detail.alloc_id))
-
-        if "CoverageAffirmation" in self.config.affirmation_rules:
-            if sum(c.quantity for c in contracts) != sum(d.quantity for d in details):
-                violations.append(AffirmationViolation("QuantitySumMismatch", "", ""))
-            unmatched = by_alloc.keys() - {c.alloc_ref for c in contracts}
-            if unmatched:  # one violation per detail, so a repeated alloc id repeats
-                violations.extend(
-                    AffirmationViolation("UnmatchedDetails", "", alloc_id)
-                    for alloc_id in sorted(d.alloc_id for d in details if d.alloc_id in unmatched))
-
-        return violations
 
     # -- clearing and settlement -----------------------------------------
 

@@ -38,7 +38,6 @@ from typing import Any, NamedTuple
 from .assembly import Ecosystem, build_ecosystem
 from .broker import OrderDraft
 from .clearing import SettlementFailed
-from .custodian import AffirmationRejection
 from .ledger import AccountSnapshot, JournalEntry, Snapshot, total_money, total_positions
 from .money import _new
 from .scenarios import AllocateAction, OrderAction, Scenario
@@ -89,7 +88,7 @@ class ScenarioReport:
     audit_lines: list[AuditEvent] = field(default_factory=list)
     trade_lines: list[Trade] = field(default_factory=list)
     instruction_lines: list[SettlementInstruction] = field(default_factory=list)
-    affirmation_lines: list[Affirmation | AffirmationRejection] = field(default_factory=list)
+    affirmation_lines: list[Affirmation] = field(default_factory=list)
     scenario: Scenario | None = None
 
     @property
@@ -216,10 +215,8 @@ class ScenarioRunner:
             raise ScenarioAborted(step, f"broker {outcome}")
         self._snapshot(step, (f"contracts={len(outcome)}",))
 
-        verdict = custodian.affirm_contracts(outcome)
-        if isinstance(verdict, AffirmationRejection):
-            raise ScenarioAborted(f"affirmation_{action.institution}", str(verdict))
-        self._snapshot(f"affirmation_{action.institution}", (verdict.affirmation_id,))
+        affirmation = custodian.affirm_contracts(outcome)
+        self._snapshot(f"affirmation_{action.institution}", (affirmation.affirmation_id,))
 
     # -- end-of-scenario checks -------------------------------------------
 

@@ -13,14 +13,12 @@ Its records, in file order, with amounts in minor units:
     trade|<trade id>|<symbol>|<price>|<qty>|<buy order id>|<sell order id>
     audit|<order id>|<stage>|<ok or rejected>|<rule, empty when ok>|<passed stage,...>
     affirmation|affirmed|<block order id>|<affirmation id>|<contract id,...>
-    affirmation|rejected|<block order id>|<violation;violation;...>
     instruction|<id>|<money leg or ->|<equity leg or ->|<trade ref,...>
     journal|<seq>|<kind>|<from>|<to>|<amount>|<symbol?>|<cause>
     check|<name>|pass or check|<name>|FAIL|<detail>
     end|completed or end|aborted|<step>|<cause>
 
-A violation reads ``<rule>: contract=<id or -> detail=<alloc id or ->``, a
-money leg ``<payer>-><payee>:<amount>`` and an equity leg
+A money leg ``<payer>-><payee>:<amount>`` and an equity leg
 ``<deliverer>-><receiver>:<qty><symbol>``. A journal entry's kind is
 ``money`` (its symbol empty) or ``equity`` (its amount a share count).
 A broker's audit record, one per order placed or allocation checked, names
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .custodian import AffirmationRejection
 from .lifecycle import CheckResult, ScenarioReport
 from .money import _new
 
@@ -81,8 +78,6 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     lines.extend(f"audit|{order_id}|{stage}|{outcome}|{rule}|{','.join(passed)}"
                  for order_id, stage, outcome, rule, passed in report.audit_lines)
     lines.extend(
-        f"affirmation|rejected|{a.block_order_id}|{';'.join(map(str, a.violations))}"
-        if isinstance(a, AffirmationRejection) else
         f"affirmation|affirmed|{a.block_order_id}|{a.affirmation_id}|{','.join(a.contract_ids)}"
         for a in report.affirmation_lines)
     for instruction in report.instruction_lines:
@@ -127,7 +122,7 @@ class ReportParseError(Exception):
 
 # The fewest "|"-separated fields, tag included, that each record can have.
 _MIN_FIELDS = {"run": 1, "step": 3, "balance": 4, "journal": 8, "trade": 7, "audit": 6,
-               "affirmation": 4, "instruction": 5, "check": 3, "end": 2}
+               "affirmation": 5, "instruction": 5, "check": 3, "end": 2}
 
 
 def _integer(text: str, line_no: int, what: str) -> int:

@@ -5,8 +5,9 @@ An `Order` travels client -> broker -> exchange and mutates as it goes
 A `Trade` is the match of two orders; its status only ever advances
 executed -> cleared -> settled. AllocationDetail / Contract / Affirmation
 are the documents of the institutional post-trade flow: the manager's
-per-client split, the broker's mirror of that split, and the custodian's
-signed agreement that the two match. Every participant judges an order
+per-client split, the broker's contracts (one built from each detail) and
+the custodian's acceptance of them, which moves settlement responsibility
+from the broker to the custodian. Every participant judges an order
 by `order_shape_rule` and a detail list by `allocation_detail_rule`.
 """
 

@@ -58,8 +58,13 @@ def test_custodian_configs_differ_between_products(product_a, product_b):
     custodian_b = project(product_b)["Custodian"]
     assert not custodian_a["extended_detail_checks"]
     assert custodian_b["extended_detail_checks"]
-    assert custodian_a["affirmation_rules"] == custodian_b["affirmation_rules"] == frozenset(
-        {"FieldEqualityAffirmation", "CoverageAffirmation"})
+    # both products bind both affirmation variants, and the point drives no field
+    for product in (product_a, product_b):
+        assert set(product.bindings["AllocationDetailAffirmationRules"]) == {
+            "FieldEqualityAffirmation", "CoverageAffirmation"}
+    assert BINDING_TABLE["Custodian"]["AllocationDetailAffirmationRules"].field is None
+    assert custodian_a.keys() == custodian_b.keys() == {
+        "extended_detail_checks", "money_method", "equity_method"}
     assert custodian_a["money_method"] == "CustodianBookEntryPayment"
     assert custodian_b["money_method"] == "CustodianBankWirePayment"
 

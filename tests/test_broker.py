@@ -8,7 +8,6 @@ from stpsim.broker import (
     BrokerService,
     NoVenues,
     OrderDraft,
-    UnknownContracts,
 )
 from stpsim.exchange import (
     ExchangeService,
@@ -544,17 +543,6 @@ def test_receive_affirmation_flips_responsibility():
     broker.receive_affirmation(affirmation)
     assert broker.affirmed_blocks == {block_id}
     assert broker.unaffirmed_blocks() == []
-
-
-def test_receive_affirmation_unknown_contracts():
-    broker, exchanges, _, _ = make_desk()
-    block_id = _filled_block(broker, exchanges)
-    broker.handle_allocation_details([detail("A1", block_id, 60), detail("A2", block_id, 40)])
-    bogus = Affirmation(
-        "F1", ParticipantId(ParticipantRole.CUSTODIAN, "CU1"), broker.pid,
-        block_id, ("GHOST-1",))
-    with pytest.raises(UnknownContracts):
-        broker.receive_affirmation(bogus)
 
 
 # A block of 100 ACME filled at 1040 (60 of it when the case says so), split

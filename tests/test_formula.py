@@ -110,3 +110,13 @@ def test_syntax_error_message_and_column(text, message, column):
         fm.parse(text)
     assert str(caught.value) == f"{message} (column {column})"
     assert caught.value.position == column - 1
+
+
+@pytest.mark.parametrize("nots", [101, 5000])
+def test_a_long_not_chain_is_refused_at_its_101st_level(nots):
+    # the levels open around the atom count up from the first "!", so the
+    # atom, at column 102, is the first token nested too deep; a chain of
+    # any length must end in this error, not in RecursionError
+    with pytest.raises(fm.FormulaSyntaxError) as caught:
+        fm.parse("!" * nots + "A")
+    assert str(caught.value) == "nested deeper than 100 levels (column 102)"

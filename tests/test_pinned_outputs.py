@@ -8,9 +8,9 @@ a configuration selecting only the root, `{retail_cross}`, `{deep_book}`
 and `{block_alloc}` the benchmark workloads' seed-1 scenarios,
 `{retail_cross_large}`, `{deep_book_large}` and `{block_alloc_large}` their
 large seed-7 scenarios (see LARGE), and `{underfunded}`,
-`{short_allocation}`, `{zero_split}`, `{short_omnibus}`, `{two_fill_prices}`
-and `{oversized_trade}` shipped scenarios with a few lines edited (see
-EDITS). A `run --format machine` row also pins the md5 of what
+`{short_allocation}`, `{zero_split}`, `{short_omnibus}`, `{two_fill_prices}`,
+`{oversized_trade}`, `{zero_quantity}`, `{zero_price}` and `{capped_sell}`
+shipped scenarios with a few lines edited (see EDITS). A `run --format machine` row also pins the md5 of what
 `stpsim report` prints for that output, and that it equals the human output
 of the same `run`.
 Every row runs through `cli.main` in-process, and each `run` and `report`
@@ -94,6 +94,12 @@ EDITS = {
                         "endow: RC2 ACME=100\n\n"
                         "order: RC2 sell 100 ACME limit 20000000000\n"
                         "order: RC1 buy 100 ACME limit 20000000000\n"),
+    "zero_quantity": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
+                      "order: RC2 sell 0 ACME limit 1040\n"),
+    "zero_price": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
+                   "order: RC2 sell 100 ACME limit 0\n"),
+    "capped_sell": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
+                    "order: RC2 sell 100 ACME market cap=5\n"),
 }
 
 
@@ -175,11 +181,27 @@ PINS.update({
     "seco_b_retail_institutional_two_fill_prices": _machine_run(
         "seco_b", "{two_fill_prices}",
         "a65127a05bf5c3e68ddb79898157498b", "e45926d2188429f7456a4c7b430d7d64", 1),
-    # aborted at report_trades: clearing refuses the trade's value (SECO A's
-    # broker refuses the order first, an abort the underfunded rows already pin)
+    # aborted at order_1_RC2: SECO A's broker refuses the sell's value
+    # (client_compliance: OrderValueOverCap)
+    "seco_a_retail_retail_oversized_trade": _machine_run(
+        "seco_a", "{oversized_trade}",
+        "b0cbc1467be2cc02ea013479ef72802a", "ceeed32026d4b144a4f0fdd7438ddd85", 1),
+    # aborted at report_trades: SECO B's broker caps no order value, and
+    # clearing refuses the trade's (trade_validation: TradeValueTooLarge)
     "seco_b_retail_retail_oversized_trade": _machine_run(
         "seco_b", "{oversized_trade}",
         "07319780fb6d9e012a35d7539cf91053", "35c8e31a0437b8e4cae87af6ae68aac3", 1),
+    # aborted at order_1_RC2: the broker's order-shape validation refuses
+    # the sell (NonPositiveQuantity, NonPositivePrice, CapOnSell)
+    "seco_a_retail_retail_zero_quantity": _machine_run(
+        "seco_a", "{zero_quantity}",
+        "a1f609c9540f693782a0376eff6ea9d2", "a1fc0dea12f93c4bd1f6f91204e62a1e", 1),
+    "seco_a_retail_retail_zero_price": _machine_run(
+        "seco_a", "{zero_price}",
+        "85c37508dbb4a8fc45b60e536107ac74", "0037046b6036c14bb99318d5adb6e6bc", 1),
+    "seco_a_retail_retail_capped_sell": _machine_run(
+        "seco_a", "{capped_sell}",
+        "419a3d66c13a68fe35bd4e2c869ecb8c", "3f968a38ae1fe2619bd4c7b1fa8c572e", 1),
 })
 
 
