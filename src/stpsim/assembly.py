@@ -71,8 +71,8 @@ BINDING_TABLE: dict[str, dict[str, Point]] = {
             "RestrictedSymbolScreening": True, "PermissiveGovernmentalPolicy": False}),
         "ClientComplianceChecks": Point("value_cap_enabled", {
             "MaxOrderValueCap": True, "UnrestrictedClientPolicy": False}),
-        "BrokerAllocationDetailValidationRules": Point("extended_alloc_checks", {
-            "BrokerStandardAllocationChecks": False, "BrokerExtendedAllocationChecks": True}),
+        "BrokerAllocationDetailValidationRules": Point(None, _named(
+            "BrokerStandardAllocationChecks", "BrokerExtendedAllocationChecks")),
     },
     "Custodian": {
         "CustodianAllocationDetailValidationRules": Point("extended_detail_checks", {

@@ -19,10 +19,12 @@ fill costs more than the limit or cap, so the rest is never negative.
 Prepayment, crediting and refund all go through one house-client
 transfer, `_transfer`. Institutional clients never prepay: their assets
 sit at the custodian, which takes over settlement once it affirms the
-broker's contracts. The broker checks the manager's allocation details
-(by `trading.allocation_detail_rule`, as the custodian does, then against
-the block order and its fills) and builds one contract from each detail,
-so the custodian affirms the contracts it is handed.
+broker's contracts. The custodian has already applied
+`trading.allocation_detail_rule` to the manager's allocation details, so
+the broker checks only what it alone knows, its block order: the block is
+done filling and the details cover its filled quantity. It then builds one
+contract from each detail, so the custodian affirms the contracts it is
+handed.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .trading import (
     Rejection,
     Side,
     Trade,
-    allocation_detail_rule,
     order_shape_rule,
 )
 
@@ -95,7 +96,6 @@ class BrokerConfig:
     risk_checks: frozenset[str]
     restricted_screening: bool
     value_cap_enabled: bool
-    extended_alloc_checks: bool
 
 
 class BrokerService:
@@ -333,7 +333,7 @@ class BrokerService:
     def handle_allocation_details(self, details: list[AllocationDetail]) -> list[Contract] | Rejection:
         rule = self._validate_details(details)
         if rule:
-            self.audit_records.append(AuditEvent(details[0].block_order_id if details else "-",
+            self.audit_records.append(AuditEvent(details[0].block_order_id,
                                                  "allocation_validation", "rejected", rule))
             return Rejection("allocation_validation", rule)
 
@@ -352,32 +352,14 @@ class BrokerService:
         return contracts
 
     def _validate_details(self, details: list[AllocationDetail]) -> str | None:
-        if not details:
-            return "NoDetails"
-        block_id = details[0].block_order_id
-        order = self.orders.get(block_id)
-        if order is None or order.client_kind is not INSTITUTIONAL:
-            return "UnknownBlockOrder"
-        rule = allocation_detail_rule(
-            details, order.client, block_id, order.symbol, self.config.extended_alloc_checks)
-        if rule:
-            return rule
-        if order.filled_quantity == 0 or not order.is_terminal:
+        """The custodian has passed `details` (a non-empty list for one of this
+        broker's institutional orders, each priced at its one fill price);
+        the block must be done filling, and the details must cover it."""
+        order = self.orders[details[0].block_order_id]
+        if not order.is_terminal:
             return "BlockNotFilled"
-        fills = self.fills.get(block_id, [])
-        fill_prices = {t.price for t in fills}
-        quantity = value = 0
-        priced = True
-        for detail in details:
-            units, price = detail.quantity, detail.price
-            quantity += units
-            value += price.amount * units
-            if price not in fill_prices:
-                priced = False
-        if quantity != order.filled_quantity:
+        if sum(detail.quantity for detail in details) != order.filled_quantity:
             return "QuantityMismatch"
-        if not priced or value != sum(t.price.amount * t.quantity for t in fills):
-            return "PriceMismatch"
         return None
 
     def receive_affirmation(self, affirmation: Affirmation) -> None:

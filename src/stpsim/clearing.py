@@ -1,11 +1,15 @@
 """Clearing and settlement: obligations, netting, and atomic DVP.
 
 The clearing corporation queues trade reports from exchanges and
-client-level records from custodians, both through one intake check in
-`submit_trade`. A street trade whose side was placed for an institutional
-client stays pending until custodian records cover that order's full
-executed quantity (affirmation has transferred settlement responsibility),
-then clears under the product's bound rule:
+client-level records from custodians, both through `submit_trade`. What
+the exchange and the custodian already guarantee (ids from their own
+counters, positive quantities, accepted prices in the ledger's currency,
+accounts opened at assembly) it does not check again; the one intake
+rule is the extended checks' cap on a street trade's value. A street
+trade whose side was placed for an institutional client stays pending
+until custodian records cover that order's full executed quantity
+(affirmation has transferred settlement responsibility), then clears
+under the product's bound rule:
 
 * trade_for_trade: one money obligation and one equity obligation per
   trade, whose counterparty is the trade's other settlement account.
@@ -137,7 +141,6 @@ class ClearingCorporation:
         self.pending_obligations: list[Obligation] = []
         self.executed_instructions: list[SettlementInstruction] = []
         self._cleared_reports: list[TradeReport] = []
-        self._seen_trade_ids: set[str] = set()
         self._street_qty: dict[str, int] = {}       # block/any order id -> executed qty
         self._covered_qty: dict[str, int] = {}      # order id -> custodian-covered qty
         self._order_trades: dict[str, list[TradeReport]] = {}
@@ -146,40 +149,21 @@ class ClearingCorporation:
     # -- intake ---------------------------------------------------------
 
     def submit_trade(self, record: TradeReport | ClientTradeRecord) -> Rejection | None:
-        """Validate and queue one submission; None means accepted.
+        """Queue one submission; None means accepted.
 
-        An exchange submits a `TradeReport`, a custodian a `ClientTradeRecord`.
-        Street reports and client records pass one intake check: a new trade
-        id, a positive quantity, a positive price in the ledger's currency, and
-        open settlement accounts. A street trade also meets the extended
-        checks' `MAX_TRADE_VALUE`.
+        An exchange submits a `TradeReport`, a custodian a `ClientTradeRecord`,
+        which is never refused. A street trade must meet the extended checks'
+        `MAX_TRADE_VALUE`.
         """
         if type(record) is TradeReport:
-            trade, accounts, street = record.trade, (record.buy_account, record.sell_account), True
-        else:
-            trade, accounts, street = record, (record.account,), False
-        trade_id, quantity, price = trade.trade_id, trade.quantity, trade.price
-        if trade_id in self._seen_trade_ids:
-            return Rejection("trade_validation", "DuplicateTrade", trade_id)
-        if quantity <= 0:
-            return Rejection("trade_validation", "NonPositiveQuantity", str(quantity))
-        if price.amount <= 0:
-            return Rejection("trade_validation", "NonPositivePrice", str(price))
-        if price.currency != self.ledger.currency:
-            return Rejection("trade_validation", "CurrencyMismatch", str(price))
-        known = self.ledger.accounts
-        for account in accounts:
-            if account not in known:
-                return Rejection("trade_validation", "UnknownAccount", account)
-        # on minor units: the price is in the ledger's currency, as is the cap
-        if street and self.extended_validation and price.amount * quantity > MAX_TRADE_VALUE:
-            return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
-        self._seen_trade_ids.add(trade_id)
-        if street:
+            trade = record.trade
+            # on minor units: the price is in the ledger's currency, as is the cap
+            if self.extended_validation and trade.price.amount * trade.quantity > MAX_TRADE_VALUE:
+                return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
             self._accept_street(record)
         else:
             block = record.block_order_id
-            self._covered_qty[block] = self._covered_qty.get(block, 0) + quantity
+            self._covered_qty[block] = self._covered_qty.get(block, 0) + record.quantity
         return None
 
     def _accept_street(self, report: TradeReport) -> None:

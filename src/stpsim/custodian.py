@@ -2,13 +2,14 @@
 
 The custodian holds institutional assets in an omnibus ledger account.
 The manager's allocation details of a known institution pass
-`trading.allocation_detail_rule`, as at the broker, and wait pending. The
-broker builds one contract from each of those details, so the custodian
-affirms the contracts it is handed: the block's details become affirmed,
-the broker is told, and settlement responsibility moves here. The
-product's `AllocationDetailAffirmationRules` variants bind nothing. The
-custodian then forwards per-allocation client trade records to the
-clearing corporation and, once the street trades settle, distributes
+`trading.allocation_detail_rule`, the one place those rules run, and wait
+pending. The broker checks them against its block order and builds one
+contract from each detail, so the custodian affirms the contracts it is
+handed: the block's details become affirmed, the broker is told, and
+settlement responsibility moves here. The product's
+`AllocationDetailAffirmationRules` variants bind nothing. The custodian
+then forwards per-allocation client trade records, which the clearing
+corporation never refuses, and, once the street trades settle, distributes
 shares or proceeds from the omnibus account to each end client.
 """
 
@@ -21,8 +22,7 @@ from .ledger import Ledger
 from .money import Money, _new
 from .registry import CLEARING_CORPORATION, ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
-    BUY, Affirmation, AllocationDetail, ClearingRejected, Contract, Rejection, Side,
-    allocation_detail_rule)
+    BUY, Affirmation, AllocationDetail, Contract, Rejection, Side, allocation_detail_rule)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ class CustodianService:
     # -- clearing and settlement -----------------------------------------
 
     def send_trades_to_clearing_rec(self) -> int:
-        """Submit one client-level trade record per affirmed allocation."""
+        """Submit one client-level trade record per affirmed allocation; the
+        clearing corporation refuses no client record."""
         submit = self.registry.first(CLEARING_CORPORATION).submit_trade
         prefix, omnibus = f"{self.pid.id}-R", self.omnibus_account
         sent = 0
@@ -131,10 +132,8 @@ class CustodianService:
             first = self._next_record
             self._next_record += len(details)
             for number, (_, _, _, _, symbol, quantity, price) in enumerate(details, first):
-                rejection = submit(_new(ClientTradeRecord, (
+                submit(_new(ClientTradeRecord, (
                     f"{prefix}{number}", block, side, symbol, quantity, price, omnibus)))
-                if rejection is not None:
-                    raise ClearingRejected(f"client trade for {block}", rejection)
             sent += len(details)
             affirmed.forwarded = True
         return sent

@@ -260,16 +260,21 @@ def _fold(running: dict[str, AccountSnapshot], current: Snapshot) -> tuple[int, 
     their full totals."""
     money = 0
     shares: dict[str, int] = {}
+    get = shares.get
     for account, after in current.changes():
         before = running.get(account)
-        if before is not None:
-            money -= before.money.amount
-            for symbol, qty in before.positions.items():
-                shares[symbol] = shares.get(symbol, 0) - qty
         running[account] = after
-        money += after.money.amount
-        for symbol, qty in after.positions.items():
-            shares[symbol] = shares.get(symbol, 0) + qty
+        if before is not None:
+            before_money, held = before
+            money -= before_money.amount
+            if held:
+                for symbol, qty in held.items():
+                    shares[symbol] = get(symbol, 0) - qty
+        after_money, held = after
+        money += after_money.amount
+        if held:
+            for symbol, qty in held.items():
+                shares[symbol] = get(symbol, 0) + qty
     return money, shares
 
 
@@ -303,11 +308,13 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
         for account, money, positions in scenario.expected:
             listed.add(account)
             have_money, have_positions = final[account]
-            want_positions = {s: q for s, q in positions if q} if positions else {}
-            ok = have_money.amount == money and have_positions == want_positions
+            # no dict for an expectation without positions: the account holds none
+            want_positions = {s: q for s, q in positions if q} if positions else None
+            ok = have_money.amount == money and (
+                not have_positions if want_positions is None else have_positions == want_positions)
             record(_new(CheckResult, (f"final[{account}]", ok, "" if ok else
                    f"have money={have_money.amount} positions={dict(have_positions)}, "
-                   f"want money={money} positions={want_positions}")))
+                   f"want money={money} positions={want_positions or {}}")))
         for account in sorted(final.keys() - listed):
             balances = final[account]
             if balances.money.amount or balances.positions:

@@ -60,15 +60,15 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     for index, (name, snapshot, events) in enumerate(report.steps, start=1):
         lines.append(f"step|{index}|{name}|{';'.join(events)}")
         head = f"balance|{index}"
-        for account, balances in sorted(snapshot.changes()):
-            positions = balances.positions
-            if len(positions) > 1:
-                held = ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
-            else:
+        for account, (money, positions) in sorted(snapshot.changes()):
+            if not positions:
                 held = ""
-                for symbol, qty in positions.items():  # at most one symbol: nothing to sort
-                    held = f"{symbol}={qty}"
-            text = f"|{account}|{balances.money.amount}|{held}"
+            elif len(positions) == 1:  # one symbol: nothing to sort or join
+                [(symbol, qty)] = positions.items()
+                held = f"{symbol}={qty}"
+            else:
+                held = ",".join(f"{symbol}={qty}" for symbol, qty in sorted(positions.items()))
+            text = f"|{account}|{money.amount}|{held}"
             if written.get(account) != text:
                 written[account] = text
                 lines.append(head + text)

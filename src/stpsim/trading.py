@@ -8,7 +8,8 @@ are the documents of the institutional post-trade flow: the manager's
 per-client split, the broker's contracts (one built from each detail) and
 the custodian's acceptance of them, which moves settlement responsibility
 from the broker to the custodian. Every participant judges an order
-by `order_shape_rule` and a detail list by `allocation_detail_rule`.
+by `order_shape_rule`, and the custodian a detail list by
+`allocation_detail_rule`.
 """
 
 from __future__ import annotations
@@ -262,12 +263,11 @@ def allocation_detail_rule(details: list[AllocationDetail], institution: str,
                            block_order_id: str, symbol: str, extended: bool) -> str | None:
     """The first allocation-detail rule the details break, or None.
 
-    Broker and custodian both apply these rules in this order, each over
-    every detail, the last three under the extended pack only. The broker
-    checks its block order afterwards, so under its extended pack a
-    non-positive price is `NonPositivePrice`, not a fill-price mismatch.
-    One pass finds the first rule each detail breaks and keeps the lowest
-    rank; a rule outside the pack ranks at or past its size and is ignored.
+    The custodian applies these rules in this order, each over every
+    detail, the last three under the extended pack only; the broker then
+    checks the same list against its block order alone. One pass finds
+    the first rule each detail breaks and keeps the lowest rank; a rule
+    outside the pack ranks at or past its size and is ignored.
     """
     size = 7 if extended else 4
     first = size                     # the rank of the first rule broken so far

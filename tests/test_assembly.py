@@ -39,7 +39,6 @@ def test_product_a_broker_config(product_a):
         "risk_checks": frozenset({"DuplicateOrderCheck"}),
         "restricted_screening": True,
         "value_cap_enabled": True,
-        "extended_alloc_checks": False,
     }
 
 

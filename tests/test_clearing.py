@@ -14,7 +14,7 @@ from stpsim.exchange import TradeReport
 from stpsim.ledger import Ledger, total_money, total_positions
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
-from stpsim.trading import MAX_TRADE_VALUE, Rejection, Side, Trade, TradeStatus
+from stpsim.trading import MAX_TRADE_VALUE, Side, Trade, TradeStatus
 
 
 EXCHANGE_PID = ParticipantId(ParticipantRole.EXCHANGE, "X1")
@@ -65,30 +65,11 @@ def street_trade(buy_account, sell_account, symbol="S0", qty=10, price=1000,
 
 # -- intake validation -------------------------------------------------------
 
-def test_duplicate_trade_id_rejected():
-    clearing, _ = make_clearing()
-    report = street_trade("acct_a", "acct_b")
-    assert clearing.submit_trade(report) is None
-    assert clearing.submit_trade(report).rule == "DuplicateTrade"
-
-
-def test_zero_quantity_rejected():
-    clearing, _ = make_clearing()
-    report = street_trade("acct_a", "acct_b", qty=0)
-    assert clearing.submit_trade(report).rule == "NonPositiveQuantity"
-
-
 @pytest.mark.parametrize("unit", [{"qty": 1}, {"price": 1}], ids=["one_share", "one_minor_unit"])
 def test_a_trade_of_one_unit_is_accepted(unit):
     clearing, _ = make_clearing()
     assert clearing.submit_trade(street_trade("acct_a", "acct_b", **unit)) is None
     assert clearing.queue_size() == 1
-
-
-def test_unknown_account_rejected():
-    clearing, _ = make_clearing()
-    report = street_trade("acct_a", "ghost")
-    assert clearing.submit_trade(report).rule == "UnknownAccount"
 
 
 def test_extended_validation_caps_trade_value():
@@ -392,63 +373,6 @@ def test_deferred_side_waits_for_coverage():
     obligations = clearing.clear_rec()
     assert len(obligations) == 2
     assert clearing.queue_size() == 0
-
-
-def test_client_record_validation():
-    clearing, _ = make_clearing()
-    assert clearing.submit_trade(client_record(1, "B", 0)).rule == \
-        "NonPositiveQuantity"
-    assert clearing.submit_trade(
-        client_record(2, "B", 10, account="ghost")).rule == "UnknownAccount"
-    record = client_record(3, "B", 10)
-    assert clearing.submit_trade(record) is None
-    assert clearing.submit_trade(record).rule == "DuplicateTrade"
-
-
-def test_client_record_non_positive_price_rejected():
-    clearing, _ = make_clearing()
-    for n, price in enumerate((0, -5)):
-        rejection = clearing.submit_trade(client_record(n, "B", 10, price=price))
-        assert rejection == Rejection("trade_validation", "NonPositivePrice", str(Money(price)))
-
-
-@pytest.mark.parametrize("extended", [False, True], ids=["standard", "extended"])
-def test_price_in_another_currency_is_refused_before_the_value_cap(extended):
-    clearing, ledger = make_clearing()
-    clearing.extended_validation = extended
-    over = MAX_TRADE_VALUE // 10 + 1            # 10 x `over` is over the cap
-    report = street_trade("acct_a", "acct_b", qty=10, price=over, currency="EUR")
-    assert clearing.submit_trade(report) == Rejection(
-        "trade_validation", "CurrencyMismatch", str(Money(over, "EUR")))
-    assert clearing.submit_trade(client_record(1, "B", 10, currency="EUR")) == Rejection(
-        "trade_validation", "CurrencyMismatch", str(Money(1000, "EUR")))
-    assert clearing.clear_rec() == []
-    assert clearing.settle_rec() == []
-    assert ledger.journal == []
-
-
-# case -> (trade id seen before, quantity, price, settlement account, the rule broken first)
-BAD_SUBMISSIONS = {
-    "duplicate_and_zero_quantity": (True, 0, 1000, "acct_a", "DuplicateTrade"),
-    "zero_quantity_and_zero_price": (False, 0, 0, "acct_a", "NonPositiveQuantity"),
-    "zero_price_and_unknown_account": (False, 10, 0, "ghost", "NonPositivePrice"),
-    "unknown_account": (False, 10, 1000, "ghost", "UnknownAccount"),
-}
-
-
-@pytest.mark.parametrize("seen, qty, price, account, rule", BAD_SUBMISSIONS.values(),
-                         ids=BAD_SUBMISSIONS.keys())
-def test_street_and_client_intake_report_the_same_rule_first(seen, qty, price, account, rule):
-    clearing, _ = make_clearing()
-    report = street_trade(account, "acct_b", qty=qty, price=price)
-    record = client_record(1, "B", qty, account=account, price=price)
-    if seen:    # an accepted submission already used each id
-        earlier = street_trade("acct_a", "acct_b")
-        earlier.trade.trade_id = report.trade.trade_id
-        assert clearing.submit_trade(earlier) is None
-        assert clearing.submit_trade(client_record(1, "B", 10)) is None
-    assert clearing.submit_trade(report).rule == rule
-    assert clearing.submit_trade(record).rule == rule
 
 
 def test_is_order_settled_tracks_street_trades():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_scenario, over_the_trade_value_cap
 from faults import FAULT_KINDS, LeakyLedger, inject, run_leaking
 from matchdriver import comparator_for
-from stpsim.clearing import ClearingCorporation, ClientTradeRecord
 from stpsim.data import config_path, scenario_path
 from stpsim.features import derive_product, parse_configuration
 from stpsim.ledger import (
@@ -16,7 +15,6 @@ from stpsim.lifecycle import (
     CheckResult, ScenarioReport, StepRecord, assert_conservation, run_scenario)
 from stpsim.report import render_machine
 from stpsim.scenarios import SCENARIO_IDS, parse_scenario
-from stpsim.trading import Rejection
 
 ALL_SCENARIOS = list(SCENARIO_IDS)
 
@@ -381,23 +379,6 @@ def test_clearing_refusal_of_a_street_trade_aborts_at_report_trades(products):
     assert report.steps[-1].name == "aborted_report_trades"
     checks = assert_conservation(report)
     assert all(c.passed for c in checks if c.name.startswith("conserve"))
-
-
-def test_clearing_refusal_of_a_client_record_aborts_at_client_trades_to_clearing(
-        products, monkeypatch):
-    submit = ClearingCorporation.submit_trade
-
-    def refuse_client_records(clearing, record):
-        if type(record) is ClientTradeRecord:
-            return Rejection("trade_validation", "Refused", record.trade_id)
-        return submit(clearing, record)
-
-    monkeypatch.setattr(ClearingCorporation, "submit_trade", refuse_client_records)
-    report = run_scenario(products["SECO_A"], load_scenario("retail_institutional"))
-    assert report.aborted == (
-        "client_trades_to_clearing",
-        "clearing rejected client trade for BR1-O1: "
-        "rejected at trade_validation: Refused (CU1-R1)")
 
 
 @pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import stpsim
 from conftest import load_scenario
-from faults import run_leaking
+from faults import FAULT_KINDS, LeakyLedger, inject, run_leaking
 from test_broker import PIPELINE, REJECTED_AT, _filled_block, buy_draft, detail, make_desk
 from test_custodian import fixture_contracts, fixture_details, make_custodian
 from test_exchange import draft_order, make_exchange
@@ -284,26 +284,40 @@ def test_delta_lines_rebuild_every_step(products, product, scenario_id):
 OWNERS = ("a0", "a1", "a2", "a3")
 
 
+# Each owner starts with two symbols; moves of either, account openings
+# (with none, or one, new symbol) and the ledger faults of `tests/faults.py`
+# drawn between the moves give views of zero, one and two symbols, and
+# positions a fault wrote to zero, for every layout `render_machine` writes.
 @settings(max_examples=150, deadline=None)
 @given(moves=st.lists(st.tuples(st.sampled_from(OWNERS), st.sampled_from(OWNERS),
-                                st.sampled_from(("money", "shares", "open")),
-                                st.integers(0, 40)), max_size=25))
-def test_delta_lines_rebuild_every_step_of_random_transfers(moves):
-    ledger = Ledger()
+                                st.sampled_from(("money", "SYM", "OTH", "open")),
+                                st.integers(0, 40)), max_size=25),
+       data=st.data())
+def test_delta_lines_rebuild_every_step_of_random_transfers(moves, data):
+    # (the step that records the fault, its kind, the units it is off by)
+    faults = data.draw(st.lists(st.tuples(
+        st.integers(0, len(moves)), st.sampled_from(FAULT_KINDS),
+        st.integers(-30, 30).filter(bool)), max_size=4))
+    ledger = LeakyLedger()
     for owner in OWNERS:
-        ledger.open_account(owner, Money(100), {"SYM": 20})
-    steps = [StepRecord("setup", ledger.snapshot())]
-    for index, (src, dst, kind, amount) in enumerate(moves, start=1):
-        try:
-            if kind == "money":
-                ledger.transfer_money(src, dst, Money(amount))
-            elif kind == "shares":
-                ledger.transfer_equity(src, dst, "SYM", amount)
-            else:
-                ledger.open_account(f"n{index}", Money(amount), {"NEW": amount})
-        except LedgerError:
-            pass
-        steps.append(StepRecord(f"move_{index}", ledger.snapshot()))
+        ledger.open_account(owner, Money(100), {"SYM": 20, "OTH": 5})
+    steps = []
+    for index, move in enumerate([None, *moves]):
+        if move is not None:
+            src, dst, kind, amount = move
+            try:
+                if kind == "money":
+                    ledger.transfer_money(src, dst, Money(amount))
+                elif kind == "open":
+                    ledger.open_account(f"n{index}", Money(amount), {"NEW": amount})
+                else:
+                    ledger.transfer_equity(src, dst, kind, amount)
+            except LedgerError:
+                pass
+        for at, kind, amount in faults:
+            if at == index:
+                inject(ledger, kind, amount, lambda options: data.draw(st.sampled_from(options)))
+        steps.append(StepRecord("setup" if move is None else f"move_{index}", ledger.snapshot()))
 
     report = ScenarioReport("P", "hypothesis", steps=steps)
     machine = render_machine(report, [])

@@ -9,8 +9,9 @@ and `{block_alloc}` the benchmark workloads' seed-1 scenarios,
 `{retail_cross_large}`, `{deep_book_large}` and `{block_alloc_large}` their
 large seed-7 scenarios (see LARGE), and `{underfunded}`,
 `{short_allocation}`, `{zero_split}`, `{short_omnibus}`, `{two_fill_prices}`,
-`{oversized_trade}`, `{zero_quantity}`, `{zero_price}` and `{capped_sell}`
-shipped scenarios with a few lines edited (see EDITS). A `run --format machine` row also pins the md5 of what
+`{oversized_trade}`, `{zero_quantity}`, `{zero_price}`, `{capped_sell}` and
+`{partial_block}` shipped scenarios with a few lines edited (see EDITS). A
+`run --format machine` row also pins the md5 of what
 `stpsim report` prints for that output, and that it equals the human output
 of the same `run`.
 Every row runs through `cli.main` in-process, and each `run` and `report`
@@ -100,6 +101,8 @@ EDITS = {
                    "order: RC2 sell 100 ACME limit 0\n"),
     "capped_sell": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
                     "order: RC2 sell 100 ACME market cap=5\n"),
+    "partial_block": ("retail_institutional", "order: RC2 sell 100 ACME limit 1040\n",
+                      "order: RC2 sell 60 ACME limit 1040\n"),
 }
 
 
@@ -202,6 +205,14 @@ PINS.update({
     "seco_a_retail_retail_capped_sell": _machine_run(
         "seco_a", "{capped_sell}",
         "419a3d66c13a68fe35bd4e2c869ecb8c", "3f968a38ae1fe2619bd4c7b1fa8c572e", 1),
+    # aborted at allocation_INST1: 60 of the block's 100 fill and the rest
+    # rests, so the broker refuses its allocation (BlockNotFilled)
+    "seco_a_retail_institutional_partial_block": _machine_run(
+        "seco_a", "{partial_block}",
+        "e648855b7924c7cf3665ba3798f4f1e5", "9538db18c3d279bf516796b089b2973b", 1),
+    "seco_b_retail_institutional_partial_block": _machine_run(
+        "seco_b", "{partial_block}",
+        "05fe78fe8c7d72f89576f95cc87b4a92", "9308462b2dd387c547ecb846c3dfe05b", 1),
 })
 
 
