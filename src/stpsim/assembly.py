@@ -75,8 +75,8 @@ BINDING_TABLE: dict[str, dict[str, Point]] = {
             "BrokerStandardAllocationChecks", "BrokerExtendedAllocationChecks")),
     },
     "Custodian": {
-        "CustodianAllocationDetailValidationRules": Point("extended_detail_checks", {
-            "CustodianStandardAllocationChecks": False, "CustodianExtendedAllocationChecks": True}),
+        "CustodianAllocationDetailValidationRules": Point(None, _named(
+            "CustodianStandardAllocationChecks", "CustodianExtendedAllocationChecks")),
         "AllocationDetailAffirmationRules": Point(None, _named(
             "FieldEqualityAffirmation", "CoverageAffirmation"), many=True),
         "CustodianMoneyTransferMethods": Point("money_method", _named(
@@ -92,10 +92,9 @@ BINDING_TABLE: dict[str, dict[str, Point]] = {
             "SizePriority": SecondaryPrecedence.SIZE_PRIORITY}),
         "DefaultSecondaryOrderPrecedenceRules": Point("tie_break", {
             "FifoTieBreak": TieBreak.FIFO, "LifoTieBreak": TieBreak.LIFO}),
-        "OrderMatchingAlgorithms": Point("supported_types", {
-            "MarketMatching": OrderType.MARKET, "LimitMatching": OrderType.LIMIT,
-            "ImmediateOrCancelMatching": OrderType.IMMEDIATE_OR_CANCEL,
-            "FillOrKillMatching": OrderType.FILL_OR_KILL}, many=True),
+        "OrderMatchingAlgorithms": Point(None, _named(
+            "MarketMatching", "LimitMatching", "ImmediateOrCancelMatching",
+            "FillOrKillMatching"), many=True),
     },
     "ClearingCorporation": {
         "TradeValidationRules": Point("extended_validation", {
@@ -181,7 +180,7 @@ def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
     comparator = PrecedenceComparator(exchange.pop("secondary"), exchange.pop("tie_break"))
     for pid in participants(ParticipantRole.EXCHANGE):
         eco.exchanges[pid.id] = registered(ExchangeService(
-            pid, registry, scenario.symbols, scenario.currency, comparator, **exchange))
+            pid, registry, scenario.symbols, comparator, **exchange))
     for pid in participants(ParticipantRole.CLEARING_BANK):
         registered(ClearingBank(pid, ledger))
     for pid in participants(ParticipantRole.DEPOSITORY):
@@ -200,11 +199,10 @@ def build_ecosystem(product: ProductSpec, scenario: Scenario) -> Ecosystem:
             pid, registry, ledger, opened(house_account(pid.id)), brk_config))
 
     for retail in scenario.retail_clients:
-        eco.brokers[retail.broker].add_retail_client(opened(retail.account))
+        opened(retail.account)
     for institution in scenario.institutions:
         custodian_pid = ParticipantId(ParticipantRole.CUSTODIAN, institution.custodian)
         eco.brokers[institution.broker].add_institution(opened(institution.account), custodian_pid)
-        eco.custodians[institution.custodian].add_institution(institution.account)
         for end_client in institution.end_clients:
             opened(end_client)
 

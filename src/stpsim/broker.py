@@ -7,6 +7,11 @@ at any stage stops the pipeline and leaves the ledger net-unchanged (a
 prepayment taken before a routing rejection is refunded in the same call).
 Each order leaves one audit record, its last stage's verdict, which names
 the stages it passed before; each allocation check leaves one more.
+Validation judges the order's shape by `trading.order_shape_rule`, the one
+place those rules run; it does not ask whether the client is this
+broker's, since the runner sends each order to the broker its client line
+names, nor the price's currency, since the runner prices every order in
+the ledger's.
 
 Retail clients prepay the broker house account: money for buys at the
 limit or cap price, shares for sells. The house keeps each prepayment as
@@ -19,12 +24,11 @@ fill costs more than the limit or cap, so the rest is never negative.
 Prepayment, crediting and refund all go through one house-client
 transfer, `_transfer`. Institutional clients never prepay: their assets
 sit at the custodian, which takes over settlement once it affirms the
-broker's contracts. The custodian has already applied
-`trading.allocation_detail_rule` to the manager's allocation details, so
-the broker checks only what it alone knows, its block order: the block is
-done filling and the details cover its filled quantity. It then builds one
-contract from each detail, so the custodian affirms the contracts it is
-handed.
+broker's contracts. The custodian has already accepted the manager's
+allocation details, so the broker checks only what it alone knows, its
+block order: the block is done filling and the details cover its filled
+quantity. It then builds one contract from each detail, so the custodian
+affirms the contracts it is handed.
 """
 
 from __future__ import annotations
@@ -119,12 +123,11 @@ class BrokerService:
         # the journal cause suffixes naming the bound transfer methods
         self._money_method = f"/method={config.money_method}"
         self._equity_method = f"/method={config.equity_method}"
-        self.retail_clients: set[str] = set()
         self.institutions: dict[str, ParticipantId] = {}  # institution account -> custodian
         self.orders: dict[str, Order] = {}
         self.fills: dict[str, list[Trade]] = {}
         self.audit_records: list[AuditEvent] = []  # one per order placed or allocation checked
-        self.contracts_sent: dict[str, tuple[Contract, ...]] = {}  # block order -> contracts
+        self.contracts_sent: set[str] = set()  # block orders whose contracts went out
         self.affirmed_blocks: set[str] = set()  # settlement now the custodian's
         self._escrow: dict[str, int] = {}  # retail order id -> prepaid units not yet returned
         self._credited: set[tuple[str, str]] = set()
@@ -133,9 +136,6 @@ class BrokerService:
         self._next_contract = 1
 
     # -- wiring -----------------------------------------------------------
-
-    def add_retail_client(self, account: str) -> None:
-        self.retail_clients.add(account)
 
     def add_institution(self, account: str, custodian: ParticipantId) -> None:
         self.institutions[account] = custodian
@@ -193,14 +193,11 @@ class BrokerService:
         return Rejection(stage, rule)
 
     def _stage_validation(self, draft: OrderDraft, kind: ClientKind) -> str | None:
-        clients = self.retail_clients if kind is RETAIL else self.institutions
-        if draft.client not in clients or draft.client not in self.ledger.accounts:
-            return "UnknownClient"
         side = draft.side
         return order_shape_rule(
             draft.order_type, draft.quantity, draft.limit_price, self.config.offered_types,
-            self.config.extended_order_checks, self.ledger.currency,
-            kind is RETAIL and side is BUY, draft.price_cap, side)
+            self.config.extended_order_checks, kind is RETAIL and side is BUY, draft.price_cap,
+            side)
 
     def _stage_risk(self, draft: OrderDraft, kind: ClientKind) -> str | None:
         """`DuplicateOrderCheck`: a client's second order under one `ref` (an
@@ -346,7 +343,7 @@ class BrokerService:
                             quantity, price))
             for number, (alloc_id, _, _, block, symbol, quantity, price)
             in enumerate(details, first)]
-        self.contracts_sent[block_id] = tuple(contracts)
+        self.contracts_sent.add(block_id)
         self.audit_records.append(
             _new(AuditEvent, (block_id, "allocation_validation", "ok", "", ())))
         return contracts

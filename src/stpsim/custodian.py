@@ -1,16 +1,20 @@
 """The custodian: safekeeping, affirmation, institutional settlement.
 
 The custodian holds institutional assets in an omnibus ledger account.
-The manager's allocation details of a known institution pass
-`trading.allocation_detail_rule`, the one place those rules run, and wait
-pending. The broker checks them against its block order and builds one
-contract from each detail, so the custodian affirms the contracts it is
-handed: the block's details become affirmed, the broker is told, and
-settlement responsibility moves here. The product's
-`AllocationDetailAffirmationRules` variants bind nothing. The custodian
-then forwards per-allocation client trade records, which the clearing
-corporation never refuses, and, once the street trades settle, distributes
-shares or proceeds from the omnibus account to each end client.
+The manager's allocation details wait pending once the split is known to
+hold at least one detail, each of a positive quantity. The rest of each
+detail is the runner's to write: the allocating institution, its one
+block order, the block's fill symbol and price, and an alloc id from one
+counter; the parser refuses an empty end-client key. So the product's
+`CustodianAllocationDetailValidationRules` and
+`AllocationDetailAffirmationRules` variants bind nothing. The broker
+checks the details against its block order and builds one contract from
+each, so the custodian affirms the contracts it is handed: the block's
+details become affirmed, the broker is told, and settlement
+responsibility moves here. The custodian then forwards per-allocation
+client trade records, which the clearing corporation never refuses, and,
+once the street trades settle, distributes shares or proceeds from the
+omnibus account to each end client.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from .clearing import ClientTradeRecord
 from .ledger import Ledger
 from .money import Money, _new
 from .registry import CLEARING_CORPORATION, ParticipantId, ParticipantRole, ServiceRegistry
-from .trading import (
-    BUY, Affirmation, AllocationDetail, Contract, Rejection, Side, allocation_detail_rule)
+from .trading import BUY, Affirmation, AllocationDetail, Contract, Rejection, Side
 
 
 @dataclass(frozen=True)
 class CustodianConfig:
-    extended_detail_checks: bool
     money_method: str
     equity_method: str
 
@@ -59,15 +61,11 @@ class CustodianService:
         # the journal cause suffixes naming the bound transfer methods
         self._money_method = f"/method={config.money_method}"
         self._equity_method = f"/method={config.equity_method}"
-        self.institutions: set[str] = set()
         self.pending_details: dict[str, tuple[AllocationDetail, ...]] = {}
         self.affirmed: dict[str, _AffirmedBlock] = {}
         self.affirmations: list[Affirmation] = []
         self._next_affirmation = 1
         self._next_record = 1
-
-    def add_institution(self, account: str) -> None:
-        self.institutions.add(account)
 
     # -- intake ----------------------------------------------------------
 
@@ -82,12 +80,10 @@ class CustodianService:
     def _validate_details(self, details: list[AllocationDetail]) -> str | None:
         if not details:
             return "NoDetails"
-        first = details[0]
-        if first.institution not in self.institutions:
-            return "UnknownInstitution"
-        return allocation_detail_rule(
-            details, first.institution, first.block_order_id, first.symbol,
-            self.config.extended_detail_checks)
+        for detail in details:
+            if detail.quantity <= 0:
+                return "NonPositiveQuantity"
+        return None
 
     # -- affirmation -------------------------------------------------------
 

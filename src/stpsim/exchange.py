@@ -8,9 +8,12 @@ orders never rest: any unfilled remainder cancels. A market buy's cap is
 its protection price: it trades only at prices at or below it.
 
 Matching compares prices as minor units (plain ints), so an exchange
-trades in one currency: the scenario's, which it is built with, as the
-ledger is. Validation refuses an order whose limit or cap is in another as
-`CurrencyMismatch`.
+trades in one currency: the scenario's, in which the broker priced every
+order it routes. The broker has also judged each order's shape by
+`trading.order_shape_rule`, with types it offers only where the catalog
+requires the exchange to match them, and the parser has refused an order
+for an undeclared symbol. So exchange validation only caps the size, under
+the extended variant, and numbers the order.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 from .money import Money
 from .registry import CLEARING_CORPORATION, ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import (
-    BUY, CANCELLED, FILL_OR_KILL, FILLED, INSTITUTIONAL, LIMIT, MARKET, PARTIALLY_FILLED, REJECTED,
-    RESTING, VALIDATED, ClearingRejected, Order, OrderType, Rejection, Side, Trade,
-    order_shape_rule)
+    BUY, CANCELLED, FILL_OR_KILL, FILLED, INSTITUTIONAL, LIMIT, MARKET, MAX_ORDER_QUANTITY,
+    PARTIALLY_FILLED, REJECTED, RESTING, VALIDATED, ClearingRejected, Order, Rejection, Side,
+    Trade)
 
 
 class BookInvariantViolation(RuntimeError):
@@ -71,7 +74,7 @@ class BookSide:
     serves all four comparators. Only the head ever trades, so under size
     priority only the head's rank can change: it is re-pushed after a
     partial fill, and every other entry's key stays exact. ``levels`` maps
-    each resting price, in minor units of the exchange's currency, to its
+    each resting price, in minor units of the scenario's currency, to its
     total remaining quantity.
     """
 
@@ -114,8 +117,7 @@ class OrderBook:
     Each side is a `BookSide`, so the best order is its head and a fill
     costs O(log depth). `is_crossed` compares the two heads, and FOK's
     `fillable_quantity` sums price levels, not orders. Prices are compared
-    as minor units, all in the exchange's one currency, which the exchange
-    checks at validation (the book itself never does).
+    as minor units, all in the scenario's one currency.
     """
 
     def __init__(self, symbol: str, comparator: PrecedenceComparator):
@@ -215,8 +217,9 @@ class TradeReport:
 
 
 class ExchangeService:
-    """One exchange instance with the product's bound matching variants: a
-    book per listed symbol, all priced in `currency`, the scenario's."""
+    """One exchange instance with the product's bound precedence and
+    validation variants: a book per declared symbol, all priced in the
+    scenario's currency."""
 
     role = ParticipantRole.EXCHANGE
 
@@ -225,16 +228,12 @@ class ExchangeService:
         pid: ParticipantId,
         registry: ServiceRegistry,
         symbols: tuple[str, ...],
-        currency: str,
         comparator: PrecedenceComparator,
-        supported_types: frozenset[OrderType],
         extended_validation: bool = False,
     ):
         self.pid = pid
         self.registry = registry
-        self.currency = currency
         self.comparator = comparator
-        self.supported_types = supported_types
         self.extended_validation = extended_validation
         self.books: dict[str, OrderBook] = {
             symbol: OrderBook(symbol, comparator) for symbol in sorted(symbols)
@@ -254,21 +253,15 @@ class ExchangeService:
         return book.depth() if book else 0
 
     def validate_incoming_order(self, order: Order) -> Rejection | None:
-        """The symbol, then the shared order-shape rules in the exchange's
-        currency, with the size cap under the extended variant.
+        """The size cap under the extended variant, the one rule the broker
+        may not have applied already (see the module docstring).
 
         Returns None on acceptance (order gets its seq number) and a
         Rejection identifying the violated rule otherwise.
         """
-        if order.symbol not in self.books:
-            rule = "UnknownSymbol"
-        else:
-            rule = order_shape_rule(
-                order.order_type, order.quantity, order.limit_price, self.supported_types,
-                self.extended_validation, self.currency, False, order.price_cap)
-        if rule:
+        if self.extended_validation and order.quantity > MAX_ORDER_QUANTITY:
             order.status = REJECTED
-            return Rejection("exchange_validation", rule)
+            return Rejection("exchange_validation", "OrderTooLarge")
 
         order.seq = self._next_seq
         self._next_seq += 1

@@ -7,9 +7,8 @@ executed -> cleared -> settled. AllocationDetail / Contract / Affirmation
 are the documents of the institutional post-trade flow: the manager's
 per-client split, the broker's contracts (one built from each detail) and
 the custodian's acceptance of them, which moves settlement responsibility
-from the broker to the custodian. Every participant judges an order
-by `order_shape_rule`, and the custodian a detail list by
-`allocation_detail_rule`.
+from the broker to the custodian. The broker judges each order's shape
+by `order_shape_rule`, the one place those rules run.
 """
 
 from __future__ import annotations
@@ -211,20 +210,18 @@ def order_shape_rule(
     limit_price: Money | None,
     supported: frozenset[OrderType],
     size_capped: bool,
-    currency: str,
     cap_required: bool = False,
     price_cap: Money | None = None,
     side: Side | None = None,
 ) -> str | None:
     """The first order-shape rule the order breaks, or None.
 
-    Broker validation and exchange validation both apply these rules, in
-    this order. A limit or cap in another currency than `currency` (the
-    broker's ledger's, or the exchange's) is a `CurrencyMismatch`.
-    `size_capped` (the extended checks) caps the quantity at
-    `MAX_ORDER_QUANTITY`. A price cap is a buyer's bound: a retail market
-    buy must carry one at the broker (`cap_required`), a sell none (checked
-    where `side` is given), and any cap must be positive.
+    Broker validation applies these rules, in this order. `size_capped`
+    (the extended checks) caps the quantity at `MAX_ORDER_QUANTITY`. A
+    price cap is a buyer's bound: a retail market buy must carry one
+    (`cap_required`), a sell none (checked where `side` is given), and any
+    cap must be positive. Prices are not checked for currency: every order
+    is priced in the scenario's one currency.
     """
     if quantity <= 0:
         return "NonPositiveQuantity"
@@ -244,55 +241,9 @@ def order_shape_rule(
             return "NonPositivePrice"
         if price_cap is not None and side is SELL:
             return "CapOnSell"
-    if (limit_price is not None and limit_price.currency != currency
-            or price_cap is not None and price_cap.currency != currency):
-        return "CurrencyMismatch"
     if size_capped and quantity > MAX_ORDER_QUANTITY:
         return "OrderTooLarge"
     return None
-
-
-# allocation-detail rules by rank; a pack checks a prefix: the standard
-# pack the first four, the extended pack all seven
-_DETAIL_RULES = ("InstitutionMismatch", "MixedBlockOrders", "NonPositiveQuantity",
-                 "SymbolMismatch", "EmptyEndClientAccount", "NonPositivePrice",
-                 "DuplicateAllocId")
-
-
-def allocation_detail_rule(details: list[AllocationDetail], institution: str,
-                           block_order_id: str, symbol: str, extended: bool) -> str | None:
-    """The first allocation-detail rule the details break, or None.
-
-    The custodian applies these rules in this order, each over every
-    detail, the last three under the extended pack only; the broker then
-    checks the same list against its block order alone. One pass finds
-    the first rule each detail breaks and keeps the lowest rank; a rule
-    outside the pack ranks at or past its size and is ignored.
-    """
-    size = 7 if extended else 4
-    first = size                     # the rank of the first rule broken so far
-    seen: set[str] = set()
-    for alloc_id, inst, end_client, block, sym, quantity, price in details:
-        if inst != institution:
-            return "InstitutionMismatch"
-        if block != block_order_id:
-            rank = 1
-        elif quantity <= 0:
-            rank = 2
-        elif sym != symbol:
-            rank = 3
-        elif not end_client:
-            rank = 4
-        elif price.amount <= 0:
-            rank = 5
-        elif alloc_id in seen:
-            rank = 6
-        else:
-            seen.add(alloc_id)
-            continue
-        if rank < first:
-            first = rank
-    return None if first == size else _DETAIL_RULES[first]
 
 
 class Rejection(NamedTuple):

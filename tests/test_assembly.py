@@ -6,6 +6,7 @@ import pytest
 
 from conftest import load_scenario
 from stpsim.assembly import BINDING_TABLE, UnsupportedModel, build_ecosystem, project
+from stpsim.broker import OrderDraft
 from stpsim.cli import main
 from stpsim.data import catalog_path, config_path
 from stpsim.exchange import SecondaryPrecedence, TieBreak
@@ -21,7 +22,7 @@ from stpsim.lifecycle import assert_conservation, run_scenario
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole
 from stpsim.scenarios import SCENARIO_IDS
-from stpsim.trading import Order, OrderStatus, OrderType, Rejection, Side
+from stpsim.trading import OrderType, Rejection, Side
 
 CATALOG_TEXT = catalog_path().read_text()
 CATALOG = parse_feature_model(CATALOG_TEXT)
@@ -55,15 +56,18 @@ def test_product_b_broker_config(product_b):
 def test_custodian_configs_differ_between_products(product_a, product_b):
     custodian_a = project(product_a)["Custodian"]
     custodian_b = project(product_b)["Custodian"]
-    assert not custodian_a["extended_detail_checks"]
-    assert custodian_b["extended_detail_checks"]
-    # both products bind both affirmation variants, and the point drives no field
+    # the products bind different detail checks and both bind both
+    # affirmation variants, and neither point drives a field
+    assert set(product_a.bindings["CustodianAllocationDetailValidationRules"]) == {
+        "CustodianStandardAllocationChecks"}
+    assert set(product_b.bindings["CustodianAllocationDetailValidationRules"]) == {
+        "CustodianExtendedAllocationChecks"}
     for product in (product_a, product_b):
         assert set(product.bindings["AllocationDetailAffirmationRules"]) == {
             "FieldEqualityAffirmation", "CoverageAffirmation"}
-    assert BINDING_TABLE["Custodian"]["AllocationDetailAffirmationRules"].field is None
-    assert custodian_a.keys() == custodian_b.keys() == {
-        "extended_detail_checks", "money_method", "equity_method"}
+    for point in ("CustodianAllocationDetailValidationRules", "AllocationDetailAffirmationRules"):
+        assert BINDING_TABLE["Custodian"][point].field is None
+    assert custodian_a.keys() == custodian_b.keys() == {"money_method", "equity_method"}
     assert custodian_a["money_method"] == "CustodianBookEntryPayment"
     assert custodian_b["money_method"] == "CustodianBankWirePayment"
 
@@ -87,38 +91,18 @@ def test_product_without_fok_matching_rejects_fok_orders(catalog, seco_a_config)
         seco_a_config.selected - {"FillOrKillMatching", "FillOrKillOrderType"})
     product = derive_product(catalog, cfg, "NO_FOK")
     no_fok = frozenset({OrderType.MARKET, OrderType.LIMIT, OrderType.IMMEDIATE_OR_CANCEL})
-    assert project(product)["Exchange"]["supported_types"] == no_fok
+    # the matching point only constrains the configuration: the catalog
+    # makes each offered order type require its matching variant
+    assert BINDING_TABLE["Exchange"]["OrderMatchingAlgorithms"].field is None
+    assert project(product)["Exchange"].keys() == {
+        "extended_validation", "secondary", "tie_break"}
 
     eco = build_ecosystem(product, load_scenario("retail_retail"))
-    exchange = eco.exchanges["X1"]
-    order = Order(
-        "O1", "RC1", ParticipantId(ParticipantRole.BROKER, "BR1"),
-        Side.BUY, "ACME", 10, OrderType.FILL_OR_KILL, Money(1000))
-    rejection = exchange.validate_incoming_order(order)
-    assert rejection.rule == "UnsupportedOrderType"
-
-    # and the broker will not even offer the type
-    assert eco.brokers["BR1"].config.offered_types == no_fok
-
-
-@pytest.mark.parametrize("product_key", ["product_a", "product_b"])
-def test_a_built_exchange_refuses_a_first_order_priced_in_another_currency(request, product_key):
-    scenario = load_scenario("retail_retail")
-    assert scenario.currency == "USD"
-    exchange = build_ecosystem(request.getfixturevalue(product_key), scenario).exchanges["X1"]
-    broker = ParticipantId(ParticipantRole.BROKER, "BR1")
-    euro = Order("O1", "RC2", broker, Side.SELL, "ACME", 10, OrderType.LIMIT,
-                 Money(1040, "EUR"), settlement_account="BR1.house")
-    assert exchange.validate_incoming_order(euro) == Rejection(
-        "exchange_validation", "CurrencyMismatch")
-    assert euro.status is OrderStatus.REJECTED and euro.seq is None
-    assert exchange.book_depth("ACME") == 0
-    # a dollar buy at the same price finds no euro sell to meet, and rests
-    dollar = Order("O2", "RC1", broker, Side.BUY, "ACME", 10, OrderType.LIMIT, Money(1040),
-                   settlement_account="BR1.house")
-    assert exchange.validate_incoming_order(dollar) is None
-    assert exchange.submit_order(dollar) == []
-    assert dollar.status is OrderStatus.RESTING and exchange.book_depth("ACME") == 1
+    broker = eco.brokers["BR1"]
+    assert broker.config.offered_types == no_fok
+    draft = OrderDraft("RC1", Side.BUY, "ACME", 10, OrderType.FILL_OR_KILL, Money(1000))
+    assert broker.place_retail_order(draft) == Rejection("validation", "UnsupportedOrderType")
+    assert eco.exchanges["X1"].book_depth("ACME") == 0
 
 
 def test_build_ecosystem_opens_all_accounts(product_a):
@@ -135,10 +119,10 @@ def test_build_ecosystem_opens_all_accounts(product_a):
 def test_ecosystem_wires_clients_to_their_participants(product_a):
     scenario = load_scenario("retail_institutional")
     eco = build_ecosystem(product_a, scenario)
-    assert "RC2" in eco.brokers["BR2"].retail_clients
-    assert eco.brokers["BR1"].institutions["INST1"] == ParticipantId(
-        ParticipantRole.CUSTODIAN, "CU1")
-    assert "INST1" in eco.custodians["CU1"].institutions
+    assert {"RC2", "INST1", "EC1", "EC2"} <= eco.ledger.accounts.keys()
+    assert eco.brokers["BR1"].institutions == {
+        "INST1": ParticipantId(ParticipantRole.CUSTODIAN, "CU1")}
+    assert eco.brokers["BR2"].institutions == {}
     assert eco.clearing is not None and eco.clearing.netting is False
 
 

@@ -19,6 +19,7 @@ from stpsim.ledger import Ledger, total_money, total_positions
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
 from stpsim.trading import (
+    MAX_ORDER_QUANTITY,
     MAX_ORDER_VALUE,
     Affirmation,
     AllocationDetail,
@@ -60,33 +61,30 @@ def rest_order(exchange, side, price, qty, oid="O99"):
     return order
 
 
-def make_desk(config=None, restricted_symbols=frozenset(), symbols=("ACME",), n_exchanges=1,
-              exchange_types=frozenset(OrderType), extended_exchange=False, currency="USD",
-              exchange_currency=None):
-    """A broker desk; its exchanges trade in `exchange_currency`, by default
-    the ledger's `currency`, as `build_ecosystem` builds them."""
+def make_desk(config=None, restricted_symbols=frozenset(), n_exchanges=1,
+              extended_exchange=False, currency="USD", client_money=150000, client_shares=100):
+    """A broker desk whose exchanges list ACME; its retail client holds
+    `client_money` and `client_shares` ACME."""
     ledger = Ledger(currency)
     registry = ServiceRegistry()
     exchanges = []
     for i in range(n_exchanges):
         pid = ParticipantId(ParticipantRole.EXCHANGE, f"X{i + 1}")
         exchange = ExchangeService(
-            pid, registry, symbols, exchange_currency or currency, COMPARATOR, exchange_types,
-            extended_validation=extended_exchange)
+            pid, registry, ("ACME",), COMPARATOR, extended_validation=extended_exchange)
         registry.register(pid, exchange)
         exchanges.append(exchange)
 
     registry.register(_COUNTERPARTY, _SilentBroker())
     broker_pid = ParticipantId(ParticipantRole.BROKER, "BR1")
     ledger.open_account("BR1.house")
-    ledger.open_account("client", Money(150000, currency), {"ACME": 100})
+    ledger.open_account("client", Money(client_money, currency), {"ACME": client_shares})
     ledger.open_account("CU1.omnibus", Money(10**9, currency), {"ACME": 10**6})
     broker = BrokerService(
         broker_pid, registry, ledger, "BR1.house",
         config or FIRST_VENUE,
         restricted_symbols)
     registry.register(broker_pid, broker)
-    broker.add_retail_client("client")
 
     custodian = _StubCustodian()
     custodian_pid = ParticipantId(ParticipantRole.CUSTODIAN, "CU1")
@@ -106,6 +104,15 @@ def sell_draft(qty=100, price=1040, client="client"):
     return OrderDraft(
         client=client, side=Side.SELL, symbol="ACME", quantity=qty,
         order_type=OrderType.LIMIT, limit_price=Money(price))
+
+
+# An order the standard broker checks pass and an exchange under the
+# extended checks refuses at routing as OrderTooLarge: one share over the
+# size cap, at 1 cent, so a client holding `OVERSIZED` cents or shares can
+# prepay it.
+OVERSIZED = MAX_ORDER_QUANTITY + 1
+OVERSIZED_DESK = {"extended_exchange": True, "client_money": OVERSIZED,
+                  "client_shares": OVERSIZED}
 
 
 def audit_events(broker):
@@ -193,31 +200,22 @@ def test_prefunding_risk_check_variant():
     assert ledger.balance("client") == Money(150000)
 
 
-def test_unknown_client_rejected():
-    broker, _, _, _ = make_desk()
-    rejection = broker.place_retail_order(buy_draft(client="stranger"))
-    assert rejection == Rejection("validation", "UnknownClient")
-    rejection = broker.place_institutional_order(buy_draft(client="stranger"))
-    assert rejection == Rejection("validation", "UnknownClient")
-
-
-def test_another_brokers_client_is_unknown():
-    """BR2's clients hold accounts in the ledger BR1 shares, but BR1 does
-    not serve them: BR1 refuses their orders, and BR2 takes them."""
+def test_a_second_broker_on_the_shared_ledger_takes_its_own_clients_orders():
+    """BR2's clients hold accounts in the ledger BR1 shares; BR2 takes their
+    orders and books them to its own house and its institution's custodian."""
     broker, _, ledger, _ = make_desk()
     pid = ParticipantId(ParticipantRole.BROKER, "BR2")
     for owner, money in (("BR2.house", None), ("rc2", Money(150000)), ("fund2", None)):
         ledger.open_account(owner, money)
     other = BrokerService(pid, broker.registry, ledger, "BR2.house", FIRST_VENUE)
     broker.registry.register(pid, other)
-    other.add_retail_client("rc2")
     other.add_institution("fund2", ParticipantId(ParticipantRole.CUSTODIAN, "CU1"))
-    assert broker.place_retail_order(buy_draft(client="rc2")) == Rejection(
-        "validation", "UnknownClient")
-    assert broker.place_institutional_order(buy_draft(client="fund2")) == Rejection(
-        "validation", "UnknownClient")
-    assert isinstance(other.place_retail_order(buy_draft(client="rc2")), str)
-    assert isinstance(other.place_institutional_order(buy_draft(client="fund2")), str)
+    retail = other.place_retail_order(buy_draft(client="rc2"))
+    institutional = other.place_institutional_order(buy_draft(client="fund2"))
+    assert (retail, institutional) == ("BR2-O1", "BR2-O2")
+    assert other.orders[retail].settlement_account == "BR2.house"
+    assert other.orders[institutional].settlement_account == "CU1.omnibus"
+    assert broker.orders == {}
 
 
 def test_market_retail_buy_requires_price_cap():
@@ -248,8 +246,9 @@ def test_market_sell_may_not_carry_a_price_cap():
         "client", Side.SELL, "ACME", 10, OrderType.MARKET)), str)
 
 
-# Both sides bind the extended checks and offer every type but fill-or-kill.
-# case -> (quantity, order type, limit price in cents or None, the rule broken first)
+# Both sides bind the extended checks; the broker offers every type but
+# fill-or-kill. case -> (quantity, order type, limit price in cents or None,
+# the rule broken first)
 BAD_SHAPES = {
     "zero_quantity": (0, OrderType.LIMIT, 1040, "NonPositiveQuantity"),
     "unsupported_type": (100, OrderType.FILL_OR_KILL, 1040, "UnsupportedOrderType"),
@@ -264,11 +263,12 @@ BAD_SHAPES = {
 
 
 @pytest.mark.parametrize("qty, otype, price, rule", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
-def test_broker_and_exchange_reject_a_bad_shape_by_the_same_rule(qty, otype, price, rule):
+def test_the_broker_refuses_a_bad_shape_and_the_exchange_only_its_size(qty, otype, price,
+                                                                        rule):
     offered = frozenset(OrderType) - {OrderType.FILL_OR_KILL}
     broker, (exchange,), _, _ = make_desk(
         config=replace(FIRST_VENUE, extended_order_checks=True, offered_types=offered),
-        exchange_types=offered, extended_exchange=True)
+        extended_exchange=True)
     limit_price = None if price is None else Money(price)
     at_broker = broker.place_retail_order(OrderDraft(
         client="client", side=Side.BUY, symbol="ACME", quantity=qty, order_type=otype,
@@ -277,7 +277,8 @@ def test_broker_and_exchange_reject_a_bad_shape_by_the_same_rule(qty, otype, pri
         order_id="O1", client="client", broker=broker.pid, side=Side.BUY, symbol="ACME",
         quantity=qty, order_type=otype, limit_price=limit_price))
     assert at_broker == Rejection("validation", rule)
-    assert at_exchange == Rejection("exchange_validation", rule)
+    assert at_exchange == (Rejection("exchange_validation", "OrderTooLarge")
+                           if qty > MAX_ORDER_QUANTITY else None)
 
 
 def test_pipeline_short_circuits_audit_trail():
@@ -296,8 +297,7 @@ PIPELINE = ("validation", "risk", "governmental_compliance", "client_compliance"
             "venue_selection", "prepayment", "routing")
 
 
-# case -> (the stage that rejects, its rule, make_desk arguments, the draft);
-# an exchange that lists no symbol refuses every order as UnknownSymbol
+# case -> (the stage that rejects, its rule, make_desk arguments, the draft)
 REJECTED_AT = {
     "validation": ("validation", "NonPositiveQuantity", {}, buy_draft(qty=0)),
     "risk": ("risk", "InsufficientPrefunding",
@@ -309,8 +309,10 @@ REJECTED_AT = {
                           buy_draft(qty=2000, price=60_000)),
     "venue_selection": ("venue_selection", "NoVenues", {"n_exchanges": 0}, buy_draft()),
     "prepayment": ("prepayment", "InsufficientFunds", {}, buy_draft(qty=100, price=2000)),
-    "routing_buy": ("routing", "UnknownSymbol", {"symbols": ()}, buy_draft()),
-    "routing_sell": ("routing", "UnknownSymbol", {"symbols": ()}, sell_draft()),
+    "routing_buy": ("routing", "OrderTooLarge", OVERSIZED_DESK,
+                    buy_draft(qty=OVERSIZED, price=1)),
+    "routing_sell": ("routing", "OrderTooLarge", OVERSIZED_DESK,
+                     sell_draft(qty=OVERSIZED, price=1)),
 }
 
 
@@ -349,51 +351,19 @@ def test_sell_prepayment_moves_the_shares():
 
 
 def test_routing_rejection_refunds_prepayment_net_zero():
-    broker, _, ledger, _ = make_desk(symbols=())   # everything is UnknownSymbol
+    broker, exchanges, ledger, _ = make_desk(**OVERSIZED_DESK)
     before_money = total_money(ledger.snapshot())
-    rejection = broker.place_retail_order(buy_draft())
+    rejection = broker.place_retail_order(buy_draft(qty=OVERSIZED, price=1))
     assert rejection.stage == "routing"
-    assert rejection.rule == "UnknownSymbol"
-    assert ledger.balance("client") == Money(150000)
+    assert rejection.rule == "OrderTooLarge"
+    assert ledger.balance("client") == Money(OVERSIZED)
     assert ledger.balance("BR1.house") == Money(0)
     assert total_money(ledger.snapshot()) == before_money
+    assert broker.orders == {} and broker._escrow == {}
+    assert exchanges[0].book_depth("ACME") == 0
     # the prepayment and its refund are both journaled
     causes = [entry.cause.split("/")[0] for entry in ledger.journal]
     assert causes == ["prepay:BR1-O1", "refund:BR1-O1"]
-
-
-# -- one currency per exchange ----------------------------------------------------
-
-def test_a_price_or_cap_in_another_currency_than_the_ledger_is_refused_at_validation():
-    broker, _, ledger, _ = make_desk()
-    before = ledger.snapshot()
-    euro_sell = OrderDraft("client", Side.SELL, "ACME", 10, OrderType.LIMIT, Money(1000, "EUR"))
-    assert broker.place_retail_order(euro_sell) == Rejection("validation", "CurrencyMismatch")
-    euro_cap = buy_draft(qty=10, price=None, otype=OrderType.MARKET,
-                         price_cap=Money(1000, "EUR"))
-    assert broker.place_retail_order(euro_cap) == Rejection("validation", "CurrencyMismatch")
-    assert ledger.journal == []
-    assert dict(ledger.snapshot().changes()) == {}
-    assert ledger.snapshot() == before
-    # the buy that would have met the euro sell inside matching now rests
-    order_id = broker.place_retail_order(buy_draft(qty=10, price=1000))
-    assert broker.orders[order_id].status is OrderStatus.RESTING
-
-
-@pytest.mark.parametrize("draft", [
-    buy_draft(qty=10, price=1000),
-    buy_draft(qty=10, price=None, otype=OrderType.MARKET, price_cap=Money(1000)),
-], ids=["limit", "capped_market"])
-def test_an_order_in_another_currency_than_the_book_is_refused_at_routing_and_refunded(draft):
-    broker, exchanges, ledger, _ = make_desk(exchange_currency="EUR")
-    before = ledger.snapshot()
-    assert broker.place_retail_order(draft) == Rejection("routing", "CurrencyMismatch")
-    assert broker.orders == {} and broker._escrow == {}
-    assert [entry.cause.split("/")[0] for entry in ledger.journal] == [
-        "prepay:BR1-O1", "refund:BR1-O1"]
-    assert ledger.snapshot() == before
-    assert ledger.balance("client") == Money(150000)
-    assert exchanges[0].book_depth("ACME") == 0
 
 
 @pytest.mark.parametrize("client, kind, settlement", [
@@ -415,9 +385,9 @@ def test_the_broker_builds_the_order_its_fields_name(client, kind, settlement, o
 
 
 def test_institutional_routing_rejection_writes_no_journal_entry():
-    broker, _, ledger, _ = make_desk(symbols=())
-    rejection = broker.place_institutional_order(buy_draft(client="fund"))
-    assert rejection == Rejection("routing", "UnknownSymbol")
+    broker, _, ledger, _ = make_desk(extended_exchange=True)
+    rejection = broker.place_institutional_order(buy_draft(qty=OVERSIZED, price=1, client="fund"))
+    assert rejection == Rejection("routing", "OrderTooLarge")
     assert ledger.journal == []
 
 
@@ -523,6 +493,7 @@ def test_receive_affirmation_flips_responsibility():
     block_id = _filled_block(broker, exchanges)
     contracts = broker.handle_allocation_details(
         [detail("A1", block_id, 60), detail("A2", block_id, 40)])
+    assert broker.unaffirmed_blocks() == [block_id]
     affirmation = Affirmation(
         "F1", ParticipantId(ParticipantRole.CUSTODIAN, "CU1"), broker.pid,
         block_id, tuple(c.contract_id for c in contracts))

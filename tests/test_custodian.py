@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from conftest import projected
@@ -60,7 +58,6 @@ def make_custodian(config=None, side=Side.BUY, omnibus_money=10**6, omnibus_shar
     custodian = CustodianService(
         CUSTODIAN_PID, registry, ledger, "CU1.omnibus", config or SECO_A)
     registry.register(CUSTODIAN_PID, custodian)
-    custodian.add_institution("fund")
     return custodian, broker, clearing, ledger
 
 
@@ -93,19 +90,6 @@ def test_negative_quantity_rejected():
     assert rejection.rule == "NonPositiveQuantity"
 
 
-def test_unknown_institution_rejected():
-    custodian, _, _, _ = make_custodian()
-    stranger = detail("A1", 10)._replace(institution="stranger")
-    assert custodian.receive_allocation_details([stranger]).rule == "UnknownInstitution"
-
-
-def test_mixed_symbols_rejected():
-    custodian, _, _, _ = make_custodian()
-    rejection = custodian.receive_allocation_details(
-        [detail("A1", 10), detail("A2", 10, symbol="OTHR")])
-    assert rejection.rule == "SymbolMismatch"
-
-
 def test_valid_details_stored_pending():
     custodian, _, _, _ = make_custodian()
     details = fixture_details()
@@ -113,66 +97,23 @@ def test_valid_details_stored_pending():
     assert custodian.pending_blocks() == ["BR1-O1"]
 
 
-def test_extended_checks_require_end_account():
-    custodian, _, _, _ = make_custodian(replace(SECO_A, extended_detail_checks=True))
-    rejection = custodian.receive_allocation_details([detail("A1", 10, end="")])
-    assert rejection.rule == "EmptyEndClientAccount"
-
-
-# The split A1 60 / A2 40 of block BR1-O1. case -> (extended pack bound,
-# {detail index: field edits} or None for no details, the rule broken first)
+# The split A1 60 / A2 40 of block BR1-O1. case -> ({detail index: field
+# edits} or None for no details, the rule broken first)
 BAD_CUSTODIAN_DETAILS = {
-    "no_details": (False, None, "NoDetails"),
-    "unknown_institution": (False, {0: {"institution": "stranger"}}, "UnknownInstitution"),
-    "institution_mismatch": (False, {1: {"institution": "other"}}, "InstitutionMismatch"),
-    "mixed_block_orders": (False, {1: {"block_order_id": "BR1-O9"}}, "MixedBlockOrders"),
-    "zero_quantity": (False, {1: {"quantity": 0}}, "NonPositiveQuantity"),
-    "symbol_mismatch": (False, {1: {"symbol": "OTHR"}}, "SymbolMismatch"),
-    "empty_end_client": (True, {1: {"end_client_account": ""}}, "EmptyEndClientAccount"),
-    "zero_price": (True, {0: {"price": Money(0)}}, "NonPositivePrice"),
-    "duplicate_alloc_id": (True, {1: {"alloc_id": "A1"}}, "DuplicateAllocId"),
-    "zero_price_basic_pack": (False, {0: {"price": Money(0)}}, None),
-    "duplicate_alloc_id_basic_pack": (False, {1: {"alloc_id": "A1"}}, None),
+    "no_details": (None, "NoDetails"),
+    "zero_quantity": ({1: {"quantity": 0}}, "NonPositiveQuantity"),
 }
 
 
-@pytest.mark.parametrize("extended, edits, rule", BAD_CUSTODIAN_DETAILS.values(),
+@pytest.mark.parametrize("edits, rule", BAD_CUSTODIAN_DETAILS.values(),
                          ids=BAD_CUSTODIAN_DETAILS.keys())
-def test_each_allocation_detail_rule_at_the_custodian(extended, edits, rule):
-    custodian, _, _, _ = make_custodian(replace(SECO_A, extended_detail_checks=extended))
+def test_each_allocation_detail_rule_at_the_custodian(edits, rule):
+    custodian, _, _, _ = make_custodian()
     details = [] if edits is None else [
         d._replace(**edits.get(i, {})) for i, d in enumerate(fixture_details())]
     rejection = custodian.receive_allocation_details(details)
-    if rule is None:
-        assert rejection is None
-    else:
-        assert rejection == Rejection("custodian_allocation_validation", rule)
-
-
-def test_custodian_reports_allocation_rules_in_the_documented_order():
-    # every edit breaks one rule; undoing them one at a time must surface
-    # the rules in this order
-    broken = [
-        ("UnknownInstitution", 0, "institution", "stranger"),
-        ("InstitutionMismatch", 1, "institution", "other"),
-        ("MixedBlockOrders", 1, "block_order_id", "BR1-O9"),
-        ("NonPositiveQuantity", 0, "quantity", 0),
-        ("SymbolMismatch", 1, "symbol", "OTHR"),
-        ("EmptyEndClientAccount", 0, "end_client_account", ""),
-        ("NonPositivePrice", 1, "price", Money(-1)),
-        ("DuplicateAllocId", 1, "alloc_id", "A1"),
-    ]
-    custodian, _, _, _ = make_custodian(replace(SECO_A, extended_detail_checks=True))
-    good = fixture_details()
-    details = list(good)
-    for _, index, name, value in broken:
-        details[index] = details[index]._replace(**{name: value})
-    reported = []
-    for _, index, name, _ in broken:
-        reported.append(custodian.receive_allocation_details(details).rule)
-        details[index] = details[index]._replace(**{name: getattr(good[index], name)})
-    assert reported == [rule for rule, *_ in broken]
-    assert custodian.receive_allocation_details(details) is None
+    assert rejection == Rejection("custodian_allocation_validation", rule)
+    assert custodian.pending_blocks() == []
 
 
 # -- affirmation -----------------------------------------------------------------

@@ -30,63 +30,36 @@ class _SilentBroker:
         pass
 
 
-def make_exchange(supported=frozenset(OrderType), extended=False, symbols=("ACME",),
-                  currency="USD"):
+def make_exchange(extended=False):
     registry = ServiceRegistry()
     registry.register(ParticipantId(ParticipantRole.BROKER, "TEST"), _SilentBroker())
     pid = ParticipantId(ParticipantRole.EXCHANGE, "X1")
     exchange = ExchangeService(
-        pid, registry, symbols, currency,
+        pid, registry, ("ACME",),
         PrecedenceComparator(SecondaryPrecedence.TIME_PRIORITY, TieBreak.FIFO),
-        supported, extended_validation=extended)
+        extended_validation=extended)
     registry.register(pid, exchange)
     return exchange
 
 
 # -- validation -------------------------------------------------------------
 
-def draft_order(side=Side.BUY, qty=100, otype=OrderType.LIMIT, price=1050, symbol="ACME"):
+def draft_order(side=Side.BUY, qty=100, otype=OrderType.LIMIT, price=1050):
     return Order(
         order_id="O1", client="c", broker=ParticipantId(ParticipantRole.BROKER, "TEST"),
-        side=side, symbol=symbol, quantity=qty, order_type=otype,
+        side=side, symbol="ACME", quantity=qty, order_type=otype,
         limit_price=Money(price) if price is not None else None)
-
-
-def test_zero_quantity_rejected():
-    exchange = make_exchange()
-    rejection = exchange.validate_incoming_order(draft_order(qty=0))
-    assert rejection.rule == "NonPositiveQuantity"
-
-
-def test_market_order_with_price_rejected():
-    exchange = make_exchange()
-    order = draft_order(otype=OrderType.MARKET, price=1000)
-    assert exchange.validate_incoming_order(order).rule == "PriceNotAllowed"
-
-
-def test_limit_order_without_price_rejected():
-    exchange = make_exchange()
-    order = draft_order(price=None)
-    assert exchange.validate_incoming_order(order).rule == "MissingPrice"
-
-
-def test_unknown_symbol_rejected():
-    exchange = make_exchange()
-    assert exchange.validate_incoming_order(
-        draft_order(symbol="GHOST")).rule == "UnknownSymbol"
-
-
-def test_unsupported_order_type_when_matching_variant_unbound():
-    exchange = make_exchange(
-        supported=frozenset({OrderType.MARKET, OrderType.LIMIT, OrderType.IMMEDIATE_OR_CANCEL}))
-    order = draft_order(otype=OrderType.FILL_OR_KILL, price=1050)
-    assert exchange.validate_incoming_order(order).rule == "UnsupportedOrderType"
 
 
 def test_extended_validation_caps_order_size():
     exchange = make_exchange(extended=True)
     order = draft_order(qty=2_000_000)
     assert exchange.validate_incoming_order(order).rule == "OrderTooLarge"
+    assert order.status is OrderStatus.REJECTED and order.seq is None
+
+
+def test_standard_validation_takes_an_order_of_any_size():
+    assert make_exchange().validate_incoming_order(draft_order(qty=2_000_000)) is None
 
 
 def test_extended_validation_takes_an_order_of_exactly_the_size_cap():
@@ -94,21 +67,6 @@ def test_extended_validation_takes_an_order_of_exactly_the_size_cap():
     assert exchange.validate_incoming_order(draft_order(qty=1_000_000)) is None
     assert exchange.validate_incoming_order(
         draft_order(qty=1_000_001)).rule == "OrderTooLarge"
-
-
-def test_an_exchange_refuses_a_limit_or_cap_in_another_currency_than_its_own():
-    exchange = make_exchange(currency="EUR")
-    dollar = draft_order(price=1050)
-    dollar_cap = draft_order(otype=OrderType.MARKET, price=None)
-    dollar_cap.price_cap = Money(1050)
-    for order in (dollar, dollar_cap):
-        assert exchange.validate_incoming_order(order).rule == "CurrencyMismatch"
-        assert order.status is OrderStatus.REJECTED and order.seq is None
-    euro = draft_order(side=Side.SELL)
-    euro.limit_price = Money(1050, "EUR")
-    assert exchange.validate_incoming_order(euro) is None
-    unpriced = draft_order(otype=OrderType.MARKET, price=None)
-    assert exchange.validate_incoming_order(unpriced) is None
 
 
 def test_accepted_orders_get_increasing_seq():

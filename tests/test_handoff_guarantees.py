@@ -1,12 +1,20 @@
 """What one participant hands on passes the checks the next no longer repeats.
 
-The broker does not re-check the allocation details the custodian has
-accepted, and the clearing corporation does not check a submission's id,
-quantity, price, currency or accounts: an earlier participant guarantees
-each of them (see the `broker.py` and `clearing.py` docstrings). These
-tests keep the deleted checks as an oracle. Every list that reaches
+The broker does not ask whether an order's client is its own or whether
+its price is in the ledger's currency; the exchange does not re-judge an
+order's symbol or shape; the custodian does not check a detail's
+institution, block, symbol, end client, price or alloc id; the broker does
+not re-check the allocation details the custodian has accepted; and the
+clearing corporation does not check a submission's id, quantity, price,
+currency or accounts. The runner, the parser, assembly or an earlier
+participant guarantees each of them (see the `broker.py`, `exchange.py`,
+`custodian.py` and `clearing.py` docstrings). These tests keep the
+deleted checks as an oracle. Every draft that reaches
+`BrokerService.place_retail_order` or `place_institutional_order`, every
+order that reaches `ExchangeService.validate_incoming_order`, every detail
+list that reaches `CustodianService.receive_allocation_details` or
 `BrokerService.handle_allocation_details`, and every submission that
-reaches `ClearingCorporation.submit_trade`, must pass them: in each pinned
+reaches `ClearingCorporation.submit_trade` must pass them: in each pinned
 machine run, and in runs of mutated shipped scenarios under both products.
 """
 
@@ -17,16 +25,88 @@ from mutations import mutate
 from stpsim.broker import BrokerService
 from stpsim.cli import main
 from stpsim.clearing import ClearingCorporation
+from stpsim.custodian import CustodianService
 from stpsim.data import scenario_path
-from stpsim.exchange import TradeReport
-from stpsim.lifecycle import run_scenario
+from stpsim.exchange import ExchangeService, TradeReport
+from stpsim.lifecycle import ScenarioRunner, run_scenario
 from stpsim.scenarios import SCENARIO_IDS, ScenarioFormatError, parse_scenario
-from stpsim.trading import INSTITUTIONAL, allocation_detail_rule
+from stpsim.trading import INSTITUTIONAL, OrderType, order_shape_rule
 from test_pinned_outputs import PINS, argv_of  # noqa: F401 (the fixture)
 
 MACHINE_RUNS = [row for row, (argv, *_) in PINS.items() if "machine" in argv]
 SHIPPED = {scenario_id: scenario_path(scenario_id).read_text().splitlines()
            for scenario_id in SCENARIO_IDS}
+
+# the order type each OrderMatchingAlgorithms variant matches
+MATCHED = {"MarketMatching": OrderType.MARKET, "LimitMatching": OrderType.LIMIT,
+           "ImmediateOrCancelMatching": OrderType.IMMEDIATE_OR_CANCEL,
+           "FillOrKillMatching": OrderType.FILL_OR_KILL}
+
+
+def naive_detail_rule(details, institution, block_order_id, symbol, extended):
+    """The former allocation-detail rule, one scan per rule in its order:
+    the standard pack the first four, the extended pack all seven."""
+    if any(d.institution != institution for d in details):
+        return "InstitutionMismatch"
+    if any(d.block_order_id != block_order_id for d in details):
+        return "MixedBlockOrders"
+    if any(d.quantity <= 0 for d in details):
+        return "NonPositiveQuantity"
+    if any(d.symbol != symbol for d in details):
+        return "SymbolMismatch"
+    if extended:
+        if any(not d.end_client_account for d in details):
+            return "EmptyEndClientAccount"
+        if any(d.price.amount <= 0 for d in details):
+            return "NonPositivePrice"
+        if len({d.alloc_id for d in details}) != len(details):
+            return "DuplicateAllocId"
+    return None
+
+
+def _priced_in(currency, limit_price, price_cap):
+    return all(price is None or price.currency == currency for price in (limit_price, price_cap))
+
+
+def deleted_placement_rule(clients, ledger, draft):
+    """The first rule the broker's former validation would report that it no
+    longer makes, or None; `clients` are the ones the scenario gives it."""
+    if draft.client not in clients or draft.client not in ledger.accounts:
+        return "UnknownClient"
+    if not _priced_in(ledger.currency, draft.limit_price, draft.price_cap):
+        return "CurrencyMismatch"
+    return None
+
+
+def deleted_exchange_rule(exchange, supported, currency, order):
+    """The first rule the exchange's former validation would report that it
+    no longer makes, or None: the symbol, then the order-shape rules over
+    the product's matching variants and the scenario's currency (the size
+    cap is still the exchange's)."""
+    if order.symbol not in exchange.books:
+        return "UnknownSymbol"
+    rule = order_shape_rule(order.order_type, order.quantity, order.limit_price, supported,
+                            False, False, order.price_cap)
+    if rule:
+        return rule
+    if not _priced_in(currency, order.limit_price, order.price_cap):
+        return "CurrencyMismatch"
+    return None
+
+
+def deleted_custodian_rule(institutions, details):
+    """The first rule the custodian's former intake would report that it no
+    longer makes, or None; `institutions` are the ones the scenario gives
+    it. It still refuses an empty list and a non-positive quantity, so
+    those are left out."""
+    if not details:
+        return None
+    first = details[0]
+    if first.institution not in institutions:
+        return "UnknownInstitution"
+    positive = [d._replace(quantity=max(d.quantity, 1)) for d in details]
+    return naive_detail_rule(positive, first.institution, first.block_order_id, first.symbol,
+                             True)
 
 
 def deleted_allocation_rule(broker, details):
@@ -37,7 +117,7 @@ def deleted_allocation_rule(broker, details):
     order = broker.orders.get(block_id)
     if order is None or order.client_kind is not INSTITUTIONAL:
         return "UnknownBlockOrder"
-    rule = allocation_detail_rule(details, order.client, block_id, order.symbol, True)
+    rule = naive_detail_rule(details, order.client, block_id, order.symbol, True)
     if rule:
         return rule
     if order.filled_quantity == 0:
@@ -73,32 +153,82 @@ def deleted_intake_rule(clearing, record, seen):
 
 
 class Handoffs:
-    """Wraps both intakes and records each input a deleted check would refuse."""
+    """Wraps every intake and records each input a deleted check would refuse.
+
+    Each run's scenario and product are read where the runner is built:
+    the clients each broker serves, the institutions each custodian holds,
+    and each exchange's matching variants and currency."""
 
     def __init__(self, monkeypatch):
         self.refused = []          # (intake, the rule, what it was handed)
-        self.allocations = self.submissions = 0
+        self.handed = dict.fromkeys(
+            ("placement", "exchange", "custodian", "allocation", "clearing"), 0)
+        self._clients = {}         # broker -> (its retail clients, its institutions)
+        self._institutions = {}    # custodian -> the scenario's institutions at it
+        self._venue = {}           # exchange -> (its matched types, the scenario's currency)
         self._seen = {}            # clearing corporation -> the ids it accepted
+        init = ScenarioRunner.__init__
+        place = {name: getattr(BrokerService, name)
+                 for name in ("place_retail_order", "place_institutional_order")}
+        validate = ExchangeService.validate_incoming_order
+        receive = CustodianService.receive_allocation_details
         handle, submit = BrokerService.handle_allocation_details, ClearingCorporation.submit_trade
 
-        def checked_handle(broker, details):
-            self.allocations += 1
-            rule = deleted_allocation_rule(broker, details)
+        def check(intake, rule, handed):
+            self.handed[intake] += 1
             if rule:
-                self.refused.append(("broker", rule, details))
+                self.refused.append((intake, rule, handed))
+
+        def recording_init(runner, eco, scenario):
+            for broker_id, broker in eco.brokers.items():
+                self._clients[broker] = (
+                    {c.account for c in scenario.retail_clients if c.broker == broker_id},
+                    {i.account for i in scenario.institutions if i.broker == broker_id})
+            for custodian_id, custodian in eco.custodians.items():
+                self._institutions[custodian] = {
+                    i.account for i in scenario.institutions if i.custodian == custodian_id}
+            supported = frozenset(
+                MATCHED[variant] for variant in eco.product.bindings["OrderMatchingAlgorithms"])
+            for exchange in eco.exchanges.values():
+                self._venue[exchange] = (supported, scenario.currency)
+            init(runner, eco, scenario)
+
+        def checked_place(name, institutional):
+            def placed(broker, draft):
+                clients = self._clients[broker][institutional]
+                check("placement", deleted_placement_rule(clients, broker.ledger, draft), draft)
+                return place[name](broker, draft)
+            return placed
+
+        def checked_validate(exchange, order):
+            check("exchange", deleted_exchange_rule(exchange, *self._venue[exchange], order),
+                  order)
+            return validate(exchange, order)
+
+        def checked_receive(custodian, details):
+            check("custodian", deleted_custodian_rule(self._institutions[custodian], details),
+                  details)
+            return receive(custodian, details)
+
+        def checked_handle(broker, details):
+            check("allocation", deleted_allocation_rule(broker, details), details)
             return handle(broker, details)
 
         def checked_submit(clearing, record):
-            self.submissions += 1
             seen = self._seen.setdefault(clearing, set())
-            rule = deleted_intake_rule(clearing, record, seen)
-            if rule:
-                self.refused.append(("clearing", rule, record))
+            check("clearing", deleted_intake_rule(clearing, record, seen), record)
             result = submit(clearing, record)
             if result is None:
                 seen.add(record.trade.trade_id if type(record) is TradeReport else record.trade_id)
             return result
 
+        monkeypatch.setattr(ScenarioRunner, "__init__", recording_init)
+        monkeypatch.setattr(BrokerService, "place_retail_order",
+                            checked_place("place_retail_order", False))
+        monkeypatch.setattr(BrokerService, "place_institutional_order",
+                            checked_place("place_institutional_order", True))
+        monkeypatch.setattr(ExchangeService, "validate_incoming_order", checked_validate)
+        monkeypatch.setattr(CustodianService, "receive_allocation_details", checked_receive)
         monkeypatch.setattr(BrokerService, "handle_allocation_details", checked_handle)
         monkeypatch.setattr(ClearingCorporation, "submit_trade", checked_submit)
 
@@ -111,15 +241,15 @@ def test_no_pinned_run_hands_on_what_a_deleted_check_refused(argv_of, capsys, mo
     assert code == PINS[row][1]
     assert handoffs.refused == []
     if code == 0:       # a completed run has traded, so clearing has seen its trades
-        assert handoffs.submissions > 0
+        assert handoffs.handed["clearing"] > 0
 
 
-def test_the_pinned_runs_reach_both_intakes(argv_of, capsys, monkeypatch):
+def test_the_pinned_runs_reach_every_intake(argv_of, capsys, monkeypatch):
     handoffs = Handoffs(monkeypatch)
     for row in MACHINE_RUNS:
         main(argv_of(row))
     capsys.readouterr()
-    assert handoffs.allocations > 0 and handoffs.submissions > 0
+    assert all(handoffs.handed.values()), handoffs.handed
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

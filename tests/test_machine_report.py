@@ -152,9 +152,10 @@ def test_an_allocation_rejection_record_writes_one_line_after_its_block():
 
 
 def _pinned_run(argv):
-    """(product, scenario text) of a pinned machine run of a shipped
-    scenario, an edited one, or a workload's at seed 1; None for any other row."""
-    if argv[0] != "run" or "machine" not in argv:
+    """(product, scenario text) of a pinned machine run of a shipped product
+    on a shipped scenario, an edited one, or a workload's at seed 1; None for
+    any other row."""
+    if argv[0] != "run" or "machine" not in argv or not argv[2].startswith("{data}/"):
         return None
     product, scenario = Path(argv[2]).stem, argv[3].strip("{}")
     if scenario in SCENARIO_IDS:

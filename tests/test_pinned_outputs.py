@@ -3,17 +3,17 @@
 Each row is one command line, the exit code it must return and the md5 of its
 stdout; stderr must stay empty. `{data}` is the shipped data directory,
 `{nofok}` SECO A's configuration without `FillOrKillMatching` (so the
-constraint `FillOrKillOrderType => FillOrKillMatching` breaks), `{root}`
-a configuration selecting only the root, `{retail_cross}`, `{deep_book}`
-and `{block_alloc}` the benchmark workloads' seed-1 scenarios,
-`{retail_cross_large}`, `{deep_book_large}` and `{block_alloc_large}` their
-large seed-7 scenarios (see LARGE), and `{underfunded}`,
-`{short_allocation}`, `{zero_split}`, `{short_omnibus}`, `{two_fill_prices}`,
-`{oversized_trade}`, `{zero_quantity}`, `{zero_price}`, `{capped_sell}` and
-`{partial_block}` shipped scenarios with a few lines edited (see EDITS). A
-`run --format machine` row also pins the md5 of what
-`stpsim report` prints for that output, and that it equals the human output
-of the same `run`.
+constraint `FillOrKillOrderType => FillOrKillMatching` breaks), `{xcap}`
+SECO A's with `ExchangeExtendedOrderChecks` in place of
+`ExchangeStandardOrderChecks` (so the exchange caps an order's size that
+the broker does not), `{root}` a configuration selecting only the root,
+`{retail_cross}`, `{deep_book}` and `{block_alloc}` the benchmark
+workloads' seed-1 scenarios, `{retail_cross_large}`, `{deep_book_large}`
+and `{block_alloc_large}` their large seed-7 scenarios (see LARGE), and
+each name in EDITS (`{underfunded}`, `{zero_split}`, ...) a shipped
+scenario with a few lines edited. A `run --format machine` row also pins
+the md5 of what `stpsim report` prints for that output, and that it equals
+the human output of the same `run`.
 Every row runs through `cli.main` in-process, and each `run` and `report`
 must finish within LIMIT_S; the `run_no_fok_matching` row also runs as a
 subprocess, to pin the process contract (exit code, nothing on stderr, no
@@ -59,6 +59,8 @@ PINS = {
     "run_no_fok_matching": (
         ("run", "{data}/catalog.fm", "{nofok}", "retail_retail"), 1,
         "b781b125c5f75e8a1ff86c5015f77ea7"),
+    "validate_config_xcap": (
+        ("validate-config", "{data}/catalog.fm", "{xcap}"), 0, "0b7e08145c8c57bf66f12cccebbda40d"),
 }
 
 
@@ -103,6 +105,25 @@ EDITS = {
                     "order: RC2 sell 100 ACME market cap=5\n"),
     "partial_block": ("retail_institutional", "order: RC2 sell 100 ACME limit 1040\n",
                       "order: RC2 sell 60 ACME limit 1040\n"),
+    "missing_price": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
+                      "order: RC2 sell 100 ACME limit\n"),
+    "price_not_allowed": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
+                          "order: RC2 sell 100 ACME market 1040\n"),
+    "missing_cap": ("retail_retail", "order: RC1 buy 100 ACME limit 1040\n",
+                    "order: RC1 buy 100 ACME market\n"),
+    "too_large": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
+                  "order: RC2 sell 1000001 ACME limit 1040\n"),
+    "duplicate_order": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
+                        "order: RC2 sell 50 ACME limit 1040 ref=S1\n"
+                        "order: RC2 sell 50 ACME limit 1040 ref=S1\n"),
+    "no_venues": ("retail_retail", "exchange: X1\n", ""),
+    "no_details": ("retail_institutional", "allocate: INST1 order=2 EC1=60 EC2=40\n",
+                   "allocate: INST1 order=2\n"),
+    "short_position": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
+                       "order: RC2 sell 101 ACME limit 1040\n"),
+    "oversized_order": ("retail_retail",
+                        "endow: RC2 ACME=100\n\norder: RC2 sell 100 ACME limit 1040\n",
+                        "endow: RC2 ACME=1000001\n\norder: RC2 sell 1000001 ACME limit 1\n"),
 }
 
 
@@ -213,6 +234,76 @@ PINS.update({
     "seco_b_retail_institutional_partial_block": _machine_run(
         "seco_b", "{partial_block}",
         "05fe78fe8c7d72f89576f95cc87b4a92", "9308462b2dd387c547ecb846c3dfe05b", 1),
+    # aborted at order_1_RC2: the broker refuses a limit sell without its
+    # price (validation: MissingPrice)
+    "seco_a_retail_retail_missing_price": _machine_run(
+        "seco_a", "{missing_price}",
+        "00290ff16def11e86e6fcd04cbd1222a", "223f7519bbaff4c24be0479d2f5551b4", 1),
+    "seco_b_retail_retail_missing_price": _machine_run(
+        "seco_b", "{missing_price}",
+        "ff79801e6310bbe4cdd64076da4d37ff", "1d3f79c15fdd822c56a1ecc3eba0bd78", 1),
+    # aborted at order_1_RC2: the broker refuses a market sell with a limit
+    # price (validation: PriceNotAllowed)
+    "seco_a_retail_retail_price_not_allowed": _machine_run(
+        "seco_a", "{price_not_allowed}",
+        "f4708f55b80262efa2752e0a0ed6b363", "931ce740d9beeec442ce77f96df56dc4", 1),
+    "seco_b_retail_retail_price_not_allowed": _machine_run(
+        "seco_b", "{price_not_allowed}",
+        "8aa870dcd022aed683dff78b25e96110", "f94048b0337586a865e98ecfdc0d2363", 1),
+    # aborted at order_2_RC1: the broker refuses a retail market buy without
+    # its cap= (validation: MissingPriceCap)
+    "seco_a_retail_retail_missing_cap": _machine_run(
+        "seco_a", "{missing_cap}",
+        "b31aad51ad91f361edb9e52835916e31", "60e14937a2c5c78164605a2bc229d25d", 1),
+    "seco_b_retail_retail_missing_cap": _machine_run(
+        "seco_b", "{missing_cap}",
+        "bedd357993cd6449be1a29b23ca6f170", "d0ba152b81b659f65cadb325e6d7ee3f", 1),
+    # aborted at order_1_RC2: SECO B's broker caps the sell's size
+    # (validation: OrderTooLarge), SECO A's its value (client_compliance:
+    # OrderValueOverCap)
+    "seco_a_retail_retail_too_large": _machine_run(
+        "seco_a", "{too_large}",
+        "092d0f83541c9ac79579f03369b69ff3", "43251773d8bf4612711a835fe60cc605", 1),
+    "seco_b_retail_retail_too_large": _machine_run(
+        "seco_b", "{too_large}",
+        "6fc1c079f32f204d530ed63df4406808", "1f54e34674d97c9e42b71f0c2642d08c", 1),
+    # aborted at order_2_RC2: the second sell reuses ref=S1 (risk: DuplicateOrder)
+    "seco_a_retail_retail_duplicate_order": _machine_run(
+        "seco_a", "{duplicate_order}",
+        "658ea490132f9ded09a3aaec73eff3c0", "10c17a1ca0ece65b1b2bd059210a52b8", 1),
+    "seco_b_retail_retail_duplicate_order": _machine_run(
+        "seco_b", "{duplicate_order}",
+        "7007d392326b73bd168e4eef1e79e4af", "669c5f2e0e64051aee9d315ea954803f", 1),
+    # aborted at order_1_RC2: the scenario declares no exchange
+    # (venue_selection: NoVenues)
+    "seco_a_retail_retail_no_venues": _machine_run(
+        "seco_a", "{no_venues}",
+        "b1204c005ad74c2517112528546d1f95", "a33efd996650d4c83d2918c82150a26c", 1),
+    "seco_b_retail_retail_no_venues": _machine_run(
+        "seco_b", "{no_venues}",
+        "3d747a38cf8095d1380d7b62feeab79c", "c55c5b210ece6567eb4ac256ce7a009d", 1),
+    # aborted at allocation_INST1: the custodian refuses a split without
+    # details (NoDetails)
+    "seco_a_retail_institutional_no_details": _machine_run(
+        "seco_a", "{no_details}",
+        "b3f2b6dc0e5ccd639434592de9945669", "993b9cf85cc4675d304db79defbbc9b9", 1),
+    "seco_b_retail_institutional_no_details": _machine_run(
+        "seco_b", "{no_details}",
+        "4e65e0f558ea0244130420fa08451a82", "52159c102705c3e3da75f8f27aeb88ad", 1),
+    # aborted at order_1_RC2: RC2 sells 101 of its 100 ACME (SECO A prepayment:
+    # InsufficientPosition, SECO B risk: InsufficientPrefunding)
+    "seco_a_retail_retail_short_position": _machine_run(
+        "seco_a", "{short_position}",
+        "efbfaeccfd9b01ed67ff43e12f70a219", "4ec89f1b1489fdcb90ce234d5eaf6779", 1),
+    "seco_b_retail_retail_short_position": _machine_run(
+        "seco_b", "{short_position}",
+        "6830722948add445abc29f03c72e8553", "86e64ae399541dc788367b35ca813b3b", 1),
+    # aborted at order_1_RC2: SECO A's broker does not cap the sell's size, and
+    # the exchange under the extended checks refuses it at routing
+    # (OrderTooLarge); the broker refunds the prepaid shares
+    "xcap_retail_retail_oversized_order": (
+        ("run", "{data}/catalog.fm", "{xcap}", "{oversized_order}", "--format", "machine"), 1,
+        "126e02622e6a1f9ef969db0e6e3dcbdb", "da4c977c34489ee0611897826973adad"),
 })
 
 
@@ -223,9 +314,12 @@ def argv_of(tmp_path_factory):
     nofok.write_text("".join(
         line for line in config_path("seco_a").read_text().splitlines(keepends=True)
         if line.strip() != "FillOrKillMatching"))
+    xcap = inputs / "xcap.cfg"
+    xcap.write_text(config_path("seco_a").read_text().replace(
+        "\nExchangeStandardOrderChecks\n", "\nExchangeExtendedOrderChecks\n"))
     root = inputs / "root.cfg"
     root.write_text("EquityMarket\n")
-    paths = {"data": catalog_path().parent, "nofok": nofok, "root": root}
+    paths = {"data": catalog_path().parent, "nofok": nofok, "xcap": xcap, "root": root}
     for name, workload in WORKLOADS.items():
         paths[name] = inputs / f"{name}.scn"
         paths[name].write_text(workload.scenario_text(1), encoding="utf-8")

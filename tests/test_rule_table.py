@@ -1,11 +1,11 @@
 """Every rule a participant can refuse by fires in a pinned run, or says why not.
 
 `rule_names` reads the rule names out of the source with `ast`: the string
-constants a function under ``src/stpsim`` returns or assigns to `rule`, the
-rule of each `Rejection(...)` and broker `_rejected(...)` call, and the
-allocation-detail ranks of `trading._DETAIL_RULES`. Each must appear as
-the rule of an ``audit|`` line, or in the cause of the ``end|aborted|``
-line, of some machine output that `tests/test_pinned_outputs.py` pins.
+constants a function under ``src/stpsim`` returns or assigns to `rule`, and
+the rule of each `Rejection(...)` and broker `_rejected(...)` call. Each
+must appear as the rule of an ``audit|`` line, or in the cause of the
+``end|aborted|`` line, of some machine output that
+`tests/test_pinned_outputs.py` pins.
 A rule no pinned input fires sits in `ALLOWED`, one line each, with the
 reason.
 """
@@ -23,30 +23,16 @@ NAME = re.compile(r"[A-Z][A-Za-z]+")
 
 # rule -> why no pinned run fires it
 ALLOWED = {
-    "UnknownClient": "the parser ties every order line to a client declared at its broker",
     "UnsupportedOrderType": "no pinned run orders a type its broker does not offer",
-    "MissingPrice": "no pinned order line of a priced type lacks its price",
-    "PriceNotAllowed": "no pinned market order line carries a limit price",
-    "MissingPriceCap": "no pinned retail market buy lacks its cap=",
-    "CurrencyMismatch": "the runner prices every order in the scenario's one currency",
-    "OrderTooLarge": "no pinned order exceeds the extended checks' size cap",
-    "DuplicateOrder": "no pinned scenario reuses an order ref= (ROADMAP item 10)",
-    "InsufficientPosition": "no pinned retail sell exceeds its client's shares",
     "RestrictedSymbol": "no scenario line can restrict a symbol yet (ROADMAP item 10)",
-    "NoVenues": "every pinned scenario declares an exchange",
-    "UnknownSymbol": "the parser refuses an order for an undeclared symbol",
-    "NoDetails": "no pinned allocate: line is without splits",
-    "UnknownInstitution": "assembly adds each institution to its custodian",
-    "InstitutionMismatch": "the runner writes the allocating institution into every detail",
-    "MixedBlockOrders": "the runner writes one block order into every detail",
-    "SymbolMismatch": "the runner writes the block's fill symbol into every detail",
-    "EmptyEndClientAccount": "the parser refuses an empty split key",
-    "DuplicateAllocId": "the runner numbers alloc ids from one counter",
 }
 
 # rules deleted because an earlier participant already refuses every input
 # that could reach them
-DELETED = ("UnknownBlockOrder", "PriceMismatch", "DuplicateTrade", "UnknownAccount")
+DELETED = ("UnknownBlockOrder", "PriceMismatch", "DuplicateTrade", "UnknownAccount",
+           "UnknownClient", "CurrencyMismatch", "UnknownSymbol", "UnknownInstitution",
+           "InstitutionMismatch", "MixedBlockOrders", "SymbolMismatch",
+           "EmptyEndClientAccount", "DuplicateAllocId")
 
 
 def _constant(node):
@@ -75,11 +61,6 @@ def rule_names():
                     isinstance(target, ast.Name) and target.id == "rule"
                     for target in node.targets):
                 add(node.value, where)
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(target, ast.Name) and target.id == "_DETAIL_RULES"
-                    for target in node.targets):
-                for element in node.value.elts:
-                    add(element, where)
             elif isinstance(node, ast.Call):
                 callee = node.func.attr if isinstance(node.func, ast.Attribute) else \
                     getattr(node.func, "id", None)
@@ -108,10 +89,9 @@ def fired_rules(argv_of, capsys):
 
 def test_the_collector_finds_the_rules_of_every_participant():
     names = rule_names()
-    for rule, module in (("UnknownClient", "broker.py"), ("BlockNotFilled", "broker.py"),
-                         ("UnknownSymbol", "exchange.py"), ("TradeValueTooLarge", "clearing.py"),
-                         ("UnknownInstitution", "custodian.py"), ("CapOnSell", "trading.py"),
-                         ("DuplicateAllocId", "trading.py")):
+    for rule, module in (("DuplicateOrder", "broker.py"), ("BlockNotFilled", "broker.py"),
+                         ("OrderTooLarge", "exchange.py"), ("TradeValueTooLarge", "clearing.py"),
+                         ("NoDetails", "custodian.py"), ("CapOnSell", "trading.py")):
         assert names[rule].startswith(module + ":"), (rule, names.get(rule))
 
 

@@ -3,7 +3,6 @@ import pytest
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole
 from stpsim.trading import (
-    AllocationDetail,
     EquityLeg,
     MoneyLeg,
     Order,
@@ -12,7 +11,6 @@ from stpsim.trading import (
     Side,
     Trade,
     TradeStatus,
-    allocation_detail_rule,
     order_shape_rule,
 )
 
@@ -80,8 +78,8 @@ def test_instruction_legs_of_one_unit_are_positive():
 
 def _shape_rule(order_type, limit_price, price_cap=None):
     """`order_shape_rule` for a 10-share retail buy, every type offered."""
-    return order_shape_rule(order_type, 10, limit_price, frozenset(OrderType), False, "USD",
-                            True, price_cap, Side.BUY)
+    return order_shape_rule(order_type, 10, limit_price, frozenset(OrderType), False, True,
+                            price_cap, Side.BUY)
 
 
 def test_order_types_requiring_price():
@@ -104,13 +102,6 @@ def test_market_buy_capped_at_one_minor_unit_passes_the_shape_rules():
 def test_limit_price_of_one_minor_unit_passes_the_shape_rules(order_type):
     assert _shape_rule(order_type, Money(1)) is None
     assert _shape_rule(order_type, Money(0)) == "NonPositivePrice"
-
-
-def test_allocation_price_of_one_minor_unit_passes_the_extended_pack():
-    detail = AllocationDetail("A1", "INST1", "EC1", "BR1-O1", "ACME", 10, Money(1))
-    pack = ("INST1", "BR1-O1", "ACME", True)    # institution, block, symbol, extended
-    assert allocation_detail_rule([detail], *pack) is None
-    assert allocation_detail_rule([detail._replace(price=Money(0))], *pack) == "NonPositivePrice"
 
 
 def test_order_remaining_defaults_to_quantity():
