@@ -27,8 +27,8 @@ sit at the custodian, which takes over settlement once it affirms the
 broker's contracts. The custodian has already accepted the manager's
 allocation details, so the broker checks only what it alone knows, its
 block order: the block is done filling and the details cover its filled
-quantity. It then builds one contract from each detail, so the custodian
-affirms the contracts it is handed.
+quantity. It then sends one contract note for the block, a contract id per
+detail on the detail's terms, which the custodian affirms as it is handed.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .trading import (
     AllocationDetail,
     AuditEvent,
     ClientKind,
-    Contract,
+    ContractNote,
     Order,
     OrderType,
     Rejection,
@@ -61,11 +61,7 @@ from .trading import (
 )
 
 
-class BrokerError(Exception):
-    pass
-
-
-class NoVenues(BrokerError):
+class NoVenues(Exception):
     pass
 
 
@@ -320,39 +316,31 @@ class BrokerService:
         else:
             fills.append(trade)
 
-    def order_info(self, order_id: str) -> Order:
-        """Status inquiry surface for counterpart services (e.g. custodians)."""
-        try:
-            return self.orders[order_id]
-        except KeyError:
-            raise BrokerError(f"unknown order {order_id}") from None
-
-    def handle_allocation_details(self, details: list[AllocationDetail]) -> list[Contract] | Rejection:
-        rule = self._validate_details(details)
+    def handle_allocation_details(
+            self, details: list[AllocationDetail]) -> ContractNote | Rejection:
+        """Check the block's details and send one contract per detail, in a
+        note for the block whose ids run on from this broker's counter."""
+        block_id = details[0].block_order_id
+        order = self.orders[block_id]
+        rule = self._validate_details(order, details)
         if rule:
-            self.audit_records.append(AuditEvent(details[0].block_order_id,
-                                                 "allocation_validation", "rejected", rule))
+            self.audit_records.append(AuditEvent(block_id, "allocation_validation",
+                                                 "rejected", rule))
             return Rejection("allocation_validation", rule)
 
-        block_id = details[0].block_order_id
-        pid, custodian_pid = self.pid, self.institutions[details[0].institution]
-        prefix, first = f"{pid.id}-C", self._next_contract
+        prefix, first = f"{self.pid.id}-C", self._next_contract
         self._next_contract += len(details)
-        contracts = [
-            _new(Contract, (f"{prefix}{number}", pid, custodian_pid, alloc_id, block, symbol,
-                            quantity, price))
-            for number, (alloc_id, _, _, block, symbol, quantity, price)
-            in enumerate(details, first)]
         self.contracts_sent.add(block_id)
         self.audit_records.append(
             _new(AuditEvent, (block_id, "allocation_validation", "ok", "", ())))
-        return contracts
+        return _new(ContractNote, (block_id, self.pid, order.side, tuple(
+            f"{prefix}{number}" for number in range(first, self._next_contract))))
 
-    def _validate_details(self, details: list[AllocationDetail]) -> str | None:
-        """The custodian has passed `details` (a non-empty list for one of this
-        broker's institutional orders, each priced at its one fill price);
-        the block must be done filling, and the details must cover it."""
-        order = self.orders[details[0].block_order_id]
+    def _validate_details(self, order: Order, details: list[AllocationDetail]) -> str | None:
+        """The custodian has passed `details` (a non-empty list for `order`,
+        one of this broker's institutional orders, each priced at its one
+        fill price); the block must be done filling, and the details must
+        cover it."""
         if not order.is_terminal:
             return "BlockNotFilled"
         if sum(detail.quantity for detail in details) != order.filled_quantity:

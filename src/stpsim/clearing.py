@@ -1,15 +1,16 @@
 """Clearing and settlement: obligations, netting, and atomic DVP.
 
-The clearing corporation queues trade reports from exchanges and
-client-level records from custodians, both through `submit_trade`. What
-the exchange and the custodian already guarantee (ids from their own
-counters, positive quantities, accepted prices in the ledger's currency,
-accounts opened at assembly) it does not check again; the one intake
-rule is the extended checks' cap on a street trade's value. A street
-trade whose side was placed for an institutional client stays pending
-until custodian records cover that order's full executed quantity
-(affirmation has transferred settlement responsibility), then clears
-under the product's bound rule:
+The clearing corporation queues the exchanges' trade reports through
+`submit_trade`, and takes each custodian's client-level trades for an
+affirmed block, that block's allocation details, through
+`submit_client_trades`. What the exchange and the custodian already
+guarantee (trade ids from the exchange's counter, positive quantities,
+accepted prices in the ledger's currency, accounts opened at assembly) it
+does not check again; the one intake rule is the extended checks' cap on a
+street trade's value. A street trade whose side was placed for an institutional
+client stays pending until client-level trades cover that order's full
+executed quantity (affirmation has transferred settlement
+responsibility), then clears under the product's bound rule:
 
 * trade_for_trade: one money obligation and one equity obligation per
   trade, whose counterparty is the trade's other settlement account.
@@ -47,11 +48,11 @@ from .trading import (
     CLEARED,
     MAX_TRADE_VALUE,
     SETTLED,
+    AllocationDetail,
     EquityLeg,
     MoneyLeg,
     Rejection,
     SettlementInstruction,
-    Side,
 )
 from .exchange import TradeReport
 
@@ -71,19 +72,6 @@ class _Transfer(NamedTuple):
     dst: str
     symbol: str | None
     amount: int
-
-
-class ClientTradeRecord(NamedTuple):
-    """A custodian's per-allocation trade submission, covering one side of a
-    street trade's block order after affirmation."""
-
-    trade_id: str
-    block_order_id: str
-    side: Side
-    symbol: str
-    quantity: int
-    price: Money
-    account: str          # custodian omnibus
 
 
 class Obligation(NamedTuple):
@@ -148,27 +136,14 @@ class ClearingCorporation:
 
     # -- intake ---------------------------------------------------------
 
-    def submit_trade(self, record: TradeReport | ClientTradeRecord) -> Rejection | None:
-        """Queue one submission; None means accepted.
-
-        An exchange submits a `TradeReport`, a custodian a `ClientTradeRecord`,
-        which is never refused. A street trade must meet the extended checks'
-        `MAX_TRADE_VALUE`.
-        """
-        if type(record) is TradeReport:
-            trade = record.trade
-            # on minor units: the price is in the ledger's currency, as is the cap
-            if self.extended_validation and trade.price.amount * trade.quantity > MAX_TRADE_VALUE:
-                return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
-            self._accept_street(record)
-        else:
-            block = record.block_order_id
-            self._covered_qty[block] = self._covered_qty.get(block, 0) + record.quantity
-        return None
-
-    def _accept_street(self, report: TradeReport) -> None:
-        self.queued.append(report)
+    def submit_trade(self, report: TradeReport) -> Rejection | None:
+        """Queue an exchange's street trade; None means accepted. It must
+        meet the extended checks' `MAX_TRADE_VALUE`."""
         trade = report.trade
+        # on minor units: the price is in the ledger's currency, as is the cap
+        if self.extended_validation and trade.price.amount * trade.quantity > MAX_TRADE_VALUE:
+            return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
+        self.queued.append(report)
         quantity, order_trades, street_qty = trade.quantity, self._order_trades, self._street_qty
         for order_id, deferred in ((trade.buy_order_id, report.buy_deferred),
                                    (trade.sell_order_id, report.sell_deferred)):
@@ -179,6 +154,15 @@ class ClearingCorporation:
                 reports.append(report)
             if deferred:
                 street_qty[order_id] = street_qty.get(order_id, 0) + quantity
+        return None
+
+    def submit_client_trades(self, details: tuple[AllocationDetail, ...]) -> None:
+        """Take a custodian's client-level trades for one affirmed block, its
+        allocation details: they cover that much of the block's street
+        trades. Never refused."""
+        block = details[0].block_order_id
+        self._covered_qty[block] = self._covered_qty.get(block, 0) + sum(
+            detail.quantity for detail in details)
 
     def _side_ready(self, order_id: str, deferred: bool) -> bool:
         if not deferred:

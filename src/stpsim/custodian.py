@@ -8,24 +8,24 @@ block order, the block's fill symbol and price, and an alloc id from one
 counter; the parser refuses an empty end-client key. So the product's
 `CustodianAllocationDetailValidationRules` and
 `AllocationDetailAffirmationRules` variants bind nothing. The broker
-checks the details against its block order and builds one contract from
-each, so the custodian affirms the contracts it is handed: the block's
-details become affirmed, the broker is told, and settlement
-responsibility moves here. The custodian then forwards per-allocation
-client trade records, which the clearing corporation never refuses, and,
-once the street trades settle, distributes shares or proceeds from the
-omnibus account to each end client.
+checks the details against its block order and sends one contract note
+for the block, a contract id per detail on that detail's terms, so the
+custodian affirms the note it is handed: the block's details become
+affirmed, the broker is told, and settlement responsibility moves here.
+The custodian then hands the clearing corporation each affirmed block's
+details as its client-level trades, in one call per block, which clearing
+never refuses, and, once the street trades settle, distributes shares or
+proceeds from the omnibus account to each end client.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clearing import ClientTradeRecord
 from .ledger import Ledger
 from .money import Money, _new
 from .registry import CLEARING_CORPORATION, ParticipantId, ParticipantRole, ServiceRegistry
-from .trading import BUY, Affirmation, AllocationDetail, Contract, Rejection, Side
+from .trading import BUY, Affirmation, AllocationDetail, ContractNote, Rejection, Side
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class CustodianService:
         self.affirmed: dict[str, _AffirmedBlock] = {}
         self.affirmations: list[Affirmation] = []
         self._next_affirmation = 1
-        self._next_record = 1
 
     # -- intake ----------------------------------------------------------
 
@@ -87,50 +86,42 @@ class CustodianService:
 
     # -- affirmation -------------------------------------------------------
 
-    def affirm_contracts(self, contracts: list[Contract]) -> Affirmation:
+    def affirm_contracts(self, note: ContractNote) -> Affirmation:
         """Affirm the broker's contracts for one block: its pending details
         become affirmed, and settlement responsibility moves here.
 
-        The broker builds each contract from the same detail this custodian
-        holds (alloc id, symbol, quantity and price), so there is nothing
-        to compare: the affirmation echoes the broker's contract ids.
+        The broker's contracts carry the terms of the very details this
+        custodian holds (one contract per detail), so there is nothing to
+        compare: the affirmation echoes the note's contract ids.
         """
-        block, broker_pid = contracts[0].block_order_id, contracts[0].broker
+        block, broker_pid, side, contract_ids = note
         details = self.pending_details.pop(block)
         affirmation = Affirmation(
             affirmation_id=f"{self.pid.id}-F{self._next_affirmation}",
             custodian=self.pid,
             broker=broker_pid,
             block_order_id=block,
-            contract_ids=tuple(c.contract_id for c in contracts),
+            contract_ids=contract_ids,
         )
         self._next_affirmation += 1
         self.affirmations.append(affirmation)
 
-        broker = self.registry.lookup(broker_pid)
-        broker.receive_affirmation(affirmation)
-        side = broker.order_info(block).side
+        self.registry.lookup(broker_pid).receive_affirmation(affirmation)
         self.affirmed[block] = _AffirmedBlock(details, side)
         return affirmation
 
     # -- clearing and settlement -----------------------------------------
 
     def send_trades_to_clearing_rec(self) -> int:
-        """Submit one client-level trade record per affirmed allocation; the
-        clearing corporation refuses no client record."""
-        submit = self.registry.first(CLEARING_CORPORATION).submit_trade
-        prefix, omnibus = f"{self.pid.id}-R", self.omnibus_account
+        """Hand clearing each affirmed block's details, its client-level
+        trades, once; return how many trades went."""
+        submit = self.registry.first(CLEARING_CORPORATION).submit_client_trades
         sent = 0
-        for block, affirmed in self.affirmed.items():
+        for affirmed in self.affirmed.values():
             if affirmed.forwarded:
                 continue
-            details, side = affirmed.details, affirmed.side
-            first = self._next_record
-            self._next_record += len(details)
-            for number, (_, _, _, _, symbol, quantity, price) in enumerate(details, first):
-                submit(_new(ClientTradeRecord, (
-                    f"{prefix}{number}", block, side, symbol, quantity, price, omnibus)))
-            sent += len(details)
+            submit(affirmed.details)
+            sent += len(affirmed.details)
             affirmed.forwarded = True
         return sent
 

@@ -205,8 +205,9 @@ class TradeReport:
     """What the exchange tells the clearing corporation about one trade.
 
     Each side carries the account that will settle it and whether that side
-    must first be covered by custodian client-level records (institutional
-    orders settle from the custodian omnibus after affirmation).
+    must first be covered by the custodian's client-level trades, the
+    block's allocation details, which it hands on after affirmation
+    (institutional orders settle from the custodian omnibus).
     """
 
     trade: Trade
@@ -244,13 +245,11 @@ class ExchangeService:
         self._next_trade = 1
 
     def best_quote(self, symbol: str, side: Side) -> Money | None:
-        book = self.books.get(symbol)
-        best = book.side(side).head() if book else None
+        best = self.books[symbol].side(side).head()
         return best.limit_price if best else None
 
     def book_depth(self, symbol: str) -> int:
-        book = self.books.get(symbol)
-        return book.depth() if book else 0
+        return self.books[symbol].depth()
 
     def validate_incoming_order(self, order: Order) -> Rejection | None:
         """The size cap under the extended variant, the one rule the broker

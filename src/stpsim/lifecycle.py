@@ -213,7 +213,7 @@ class ScenarioRunner:
         outcome = broker.handle_allocation_details(details)
         if isinstance(outcome, Rejection):
             raise ScenarioAborted(step, f"broker {outcome}")
-        self._snapshot(step, (f"contracts={len(outcome)}",))
+        self._snapshot(step, (f"contracts={len(outcome.contract_ids)}",))
 
         affirmation = custodian.affirm_contracts(outcome)
         self._snapshot(f"affirmation_{action.institution}", (affirmation.affirmation_id,))

@@ -3,12 +3,14 @@
 An `Order` travels client -> broker -> exchange and mutates as it goes
 (sequence number at exchange acceptance, remaining quantity as it fills).
 A `Trade` is the match of two orders; its status only ever advances
-executed -> cleared -> settled. AllocationDetail / Contract / Affirmation
-are the documents of the institutional post-trade flow: the manager's
-per-client split, the broker's contracts (one built from each detail) and
-the custodian's acceptance of them, which moves settlement responsibility
-from the broker to the custodian. The broker judges each order's shape
-by `order_shape_rule`, the one place those rules run.
+executed -> cleared -> settled. AllocationDetail / ContractNote /
+Affirmation are the documents of the institutional post-trade flow: the
+manager's per-client split, the broker's one note per block (a contract id
+per detail) and the custodian's acceptance of it, which moves settlement
+responsibility from the broker to the custodian. The details stay the one
+per-allocation record: the custodian forwards them to clearing as the
+block's client-level trades. The broker judges each order's shape by
+`order_shape_rule`, the one place those rules run.
 """
 
 from __future__ import annotations
@@ -143,15 +145,14 @@ class AllocationDetail(NamedTuple):
     price: Money
 
 
-class Contract(NamedTuple):
-    contract_id: str
-    broker: ParticipantId
-    custodian: ParticipantId
-    alloc_ref: str
+class ContractNote(NamedTuple):
+    """The broker's contracts for one block: one id per allocation detail,
+    in detail order; each contract's terms are its detail's."""
+
     block_order_id: str
-    symbol: str
-    quantity: int
-    price: Money
+    broker: ParticipantId
+    side: Side
+    contract_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -259,8 +260,8 @@ class Rejection(NamedTuple):
 
 
 class ClearingRejected(Exception):
-    """The clearing corporation refused a street trade or a client record;
-    the run aborts with this as its cause."""
+    """The clearing corporation refused a street trade; the run aborts with
+    this as its cause."""
 
     def __init__(self, submission: str, rejection: Rejection):
         super().__init__(f"clearing rejected {submission}: {rejection}")

@@ -9,6 +9,7 @@ from stpsim.broker import (
     NoVenues,
     OrderDraft,
 )
+from stpsim.custodian import CustodianConfig, CustodianService
 from stpsim.exchange import (
     ExchangeService,
     PrecedenceComparator,
@@ -25,6 +26,7 @@ from stpsim.trading import (
     AllocationDetail,
     AuditEvent,
     ClientKind,
+    ContractNote,
     Order,
     OrderStatus,
     OrderType,
@@ -474,29 +476,35 @@ def test_details_summing_under_block_rejected():
     assert outcome == Rejection("allocation_validation", "QuantityMismatch")
 
 
-def test_contracts_mirror_details_field_for_field():
-    broker, exchanges, _, _ = make_desk()
-    block_id = _filled_block(broker, exchanges)
-    details = [detail("A1", block_id, 60, end="EC1"), detail("A2", block_id, 40, end="EC2")]
-    contracts = broker.handle_allocation_details(details)
-    assert len(contracts) == 2
-    for contract, alloc in zip(contracts, details):
-        assert contract.alloc_ref == alloc.alloc_id
-        assert contract.symbol == alloc.symbol
-        assert contract.quantity == alloc.quantity
-        assert contract.price == alloc.price
-        assert contract.custodian.id == "CU1"
+def test_contract_ids_run_on_across_blocks_and_the_affirmation_echoes_them():
+    broker, exchanges, ledger, _ = make_desk()
+    custodian = CustodianService(
+        ParticipantId(ParticipantRole.CUSTODIAN, "CU1"), broker.registry, ledger,
+        "CU1.omnibus", CustodianConfig(**projected("seco_a")["Custodian"]))
+    blocks = (((60, 40), ("BR1-C1", "BR1-C2")), ((10, 20, 70), ("BR1-C3", "BR1-C4", "BR1-C5")))
+    for number, (splits, contract_ids) in enumerate(blocks):
+        rest_order(exchanges[0], "sell", 1040, 100, oid=f"O{90 + number}")
+        block_id = broker.place_institutional_order(buy_draft(qty=100, price=1040, client="fund"))
+        details = [detail(f"A{number}{n}", block_id, qty) for n, qty in enumerate(splits)]
+        assert custodian.receive_allocation_details(details) is None
+        note = broker.handle_allocation_details(details)
+        # one contract per detail, in detail order, numbered on from the last block's
+        assert note == ContractNote(block_id, broker.pid, Side.BUY, contract_ids)
+        affirmation = custodian.affirm_contracts(note)
+        assert (affirmation.block_order_id, affirmation.contract_ids) == (block_id, contract_ids)
+        assert custodian.affirmed[block_id].side is Side.BUY
+    assert broker.unaffirmed_blocks() == []
 
 
 def test_receive_affirmation_flips_responsibility():
     broker, exchanges, _, _ = make_desk()
     block_id = _filled_block(broker, exchanges)
-    contracts = broker.handle_allocation_details(
+    note = broker.handle_allocation_details(
         [detail("A1", block_id, 60), detail("A2", block_id, 40)])
     assert broker.unaffirmed_blocks() == [block_id]
     affirmation = Affirmation(
         "F1", ParticipantId(ParticipantRole.CUSTODIAN, "CU1"), broker.pid,
-        block_id, tuple(c.contract_id for c in contracts))
+        block_id, note.contract_ids)
     broker.receive_affirmation(affirmation)
     assert broker.affirmed_blocks == {block_id}
     assert broker.unaffirmed_blocks() == []
@@ -527,7 +535,7 @@ def test_each_allocation_detail_rule_at_the_broker(resting, edits, rule):
     block_id = broker.place_institutional_order(buy_draft(qty=100, price=1040, client="fund"))
     outcome = broker.handle_allocation_details(_split(block_id, edits))
     if rule is None:
-        assert len(outcome) == 2
+        assert len(outcome.contract_ids) == 2
     else:
         assert outcome == Rejection("allocation_validation", rule)
         assert broker.audit_records[-1] == AuditEvent(

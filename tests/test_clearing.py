@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from stpsim.clearing import (
     ClearingBank,
     ClearingCorporation,
-    ClientTradeRecord,
     Depository,
     SettlementFailed,
 )
@@ -14,7 +13,7 @@ from stpsim.exchange import TradeReport
 from stpsim.ledger import Ledger, total_money, total_positions
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
-from stpsim.trading import MAX_TRADE_VALUE, Side, Trade, TradeStatus
+from stpsim.trading import MAX_TRADE_VALUE, AllocationDetail, Trade, TradeStatus
 
 
 EXCHANGE_PID = ParticipantId(ParticipantRole.EXCHANGE, "X1")
@@ -351,11 +350,10 @@ def test_gross_instructions_pair_money_and_equity_entries():
 
 # -- deferred sides and custodian coverage --------------------------------------
 
-def client_record(n, block_order, qty, account="acct_a", price=1000, side=Side.BUY,
-                  currency="USD"):
-    return ClientTradeRecord(
-        trade_id=f"CT{n}", block_order_id=block_order, side=side,
-        symbol="S0", quantity=qty, price=Money(price, currency), account=account)
+def client_trades(block_order, *quantities):
+    """A custodian's client-level trades for one block: its allocation details."""
+    return tuple(AllocationDetail(f"A{n}", "fund", f"EC{n}", block_order, "S0", qty, Money(1000))
+                 for n, qty in enumerate(quantities, 1))
 
 
 def test_deferred_side_waits_for_coverage():
@@ -366,11 +364,12 @@ def test_deferred_side_waits_for_coverage():
     assert clearing.clear_rec() == []
     assert clearing.queue_size() == 1
 
-    assert clearing.submit_trade(client_record(1, "BLOCK1", 60)) is None
+    clearing.submit_client_trades(client_trades("BLOCK1", 35, 25))
+    clearing.submit_client_trades(client_trades("OTHER", 40))
     assert clearing.clear_rec() == []          # 60 of 100 covered
 
-    assert clearing.submit_trade(client_record(2, "BLOCK1", 40)) is None
-    obligations = clearing.clear_rec()
+    clearing.submit_client_trades(client_trades("BLOCK1", 40))
+    obligations = clearing.clear_rec()          # 100 of 100 covered
     assert len(obligations) == 2
     assert clearing.queue_size() == 0
 

@@ -1,57 +1,46 @@
 import pytest
 
 from conftest import projected
-from stpsim.clearing import ClientTradeRecord
 from stpsim.custodian import CustodianConfig, CustodianService
 from stpsim.ledger import Ledger
 from stpsim.money import Money
 from stpsim.registry import ParticipantId, ParticipantRole, ServiceRegistry
-from stpsim.trading import Affirmation, AllocationDetail, Contract, Rejection, Side
+from stpsim.trading import Affirmation, AllocationDetail, ContractNote, Rejection, Side
 
 BROKER_PID = ParticipantId(ParticipantRole.BROKER, "BR1")
 CUSTODIAN_PID = ParticipantId(ParticipantRole.CUSTODIAN, "CU1")
 SECO_A = CustodianConfig(**projected("seco_a")["Custodian"])
 
 
-class _StubOrder:
-    def __init__(self, side):
-        self.side = side
-
-
 class _StubBroker:
     """Only what the custodian calls back into."""
 
-    def __init__(self, side=Side.BUY):
-        self.side = side
+    def __init__(self):
         self.affirmations = []
 
     def receive_affirmation(self, affirmation):
         self.affirmations.append(affirmation)
 
-    def order_info(self, order_id):
-        return _StubOrder(self.side)
-
 
 class _StubClearing:
     def __init__(self):
-        self.records = []
+        self.submissions = []     # each block's client-level trades, as handed on
         self.settled_orders = set()
 
-    def submit_trade(self, record):
-        self.records.append(record)
-        return None
+    def submit_client_trades(self, details):
+        self.submissions.append(details)
 
     def is_order_settled(self, order_id):
         return order_id in self.settled_orders
 
 
-def make_custodian(config=None, side=Side.BUY, omnibus_money=10**6, omnibus_shares=1000):
+def make_custodian(config=None, omnibus_money=10**6, omnibus_shares=1000):
     ledger = Ledger()
     ledger.open_account("CU1.omnibus", Money(omnibus_money), {"ACME": omnibus_shares})
     for end in ("EC1", "EC2"):
         ledger.open_account(end)
     registry = ServiceRegistry()
-    broker = _StubBroker(side)
+    broker = _StubBroker()
     clearing = _StubClearing()
     registry.register(BROKER_PID, broker)
     registry.register(ParticipantId(ParticipantRole.CLEARING_CORPORATION, "CC1"), clearing)
@@ -67,19 +56,14 @@ def detail(alloc_id, qty, price=1040, end="EC1", block="BR1-O1", symbol="ACME"):
         block_order_id=block, symbol=symbol, quantity=qty, price=Money(price))
 
 
-def contract_for(alloc, n=1):
-    return Contract(
-        contract_id=f"BR1-C{n}", broker=BROKER_PID, custodian=CUSTODIAN_PID,
-        alloc_ref=alloc.alloc_id, block_order_id=alloc.block_order_id,
-        symbol=alloc.symbol, quantity=alloc.quantity, price=alloc.price)
-
-
 def fixture_details():
     return [detail("A1", 60, end="EC1"), detail("A2", 40, end="EC2")]
 
 
-def fixture_contracts(details):
-    return [contract_for(alloc, n + 1) for n, alloc in enumerate(details)]
+def fixture_note(details, side=Side.BUY):
+    """The broker's note for the details' block: one contract id per detail."""
+    return ContractNote(details[0].block_order_id, BROKER_PID, side,
+                        tuple(f"BR1-C{n}" for n in range(1, len(details) + 1)))
 
 
 # -- detail validation ----------------------------------------------------------
@@ -122,8 +106,7 @@ def test_exact_contracts_affirmed_and_responsibility_taken():
     custodian, broker, _, _ = make_custodian()
     details = fixture_details()
     custodian.receive_allocation_details(details)
-    contracts = fixture_contracts(details)
-    verdict = custodian.affirm_contracts(contracts)
+    verdict = custodian.affirm_contracts(fixture_note(details))
     assert isinstance(verdict, Affirmation)
     assert verdict.contract_ids == ("BR1-C1", "BR1-C2")
     assert broker.affirmations == custodian.affirmations == [verdict]
@@ -134,22 +117,23 @@ def test_exact_contracts_affirmed_and_responsibility_taken():
 
 def test_affirmation_is_order_independent():
     details = fixture_details()
-    contracts = fixture_contracts(details)
+    note = fixture_note(details)
     for ordering in ([0, 1], [1, 0]):
         custodian, _, _, _ = make_custodian()
         custodian.receive_allocation_details(details)
-        verdict = custodian.affirm_contracts([contracts[i] for i in ordering])
-        assert isinstance(verdict, Affirmation)
+        ids = tuple(note.contract_ids[i] for i in ordering)
+        verdict = custodian.affirm_contracts(note._replace(contract_ids=ids))
+        assert verdict.contract_ids == ids
         assert custodian.affirmed["BR1-O1"].details == tuple(details)
 
 
 # -- forwarding to clearing --------------------------------------------------------
 
 def _affirmed_custodian(side=Side.BUY):
-    custodian, broker, clearing, ledger = make_custodian(side=side)
+    custodian, broker, clearing, ledger = make_custodian()
     details = fixture_details()
     custodian.receive_allocation_details(details)
-    custodian.affirm_contracts(fixture_contracts(details))
+    custodian.affirm_contracts(fixture_note(details, side))
     return custodian, broker, clearing, ledger
 
 
@@ -157,19 +141,15 @@ def test_send_trades_exactly_once():
     custodian, _, clearing, _ = _affirmed_custodian()
     assert custodian.send_trades_to_clearing_rec() == 2
     assert custodian.send_trades_to_clearing_rec() == 0
-    assert len(clearing.records) == 2
-    record = clearing.records[0]
-    assert type(record) is ClientTradeRecord
-    assert record.block_order_id == "BR1-O1"
-    assert record.account == "CU1.omnibus"
-    assert record.side is Side.BUY
-    assert {r.quantity for r in clearing.records} == {60, 40}
+    # one call for the block, handing on the affirmed details themselves
+    assert clearing.submissions == [tuple(fixture_details())]
+    assert clearing.submissions[0] is custodian.affirmed["BR1-O1"].details
 
 
 def test_nothing_affirmed_is_a_noop():
     custodian, _, clearing, _ = make_custodian()
     assert custodian.send_trades_to_clearing_rec() == 0
-    assert clearing.records == []
+    assert clearing.submissions == []
 
 
 # -- institutional settlement --------------------------------------------------------

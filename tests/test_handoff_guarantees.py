@@ -5,17 +5,21 @@ its price is in the ledger's currency; the exchange does not re-judge an
 order's symbol or shape; the custodian does not check a detail's
 institution, block, symbol, end client, price or alloc id; the broker does
 not re-check the allocation details the custodian has accepted; and the
-clearing corporation does not check a submission's id, quantity, price,
-currency or accounts. The runner, the parser, assembly or an earlier
-participant guarantees each of them (see the `broker.py`, `exchange.py`,
-`custodian.py` and `clearing.py` docstrings). These tests keep the
-deleted checks as an oracle. Every draft that reaches
-`BrokerService.place_retail_order` or `place_institutional_order`, every
-order that reaches `ExchangeService.validate_incoming_order`, every detail
-list that reaches `CustodianService.receive_allocation_details` or
-`BrokerService.handle_allocation_details`, and every submission that
-reaches `ClearingCorporation.submit_trade` must pass them: in each pinned
-machine run, and in runs of mutated shipped scenarios under both products.
+clearing corporation does not check a street trade's id, quantity, price,
+currency or accounts, nor a client-level trade's (a forwarded allocation
+detail's) alloc id, quantity, price, currency or omnibus account. The
+runner, the parser, assembly or an earlier participant guarantees each of
+them (see the `broker.py`, `exchange.py`, `custodian.py` and `clearing.py`
+docstrings). These tests keep the deleted checks as an oracle. Every draft
+that reaches `BrokerService.place_retail_order` or
+`place_institutional_order`, every order that reaches
+`ExchangeService.validate_incoming_order`, every detail list that reaches
+`CustodianService.receive_allocation_details` or
+`BrokerService.handle_allocation_details`, every street trade that reaches
+`ClearingCorporation.submit_trade` and every client-level trade that
+reaches `ClearingCorporation.submit_client_trades` must pass them: in each
+pinned machine run, and in runs of mutated shipped scenarios under both
+products.
 """
 
 import pytest
@@ -27,7 +31,7 @@ from stpsim.cli import main
 from stpsim.clearing import ClearingCorporation
 from stpsim.custodian import CustodianService
 from stpsim.data import scenario_path
-from stpsim.exchange import ExchangeService, TradeReport
+from stpsim.exchange import ExchangeService
 from stpsim.lifecycle import ScenarioRunner, run_scenario
 from stpsim.scenarios import SCENARIO_IDS, ScenarioFormatError, parse_scenario
 from stpsim.trading import INSTITUTIONAL, OrderType, order_shape_rule
@@ -132,23 +136,41 @@ def deleted_allocation_rule(broker, details):
     return None
 
 
-def deleted_intake_rule(clearing, record, seen):
-    """The first rule clearing's former intake checks would report, or None;
-    `seen` holds the ids this clearing corporation has accepted."""
-    if type(record) is TradeReport:
-        trade, accounts = record.trade, (record.buy_account, record.sell_account)
-    else:
-        trade, accounts = record, (record.account,)
-    if trade.trade_id in seen:
+def _deleted_trade_rule(clearing, trade_id, quantity, price, accounts, seen):
+    """The first rule clearing's former intake checks would report for one
+    trade, or None; `seen` holds the ids this clearing corporation has taken."""
+    if trade_id in seen:
         return "DuplicateTrade"
-    if trade.quantity <= 0:
+    if quantity <= 0:
         return "NonPositiveQuantity"
-    if trade.price.amount <= 0:
+    if price.amount <= 0:
         return "NonPositivePrice"
-    if trade.price.currency != clearing.ledger.currency:
+    if price.currency != clearing.ledger.currency:
         return "CurrencyMismatch"
     if any(account not in clearing.ledger.accounts for account in accounts):
         return "UnknownAccount"
+    return None
+
+
+def deleted_intake_rule(clearing, report, seen):
+    """The first rule clearing's former intake checks would report for a
+    street trade, or None."""
+    trade = report.trade
+    return _deleted_trade_rule(clearing, trade.trade_id, trade.quantity, trade.price,
+                               (report.buy_account, report.sell_account), seen)
+
+
+def deleted_client_trade_rule(clearing, omnibus, details, seen):
+    """The first rule clearing's former intake checks would report for one
+    of a block's client-level trades, or None; `omnibus` maps each
+    institution to its custodian's omnibus account, and an alloc id must be
+    new across every submission."""
+    for detail in details:
+        rule = _deleted_trade_rule(clearing, detail.alloc_id, detail.quantity, detail.price,
+                                   (omnibus.get(detail.institution),), seen)
+        if rule:
+            return rule
+        seen.add(detail.alloc_id)
     return None
 
 
@@ -162,17 +184,20 @@ class Handoffs:
     def __init__(self, monkeypatch):
         self.refused = []          # (intake, the rule, what it was handed)
         self.handed = dict.fromkeys(
-            ("placement", "exchange", "custodian", "allocation", "clearing"), 0)
+            ("placement", "exchange", "custodian", "allocation", "clearing", "client_trades"), 0)
         self._clients = {}         # broker -> (its retail clients, its institutions)
         self._institutions = {}    # custodian -> the scenario's institutions at it
         self._venue = {}           # exchange -> (its matched types, the scenario's currency)
-        self._seen = {}            # clearing corporation -> the ids it accepted
+        self._omnibus = {}         # clearing corporation -> institution -> omnibus account
+        self._seen = {}            # clearing corporation -> the trade ids it accepted
+        self._allocs = {}          # clearing corporation -> the alloc ids it took
         init = ScenarioRunner.__init__
         place = {name: getattr(BrokerService, name)
                  for name in ("place_retail_order", "place_institutional_order")}
         validate = ExchangeService.validate_incoming_order
         receive = CustodianService.receive_allocation_details
         handle, submit = BrokerService.handle_allocation_details, ClearingCorporation.submit_trade
+        submit_client = ClearingCorporation.submit_client_trades
 
         def check(intake, rule, handed):
             self.handed[intake] += 1
@@ -191,6 +216,9 @@ class Handoffs:
                 MATCHED[variant] for variant in eco.product.bindings["OrderMatchingAlgorithms"])
             for exchange in eco.exchanges.values():
                 self._venue[exchange] = (supported, scenario.currency)
+            self._omnibus[eco.clearing] = {
+                i.account: eco.custodians[i.custodian].omnibus_account
+                for i in scenario.institutions}
             init(runner, eco, scenario)
 
         def checked_place(name, institutional):
@@ -214,13 +242,19 @@ class Handoffs:
             check("allocation", deleted_allocation_rule(broker, details), details)
             return handle(broker, details)
 
-        def checked_submit(clearing, record):
+        def checked_submit(clearing, report):
             seen = self._seen.setdefault(clearing, set())
-            check("clearing", deleted_intake_rule(clearing, record, seen), record)
-            result = submit(clearing, record)
+            check("clearing", deleted_intake_rule(clearing, report, seen), report)
+            result = submit(clearing, report)
             if result is None:
-                seen.add(record.trade.trade_id if type(record) is TradeReport else record.trade_id)
+                seen.add(report.trade.trade_id)
             return result
+
+        def checked_submit_client(clearing, details):
+            check("client_trades", deleted_client_trade_rule(
+                clearing, self._omnibus[clearing], details,
+                self._allocs.setdefault(clearing, set())), details)
+            return submit_client(clearing, details)
 
         monkeypatch.setattr(ScenarioRunner, "__init__", recording_init)
         monkeypatch.setattr(BrokerService, "place_retail_order",
@@ -231,6 +265,7 @@ class Handoffs:
         monkeypatch.setattr(CustodianService, "receive_allocation_details", checked_receive)
         monkeypatch.setattr(BrokerService, "handle_allocation_details", checked_handle)
         monkeypatch.setattr(ClearingCorporation, "submit_trade", checked_submit)
+        monkeypatch.setattr(ClearingCorporation, "submit_client_trades", checked_submit_client)
 
 
 @pytest.mark.parametrize("row", MACHINE_RUNS)

@@ -24,7 +24,7 @@ import stpsim
 from conftest import load_scenario
 from faults import FAULT_KINDS, LeakyLedger, inject, run_leaking
 from test_broker import PIPELINE, REJECTED_AT, _filled_block, buy_draft, detail, make_desk
-from test_custodian import fixture_contracts, fixture_details, make_custodian
+from test_custodian import fixture_details, fixture_note, make_custodian
 from test_exchange import draft_order, make_exchange
 from perfbench.workloads import WORKLOADS
 from stpsim.assembly import build_ecosystem
@@ -205,7 +205,7 @@ def test_affirmation_record_line():
     custodian, _, _, _ = make_custodian()
     details = fixture_details()
     custodian.receive_allocation_details(details)
-    custodian.affirm_contracts(fixture_contracts(details))
+    custodian.affirm_contracts(fixture_note(details))
     assert record_lines(affirmation_lines=custodian.affirmations) == [
         "affirmation|affirmed|BR1-O1|CU1-F1|BR1-C1,BR1-C2",
     ]

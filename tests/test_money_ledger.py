@@ -299,8 +299,9 @@ def test_conservation_and_replay_over_random_transfers(moves):
 
 # -- read-only balances, touched accounts and shared snapshots -----------------
 
-# An account's public surface is its owner; `balance` hands out an immutable
-# Money and `position` an int, so neither is a path to a write.
+# An `Account` has no public surface: its slots are private and it takes no
+# new attribute; `balance` hands out an immutable Money and `position` an
+# int, so neither is a path to a write.
 @pytest.mark.parametrize("write", [
     lambda l: setattr(l.accounts["alice"], "money", Money(7)),
     lambda l: setattr(l.accounts["alice"], "positions", {"ACME": 99}),

@@ -121,6 +121,7 @@ EDITS = {
                    "allocate: INST1 order=2\n"),
     "short_position": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
                        "order: RC2 sell 101 ACME limit 1040\n"),
+    "unallocated_block": ("retail_institutional", "allocate: INST1 order=2 EC1=60 EC2=40\n", ""),
     "oversized_order": ("retail_retail",
                         "endow: RC2 ACME=100\n\norder: RC2 sell 100 ACME limit 1040\n",
                         "endow: RC2 ACME=1000001\n\norder: RC2 sell 1000001 ACME limit 1\n"),
@@ -298,6 +299,15 @@ PINS.update({
     "seco_b_retail_retail_short_position": _machine_run(
         "seco_b", "{short_position}",
         "6830722948add445abc29f03c72e8553", "86e64ae399541dc788367b35ca813b3b", 1),
+    # completed with failed checks: the block is never allocated, so no client
+    # trade covers its street trade, which waits in the clearing queue
+    # (clearing_queue_empty, all_trades_settled: X1-T1 is executed, 5 final[...])
+    "seco_a_retail_institutional_unallocated_block": _machine_run(
+        "seco_a", "{unallocated_block}",
+        "a3ecc992903b74ad0af571449717339c", "e5c3e10de76e8285c7c16eee02f5de02", 1),
+    "seco_b_retail_institutional_unallocated_block": _machine_run(
+        "seco_b", "{unallocated_block}",
+        "45b69e86d282338914add4c20f8861c9", "465133b35f764ff25871b5ece2870b7c", 1),
     # aborted at order_1_RC2: SECO A's broker does not cap the sell's size, and
     # the exchange under the extended checks refuses it at routing
     # (OrderTooLarge); the broker refunds the prepaid shares

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stpsim.broker import OrderDraft
-from stpsim.clearing import ClientTradeRecord, Obligation
+from stpsim.clearing import Obligation
 from stpsim.ledger import AccountSnapshot, JournalEntry
 from stpsim.lifecycle import CheckResult
 from stpsim.money import CurrencyMismatch, Money
@@ -20,7 +20,7 @@ from stpsim.registry import ParticipantId, ParticipantRole
 from stpsim.trading import (
     AllocationDetail,
     AuditEvent,
-    Contract,
+    ContractNote,
     EquityLeg,
     MoneyLeg,
     OrderType,
@@ -74,7 +74,6 @@ def test_equal_money_hashes_alike(a, currency):
 
 
 BROKER = ParticipantId(ParticipantRole.BROKER, "BR1")
-CUSTODIAN = ParticipantId(ParticipantRole.CUSTODIAN, "CU1")
 
 RECORDS = [
     Money(5),
@@ -82,8 +81,7 @@ RECORDS = [
     AccountSnapshot(Money(5), {"ACME": 1}),
     CheckResult("check", True),
     AllocationDetail("A1", "INST1", "EC1", "BR1-O1", "ACME", 10, Money(5)),
-    Contract("BR1-C1", BROKER, CUSTODIAN, "A1", "BR1-O1", "ACME", 10, Money(5)),
-    ClientTradeRecord("CU1-T1", "BR1-O1", Side.BUY, "ACME", 10, Money(5), "CU1.omnibus"),
+    ContractNote("BR1-O1", BROKER, Side.BUY, ("BR1-C1",)),
     AuditEvent("BR1-O1", "validation", "ok"),
     OrderDraft("RC1", Side.BUY, "ACME", 10, OrderType.LIMIT, Money(5)),
     Rejection("validation", "MissingPrice"),
