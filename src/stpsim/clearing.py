@@ -321,5 +321,19 @@ class ClearingCorporation:
     def queue_size(self) -> int:
         return len(self.queued)
 
+    def first_wait(self) -> str:
+        """Why the first queued trade waits, '' when none is queued: its first
+        deferred side whose street quantity client-level trades do not cover,
+        as `<trade id> waits for <order id>: <covered> of <executed> shares covered`."""
+        for report in self.queued:
+            trade = report.trade
+            for order_id, deferred in ((trade.buy_order_id, report.buy_deferred),
+                                       (trade.sell_order_id, report.sell_deferred)):
+                if not self._side_ready(order_id, deferred):
+                    return (f"{trade.trade_id} waits for {order_id}: "
+                            f"{self._covered_qty.get(order_id, 0)} of "
+                            f"{self._street_qty[order_id]} shares covered")
+        return ""
+
     def unsettled_obligations(self) -> int:
         return len(self.pending_obligations)

@@ -15,7 +15,10 @@ affirmed, the broker is told, and settlement responsibility moves here.
 The custodian then hands the clearing corporation each affirmed block's
 details as its client-level trades, in one call per block, which clearing
 never refuses, and, once the street trades settle, distributes shares or
-proceeds from the omnibus account to each end client.
+proceeds from the omnibus account to each end client: one `Ledger.pay_out`
+per block, one leg per detail, so a block is paid out whole or not at all.
+A block is marked distributed once paid, so a second
+`settle_institutional_rec` pays nothing again.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ledger import Ledger
-from .money import Money, _new
 from .registry import CLEARING_CORPORATION, ParticipantId, ParticipantRole, ServiceRegistry
 from .trading import BUY, Affirmation, AllocationDetail, ContractNote, Rejection, Side
 
@@ -128,7 +130,7 @@ class CustodianService:
     def settle_institutional_rec(self) -> int:
         """Distribute settled blocks from the omnibus to end clients; idempotent."""
         clearing = self.registry.first(CLEARING_CORPORATION)
-        omnibus = self.omnibus_account
+        omnibus, pay_out = self.omnibus_account, self.ledger.pay_out
         moved = 0
         for block, affirmed in self.affirmed.items():
             if affirmed.distributed or not affirmed.forwarded:
@@ -137,16 +139,14 @@ class CustodianService:
                 continue
             details = affirmed.details
             if affirmed.side is BUY:
-                transfer, method = self.ledger.transfer_equity, self._equity_method
-                for alloc_id, _, end_client, _, symbol, quantity, _ in details:
-                    transfer(omnibus, end_client, symbol, quantity,
-                             f"distribute:{alloc_id}{method}")
+                symbol, method = details[0].symbol, self._equity_method
+                moves = [(end_client, quantity, f"distribute:{alloc_id}{method}")
+                         for alloc_id, _, end_client, _, _, quantity, _ in details]
             else:
-                transfer, method = self.ledger.transfer_money, self._money_method
-                for alloc_id, _, end_client, _, _, quantity, price in details:
-                    transfer(omnibus, end_client,
-                             _new(Money, (price.amount * quantity, price.currency)),
-                             f"distribute:{alloc_id}{method}")
+                symbol, method = None, self._money_method
+                moves = [(end_client, price.amount * quantity, f"distribute:{alloc_id}{method}")
+                         for alloc_id, _, end_client, _, _, quantity, price in details]
+            pay_out(omnibus, symbol, moves)
             moved += len(details)
             affirmed.distributed = True
         return moved

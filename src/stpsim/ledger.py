@@ -6,6 +6,12 @@ other, and is appended to a journal. Failed transfers leave the ledger
 untouched. Committed balances can never go negative (there is no credit,
 no short selling).
 
+Movements are written one at a time (`Ledger.transfer_money`,
+`Ledger.transfer_equity`) or as one posting from one payer to many payees
+(`Ledger.pay_out`). A posting checks every leg, and the payer's holding
+against the legs' total, before its first write, then debits the payer once;
+its journal entries and touched owners are those of one transfer per leg.
+
 A balance is read one way while running and one way per step. Live, through
 `Ledger.balance` and `Ledger.position`, each of which raises `UnknownAccount`
 for an owner the ledger never opened; the `Account` records behind them are
@@ -16,7 +22,7 @@ returns, whose `changes()` lists the accounts that step recorded anew.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import islice
 from types import MappingProxyType
 from typing import NamedTuple
@@ -61,9 +67,9 @@ class Account:
     """One owner's live balances, held under the owner's name in
     `Ledger.accounts`: a record only this module reads.
 
-    `Ledger.balance` and `Ledger.position` read it; `open_account` and the
-    two transfers write it, each marking its owners touched for the next
-    `Ledger.snapshot`, and every transfer is journalled. Accounts are made
+    `Ledger.balance` and `Ledger.position` read it; `open_account`, the
+    two transfers and `pay_out` write it, each marking its owners touched
+    for the next `Ledger.snapshot`, and every transfer or leg is journalled. Accounts are made
     only by `Ledger.open_account`.
     """
 
@@ -236,6 +242,62 @@ class Ledger:
         seq = len(journal) + 1
         journal.append(_new(JournalEntry, (seq, "equity", src, dst, qty, symbol, cause)))
         return seq
+
+    def pay_out(self, src: str, symbol: str | None,
+                moves: Sequence[tuple[str, int, str]]) -> None:
+        """Pay each `(dst, units, cause)` of `moves` from `src`, all or nothing:
+        minor units of money when `symbol` is None, else shares of `symbol`.
+
+        Every check comes before the first write: each leg's amount is
+        positive and its payee opened, and the payer holds the legs' total
+        (a leg back to `src` counts toward it).
+        It then writes the payer once and credits each payee in leg order,
+        reading its balance just before writing it. Each leg is journalled,
+        and its owners marked touched, exactly as one `transfer_money` or
+        `transfer_equity` per leg would.
+        """
+        if not moves:
+            return
+        total = 0
+        for _, units, _ in moves:
+            if units <= 0:
+                raise (NonPositiveAmount(f"transfer of {_new(Money, (units, self.currency))}")
+                       if symbol is None else NonPositiveQuantity(f"transfer of {units} {symbol}"))
+            total += units
+        accounts = self.accounts
+        try:
+            payer = accounts[src]
+            payees = [accounts[dst] for dst, _, _ in moves]
+        except KeyError as missing:
+            raise UnknownAccount(missing.args[0]) from None
+        touched, journal = self._touched, self.journal
+        seq = len(journal)
+        if symbol is None:
+            currency = self.currency
+            held = payer._money.amount
+            if held < total:
+                raise InsufficientFunds(
+                    f"{src} holds {payer._money}, needs {_new(Money, (total, currency))}")
+            payer._money = _new(Money, (held - total, currency))
+            touched[src] = None
+            for payee, (dst, units, cause) in zip(payees, moves):
+                payee._money = _new(Money, (payee._money.amount + units, currency))
+                touched[dst] = None
+                seq += 1
+                journal.append(_new(JournalEntry, (seq, "money", src, dst, units, None, cause)))
+        else:
+            delivering = payer._positions
+            held = delivering.get(symbol, 0)
+            if held < total:
+                raise InsufficientPosition(f"{src} holds {held} {symbol}, needs {total}")
+            delivering[symbol] = held - total
+            touched[src] = None
+            for payee, (dst, units, cause) in zip(payees, moves):
+                receiving = payee._positions
+                receiving[symbol] = receiving.get(symbol, 0) + units
+                touched[dst] = None
+                seq += 1
+                journal.append(_new(JournalEntry, (seq, "equity", src, dst, units, symbol, cause)))
 
     def snapshot(self) -> Snapshot:
         """All balances as a `Snapshot`; later ledger mutations are invisible to it.

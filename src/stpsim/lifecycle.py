@@ -18,12 +18,14 @@ costs what changed, not the size of the ledger.
 `assert_conservation` then replays the report: every consecutive snapshot
 pair must conserve total money and per-symbol share counts exactly, and the
 final snapshot must equal the scenario's expected balances, with every
-unlisted account flat. It folds each step's `Snapshot.changes()` into one
-running account -> `AccountSnapshot` dict, so a pair costs its changes, and
-the sum of each changed entry's new minus old balances equals the
-difference of the pair's full totals; `changes()` is relative to the
-ledger's previous snapshot, so the steps must be its consecutive ones. The
-final check reads that dict: recorded values only, never live accounts.
+unlisted account flat. In one loop over the steps it folds each step's
+`Snapshot.changes()` into one running account -> `AccountSnapshot` dict,
+so a pair costs its changes, and the sum of each changed entry's new minus
+old balances equals the difference of the pair's full totals; `changes()`
+is relative to the ledger's previous snapshot, so the steps must be its
+consecutive ones. The final check pops each expected account from that
+dict, reading its balances once, and what is left are the unlisted
+accounts: recorded values only, never live accounts.
 A step record and its snapshot are read-only, and only the ledger's
 transfers and account openings change a balance, so a fault the check
 catches is a fault of the ledger, recorded by `Ledger.snapshot`.
@@ -226,7 +228,8 @@ class ScenarioRunner:
             check(_new(CheckResult, (f"no_unreported_trades[{exchange_id}]",
                                      exchange.pending_report_count() == 0, "")))
         clearing = self.eco.clearing
-        check(_new(CheckResult, ("clearing_queue_empty", clearing.queue_size() == 0, "")))
+        check(_new(CheckResult, (
+            "clearing_queue_empty", clearing.queue_size() == 0, clearing.first_wait())))
         check(_new(CheckResult, (
             "no_unsettled_obligations", clearing.unsettled_obligations() == 0, "")))
         for broker_id, broker in self.eco.brokers.items():
@@ -254,30 +257,6 @@ def run_scenario(product, scenario: Scenario) -> ScenarioReport:
     return ScenarioRunner(ecosystem, scenario).run()
 
 
-def _fold(running: dict[str, AccountSnapshot], current: Snapshot) -> tuple[int, dict[str, int]]:
-    """Bring `running` from the ledger's previous snapshot to `current`; return
-    the net money and per-symbol share change, which equals the difference of
-    their full totals."""
-    money = 0
-    shares: dict[str, int] = {}
-    get = shares.get
-    for account, after in current.changes():
-        before = running.get(account)
-        running[account] = after
-        if before is not None:
-            before_money, held = before
-            money -= before_money.amount
-            if held:
-                for symbol, qty in held.items():
-                    shares[symbol] = get(symbol, 0) - qty
-        after_money, held = after
-        money += after_money.amount
-        if held:
-            for symbol, qty in held.items():
-                shares[symbol] = get(symbol, 0) + qty
-    return money, shares
-
-
 def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
     """Pairwise conservation over the recorded snapshots, then exact
     equality of the final snapshot against the scenario's expectations.
@@ -289,8 +268,26 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
     final: dict[str, AccountSnapshot] = {}  # every account as of the last step folded
     record = checks.append  # takes each CheckResult, built positionally
     for previous, current in zip([None, *steps], steps):
+        # bring `final` from the previous step to this one; the net money and
+        # per-symbol share change equals the difference of their full totals
         after = current.snapshot
-        money, shares = _fold(final, after)
+        money = 0
+        shares: dict[str, int] = {}
+        get = shares.get
+        for account, now in after.changes():
+            before = final.get(account)
+            final[account] = now
+            if before is not None:
+                before_money, held = before
+                money -= before_money.amount
+                if held:
+                    for symbol, qty in held.items():
+                        shares[symbol] = get(symbol, 0) - qty
+            now_money, held = now
+            money += now_money.amount
+            if held:
+                for symbol, qty in held.items():
+                    shares[symbol] = get(symbol, 0) + qty
         if previous is not None:
             before = previous.snapshot
             money_ok = money == 0
@@ -304,10 +301,9 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
 
     scenario = report.scenario
     if scenario is not None and steps:
-        listed = set()
+        # each expected account is popped, so what is left of `final` is unlisted
         for account, money, positions in scenario.expected:
-            listed.add(account)
-            have_money, have_positions = final[account]
+            have_money, have_positions = final.pop(account)
             # no dict for an expectation without positions: the account holds none
             want_positions = {s: q for s, q in positions if q} if positions else None
             ok = have_money.amount == money and (
@@ -315,11 +311,10 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
             record(_new(CheckResult, (f"final[{account}]", ok, "" if ok else
                    f"have money={have_money.amount} positions={dict(have_positions)}, "
                    f"want money={money} positions={want_positions or {}}")))
-        for account in sorted(final.keys() - listed):
-            balances = final[account]
-            if balances.money.amount or balances.positions:
+        for account, (have_money, have_positions) in sorted(final.items()):
+            if have_money.amount or have_positions:
                 record(_new(CheckResult, (
                     f"final[{account}]", False,
-                    f"unlisted account not flat: money={balances.money.amount} "
-                    f"positions={dict(balances.positions)}")))
+                    f"unlisted account not flat: money={have_money.amount} "
+                    f"positions={dict(have_positions)}")))
     return checks

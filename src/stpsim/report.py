@@ -60,7 +60,10 @@ def render_machine(report: ScenarioReport, checks: list[CheckResult]) -> str:
     for index, (name, snapshot, events) in enumerate(report.steps, start=1):
         lines.append(f"step|{index}|{name}|{';'.join(events)}")
         head = f"balance|{index}"
-        for account, (money, positions) in sorted(snapshot.changes()):
+        changes = snapshot.changes()
+        if len(changes) > 1:
+            changes = sorted(changes)
+        for account, (money, positions) in changes:
             if not positions:
                 held = ""
             elif len(positions) == 1:  # one symbol: nothing to sort or join

@@ -28,7 +28,8 @@ class LeakyLedger(Ledger):
 
     `leak(kind, extra, symbol, after)` arms the first transfer of `kind`
     ("money" or "equity") that the ledger makes once it has taken `after`
-    snapshots: that transfer credits `extra` more units than it debits
+    snapshots, a `pay_out` of that kind counting as one transfer into its
+    first payee: that transfer credits `extra` more units than it debits
     (fewer, for a negative `extra`), in `symbol` if given, else in what it
     moved. Each leak that fires appends to `leaked` the index of the step
     whose snapshot records it, the number of snapshots taken before it.
@@ -56,22 +57,35 @@ class LeakyLedger(Ledger):
         self.snapshots += 1
         return super().snapshot()
 
+    def _leak_into(self, kind, dst, symbol=None):
+        """Credit `dst` what the armed leak of `kind` adds, if it fires now."""
+        fired = self._fire(kind)
+        if fired is None:
+            return
+        extra, credited = fired
+        if kind == "money":
+            payee = self.accounts[dst]
+            payee._money = Money(payee._money.amount + extra, self.currency)
+        else:
+            held = self.accounts[dst]._positions
+            credited = credited or symbol
+            held[credited] = held.get(credited, 0) + extra
+
     def transfer_money(self, src, dst, amount, cause=""):
         seq = super().transfer_money(src, dst, amount, cause)
-        fired = self._fire("money")
-        if fired is not None:
-            payee = self.accounts[dst]
-            payee._money = Money(payee._money.amount + fired[0], self.currency)
+        self._leak_into("money", dst)
         return seq
 
     def transfer_equity(self, src, dst, symbol, qty, cause=""):
         seq = super().transfer_equity(src, dst, symbol, qty, cause)
-        fired = self._fire("equity")
-        if fired is not None:
-            extra, credited = fired[0], fired[1] or symbol
-            held = self.accounts[dst]._positions
-            held[credited] = held.get(credited, 0) + extra
+        self._leak_into("equity", dst, symbol)
         return seq
+
+    def pay_out(self, src, symbol, moves):
+        # a posting leaks like its first leg's transfer: into the first payee
+        super().pay_out(src, symbol, moves)
+        if moves:
+            self._leak_into("money" if symbol is None else "equity", moves[0][0], symbol)
 
 
 def run_leaking(product, scenario, **leak):

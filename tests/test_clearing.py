@@ -363,15 +363,30 @@ def test_deferred_side_waits_for_coverage():
     clearing.submit_trade(report)
     assert clearing.clear_rec() == []
     assert clearing.queue_size() == 1
+    waits = f"{report.trade.trade_id} waits for BLOCK1"
+    assert clearing.first_wait() == f"{waits}: 0 of 100 shares covered"
 
     clearing.submit_client_trades(client_trades("BLOCK1", 35, 25))
     clearing.submit_client_trades(client_trades("OTHER", 40))
     assert clearing.clear_rec() == []          # 60 of 100 covered
+    assert clearing.first_wait() == f"{waits}: 60 of 100 shares covered"
 
     clearing.submit_client_trades(client_trades("BLOCK1", 40))
     obligations = clearing.clear_rec()          # 100 of 100 covered
     assert len(obligations) == 2
     assert clearing.queue_size() == 0
+    assert clearing.first_wait() == ""
+
+
+def test_first_wait_names_the_first_uncovered_side():
+    clearing, _ = make_clearing()
+    covered = street_trade("acct_a", "acct_b", qty=30, buy_deferred=True, sell_deferred=True,
+                           buy_order="BUYBLOCK", sell_order="SELLBLOCK")
+    clearing.submit_trade(covered)
+    clearing.submit_client_trades(client_trades("BUYBLOCK", 30))
+    clearing.clear_rec()
+    assert clearing.first_wait() == (
+        f"{covered.trade.trade_id} waits for SELLBLOCK: 0 of 30 shares covered")
 
 
 def test_is_order_settled_tracks_street_trades():

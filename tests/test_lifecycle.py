@@ -193,6 +193,32 @@ def test_off_journal_mutation_is_detected(products, kind):
     assert any(victim.name in c.name for c in failing)
 
 
+@pytest.mark.parametrize("kind", ["money", "equity"])
+def test_a_leak_in_the_custodians_posting_fails_the_run(products, kind):
+    # institutional_institutional distributes both ways: INST1's bought
+    # shares and INST2's sale proceeds, each block in one posting
+    scenario = load_scenario("institutional_institutional")
+    names = [step.name for step in run_pair(products["SECO_A"], scenario.scenario_id)[0].steps]
+    report, ledger = run_leaking(products["SECO_A"], scenario, kind=kind,
+                                 after=names.index("custodian_settle"))
+    assert [report.steps[at].name for at in ledger.leaked] == ["custodian_settle"]
+    failing = [check.name for check in assert_conservation(report) if not check.passed]
+    assert f"conserve_{kind}[settle->custodian_settle]" in failing
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+def test_an_unallocated_block_names_the_trade_it_holds_back(products, product_key):
+    shipped = scenario_path("retail_institutional").read_text()
+    allocation = "allocate: INST1 order=2 EC1=60 EC2=40\n"
+    assert shipped.count(allocation) == 1
+    report = run_scenario(products[product_key],
+                          parse_scenario(shipped.replace(allocation, "")))
+    checks = {check.name: check for check in report.finals}
+    assert checks["clearing_queue_empty"] == (
+        "clearing_queue_empty", False, "X1-T1 waits for BR1-O1: 0 of 100 shares covered")
+    assert checks["all_trades_settled"].detail == "X1-T1 is executed"
+
+
 def test_responsibility_exclusivity_by_journal_inspection(products):
     """For each scenario, every client crediting comes from exactly one of
     broker settlement or custodian distribution, never both."""

@@ -187,6 +187,13 @@ REFUSED = {
     "wrong_currency": lambda l: l.transfer_money("alice", "bob", Money(1, "EUR")),
     "unknown_payee": lambda l: l.transfer_money("alice", "nobody", Money(1)),
     "unknown_receiver": lambda l: l.transfer_equity("alice", "nobody", "ACME", 1),
+    # a posting is refused whole, though its first legs alone would go through
+    "short_payer": lambda l: l.pay_out("carol", None, [("alice", 5, ""), ("bob", 5, "")]),
+    "short_deliverer": lambda l: l.pay_out("alice", "ACME", [("bob", 6, ""), ("carol", 5, "")]),
+    "unopened_payee": lambda l: l.pay_out("alice", None, [("bob", 1, ""), ("nobody", 1, "")]),
+    "unopened_payer": lambda l: l.pay_out("nobody", "ACME", [("bob", 1, "")]),
+    "zero_leg": lambda l: l.pay_out("alice", None, [("bob", 1, ""), ("carol", 0, "")]),
+    "negative_leg": lambda l: l.pay_out("alice", "ACME", [("bob", 1, ""), ("carol", -1, "")]),
 }
 
 
@@ -224,6 +231,79 @@ def test_transfer_marks_exactly_its_two_owners(call, owners):
     assert len(ledger.journal) == 2
     assert dict(ledger.snapshot().changes()).keys() == owners
     assert dict(ledger.snapshot().changes()) == {}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda l: l.pay_out("alice", None, [("bob", 600, ""), ("bob", 401, "")]),
+     InsufficientFunds, "alice holds 1000USD, needs 1001USD"),
+    (lambda l: l.pay_out("alice", "ACME", [("bob", 6, ""), ("bob", 5, "")]),
+     InsufficientPosition, "alice holds 10 ACME, needs 11"),
+    (lambda l: l.pay_out("alice", None, [("bob", 1, ""), ("ghost", 1, ""), ("nobody", 1, "")]),
+     UnknownAccount, "ghost"),
+    (lambda l: l.pay_out("alice", None, [("bob", 0, "")]), NonPositiveAmount,
+     "transfer of 0USD"),
+    (lambda l: l.pay_out("alice", "ACME", [("bob", -2, "")]), NonPositiveQuantity,
+     "transfer of -2 ACME"),
+])
+def test_a_refused_posting_names_its_cause(call, error, message):
+    ledger = make_ledger()
+    with pytest.raises(error) as raised:
+        call(ledger)
+    assert str(raised.value) == message
+
+
+PAYEES = ("a0", "a1", "a2", "a3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(payer=st.sampled_from(PAYEES), symbol=st.sampled_from([None, "SYM"]),
+       legs=st.lists(st.tuples(st.sampled_from(PAYEES), st.integers(1, 40)), max_size=8))
+def test_a_posting_equals_one_transfer_per_leg(payer, symbol, legs):
+    """A posting that goes through writes what one transfer per leg writes on
+    a second ledger: the same journal entries, balances and next `changes()`,
+    in the same order; one whose legs' total the payer lacks writes nothing."""
+    posting, per_leg = Ledger(), Ledger()
+    for ledger in (posting, per_leg):
+        for owner in PAYEES:
+            ledger.open_account(owner, Money(100), {"SYM": 100})
+        ledger.transfer_money("a1", "a0", Money(3), "earlier")
+        ledger.snapshot()
+    moves = [(dst, units, f"leg {index}") for index, (dst, units) in enumerate(legs)]
+    held = posting.balance(payer).amount if symbol is None else posting.position(payer, symbol)
+    before = posting.snapshot()
+    if sum(units for _, units in legs) > held:
+        with pytest.raises(InsufficientFunds if symbol is None else InsufficientPosition):
+            posting.pay_out(payer, symbol, moves)
+        assert len(posting.journal) == 1
+        after = posting.snapshot()
+        assert dict(after.changes()) == {} and after == before
+        return
+    posting.pay_out(payer, symbol, moves)
+    for dst, units, cause in moves:
+        if symbol is None:
+            per_leg.transfer_money(payer, dst, Money(units), cause)
+        else:
+            per_leg.transfer_equity(payer, dst, symbol, units, cause)
+    assert posting.journal == per_leg.journal
+    assert live_balances(posting) == live_balances(per_leg)
+    assert list(posting.snapshot().changes()) == list(per_leg.snapshot().changes())
+
+
+@pytest.mark.parametrize("kind, symbol, held", [
+    ("money", None, lambda l, owner: l.balance(owner).amount),
+    ("equity", "ACME", lambda l, owner: l.position(owner, "ACME")),
+])
+def test_a_leaky_posting_leaks_into_its_first_payee(kind, symbol, held):
+    ledger = LeakyLedger()
+    ledger.open_account("alice", Money(1000), {"ACME": 10})
+    ledger.open_account("bob")
+    ledger.open_account("carol")
+    ledger.snapshot()
+    ledger.leak(kind, 5)
+    ledger.pay_out("alice", symbol, [("bob", 2, ""), ("carol", 3, "")])
+    assert ledger.leaked == [1]
+    assert [held(ledger, owner) for owner in ("bob", "carol")] == [7, 3]
+    assert len(ledger.journal) == 2
 
 
 def test_duplicate_account_rejected():
@@ -341,11 +421,11 @@ def _codes(code):
             yield from _codes(const)
 
 
-# all a life cycle may run of ledger.py: the transfers, the step record, the
-# two live reads and a step's changes
+# all a life cycle may run of ledger.py: the transfers, the posting, the step
+# record, the two live reads and a step's changes
 LIFE_CYCLE_SURFACE = {
-    code for function in (Ledger.transfer_money, Ledger.transfer_equity, Ledger.snapshot,
-                          Ledger.balance, Ledger.position, Snapshot.changes)
+    code for function in (Ledger.transfer_money, Ledger.transfer_equity, Ledger.pay_out,
+                          Ledger.snapshot, Ledger.balance, Ledger.position, Snapshot.changes)
     for code in _codes(function.__code__)}
 
 

@@ -63,6 +63,33 @@ def test_lower_is_better_where_the_benchmark_says_so():
     assert "| report_s | s | lower |" in perf_pairs.table("deep_book", [report])
 
 
+def unscaled(setup, life_cycle, report, kernel):
+    return ("median wall seconds, unscaled: setup {:.4g}, life cycle {:.4g}, report {:.4g}, "
+            "reference kernel {:.4g}".format(setup, life_cycle, report, kernel))
+
+
+def test_the_unscaled_phases_are_read_and_shown_beside_the_scaled_metrics():
+    parent = [f"{unscaled(0.009, 0.0178 + i / 10_000, 0.007, 0.0124)}\n{line(1116 + i, 0.01)}"
+              for i in range(10)]
+    change = [f"{unscaled(0.009, 0.0156 + i / 10_000, 0.007, 0.0124)}\n{line(1296 + i, 0.01)}"
+              for i in range(10)]
+    assert perf_pairs.result_of(change[0], "change")["unscaled"] == {
+        "setup": 0.009, "life cycle": 0.0156, "report": 0.007, "reference kernel": 0.0124}
+    rows = summary(parent, change)
+    assert list(rows) == ["orders_per_s", "report_s", "unscaled setup", "unscaled life cycle",
+                          "unscaled report", "unscaled reference kernel"]
+    life = rows["unscaled life cycle"]
+    assert life["better"] == "lower" and life["unit"] == "s" and life["wins"] == 10
+    assert life["percent"] == pytest.approx(100 * (0.01605 - 0.01825) / 0.01825)
+    assert life["claim"] is None and rows["unscaled setup"]["wins"] == 0
+    text = perf_pairs.table("block_alloc", list(rows.values()))
+    assert "| unscaled life cycle | s | lower |" in text
+    assert text.splitlines()[-3].endswith("| 10/10 | - |")
+    # a run without the line (an older checkout's) shows no unscaled rows
+    rows = summary([line(v, 0.01) for v in PARENT_ORDERS], change)
+    assert set(rows) == {"orders_per_s", "report_s"}
+
+
 @pytest.mark.parametrize("stdout", [line(100, 0.01, correct=False), "", "not json"])
 def test_a_run_that_is_not_correct_is_refused(stdout):
     with pytest.raises(perf_pairs.RunRefused):

@@ -122,6 +122,10 @@ EDITS = {
     "short_position": ("retail_retail", "order: RC2 sell 100 ACME limit 1040\n",
                        "order: RC2 sell 101 ACME limit 1040\n"),
     "unallocated_block": ("retail_institutional", "allocate: INST1 order=2 EC1=60 EC2=40\n", ""),
+    "fok_killed": ("retail_retail", "order: RC1 buy 100 ACME limit 1040\n",
+                   "order: RC1 buy 120 ACME fok 1040\n"),
+    "ioc_remainder": ("retail_retail", "order: RC1 buy 100 ACME limit 1040\n",
+                      "order: RC1 buy 120 ACME ioc 1040\n"),
     "oversized_order": ("retail_retail",
                         "endow: RC2 ACME=100\n\norder: RC2 sell 100 ACME limit 1040\n",
                         "endow: RC2 ACME=1000001\n\norder: RC2 sell 1000001 ACME limit 1\n"),
@@ -301,13 +305,31 @@ PINS.update({
         "6830722948add445abc29f03c72e8553", "86e64ae399541dc788367b35ca813b3b", 1),
     # completed with failed checks: the block is never allocated, so no client
     # trade covers its street trade, which waits in the clearing queue
-    # (clearing_queue_empty, all_trades_settled: X1-T1 is executed, 5 final[...])
+    # (clearing_queue_empty: X1-T1 waits for BR1-O1: 0 of 100 shares covered,
+    # all_trades_settled: X1-T1 is executed, 5 final[...])
     "seco_a_retail_institutional_unallocated_block": _machine_run(
         "seco_a", "{unallocated_block}",
-        "a3ecc992903b74ad0af571449717339c", "e5c3e10de76e8285c7c16eee02f5de02", 1),
+        "a5889830d6109d407345482ed8311987", "4aa81ea9d7ce28b32801089a9f0c063d", 1),
     "seco_b_retail_institutional_unallocated_block": _machine_run(
         "seco_b", "{unallocated_block}",
-        "45b69e86d282338914add4c20f8861c9", "465133b35f764ff25871b5ece2870b7c", 1),
+        "e033e8c9cca4e9ba1b947deebdda8df7", "bef582cba98716f659fa9992afbb0a7a", 1),
+    # completed with failed checks: the exchange kills RC1's fill-or-kill buy
+    # of 120, since only 100 rest, and the broker refunds its prepayment; RC2's
+    # sell rests, so no trade settles (3 final[...])
+    "seco_a_retail_retail_fok_killed": _machine_run(
+        "seco_a", "{fok_killed}",
+        "b26c0947decb44200aaebf5464913bb2", "c957195a4a763f897c67281c72d06b47", 1),
+    "seco_b_retail_retail_fok_killed": _machine_run(
+        "seco_b", "{fok_killed}",
+        "9e65c86b9112be9820054c085c3f3559", "02d4b2e8ec781e25c095a2113164ccd7", 1),
+    # settled: RC1's immediate-or-cancel buy of 120 fills 100, the exchange
+    # cancels the other 20, and the broker refunds their 20800 at settlement
+    "seco_a_retail_retail_ioc_remainder": _machine_run(
+        "seco_a", "{ioc_remainder}",
+        "2abbd294924218ead9c929b3065a3e34", "089d0f5a33161b9a5c68f51ef39f8e68"),
+    "seco_b_retail_retail_ioc_remainder": _machine_run(
+        "seco_b", "{ioc_remainder}",
+        "ae1b931d508337c68e3b26057a484035", "ec8d5728e4fa4e21db59f3b32ae14db3"),
     # aborted at order_1_RC2: SECO A's broker does not cap the sell's size, and
     # the exchange under the extended checks refuses it at routing
     # (OrderTooLarge); the broker refunds the prepaid shares

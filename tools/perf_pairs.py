@@ -19,6 +19,12 @@ neither side). The last column says whether the claim rule holds: the
 change won at least nine pairs in ten, and its median is better than the
 parent's by more than the parent's interquartile range. Quartiles are
 ``statistics.quantiles(values, n=4)``, the default exclusive method.
+
+Below them it prints the same columns for the unscaled median wall seconds
+that each run prints (``median wall seconds, unscaled:``): set-up, life
+cycle, report and reference kernel, lower being better, so a claim shows
+its raw change beside the scaled one. Their claim column reads ``-``: raw
+seconds from runs minutes apart are not comparable within a bound.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STDERR_TAIL = 5  # lines of a refused run's stderr that the error quotes
+UNSCALED = "median wall seconds, unscaled:"  # the line's prefix in a run's stdout
 
 
 class RunRefused(Exception):
@@ -48,7 +55,19 @@ def result_of(stdout: str, where: str) -> dict:
     if result.get("correct") is not True:
         raise RunRefused(f"{where}: correct is {result.get('correct')!r}, "
                          f"{result.get('failed')} of {result.get('attempted')} repeats failed")
+    result["unscaled"] = unscaled(lines)
     return result
+
+
+def unscaled(lines: list[str]) -> dict[str, float]:
+    """phase -> unscaled median wall seconds, from the last `UNSCALED` line:
+    "setup 0.0123, life cycle 0.0156, ..." gives {"setup": 0.0123, "life
+    cycle": 0.0156, ...}; {} without one."""
+    for text in reversed(lines):
+        if text.startswith(UNSCALED):
+            return {phase: float(value) for phase, value in
+                    (part.strip().rsplit(" ", 1) for part in text[len(UNSCALED):].split(","))}
+    return {}
 
 
 def directions(benchmark: dict) -> dict[str, str]:
@@ -65,28 +84,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, middle, high
 
 
+def compare(name: str, unit: str, better: str, parent: list[float],
+            change: list[float]) -> dict:
+    """One row: each side's quartiles, the change in percent, the change's
+    wins, and whether the claim rule holds."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (new - old) > 0 for old, new in zip(parent, change))
+    p_low, p_mid, p_high = quartiles(parent)
+    c_low, c_mid, c_high = quartiles(change)
+    gain = sign * (c_mid - p_mid)
+    return {
+        "metric": name, "unit": unit, "better": better, "parent": (p_low, p_mid, p_high),
+        "change": (c_low, c_mid, c_high),
+        "percent": 100 * (c_mid - p_mid) / p_mid if p_mid else 0.0,
+        "wins": wins, "pairs": len(parent),
+        "claim": 10 * wins >= 9 * len(parent) and gain > p_high - p_low,
+    }
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
-    """One row per metric both sides report: each side's quartiles, the
-    change in percent, the change's wins, and whether the claim rule holds."""
+    """One row per metric both sides report, then one per unscaled phase both
+    sides print, whose `claim` is None."""
     rows = []
     for name in pairs[0][0]["metrics"]:
         if name not in better or any(name not in change["metrics"] for _, change in pairs):
             continue
-        sign = 1 if better[name] == "higher" else -1
-        parent = [side["metrics"][name]["value"] for side, _ in pairs]
-        change = [side["metrics"][name]["value"] for _, side in pairs]
-        wins = sum(sign * (new - old) > 0 for old, new in zip(parent, change))
-        p_low, p_mid, p_high = quartiles(parent)
-        c_low, c_mid, c_high = quartiles(change)
-        gain = sign * (c_mid - p_mid)
-        rows.append({
-            "metric": name, "unit": pairs[0][0]["metrics"][name]["unit"],
-            "better": better[name], "parent": (p_low, p_mid, p_high),
-            "change": (c_low, c_mid, c_high),
-            "percent": 100 * (c_mid - p_mid) / p_mid if p_mid else 0.0,
-            "wins": wins, "pairs": len(pairs),
-            "claim": 10 * wins >= 9 * len(pairs) and gain > p_high - p_low,
-        })
+        rows.append(compare(name, pairs[0][0]["metrics"][name]["unit"], better[name],
+                            [side["metrics"][name]["value"] for side, _ in pairs],
+                            [side["metrics"][name]["value"] for _, side in pairs]))
+    for phase in pairs[0][0]["unscaled"]:
+        if any(phase not in side["unscaled"] for pair in pairs for side in pair):
+            continue
+        row = compare(f"unscaled {phase}", "s", "lower",
+                      [side["unscaled"][phase] for side, _ in pairs],
+                      [side["unscaled"][phase] for _, side in pairs])
+        rows.append({**row, "claim": None})
     return rows
 
 
@@ -100,7 +132,7 @@ def table(workload: str, rows: list[dict]) -> str:
                           for side in ("parent", "change"))
         lines.append(f"| {row['metric']} | {row['unit']} | {row['better']} | {parent} "
                      f"| {change} | {row['percent']:+.1f} | {row['wins']}/{row['pairs']} "
-                     f"| {'yes' if row['claim'] else 'no'} |")
+                     f"| {'-' if row['claim'] is None else 'yes' if row['claim'] else 'no'} |")
     return "\n".join(lines)
 
 
