@@ -16,19 +16,21 @@ the ledger's.
 Retail clients prepay the broker house account: money for buys at the
 limit or cap price, shares for sells. The house keeps each prepayment as
 one escrow entry per order, an integer (minor units for a buy, shares for
-a sell). The entry is returned exactly once, by `_return_escrow`: with
-nothing used when routing rejects the order, or, once the order is
-terminal and all its trades are settled and credited, with the street's
-cost (a buy) or the filled quantity (a sell) used. It refunds the rest. No
-fill costs more than the limit or cap, so the rest is never negative.
-Prepayment, crediting and refund all go through one house-client
-transfer, `_transfer`. Institutional clients never prepay: their assets
-sit at the custodian, which takes over settlement once it affirms the
-broker's contracts. The custodian has already accepted the manager's
-allocation details, so the broker checks only what it alone knows, its
-block order: the block is done filling and the details cover its filled
-quantity. It then sends one contract note for the block, a contract id per
-detail on the detail's terms, which the custodian affirms as it is handed.
+a sell). The entry is returned exactly once: in full when routing rejects
+the order, or, once the order is terminal and all its trades are settled
+and credited, less the street's cost (a buy) or the filled quantity (a
+sell). No fill costs more than the limit or cap, so the rest is never
+negative. Prepayment and a routing refund are one house-client transfer
+each, `_transfer`; the credits for settled trades and the refunds of what
+they left unused go out as one `Ledger.pay_out` posting from the house per
+`settle_retail_rec` call, all or nothing. Institutional clients never
+prepay: their assets sit at the custodian, which takes over settlement
+once it affirms the broker's contracts. The custodian has already accepted
+the manager's allocation details, so the broker checks only what it alone
+knows, its block order: the block is done filling and the details cover
+its filled quantity. It then sends one contract note for the block, a
+contract id per detail on the detail's terms, which the custodian affirms
+as it is handed.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ class BrokerService:
 
         if rejection := self._stage_routing(order, venue):
             if retail:
-                self._return_escrow(order, 0)
+                self._transfer(order, self._escrow.pop(order_id), order.side is BUY,
+                               f"refund:{order_id}")
             return self._rejected(order_id, passed, "routing", rejection.rule)
         self.audit_records.append(_new(AuditEvent, (order_id, "routing", "ok", "", passed)))
 
@@ -267,12 +270,6 @@ class BrokerService:
             self.ledger.transfer_equity(src, dst, order.symbol, units,
                                         cause + self._equity_method)
 
-    def _return_escrow(self, order: Order, used: int) -> None:
-        """Release the order's escrow, refunding what the street did not use."""
-        unused = self._escrow.pop(order.order_id) - used
-        if unused > 0:
-            self._transfer(order, unused, order.side is BUY, f"refund:{order.order_id}")
-
     def _stage_routing(self, order: Order, venue: ParticipantId) -> Rejection | None:
         exchange = self.registry.lookup(venue)
         rejection = exchange.validate_incoming_order(order)
@@ -355,14 +352,22 @@ class BrokerService:
 
     def settle_retail_rec(self) -> int:
         """Credit retail clients for settled trades; idempotent. One pass per
-        order credits each settled trade not yet credited, sums the street's
-        cost, and returns the escrow once the order is terminal and settled."""
-        credited = 0
+        order adds a leg for each settled trade not yet credited, sums the
+        street's cost, and, once the order is terminal and settled, adds a
+        refund leg for its unused escrow; the legs go out as one posting
+        from the house, after which the trades count as credited and the
+        escrows as returned."""
+        moves: list[tuple[str, str | None, int, str]] = []
+        add = moves.append
+        credited: list[tuple[str, str]] = []
+        returned: list[str] = []
         done, escrow, fills = self._credited, self._escrow, self.fills.get
+        money_method, equity_method = self._money_method, self._equity_method
         for order_id, order in self.orders.items():
             if order.client_kind is not RETAIL:
                 continue
             buy = order.side is BUY
+            client, symbol = order.client, order.symbol
             cost = 0
             settled = True
             for trade in fills(order_id, ()):
@@ -376,14 +381,21 @@ class BrokerService:
                 if key in done:
                     continue
                 if buy:
-                    self._transfer(order, quantity, False, f"settle:{trade.trade_id}")
+                    add((client, symbol, quantity, f"settle:{trade.trade_id}{equity_method}"))
                 else:
-                    self._transfer(order, value, True, f"settle:{trade.trade_id}")
-                done.add(key)
-                credited += 1
+                    add((client, None, value, f"settle:{trade.trade_id}{money_method}"))
+                credited.append(key)
             if settled and order_id in escrow and order.is_terminal:
-                self._return_escrow(order, cost if buy else order.filled_quantity)
-        return credited
+                unused = escrow[order_id] - (cost if buy else order.filled_quantity)
+                if unused > 0:
+                    add((client, None, unused, f"refund:{order_id}{money_method}") if buy
+                        else (client, symbol, unused, f"refund:{order_id}{equity_method}"))
+                returned.append(order_id)
+        self.ledger.pay_out(self.house_account, moves)
+        done.update(credited)
+        for order_id in returned:
+            del escrow[order_id]
+        return len(credited)
 
     def unaffirmed_blocks(self) -> list[str]:
         return [block_id for block_id in self.contracts_sent

@@ -129,9 +129,9 @@ class ClearingCorporation:
         self.pending_obligations: list[Obligation] = []
         self.executed_instructions: list[SettlementInstruction] = []
         self._cleared_reports: list[TradeReport] = []
-        self._street_qty: dict[str, int] = {}       # block/any order id -> executed qty
+        self._street_qty: dict[str, int] = {}       # block order id -> executed qty
         self._covered_qty: dict[str, int] = {}      # order id -> custodian-covered qty
-        self._order_trades: dict[str, list[TradeReport]] = {}
+        self._order_trades: dict[str, list[TradeReport]] = {}  # block order id -> its trades
         self._next_instruction = 1
 
     # -- intake ---------------------------------------------------------
@@ -144,16 +144,13 @@ class ClearingCorporation:
         if self.extended_validation and trade.price.amount * trade.quantity > MAX_TRADE_VALUE:
             return Rejection("trade_validation", "TradeValueTooLarge", str(trade.value))
         self.queued.append(report)
-        quantity, order_trades, street_qty = trade.quantity, self._order_trades, self._street_qty
-        for order_id, deferred in ((trade.buy_order_id, report.buy_deferred),
-                                   (trade.sell_order_id, report.sell_deferred)):
-            reports = order_trades.get(order_id)
-            if reports is None:
-                order_trades[order_id] = [report]
-            else:
-                reports.append(report)
-            if deferred:
-                street_qty[order_id] = street_qty.get(order_id, 0) + quantity
+        if report.buy_deferred or report.sell_deferred:  # only blocks' sides are recorded
+            street_qty = self._street_qty
+            for order_id, deferred in ((trade.buy_order_id, report.buy_deferred),
+                                       (trade.sell_order_id, report.sell_deferred)):
+                if deferred:
+                    self._order_trades.setdefault(order_id, []).append(report)
+                    street_qty[order_id] = street_qty.get(order_id, 0) + trade.quantity
         return None
 
     def submit_client_trades(self, details: tuple[AllocationDetail, ...]) -> None:
@@ -313,7 +310,9 @@ class ClearingCorporation:
     # -- bookkeeping ----------------------------------------------------
 
     def is_order_settled(self, order_id: str) -> bool:
-        """Settlement status inquiry: every street trade of `order_id` settled."""
+        """Settlement status inquiry for a block (a deferred side): every
+        street trade of `order_id` settled. Only blocks' trades are
+        recorded, so any other order reads as unsettled."""
         reports = self._order_trades.get(order_id, [])
         return bool(reports) and all(
             report.trade.status is SETTLED for report in reports)

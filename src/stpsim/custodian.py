@@ -16,7 +16,8 @@ The custodian then hands the clearing corporation each affirmed block's
 details as its client-level trades, in one call per block, which clearing
 never refuses, and, once the street trades settle, distributes shares or
 proceeds from the omnibus account to each end client: one `Ledger.pay_out`
-per block, one leg per detail, so a block is paid out whole or not at all.
+per block, one leg per detail, the posting call the broker credits its
+retail clients with, so a block is paid out whole or not at all.
 A block is marked distributed once paid, so a second
 `settle_institutional_rec` pays nothing again.
 """
@@ -139,14 +140,15 @@ class CustodianService:
                 continue
             details = affirmed.details
             if affirmed.side is BUY:
-                symbol, method = details[0].symbol, self._equity_method
-                moves = [(end_client, quantity, f"distribute:{alloc_id}{method}")
-                         for alloc_id, _, end_client, _, _, quantity, _ in details]
+                method = self._equity_method
+                moves = [(end_client, symbol, quantity, f"distribute:{alloc_id}{method}")
+                         for alloc_id, _, end_client, _, symbol, quantity, _ in details]
             else:
-                symbol, method = None, self._money_method
-                moves = [(end_client, price.amount * quantity, f"distribute:{alloc_id}{method}")
+                method = self._money_method
+                moves = [(end_client, None, price.amount * quantity,
+                          f"distribute:{alloc_id}{method}")
                          for alloc_id, _, end_client, _, _, quantity, price in details]
-            pay_out(omnibus, symbol, moves)
+            pay_out(omnibus, moves)
             moved += len(details)
             affirmed.distributed = True
         return moved

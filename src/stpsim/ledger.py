@@ -8,9 +8,11 @@ no short selling).
 
 Movements are written one at a time (`Ledger.transfer_money`,
 `Ledger.transfer_equity`) or as one posting from one payer to many payees
-(`Ledger.pay_out`). A posting checks every leg, and the payer's holding
-against the legs' total, before its first write, then debits the payer once;
-its journal entries and touched owners are those of one transfer per leg.
+(`Ledger.pay_out`), whose legs may mix money and shares of any symbols. A
+posting checks every leg, and the payer's holding against the money total
+and each symbol's total, before its first write, then debits the payer once
+per total; its journal entries and touched owners are those of one transfer
+per leg.
 
 A balance is read one way while running and one way per step. Live, through
 `Ledger.balance` and `Ledger.position`, each of which raises `UnknownAccount`
@@ -243,61 +245,64 @@ class Ledger:
         journal.append(_new(JournalEntry, (seq, "equity", src, dst, qty, symbol, cause)))
         return seq
 
-    def pay_out(self, src: str, symbol: str | None,
-                moves: Sequence[tuple[str, int, str]]) -> None:
-        """Pay each `(dst, units, cause)` of `moves` from `src`, all or nothing:
-        minor units of money when `symbol` is None, else shares of `symbol`.
+    def pay_out(self, src: str, moves: Sequence[tuple[str, str | None, int, str]]) -> None:
+        """Pay each `(dst, symbol, units, cause)` of `moves` from `src`, all or
+        nothing: minor units of money when `symbol` is None, else shares of
+        `symbol`, so one posting may mix money and any symbols' shares.
 
         Every check comes before the first write: each leg's amount is
-        positive and its payee opened, and the payer holds the legs' total
-        (a leg back to `src` counts toward it).
-        It then writes the payer once and credits each payee in leg order,
-        reading its balance just before writing it. Each leg is journalled,
-        and its owners marked touched, exactly as one `transfer_money` or
-        `transfer_equity` per leg would.
+        positive, the payer and every payee are opened, and the payer holds
+        the money legs' total and each symbol's legs' total (a leg back to
+        `src` counts toward them), money first, then symbols as their first
+        legs come. It then debits the payer once per total and credits each
+        payee in leg order, reading its balance just before writing it. Each
+        leg is journalled, and its owners marked touched, exactly as one
+        `transfer_money` or `transfer_equity` per leg would.
         """
         if not moves:
             return
-        total = 0
-        for _, units, _ in moves:
+        money = 0
+        shares: dict[str, int] = {}
+        for _, symbol, units, _ in moves:
             if units <= 0:
                 raise (NonPositiveAmount(f"transfer of {_new(Money, (units, self.currency))}")
                        if symbol is None else NonPositiveQuantity(f"transfer of {units} {symbol}"))
-            total += units
-        accounts = self.accounts
+            if symbol is None:
+                money += units
+            else:
+                shares[symbol] = shares.get(symbol, 0) + units
+        accounts, currency = self.accounts, self.currency
         try:
             payer = accounts[src]
-            payees = [accounts[dst] for dst, _, _ in moves]
+            payees = [accounts[dst] for dst, _, _, _ in moves]
         except KeyError as missing:
             raise UnknownAccount(missing.args[0]) from None
+        held = payer._money.amount
+        if held < money:
+            raise InsufficientFunds(
+                f"{src} holds {payer._money}, needs {_new(Money, (money, currency))}")
+        delivering = payer._positions
+        for symbol, total in shares.items():
+            if delivering.get(symbol, 0) < total:
+                raise InsufficientPosition(
+                    f"{src} holds {delivering.get(symbol, 0)} {symbol}, needs {total}")
+        if money:
+            payer._money = _new(Money, (held - money, currency))
+        for symbol, total in shares.items():
+            delivering[symbol] -= total
         touched, journal = self._touched, self.journal
+        touched[src] = None
         seq = len(journal)
-        if symbol is None:
-            currency = self.currency
-            held = payer._money.amount
-            if held < total:
-                raise InsufficientFunds(
-                    f"{src} holds {payer._money}, needs {_new(Money, (total, currency))}")
-            payer._money = _new(Money, (held - total, currency))
-            touched[src] = None
-            for payee, (dst, units, cause) in zip(payees, moves):
+        for payee, (dst, symbol, units, cause) in zip(payees, moves):
+            seq += 1
+            if symbol is None:
                 payee._money = _new(Money, (payee._money.amount + units, currency))
-                touched[dst] = None
-                seq += 1
                 journal.append(_new(JournalEntry, (seq, "money", src, dst, units, None, cause)))
-        else:
-            delivering = payer._positions
-            held = delivering.get(symbol, 0)
-            if held < total:
-                raise InsufficientPosition(f"{src} holds {held} {symbol}, needs {total}")
-            delivering[symbol] = held - total
-            touched[src] = None
-            for payee, (dst, units, cause) in zip(payees, moves):
+            else:
                 receiving = payee._positions
                 receiving[symbol] = receiving.get(symbol, 0) + units
-                touched[dst] = None
-                seq += 1
                 journal.append(_new(JournalEntry, (seq, "equity", src, dst, units, symbol, cause)))
+            touched[dst] = None
 
     def snapshot(self) -> Snapshot:
         """All balances as a `Snapshot`; later ledger mutations are invisible to it.

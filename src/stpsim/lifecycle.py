@@ -304,13 +304,18 @@ def assert_conservation(report: ScenarioReport) -> list[CheckResult]:
         # each expected account is popped, so what is left of `final` is unlisted
         for account, money, positions in scenario.expected:
             have_money, have_positions = final.pop(account)
-            # no dict for an expectation without positions: the account holds none
-            want_positions = {s: q for s, q in positions if q} if positions else None
-            ok = have_money.amount == money and (
-                not have_positions if want_positions is None else have_positions == want_positions)
+            # the recorded positions, which hold no zero, against the expected
+            # non-zero (symbol, qty) pairs, whose symbols are distinct
+            ok = have_money.amount == money
+            unmatched = len(have_positions)
+            for symbol, qty in positions:
+                if qty:
+                    unmatched -= 1
+                    ok = ok and have_positions.get(symbol) == qty
+            ok = ok and not unmatched
             record(_new(CheckResult, (f"final[{account}]", ok, "" if ok else
                    f"have money={have_money.amount} positions={dict(have_positions)}, "
-                   f"want money={money} positions={want_positions or {}}")))
+                   f"want money={money} positions={ {s: q for s, q in positions if q} }")))
         for account, (have_money, have_positions) in sorted(final.items()):
             if have_money.amount or have_positions:
                 record(_new(CheckResult, (

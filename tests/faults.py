@@ -28,8 +28,8 @@ class LeakyLedger(Ledger):
 
     `leak(kind, extra, symbol, after)` arms the first transfer of `kind`
     ("money" or "equity") that the ledger makes once it has taken `after`
-    snapshots, a `pay_out` of that kind counting as one transfer into its
-    first payee: that transfer credits `extra` more units than it debits
+    snapshots, a `pay_out` leg of that kind counting as one transfer into
+    its payee: that transfer credits `extra` more units than it debits
     (fewer, for a negative `extra`), in `symbol` if given, else in what it
     moved. Each leak that fires appends to `leaked` the index of the step
     whose snapshot records it, the number of snapshots taken before it.
@@ -81,11 +81,12 @@ class LeakyLedger(Ledger):
         self._leak_into("equity", dst, symbol)
         return seq
 
-    def pay_out(self, src, symbol, moves):
-        # a posting leaks like its first leg's transfer: into the first payee
-        super().pay_out(src, symbol, moves)
-        if moves:
-            self._leak_into("money" if symbol is None else "equity", moves[0][0], symbol)
+    def pay_out(self, src, moves):
+        # a posting leaks like one transfer per leg: into the payee of its
+        # first leg of the armed kind
+        super().pay_out(src, moves)
+        for dst, symbol, _, _ in moves:
+            self._leak_into("money" if symbol is None else "equity", dst, symbol)
 
 
 def run_leaking(product, scenario, **leak):

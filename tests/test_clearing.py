@@ -389,11 +389,15 @@ def test_first_wait_names_the_first_uncovered_side():
         f"{covered.trade.trade_id} waits for SELLBLOCK: 0 of 30 shares covered")
 
 
-def test_is_order_settled_tracks_street_trades():
+@pytest.mark.parametrize("side", ["buy", "sell"])
+def test_is_order_settled_tracks_street_trades(side):
+    # a block's side, the only kind the custodian asks about
     clearing, _ = make_clearing()
-    report = street_trade("acct_a", "acct_b", qty=10, price=1000, buy_order="BLOCKX")
+    report = street_trade("acct_a", "acct_b", qty=10, price=1000,
+                          **{f"{side}_order": "BLOCKX", f"{side}_deferred": True})
     clearing.submit_trade(report)
     assert not clearing.is_order_settled("BLOCKX")
+    clearing.submit_client_trades(client_trades("BLOCKX", 10))
     clearing.clear_rec()
     clearing.settle_rec()
     assert clearing.is_order_settled("BLOCKX")

@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_scenario, over_the_trade_value_cap
 from faults import FAULT_KINDS, LeakyLedger, inject, run_leaking
 from matchdriver import comparator_for
+from stpsim.assembly import build_ecosystem
 from stpsim.data import config_path, scenario_path
 from stpsim.features import derive_product, parse_configuration
 from stpsim.ledger import (
     AccountSnapshot, LedgerError, Money, total_money, total_positions)
 from stpsim.lifecycle import (
-    CheckResult, ScenarioReport, StepRecord, assert_conservation, run_scenario)
+    CheckResult, ScenarioReport, ScenarioRunner, StepRecord, assert_conservation, run_scenario)
 from stpsim.report import render_machine
 from stpsim.scenarios import SCENARIO_IDS, parse_scenario
+from stpsim.trading import TradeStatus
 
 ALL_SCENARIOS = list(SCENARIO_IDS)
 
@@ -204,6 +206,113 @@ def test_a_leak_in_the_custodians_posting_fails_the_run(products, kind):
     assert [report.steps[at].name for at in ledger.leaked] == ["custodian_settle"]
     failing = [check.name for check in assert_conservation(report) if not check.passed]
     assert f"conserve_{kind}[settle->custodian_settle]" in failing
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+@pytest.mark.parametrize("kind", ["money", "equity"])
+def test_a_leak_in_the_brokers_posting_fails_the_run(products, product_key, kind):
+    # retail_retail credits both ways: BR1 posts RC1's bought shares and
+    # BR2 RC2's sale proceeds, each in one posting
+    scenario = load_scenario("retail_retail")
+    names = [step.name for step in run_pair(products[product_key], "retail_retail")[0].steps]
+    report, ledger = run_leaking(products[product_key], scenario, kind=kind,
+                                 after=names.index("broker_settle"))
+    assert [report.steps[at].name for at in ledger.leaked] == ["broker_settle"]
+    failing = [check.name for check in assert_conservation(report) if not check.passed]
+    assert f"conserve_{kind}[custodian_settle->broker_settle]" in failing
+
+
+@pytest.mark.parametrize("scenario_id", ALL_SCENARIOS)
+def test_a_second_crediting_pass_credits_and_writes_nothing(products, scenario_id):
+    scenario = load_scenario(scenario_id)
+    eco = build_ecosystem(products["SECO_A"], scenario)
+    assert ScenarioRunner(eco, scenario).run().completed
+    journal = list(eco.ledger.journal)
+    assert [broker.settle_retail_rec() for broker in eco.brokers.values()] == [0] * len(
+        eco.brokers)
+    assert eco.ledger.journal == journal
+    assert dict(eco.ledger.snapshot().changes()) == {}
+
+
+# RC2's sell fills 40 against RC1's retail buy and 60 against INST1's block,
+# which is never allocated, so its trade waits in the clearing queue
+HELD_BACK = """\
+scenario: held_back
+currency: USD
+symbol: ACME
+
+broker: BR1
+broker: BR2
+custodian: CU1
+exchange: X1
+clearing_corporation: CC1
+clearing_bank: CB1
+depository: DP1
+
+retail: RC1 broker=BR1
+retail: RC2 broker=BR2
+institution: INST1 broker=BR1 custodian=CU1 ends=EC1
+
+endow: RC1 money=41600
+endow: RC2 ACME=100
+endow: CU1.omnibus money=62400
+
+order: RC2 sell 100 ACME limit 1040
+order: RC1 buy 40 ACME limit 1040
+order: INST1 buy 60 ACME limit 1040
+"""
+
+
+@pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])
+def test_a_fill_held_back_by_an_unallocated_block_is_not_credited(products, product_key):
+    scenario = parse_scenario(HELD_BACK)
+    eco = build_ecosystem(products[product_key], scenario)
+    report = ScenarioRunner(eco, scenario).run()
+    assert report.completed
+    assert report.steps[-1].events == ("BR1:credits=1", "BR2:credits=1")
+    broker, ledger = eco.brokers["BR2"], eco.ledger
+    [sell] = broker.orders
+    settled, held = broker.fills[sell]
+    assert (settled.quantity, settled.status, held.quantity, held.status) == (
+        40, TradeStatus.SETTLED, 60, TradeStatus.EXECUTED)
+    credits = [(entry.src, entry.dst, entry.kind, entry.amount) for entry in ledger.journal
+               if entry.cause.startswith(("settle:", "refund:"))]
+    assert credits == [("BR1.house", "RC1", "equity", 40), ("BR2.house", "RC2", "money", 41600)]
+    # the order keeps its whole escrow entry; the house still holds the 60
+    # prepaid shares the held-back trade will deliver
+    assert broker._escrow == {sell: 100}
+    assert (ledger.balance("RC2").amount, ledger.position("RC2", "ACME")) == (41600, 0)
+    assert ledger.position("BR2.house", "ACME") == 60
+    assert ledger.position("RC1", "ACME") == 40
+
+
+# (expected positions, whether RC1's 100 ACME and 46000 meet them)
+FINAL_EXPECTATIONS = [
+    ((("ACME", 100),), True),
+    ((("ZETA", 0), ("ACME", 100)), True),
+    ((("ACME", 100), ("ZETA", 0)), True),
+    ((), False),
+    ((("ACME", 0),), False),
+    ((("ACME", 99),), False),
+    ((("ZETA", 100),), False),
+    ((("ACME", 100), ("ZETA", 1)), False),
+]
+
+
+@pytest.mark.parametrize("positions, ok", FINAL_EXPECTATIONS)
+def test_a_final_check_reads_the_expected_pairs_as_a_dict_of_the_non_zero_ones(
+        products, positions, ok):
+    report, _ = run_pair(products["SECO_A"], "retail_retail")
+    scenario = report.scenario
+    report.scenario = dataclasses.replace(scenario, expected=tuple(
+        want._replace(positions=positions) if want.account == "RC1" else want
+        for want in scenario.expected))
+    [check] = [check for check in assert_conservation(report) if check.name == "final[RC1]"]
+    want = {symbol: qty for symbol, qty in positions if qty}
+    assert check.passed is ok is (want == {"ACME": 100})
+    assert check.detail == ("" if ok else
+                            f"have money=46000 positions={{'ACME': 100}}, "
+                            f"want money=46000 positions={want}")
 
 
 @pytest.mark.parametrize("product_key", ["SECO_A", "SECO_B"])

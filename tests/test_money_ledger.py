@@ -188,12 +188,17 @@ REFUSED = {
     "unknown_payee": lambda l: l.transfer_money("alice", "nobody", Money(1)),
     "unknown_receiver": lambda l: l.transfer_equity("alice", "nobody", "ACME", 1),
     # a posting is refused whole, though its first legs alone would go through
-    "short_payer": lambda l: l.pay_out("carol", None, [("alice", 5, ""), ("bob", 5, "")]),
-    "short_deliverer": lambda l: l.pay_out("alice", "ACME", [("bob", 6, ""), ("carol", 5, "")]),
-    "unopened_payee": lambda l: l.pay_out("alice", None, [("bob", 1, ""), ("nobody", 1, "")]),
-    "unopened_payer": lambda l: l.pay_out("nobody", "ACME", [("bob", 1, "")]),
-    "zero_leg": lambda l: l.pay_out("alice", None, [("bob", 1, ""), ("carol", 0, "")]),
-    "negative_leg": lambda l: l.pay_out("alice", "ACME", [("bob", 1, ""), ("carol", -1, "")]),
+    "short_payer": lambda l: l.pay_out("carol", [("alice", None, 5, ""), ("bob", None, 5, "")]),
+    "short_deliverer": lambda l: l.pay_out(
+        "alice", [("bob", "ACME", 6, ""), ("carol", "ACME", 5, "")]),
+    "short_deliverer_paying_money": lambda l: l.pay_out(
+        "alice", [("bob", None, 5, ""), ("carol", "ACME", 10, ""), ("bob", "ACME", 1, "")]),
+    "unopened_payee": lambda l: l.pay_out(
+        "alice", [("bob", None, 1, ""), ("nobody", "ACME", 1, "")]),
+    "unopened_payer": lambda l: l.pay_out("nobody", [("bob", "ACME", 1, "")]),
+    "zero_leg": lambda l: l.pay_out("alice", [("bob", "ACME", 1, ""), ("carol", None, 0, "")]),
+    "negative_leg": lambda l: l.pay_out(
+        "alice", [("bob", None, 1, ""), ("carol", "ACME", -1, "")]),
 }
 
 
@@ -234,16 +239,23 @@ def test_transfer_marks_exactly_its_two_owners(call, owners):
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda l: l.pay_out("alice", None, [("bob", 600, ""), ("bob", 401, "")]),
+    (lambda l: l.pay_out("alice", [("bob", None, 600, ""), ("bob", None, 401, "")]),
      InsufficientFunds, "alice holds 1000USD, needs 1001USD"),
-    (lambda l: l.pay_out("alice", "ACME", [("bob", 6, ""), ("bob", 5, "")]),
+    (lambda l: l.pay_out("alice", [("bob", "ACME", 6, ""), ("bob", None, 1, ""),
+                                   ("bob", "ACME", 5, "")]),
      InsufficientPosition, "alice holds 10 ACME, needs 11"),
-    (lambda l: l.pay_out("alice", None, [("bob", 1, ""), ("ghost", 1, ""), ("nobody", 1, "")]),
+    (lambda l: l.pay_out("alice", [("bob", "ZETA", 1, "")]),
+     InsufficientPosition, "alice holds 0 ZETA, needs 1"),
+    # short of money and of shares: the money total is checked first
+    (lambda l: l.pay_out("alice", [("bob", "ACME", 11, ""), ("bob", None, 1001, "")]),
+     InsufficientFunds, "alice holds 1000USD, needs 1001USD"),
+    (lambda l: l.pay_out("alice", [("bob", None, 1, ""), ("ghost", "ACME", 1, ""),
+                                   ("nobody", None, 1, "")]),
      UnknownAccount, "ghost"),
-    (lambda l: l.pay_out("alice", None, [("bob", 0, "")]), NonPositiveAmount,
-     "transfer of 0USD"),
-    (lambda l: l.pay_out("alice", "ACME", [("bob", -2, "")]), NonPositiveQuantity,
-     "transfer of -2 ACME"),
+    (lambda l: l.pay_out("alice", [("bob", "ACME", 1, ""), ("bob", None, 0, "")]),
+     NonPositiveAmount, "transfer of 0USD"),
+    (lambda l: l.pay_out("alice", [("bob", None, 1, ""), ("bob", "ACME", -2, "")]),
+     NonPositiveQuantity, "transfer of -2 ACME"),
 ])
 def test_a_refused_posting_names_its_cause(call, error, message):
     ledger = make_ledger()
@@ -252,34 +264,79 @@ def test_a_refused_posting_names_its_cause(call, error, message):
     assert str(raised.value) == message
 
 
+def test_a_posting_short_of_one_symbol_writes_nothing():
+    """Covered money and ACME legs do not carry a ZETA leg the payer cannot
+    deliver: no balance, journal entry or touched owner comes of it."""
+    ledger = make_ledger()
+    ledger.open_account("carol", Money(5), {"ZETA": 2})
+    ledger.transfer_equity("carol", "alice", "ZETA", 2)
+    before = ledger.snapshot()
+    live = live_balances(ledger)
+    with pytest.raises(InsufficientPosition) as raised:
+        ledger.pay_out("alice", [("bob", None, 1000, "all the money"),
+                                 ("carol", "ACME", 4, ""), ("bob", "ZETA", 2, ""),
+                                 ("carol", "ZETA", 1, ""), ("bob", "ACME", 6, "all of it")])
+    assert str(raised.value) == "alice holds 2 ZETA, needs 3"
+    assert len(ledger.journal) == 1
+    assert live_balances(ledger) == live
+    after = ledger.snapshot()
+    assert dict(after.changes()) == {} and after == before
+
+
 PAYEES = ("a0", "a1", "a2", "a3")
+# each owner's money and shares: a3 holds no TOK, a2 no SYM
+HOLDINGS = {"a0": (100, {"SYM": 100, "TOK": 20}), "a1": (60, {"SYM": 40, "TOK": 100}),
+            "a2": (100, {"TOK": 60}), "a3": (30, {"SYM": 100})}
 
 
-@settings(max_examples=150, deadline=None)
-@given(payer=st.sampled_from(PAYEES), symbol=st.sampled_from([None, "SYM"]),
-       legs=st.lists(st.tuples(st.sampled_from(PAYEES), st.integers(1, 40)), max_size=8))
-def test_a_posting_equals_one_transfer_per_leg(payer, symbol, legs):
-    """A posting that goes through writes what one transfer per leg writes on
-    a second ledger: the same journal entries, balances and next `changes()`,
-    in the same order; one whose legs' total the payer lacks writes nothing."""
+def expected_refusal(ledger, payer, moves):
+    """The error a posting of `moves` from `payer` raises, or None: the
+    money total is checked first, then each symbol's in first-leg order."""
+    totals: dict = {}
+    for _, symbol, units, _ in moves:
+        totals[symbol] = totals.get(symbol, 0) + units
+    money = totals.pop(None, 0)
+    if money > ledger.balance(payer).amount:
+        return InsufficientFunds, f"{payer} holds {ledger.balance(payer)}, needs {Money(money)}"
+    for symbol, total in totals.items():
+        held = ledger.position(payer, symbol)
+        if total > held:
+            return InsufficientPosition, f"{payer} holds {held} {symbol}, needs {total}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(payer=st.sampled_from(PAYEES),
+       legs=st.lists(st.tuples(st.sampled_from(PAYEES), st.sampled_from([None, "SYM", "TOK"]),
+                               st.integers(1, 40)), max_size=8))
+def test_a_posting_equals_one_transfer_per_leg(payer, legs):
+    """A posting that goes through, of money and shares of two symbols in
+    any order, writes what one transfer per leg writes on a second ledger:
+    the same journal entries, balances and next `changes()`, in the same
+    order; one whose payer lacks the money total or a symbol's total writes
+    nothing and names the first such total."""
     posting, per_leg = Ledger(), Ledger()
     for ledger in (posting, per_leg):
-        for owner in PAYEES:
-            ledger.open_account(owner, Money(100), {"SYM": 100})
+        for owner, (money, shares) in HOLDINGS.items():
+            ledger.open_account(owner, Money(money), shares)
         ledger.transfer_money("a1", "a0", Money(3), "earlier")
         ledger.snapshot()
-    moves = [(dst, units, f"leg {index}") for index, (dst, units) in enumerate(legs)]
-    held = posting.balance(payer).amount if symbol is None else posting.position(payer, symbol)
+    moves = [(dst, symbol, units, f"leg {index}")
+             for index, (dst, symbol, units) in enumerate(legs)]
+    refusal = expected_refusal(posting, payer, moves)
     before = posting.snapshot()
-    if sum(units for _, units in legs) > held:
-        with pytest.raises(InsufficientFunds if symbol is None else InsufficientPosition):
-            posting.pay_out(payer, symbol, moves)
+    if refusal is not None:
+        error, message = refusal
+        with pytest.raises(error) as raised:
+            posting.pay_out(payer, moves)
+        assert str(raised.value) == message
         assert len(posting.journal) == 1
+        assert live_balances(posting) == live_balances(per_leg)
         after = posting.snapshot()
         assert dict(after.changes()) == {} and after == before
         return
-    posting.pay_out(payer, symbol, moves)
-    for dst, units, cause in moves:
+    posting.pay_out(payer, moves)
+    for dst, symbol, units, cause in moves:
         if symbol is None:
             per_leg.transfer_money(payer, dst, Money(units), cause)
         else:
@@ -289,21 +346,20 @@ def test_a_posting_equals_one_transfer_per_leg(payer, symbol, legs):
     assert list(posting.snapshot().changes()) == list(per_leg.snapshot().changes())
 
 
-@pytest.mark.parametrize("kind, symbol, held", [
-    ("money", None, lambda l, owner: l.balance(owner).amount),
-    ("equity", "ACME", lambda l, owner: l.position(owner, "ACME")),
-])
-def test_a_leaky_posting_leaks_into_its_first_payee(kind, symbol, held):
+def test_a_leaky_posting_leaks_into_the_first_payee_of_each_armed_kind():
     ledger = LeakyLedger()
     ledger.open_account("alice", Money(1000), {"ACME": 10})
-    ledger.open_account("bob")
-    ledger.open_account("carol")
+    for owner in ("bob", "carol", "dave"):
+        ledger.open_account(owner)
     ledger.snapshot()
-    ledger.leak(kind, 5)
-    ledger.pay_out("alice", symbol, [("bob", 2, ""), ("carol", 3, "")])
-    assert ledger.leaked == [1]
-    assert [held(ledger, owner) for owner in ("bob", "carol")] == [7, 3]
-    assert len(ledger.journal) == 2
+    ledger.leak("money", 5)
+    ledger.leak("equity", 7)
+    ledger.pay_out("alice", [("bob", "ACME", 2, ""), ("carol", None, 3, ""),
+                             ("dave", None, 4, ""), ("carol", "ACME", 1, "")])
+    assert ledger.leaked == [1, 1]
+    assert [ledger.balance(owner).amount for owner in ("bob", "carol", "dave")] == [0, 8, 4]
+    assert [ledger.position(owner, "ACME") for owner in ("bob", "carol", "dave")] == [9, 1, 0]
+    assert len(ledger.journal) == 4
 
 
 def test_duplicate_account_rejected():

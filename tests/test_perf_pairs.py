@@ -110,3 +110,33 @@ def test_a_refused_run_quotes_the_end_of_its_stderr(tmp_path):
         "  warming up",
         "  CLI parity mismatch: seco_a x retail_retail",
     ]
+
+
+def test_record_appends_one_trajectory_record_per_workload(tmp_path, monkeypatch):
+    # canned runs: the change gains 11 orders/s in nine pairs of ten
+    change = iter([112, 113, 114, 115, 116, 117, 118, 119, 120, 100] * 2)
+    parent = iter(PARENT_ORDERS * 2)
+
+    def canned(checkout, workload, seed, seconds, trace):
+        orders = next(parent if checkout == tmp_path else change)
+        return perf_pairs.result_of(f"{unscaled(0.009, 0.01, 0.007, 0.012)}\n"
+                                    f"{line(orders, 0.01)}\n", workload)
+
+    monkeypatch.setattr(perf_pairs, "run", canned)
+    path = tmp_path / "BENCH_pairs.json"
+    args = ["--parent", str(tmp_path), "--seed", "3", "--seconds", "8", "--record", str(path)]
+    assert perf_pairs.main(["--workload", "deep_book", "--label", "first", *args]) == 0
+    assert perf_pairs.main(["--workload", "retail_cross", *args]) == 0
+    first, second = json.loads(path.read_text())
+    assert len(path.read_text().splitlines()) == 4     # one record a line, inside [ and ]
+    assert [first["workload"], first["label"], second["workload"], second["label"]] == [
+        "deep_book", "first", "retail_cross", None]
+    assert (first["seed"], first["seconds"], first["pairs"]) == (3, 8.0, 10)
+    # only the end-to-end metrics: no unscaled phase, nothing outside the benchmark
+    assert set(first["metrics"]) == {"orders_per_s", "report_s"}
+    orders = first["metrics"]["orders_per_s"]
+    assert orders == {"unit": "orders/s", "better": "higher", "parent": [101.75, 104.5, 107.25],
+                      "change": [112.75, 115.5, 118.25], "percent": 100 * 11 / 104.5,
+                      "wins": 9, "claim": True}
+    assert first["metrics"]["report_s"]["claim"] is False
+    assert second["metrics"] == first["metrics"]

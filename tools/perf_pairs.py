@@ -1,7 +1,7 @@
 """Alternating benchmark pairs of a parent checkout and this one, summarized.
 
     python3 tools/perf_pairs.py --parent DIR --workload NAME [NAME ...] \\
-        --seed N --seconds S [--pairs P] [--trace 0|1]
+        --seed N --seconds S [--pairs P] [--trace 0|1] [--record PATH [--label TEXT]]
 
 Run it from anywhere; DIR is the root of another checkout, such as the
 parent commit's (``git archive`` of it, unpacked). For each workload it runs
@@ -25,6 +25,13 @@ that each run prints (``median wall seconds, unscaled:``): set-up, life
 cycle, report and reference kernel, lower being better, so a claim shows
 its raw change beside the scaled one. Their claim column reads ``-``: raw
 seconds from runs minutes apart are not comparable within a bound.
+
+With ``--record PATH`` it also appends one record per workload to PATH, a
+JSON list of one record a line that it creates if missing: the workload,
+``--label``, the seed, the run length in seconds, the number of pairs, and
+per end-to-end metric of ``BENCHMARK.json`` the row above (each side's
+quartiles, the change in percent, the pairs won and whether the claim rule
+holds). A committed file of these records is the benchmark's trajectory.
 """
 
 from __future__ import annotations
@@ -122,6 +129,24 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
     return rows
 
 
+def record(workload: str, label: str | None, seed: int, seconds: float, pairs: int,
+           rows: list[dict], end_to_end: set[str]) -> dict:
+    """One trajectory record: the runs' settings and each end-to-end row."""
+    return {"workload": workload, "label": label, "seed": seed, "seconds": seconds,
+            "pairs": pairs, "metrics": {
+                row["metric"]: {key: row[key] for key in (
+                    "unit", "better", "parent", "change", "percent", "wins", "claim")}
+                for row in rows if row["metric"] in end_to_end}}
+
+
+def append_record(path: Path, entry: dict) -> None:
+    """Append `entry` to the JSON list in `path`, which it creates if
+    missing; one record a line, so each append adds a line."""
+    records = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    records.append(entry)
+    path.write_text("[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n", encoding="utf-8")
+
+
 def table(workload: str, rows: list[dict]) -> str:
     lines = [f"{workload}: parent and change as q1 / median / q3, "
              f"wins in the direction of `better`",
@@ -155,12 +180,16 @@ def parse_args(argv):
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--record", type=Path)
+    parser.add_argument("--label")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8")))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = directions(benchmark)
+    end_to_end = {metric["name"] for metric in benchmark.get("end_to_end", ())}
     for workload in args.workload:
         pairs = []
         for index in range(args.pairs):
@@ -173,7 +202,11 @@ def main(argv=None) -> int:
                 print(f"error: {refused}", file=sys.stderr)
                 return 1
             pairs.append((first, second) if parent_first else (second, first))
-        print(table(workload, summarize(pairs, better)), flush=True)
+        rows = summarize(pairs, better)
+        print(table(workload, rows), flush=True)
+        if args.record is not None:
+            append_record(args.record, record(workload, args.label, args.seed, args.seconds,
+                                              len(pairs), rows, end_to_end))
     return 0
 
 
